@@ -503,11 +503,6 @@ class AdamW:
         return lr
 
 
-def zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
-
-
 # --- checkpoint format -----------------------------------------------------
 #
 # Flat binary layout, all integers little-endian:

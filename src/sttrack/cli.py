@@ -42,10 +42,6 @@ class CheckpointMismatchError(RuntimeError):
 # --- shared helpers ----------------------------------------------------------
 
 
-def scenario_seed(base_seed: int, index: int) -> tuple[int, int]:
-    return (base_seed, index)
-
-
 def build_scenario(cfg: RunConfig, index: int):
     """One deterministic scenario: specs and noise derive from (seed, index)."""
     rng = np.random.default_rng((cfg.seed, index, 0))

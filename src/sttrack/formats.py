@@ -2,9 +2,11 @@
 
 Every output file starts with a header object carrying the schema version,
 the file kind, the fully resolved configuration, a version string, and a
-creation timestamp. The timestamp is the only nondeterministic field;
-`normalized_digest` hashes a file with it removed so byte-level determinism
-checks can ignore it.
+creation timestamp. The timestamp and the version (from `git describe
+--dirty`, so it differs between a clean checkout and an edited tree of one
+commit) say when and from what a file was written, not what it holds;
+`normalized_digest` hashes a file with both removed so byte-level
+determinism checks can ignore them.
 
 Row schemas (one JSON object per line after the header):
   ground_truth: frame, object_id, class, cx, cy, cz, w, l, h, heading,
@@ -18,6 +20,7 @@ Row schemas (one JSON object per line after the header):
 from __future__ import annotations
 
 import datetime
+import functools
 import hashlib
 import json
 import subprocess
@@ -38,7 +41,9 @@ class FormatError(ValueError):
     pass
 
 
+@functools.cache
 def version_string() -> str:
+    """`git describe` of the source tree, looked up once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -97,11 +102,12 @@ def read_jsonl(path, expected_kind: str | None = None) -> tuple[dict, list[dict]
 
 
 def normalized_digest(path) -> str:
-    """Content hash with the header timestamp removed."""
+    """Content hash with the header's timestamp and version removed."""
     with open(path) as f:
         lines = f.read().splitlines()
     header = json.loads(lines[0])
     header.pop("created", None)
+    header.pop("version", None)
     payload = json.dumps(header, sort_keys=True) + "\n" + "\n".join(lines[1:])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -11,12 +11,22 @@ scores and a current-frame state).
 All positions are encoded relative to the track's last observed position
 (the anchor), which makes every output translation-equivariant; decoded
 state positions are anchor-relative and the caller adds the anchor back.
+
+Training and inference share one input path. `detection_features` turns a
+list of detections into encoder rows in one pass; `_pad` places groups of
+rows (a history or a context per track) into the first slots of padded
+(B, W, F) arrays with a mask, relative to each group's anchor; and
+`_history_inputs` adds the recency one-hots and pooling weights. `pack_batch`
+(training), `queries_from_histories` and `context_scores` (tracking) all go
+through them, so a detection is featurized the same way wherever it is read.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,27 +189,86 @@ def init_params(cfg: SttConfig, seed: int) -> dict[str, Tensor]:
 # --- feature building --------------------------------------------------------
 
 
-def detection_features(
-    det: Detection, anchor: tuple[float, float], cfg: SttConfig
-) -> np.ndarray:
-    """Flat [geometry, appearance, motion] input row for the encoder."""
-    if len(det.appearance) != cfg.d_a:
-        raise ValueError(
-            f"appearance width {len(det.appearance)} != configured d_a {cfg.d_a}"
+def _check_width(
+    rows: Iterable[Sequence[float]], width: int, name: str, field: str
+) -> None:
+    wrong = sorted({len(row) for row in rows} - {width})
+    if wrong:
+        raise ValueError(f"{name} width {wrong[0]} != configured {field} {width}")
+
+
+def detection_features(dets: list[Detection], cfg: SttConfig) -> np.ndarray:
+    """(N, F) [geometry, appearance, motion] encoder rows, one per detection.
+
+    Columns 0-1 hold the absolute box centre; `_pad` makes them relative to
+    each group's anchor.
+    """
+    _check_width((det.appearance for det in dets), cfg.d_a, "appearance", "d_a")
+    _check_width((det.motion for det in dets), cfg.d_m, "motion", "d_m")
+    values = itertools.chain.from_iterable(
+        (
+            *det.box.center[:2],
+            *det.box.size,
+            math.sin(det.box.heading),
+            math.cos(det.box.heading),
+            det.confidence,
+            *det.appearance,
+            *det.motion,
         )
-    if len(det.motion) != cfg.d_m:
-        raise ValueError(f"motion width {len(det.motion)} != configured d_m {cfg.d_m}")
-    box = det.box
-    out = np.empty(cfg.feature_width)
-    out[0] = box.center[0] - anchor[0]
-    out[1] = box.center[1] - anchor[1]
-    out[2:5] = box.size
-    out[5] = math.sin(box.heading)
-    out[6] = math.cos(box.heading)
-    out[7] = det.confidence
-    out[8 : 8 + cfg.d_a] = det.appearance
-    out[8 + cfg.d_a :] = det.motion
-    return out
+        for det in dets
+    )
+    rows = np.fromiter(values, dtype=float, count=len(dets) * cfg.feature_width)
+    return rows.reshape(len(dets), cfg.feature_width)
+
+
+def _pad(
+    groups: list[Sequence[Detection]],
+    anchors: list[tuple[float, float]],
+    cfg: SttConfig,
+    limit: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Featurize groups of detections into the first slots of (B, W, F).
+
+    W is the config field `limit` names ("t_max" or "k_max"). Returns
+    (features, mask (B, W) bool, lengths (B,)); each group's positions are
+    relative to its anchor.
+    """
+    width = getattr(cfg, limit)
+    lengths = np.array([len(group) for group in groups], dtype=int)
+    if len(groups) and lengths.max() > width:
+        raise ValueError(f"group of {lengths.max()} detections exceeds {limit} {width}")
+    mask = np.arange(width) < lengths[:, None]
+    rows = detection_features([det for group in groups for det in group], cfg)
+    anchor_rows = np.repeat(np.asarray(anchors, dtype=float).reshape(-1, 2), lengths, axis=0)
+    rows[:, :2] -= anchor_rows
+    feat = np.zeros((len(groups), width, cfg.feature_width))
+    feat[mask] = rows
+    return feat, mask, lengths
+
+
+def _history_inputs(
+    histories: list[Sequence[Detection]],
+    anchors: list[tuple[float, float]],
+    cfg: SttConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(features, mask, recency one-hots, pooling weights) for histories.
+
+    Each history sits in the first slots in frame order; its j-th of n
+    detections takes recency index t_max - n + j in the positional table.
+    """
+    feat, mask, lengths = _pad(histories, anchors, cfg, "t_max")
+    if len(histories) and lengths.min() < 1:
+        raise ValueError("history must be non-empty")
+    b, t = len(histories), cfg.t_max
+    rows, slots = np.nonzero(mask)
+    onehot = np.zeros((b, t, t))
+    onehot[rows, slots, t - lengths[rows] + slots] = 1.0
+    pool = np.zeros((b, 1, t))
+    if cfg.pooling == "mean":
+        pool[rows, 0, slots] = 1.0 / lengths[rows]
+    else:
+        pool[np.arange(b), 0, lengths - 1] = 1.0
+    return feat, mask, onehot, pool
 
 
 def state_targets(state: StateVector, anchor: tuple[float, float]) -> np.ndarray:
@@ -227,62 +296,28 @@ class Batch:
         return self.hist_feat.shape[0]
 
 
-def pack_batch(
-    examples: list[TrainingExample],
-    cfg: SttConfig,
-    history_slots: list[np.ndarray] | None = None,
-    context_slots: list[np.ndarray] | None = None,
-) -> Batch:
-    """Pad examples into batch arrays.
-
-    Slot layouts are arbitrary (tests exercise re-layouts of padding): each
-    real element carries its recency index into the positional table, so the
-    physical slot never matters.
-    """
-    b, t, k, f = len(examples), cfg.t_max, cfg.k_max, cfg.feature_width
-    batch = Batch(
-        hist_feat=np.zeros((b, t, f)),
-        hist_mask=np.zeros((b, t), dtype=bool),
-        pe_onehot=np.zeros((b, t, t)),
-        pool_weights=np.zeros((b, 1, t)),
-        ctx_feat=np.zeros((b, k, f)),
-        ctx_mask=np.zeros((b, k), dtype=bool),
-        labels=np.zeros((b, k)),
-        target_t=np.zeros((b, 6)),
-        target_prev=np.zeros((b, 6)),
+def pack_batch(examples: list[TrainingExample], cfg: SttConfig) -> Batch:
+    """Featurize and pad examples into batch arrays."""
+    anchors = [ex.anchor for ex in examples]
+    hist_feat, hist_mask, pe_onehot, pool_weights = _history_inputs(
+        [ex.history for ex in examples], anchors, cfg
     )
-    for i, ex in enumerate(examples):
-        n_hist = len(ex.history)
-        if n_hist > t:
-            raise ValueError(f"history length {n_hist} exceeds t_max {t}")
-        if len(ex.context) > k:
-            raise ValueError(f"context size {len(ex.context)} exceeds k_max {k}")
-        h_slots = (
-            np.arange(n_hist) if history_slots is None else np.asarray(history_slots[i])
-        )
-        c_slots = (
-            np.arange(len(ex.context))
-            if context_slots is None
-            else np.asarray(context_slots[i])
-        )
-        for j, det in enumerate(ex.history):
-            slot = int(h_slots[j])
-            batch.hist_feat[i, slot] = detection_features(det, ex.anchor, cfg)
-            batch.hist_mask[i, slot] = True
-            batch.pe_onehot[i, slot, t - n_hist + j] = 1.0  # recency index
-        last_slot = int(h_slots[n_hist - 1])
-        if cfg.pooling == "mean":
-            batch.pool_weights[i, 0, h_slots[:n_hist]] = 1.0 / n_hist
-        else:
-            batch.pool_weights[i, 0, last_slot] = 1.0
-        for j, det in enumerate(ex.context):
-            slot = int(c_slots[j])
-            batch.ctx_feat[i, slot] = detection_features(det, ex.anchor, cfg)
-            batch.ctx_mask[i, slot] = True
-            batch.labels[i, slot] = float(ex.labels[j])
-        batch.target_t[i] = state_targets(ex.state_t, ex.anchor)
-        batch.target_prev[i] = state_targets(ex.state_prev, ex.anchor)
-    return batch
+    ctx_feat, ctx_mask, _ = _pad([ex.context for ex in examples], anchors, cfg, "k_max")
+    labels = np.zeros(ctx_mask.shape)
+    labels[ctx_mask] = [label for ex in examples for label in ex.labels]
+    target_t = [state_targets(ex.state_t, ex.anchor) for ex in examples]
+    target_prev = [state_targets(ex.state_prev, ex.anchor) for ex in examples]
+    return Batch(
+        hist_feat=hist_feat,
+        hist_mask=hist_mask,
+        pe_onehot=pe_onehot,
+        pool_weights=pool_weights,
+        ctx_feat=ctx_feat,
+        ctx_mask=ctx_mask,
+        labels=labels,
+        target_t=np.array(target_t).reshape(-1, 6),
+        target_prev=np.array(target_prev).reshape(-1, 6),
+    )
 
 
 # --- network forward ---------------------------------------------------------
@@ -386,17 +421,29 @@ def weighted_l1(pred: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor
     return ad.sum_(ad.mul(err, Tensor(weights)), axis=1)
 
 
-def loss_components_batch(
+def forward_batch(
     params: dict[str, Tensor], cfg: SttConfig, batch: Batch
-) -> dict[str, Tensor]:
-    """Mean per-example loss terms and their weighted total."""
+) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """All four sub-networks over a packed batch.
+
+    Returns (scores, logits, state_t, state_prev) as `tdi_batch` and
+    `decode_state_batch` give them.
+    """
     hist_emb = encode_batch(params, Tensor(batch.hist_feat))
     query = temporal_fuse_batch(
         params, cfg, hist_emb, batch.hist_mask, batch.pe_onehot, batch.pool_weights
     )
     state_prev = decode_state_batch(params, query)
     ctx_emb = encode_batch(params, Tensor(batch.ctx_feat))
-    _, logits, state_t = tdi_batch(params, cfg, query, ctx_emb, batch.ctx_mask)
+    scores, logits, state_t = tdi_batch(params, cfg, query, ctx_emb, batch.ctx_mask)
+    return scores, logits, state_t, state_prev
+
+
+def loss_components_batch(
+    params: dict[str, Tensor], cfg: SttConfig, batch: Batch
+) -> dict[str, Tensor]:
+    """Mean per-example loss terms and their weighted total."""
+    _, logits, state_t, state_prev = forward_batch(params, cfg, batch)
 
     w6 = cfg.state_weights
     loss_d = ad.mean(binary_cross_entropy_with_logits(logits, batch.labels, batch.ctx_mask))
@@ -414,43 +461,7 @@ def loss_components_batch(
     }
 
 
-# --- single-example operations (thin wrappers over the batch paths) ----------
-
-
-def encode_detection(
-    det: Detection, params: dict[str, Tensor], cfg: SttConfig,
-    anchor: tuple[float, float] | None = None,
-) -> np.ndarray:
-    anchor = anchor if anchor is not None else det.box.center_xy
-    feat = detection_features(det, anchor, cfg)[None, :]
-    return encode_batch(params, Tensor(feat)).data[0]
-
-
-def temporal_fuse(
-    history_embeddings: list[np.ndarray], params: dict[str, Tensor], cfg: SttConfig
-) -> np.ndarray:
-    n = len(history_embeddings)
-    if not 1 <= n <= cfg.t_max:
-        raise ValueError(f"history length must be in [1, {cfg.t_max}], got {n}")
-    t = cfg.t_max
-    emb = np.zeros((1, t, cfg.d_q))
-    emb[0, :n] = np.asarray(history_embeddings)
-    mask = np.zeros((1, t), dtype=bool)
-    mask[0, :n] = True
-    onehot = np.zeros((1, t, t))
-    onehot[0, np.arange(n), t - n + np.arange(n)] = 1.0
-    pool = np.zeros((1, 1, t))
-    if cfg.pooling == "mean":
-        pool[0, 0, :n] = 1.0 / n
-    else:
-        pool[0, 0, n - 1] = 1.0
-    return temporal_fuse_batch(params, cfg, Tensor(emb), mask, onehot, pool).data[0]
-
-
-def decode_state(query: np.ndarray, params: dict[str, Tensor]) -> StateVector:
-    """Anchor-relative state decoded from a track query."""
-    out = decode_state_batch(params, Tensor(np.asarray(query)[None, :])).data[0]
-    return StateVector.from_array(out)
+# --- context selection -------------------------------------------------------
 
 
 def select_context(
@@ -466,36 +477,6 @@ def select_context(
             ranked.append((dist, det.detection_id, det))
     ranked.sort(key=lambda item: (item[0], item[1]))
     return [det for _, _, det in ranked[:k]]
-
-
-def tdi_forward(
-    query: np.ndarray,
-    context: list[Detection],
-    params: dict[str, Tensor],
-    cfg: SttConfig,
-    anchor: tuple[float, float],
-) -> tuple[np.ndarray, StateVector]:
-    """Association scores over one track's context plus its decoded state."""
-    if not context:
-        raise ValueError("context must be non-empty")
-    k = cfg.k_max
-    feat = np.zeros((1, k, cfg.feature_width))
-    mask = np.zeros((1, k), dtype=bool)
-    for j, det in enumerate(context):
-        feat[0, j] = detection_features(det, anchor, cfg)
-        mask[0, j] = True
-    ctx_emb = encode_batch(params, Tensor(feat))
-    scores, _, state = tdi_batch(
-        params, cfg, Tensor(np.asarray(query)[None, :]), ctx_emb, mask
-    )
-    return scores.data[0], StateVector.from_array(state.data[0])
-
-
-def loss_total(
-    example: TrainingExample, params: dict[str, Tensor], cfg: SttConfig
-) -> Tensor:
-    batch = pack_batch([example], cfg)
-    return loss_components_batch(params, cfg, batch)["total"]
 
 
 # --- dataset extraction ------------------------------------------------------
@@ -648,25 +629,8 @@ def queries_from_histories(
     histories: list[list[Detection]],
     anchors: list[tuple[float, float]],
 ) -> np.ndarray:
-    """Track queries for a batch of detection histories (last <= t_max used)."""
-    b, t, f = len(histories), cfg.t_max, cfg.feature_width
-    feat = np.zeros((b, t, f))
-    mask = np.zeros((b, t), dtype=bool)
-    onehot = np.zeros((b, t, t))
-    pool = np.zeros((b, 1, t))
-    for i, (history, anchor) in enumerate(zip(histories, anchors)):
-        tail = history[-t:]
-        n = len(tail)
-        if n == 0:
-            raise ValueError("history must be non-empty")
-        for j, det in enumerate(tail):
-            feat[i, j] = detection_features(det, anchor, cfg)
-        mask[i, :n] = True
-        onehot[i, np.arange(n), t - n + np.arange(n)] = 1.0
-        if cfg.pooling == "mean":
-            pool[i, 0, :n] = 1.0 / n
-        else:
-            pool[i, 0, n - 1] = 1.0
+    """Track queries for a batch of 1..t_max-long detection histories."""
+    feat, mask, onehot, pool = _history_inputs(histories, anchors, cfg)
     with ad.no_grad():
         emb = encode_batch(params, Tensor(feat))
         query = temporal_fuse_batch(params, cfg, emb, mask, onehot, pool)
@@ -683,17 +647,11 @@ def context_scores(
     """Association scores and current-frame states for a batch of tracks.
 
     Returns (scores (B, k_max), states (B, 6) anchor-relative). Every context
-    must be non-empty; padded slots score exactly zero.
+    must hold 1..k_max detections; padded slots score exactly zero.
     """
-    b, k, f = len(contexts), cfg.k_max, cfg.feature_width
-    feat = np.zeros((b, k, f))
-    mask = np.zeros((b, k), dtype=bool)
-    for i, (context, anchor) in enumerate(zip(contexts, anchors)):
-        if not context:
-            raise ValueError("context must be non-empty")
-        for j, det in enumerate(context[:k]):
-            feat[i, j] = detection_features(det, anchor, cfg)
-            mask[i, j] = True
+    if not all(contexts):
+        raise ValueError("context must be non-empty")
+    feat, mask, _ = _pad(contexts, anchors, cfg, "k_max")
     with ad.no_grad():
         ctx_emb = encode_batch(params, Tensor(feat))
         scores, _, states = tdi_batch(
@@ -721,13 +679,7 @@ def association_accuracy(
             if not chunk:
                 continue
             batch = pack_batch(chunk, cfg)
-            hist_emb = encode_batch(params, Tensor(batch.hist_feat))
-            query = temporal_fuse_batch(
-                params, cfg, hist_emb, batch.hist_mask, batch.pe_onehot,
-                batch.pool_weights,
-            )
-            ctx_emb = encode_batch(params, Tensor(batch.ctx_feat))
-            scores, _, _ = tdi_batch(params, cfg, query, ctx_emb, batch.ctx_mask)
+            scores, _, _, _ = forward_batch(params, cfg, batch)
             predicted = scores.data.argmax(axis=1)
             expected = batch.labels.argmax(axis=1)
             hits += int((predicted == expected).sum())

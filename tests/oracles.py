@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from sttrack.core import Box7, StateVector
+from sttrack.core import Box7, Detection, StateVector
+from sttrack.model import SttConfig
 
 
 def mc_bev_iou(a: Box7, b: Box7, n_samples: int = 1_000_000, seed: int = 0) -> float:
@@ -45,3 +46,21 @@ def euler_extrapolate(s: StateVector, dt: float, n_steps: int = 1000) -> StateVe
         vx += ax * h
         vy += ay * h
     return StateVector((px, py), (vx, vy), (ax, ay))
+
+
+def detection_features_row(
+    det: Detection, anchor: tuple[float, float], cfg: SttConfig
+) -> np.ndarray:
+    """One anchor-relative [geometry, appearance, motion] encoder row, built
+    field by field."""
+    box = det.box
+    out = np.empty(cfg.feature_width)
+    out[0] = box.center[0] - anchor[0]
+    out[1] = box.center[1] - anchor[1]
+    out[2:5] = box.size
+    out[5] = math.sin(box.heading)
+    out[6] = math.cos(box.heading)
+    out[7] = det.confidence
+    out[8 : 8 + cfg.d_a] = det.appearance
+    out[8 + cfg.d_a :] = det.motion
+    return out

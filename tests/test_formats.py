@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sttrack import formats
 from sttrack.core import ClassId
 from sttrack.formats import (
     FormatError,
@@ -85,9 +86,13 @@ def test_missing_file_raises(tmp_path):
         read_jsonl(tmp_path / "nope.jsonl")
 
 
-def test_normalized_digest_ignores_timestamp(tmp_path):
+def test_normalized_digest_ignores_timestamp(tmp_path, monkeypatch):
+    # The version differs between a clean checkout and an edited tree of
+    # the same commit; it must not change the digest either.
     scenario = make_scenario()
+    monkeypatch.setattr(formats, "version_string", lambda: "1a2b3c4")
     write_scenario(tmp_path / "a", "s0", scenario, {"x": 2})
+    monkeypatch.setattr(formats, "version_string", lambda: "1a2b3c4-dirty")
     write_scenario(tmp_path / "b", "s0", scenario, {"x": 2})
     da = normalized_digest(tmp_path / "a" / "s0.det.jsonl")
     db = normalized_digest(tmp_path / "b" / "s0.det.jsonl")
@@ -95,6 +100,8 @@ def test_normalized_digest_ignores_timestamp(tmp_path):
     raw_a = (tmp_path / "a" / "s0.det.jsonl").read_text()
     raw_b = (tmp_path / "b" / "s0.det.jsonl").read_text()
     assert raw_a.splitlines()[1:] == raw_b.splitlines()[1:]
+    versions = [json.loads(raw.splitlines()[0])["version"] for raw in (raw_a, raw_b)]
+    assert versions == ["1a2b3c4", "1a2b3c4-dirty"]
 
 
 def test_tracker_output_round_trip(tmp_path):

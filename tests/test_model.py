@@ -11,18 +11,20 @@ from sttrack.model import (
     TrainingExample,
     TrainSettings,
     association_accuracy,
-    decode_state,
-    encode_detection,
+    context_scores,
+    decode_states,
+    detection_features,
+    encode_batch,
     extract_examples,
     init_params,
-    loss_total,
     pack_batch,
+    queries_from_histories,
     select_context,
-    tdi_forward,
-    temporal_fuse,
     train,
 )
 from sttrack.sim import MotionProfile, NoiseModel, ObjectSpec, SimConfig, generate
+
+from oracles import detection_features_row
 
 TINY = SttConfig(d_q=8, d_a=3, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=8)
 
@@ -59,28 +61,67 @@ def make_example(cfg=TINY, n_hist=2, n_ctx=3, positive=0, offset=(0.0, 0.0)):
     return TrainingExample(history, context, labels, state_t, state_prev, anchor)
 
 
-# --- encoder -----------------------------------------------------------------
+# --- features and encoder ----------------------------------------------------
+
+
+def test_features_bitwise_equal_to_row_reference():
+    # Headings at and next to +-pi, and detections from several frames in
+    # one group, so nothing depends on a frame or on heading wrap-around.
+    cfg = TINY
+    rng = np.random.default_rng(4)
+    headings = [math.pi, -math.pi, math.nextafter(-math.pi, 0.0),
+                math.nextafter(math.pi, 0.0), 0.0, -0.0, 1e-300]
+    dets = [
+        make_detection(rng.uniform(-50, 50), rng.uniform(-50, 50), frame=int(f),
+                       det_id=i, motion=tuple(rng.normal(0, 3, cfg.d_m)),
+                       appearance=tuple(rng.normal(0, 1, cfg.d_a)),
+                       conf=rng.uniform(0, 1), heading=h)
+        for i, (f, h) in enumerate(zip(rng.permutation(len(headings)), headings))
+    ]
+    ex = TrainingExample(
+        history=tuple(dets[:2]), context=tuple(dets[2:5]), labels=(0, 1, 0),
+        state_t=StateVector.zero((0.0, 0.0)), state_prev=StateVector.zero((0.0, 0.0)),
+        anchor=(rng.uniform(-50, 50), rng.uniform(-50, 50)),
+    )
+    examples = [ex, make_example(cfg, n_hist=3, n_ctx=1, offset=(7.0, -3.0))]
+    batch = pack_batch(examples, cfg)
+    for i, e in enumerate(examples):
+        for feat, mask, group in ((batch.hist_feat, batch.hist_mask, e.history),
+                                  (batch.ctx_feat, batch.ctx_mask, e.context)):
+            n = len(group)
+            want = np.array([detection_features_row(d, e.anchor, cfg) for d in group])
+            assert feat[i, :n].tobytes() == want.tobytes()
+            assert mask[i].tolist() == [j < n for j in range(mask.shape[1])]
+            assert not feat[i, n:].any()
+    rows = detection_features(dets, cfg)
+    want = np.array([detection_features_row(d, (0.0, 0.0), cfg) for d in dets])
+    assert rows.tobytes() == want.tobytes()
 
 
 def test_encode_output_width():
     params = init_params(TINY, seed=0)
-    out = encode_detection(make_detection(), params, TINY)
-    assert out.shape == (TINY.d_q,)
+    out = encode_batch(params, Tensor(detection_features([make_detection()], TINY)))
+    assert out.shape == (1, TINY.d_q)
 
 
 def test_encode_deterministic():
     params = init_params(TINY, seed=0)
-    det = make_detection(1.0, 2.0)
-    a = encode_detection(det, params, TINY, anchor=(0.0, 0.0))
-    b = encode_detection(det, params, TINY, anchor=(0.0, 0.0))
+    dets = [make_detection(1.0, 2.0), make_detection(-3.0, 0.5, det_id=1)]
+    a = encode_batch(params, Tensor(detection_features(dets, TINY))).data
+    b = encode_batch(params, Tensor(detection_features(dets, TINY))).data
     assert a.tobytes() == b.tobytes()
 
 
 def test_encode_rejects_wrong_widths():
-    params = init_params(TINY, seed=0)
     bad = make_detection(appearance=(0.1,) * 7)
     with pytest.raises(ValueError, match="7.*3"):
-        encode_detection(bad, params, TINY)
+        detection_features([make_detection(), bad], TINY)
+
+
+def test_features_reject_wrong_motion_width():
+    bad = make_detection(motion=(0.0,) * 5)
+    with pytest.raises(ValueError, match="motion width 5 .*d_m 2"):
+        detection_features([bad, make_detection()], TINY)
 
 
 def test_encode_gradient_wrt_input_features():
@@ -113,38 +154,41 @@ def test_encode_gradient_wrt_input_features():
 
 def test_fuse_single_embedding_deterministic_function():
     params = init_params(TINY, seed=0)
-    emb = np.linspace(-1, 1, TINY.d_q)
-    out1 = temporal_fuse([emb], params, TINY)
-    out2 = temporal_fuse([emb.copy()], params, TINY)
-    assert out1.shape == (TINY.d_q,)
+    det = make_detection(0.3, -0.2)
+    out1 = queries_from_histories(params, TINY, [[det]], [(0.0, 0.0)])
+    out2 = queries_from_histories(params, TINY, [[det]], [(0.0, 0.0)])
+    assert out1.shape == (1, TINY.d_q)
     assert out1.tobytes() == out2.tobytes()
 
 
 def test_fuse_rejects_empty_and_overlong_history():
     params = init_params(TINY, seed=0)
-    with pytest.raises(ValueError):
-        temporal_fuse([], params, TINY)
-    emb = np.zeros(TINY.d_q)
-    with pytest.raises(ValueError):
-        temporal_fuse([emb] * (TINY.t_max + 1), params, TINY)
+    ok = [make_detection()]
+    with pytest.raises(ValueError, match="non-empty"):
+        queries_from_histories(params, TINY, [ok, []], [(0.0, 0.0)] * 2)
+    overlong = [make_detection(frame=f) for f in range(TINY.t_max + 1)]
+    with pytest.raises(ValueError, match="4 detections exceeds t_max 3"):
+        queries_from_histories(params, TINY, [ok, overlong], [(0.0, 0.0)] * 2)
 
 
 def test_padding_relayout_invariance():
-    # Same real content in different physical slots must not change outputs.
+    # Whatever sits in the masked-off slots must not change any loss term.
     cfg = TINY
     params = init_params(cfg, seed=3)
-    ex = make_example(cfg, n_hist=2, n_ctx=2)
-    base = pack_batch([ex], cfg)
-    moved = pack_batch(
-        [ex],
+    batch = pack_batch(
+        [make_example(cfg, n_hist=2, n_ctx=2),
+         make_example(cfg, n_hist=1, n_ctx=3, positive=2, offset=(2.0, 1.0))],
         cfg,
-        history_slots=[np.array([0, 2])],  # pad now sits between the reals
-        context_slots=[np.array([1, 3])],
     )
-    out_a = m.loss_components_batch(params, cfg, base)
-    out_b = m.loss_components_batch(params, cfg, moved)
+    base = m.loss_components_batch(params, cfg, batch)
+    rng = np.random.default_rng(8)
+    batch.hist_feat[~batch.hist_mask] = rng.normal(0, 1, (int((~batch.hist_mask).sum()),
+                                                            cfg.feature_width))
+    batch.ctx_feat[~batch.ctx_mask] = rng.normal(0, 1, (int((~batch.ctx_mask).sum()),
+                                                          cfg.feature_width))
+    noisy = m.loss_components_batch(params, cfg, batch)
     for key in ("loss_d", "loss_s_t", "loss_s_prev", "total"):
-        assert out_a[key].item() == pytest.approx(out_b[key].item(), abs=1e-9)
+        assert noisy[key].item() == base[key].item()
 
 
 def test_fuse_gradient_check():
@@ -176,9 +220,9 @@ def test_fuse_gradient_check():
 
 def test_decode_state_six_components():
     params = init_params(TINY, seed=0)
-    out = decode_state(np.linspace(-1, 1, TINY.d_q), params)
-    assert isinstance(out, StateVector)
-    assert out.as_array().shape == (6,)
+    out = decode_states(params, np.linspace(-1, 1, TINY.d_q)[None, :])
+    assert out.shape == (1, 6)
+    assert isinstance(StateVector.from_array(out[0]), StateVector)
 
 
 # --- context selection -------------------------------------------------------
@@ -218,27 +262,33 @@ def test_select_context_truncates_to_k_nearest():
 
 def test_tdi_single_live_slot():
     params = init_params(TINY, seed=0)
-    query = np.linspace(-1, 1, TINY.d_q)
-    scores, state = tdi_forward(query, [make_detection()], params, TINY, (0.0, 0.0))
-    assert scores.shape == (TINY.k_max,)
-    assert scores[0] > 0.0
-    assert np.all(scores[1:] == 0.0)
-    assert isinstance(state, StateVector)
+    query = np.linspace(-1, 1, TINY.d_q)[None, :]
+    scores, states = context_scores(params, TINY, query, [[make_detection()]], [(0.0, 0.0)])
+    assert scores.shape == (1, TINY.k_max)
+    assert scores[0, 0] > 0.0
+    assert np.all(scores[0, 1:] == 0.0)
+    assert states.shape == (1, 6)
+    assert isinstance(StateVector.from_array(states[0]), StateVector)
 
 
 def test_tdi_scores_in_sigmoid_range():
     params = init_params(TINY, seed=2)
-    query = np.linspace(-0.5, 0.5, TINY.d_q)
+    query = np.linspace(-0.5, 0.5, TINY.d_q)[None, :]
     context = [make_detection(0.5 * j, 0.1, det_id=j) for j in range(3)]
-    scores, _ = tdi_forward(query, context, params, TINY, (0.0, 0.0))
-    assert np.all((scores[:3] > 0.0) & (scores[:3] < 1.0))
-    assert np.all(scores[3:] == 0.0)
+    scores, _ = context_scores(params, TINY, query, [context], [(0.0, 0.0)])
+    assert np.all((scores[0, :3] > 0.0) & (scores[0, :3] < 1.0))
+    assert np.all(scores[0, 3:] == 0.0)
 
 
 def test_tdi_rejects_empty_context():
     params = init_params(TINY, seed=0)
-    with pytest.raises(ValueError):
-        tdi_forward(np.zeros(TINY.d_q), [], params, TINY, (0.0, 0.0))
+    queries = np.zeros((2, TINY.d_q))
+    with pytest.raises(ValueError, match="non-empty"):
+        context_scores(params, TINY, queries, [[make_detection()], []], [(0.0, 0.0)] * 2)
+    overlong = [make_detection(det_id=j) for j in range(TINY.k_max + 1)]
+    with pytest.raises(ValueError, match="5 detections exceeds k_max 4"):
+        context_scores(params, TINY, queries, [[make_detection()], overlong],
+                       [(0.0, 0.0)] * 2)
 
 
 # --- losses ------------------------------------------------------------------
@@ -261,7 +311,7 @@ def test_loss_single_context_half_score():
         state_prev=StateVector.zero((0.0, 0.0)),
         anchor=(0.0, 0.0),
     )
-    loss = loss_total(ex, params, cfg)
+    loss = m.loss_components_batch(params, cfg, pack_batch([ex], cfg))["total"]
     assert loss.item() == pytest.approx(cfg.gamma * math.log(2.0), abs=1e-12)
     assert loss.item() == pytest.approx(6.931, abs=1e-3)
 
@@ -317,15 +367,7 @@ def test_translation_equivariance():
     shifted = make_example(cfg, n_hist=3, n_ctx=3, positive=1, offset=(50.0, -20.0))
 
     def forward(ex):
-        batch = pack_batch([ex], cfg)
-        hist_emb = m.encode_batch(params, Tensor(batch.hist_feat))
-        query = m.temporal_fuse_batch(
-            params, cfg, hist_emb, batch.hist_mask, batch.pe_onehot,
-            batch.pool_weights,
-        )
-        state_prev = m.decode_state_batch(params, query)
-        ctx_emb = m.encode_batch(params, Tensor(batch.ctx_feat))
-        scores, _, state_t = m.tdi_batch(params, cfg, query, ctx_emb, batch.ctx_mask)
+        scores, _, state_t, state_prev = m.forward_batch(params, cfg, pack_batch([ex], cfg))
         return scores.data, state_prev.data, state_t.data, np.array(ex.anchor)
 
     s_a, prev_a, st_a, anchor_a = forward(base)
