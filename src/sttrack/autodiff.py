@@ -235,27 +235,6 @@ def softplus(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    a = _lift(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g * out
-
-    return _make(out, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    a = _lift(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g / a.data
-
-    return _make(np.log(a.data), (a,), backward)
-
-
 def sqrt(a: Tensor) -> Tensor:
     a = _lift(a)
     out = np.sqrt(a.data)

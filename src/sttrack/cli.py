@@ -225,20 +225,6 @@ def write_metrics_file(path: Path, report: dict, provenance: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
-def mota_only_policy(policy: MatchingPolicy) -> MatchingPolicy:
-    from .metrics import INF
-
-    return MatchingPolicy(
-        iou_threshold=dict(policy.iou_threshold),
-        state_thresholds={
-            cls: {state: INF for state in per} for cls, per in policy.state_thresholds.items()
-        },
-        alpha_s=policy.alpha_s,
-        persistence=policy.persistence,
-        speed_thresholds=policy.speed_thresholds,
-    )
-
-
 # --- commands ------------------------------------------------------------------
 
 
@@ -291,7 +277,7 @@ def cmd_eval(args) -> int:
         cfg = RunConfig()
     policy = cfg.policy
     if args.policy == "mota-only":
-        policy = mota_only_policy(policy)
+        policy = policy.mota_only()
     report = evaluate_directories(Path(args.gt), Path(args.results), policy)
     out_path = Path(args.out)
     write_metrics_file(out_path, report, resolved_dict(cfg))

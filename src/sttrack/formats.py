@@ -6,7 +6,9 @@ creation timestamp. The timestamp and the version (from `git describe
 --dirty`, so it differs between a clean checkout and an edited tree of one
 commit) say when and from what a file was written, not what it holds;
 `normalized_digest` hashes a file with both removed so byte-level
-determinism checks can ignore them.
+determinism checks can ignore them. It also reads the metrics file that
+`sttrack eval` writes, which is one indented JSON document with the header
+under "header" rather than JSONL.
 
 Row schemas (one JSON object per line after the header):
   ground_truth: frame, object_id, class, cx, cy, cz, w, l, h, heading,
@@ -104,11 +106,18 @@ def read_jsonl(path, expected_kind: str | None = None) -> tuple[dict, list[dict]
 def normalized_digest(path) -> str:
     """Content hash with the header's timestamp and version removed."""
     with open(path) as f:
-        lines = f.read().splitlines()
-    header = json.loads(lines[0])
+        text = f.read()
+    lines = text.splitlines()
+    try:
+        header = json.loads(lines[0])
+        body = "\n".join(lines[1:])
+    except json.JSONDecodeError:  # one JSON document, not JSONL: a metrics file
+        doc = json.loads(text)
+        header = doc.pop("header")
+        body = json.dumps(doc, sort_keys=True)
     header.pop("created", None)
     header.pop("version", None)
-    payload = json.dumps(header, sort_keys=True) + "\n" + "\n".join(lines[1:])
+    payload = json.dumps(header, sort_keys=True) + "\n" + body
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -4,6 +4,12 @@ State is [x, y, vx, vy, ax, ay] with a white-noise-jerk process model, so
 the filter estimates the same position/velocity/acceleration triple the
 learned tracker emits. Only the box center is measured; box size and
 heading ride along from the latest associated detection.
+
+`kf_association_cost` defines the association cost of one track and one
+detection: 1 - BEV IoU of the predicted box and the detection box, forbidden
+at or below `iou_gate`. The tracker (`runtime.KalmanBackend.frame_costs`)
+computes the same costs for all pairs of a frame at once, as a matrix over
+`core.bev_iou_matrix`; tests hold the two equal bit for bit.
 """
 
 from __future__ import annotations

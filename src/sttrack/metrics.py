@@ -17,7 +17,7 @@ MOTA matches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,15 +64,14 @@ class MatchingPolicy:
                 if value <= 0:
                     raise ValueError(f"state threshold must be positive, got {value}")
 
-    @staticmethod
-    def mota_only(**kwargs) -> "MatchingPolicy":
-        """Plain MOTA: the stateful gates are disabled."""
-        return MatchingPolicy(
+    def mota_only(self) -> "MatchingPolicy":
+        """This policy with every stateful gate disabled: plain MOTA."""
+        return replace(
+            self,
             state_thresholds={
-                ClassId.VEHICLE: {"velocity": INF, "acceleration": INF},
-                ClassId.PEDESTRIAN: {"velocity": INF, "acceleration": INF},
+                cls: {state: INF for state in per}
+                for cls, per in self.state_thresholds.items()
             },
-            **kwargs,
         )
 
     def state_threshold(self, class_id: ClassId, state: str) -> float:
@@ -132,23 +131,19 @@ def label_frames_from_scenario(scenario: Scenario) -> list[list[EvalBox]]:
     return frames
 
 
-def pred_frames_from_output(output) -> list[list[EvalBox]]:
-    """TrackerOutput rows to evaluation frames."""
-    return [
-        [EvalBox(r.track_id, r.class_id, r.box, r.state) for r in rows]
-        for rows in output.frames
-    ]
-
-
 def state_error(a: StateVector, b: StateVector, state: str) -> float:
     pa, pb = getattr(a, state), getattr(b, state)
     return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
 
 
 class _VariantState:
-    """Counters plus per-sequence correspondence for one gating variant."""
+    """Counters plus per-sequence correspondence for one gating variant.
 
-    __slots__ = ("fp", "miss", "mismatch", "matches", "corr", "last_matched")
+    `corr` maps each label id to the prediction id it was last matched to in
+    the current sequence: persistence keeps it, and a change is a mismatch.
+    """
+
+    __slots__ = ("fp", "miss", "mismatch", "matches", "corr")
 
     def __init__(self) -> None:
         self.fp = 0
@@ -156,11 +151,9 @@ class _VariantState:
         self.mismatch = 0
         self.matches = 0
         self.corr: dict[int, int] = {}
-        self.last_matched: dict[int, int] = {}
 
     def reset_sequence(self) -> None:
         self.corr = {}
-        self.last_matched = {}
 
 
 class _ClassAccumulator:
@@ -232,25 +225,22 @@ class _ClassAccumulator:
         feasible: np.ndarray,
     ) -> list[tuple[int, int]]:
         matches: list[tuple[int, int]] = []
-        open_labels = list(range(len(labels)))
-        open_preds = list(range(len(preds)))
-        if self.policy.persistence:
-            col_of = {p.ident: j for j, p in enumerate(preds)}
-            for li in list(open_labels):
-                tid = variant.corr.get(labels[li].ident)
-                if tid is None:
-                    continue
-                pj = col_of.get(tid)
-                if pj is not None and pj in open_preds and feasible[li, pj]:
-                    matches.append((li, pj))
-                    open_labels.remove(li)
-                    open_preds.remove(pj)
+        open_labels: list[int] = []
+        used_preds: set[int] = set()
+        col_of = (
+            {p.ident: j for j, p in enumerate(preds)} if self.policy.persistence else {}
+        )
+        for li, label in enumerate(labels):
+            pj = col_of.get(variant.corr.get(label.ident))
+            if pj is not None and pj not in used_preds and feasible[li, pj]:
+                matches.append((li, pj))
+                used_preds.add(pj)
+            else:
+                open_labels.append(li)
+        open_preds = [pj for pj in range(len(preds)) if pj not in used_preds]
         if open_labels and open_preds:
-            sub = np.full((len(open_labels), len(open_preds)), assign.FORBIDDEN)
-            for a, li in enumerate(open_labels):
-                for b, pj in enumerate(open_preds):
-                    if feasible[li, pj]:
-                        sub[a, b] = 1.0 - iou[li, pj]
+            cells = np.ix_(open_labels, open_preds)
+            sub = np.where(feasible[cells], 1.0 - iou[cells], assign.FORBIDDEN)
             for a, b in assign.solve(sub):
                 matches.append((open_labels[a], open_preds[b]))
         matches.sort()
@@ -261,10 +251,9 @@ class _ClassAccumulator:
         for li, pi in matches:
             gt_id = labels[li].ident
             tid = preds[pi].ident
-            prev = variant.last_matched.get(gt_id)
+            prev = variant.corr.get(gt_id)
             if prev is not None and prev != tid:
                 variant.mismatch += 1
-            variant.last_matched[gt_id] = tid
             variant.corr[gt_id] = tid
         return matches
 

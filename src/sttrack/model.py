@@ -606,20 +606,6 @@ def write_training_log(path, log: list[dict[str, float]]) -> None:
         writer.writerows(log)
 
 
-def evaluate_loss(
-    examples: list[TrainingExample], params: dict[str, Tensor], cfg: SttConfig,
-    batch_size: int = 256,
-) -> float:
-    """Mean total loss over a dataset (no gradient bookkeeping)."""
-    total = 0.0
-    with ad.no_grad():
-        for lo in range(0, len(examples), batch_size):
-            chunk = examples[lo : lo + batch_size]
-            batch = pack_batch(chunk, cfg)
-            total += loss_components_batch(params, cfg, batch)["total"].item() * len(chunk)
-    return total / len(examples)
-
-
 # --- batched inference (used by the online tracker) ---------------------------
 
 
@@ -664,24 +650,3 @@ def decode_states(params: dict[str, Tensor], queries: np.ndarray) -> np.ndarray:
     """Anchor-relative states for a batch of queries."""
     with ad.no_grad():
         return decode_state_batch(params, Tensor(np.asarray(queries))).data
-
-
-def association_accuracy(
-    examples: list[TrainingExample], params: dict[str, Tensor], cfg: SttConfig,
-    batch_size: int = 256,
-) -> float:
-    """Fraction of positive-labeled examples whose positive wins the argmax."""
-    hits = 0
-    totals = 0
-    with ad.no_grad():
-        for lo in range(0, len(examples), batch_size):
-            chunk = [ex for ex in examples[lo : lo + batch_size] if sum(ex.labels) == 1]
-            if not chunk:
-                continue
-            batch = pack_batch(chunk, cfg)
-            scores, _, _, _ = forward_batch(params, cfg, batch)
-            predicted = scores.data.argmax(axis=1)
-            expected = batch.labels.argmax(axis=1)
-            hits += int((predicted == expected).sum())
-            totals += len(chunk)
-    return hits / totals if totals else float("nan")

@@ -23,9 +23,10 @@ from .core import (
     StateVector,
     Track,
     TrackStatus,
+    bev_iou_matrix,
     extrapolate,
 )
-from .kalman import KfParams, KfState, init_state, kf_association_cost, predict, update
+from .kalman import KfParams, KfState, init_state, predict, predicted_box, update
 from .model import (
     SttConfig,
     context_scores,
@@ -93,13 +94,14 @@ class KalmanBackend:
             self.filters[track.track_id] = predict(
                 self.filters[track.track_id], self.dt, self.params
             )
-        costs = np.full((len(tracks), len(dets)), assign.FORBIDDEN)
-        for i, track in enumerate(tracks):
-            kf = self.filters[track.track_id]
-            last_box = track.last_detection.box
-            for j, det in enumerate(dets):
-                costs[i, j] = kf_association_cost(kf, last_box, det, self.params)
-        return costs
+        iou = bev_iou_matrix(
+            [
+                predicted_box(self.filters[t.track_id], t.last_detection.box)
+                for t in tracks
+            ],
+            [det.box for det in dets],
+        )
+        return np.where(iou > self.params.iou_gate, 1.0 - iou, assign.FORBIDDEN)
 
     def update_matched(
         self, frame_index: int, pairs: list[tuple[Track, Detection]]

@@ -130,9 +130,7 @@ def test_grad_unary_chain():
     def build():
         out = ad.relu(x)
         out = ad.add(out, ad.sigmoid(x))
-        out = ad.add(out, ad.log(y))
         out = ad.add(out, ad.sqrt(y))
-        out = ad.add(out, ad.exp(ad.mul(x, Tensor(0.3))))
         out = ad.add(out, ad.softplus(x))
         out = ad.add(out, ad.abs_(x))
         return scalarize(out)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sttrack import formats
+from sttrack import cli, formats
 from sttrack.core import ClassId
 from sttrack.formats import (
     FormatError,
@@ -102,6 +102,32 @@ def test_normalized_digest_ignores_timestamp(tmp_path, monkeypatch):
     assert raw_a.splitlines()[1:] == raw_b.splitlines()[1:]
     versions = [json.loads(raw.splitlines()[0])["version"] for raw in (raw_a, raw_b)]
     assert versions == ["1a2b3c4", "1a2b3c4-dirty"]
+
+
+def test_normalized_digest_reads_metrics_file(tmp_path, monkeypatch):
+    # `sttrack eval` writes one indented JSON document, not JSONL.
+    report = {"classes": {"vehicle": {"mota": 0.5}}, "policy": {"persistence": True}}
+    make = formats.make_header
+    for name, created, version in (
+        ("a", "2026-01-01T00:00:00+00:00", "1a2b3c4"),
+        ("b", "2026-01-02T00:00:00+00:00", "1a2b3c4-dirty"),
+    ):
+        monkeypatch.setattr(formats, "version_string", lambda v=version: v)
+        monkeypatch.setattr(
+            formats, "make_header",
+            lambda kind, config, c=created: {**make(kind, config), "created": c},
+        )
+        cli.write_metrics_file(tmp_path / f"{name}.json", report, {"x": 2})
+    headers = [
+        json.loads((tmp_path / f"{n}.json").read_text())["header"] for n in "ab"
+    ]
+    assert headers[0]["created"] != headers[1]["created"]
+    assert headers[0]["version"] != headers[1]["version"]
+    assert normalized_digest(tmp_path / "a.json") == normalized_digest(tmp_path / "b.json")
+    cli.write_metrics_file(
+        tmp_path / "c.json", {**report, "classes": {"vehicle": {"mota": 0.6}}}, {"x": 2}
+    )
+    assert normalized_digest(tmp_path / "c.json") != normalized_digest(tmp_path / "a.json")
 
 
 def test_tracker_output_round_trip(tmp_path):

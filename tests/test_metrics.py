@@ -143,7 +143,7 @@ def random_sequence(seed, frames=12, n=5, drop=0.2, fp=0.3):
 def test_smota_with_infinite_thresholds_equals_mota_bit_exact():
     for seed in range(25):
         labels, preds = random_sequence(seed)
-        policy = MatchingPolicy.mota_only(iou_threshold={VEH: 0.3})
+        policy = MatchingPolicy(iou_threshold={VEH: 0.3}).mota_only()
         row = single_class(evaluate_sequences([(labels, preds)], policy))
         assert row["s_mota"] == row["mota"]
         assert row["s_mota_components"]["fp"] == row["fp"]
@@ -219,7 +219,7 @@ def test_motp_position_matches_independent_classic_motp():
             distances.append(math.hypot(dx, dy))
         labels.append(lf)
         preds.append(pf)
-    policy = MatchingPolicy.mota_only(iou_threshold={VEH: 0.3})
+    policy = MatchingPolicy(iou_threshold={VEH: 0.3}).mota_only()
     row = single_class(evaluate_sequences([(labels, preds)], policy))
     assert row["matches"] == len(distances)
     assert row["motp_position"] == pytest.approx(float(np.mean(distances)), abs=1e-12)
@@ -276,6 +276,29 @@ def test_persistence_prefers_previous_correspondence():
         )
     )
     assert row["mismatch"] == 1
+
+
+def test_persistence_shared_track_goes_to_lower_label_index():
+    # Labels 0 and 1 were last matched to the same track 11 (frames 0 and 1).
+    # In frame 2 track 11 can match either; 12 can only match label 1.
+    policy = MatchingPolicy(iou_threshold={VEH: 0.3})
+    label_0, label_1 = ebox(0, 0.0, 0.0), ebox(1, 0.0, 1.0)
+    first = [[label_0], [label_1]]
+    first_preds = [[ebox(11, 0.0, 0.0)], [ebox(11, 0.0, 1.0)]]
+    preds = first_preds + [[ebox(11, 0.0, 0.5), ebox(12, 0.0, 1.5)]]
+
+    # label 0 comes first and keeps 11; label 1 goes to the solver and takes 12
+    row = single_class(
+        evaluate_sequences([(first + [[label_0, label_1]], preds)], policy)
+    )
+    assert (row["matches"], row["miss"], row["fp"], row["mismatch"]) == (4, 0, 0, 1)
+    assert row["s_mota_components"]["mismatch"] == 1
+
+    # label 1 comes first and keeps 11; label 0 cannot match 12
+    row = single_class(
+        evaluate_sequences([(first + [[label_1, label_0]], preds)], policy)
+    )
+    assert (row["matches"], row["miss"], row["fp"], row["mismatch"]) == (3, 1, 1, 0)
 
 
 def test_mismatch_counted_once_at_change_frame():

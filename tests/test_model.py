@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sttrack import autodiff as ad
 from sttrack import model as m
 from sttrack.autodiff import AdamWConfig, Tensor
 from sttrack.core import Box7, ClassId, Detection, StateVector
@@ -10,7 +11,6 @@ from sttrack.model import (
     SttConfig,
     TrainingExample,
     TrainSettings,
-    association_accuracy,
     context_scores,
     decode_states,
     detection_features,
@@ -27,6 +27,35 @@ from sttrack.sim import MotionProfile, NoiseModel, ObjectSpec, SimConfig, genera
 from oracles import detection_features_row
 
 TINY = SttConfig(d_q=8, d_a=3, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=8)
+
+
+def _evaluate_loss(examples, params, cfg, batch_size=256):
+    """Mean total loss over a dataset (no gradient bookkeeping)."""
+    total = 0.0
+    with ad.no_grad():
+        for lo in range(0, len(examples), batch_size):
+            chunk = examples[lo : lo + batch_size]
+            batch = pack_batch(chunk, cfg)
+            total += m.loss_components_batch(params, cfg, batch)["total"].item() * len(chunk)
+    return total / len(examples)
+
+
+def _association_accuracy(examples, params, cfg, batch_size=256):
+    """Fraction of positive-labeled examples whose positive wins the argmax."""
+    hits = 0
+    totals = 0
+    with ad.no_grad():
+        for lo in range(0, len(examples), batch_size):
+            chunk = [ex for ex in examples[lo : lo + batch_size] if sum(ex.labels) == 1]
+            if not chunk:
+                continue
+            batch = pack_batch(chunk, cfg)
+            scores, _, _, _ = m.forward_batch(params, cfg, batch)
+            predicted = scores.data.argmax(axis=1)
+            expected = batch.labels.argmax(axis=1)
+            hits += int((predicted == expected).sum())
+            totals += len(chunk)
+    return hits / totals if totals else float("nan")
 
 
 def make_detection(cx=0.0, cy=0.0, frame=0, det_id=0, cfg=TINY, motion=(0.0, 0.0),
@@ -430,8 +459,8 @@ def test_train_reduces_loss_and_is_deterministic():
     params_b, _ = train(examples, TINY, settings, seed=0)
     for name in params_a:
         assert params_a[name].data.tobytes() == params_b[name].data.tobytes()
-    start = m.evaluate_loss(examples[:50], init_params(TINY, seed=0), TINY)
-    end = m.evaluate_loss(examples[:50], params_a, TINY)
+    start = _evaluate_loss(examples[:50], init_params(TINY, seed=0), TINY)
+    end = _evaluate_loss(examples[:50], params_a, TINY)
     assert end < start
     assert log_a[0]["step"] == 1
     assert log_a[-1]["step"] == 60
@@ -465,5 +494,5 @@ def test_association_accuracy_on_trained_model():
     )
     params, _ = train(examples, TINY, settings, seed=2)
     held_out = extract_examples(small_scenario(seed=77, frames=60), TINY)
-    acc = association_accuracy(held_out, params, TINY)
+    acc = _association_accuracy(held_out, params, TINY)
     assert acc > 0.8

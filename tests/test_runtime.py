@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from sttrack import assign
-from sttrack.core import Box7, ClassId, Detection, StateVector
-from sttrack.kalman import KfParams
+from sttrack.core import Box7, ClassId, Detection, StateVector, Track, bev_iou
+from sttrack.kalman import (
+    KfParams,
+    init_state,
+    kf_association_cost,
+    predict,
+    predicted_box,
+)
 from sttrack.model import SttConfig, init_params
 from sttrack.runtime import (
     DuplicateDetectionError,
@@ -280,3 +286,106 @@ def test_make_backend_dispatch():
         make_backend("stt", 0.1, lifecycle)
     with pytest.raises(ValueError):
         make_backend("nope", 0.1, lifecycle)
+
+
+def kf_track(tid, box, velocity, params):
+    """A one-detection track plus a filter at its center with the given velocity."""
+    det = Detection(box, (0.1,) * 3, (0.0, 0.0), 0.9, 0, tid, ClassId.VEHICLE)
+    track = Track(
+        track_id=tid,
+        class_id=ClassId.VEHICLE,
+        history=((0, det),),
+        states=((0, StateVector.zero(box.center_xy)),),
+    )
+    state = init_state(box.center_xy, params)
+    state.mean[2:4] = velocity
+    return track, state
+
+
+def box_at(center, size, heading):
+    return Box7((float(center[0]), float(center[1]), 0.75), size, heading)
+
+
+def gate_edge_boxes(pred_box, gate, direction):
+    """Two boxes like `pred_box` moved along `direction`, with BEV IoU just
+    above and just at or below `gate` (bisection on the offset)."""
+    ux, uy = math.cos(direction), math.sin(direction)
+    cx, cy = pred_box.center_xy
+
+    def moved(d):
+        return box_at((cx + d * ux, cy + d * uy), pred_box.size, pred_box.heading)
+
+    lo, hi = 0.0, 2.0 * pred_box.circumradius
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if bev_iou(pred_box, moved(mid)) > gate:
+            lo = mid
+        else:
+            hi = mid
+    return moved(lo), moved(hi)
+
+
+def reference_kf_costs(states, tracks, dets, dt, params):
+    """Per-pair costs from `kf_association_cost` on independently predicted filters."""
+    costs = np.full((len(tracks), len(dets)), assign.FORBIDDEN)
+    for i, track in enumerate(tracks):
+        pred = predict(states[track.track_id], dt, params)
+        for j, det in enumerate(dets):
+            costs[i, j] = kf_association_cost(
+                pred, track.last_detection.box, det, params
+            )
+    return costs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
+    rng = np.random.default_rng(seed)
+    params = KfParams(iou_gate=0.1 + 0.2 * seed)
+    dt = 0.1
+    tracks, states = [], {}
+    for tid in range(1, 13):
+        size = tuple(rng.uniform(0.5, 5.0, 3))
+        box = box_at(rng.uniform(0.0, 12.0, 2), size, rng.uniform(-math.pi, math.pi))
+        track, state = kf_track(tid, box, rng.normal(0.0, 3.0, 2), params)
+        tracks.append(track)
+        states[tid] = state
+    boxes = [
+        box_at(rng.uniform(0.0, 12.0, 2), tuple(rng.uniform(0.5, 5.0, 3)),
+               rng.uniform(-math.pi, math.pi))
+        for _ in range(15)
+    ]
+    for track in tracks[:4]:
+        pred_box = predicted_box(
+            predict(states[track.track_id], dt, params), track.last_detection.box
+        )
+        direction = rng.uniform(-math.pi, math.pi)
+        boxes.extend(gate_edge_boxes(pred_box, params.iou_gate, direction))
+        other = tuple(rng.uniform(0.5, 5.0, 3))
+        reach = pred_box.circumradius + 0.5 * math.hypot(other[0], other[1])
+        for scale in (1.0 - 1e-3, 1.0, 1.0 + 1e-12):
+            offset = scale * reach * np.array([math.cos(direction), math.sin(direction)])
+            boxes.append(box_at(np.array(pred_box.center_xy) + offset, other,
+                                rng.uniform(-math.pi, math.pi)))
+    dets = [
+        Detection(b, (0.1,) * 3, (0.0, 0.0), 0.9, 1, 100 + j, ClassId.VEHICLE)
+        for j, b in enumerate(boxes)
+    ]
+
+    reference = reference_kf_costs(states, tracks, dets, dt, params)
+    backend = KalmanBackend(params, dt)
+    backend.filters = dict(states)
+    costs = backend.frame_costs(1, tracks, dets)
+    assert costs.dtype == reference.dtype and costs.shape == reference.shape
+    assert costs.tobytes() == reference.tobytes()
+    finite = np.isfinite(reference)
+    assert finite.any() and not finite.all()
+    # each bisected pair straddles the gate: one side passes, the other does not
+    for i in range(4):
+        inside, outside = reference[i, 15 + 5 * i], reference[i, 16 + 5 * i]
+        assert inside < assign.FORBIDDEN and outside == assign.FORBIDDEN
+
+    for n_tracks, n_dets in ((0, len(dets)), (len(tracks), 0)):
+        backend = KalmanBackend(params, dt)
+        backend.filters = dict(states)
+        costs = backend.frame_costs(1, tracks[:n_tracks], dets[:n_dets])
+        assert costs.shape == (n_tracks, n_dets) and costs.dtype == np.float64
