@@ -5,12 +5,18 @@ one of maximum cardinality, and among those one of minimum total cost. A
 feasible pair is therefore never dropped to save cost, matching the role of
 the +infinity entries in the gated association matrices.
 
-Implementation: successive shortest augmenting paths with dual potentials
-(Kuhn-Munkres family). Each phase runs a multi-source Dijkstra from every
-unmatched row, so the globally cheapest augmenting path is used; this is
-what guarantees minimum cost at maximum cardinality when some rows are
-unmatchable. Deterministic: equal-distance ties settle the lowest column
-index first and source ties prefer the lowest row index.
+Implementation: first peel off lone pairs, a row and a column that are each
+other's only finite entry. Such a pair is an isolated edge of the bipartite
+graph, so every maximum matching contains it and nothing else competes for
+either end; matching it directly keeps minimum cost at maximum cardinality.
+In gated association matrices most feasible rows are lone. The rows and
+columns that are left and have any finite entry go to successive shortest
+augmenting paths with dual potentials (Kuhn-Munkres family). Each phase
+runs a multi-source Dijkstra from every unmatched row, so the globally
+cheapest augmenting path is used; this is what guarantees minimum cost at
+maximum cardinality when some rows are unmatchable. Deterministic:
+equal-distance ties settle the lowest column index first and source ties
+prefer the lowest row index.
 """
 
 from __future__ import annotations
@@ -37,6 +43,30 @@ def solve(cost: np.ndarray | list) -> list[tuple[int, int]]:
     if np.isnan(c).any() or np.isneginf(c).any():
         raise ValueError("cost entries must be finite or FORBIDDEN (+inf)")
 
+    finite = np.isfinite(c)
+    row_deg = finite.sum(axis=1)
+    col_deg = finite.sum(axis=0)
+    lone_rows = np.nonzero(row_deg == 1)[0]
+    lone_cols = finite[lone_rows].argmax(axis=1)
+    mutual = col_deg[lone_cols] == 1
+    lone_rows, lone_cols = lone_rows[mutual], lone_cols[mutual]
+    pairs = list(zip(lone_rows.tolist(), lone_cols.tolist()))
+
+    row_open = row_deg > 0
+    row_open[lone_rows] = False
+    col_open = col_deg > 0
+    col_open[lone_cols] = False
+    rows, cols = np.nonzero(row_open)[0], np.nonzero(col_open)[0]
+    if rows.size:
+        sub = _solve_dense(c[np.ix_(rows, cols)])
+        pairs.extend((int(rows[r]), int(cols[k])) for r, k in sub)
+    pairs.sort()
+    return pairs
+
+
+def _solve_dense(c: np.ndarray) -> list[tuple[int, int]]:
+    """Shortest augmenting paths over a validated float matrix."""
+    n_rows, n_cols = c.shape
     finite = np.isfinite(c)
     if not finite.any():
         return []

@@ -135,32 +135,31 @@ def _track_one(
     name: str,
     stt_arrays: dict | None,
 ) -> dict:
-    scenario = formats.read_scenario(
-        data_dir / f"{name}.gt.jsonl", data_dir / f"{name}.det.jsonl"
-    )
+    header, detections = formats.read_detections(data_dir / f"{name}.det.jsonl")
+    frames, dt = header["config"]["frames"], header["config"]["dt"]
     lifecycle = cfg.tracking_lifecycle()
     stt_params = (
         {k: autodiff.Tensor(v) for k, v in stt_arrays.items()} if stt_arrays else None
     )
     backend = make_backend(
         backend_kind,
-        scenario.dt,
+        dt,
         lifecycle,
         kf_params=cfg.kf,
         stt_params=stt_params,
         stt_cfg=cfg.stt if backend_kind == "stt" else None,
     )
-    output = run_sequence(scenario, backend, lifecycle)
+    output = run_sequence(detections, backend, lifecycle)
     provenance = resolved_dict(cfg)
     provenance["backend"] = backend_kind
     formats.write_tracker_output(
-        out_dir / f"{name}.tracks.jsonl", output, provenance, scenario.frames
+        out_dir / f"{name}.tracks.jsonl", output, provenance, frames
     )
     timing = {
-        "frames": scenario.frames,
+        "frames": frames,
         "total_seconds": sum(output.frame_seconds),
         "mean_ms_per_frame": 1000.0 * np.mean(output.frame_seconds),
-        "fps": scenario.frames / max(sum(output.frame_seconds), 1e-12),
+        "fps": frames / max(sum(output.frame_seconds), 1e-12),
     }
     (out_dir / f"{name}.timing.json").write_text(json.dumps(timing, sort_keys=True))
     return timing

@@ -8,7 +8,9 @@ commit) say when and from what a file was written, not what it holds;
 `normalized_digest` hashes a file with both removed so byte-level
 determinism checks can ignore them. It also reads the metrics file that
 `sttrack eval` writes, which is one indented JSON document with the header
-under "header" rather than JSONL.
+under "header" rather than JSONL. Readers raise `FormatError` naming the
+file and the 1-based line of a line that is not JSON or of a row whose frame
+is outside the header's frame count.
 
 Row schemas (one JSON object per line after the header):
   ground_truth: frame, object_id, class, cx, cy, cz, w, l, h, heading,
@@ -90,7 +92,7 @@ def read_jsonl(path, expected_kind: str | None = None) -> tuple[dict, list[dict]
         lines = f.read().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty file")
-    header = json.loads(lines[0])
+    header = _parse_line(path, 1, lines[0])
     if header.get("schema_version") != SCHEMA_VERSION:
         raise FormatError(
             f"{path}: schema_version {header.get('schema_version')!r}, "
@@ -100,7 +102,16 @@ def read_jsonl(path, expected_kind: str | None = None) -> tuple[dict, list[dict]
         raise FormatError(
             f"{path}: kind {header.get('kind')!r}, expected {expected_kind!r}"
         )
-    return header, [json.loads(line) for line in lines[1:]]
+    return header, [
+        _parse_line(path, line, text) for line, text in enumerate(lines[1:], start=2)
+    ]
+
+
+def _parse_line(path: Path, line: int, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{line}: {exc.msg} at column {exc.colno}") from None
 
 
 def normalized_digest(path) -> str:
@@ -205,14 +216,55 @@ def write_scenario(out_dir, name: str, scenario: Scenario, config: dict) -> tupl
     return gt_path, det_path
 
 
+def _frame_of(path, line: int, row: dict, frames: int) -> int:
+    """The row's frame index, checked against the header's frame count.
+    `line` is the row's 1-based line in the file; the header is line 1."""
+    k = row["frame"]
+    if not 0 <= k < frames:
+        raise FormatError(f"{path}:{line}: frame {k} outside [0, {frames})")
+    return k
+
+
+def _decode_detections(
+    path, rows: list[dict], frames: int
+) -> tuple[list[list[Detection]], list[list[int]]]:
+    """Detection rows to per-frame detections and their provenance."""
+    detections: list[list[Detection]] = [[] for _ in range(frames)]
+    provenance: list[list[int]] = [[] for _ in range(frames)]
+    for line, row in enumerate(rows, start=2):
+        k = _frame_of(path, line, row, frames)
+        detections[k].append(
+            Detection(
+                box=_box_from_row(row),
+                appearance=tuple(row["appearance"]),
+                motion=tuple(row["motion"]),
+                confidence=row["conf"],
+                frame_index=k,
+                detection_id=row["id"],
+                class_id=ClassId(row["class"]),
+            )
+        )
+        provenance[k].append(row["provenance"])
+    return detections, provenance
+
+
+def read_detections(det_path) -> tuple[dict, tuple[tuple[Detection, ...], ...]]:
+    """Detections file to its header and per-frame detections; the header's
+    config holds the scene's `frames` and `dt`."""
+    header, rows = read_jsonl(det_path, "detections")
+    detections, _ = _decode_detections(det_path, rows, header["config"]["frames"])
+    return header, tuple(tuple(f) for f in detections)
+
+
 def read_scenario(gt_path, det_path) -> Scenario:
     gt_header, gt_rows = read_jsonl(gt_path, "ground_truth")
-    det_header, det_rows = read_jsonl(det_path, "detections")
+    _, det_rows = read_jsonl(det_path, "detections")
     frames = gt_header["config"]["frames"]
     dt = gt_header["config"]["dt"]
 
     by_object: dict[int, list[dict]] = {}
-    for row in gt_rows:
+    for line, row in enumerate(gt_rows, start=2):
+        _frame_of(gt_path, line, row, frames)
         by_object.setdefault(row["object_id"], []).append(row)
     gt_tracks = []
     for oid in sorted(by_object):
@@ -228,22 +280,7 @@ def read_scenario(gt_path, det_path) -> Scenario:
             )
         )
 
-    detections: list[list[Detection]] = [[] for _ in range(frames)]
-    provenance: list[list[int]] = [[] for _ in range(frames)]
-    for row in det_rows:
-        k = row["frame"]
-        detections[k].append(
-            Detection(
-                box=_box_from_row(row),
-                appearance=tuple(row["appearance"]),
-                motion=tuple(row["motion"]),
-                confidence=row["conf"],
-                frame_index=k,
-                detection_id=row["id"],
-                class_id=ClassId(row["class"]),
-            )
-        )
-        provenance[k].append(row["provenance"])
+    detections, provenance = _decode_detections(det_path, det_rows, frames)
     return Scenario(
         frames=frames,
         dt=dt,
@@ -281,8 +318,8 @@ def read_pred_frames(path) -> tuple[dict, list[list[EvalBox]]]:
     header, rows = read_jsonl(path, "tracks")
     frames = header["config"]["frames"]
     out: list[list[EvalBox]] = [[] for _ in range(frames)]
-    for row in rows:
-        out[row["frame"]].append(
+    for line, row in enumerate(rows, start=2):
+        out[_frame_of(path, line, row, frames)].append(
             EvalBox(
                 ident=row["track_id"],
                 class_id=ClassId(row["class"]),
@@ -298,8 +335,8 @@ def read_label_frames(path) -> tuple[dict, list[list[EvalBox]]]:
     header, rows = read_jsonl(path, "ground_truth")
     frames = header["config"]["frames"]
     out: list[list[EvalBox]] = [[] for _ in range(frames)]
-    for row in rows:
-        out[row["frame"]].append(
+    for line, row in enumerate(rows, start=2):
+        out[_frame_of(path, line, row, frames)].append(
             EvalBox(
                 ident=row["object_id"],
                 class_id=ClassId(row["class"]),

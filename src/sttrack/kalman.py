@@ -3,7 +3,11 @@
 State is [x, y, vx, vy, ax, ay] with a white-noise-jerk process model, so
 the filter estimates the same position/velocity/acceleration triple the
 learned tracker emits. Only the box center is measured; box size and
-heading ride along from the latest associated detection.
+heading ride along from the latest associated detection. The transition
+matrix and process noise are built once per `(dt, sigma)` and shared
+read-only by every `predict`. `update` takes the measured block of the mean
+and covariance by slicing rather than by products with the measurement
+matrix; both give the same bits, and the tests compare them.
 
 `kf_association_cost` defines the association cost of one track and one
 detection: 1 - BEV IoU of the predicted box and the detection box, forbidden
@@ -14,6 +18,7 @@ computes the same costs for all pairs of a frame at once, as a matrix over
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +70,8 @@ class KfState:
 _H = np.zeros((2, 6))
 _H[0, 0] = 1.0
 _H[1, 1] = 1.0
+_EYE2 = np.eye(2)
+_EYE6 = np.eye(6)
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -86,6 +93,16 @@ def process_noise(dt: float, sigma_jerk: float) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _predict_constants(dt: float, sigma_jerk: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only transition matrix and process noise for one `(dt, sigma)`."""
+    f = transition_matrix(dt)
+    q = process_noise(dt, sigma_jerk)
+    f.flags.writeable = False
+    q.flags.writeable = False
+    return f, q
+
+
 def init_state(position: tuple[float, float], p: KfParams) -> KfState:
     mean = np.zeros(6)
     mean[0], mean[1] = position
@@ -105,9 +122,9 @@ def init_state(position: tuple[float, float], p: KfParams) -> KfState:
 def predict(s: KfState, dt: float, p: KfParams) -> KfState:
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    f = transition_matrix(dt)
+    f, q = _predict_constants(dt, p.process_noise_accel_sigma)
     mean = f @ s.mean
-    cov = f @ s.covariance @ f.T + process_noise(dt, p.process_noise_accel_sigma)
+    cov = f @ s.covariance @ f.T + q
     cov = 0.5 * (cov + cov.T)
     return KfState(mean, cov)
 
@@ -116,12 +133,12 @@ def update(s: KfState, z: np.ndarray | tuple[float, float], p: KfParams) -> KfSt
     z = np.asarray(z, dtype=float).reshape(2)
     if not np.isfinite(z).all():
         raise ValueError(f"measurement must be finite, got {z}")
-    r = p.meas_noise_sigma**2 * np.eye(2)
-    innovation = z - _H @ s.mean
-    s_mat = _H @ s.covariance @ _H.T + r
-    gain = s.covariance @ _H.T @ np.linalg.inv(s_mat)
+    r = p.meas_noise_sigma**2 * _EYE2
+    innovation = z - s.mean[:2]
+    s_mat = s.covariance[:2, :2] + r
+    gain = s.covariance[:, :2] @ np.linalg.inv(s_mat)
     mean = s.mean + gain @ innovation
-    ikh = np.eye(6) - gain @ _H
+    ikh = _EYE6 - gain @ _H
     cov = ikh @ s.covariance @ ikh.T + gain @ r @ gain.T  # Joseph form
     cov = 0.5 * (cov + cov.T)
     _check_covariance(cov, s)

@@ -11,6 +11,7 @@ estimate states, so lifecycle behavior is identical across them.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,6 @@ from .model import (
     queries_from_histories,
     select_context,
 )
-from .sim import Scenario
 
 
 class DuplicateDetectionError(ValueError):
@@ -327,14 +327,15 @@ class Tracker:
 
 
 def run_sequence(
-    scenario: Scenario, backend, lifecycle: LifecycleConfig
+    detections: Sequence[Sequence[Detection]], backend, lifecycle: LifecycleConfig
 ) -> TrackerOutput:
-    """Track a whole scenario; deterministic, with per-frame wall time."""
+    """Track a whole sequence of per-frame detections; deterministic, with
+    per-frame wall time."""
     tracker = Tracker(backend, lifecycle)
     output = TrackerOutput()
-    for frame_index in range(scenario.frames):
+    for frame_index, frame_dets in enumerate(detections):
         start = time.perf_counter()
-        rows = tracker.step(frame_index, list(scenario.detections[frame_index]))
+        rows = tracker.step(frame_index, list(frame_dets))
         output.frame_seconds.append(time.perf_counter() - start)
         output.frames.append(rows)
     return output

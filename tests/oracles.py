@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from sttrack.core import Box7, Detection, StateVector
+from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
 from sttrack.model import SttConfig
 
 
@@ -64,3 +65,32 @@ def detection_features_row(
     out[8 : 8 + cfg.d_a] = det.appearance
     out[8 + cfg.d_a :] = det.motion
     return out
+
+
+_KF_H = np.zeros((2, 6))
+_KF_H[0, 0] = 1.0
+_KF_H[1, 1] = 1.0
+
+
+def kalman_predict_reference(s: KfState, dt: float, p: KfParams) -> KfState:
+    """Kalman predict with the transition and noise matrices built per call."""
+    f = transition_matrix(dt)
+    mean = f @ s.mean
+    cov = f @ s.covariance @ f.T + process_noise(dt, p.process_noise_accel_sigma)
+    cov = 0.5 * (cov + cov.T)
+    return KfState(mean, cov)
+
+
+def kalman_update_reference(s: KfState, z, p: KfParams) -> KfState:
+    """Kalman update written with the measurement matrix H and fresh
+    identities, Joseph-form covariance."""
+    z = np.asarray(z, dtype=float).reshape(2)
+    r = p.meas_noise_sigma**2 * np.eye(2)
+    innovation = z - _KF_H @ s.mean
+    s_mat = _KF_H @ s.covariance @ _KF_H.T + r
+    gain = s.covariance @ _KF_H.T @ np.linalg.inv(s_mat)
+    mean = s.mean + gain @ innovation
+    ikh = np.eye(6) - gain @ _KF_H
+    cov = ikh @ s.covariance @ ikh.T + gain @ r @ gain.T
+    cov = 0.5 * (cov + cov.T)
+    return KfState(mean, cov)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sttrack.assign import FORBIDDEN, solve, total_cost
+from sttrack.assign import FORBIDDEN, _solve_dense, solve, total_cost
 
 
 def brute_force(cost):
@@ -159,3 +161,68 @@ def test_row_permutation_permutes_matching():
 def test_rejects_nan():
     with pytest.raises(ValueError):
         solve(np.array([[0.0, np.nan]]))
+
+
+@st.composite
+def gated_matrices(draw, max_side=6):
+    """Gated matrices with planted lone pairs: a row and a column whose only
+    finite entry is the one they share.
+
+    Entries are distinct powers of two (negated or not), so distinct sets of
+    pairs have distinct exact sums and the min-cost maximum matching is
+    unique.
+    """
+    n_rows = draw(st.integers(0, max_side))
+    n_cols = draw(st.integers(0, max_side))
+    size = n_rows * n_cols
+    exponents = np.array(draw(st.permutations(range(size))), dtype=float)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    base = sign * 2.0 ** -exponents.reshape(n_rows, n_cols)
+    forbid = np.array(
+        draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool
+    ).reshape(n_rows, n_cols)
+    cost = np.where(forbid, FORBIDDEN, base)
+    n_lone = draw(st.integers(0, min(n_rows, n_cols)))
+    rows = draw(st.permutations(range(n_rows)))[:n_lone]
+    cols = draw(st.permutations(range(n_cols)))[:n_lone]
+    for r, k in zip(rows, cols):
+        cost[r, :] = FORBIDDEN
+        cost[:, k] = FORBIDDEN
+        cost[r, k] = base[r, k]
+    return cost
+
+
+ALL_LONE = np.where(np.eye(4, 5, k=1, dtype=bool), 0.25, FORBIDDEN)
+NO_LONE = 2.0 ** -np.arange(12, dtype=float).reshape(3, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gated_matrices())
+@example(ALL_LONE)
+@example(NO_LONE)
+@example(np.zeros((0, 5)))
+@example(np.zeros((4, 0)))
+def test_lone_pair_peeling_matches_brute_force(cost):
+    pairs = solve(cost)
+    matching_is_valid(cost, pairs)
+    assert pairs == sorted(pairs)
+    card, best = brute_force(cost)
+    assert len(pairs) == card
+    assert math.isclose(total_cost(cost, pairs), best, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gated_matrices())
+@example(ALL_LONE)
+@example(NO_LONE)
+@example(np.zeros((0, 5)))
+@example(np.zeros((4, 0)))
+def test_lone_pair_peeling_returns_the_dense_solution(cost):
+    assert solve(cost) == _solve_dense(cost)
+
+
+def test_all_lone_and_no_lone_hand_checked():
+    assert solve(ALL_LONE) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    # Row 0's entries dominate every sum, so it takes its cheapest column,
+    # then row 1 and row 2 take theirs among the columns left.
+    assert solve(NO_LONE) == [(0, 3), (1, 2), (2, 1)]

@@ -1,17 +1,28 @@
 import json
+import shutil
 
 from sttrack import cli
 
 
-def test_eval_mota_only_policy_disables_state_gates(tmp_path):
+def simulate(tmp_path, frames=20):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"sim": {"frames": 30}}))
-    data, tracks, out = tmp_path / "data", tmp_path / "tracks", tmp_path / "eval.json"
+    config.write_text(json.dumps({"sim": {"frames": frames}}))
+    data = tmp_path / "data"
     assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
-    assert cli.main([
-        "track", "--config", str(config), "--data", str(data), "--out", str(tracks),
+    return config, data
+
+
+def track(config, data, out):
+    return cli.main([
+        "track", "--config", str(config), "--data", str(data), "--out", str(out),
         "--backend", "kalman",
-    ]) == 0
+    ])
+
+
+def test_eval_mota_only_policy_disables_state_gates(tmp_path):
+    config, data = simulate(tmp_path, frames=30)
+    tracks, out = tmp_path / "tracks", tmp_path / "eval.json"
+    assert track(config, data, tracks) == 0
     assert cli.main([
         "eval", "--config", str(config), "--gt", str(data), "--results", str(tracks),
         "--out", str(out), "--policy", "mota-only",
@@ -23,3 +34,37 @@ def test_eval_mota_only_policy_disables_state_gates(tmp_path):
     row = report["classes"]["vehicle"]
     assert row["gt_total"] == 30 * 20
     assert row["s_mota"] == row["mota"]
+
+
+def test_track_reads_only_detections(tmp_path):
+    config, data = simulate(tmp_path)
+    det_only = tmp_path / "det_only"
+    det_only.mkdir()
+    for det in data.glob("*.det.jsonl"):
+        shutil.copy(det, det_only / det.name)
+    assert list(det_only.glob("*.gt.jsonl")) == []
+    assert track(config, data, tmp_path / "with_gt") == 0
+    assert track(config, det_only, tmp_path / "without_gt") == 0
+    names = sorted(p.name for p in (tmp_path / "with_gt").glob("*.tracks.jsonl"))
+    assert names
+    for name in names:
+        with_gt = (tmp_path / "with_gt" / name).read_text().splitlines()
+        without_gt = (tmp_path / "without_gt" / name).read_text().splitlines()
+        assert with_gt[1:] == without_gt[1:]
+    assert cli.main([
+        "eval", "--config", str(config), "--gt", str(det_only),
+        "--results", str(tmp_path / "without_gt"), "--out", str(tmp_path / "eval.json"),
+    ]) == cli.EXIT_MISSING
+
+
+def test_track_truncated_detection_line_is_a_format_error(tmp_path, capsys):
+    config, data = simulate(tmp_path)
+    det = sorted(data.glob("*.det.jsonl"))[0]
+    lines = det.read_text().splitlines()
+    lines[4] = lines[4][:40]
+    det.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert track(config, data, tmp_path / "tracks") == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["exit_code"] == cli.EXIT_CONFIG
+    assert error["error"].startswith(f"{det}:5: ")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from sttrack.formats import (
     FormatError,
     make_header,
     normalized_digest,
+    read_detections,
     read_jsonl,
     read_label_frames,
     read_pred_frames,
@@ -81,6 +83,60 @@ def test_schema_version_checked(tmp_path):
         read_jsonl(path)
 
 
+def test_malformed_line_names_file_and_line(tmp_path):
+    scenario = make_scenario()
+    _, det_path = write_scenario(tmp_path, "s0", scenario, {})
+    lines = det_path.read_text().splitlines()
+    lines[3] = lines[3][: len(lines[3]) // 2]
+    det_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(det_path))}:4: "):
+        read_jsonl(det_path)
+    det_path.write_text("{not json\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(det_path))}:1: "):
+        read_jsonl(det_path)
+
+
+def test_read_detections_equals_scenario_detections(tmp_path):
+    scenario = make_scenario(seed=3)
+    _, det_path = write_scenario(tmp_path, "s0", scenario, {})
+    header, detections = read_detections(det_path)
+    assert detections == scenario.detections
+    assert header["config"]["frames"] == scenario.frames
+    assert header["config"]["dt"] == scenario.dt
+
+
+def set_frame(path, line, frame):
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[line - 1])
+    row["frame"] = frame
+    lines[line - 1] = json.dumps(row, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("frame", [-1, 12])
+@pytest.mark.parametrize(
+    "reader", ["detections", "labels", "preds", "scenario-gt", "scenario-det"]
+)
+def test_readers_reject_frame_outside_range(tmp_path, reader, frame):
+    scenario = make_scenario(frames=12)
+    gt_path, det_path = write_scenario(tmp_path, "s0", scenario, {})
+    tracks_path = tmp_path / "s0.tracks.jsonl"
+    output = run_sequence(
+        scenario.detections, KalmanBackend(KfParams(), scenario.dt), LifecycleConfig()
+    )
+    write_tracker_output(tracks_path, output, {}, scenario.frames)
+    path, read = {
+        "detections": (det_path, lambda: read_detections(det_path)),
+        "labels": (gt_path, lambda: read_label_frames(gt_path)),
+        "preds": (tracks_path, lambda: read_pred_frames(tracks_path)),
+        "scenario-gt": (gt_path, lambda: read_scenario(gt_path, det_path)),
+        "scenario-det": (det_path, lambda: read_scenario(gt_path, det_path)),
+    }[reader]
+    set_frame(path, 3, frame)
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: frame {frame} outside [0, 12)")):
+        read()
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_jsonl(tmp_path / "nope.jsonl")
@@ -133,7 +189,7 @@ def test_normalized_digest_reads_metrics_file(tmp_path, monkeypatch):
 def test_tracker_output_round_trip(tmp_path):
     scenario = make_scenario()
     output = run_sequence(
-        scenario, KalmanBackend(KfParams(), scenario.dt), LifecycleConfig()
+        scenario.detections, KalmanBackend(KfParams(), scenario.dt), LifecycleConfig()
     )
     path = tmp_path / "s0.tracks.jsonl"
     write_tracker_output(path, output, {"backend": "kalman"}, scenario.frames)

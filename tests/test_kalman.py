@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mc_bev_iou
+from oracles import kalman_predict_reference, kalman_update_reference, mc_bev_iou
 from sttrack.assign import FORBIDDEN
 from sttrack.core import Box7, ClassId, Detection
 from sttrack.kalman import (
     KalmanDivergenceError,
+    _predict_constants,
     KfParams,
     KfState,
     init_state,
@@ -260,3 +261,43 @@ def test_params_validation():
         KfParams(meas_noise_sigma=0.0)
     with pytest.raises(ValueError):
         KfParams(iou_gate=1.0)
+
+
+def assert_bitwise_equal(got: KfState, want: KfState) -> None:
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.covariance.tobytes() == want.covariance.tobytes()
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.25, 1.0])
+@pytest.mark.parametrize("p", [KfParams(), PRECISE, KfParams(3.0, 0.4, 2.0, 0.5)])
+def test_predict_and_update_bitwise_equal_to_reference(dt, p):
+    rng = np.random.default_rng(int(dt * 1000))
+    starts = [
+        init_state((0.0, 0.0), p),  # fresh covariance, all-zero mean
+        init_state((12.5, -3.25), p),  # fresh covariance, zero motion terms
+        KfState(np.array([4.0, 0.0, 0.0, -1.5, 0.0, 0.25]), np.eye(6)),
+    ]
+    for start in starts:
+        ours = ref = start
+        for _ in range(15):
+            z = ours.mean[:2] + rng.normal(0.0, 0.5, 2)
+            pred, ref_pred = predict(ours, dt, p), kalman_predict_reference(ref, dt, p)
+            assert_bitwise_equal(pred, ref_pred)
+            ours, ref = update(pred, z, p), kalman_update_reference(ref_pred, z, p)
+            assert_bitwise_equal(ours, ref)
+        # update straight after init, with no predict in between
+        assert_bitwise_equal(update(start, (1.0, 0.0), p),
+                             kalman_update_reference(start, (1.0, 0.0), p))
+
+
+def test_predict_constants_are_cached_and_read_only():
+    f, q = _predict_constants(0.1, 1.5)
+    assert _predict_constants(0.1, 1.5)[0] is f
+    assert np.array_equal(f, transition_matrix(0.1))
+    assert np.array_equal(q, process_noise(0.1, 1.5))
+    with pytest.raises(ValueError, match="read-only"):
+        f[0, 2] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        q[0, 0] = 1.0
+    out = predict(init_state((0.0, 0.0), KfParams()), 0.1, KfParams())
+    out.covariance[0, 0] = 1.0  # the returned state is the caller's to change

@@ -190,7 +190,7 @@ def zero_noise_scenario(n_objects=4, frames=30):
 def test_kalman_zero_noise_no_fragmentation():
     scenario = zero_noise_scenario()
     backend = KalmanBackend(KfParams(), scenario.dt)
-    output = run_sequence(scenario, backend, LifecycleConfig())
+    output = run_sequence(scenario.detections, backend, LifecycleConfig())
     assert len(output.frames) == scenario.frames
     # map each emitted row back to its ground-truth object by box center
     track_of_object = {}
@@ -210,8 +210,12 @@ def test_kalman_zero_noise_no_fragmentation():
 
 def test_run_sequence_deterministic():
     scenario = zero_noise_scenario(n_objects=3, frames=20)
-    out_a = run_sequence(scenario, KalmanBackend(KfParams(), scenario.dt), LifecycleConfig())
-    out_b = run_sequence(scenario, KalmanBackend(KfParams(), scenario.dt), LifecycleConfig())
+    def run():
+        backend = KalmanBackend(KfParams(), scenario.dt)
+        return run_sequence(scenario.detections, backend, LifecycleConfig())
+
+    out_a = run()
+    out_b = run()
     assert out_a.frames == out_b.frames
 
 
@@ -225,7 +229,8 @@ def test_spurious_tracks_bounded_emissions():
     )
     scenario = generate(cfg, seed=4)
     lifecycle = LifecycleConfig(max_misses=2, min_confidence=0.0)
-    output = run_sequence(scenario, KalmanBackend(KfParams(), scenario.dt), lifecycle)
+    backend = KalmanBackend(KfParams(), scenario.dt)
+    output = run_sequence(scenario.detections, backend, lifecycle)
     emissions = {}
     for rows in output.frames:
         for row in rows:
@@ -260,7 +265,7 @@ def test_stt_backend_runs_and_is_deterministic():
 
     def run():
         backend = SttBackend(params, cfg, lifecycle, scenario.dt)
-        return run_sequence(scenario, backend, lifecycle)
+        return run_sequence(scenario.detections, backend, lifecycle)
 
     out_a = run()
     out_b = run()
