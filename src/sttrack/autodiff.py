@@ -515,32 +515,38 @@ def save_checkpoint(path, params: dict[str, Tensor], metadata: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays and metadata of a checkpoint. A file that is not one, is cut
+    short or has bytes after the tensor data raises ValueError naming it."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
     offset = 8
-    (meta_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    metadata = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
-    offset += meta_len
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        dims = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        shapes.append((name, tuple(dims)))
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in shapes:
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
-        offset += 4 * n
-        arrays[name] = arr.reshape(shape).astype(np.float64)
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(blob):
+            raise ValueError(f"truncated: needs {offset + n} bytes, has {len(blob)}")
+        offset += n
+        return blob[offset - n : offset]
+
+    try:
+        (meta_len,) = struct.unpack("<I", take(4))
+        metadata = json.loads(take(meta_len).decode("utf-8"))
+        (count,) = struct.unpack("<I", take(4))
+        shapes: list[tuple[str, tuple[int, ...]]] = []
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", take(2))
+            name = take(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", take(1))
+            shapes.append((name, struct.unpack(f"<{ndim}I", take(4 * ndim))))
+        arrays: dict[str, np.ndarray] = {}
+        for name, shape in shapes:
+            n = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(take(4 * n), dtype="<f4")
+            arrays[name] = arr.reshape(shape).astype(np.float64)
+        if offset != len(blob):
+            raise ValueError(f"{len(blob) - offset} bytes after the tensor data")
+    except ValueError as exc:  # also bad UTF-8 or JSON in the metadata or names
+        raise ValueError(f"{path}: invalid checkpoint: {exc}") from None
     return arrays, metadata

@@ -74,14 +74,17 @@ def scenario_names(data_dir: Path) -> list[str]:
 
 
 def load_checkpoint_for(cfg: RunConfig, path: Path):
-    if not path.exists():
-        raise FileNotFoundError(f"no such checkpoint: {path}")
-    arrays, metadata = autodiff.load_checkpoint(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"no such checkpoint file: {path}")
+    try:
+        arrays, metadata = autodiff.load_checkpoint(path)
+    except ValueError as exc:
+        raise formats.FormatError(str(exc)) from None
     stored = metadata.get("stt")
-    if stored != cfg.stt.to_dict():
+    if stored != dataclasses.asdict(cfg.stt):
         raise CheckpointMismatchError(
             f"checkpoint {path} was trained with a different model config: "
-            f"{stored} vs {cfg.stt.to_dict()}"
+            f"{stored} vs {dataclasses.asdict(cfg.stt)}"
         )
     return {name: autodiff.Tensor(data) for name, data in arrays.items()}, metadata
 
@@ -116,7 +119,7 @@ def train_on_directory(
         ckpt,
         params,
         {
-            "stt": cfg.stt.to_dict(),
+            "stt": dataclasses.asdict(cfg.stt),
             "class_id": cfg.class_id.value,
             "seed": cfg.seed,
             "steps": n_steps,
@@ -224,37 +227,42 @@ def write_metrics_file(path: Path, report: dict, provenance: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
+def simulate_into(out_dir: Path, cfg: RunConfig, count: int) -> None:
+    """Write scenarios 0..count-1 of `cfg` to `out_dir`."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    provenance = resolved_dict(cfg)
+    for index in range(count):
+        scenario = build_scenario(cfg, index)
+        formats.write_scenario(out_dir, f"scenario_{index:04d}", scenario, provenance)
+
+
 # --- commands ------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def _run_config(args) -> RunConfig:
+    """The `--config` file's run config, with `--seed` in place of its seed."""
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    return cfg
+
+
+def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    provenance = resolved_dict(cfg)
-    for index in range(args.count):
-        scenario = build_scenario(cfg, index)
-        name = f"scenario_{index:04d}"
-        formats.write_scenario(out_dir, name, scenario, provenance)
+    simulate_into(out_dir, _run_config(args), args.count)
     print(f"simulate: wrote {args.count} scenario(s) to {out_dir}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _run_config(args)
     ckpt = train_on_directory(cfg, Path(args.data), Path(args.out), steps=args.steps)
     print(f"train: checkpoint at {ckpt}")
     return EXIT_OK
 
 
 def cmd_track(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _run_config(args)
     backend_kind = args.backend or cfg.backend
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
     timings = track_directory(
@@ -373,20 +381,13 @@ def _run_variant_pipeline(
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _run_config(args)
     out_dir = Path(args.out)
     train_dir = out_dir / "data" / "train"
     eval_dir = out_dir / "data" / "eval"
 
-    def simulate_into(target: Path, variant_cfg: RunConfig, count: int, seed: int):
-        target.mkdir(parents=True, exist_ok=True)
-        run_cfg = dataclasses.replace(variant_cfg, seed=seed)
-        provenance = resolved_dict(run_cfg)
-        for index in range(count):
-            scenario = build_scenario(run_cfg, index)
-            formats.write_scenario(target, f"scenario_{index:04d}", scenario, provenance)
+    def eval_seed(run_cfg: RunConfig) -> RunConfig:
+        return dataclasses.replace(run_cfg, seed=run_cfg.seed + 10_000)
 
     variants: list[tuple[str, RunConfig]] = []
     if args.axis == "track-length":
@@ -418,16 +419,16 @@ def cmd_ablate(args) -> int:
 
     shared_data = args.axis != "noise"
     if shared_data:
-        simulate_into(train_dir, cfg, args.train_scenarios, cfg.seed)
-        simulate_into(eval_dir, cfg, args.eval_scenarios, cfg.seed + 10_000)
+        simulate_into(train_dir, cfg, args.train_scenarios)
+        simulate_into(eval_dir, eval_seed(cfg), args.eval_scenarios)
 
     runs = []
     for label, variant_cfg in variants:
         if not shared_data:
             train_dir = out_dir / "data" / label.replace(" ", "_") / "train"
             eval_dir = out_dir / "data" / label.replace(" ", "_") / "eval"
-            simulate_into(train_dir, variant_cfg, args.train_scenarios, variant_cfg.seed)
-            simulate_into(eval_dir, variant_cfg, args.eval_scenarios, variant_cfg.seed + 10_000)
+            simulate_into(train_dir, variant_cfg, args.train_scenarios)
+            simulate_into(eval_dir, eval_seed(variant_cfg), args.eval_scenarios)
         report = _run_variant_pipeline(
             variant_cfg, label.replace(" ", "_"), out_dir, train_dir, eval_dir,
             args.steps, args.workers,

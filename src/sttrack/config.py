@@ -1,22 +1,32 @@
-"""Run configuration: a single JSON file validated strictly before any work.
+"""Run configuration: one JSON file, validated strictly before any work.
 
-Unknown keys are rejected with the offending path in the message so typos
-never silently fall back to defaults.
+One decoder reads every section through its dataclass's field annotations.
+Accepted JSON types: an integer for an int field (not a float, a string or
+`true`); `true` or `false` for a bool; a string for a str; any number for a
+float field, stored as a float (`1` reads as 1.0), or "inf", which is how
+`resolved_dict` writes infinity; a class name ("vehicle") for `class_id`
+and the keys of the per-class policy maps; "velocity" or "acceleration" for
+their state keys; `null` only for `out_dir` and `policy.alpha_s`. Unknown
+keys are rejected, and every error names the dotted path of the value
+(`sim.frames`, `policy.state_thresholds.vehicle.velocity`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .autodiff import AdamWConfig
-from .core import ClassId
+from .core import ClassId, to_plain
 from .kalman import KfParams
 from .metrics import INF, MatchingPolicy
 from .model import SttConfig
 from .runtime import LifecycleConfig
-from .sim import NoiseModel, SpeedThresholds
+from .sim import NoiseModel, SpeedThresholds, check_scene
 
 
 class ConfigError(ValueError):
@@ -45,6 +55,9 @@ class SimSection:
     population: PopulationConfig = field(default_factory=PopulationConfig)
     noise: NoiseModel = field(default_factory=NoiseModel)
     speed_thresholds: SpeedThresholds = field(default_factory=SpeedThresholds)
+
+    def __post_init__(self) -> None:
+        check_scene(self.frames, self.dt, self.field_size, self.appearance_dim)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,143 +113,67 @@ class RunConfig:
     def tracking_lifecycle(self) -> LifecycleConfig:
         """Lifecycle with history bound to the model's track length for stt."""
         if self.backend == "stt":
-            return LifecycleConfig(
-                creation_score_threshold=self.lifecycle.creation_score_threshold,
-                max_misses=self.lifecycle.max_misses,
-                min_confidence=self.lifecycle.min_confidence,
-                max_history=self.stt.t_max,
-            )
+            return dataclasses.replace(self.lifecycle, max_history=self.stt.t_max)
         return self.lifecycle
 
 
-def _check_keys(data: dict, allowed: set[str], context: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in {context}: {', '.join(sorted(unknown))}"
-        )
-
-
-def _build(cls, data: dict, context: str, converters: dict | None = None):
-    import dataclasses
-
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    _check_keys(data, set(fields), context)
-    kwargs = {}
-    for key, value in data.items():
-        if converters and key in converters:
-            value = converters[key](value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid {context}: {exc}") from exc
-
-
-def _class_map(data: dict, context: str, inner=float) -> dict:
-    out = {}
-    for key, value in data.items():
-        try:
-            cls = ClassId(key)
-        except ValueError:
-            raise ConfigError(f"unknown class in {context}: {key!r}") from None
-        out[cls] = inner(value) if inner is not dict else dict(value)
-    return out
-
-
-def _state_thresholds(data: dict, context: str) -> dict:
-    out = {}
-    for key, per_state in data.items():
-        try:
-            cls = ClassId(key)
-        except ValueError:
-            raise ConfigError(f"unknown class in {context}: {key!r}") from None
-        _check_keys(per_state, {"velocity", "acceleration"}, f"{context}.{key}")
-        out[cls] = {
-            s: (INF if v in ("inf", None) else float(v)) for s, v in per_state.items()
+def _decode(annotation, value, path: str):
+    """`value`, parsed from JSON, as an instance of `annotation`; `path` is
+    its dotted location in the config, "" for the whole config."""
+    where = path or "config"
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    is_dataclass = dataclasses.is_dataclass(annotation)
+    if (is_dataclass or origin is dict) and not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    if is_dataclass:
+        hints = typing.get_type_hints(annotation)
+        unknown = sorted(set(value) - {f.name for f in dataclasses.fields(annotation)})
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        kwargs = {
+            key: _decode(hints[key], item, f"{path}.{key}" if path else key)
+            for key, item in value.items()
         }
-    return out
-
-
-def _policy_from_dict(data: dict) -> MatchingPolicy:
-    allowed = {
-        "iou_threshold",
-        "state_thresholds",
-        "alpha_s",
-        "persistence",
-        "speed_thresholds",
-    }
-    _check_keys(data, allowed, "policy")
-    kwargs = {}
-    if "iou_threshold" in data:
-        kwargs["iou_threshold"] = _class_map(data["iou_threshold"], "policy.iou_threshold")
-    if "state_thresholds" in data:
-        kwargs["state_thresholds"] = _state_thresholds(
-            data["state_thresholds"], "policy.state_thresholds"
-        )
-    if "alpha_s" in data and data["alpha_s"] is not None:
-        kwargs["alpha_s"] = _state_thresholds(data["alpha_s"], "policy.alpha_s")
-    if "persistence" in data:
-        kwargs["persistence"] = bool(data["persistence"])
-    if "speed_thresholds" in data:
-        kwargs["speed_thresholds"] = _build(
-            SpeedThresholds, data["speed_thresholds"], "policy.speed_thresholds"
-        )
-    try:
-        return MatchingPolicy(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid policy: {exc}") from exc
+        try:
+            return annotation(**kwargs)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid {where}: {exc}") from exc
+    if origin is types.UnionType:  # X | None
+        if value is None:
+            return None
+        (inner,) = set(args) - {type(None)}
+        return _decode(inner, value, path)
+    if origin is dict:
+        key_type, value_type = args
+        return {
+            _decode(key_type, key, path): _decode(value_type, item, f"{path}.{key}")
+            for key, item in value.items()
+        }
+    if origin is typing.Literal:
+        if value in args:
+            return value
+        expected = ", ".join(map(repr, args))
+        raise ConfigError(f"{where}: expected one of {expected}, got {value!r}")
+    if annotation is ClassId:
+        try:
+            return ClassId(value)
+        except ValueError:
+            raise ConfigError(f"{where}: unknown class {value!r}") from None
+    if annotation is float:
+        if value == "inf":
+            return INF
+        if type(value) in (int, float):
+            return float(value)
+        raise ConfigError(f'{where}: expected a number or "inf", got {value!r}')
+    if annotation in (int, bool, str):  # exact JSON type: `true` is not an int
+        if type(value) is annotation:
+            return value
+        raise ConfigError(f"{where}: expected {annotation.__name__}, got {value!r}")
+    raise TypeError(f"{where}: no decoder for {annotation!r}")
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    allowed = {
-        "class_id",
-        "seed",
-        "backend",
-        "out_dir",
-        "sim",
-        "stt",
-        "train",
-        "kf",
-        "lifecycle",
-        "policy",
-    }
-    _check_keys(data, allowed, "config")
-    kwargs: dict = {}
-    if "class_id" in data:
-        try:
-            kwargs["class_id"] = ClassId(data["class_id"])
-        except ValueError:
-            raise ConfigError(f"unknown class_id: {data['class_id']!r}") from None
-    for key in ("seed", "backend", "out_dir"):
-        if key in data:
-            kwargs[key] = data[key]
-    if "sim" in data:
-        sim_data = dict(data["sim"])
-        converters = {
-            "population": lambda d: _build(PopulationConfig, d, "sim.population"),
-            "noise": lambda d: _build(NoiseModel, d, "sim.noise"),
-            "speed_thresholds": lambda d: _build(
-                SpeedThresholds, d, "sim.speed_thresholds"
-            ),
-        }
-        kwargs["sim"] = _build(SimSection, sim_data, "sim", converters)
-    if "stt" in data:
-        kwargs["stt"] = _build(SttConfig, data["stt"], "stt")
-    if "train" in data:
-        kwargs["train"] = _build(TrainSection, data["train"], "train")
-    if "kf" in data:
-        kwargs["kf"] = _build(KfParams, data["kf"], "kf")
-    if "lifecycle" in data:
-        kwargs["lifecycle"] = _build(LifecycleConfig, data["lifecycle"], "lifecycle")
-    if "policy" in data:
-        kwargs["policy"] = _policy_from_dict(data["policy"])
-    try:
-        return RunConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config: {exc}") from exc
+    return _decode(RunConfig, data, "")
 
 
 def load_run_config(path) -> RunConfig:
@@ -254,24 +191,4 @@ def load_run_config(path) -> RunConfig:
 
 def resolved_dict(cfg: RunConfig) -> dict:
     """Full resolved configuration for provenance headers."""
-    import dataclasses
-
-    def plain(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-        if isinstance(obj, ClassId):
-            return obj.value
-        if isinstance(obj, dict):
-            return {
-                (k.value if isinstance(k, ClassId) else k): plain(v)
-                for k, v in obj.items()
-            }
-        if isinstance(obj, float) and obj == INF:
-            return "inf"
-        if isinstance(obj, tuple):
-            return [plain(v) for v in obj]
-        return obj
-
-    out = plain(cfg)
-    out["policy"] = cfg.policy.describe()
-    return out
+    return to_plain(cfg)

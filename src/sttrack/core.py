@@ -7,6 +7,7 @@ are tracked as rotated footprint rectangles in bird's-eye view.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -24,6 +25,22 @@ class ClassId(enum.Enum):
 class TrackStatus(enum.Enum):
     ACTIVE = "active"
     DEAD = "dead"
+
+
+def to_plain(obj):
+    """A dataclass (or a value inside one) as JSON-ready data: enums by value,
+    also as dict keys, tuples as lists and infinity as the string "inf"."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {to_plain(k): to_plain(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return [to_plain(v) for v in obj]
+    if isinstance(obj, float) and obj == math.inf:
+        return "inf"
+    return obj
 
 
 def normalize_heading(h: float) -> float:

@@ -9,8 +9,9 @@ commit) say when and from what a file was written, not what it holds;
 determinism checks can ignore them. It also reads the metrics file that
 `sttrack eval` writes, which is one indented JSON document with the header
 under "header" rather than JSONL. Readers raise `FormatError` naming the
-file and the 1-based line of a line that is not JSON or of a row whose frame
-is outside the header's frame count.
+file and the 1-based line of a line that is not JSON, or of a row whose frame
+is outside the header's frame count, that lacks a key or whose decoding
+fails on a value of the wrong type.
 
 Row schemas (one JSON object per line after the header):
   ground_truth: frame, object_id, class, cx, cy, cz, w, l, h, heading,
@@ -216,44 +217,53 @@ def write_scenario(out_dir, name: str, scenario: Scenario, config: dict) -> tupl
     return gt_path, det_path
 
 
-def _frame_of(path, line: int, row: dict, frames: int) -> int:
-    """The row's frame index, checked against the header's frame count.
-    `line` is the row's 1-based line in the file; the header is line 1."""
-    k = row["frame"]
-    if not 0 <= k < frames:
-        raise FormatError(f"{path}:{line}: frame {k} outside [0, {frames})")
-    return k
+def _per_frame(path, rows: list[dict], frames: int, decode) -> list[list]:
+    """`decode(row)` of every row, grouped by the row's frame. A row whose
+    frame is outside [0, frames), that lacks a key or whose values have the
+    wrong type raises FormatError naming the file and the row's 1-based line
+    (the header is line 1)."""
+    out: list[list] = [[] for _ in range(frames)]
+    line = 1
+    try:
+        for line, row in enumerate(rows, start=2):
+            k = row["frame"]
+            if not 0 <= k < frames:
+                raise ValueError(f"frame {k} outside [0, {frames})")
+            out[k].append(decode(row))
+    except KeyError as exc:
+        raise FormatError(f"{path}:{line}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}:{line}: {exc}") from None
+    return out
 
 
-def _decode_detections(
-    path, rows: list[dict], frames: int
-) -> tuple[list[list[Detection]], list[list[int]]]:
-    """Detection rows to per-frame detections and their provenance."""
-    detections: list[list[Detection]] = [[] for _ in range(frames)]
-    provenance: list[list[int]] = [[] for _ in range(frames)]
-    for line, row in enumerate(rows, start=2):
-        k = _frame_of(path, line, row, frames)
-        detections[k].append(
-            Detection(
-                box=_box_from_row(row),
-                appearance=tuple(row["appearance"]),
-                motion=tuple(row["motion"]),
-                confidence=row["conf"],
-                frame_index=k,
-                detection_id=row["id"],
-                class_id=ClassId(row["class"]),
-            )
-        )
-        provenance[k].append(row["provenance"])
-    return detections, provenance
+def _detection_from_row(row: dict) -> Detection:
+    return Detection(
+        box=_box_from_row(row),
+        appearance=tuple(row["appearance"]),
+        motion=tuple(row["motion"]),
+        confidence=row["conf"],
+        frame_index=row["frame"],
+        detection_id=row["id"],
+        class_id=ClassId(row["class"]),
+    )
+
+
+def _eval_box_from_row(row: dict, ident: str) -> EvalBox:
+    return EvalBox(
+        ident=row[ident],
+        class_id=ClassId(row["class"]),
+        box=_box_from_row(row),
+        state=_state_from_row(row["state"]),
+    )
 
 
 def read_detections(det_path) -> tuple[dict, tuple[tuple[Detection, ...], ...]]:
     """Detections file to its header and per-frame detections; the header's
     config holds the scene's `frames` and `dt`."""
     header, rows = read_jsonl(det_path, "detections")
-    detections, _ = _decode_detections(det_path, rows, header["config"]["frames"])
-    return header, tuple(tuple(f) for f in detections)
+    detections = _per_frame(det_path, rows, header["config"]["frames"], _detection_from_row)
+    return header, tuple(map(tuple, detections))
 
 
 def read_scenario(gt_path, det_path) -> Scenario:
@@ -262,31 +272,34 @@ def read_scenario(gt_path, det_path) -> Scenario:
     frames = gt_header["config"]["frames"]
     dt = gt_header["config"]["dt"]
 
-    by_object: dict[int, list[dict]] = {}
-    for line, row in enumerate(gt_rows, start=2):
-        _frame_of(gt_path, line, row, frames)
-        by_object.setdefault(row["object_id"], []).append(row)
+    by_object: dict[int, list[EvalBox]] = {}
+    for frame in _per_frame(
+        gt_path, gt_rows, frames, lambda r: _eval_box_from_row(r, "object_id")
+    ):
+        for label in frame:
+            by_object.setdefault(label.ident, []).append(label)
     gt_tracks = []
     for oid in sorted(by_object):
-        rows = sorted(by_object[oid], key=lambda r: r["frame"])
-        if len(rows) != frames:
-            raise FormatError(f"object {oid}: {len(rows)} rows for {frames} frames")
+        labels = by_object[oid]
+        if len(labels) != frames:
+            raise FormatError(f"object {oid}: {len(labels)} rows for {frames} frames")
         gt_tracks.append(
             GtTrack(
                 object_id=oid,
-                class_id=ClassId(rows[0]["class"]),
-                boxes=tuple(_box_from_row(r) for r in rows),
-                states=tuple(_state_from_row(r["state"]) for r in rows),
+                class_id=labels[0].class_id,
+                boxes=tuple(label.box for label in labels),
+                states=tuple(label.state for label in labels),
             )
         )
 
-    detections, provenance = _decode_detections(det_path, det_rows, frames)
+    detections = _per_frame(det_path, det_rows, frames, _detection_from_row)
+    provenance = _per_frame(det_path, det_rows, frames, lambda row: row["provenance"])
     return Scenario(
         frames=frames,
         dt=dt,
         gt_tracks=tuple(gt_tracks),
-        detections=tuple(tuple(f) for f in detections),
-        provenance=tuple(tuple(f) for f in provenance),
+        detections=tuple(map(tuple, detections)),
+        provenance=tuple(map(tuple, provenance)),
     )
 
 
@@ -317,31 +330,11 @@ def read_pred_frames(path) -> tuple[dict, list[list[EvalBox]]]:
     """Tracks file to per-frame evaluation boxes."""
     header, rows = read_jsonl(path, "tracks")
     frames = header["config"]["frames"]
-    out: list[list[EvalBox]] = [[] for _ in range(frames)]
-    for line, row in enumerate(rows, start=2):
-        out[_frame_of(path, line, row, frames)].append(
-            EvalBox(
-                ident=row["track_id"],
-                class_id=ClassId(row["class"]),
-                box=_box_from_row(row),
-                state=_state_from_row(row["state"]),
-            )
-        )
-    return header, out
+    return header, _per_frame(path, rows, frames, lambda r: _eval_box_from_row(r, "track_id"))
 
 
 def read_label_frames(path) -> tuple[dict, list[list[EvalBox]]]:
     """Ground-truth file to per-frame evaluation boxes."""
     header, rows = read_jsonl(path, "ground_truth")
     frames = header["config"]["frames"]
-    out: list[list[EvalBox]] = [[] for _ in range(frames)]
-    for line, row in enumerate(rows, start=2):
-        out[_frame_of(path, line, row, frames)].append(
-            EvalBox(
-                ident=row["object_id"],
-                class_id=ClassId(row["class"]),
-                box=_box_from_row(row),
-                state=_state_from_row(row["state"]),
-            )
-        )
-    return header, out
+    return header, _per_frame(path, rows, frames, lambda r: _eval_box_from_row(r, "object_id"))

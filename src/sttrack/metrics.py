@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Literal, get_args
 
 import numpy as np
 
 from . import assign
-from .core import Box7, ClassId, StateVector, bev_iou_matrix
+from .core import Box7, ClassId, StateVector, bev_iou_matrix, to_plain
 from .sim import Scenario, SpeedThresholds, speed_class
 
 STATE_TYPES = ("position", "velocity", "acceleration")
-GATED_STATES = ("velocity", "acceleration")
+GatedState = Literal["velocity", "acceleration"]
+GATED_STATES = get_args(GatedState)
 BUCKETS = ("static", "slow", "fast")
 
 INF = math.inf
@@ -36,7 +38,7 @@ def _default_iou_thresholds() -> dict[ClassId, float]:
     return {ClassId.VEHICLE: 0.7, ClassId.PEDESTRIAN: 0.5}
 
 
-def _default_state_thresholds() -> dict[ClassId, dict[str, float]]:
+def _default_state_thresholds() -> dict[ClassId, dict[GatedState, float]]:
     return {
         ClassId.VEHICLE: {"velocity": 1.0, "acceleration": 1.0},
         ClassId.PEDESTRIAN: {"velocity": 0.5, "acceleration": 0.5},
@@ -46,10 +48,10 @@ def _default_state_thresholds() -> dict[ClassId, dict[str, float]]:
 @dataclass(frozen=True)
 class MatchingPolicy:
     iou_threshold: dict[ClassId, float] = field(default_factory=_default_iou_thresholds)
-    state_thresholds: dict[ClassId, dict[str, float]] = field(
+    state_thresholds: dict[ClassId, dict[GatedState, float]] = field(
         default_factory=_default_state_thresholds
     )
-    alpha_s: dict[ClassId, dict[str, float]] | None = None  # None: reuse thresholds
+    alpha_s: dict[ClassId, dict[GatedState, float]] | None = None  # None: reuse thresholds
     persistence: bool = True
     speed_thresholds: SpeedThresholds = field(default_factory=SpeedThresholds)
 
@@ -81,32 +83,6 @@ class MatchingPolicy:
         if self.alpha_s is not None:
             return self.alpha_s.get(class_id, {}).get(state, INF)
         return self.state_threshold(class_id, state)
-
-    def describe(self) -> dict:
-        def plain(value: float):
-            return "inf" if math.isinf(value) else value
-
-        return {
-            "iou_threshold": {c.value: v for c, v in self.iou_threshold.items()},
-            "state_thresholds": {
-                c.value: {s: plain(v) for s, v in per.items()}
-                for c, per in self.state_thresholds.items()
-            },
-            "alpha_s": (
-                None
-                if self.alpha_s is None
-                else {
-                    c.value: {s: plain(v) for s, v in per.items()}
-                    for c, per in self.alpha_s.items()
-                }
-            ),
-            "persistence": self.persistence,
-            "speed_thresholds": {
-                "static_max": self.speed_thresholds.static_max,
-                "fast_min_vehicle": self.speed_thresholds.fast_min_vehicle,
-                "fast_min_pedestrian": self.speed_thresholds.fast_min_pedestrian,
-            },
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,7 +322,7 @@ class Evaluator:
                     for s in GATED_STATES
                 },
             }
-        return {"policy": self.policy.describe(), "classes": classes}
+        return {"policy": to_plain(self.policy), "classes": classes}
 
 
 def evaluate_sequences(

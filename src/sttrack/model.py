@@ -101,25 +101,6 @@ class SttConfig:
             ]
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "d_q": self.d_q,
-            "d_a": self.d_a,
-            "d_m": self.d_m,
-            "t_max": self.t_max,
-            "k_max": self.k_max,
-            "context_radius": self.context_radius,
-            "heads": self.heads,
-            "mlp_hidden": self.mlp_hidden,
-            "gamma": self.gamma,
-            "lambda_position": self.lambda_position,
-            "lambda_velocity": self.lambda_velocity,
-            "lambda_acceleration": self.lambda_acceleration,
-            "alpha": self.alpha,
-            "pooling": self.pooling,
-            "state_source": self.state_source,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class TrainingExample:

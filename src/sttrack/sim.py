@@ -138,16 +138,22 @@ class SimConfig:
     speed_thresholds: SpeedThresholds = field(default_factory=SpeedThresholds)
 
     def __post_init__(self) -> None:
-        if self.frames < 2:
-            raise ValueError(f"need at least 2 frames, got {self.frames}")
+        check_scene(self.frames, self.dt, self.field_size, self.appearance_dim)
         if len(self.objects) < 1:
             raise ValueError("need at least one object")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.appearance_dim < 1:
-            raise ValueError("appearance_dim must be >= 1")
-        if self.field_size <= 0:
-            raise ValueError("field_size must be > 0")
+
+
+def check_scene(frames: int, dt: float, field_size: float, appearance_dim: int) -> None:
+    """Raise ValueError unless these scene settings can be simulated; shared
+    by `SimConfig` and the run config's `sim` section."""
+    if frames < 2:
+        raise ValueError(f"frames must be >= 2, got {frames}")
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if field_size <= 0:
+        raise ValueError(f"field_size must be > 0, got {field_size}")
+    if appearance_dim < 1:
+        raise ValueError(f"appearance_dim must be >= 1, got {appearance_dim}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,27 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError, match="magic"):
         ad.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_every_truncation_and_trailing_bytes(tmp_path):
+    rng = np.random.default_rng(5)
+    params = {
+        "a": Tensor(rng.normal(0, 1, (2, 3))),
+        "b": Tensor(rng.normal(0, 1, ())),
+    }
+    good = tmp_path / "good.ckpt"
+    ad.save_checkpoint(good, params, {"k": "v"})
+    blob = good.read_bytes()
+    path = tmp_path / "bad.ckpt"
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            ad.load_checkpoint(path)
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(ValueError, match="1 bytes after the tensor data"):
+        ad.load_checkpoint(path)
+    arrays, meta = ad.load_checkpoint(good)
+    assert meta == {"k": "v"} and arrays["b"].shape == ()
 
 
 def test_no_grad_blocks_graph():

@@ -1,6 +1,8 @@
 import json
 import shutil
 
+import pytest
+
 from sttrack import cli
 
 
@@ -68,3 +70,80 @@ def test_track_truncated_detection_line_is_a_format_error(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["exit_code"] == cli.EXIT_CONFIG
     assert error["error"].startswith(f"{det}:5: ")
+
+
+def last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def test_track_detection_row_without_conf_is_a_format_error(tmp_path, capsys):
+    config, data = simulate(tmp_path)
+    det = sorted(data.glob("*.det.jsonl"))[0]
+    lines = det.read_text().splitlines()
+    row = json.loads(lines[2])
+    del row["conf"]
+    lines[2] = json.dumps(row)
+    det.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert track(config, data, tmp_path / "tracks") == cli.EXIT_CONFIG
+    assert last_error(capsys) == f"{det}:3: missing key 'conf'"
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A config, its scenes and a checkpoint trained on them for two steps."""
+    tmp = tmp_path_factory.mktemp("trained")
+    config, data = simulate(tmp)
+    model = tmp / "model"
+    assert cli.main([
+        "train", "--config", str(config), "--data", str(data), "--out", str(model),
+        "--steps", "2",
+    ]) == 0
+    return config, data, model / "model.ckpt"
+
+
+def track_stt(config, data, out, checkpoint):
+    return cli.main([
+        "track", "--config", str(config), "--data", str(data), "--out", str(out),
+        "--backend", "stt", "--checkpoint", str(checkpoint),
+    ])
+
+
+@pytest.mark.parametrize(
+    "damage, code, message",
+    [
+        ("none", cli.EXIT_OK, None),
+        ("truncated", cli.EXIT_CONFIG, "invalid checkpoint: truncated"),
+        ("trailing", cli.EXIT_CONFIG, "invalid checkpoint: 3 bytes after the tensor data"),
+        ("bad-magic", cli.EXIT_CONFIG, "not a checkpoint (bad magic)"),
+        ("directory", cli.EXIT_MISSING, "no such checkpoint file"),
+    ],
+)
+def test_track_checkpoint_boundary(trained, tmp_path, capsys, damage, code, message):
+    config, data, good = trained
+    blob = good.read_bytes()
+    checkpoint = tmp_path / "model.ckpt"
+    if damage == "directory":
+        checkpoint.mkdir()
+    else:
+        checkpoint.write_bytes({
+            "none": blob,
+            "truncated": blob[: len(blob) - 5],
+            "trailing": blob + b"\0\0\0",
+            "bad-magic": b"X" + blob[1:],
+        }[damage])
+    capsys.readouterr()
+    assert track_stt(config, data, tmp_path / "tracks", checkpoint) == code
+    if message is not None:
+        error = last_error(capsys)
+        assert str(checkpoint) in error
+        assert message in error
+
+
+def test_track_with_checkpoint_of_another_model_config_exits_4(trained, tmp_path, capsys):
+    config, data, checkpoint = trained
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"sim": {"frames": 20}, "stt": {"gamma": 5.0}}))
+    capsys.readouterr()
+    assert track_stt(other, data, tmp_path / "tracks", checkpoint) == cli.EXIT_MISMATCH
+    assert "different model config" in last_error(capsys)

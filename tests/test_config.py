@@ -1,0 +1,155 @@
+import dataclasses
+import json
+import re
+
+import pytest
+
+from sttrack import cli
+from sttrack.config import (
+    ConfigError,
+    PopulationConfig,
+    RunConfig,
+    SimSection,
+    resolved_dict,
+    run_config_from_dict,
+)
+from sttrack.core import ClassId
+from sttrack.metrics import INF, MatchingPolicy
+from sttrack.model import SttConfig
+from sttrack.sim import NoiseModel, SpeedThresholds
+
+CONFIGS = {
+    "defaults": RunConfig(),
+    "pedestrian-stt": RunConfig(
+        class_id=ClassId.PEDESTRIAN, backend="stt", stt=SttConfig(t_max=5, pooling="last")
+    ),
+    "alpha_s-inf": RunConfig(
+        policy=MatchingPolicy(
+            alpha_s={ClassId.VEHICLE: {"velocity": INF, "acceleration": 2.0}},
+            persistence=False,
+        )
+    ),
+    "mota-only": RunConfig(policy=MatchingPolicy().mota_only()),
+    "sim": RunConfig(
+        out_dir="runs/a",
+        sim=SimSection(
+            frames=50,
+            dt=0.05,
+            population=PopulationConfig(1, 0, 3),
+            noise=NoiseModel(center_sigma=0.3, fp_rate=0.0, miss_prob=0.2),
+            speed_thresholds=SpeedThresholds(static_max=0.5, fast_min_vehicle=4.0),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_resolved_dict_round_trips(name):
+    cfg = CONFIGS[name]
+    assert run_config_from_dict(json.loads(json.dumps(resolved_dict(cfg)))) == cfg
+
+
+def test_resolved_dict_writes_infinity_as_inf():
+    plain = resolved_dict(CONFIGS["mota-only"])
+    assert plain["policy"]["state_thresholds"]["vehicle"] == {
+        "velocity": "inf", "acceleration": "inf"
+    }
+    assert resolved_dict(CONFIGS["alpha_s-inf"])["policy"]["alpha_s"] == {
+        "vehicle": {"velocity": "inf", "acceleration": 2.0}
+    }
+
+
+def test_json_integer_in_float_field_reads_as_float():
+    cfg = run_config_from_dict({"sim": {"dt": 1, "field_size": 50}})
+    assert type(cfg.sim.dt) is float and cfg.sim.dt == 1.0
+    assert resolved_dict(cfg)["sim"]["field_size"] == 50.0
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"policy": {"persistence": "false"}}, "policy.persistence: expected bool"),
+        ({"sim": {"frames": "200"}}, "sim.frames: expected int"),
+        ({"seed": "abc"}, "seed: expected int"),
+        ({"stt": {"t_max": 2.5}}, "stt.t_max: expected int"),
+        ({"lifecycle": {"max_misses": True}}, "lifecycle.max_misses: expected int"),
+        ({"backend": 1}, "backend: expected str"),
+        ({"policy": {"iou_threshold": {"vehicle": "0.5"}}}, "policy.iou_threshold.vehicle:"),
+        (
+            {"policy": {"state_thresholds": {"vehicle": {"velocity": None}}}},
+            "policy.state_thresholds.vehicle.velocity:",
+        ),
+        ({"kf": {"iou_gate": False}}, "kf.iou_gate:"),
+        ({"sim": {"frames": 1}}, "invalid sim: frames must be >= 2"),
+        ({"sim": {"dt": -1}}, "invalid sim: dt must be > 0"),
+        ({"sim": {"dt": 0.0}}, "invalid sim: dt must be > 0"),
+        ({"sim": {"field_size": 0}}, "invalid sim: field_size must be > 0"),
+        ({"sim": {"appearance_dim": 0}}, "invalid sim: appearance_dim must be >= 1"),
+        ({"class_id": "truck"}, "class_id: unknown class 'truck'"),
+        ({"policy": {"iou_threshold": {"truck": 0.5}}}, "policy.iou_threshold: unknown class"),
+        ({"policy": {"alpha_s": {"cyclist": {}}}}, "policy.alpha_s: unknown class"),
+        ({"sim": [1]}, "sim: expected an object"),
+    ],
+)
+def test_rejects_naming_the_path(data, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_config_from_dict(data)
+
+
+def nesting_levels():
+    """Dotted path of every object in a resolved config, the config itself
+    as ""."""
+    def walk(node, path):
+        yield path
+        for key, value in node.items():
+            if isinstance(value, dict):
+                yield from walk(value, f"{path}.{key}" if path else key)
+
+    return list(walk(resolved_dict(CONFIGS["alpha_s-inf"]), ""))
+
+
+@pytest.mark.parametrize("path", nesting_levels())
+def test_rejects_unknown_key_at_every_level(path):
+    data = resolved_dict(CONFIGS["alpha_s-inf"])
+    node = data
+    for key in path.split(".") if path else []:
+        node = node[key]
+    node["bogus"] = 1
+    with pytest.raises(ConfigError, match=re.escape(path or "config")) as info:
+        run_config_from_dict(data)
+    assert "bogus" in str(info.value)
+
+
+def test_nesting_levels_cover_sections_and_class_maps():
+    levels = set(nesting_levels())
+    assert {
+        "", "sim.population", "sim.noise", "policy.iou_threshold",
+        "policy.state_thresholds.pedestrian", "policy.alpha_s.vehicle",
+        "policy.speed_thresholds",
+    } <= levels
+
+
+def test_tracking_lifecycle_binds_history_to_t_max():
+    lifecycle = dataclasses.replace(RunConfig().lifecycle, max_misses=5)
+    stt = dataclasses.replace(CONFIGS["pedestrian-stt"], lifecycle=lifecycle)
+    assert stt.tracking_lifecycle() == dataclasses.replace(lifecycle, max_history=5)
+    kalman = dataclasses.replace(stt, backend="kalman")
+    assert kalman.tracking_lifecycle() == lifecycle
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"sim": {"frames": "20"}}, "sim.frames"),
+        ({"sim": {"frames": 1}}, "invalid sim: frames"),
+        ({"policy": {"persistence": "false"}}, "policy.persistence"),
+    ],
+)
+def test_simulate_with_bad_config_exits_2(tmp_path, capsys, data, message):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(data))
+    code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "data")])
+    assert code == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert message in error["error"]
+    assert not (tmp_path / "data").exists()

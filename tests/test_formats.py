@@ -105,19 +105,23 @@ def test_read_detections_equals_scenario_detections(tmp_path):
     assert header["config"]["dt"] == scenario.dt
 
 
-def set_frame(path, line, frame):
+def edit_row(path, line, edit):
     lines = path.read_text().splitlines()
     row = json.loads(lines[line - 1])
-    row["frame"] = frame
+    edit(row)
     lines[line - 1] = json.dumps(row, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("frame", [-1, 12])
-@pytest.mark.parametrize(
-    "reader", ["detections", "labels", "preds", "scenario-gt", "scenario-det"]
-)
-def test_readers_reject_frame_outside_range(tmp_path, reader, frame):
+def set_frame(path, line, frame):
+    edit_row(path, line, lambda row: row.update(frame=frame))
+
+
+READERS = ["detections", "labels", "preds", "scenario-gt", "scenario-det"]
+
+
+def file_and_reader(tmp_path, reader):
+    """A 12-frame file of the reader's kind and a call that reads it."""
     scenario = make_scenario(frames=12)
     gt_path, det_path = write_scenario(tmp_path, "s0", scenario, {})
     tracks_path = tmp_path / "s0.tracks.jsonl"
@@ -125,15 +129,45 @@ def test_readers_reject_frame_outside_range(tmp_path, reader, frame):
         scenario.detections, KalmanBackend(KfParams(), scenario.dt), LifecycleConfig()
     )
     write_tracker_output(tracks_path, output, {}, scenario.frames)
-    path, read = {
+    return {
         "detections": (det_path, lambda: read_detections(det_path)),
         "labels": (gt_path, lambda: read_label_frames(gt_path)),
         "preds": (tracks_path, lambda: read_pred_frames(tracks_path)),
         "scenario-gt": (gt_path, lambda: read_scenario(gt_path, det_path)),
         "scenario-det": (det_path, lambda: read_scenario(gt_path, det_path)),
     }[reader]
+
+
+@pytest.mark.parametrize("frame", [-1, 12])
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_reject_frame_outside_range(tmp_path, reader, frame):
+    path, read = file_and_reader(tmp_path, reader)
     set_frame(path, 3, frame)
     with pytest.raises(FormatError, match=re.escape(f"{path}:3: frame {frame} outside [0, 12)")):
+        read()
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        pytest.param(lambda row: row.pop("class"), "missing key 'class'", id="no-class"),
+        pytest.param(lambda row: row.pop("frame"), "missing key 'frame'", id="no-frame"),
+        pytest.param(
+            lambda row: row.update(cx="1.5"), "must be real number, not str", id="str-cx"
+        ),
+        pytest.param(
+            lambda row: row.update(frame="3"), "'<=' not supported", id="str-frame"
+        ),
+        pytest.param(
+            lambda row: row.update(frame=2.0), "list indices must be integers", id="float-frame"
+        ),
+    ],
+)
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_reject_missing_key_or_wrong_type(tmp_path, reader, edit, reason):
+    path, read = file_and_reader(tmp_path, reader)
+    edit_row(path, 4, edit)
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:4: {reason}')}"):
         read()
 
 
