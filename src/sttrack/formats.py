@@ -9,9 +9,10 @@ commit) say when and from what a file was written, not what it holds;
 determinism checks can ignore them. It also reads the metrics file that
 `sttrack eval` writes, which is one indented JSON document with the header
 under "header" rather than JSONL. Readers raise `FormatError` naming the
-file and the 1-based line of a line that is not JSON, or of a row whose frame
-is outside the header's frame count, that lacks a key or whose decoding
-fails on a value of the wrong type.
+file and the 1-based line of a line that is not JSON, of a header whose
+config lacks `frames` (or `dt`, where the reader needs it), or of a row whose frame
+is outside the header's frame count, that lacks a key, whose `frame` or id
+is not a JSON integer, or whose decoding fails on a value of the wrong type.
 
 Row schemas (one JSON object per line after the header):
   ground_truth: frame, object_id, class, cx, cy, cz, w, l, h, heading,
@@ -217,16 +218,43 @@ def write_scenario(out_dir, name: str, scenario: Scenario, config: dict) -> tupl
     return gt_path, det_path
 
 
+def _header_config(path, header: dict, key: str):
+    """`header["config"][key]`; a header without it raises FormatError on
+    line 1."""
+    config = header.get("config")
+    if not isinstance(config, dict) or key not in config:
+        raise FormatError(f"{path}:1: header config lacks {key!r}")
+    return config[key]
+
+
+def _frames(path, header: dict) -> int:
+    frames = _header_config(path, header, "frames")
+    if type(frames) is not int or frames < 0:
+        raise FormatError(
+            f"{path}:1: header config frames must be an int >= 0, got {frames!r}"
+        )
+    return frames
+
+
+def _int_field(row: dict, key: str) -> int:
+    """`row[key]`, which must be a JSON integer (not a bool, float or string)."""
+    value = row[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be int, not {type(value).__name__}")
+    return value
+
+
 def _per_frame(path, rows: list[dict], frames: int, decode) -> list[list]:
     """`decode(row)` of every row, grouped by the row's frame. A row whose
     frame is outside [0, frames), that lacks a key or whose values have the
-    wrong type raises FormatError naming the file and the row's 1-based line
-    (the header is line 1)."""
+    wrong type (a `frame` that is not an integer among them) raises
+    FormatError naming the file and the row's 1-based line (the header is
+    line 1)."""
     out: list[list] = [[] for _ in range(frames)]
     line = 1
     try:
         for line, row in enumerate(rows, start=2):
-            k = row["frame"]
+            k = _int_field(row, "frame")
             if not 0 <= k < frames:
                 raise ValueError(f"frame {k} outside [0, {frames})")
             out[k].append(decode(row))
@@ -244,14 +272,14 @@ def _detection_from_row(row: dict) -> Detection:
         motion=tuple(row["motion"]),
         confidence=row["conf"],
         frame_index=row["frame"],
-        detection_id=row["id"],
+        detection_id=_int_field(row, "id"),
         class_id=ClassId(row["class"]),
     )
 
 
 def _eval_box_from_row(row: dict, ident: str) -> EvalBox:
     return EvalBox(
-        ident=row[ident],
+        ident=_int_field(row, ident),
         class_id=ClassId(row["class"]),
         box=_box_from_row(row),
         state=_state_from_row(row["state"]),
@@ -260,17 +288,19 @@ def _eval_box_from_row(row: dict, ident: str) -> EvalBox:
 
 def read_detections(det_path) -> tuple[dict, tuple[tuple[Detection, ...], ...]]:
     """Detections file to its header and per-frame detections; the header's
-    config holds the scene's `frames` and `dt`."""
+    config holds the scene's `frames` and `dt`, both checked here."""
     header, rows = read_jsonl(det_path, "detections")
-    detections = _per_frame(det_path, rows, header["config"]["frames"], _detection_from_row)
+    frames = _frames(det_path, header)
+    _header_config(det_path, header, "dt")
+    detections = _per_frame(det_path, rows, frames, _detection_from_row)
     return header, tuple(map(tuple, detections))
 
 
 def read_scenario(gt_path, det_path) -> Scenario:
     gt_header, gt_rows = read_jsonl(gt_path, "ground_truth")
     _, det_rows = read_jsonl(det_path, "detections")
-    frames = gt_header["config"]["frames"]
-    dt = gt_header["config"]["dt"]
+    frames = _frames(gt_path, gt_header)
+    dt = _header_config(gt_path, gt_header, "dt")
 
     by_object: dict[int, list[EvalBox]] = {}
     for frame in _per_frame(
@@ -282,7 +312,9 @@ def read_scenario(gt_path, det_path) -> Scenario:
     for oid in sorted(by_object):
         labels = by_object[oid]
         if len(labels) != frames:
-            raise FormatError(f"object {oid}: {len(labels)} rows for {frames} frames")
+            raise FormatError(
+                f"{gt_path}: object {oid}: {len(labels)} rows for {frames} frames"
+            )
         gt_tracks.append(
             GtTrack(
                 object_id=oid,
@@ -329,12 +361,12 @@ def write_tracker_output(path, output: TrackerOutput, config: dict, frames: int)
 def read_pred_frames(path) -> tuple[dict, list[list[EvalBox]]]:
     """Tracks file to per-frame evaluation boxes."""
     header, rows = read_jsonl(path, "tracks")
-    frames = header["config"]["frames"]
+    frames = _frames(path, header)
     return header, _per_frame(path, rows, frames, lambda r: _eval_box_from_row(r, "track_id"))
 
 
 def read_label_frames(path) -> tuple[dict, list[list[EvalBox]]]:
     """Ground-truth file to per-frame evaluation boxes."""
     header, rows = read_jsonl(path, "ground_truth")
-    frames = header["config"]["frames"]
+    frames = _frames(path, header)
     return header, _per_frame(path, rows, frames, lambda r: _eval_box_from_row(r, "object_id"))

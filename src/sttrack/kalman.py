@@ -9,6 +9,16 @@ read-only by every `predict`. `update` takes the measured block of the mean
 and covariance by slicing rather than by products with the measurement
 matrix; both give the same bits, and the tests compare them.
 
+A `KfState` is one filter, a `(6,)` mean and `(6, 6)` covariance, or a bank
+of filters with a leading stack axis: an `(N, 6)` mean and `(N, 6, 6)`
+covariance. `init_state`, `predict` and `update` are written once over that
+`...` axis, so a single filter is the unstacked case of the same code. Each
+row of a stacked `predict` or `update` is bitwise the single-filter result:
+the mean is computed as `f @ mean[..., None]` (not `mean @ f.T`, which
+differs in low bits) and the gain as one `(N, 2, 2)` inverse. The tracker
+(`runtime.KalmanBackend`) keeps all its tracks' filters in one bank and runs
+one `predict` per frame and one `update` per set of matched tracks.
+
 `kf_association_cost` defines the association cost of one track and one
 detection: 1 - BEV IoU of the predicted box and the detection box, forbidden
 at or below `iou_gate`. The tracker (`runtime.KalmanBackend.frame_costs`)
@@ -23,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .assign import FORBIDDEN
 from .core import Box7, Detection, StateVector, bev_iou
@@ -55,16 +66,15 @@ class KfParams:
 
 @dataclass(frozen=True, slots=True)
 class KfState:
-    mean: np.ndarray  # (6,) [x, y, vx, vy, ax, ay]
-    covariance: np.ndarray  # (6, 6)
+    mean: np.ndarray  # (..., 6) [x, y, vx, vy, ax, ay]
+    covariance: np.ndarray  # (..., 6, 6)
 
-    def state_vector(self) -> StateVector:
-        m = self.mean
-        return StateVector(
-            (float(m[0]), float(m[1])),
-            (float(m[2]), float(m[3])),
-            (float(m[4]), float(m[5])),
-        )
+    def state_vectors(self) -> list[StateVector]:
+        """One `StateVector` per filter, in row order."""
+        return [
+            StateVector((m[0], m[1]), (m[2], m[3]), (m[4], m[5]))
+            for m in self.mean.reshape(-1, 6).tolist()
+        ]
 
 
 _H = np.zeros((2, 6))
@@ -103,9 +113,15 @@ def _predict_constants(dt: float, sigma_jerk: float) -> tuple[np.ndarray, np.nda
     return f, q
 
 
-def init_state(position: tuple[float, float], p: KfParams) -> KfState:
-    mean = np.zeros(6)
-    mean[0], mean[1] = position
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def init_state(position: ArrayLike, p: KfParams) -> KfState:
+    """Filters at `position`, shape `(..., 2)`, with zero motion terms."""
+    position = np.asarray(position, dtype=float)
+    mean = np.zeros(position.shape[:-1] + (6,))
+    mean[..., :2] = position
     cov = np.diag(
         [
             p.meas_noise_sigma**2,
@@ -116,52 +132,57 @@ def init_state(position: tuple[float, float], p: KfParams) -> KfState:
             p.initial_accel_sigma**2,
         ]
     )
-    return KfState(mean, cov)
+    return KfState(mean, np.broadcast_to(cov, mean.shape + (6,)).copy())
 
 
 def predict(s: KfState, dt: float, p: KfParams) -> KfState:
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     f, q = _predict_constants(dt, p.process_noise_accel_sigma)
-    mean = f @ s.mean
+    mean = (f @ s.mean[..., None])[..., 0]
     cov = f @ s.covariance @ f.T + q
-    cov = 0.5 * (cov + cov.T)
+    cov = 0.5 * (cov + _transpose(cov))
     return KfState(mean, cov)
 
 
-def update(s: KfState, z: np.ndarray | tuple[float, float], p: KfParams) -> KfState:
-    z = np.asarray(z, dtype=float).reshape(2)
+def update(s: KfState, z: ArrayLike, p: KfParams) -> KfState:
+    """Joseph-form update of each filter with its measured center `z`, shape
+    `(..., 2)`."""
+    z = np.asarray(z, dtype=float).reshape(s.mean.shape[:-1] + (2,))
     if not np.isfinite(z).all():
         raise ValueError(f"measurement must be finite, got {z}")
     r = p.meas_noise_sigma**2 * _EYE2
-    innovation = z - s.mean[:2]
-    s_mat = s.covariance[:2, :2] + r
-    gain = s.covariance[:, :2] @ np.linalg.inv(s_mat)
-    mean = s.mean + gain @ innovation
+    innovation = z - s.mean[..., :2]
+    s_mat = s.covariance[..., :2, :2] + r
+    gain = s.covariance[..., :, :2] @ np.linalg.inv(s_mat)
+    mean = s.mean + (gain @ innovation[..., None])[..., 0]
     ikh = _EYE6 - gain @ _H
-    cov = ikh @ s.covariance @ ikh.T + gain @ r @ gain.T  # Joseph form
-    cov = 0.5 * (cov + cov.T)
+    cov = ikh @ s.covariance @ _transpose(ikh) + gain @ r @ _transpose(gain)
+    cov = 0.5 * (cov + _transpose(cov))
     _check_covariance(cov, s)
     return KfState(mean, cov)
 
 
 def _check_covariance(cov: np.ndarray, before: KfState) -> None:
-    asym = float(np.abs(cov - cov.T).max())
-    eigmin = float(np.linalg.eigvalsh(cov).min())
+    eigmin = np.linalg.eigvalsh(cov).min(axis=-1).reshape(-1)
     # materially negative relative to the covariance scale, not roundoff
-    floor = -1e-12 * (1.0 + abs(float(np.trace(cov))))
-    if asym >= 1e-9 or eigmin <= floor:
+    floor = -1e-12 * (1.0 + np.abs(np.trace(cov, axis1=-2, axis2=-1).reshape(-1)))
+    bad = np.flatnonzero(eigmin <= floor)
+    if bad.size:
+        row = bad[0]
+        prior = before.covariance.reshape(-1, 6, 6)[row]
         raise KalmanDivergenceError(
             "covariance update failed: "
-            f"max|P - P^T| = {asym:.3e}, min eigenvalue = {eigmin:.3e}, "
-            f"prior trace = {float(np.trace(before.covariance)):.3e}"
+            f"min eigenvalue = {eigmin[row]:.3e}, "
+            f"prior trace = {float(np.trace(prior)):.3e}"
         )
 
 
-def predicted_box(s: KfState, last_box: Box7) -> Box7:
-    """Carry the last associated box to the predicted center."""
+def predicted_box(mean: ArrayLike, last_box: Box7) -> Box7:
+    """Carry the last associated box to the predicted center: the first two
+    entries of one filter's `mean`."""
     return Box7(
-        (float(s.mean[0]), float(s.mean[1]), last_box.center[2]),
+        (float(mean[0]), float(mean[1]), last_box.center[2]),
         last_box.size,
         last_box.heading,
     )
@@ -171,7 +192,7 @@ def kf_association_cost(
     track_pred: KfState, last_box: Box7, det: Detection, p: KfParams
 ) -> float:
     """1 - BEV IoU between the predicted box and the detection, gated."""
-    iou = bev_iou(predicted_box(track_pred, last_box), det.box)
+    iou = bev_iou(predicted_box(track_pred.mean, last_box), det.box)
     if iou <= p.iou_gate:
         return FORBIDDEN
     return 1.0 - iou

@@ -80,24 +80,35 @@ class TrackerOutput:
 
 
 class KalmanBackend:
-    """IoU-gated association with one constant-acceleration filter per track."""
+    """IoU-gated association with one constant-acceleration filter per track.
+
+    The filters form one bank: a stacked `KfState` with an `(N, 6)` mean and
+    an `(N, 6, 6)` covariance, one row per live track in track-id order, and
+    `track_ids` naming the rows. Track ids only grow, so `create_tracks`
+    appends rows and the order stays the `Tracker`'s sorted `active` order;
+    `forget` drops rows. Each frame runs one stacked `predict` over the bank
+    and one stacked `update` over the rows of the matched tracks.
+    """
 
     def __init__(self, params: KfParams, dt: float):
         self.params = params
         self.dt = dt
-        self.filters: dict[int, KfState] = {}
+        self.bank = init_state(np.empty((0, 2)), params)
+        self.track_ids: list[int] = []
 
     def frame_costs(
         self, frame_index: int, tracks: list[Track], dets: list[Detection]
     ) -> np.ndarray:
-        for track in tracks:
-            self.filters[track.track_id] = predict(
-                self.filters[track.track_id], self.dt, self.params
+        ids = [track.track_id for track in tracks]
+        if ids != self.track_ids:
+            raise ValueError(
+                f"tracks {ids} differ from the filter bank's {self.track_ids}"
             )
+        self.bank = predict(self.bank, self.dt, self.params)
         iou = bev_iou_matrix(
             [
-                predicted_box(self.filters[t.track_id], t.last_detection.box)
-                for t in tracks
+                predicted_box(mean, track.last_detection.box)
+                for mean, track in zip(self.bank.mean.tolist(), tracks)
             ],
             [det.box for det in dets],
         )
@@ -106,30 +117,36 @@ class KalmanBackend:
     def update_matched(
         self, frame_index: int, pairs: list[tuple[Track, Detection]]
     ) -> list[tuple[StateVector, tuple[float, ...] | None]]:
-        out = []
-        for track, det in pairs:
-            kf = update(
-                self.filters[track.track_id],
-                det.box.center_xy,
-                self.params,
-            )
-            self.filters[track.track_id] = kf
-            out.append((kf.state_vector(), None))
-        return out
+        if not pairs:
+            return []
+        row_of = {tid: row for row, tid in enumerate(self.track_ids)}
+        rows = [row_of[track.track_id] for track, _ in pairs]
+        matched = update(
+            KfState(self.bank.mean[rows], self.bank.covariance[rows]),
+            [det.box.center_xy for _, det in pairs],
+            self.params,
+        )
+        self.bank.mean[rows] = matched.mean
+        self.bank.covariance[rows] = matched.covariance
+        return [(state, None) for state in matched.state_vectors()]
 
     def create_tracks(
         self, frame_index: int, track_ids: list[int], dets: list[Detection]
     ) -> list[tuple[StateVector, tuple[float, ...] | None]]:
-        out = []
-        for tid, det in zip(track_ids, dets):
-            kf = init_state(det.box.center_xy, self.params)
-            self.filters[tid] = kf
-            out.append((kf.state_vector(), None))
-        return out
+        if not dets:
+            return []
+        new = init_state([det.box.center_xy for det in dets], self.params)
+        self.bank = KfState(
+            np.concatenate([self.bank.mean, new.mean]),
+            np.concatenate([self.bank.covariance, new.covariance]),
+        )
+        self.track_ids.extend(track_ids)
+        return [(state, None) for state in new.state_vectors()]
 
     def forget(self, track_ids: list[int]) -> None:
-        for tid in track_ids:
-            self.filters.pop(tid, None)
+        keep = np.isin(self.track_ids, track_ids, invert=True)
+        self.bank = KfState(self.bank.mean[keep], self.bank.covariance[keep])
+        self.track_ids = [tid for tid, k in zip(self.track_ids, keep) if k]
 
 
 class SttBackend:

@@ -89,6 +89,19 @@ def test_track_detection_row_without_conf_is_a_format_error(tmp_path, capsys):
     assert last_error(capsys) == f"{det}:3: missing key 'conf'"
 
 
+def test_track_header_without_frames_is_a_format_error(tmp_path, capsys):
+    config, data = simulate(tmp_path)
+    det = sorted(data.glob("*.det.jsonl"))[0]
+    lines = det.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["config"]["frames"]
+    lines[0] = json.dumps(header)
+    det.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert track(config, data, tmp_path / "tracks") == cli.EXIT_CONFIG
+    assert last_error(capsys) == f"{det}:1: header config lacks 'frames'"
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A config, its scenes and a checkpoint trained on them for two steps."""

@@ -118,6 +118,14 @@ def set_frame(path, line, frame):
 
 
 READERS = ["detections", "labels", "preds", "scenario-gt", "scenario-det"]
+# the id key of each reader's rows
+IDENTS = {
+    "detections": "id",
+    "labels": "object_id",
+    "preds": "track_id",
+    "scenario-gt": "object_id",
+    "scenario-det": "id",
+}
 
 
 def file_and_reader(tmp_path, reader):
@@ -156,10 +164,18 @@ def test_readers_reject_frame_outside_range(tmp_path, reader, frame):
             lambda row: row.update(cx="1.5"), "must be real number, not str", id="str-cx"
         ),
         pytest.param(
-            lambda row: row.update(frame="3"), "'<=' not supported", id="str-frame"
+            lambda row: row.update(frame="3"), "frame must be int, not str", id="str-frame"
         ),
         pytest.param(
-            lambda row: row.update(frame=2.0), "list indices must be integers", id="float-frame"
+            lambda row: row.update(frame=2.0), "frame must be int, not float", id="float-frame"
+        ),
+        pytest.param(
+            lambda row: row.update(frame=True), "frame must be int, not bool", id="bool-frame"
+        ),
+        pytest.param(
+            lambda row: row.update({k: str(row[k]) for k in IDENTS.values() if k in row}),
+            "{ident} must be int, not str",
+            id="str-id",
         ),
     ],
 )
@@ -167,8 +183,54 @@ def test_readers_reject_frame_outside_range(tmp_path, reader, frame):
 def test_readers_reject_missing_key_or_wrong_type(tmp_path, reader, edit, reason):
     path, read = file_and_reader(tmp_path, reader)
     edit_row(path, 4, edit)
+    reason = reason.format(ident=IDENTS[reader])
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:4: {reason}')}"):
         read()
+
+
+def edit_header_config(path, edit):
+    edit_row(path, 1, lambda header: edit(header["config"]))
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        pytest.param(
+            lambda config: config.pop("frames"), "header config lacks 'frames'", id="no-frames"
+        ),
+        pytest.param(
+            lambda config: config.update(frames="12"),
+            "header config frames must be an int >= 0, got '12'",
+            id="str-frames",
+        ),
+    ],
+)
+@pytest.mark.parametrize("reader", ["detections", "labels", "preds", "scenario-gt"])
+def test_readers_reject_header_without_frames(tmp_path, reader, edit, reason):
+    path, read = file_and_reader(tmp_path, reader)
+    edit_header_config(path, edit)
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:1: {reason}')}$"):
+        read()
+
+
+@pytest.mark.parametrize("reader", ["detections", "scenario-gt"])
+def test_readers_reject_header_without_dt(tmp_path, reader):
+    path, read = file_and_reader(tmp_path, reader)
+    edit_header_config(path, lambda config: config.pop("dt"))
+    reason = f"{path}:1: header config lacks 'dt'"
+    with pytest.raises(FormatError, match=f"^{re.escape(reason)}$"):
+        read()
+
+
+def test_read_scenario_names_file_of_short_object(tmp_path):
+    gt_path, det_path = write_scenario(tmp_path, "s0", make_scenario(frames=12), {})
+    lines = gt_path.read_text().splitlines()
+    gt_path.write_text("\n".join(lines[:-1]) + "\n")  # the last object loses frame 11
+    last = json.loads(lines[-1])["object_id"]
+    with pytest.raises(
+        FormatError, match=f"^{re.escape(f'{gt_path}: object {last}: 11 rows for 12 frames')}$"
+    ):
+        read_scenario(gt_path, det_path)
 
 
 def test_missing_file_raises(tmp_path):

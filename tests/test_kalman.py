@@ -218,6 +218,14 @@ def test_nonpositive_definite_covariance_aborts():
     bad = KfState(np.zeros(6), -np.eye(6))
     with pytest.raises(KalmanDivergenceError):
         update(bad, np.array([0.0, 0.0]), p)
+    # one non-PD covariance among good ones still aborts the stacked update,
+    # and the error reports that row's prior trace
+    good = init_state(np.zeros((5, 2)), p)
+    cov = good.covariance.copy()
+    cov[3] = -2.0 * np.eye(6)
+    with pytest.raises(KalmanDivergenceError, match=r"prior trace = -1\.200e\+01$"):
+        update(KfState(good.mean, cov), np.zeros((5, 2)), p)
+    update(good, np.zeros((5, 2)), p)  # the good rows alone pass
 
 
 def test_association_cost_perfect_overlap():
@@ -241,7 +249,7 @@ def test_association_cost_half_overlap_matches_monte_carlo():
     last_box = Box7((0.0, 0.0, 0.75), (2.0, 4.0, 1.5), 0.0)
     s = KfState(np.zeros(6), np.eye(6))
     cost = kf_association_cost(s, last_box, det, p)
-    mc = mc_bev_iou(predicted_box(s, last_box), det.box, n_samples=400_000, seed=9)
+    mc = mc_bev_iou(predicted_box(s.mean, last_box), det.box, n_samples=400_000, seed=9)
     assert cost == pytest.approx(1.0 - mc, abs=0.01)
 
 
@@ -288,6 +296,30 @@ def test_predict_and_update_bitwise_equal_to_reference(dt, p):
         # update straight after init, with no predict in between
         assert_bitwise_equal(update(start, (1.0, 0.0), p),
                              kalman_update_reference(start, (1.0, 0.0), p))
+
+    # A stack of filters: every row of a stacked predict and update is
+    # bitwise the single-filter reference, for empty, one-row and many-row
+    # stacks. Rows start at spread-out states and covariances.
+    fresh = init_state(rng.uniform(-50.0, 50.0, (40, 2)), p)
+    mean = fresh.mean + np.concatenate(
+        [np.zeros((40, 2)), rng.normal(0.0, 3.0, (40, 4))], axis=1
+    )
+    cov = fresh.covariance * rng.uniform(0.2, 5.0, (40, 1, 1))
+    for n in (0, 1, 40):
+        ours = KfState(mean[:n].copy(), cov[:n].copy())
+        refs = [KfState(mean[i].copy(), cov[i].copy()) for i in range(n)]
+        for _ in range(6):
+            ours = predict(ours, dt, p)
+            refs = [kalman_predict_reference(ref, dt, p) for ref in refs]
+            assert ours.mean.shape == (n, 6) and ours.covariance.shape == (n, 6, 6)
+            for i, ref in enumerate(refs):
+                assert_bitwise_equal(KfState(ours.mean[i], ours.covariance[i]), ref)
+            z = ours.mean[:, :2] + rng.normal(0.0, 0.5, (n, 2))
+            ours = update(ours, z, p)
+            refs = [kalman_update_reference(ref, z[i], p) for i, ref in enumerate(refs)]
+            assert ours.mean.shape == (n, 6) and ours.covariance.shape == (n, 6, 6)
+            for i, ref in enumerate(refs):
+                assert_bitwise_equal(KfState(ours.mean[i], ours.covariance[i]), ref)
 
 
 def test_predict_constants_are_cached_and_read_only():

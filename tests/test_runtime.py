@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import kalman_predict_reference, kalman_update_reference
 from sttrack import assign
 from sttrack.core import Box7, ClassId, Detection, StateVector, Track, bev_iou
 from sttrack.kalman import (
     KfParams,
+    KfState,
     init_state,
     kf_association_cost,
     predict,
@@ -123,6 +127,91 @@ def test_history_truncates_to_max_history():
     assert len(track.history) == 4
     assert [f for f, _ in track.history] == [6, 7, 8, 9]
     assert [f for f, _ in track.states] == [6, 7, 8, 9]
+
+
+# Detections on a coarse grid with jitter, so that tracks match, miss, die and
+# spawn; one confidence is under the default `min_confidence`.
+frame_detections = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.floats(-0.6, 0.6),
+        st.sampled_from([0.05, 0.9]),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(frame_detections, min_size=1, max_size=14), st.integers(0, 3))
+def test_kalman_tracker_lifecycle_rules(stream, max_misses):
+    params, dt = KfParams(), 0.1
+    lifecycle = LifecycleConfig(max_misses=max_misses)
+    tracker = Tracker(KalmanBackend(params, dt), lifecycle)
+    last_matched: dict[int, int] = {}  # track id -> last frame with a detection
+    filters = {}  # track id -> the track's own filter, per-track reference math
+    for frame, cells in enumerate(stream):
+        dets = [
+            make_detection(5.0 * gx + jitter, 6.0 * gy, frame, j, conf=conf)
+            for j, (gx, gy, jitter, conf) in enumerate(cells)
+        ]
+        rows = tracker.step(frame, dets)
+
+        # each kept detection joins exactly one track; dropped ones join none
+        joined = [
+            tracker.tracks[row.track_id].history[-1][1].detection_id for row in rows
+        ]
+        kept = [d.detection_id for d in dets if d.confidence >= lifecycle.min_confidence]
+        assert sorted(joined) == sorted(kept)
+        # track ids are unique; new ones follow every id given out before
+        ids = [row.track_id for row in rows]
+        assert len(set(ids)) == len(ids)
+        new_ids = sorted(tid for tid in ids if tid not in last_matched)
+        first = len(last_matched) + 1
+        assert new_ids == list(range(first, first + len(new_ids)))
+        for tid in ids:
+            last_matched[tid] = frame
+        # a track lives through max_misses consecutive misses and no more
+        alive = sorted(
+            tid for tid, seen in last_matched.items() if frame - seen <= max_misses
+        )
+        assert sorted(tracker.tracks) == alive
+        # the bank holds one row per live track, in id order ...
+        backend = tracker.backend
+        assert backend.track_ids == alive
+        assert backend.bank.mean.shape == (len(alive), 6)
+        assert backend.bank.covariance.shape == (len(alive), 6, 6)
+        # ... and each row is bitwise the track's own filter
+        for tid in list(filters):
+            if tid not in tracker.tracks:
+                del filters[tid]
+            else:
+                filters[tid] = kalman_predict_reference(filters[tid], dt, params)
+        for row in rows:
+            if row.track_id in filters:
+                filters[row.track_id] = kalman_update_reference(
+                    filters[row.track_id], row.box.center_xy, params
+                )
+            else:
+                filters[row.track_id] = init_state(row.box.center_xy, params)
+        for i, tid in enumerate(alive):
+            assert backend.bank.mean[i].tobytes() == filters[tid].mean.tobytes()
+            assert backend.bank.covariance[i].tobytes() == filters[tid].covariance.tobytes()
+        for row in rows:
+            assert row.state == StateVector.from_array(filters[row.track_id].mean)
+
+
+def test_kalman_frame_costs_reject_tracks_not_in_bank():
+    backend = KalmanBackend(KfParams(), 0.1)
+    det = make_detection(0.0, 0.0, 0, 0)
+    backend.create_tracks(0, [1, 2], [det, make_detection(9.0, 0.0, 0, 1)])
+    track = Track(track_id=2, class_id=ClassId.VEHICLE, history=((0, det),),
+                  states=((0, StateVector.zero()),))
+    with pytest.raises(ValueError, match=r"tracks \[2\] differ from the filter bank's"):
+        backend.frame_costs(1, [track], [det])
+    backend.forget([1])
+    assert backend.track_ids == [2] and backend.bank.mean.shape == (1, 6)
+    assert backend.frame_costs(1, [track], [det]).shape == (1, 1)
 
 
 def test_min_confidence_filters_detections():
@@ -342,6 +431,17 @@ def reference_kf_costs(states, tracks, dets, dt, params):
     return costs
 
 
+def kalman_backend_with(tracks, states, dt, params):
+    """A Kalman backend whose filter bank holds `states` of `tracks`, in order."""
+    backend = KalmanBackend(params, dt)
+    backend.bank = KfState(
+        np.array([states[t.track_id].mean for t in tracks]).reshape(-1, 6),
+        np.array([states[t.track_id].covariance for t in tracks]).reshape(-1, 6, 6),
+    )
+    backend.track_ids = [t.track_id for t in tracks]
+    return backend
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
     rng = np.random.default_rng(seed)
@@ -361,7 +461,7 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
     ]
     for track in tracks[:4]:
         pred_box = predicted_box(
-            predict(states[track.track_id], dt, params), track.last_detection.box
+            predict(states[track.track_id], dt, params).mean, track.last_detection.box
         )
         direction = rng.uniform(-math.pi, math.pi)
         boxes.extend(gate_edge_boxes(pred_box, params.iou_gate, direction))
@@ -377,9 +477,7 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
     ]
 
     reference = reference_kf_costs(states, tracks, dets, dt, params)
-    backend = KalmanBackend(params, dt)
-    backend.filters = dict(states)
-    costs = backend.frame_costs(1, tracks, dets)
+    costs = kalman_backend_with(tracks, states, dt, params).frame_costs(1, tracks, dets)
     assert costs.dtype == reference.dtype and costs.shape == reference.shape
     assert costs.tobytes() == reference.tobytes()
     finite = np.isfinite(reference)
@@ -390,7 +488,6 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
         assert inside < assign.FORBIDDEN and outside == assign.FORBIDDEN
 
     for n_tracks, n_dets in ((0, len(dets)), (len(tracks), 0)):
-        backend = KalmanBackend(params, dt)
-        backend.filters = dict(states)
+        backend = kalman_backend_with(tracks[:n_tracks], states, dt, params)
         costs = backend.frame_costs(1, tracks[:n_tracks], dets[:n_dets])
         assert costs.shape == (n_tracks, n_dets) and costs.dtype == np.float64
