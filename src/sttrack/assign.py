@@ -137,9 +137,3 @@ def _solve_dense(c: np.ndarray) -> list[tuple[int, int]]:
             col = pc
 
     return [(int(r), int(match_row[r])) for r in range(n_rows) if match_row[r] != -1]
-
-
-def total_cost(cost: np.ndarray | list, pairs: list[tuple[int, int]]) -> float:
-    """Sum of the original-matrix entries over a matching."""
-    c = np.asarray(cost, dtype=float)
-    return float(sum(c[r, k] for r, k in pairs))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,6 @@ TAU = 2.0 * math.pi
 class ClassId(enum.Enum):
     VEHICLE = "vehicle"
     PEDESTRIAN = "pedestrian"
-
-
-class TrackStatus(enum.Enum):
-    ACTIVE = "active"
-    DEAD = "dead"
 
 
 def to_plain(obj):
@@ -149,63 +144,6 @@ class Detection:
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
-
-
-@dataclass(frozen=True, slots=True)
-class Track:
-    """A persistent identity: associated detections plus estimated states.
-
-    Functional updates only; every mutator returns a new Track so values can
-    be shared freely across workers.
-    """
-
-    track_id: int
-    class_id: ClassId
-    history: tuple[tuple[int, Detection], ...] = ()
-    states: tuple[tuple[int, StateVector], ...] = ()
-    query: tuple[float, ...] | None = None
-    misses: int = 0
-    status: TrackStatus = TrackStatus.ACTIVE
-
-    def __post_init__(self) -> None:
-        for seq in (self.history, self.states):
-            frames = [f for f, _ in seq]
-            if any(b <= a for a, b in zip(frames, frames[1:])):
-                raise ValueError("frame indices must be strictly increasing")
-        if self.misses < 0:
-            raise ValueError("misses must be >= 0")
-
-    @property
-    def last_detection(self) -> Detection:
-        return self.history[-1][1]
-
-    @property
-    def last_state(self) -> StateVector:
-        return self.states[-1][1]
-
-    @property
-    def last_state_frame(self) -> int:
-        return self.states[-1][0]
-
-    def with_observation(
-        self,
-        frame_index: int,
-        det: Detection,
-        state: StateVector,
-        max_length: int,
-        query: tuple[float, ...] | None = None,
-    ) -> "Track":
-        """Append a matched detection + state, truncating history to max_length."""
-        history = (*self.history, (frame_index, det))[-max_length:]
-        states = (*self.states, (frame_index, state))[-max_length:]
-        return replace(
-            self, history=history, states=states, query=query, misses=0
-        )
-
-    def with_miss(self, deletion_budget: int) -> "Track":
-        misses = self.misses + 1
-        status = TrackStatus.DEAD if misses > deletion_budget else self.status
-        return replace(self, misses=misses, status=status)
 
 
 # ---------------------------------------------------------------------------

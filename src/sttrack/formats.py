@@ -10,9 +10,11 @@ determinism checks can ignore them. It also reads the metrics file that
 `sttrack eval` writes, which is one indented JSON document with the header
 under "header" rather than JSONL. Readers raise `FormatError` naming the
 file and the 1-based line of a line that is not JSON, of a header whose
-config lacks `frames` (or `dt`, where the reader needs it), or of a row whose frame
-is outside the header's frame count, that lacks a key, whose `frame` or id
-is not a JSON integer, or whose decoding fails on a value of the wrong type.
+config lacks `frames` (or `dt`, where the reader needs it), of a detections
+header whose `frames` or `dt` differs from its ground truth's, or of a row
+whose frame is outside the header's frame count, that lacks a key, whose
+`frame` or id is not a JSON integer, or whose decoding fails on a value of
+the wrong type.
 
 Row schemas (one JSON object per line after the header):
   ground_truth: frame, object_id, class, cx, cy, cz, w, l, h, heading,
@@ -77,13 +79,17 @@ def make_header(kind: str, config: dict) -> dict:
     }
 
 
+# `json.dumps(obj, sort_keys=True)` builds this same encoder on every call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_jsonl(path, kind: str, config: dict, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        f.write(json.dumps(make_header(kind, config), sort_keys=True) + "\n")
+        f.write(_encode(make_header(kind, config)) + "\n")
         for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+            f.write(_encode(row) + "\n")
 
 
 def read_jsonl(path, expected_kind: str | None = None) -> tuple[dict, list[dict]]:
@@ -297,10 +303,21 @@ def read_detections(det_path) -> tuple[dict, tuple[tuple[Detection, ...], ...]]:
 
 
 def read_scenario(gt_path, det_path) -> Scenario:
+    """Ground truth and detections of one scene; the two headers must agree
+    on `frames` and `dt`."""
     gt_header, gt_rows = read_jsonl(gt_path, "ground_truth")
-    _, det_rows = read_jsonl(det_path, "detections")
+    det_header, det_rows = read_jsonl(det_path, "detections")
     frames = _frames(gt_path, gt_header)
     dt = _header_config(gt_path, gt_header, "dt")
+    for key, gt_value, det_value in (
+        ("frames", frames, _frames(det_path, det_header)),
+        ("dt", dt, _header_config(det_path, det_header, "dt")),
+    ):
+        if det_value != gt_value:
+            raise FormatError(
+                f"{det_path}:1: header config {key} {det_value!r} differs from"
+                f" {gt_value!r} in {gt_path}"
+            )
 
     by_object: dict[int, list[EvalBox]] = {}
     for frame in _per_frame(

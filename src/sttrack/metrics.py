@@ -24,7 +24,7 @@ import numpy as np
 
 from . import assign
 from .core import Box7, ClassId, StateVector, bev_iou_matrix, to_plain
-from .sim import Scenario, SpeedThresholds, speed_class
+from .sim import SpeedThresholds, speed_class
 
 STATE_TYPES = ("position", "velocity", "acceleration")
 GatedState = Literal["velocity", "acceleration"]
@@ -93,18 +93,6 @@ class EvalBox:
     class_id: ClassId
     box: Box7
     state: StateVector
-
-
-def label_frames_from_scenario(scenario: Scenario) -> list[list[EvalBox]]:
-    frames = []
-    for k in range(scenario.frames):
-        frames.append(
-            [
-                EvalBox(t.object_id, t.class_id, t.boxes[k], t.states[k])
-                for t in scenario.gt_tracks
-            ]
-        )
-    return frames
 
 
 def state_error(a: StateVector, b: StateVector, state: str) -> float:
@@ -323,16 +311,6 @@ class Evaluator:
                 },
             }
         return {"policy": to_plain(self.policy), "classes": classes}
-
-
-def evaluate_sequences(
-    sequences: list[tuple[list[list[EvalBox]], list[list[EvalBox]]]],
-    policy: MatchingPolicy | None = None,
-) -> dict:
-    evaluator = Evaluator(policy)
-    for label_frames, pred_frames in sequences:
-        evaluator.add_sequence(label_frames, pred_frames)
-    return evaluator.report()
 
 
 def format_report(report: dict) -> str:

@@ -6,6 +6,13 @@ detections extend track histories, unmatched tracks accumulate misses until
 deletion, and unmatched detections spawn new tracks with zero initial
 velocity and acceleration. Backends only differ in how they cost pairs and
 estimate states, so lifecycle behavior is identical across them.
+
+Each piece of track state has one owner. The `Tracker` owns the lifecycle:
+one mutable `Track` per live id with its recent detections, the frame and
+state of its last match and its misses, written only by `Tracker.step`. The
+estimators' own state lives in the backends: `KalmanBackend.bank` holds the
+filters and `SttBackend.queries` the track queries, both keyed by track id
+and dropped by `forget` when the tracker deletes a track.
 """
 
 from __future__ import annotations
@@ -22,8 +29,6 @@ from .core import (
     ClassId,
     Detection,
     StateVector,
-    Track,
-    TrackStatus,
     bev_iou_matrix,
     extrapolate,
 )
@@ -59,6 +64,18 @@ class LifecycleConfig:
             raise ValueError("max_history must be >= 1")
 
 
+@dataclass(slots=True)
+class Track:
+    """A live track: its last `max_history` matched detections, the frame
+    and state estimate of its last match, and the frames missed since."""
+
+    track_id: int
+    history: list[Detection]
+    frame: int
+    state: StateVector
+    misses: int = 0
+
+
 @dataclass(frozen=True, slots=True)
 class TrackerRow:
     frame: int
@@ -73,10 +90,6 @@ class TrackerRow:
 class TrackerOutput:
     frames: list[list[TrackerRow]] = field(default_factory=list)
     frame_seconds: list[float] = field(default_factory=list)
-
-    @property
-    def total_emissions(self) -> int:
-        return sum(len(rows) for rows in self.frames)
 
 
 class KalmanBackend:
@@ -107,7 +120,7 @@ class KalmanBackend:
         self.bank = predict(self.bank, self.dt, self.params)
         iou = bev_iou_matrix(
             [
-                predicted_box(mean, track.last_detection.box)
+                predicted_box(mean, track.history[-1].box)
                 for mean, track in zip(self.bank.mean.tolist(), tracks)
             ],
             [det.box for det in dets],
@@ -116,7 +129,7 @@ class KalmanBackend:
 
     def update_matched(
         self, frame_index: int, pairs: list[tuple[Track, Detection]]
-    ) -> list[tuple[StateVector, tuple[float, ...] | None]]:
+    ) -> list[StateVector]:
         if not pairs:
             return []
         row_of = {tid: row for row, tid in enumerate(self.track_ids)}
@@ -128,11 +141,11 @@ class KalmanBackend:
         )
         self.bank.mean[rows] = matched.mean
         self.bank.covariance[rows] = matched.covariance
-        return [(state, None) for state in matched.state_vectors()]
+        return matched.state_vectors()
 
     def create_tracks(
         self, frame_index: int, track_ids: list[int], dets: list[Detection]
-    ) -> list[tuple[StateVector, tuple[float, ...] | None]]:
+    ) -> list[StateVector]:
         if not dets:
             return []
         new = init_state([det.box.center_xy for det in dets], self.params)
@@ -141,7 +154,7 @@ class KalmanBackend:
             np.concatenate([self.bank.covariance, new.covariance]),
         )
         self.track_ids.extend(track_ids)
-        return [(state, None) for state in new.state_vectors()]
+        return new.state_vectors()
 
     def forget(self, track_ids: list[int]) -> None:
         keep = np.isin(self.track_ids, track_ids, invert=True)
@@ -150,7 +163,12 @@ class KalmanBackend:
 
 
 class SttBackend:
-    """Learned association: per-track context scoring with cached queries."""
+    """Learned association: per-track context scoring with stored queries.
+
+    `queries` maps each live track id to its query, the fused encoding of its
+    last `t_max` detections; `create_tracks` and `update_matched` set it and
+    `forget` drops it.
+    """
 
     def __init__(
         self,
@@ -163,6 +181,7 @@ class SttBackend:
         self.cfg = cfg
         self.lifecycle = lifecycle
         self.dt = dt
+        self.queries: dict[int, np.ndarray] = {}
         self._tdi_states: dict[int, StateVector] = {}
 
     def frame_costs(
@@ -176,10 +195,8 @@ class SttBackend:
         live_rows: list[int] = []
         contexts: list[list[Detection]] = []
         anchors: list[tuple[float, float]] = []
-        queries: list[np.ndarray] = []
         for i, track in enumerate(tracks):
-            elapsed = (frame_index - track.last_state_frame) * self.dt
-            pred = extrapolate(track.last_state, elapsed)
+            pred = extrapolate(track.state, (frame_index - track.frame) * self.dt)
             context = select_context(
                 pred, dets, self.cfg.context_radius, self.cfg.k_max
             )
@@ -187,19 +204,18 @@ class SttBackend:
                 continue
             live_rows.append(i)
             contexts.append(context)
-            anchors.append(track.last_detection.box.center_xy)
-            queries.append(np.asarray(track.query))
+            anchors.append(track.history[-1].box.center_xy)
         if not live_rows:
             return costs
+        queries = np.stack([self.queries[tracks[i].track_id] for i in live_rows])
         scores, states = context_scores(
-            self.params, self.cfg, np.stack(queries), contexts, anchors
+            self.params, self.cfg, queries, contexts, anchors
         )
         threshold = self.lifecycle.creation_score_threshold
         for row, i in enumerate(live_rows):
-            track = tracks[i]
             anchor = anchors[row]
             rel = states[row]
-            self._tdi_states[track.track_id] = StateVector(
+            self._tdi_states[tracks[i].track_id] = StateVector(
                 (rel[0] + anchor[0], rel[1] + anchor[1]),
                 (rel[2], rel[3]),
                 (rel[4], rel[5]),
@@ -212,56 +228,53 @@ class SttBackend:
 
     def update_matched(
         self, frame_index: int, pairs: list[tuple[Track, Detection]]
-    ) -> list[tuple[StateVector, tuple[float, ...] | None]]:
+    ) -> list[StateVector]:
         if not pairs:
             return []
-        histories = []
-        anchors = []
-        for track, det in pairs:
-            history = [d for _, d in track.history] + [det]
-            histories.append(history[-self.cfg.t_max :])
-            anchors.append(det.box.center_xy)
+        histories = [
+            (track.history + [det])[-self.cfg.t_max :] for track, det in pairs
+        ]
+        anchors = [det.box.center_xy for _, det in pairs]
         queries = queries_from_histories(self.params, self.cfg, histories, anchors)
-        out = []
+        for (track, _), query in zip(pairs, queries):
+            self.queries[track.track_id] = query
         if self.cfg.state_source == "tsd":
-            rel_states = decode_states(self.params, queries)
-            for row, ((track, det), anchor) in enumerate(zip(pairs, anchors)):
-                rel = rel_states[row]
-                state = StateVector(
+            return [
+                StateVector(
                     (rel[0] + anchor[0], rel[1] + anchor[1]),
                     (rel[2], rel[3]),
                     (rel[4], rel[5]),
                 )
-                out.append((state, tuple(queries[row])))
-        else:  # tdi: state predicted during the association pass
-            for row, (track, det) in enumerate(pairs):
-                state = self._tdi_states.get(track.track_id)
-                if state is None:  # matched without a scored context: fall back
-                    state = StateVector(det.box.center_xy, (0.0, 0.0), (0.0, 0.0))
-                out.append((state, tuple(queries[row])))
-        return out
+                for rel, anchor in zip(decode_states(self.params, queries), anchors)
+            ]
+        # tdi: the state predicted during the association pass; a track matched
+        # without a scored context falls back to the detection center
+        return [
+            self._tdi_states.get(track.track_id)
+            or StateVector.zero(det.box.center_xy)
+            for track, det in pairs
+        ]
 
     def create_tracks(
         self, frame_index: int, track_ids: list[int], dets: list[Detection]
-    ) -> list[tuple[StateVector, tuple[float, ...] | None]]:
+    ) -> list[StateVector]:
         if not dets:
             return []
         anchors = [det.box.center_xy for det in dets]
         queries = queries_from_histories(
             self.params, self.cfg, [[det] for det in dets], anchors
         )
-        return [
-            (StateVector(det.box.center_xy, (0.0, 0.0), (0.0, 0.0)), tuple(q))
-            for det, q in zip(dets, queries)
-        ]
+        self.queries.update(zip(track_ids, queries))
+        return [StateVector.zero(anchor) for anchor in anchors]
 
     def forget(self, track_ids: list[int]) -> None:
         for tid in track_ids:
-            self._tdi_states.pop(tid, None)
+            del self.queries[tid]
 
 
 class Tracker:
-    """Frame-by-frame tracking state machine over a pluggable backend."""
+    """Frame-by-frame tracking state machine over a pluggable backend; the
+    only writer of its `Track`s."""
 
     def __init__(self, backend, lifecycle: LifecycleConfig):
         self.backend = backend
@@ -295,11 +308,12 @@ class Tracker:
         rows: list[TrackerRow] = []
         matched = [(active[r], dets[c]) for r, c in pairs]
         estimates = self.backend.update_matched(frame_index, matched)
-        for (track, det), (state, query) in zip(matched, estimates):
-            updated = track.with_observation(
-                frame_index, det, state, self.lifecycle.max_history, query
-            )
-            self.tracks[track.track_id] = updated
+        for (track, det), state in zip(matched, estimates):
+            track.history.append(det)
+            del track.history[: -self.lifecycle.max_history]
+            track.frame = frame_index
+            track.state = state
+            track.misses = 0
             rows.append(
                 TrackerRow(
                     frame_index, track.track_id, det.class_id, det.box, state,
@@ -311,12 +325,10 @@ class Tracker:
         for r, track in enumerate(active):
             if r in matched_rows:
                 continue
-            missed = track.with_miss(self.lifecycle.max_misses)
-            if missed.status is TrackStatus.DEAD:
+            track.misses += 1
+            if track.misses > self.lifecycle.max_misses:
                 dead.append(track.track_id)
                 del self.tracks[track.track_id]
-            else:
-                self.tracks[track.track_id] = missed
         if dead:
             self.backend.forget(dead)
 
@@ -326,15 +338,8 @@ class Tracker:
         )
         self.next_track_id += len(new_dets)
         created = self.backend.create_tracks(frame_index, new_ids, new_dets)
-        for tid, det, (state, query) in zip(new_ids, new_dets, created):
-            track = Track(
-                track_id=tid,
-                class_id=det.class_id,
-                history=((frame_index, det),),
-                states=((frame_index, state),),
-                query=query,
-            )
-            self.tracks[tid] = track
+        for tid, det, state in zip(new_ids, new_dets, created):
+            self.tracks[tid] = Track(tid, [det], frame_index, state)
             rows.append(
                 TrackerRow(frame_index, tid, det.class_id, det.box, state,
                            det.confidence)

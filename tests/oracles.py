@@ -8,7 +8,9 @@ import numpy as np
 
 from sttrack.core import Box7, Detection, StateVector
 from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
+from sttrack.metrics import EvalBox, Evaluator, MatchingPolicy
 from sttrack.model import SttConfig
+from sttrack.sim import Scenario
 
 
 def mc_bev_iou(a: Box7, b: Box7, n_samples: int = 1_000_000, seed: int = 0) -> float:
@@ -94,3 +96,32 @@ def kalman_update_reference(s: KfState, z, p: KfParams) -> KfState:
     cov = ikh @ s.covariance @ ikh.T + gain @ r @ gain.T
     cov = 0.5 * (cov + cov.T)
     return KfState(mean, cov)
+
+
+def total_cost(cost, pairs: list[tuple[int, int]]) -> float:
+    """Sum of the original-matrix entries over a matching."""
+    c = np.asarray(cost, dtype=float)
+    return float(sum(c[r, k] for r, k in pairs))
+
+
+def label_frames_from_scenario(scenario: Scenario) -> list[list[EvalBox]]:
+    """Per-frame evaluation labels of a simulated scenario's ground truth."""
+    return [
+        [
+            EvalBox(t.object_id, t.class_id, t.boxes[k], t.states[k])
+            for t in scenario.gt_tracks
+        ]
+        for k in range(scenario.frames)
+    ]
+
+
+def evaluate_sequences(
+    sequences: list[tuple[list[list[EvalBox]], list[list[EvalBox]]]],
+    policy: MatchingPolicy | None = None,
+) -> dict:
+    """One metrics report over several (label frames, prediction frames)
+    sequences."""
+    evaluator = Evaluator(policy)
+    for label_frames, pred_frames in sequences:
+        evaluator.add_sequence(label_frames, pred_frames)
+    return evaluator.report()

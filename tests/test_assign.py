@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sttrack.assign import FORBIDDEN, _solve_dense, solve, total_cost
+from oracles import total_cost
+from sttrack.assign import FORBIDDEN, _solve_dense, solve
 
 
 def brute_force(cost):

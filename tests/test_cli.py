@@ -102,6 +102,25 @@ def test_track_header_without_frames_is_a_format_error(tmp_path, capsys):
     assert last_error(capsys) == f"{det}:1: header config lacks 'frames'"
 
 
+def test_train_on_detections_of_another_scene_length_exits_2(tmp_path, capsys):
+    config, data = simulate(tmp_path)
+    det = sorted(data.glob("*.det.jsonl"))[0]
+    gt = det.with_name(det.name.replace(".det.", ".gt."))
+    lines = det.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["frames"] = 19
+    lines[0] = json.dumps(header)
+    det.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main([
+        "train", "--config", str(config), "--data", str(data),
+        "--out", str(tmp_path / "model"), "--steps", "1",
+    ]) == cli.EXIT_CONFIG
+    assert last_error(capsys) == (
+        f"{det}:1: header config frames 19 differs from 20 in {gt}"
+    )
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A config, its scenes and a checkpoint trained on them for two steps."""

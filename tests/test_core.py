@@ -9,8 +9,6 @@ from sttrack.core import (
     ClassId,
     Detection,
     StateVector,
-    Track,
-    TrackStatus,
     bev_iou,
     bev_iou_matrix,
     center_distance,
@@ -234,34 +232,3 @@ def test_detection_confidence_range():
             detection_id=0,
             class_id=ClassId.VEHICLE,
         )
-
-
-def test_track_frames_strictly_increasing():
-    d = make_detection()
-    with pytest.raises(ValueError):
-        Track(
-            track_id=1,
-            class_id=ClassId.VEHICLE,
-            history=((3, d), (3, d)),
-        )
-
-
-def test_track_observation_truncates_history():
-    t = Track(track_id=1, class_id=ClassId.VEHICLE)
-    for frame in range(6):
-        t = t.with_observation(
-            frame, make_detection(frame=frame), StateVector.zero(), max_length=4
-        )
-    assert len(t.history) == 4
-    assert [f for f, _ in t.history] == [2, 3, 4, 5]
-    assert [f for f, _ in t.states] == [2, 3, 4, 5]
-    assert t.misses == 0
-
-
-def test_track_miss_budget():
-    t = Track(track_id=1, class_id=ClassId.VEHICLE)
-    for _ in range(3):
-        t = t.with_miss(deletion_budget=3)
-        assert t.status == TrackStatus.ACTIVE
-    t = t.with_miss(deletion_budget=3)
-    assert t.status == TrackStatus.DEAD

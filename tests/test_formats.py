@@ -205,7 +205,7 @@ def edit_header_config(path, edit):
         ),
     ],
 )
-@pytest.mark.parametrize("reader", ["detections", "labels", "preds", "scenario-gt"])
+@pytest.mark.parametrize("reader", READERS)
 def test_readers_reject_header_without_frames(tmp_path, reader, edit, reason):
     path, read = file_and_reader(tmp_path, reader)
     edit_header_config(path, edit)
@@ -213,13 +213,35 @@ def test_readers_reject_header_without_frames(tmp_path, reader, edit, reason):
         read()
 
 
-@pytest.mark.parametrize("reader", ["detections", "scenario-gt"])
+@pytest.mark.parametrize("reader", ["detections", "scenario-gt", "scenario-det"])
 def test_readers_reject_header_without_dt(tmp_path, reader):
     path, read = file_and_reader(tmp_path, reader)
     edit_header_config(path, lambda config: config.pop("dt"))
     reason = f"{path}:1: header config lacks 'dt'"
     with pytest.raises(FormatError, match=f"^{re.escape(reason)}$"):
         read()
+
+
+@pytest.mark.parametrize(
+    "key, det_value, gt_value",
+    [("frames", 10, 12), ("dt", 0.05, 0.1)],
+)
+def test_read_scenario_rejects_detections_of_another_scene(
+    tmp_path, key, det_value, gt_value
+):
+    scenario = make_scenario(frames=12)
+    assert scenario.dt == 0.1
+    gt_path, _ = write_scenario(tmp_path / "gt", "s0", scenario, {})
+    other = make_scenario(frames=10) if key == "frames" else scenario
+    _, det_path = write_scenario(tmp_path / "det", "s0", other, {})
+    if key == "dt":
+        edit_header_config(det_path, lambda config: config.update(dt=det_value))
+    reason = (
+        f"{det_path}:1: header config {key} {det_value!r} differs from"
+        f" {gt_value!r} in {gt_path}"
+    )
+    with pytest.raises(FormatError, match=f"^{re.escape(reason)}$"):
+        read_scenario(gt_path, det_path)
 
 
 def test_read_scenario_names_file_of_short_object(tmp_path):
@@ -231,6 +253,23 @@ def test_read_scenario_names_file_of_short_object(tmp_path):
         FormatError, match=f"^{re.escape(f'{gt_path}: object {last}: 11 rows for 12 frames')}$"
     ):
         read_scenario(gt_path, det_path)
+
+
+def test_write_jsonl_lines_equal_json_dumps(tmp_path):
+    scenario = make_scenario(seed=5)
+    gt_rows, det_rows = scenario_rows(scenario)
+    output = run_sequence(
+        scenario.detections, KalmanBackend(KfParams(), scenario.dt), LifecycleConfig()
+    )
+    odd = {"z": [-0.0, 1e-320, 1e300, float("inf")], "a": {"b": "\u00e9", "a": None}}
+    rows = [*gt_rows, *det_rows, *formats.tracker_rows(output), odd]
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, "tracks", {"frames": scenario.frames, "dt": scenario.dt}, rows)
+    header, *lines = path.read_text().splitlines()
+    assert header == json.dumps(json.loads(header), sort_keys=True)
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert line == json.dumps(row, sort_keys=True)
 
 
 def test_missing_file_raises(tmp_path):
@@ -293,7 +332,7 @@ def test_tracker_output_round_trip(tmp_path):
     assert header["config"]["backend"] == "kalman"
     assert len(frames) == scenario.frames
     total = sum(len(f) for f in frames)
-    assert total == output.total_emissions
+    assert total == sum(len(f) for f in output.frames)
     first = next(f for f in frames if f)[0]
     assert first.class_id is ClassId.VEHICLE
 

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import evaluate_sequences, label_frames_from_scenario
 from sttrack.core import Box7, ClassId, StateVector
 from sttrack.metrics import (
     INF,
     EvalBox,
     Evaluator,
     MatchingPolicy,
-    evaluate_sequences,
     format_report,
-    label_frames_from_scenario,
     report_csv_rows,
     state_error,
 )
