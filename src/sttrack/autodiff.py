@@ -11,7 +11,6 @@ import contextlib
 import json
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,37 +77,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def __getitem__(self, key):
-        return take(self, key)
 
 
 def _lift(x) -> Tensor:
@@ -320,17 +288,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     )
 
 
-def take(a: Tensor, key) -> Tensor:
-    """Basic (non-fancy) indexing / slicing."""
-    a = _lift(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad[key] += g
-
-    return _make(a.data[key], (a,), backward)
-
-
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
 
@@ -416,70 +373,47 @@ def _swap_last(ndim: int) -> tuple[int, ...]:
 # --- optimizer -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class AdamWConfig:
-    learning_rate: float = 1e-4
-    weight_decay: float = 0.03
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    warmup_steps: int = 0
-    total_steps: int = 0  # 0 disables the decay schedule
-    final_lr_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
-            raise ValueError("betas must be in (0, 1)")
-        if not 0 < self.final_lr_fraction <= 1:
-            raise ValueError("final_lr_fraction must be in (0, 1]")
-
-    def lr_at(self, step: int) -> float:
-        """Warmup then linear decay toward final_lr_fraction * learning_rate."""
-        lr = self.learning_rate
-        if self.warmup_steps > 0 and step <= self.warmup_steps:
-            return lr * step / self.warmup_steps
-        if self.total_steps > self.warmup_steps:
-            frac = (step - self.warmup_steps) / (self.total_steps - self.warmup_steps)
-            frac = min(max(frac, 0.0), 1.0)
-            return lr * (1.0 - (1.0 - self.final_lr_fraction) * frac)
-        return lr
-
-
 class AdamW:
-    """Decoupled-weight-decay Adam over a named parameter dict."""
+    """Decoupled-weight-decay Adam over a named parameter dict; the caller
+    passes each step's learning rate."""
 
-    def __init__(self, params: dict[str, Tensor], cfg: AdamWConfig):
+    def __init__(
+        self,
+        params: dict[str, Tensor],
+        *,
+        weight_decay: float,
+        beta1: float,
+        beta2: float,
+        epsilon: float,
+    ):
         self.params = params
-        self.cfg = cfg
+        self.weight_decay = weight_decay
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
         self._names = sorted(params)
         self._m = {n: np.zeros_like(params[n].data) for n in self._names}
         self._v = {n: np.zeros_like(params[n].data) for n in self._names}
 
-    def step(self, step: int) -> float:
-        """Apply one update; `step` starts at 1. Returns the lr used."""
+    def step(self, step: int, lr: float) -> None:
+        """Apply one update at learning rate `lr`; `step` starts at 1."""
         if step < 1:
             raise ValueError(f"step must be >= 1, got {step}")
-        cfg = self.cfg
-        lr = cfg.lr_at(step)
+        beta1, beta2 = self.beta1, self.beta2
         for name in self._names:
             p = self.params[name]
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if cfg.weight_decay > 0:
-                p.data *= 1.0 - lr * cfg.weight_decay
+            if self.weight_decay > 0:
+                p.data *= 1.0 - lr * self.weight_decay
             m = self._m[name]
             v = self._v[name]
-            m *= cfg.beta1
-            m += (1 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1**step)
-            v_hat = v / (1 - cfg.beta2**step)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        return lr
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            m_hat = m / (1 - beta1**step)
+            v_hat = v / (1 - beta2**step)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
 # --- checkpoint format -----------------------------------------------------

@@ -6,8 +6,10 @@ optimization, detector noise). Every command is idempotent for identical
 inputs and seed, writes provenance headers into its outputs, and exits
 nonzero with a machine-readable error line on failure.
 
-Exit codes: 0 success, 1 unexpected error, 2 config/schema violation,
-3 missing input file, 4 checkpoint/config mismatch.
+Exit codes: 0 success, 1 unexpected error, 2 config/schema violation or
+bad option value (a count option below 1, an `ablate --values` entry that
+does not parse or that the config rejects), 3 missing input file,
+4 checkpoint/config mismatch.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 from . import autodiff, formats, model
 from .config import ConfigError, RunConfig, load_run_config, resolved_dict
 from .metrics import Evaluator, MatchingPolicy, format_report, report_csv_rows
-from .model import TrainSettings, extract_examples
+from .model import extract_examples
 from .runtime import make_backend, run_sequence
-from .sim import SimConfig, generate, population_specs
+from .sim import generate, population_specs
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -45,25 +47,8 @@ class CheckpointMismatchError(RuntimeError):
 def build_scenario(cfg: RunConfig, index: int):
     """One deterministic scenario: specs and noise derive from (seed, index)."""
     rng = np.random.default_rng((cfg.seed, index, 0))
-    specs = population_specs(
-        cfg.class_id,
-        cfg.sim.population.static,
-        cfg.sim.population.slow,
-        cfg.sim.population.fast,
-        cfg.sim.field_size,
-        rng,
-        cfg.sim.speed_thresholds,
-    )
-    sim_cfg = SimConfig(
-        frames=cfg.sim.frames,
-        dt=cfg.sim.dt,
-        objects=tuple(specs),
-        noise=cfg.sim.noise,
-        appearance_dim=cfg.sim.appearance_dim,
-        field_size=cfg.sim.field_size,
-        speed_thresholds=cfg.sim.speed_thresholds,
-    )
-    return generate(sim_cfg, seed=(cfg.seed, index, 1))
+    specs = population_specs(cfg.class_id, cfg.sim, rng)
+    return generate(cfg.sim, specs, seed=(cfg.seed, index, 1))
 
 
 def scenario_names(data_dir: Path) -> list[str]:
@@ -92,26 +77,20 @@ def load_checkpoint_for(cfg: RunConfig, path: Path):
 def train_on_directory(
     cfg: RunConfig, data_dir: Path, out_dir: Path, steps: int | None = None
 ) -> Path:
-    """Extract examples from a scenario directory and train a model."""
-    names = scenario_names(data_dir)[: cfg.train.train_scenarios]
+    """Extract examples from a scenario directory and train a model; `steps`
+    replaces the config's `train.steps`, also as the end of the lr decay."""
+    settings = cfg.train if steps is None else dataclasses.replace(cfg.train, steps=steps)
+    names = scenario_names(data_dir)[: settings.train_scenarios]
     examples = []
     for name in names:
         scenario = formats.read_scenario(
             data_dir / f"{name}.gt.jsonl", data_dir / f"{name}.det.jsonl"
         )
         examples.extend(extract_examples(scenario, cfg.stt))
-    if len(examples) > cfg.train.max_examples:
+    if len(examples) > settings.max_examples:
         rng = np.random.default_rng((cfg.seed, 2))
-        keep = rng.choice(len(examples), size=cfg.train.max_examples, replace=False)
+        keep = rng.choice(len(examples), size=settings.max_examples, replace=False)
         examples = [examples[i] for i in sorted(keep)]
-    n_steps = steps if steps is not None else cfg.train.steps
-    optimizer = dataclasses.replace(cfg.train.optimizer(), total_steps=n_steps)
-    settings = TrainSettings(
-        steps=n_steps,
-        batch_size=cfg.train.batch_size,
-        log_every=cfg.train.log_every,
-        optimizer=optimizer,
-    )
     params, log = model.train(examples, cfg.stt, settings, seed=cfg.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "model.ckpt"
@@ -122,7 +101,7 @@ def train_on_directory(
             "stt": dataclasses.asdict(cfg.stt),
             "class_id": cfg.class_id.value,
             "seed": cfg.seed,
-            "steps": n_steps,
+            "steps": settings.steps,
             "examples": len(examples),
         },
     )
@@ -380,22 +359,18 @@ def _run_variant_pipeline(
     return report
 
 
-def cmd_ablate(args) -> int:
-    cfg = _run_config(args)
-    out_dir = Path(args.out)
-    train_dir = out_dir / "data" / "train"
-    eval_dir = out_dir / "data" / "eval"
-
-    def eval_seed(run_cfg: RunConfig) -> RunConfig:
-        return dataclasses.replace(run_cfg, seed=run_cfg.seed + 10_000)
-
+def _ablation_variants(
+    cfg: RunConfig, axis: str, values: str | None
+) -> list[tuple[str, RunConfig]]:
+    """(label, config) of each run along `axis`; `values` is the comma-separated
+    `--values` text, None for the axis's defaults."""
     variants: list[tuple[str, RunConfig]] = []
-    if args.axis == "track-length":
-        values = [int(v) for v in args.values.split(",")] if args.values else [3, 5, 10, 20]
-        for t in values:
+    if axis == "track-length":
+        lengths = [int(v) for v in values.split(",")] if values else [3, 5, 10, 20]
+        for t in lengths:
             stt = dataclasses.replace(cfg.stt, t_max=t)
             variants.append((f"T={t}", dataclasses.replace(cfg, backend="stt", stt=stt)))
-    elif args.axis == "joint-opt":
+    elif axis == "joint-opt":
         joint = dataclasses.replace(cfg, backend="stt")
         assoc_stt = dataclasses.replace(
             cfg.stt,
@@ -406,16 +381,30 @@ def cmd_ablate(args) -> int:
         )
         variants.append(("joint", joint))
         variants.append(("assoc-only", dataclasses.replace(joint, stt=assoc_stt)))
-    elif args.axis == "noise":
-        values = [float(v) for v in args.values.split(",")] if args.values else [0.5, 1.0, 2.0]
-        for mult in values:
+    else:  # "noise"; argparse allows only the three axes
+        multipliers = [float(v) for v in values.split(",")] if values else [0.5, 1.0, 2.0]
+        for mult in multipliers:
             noise = dataclasses.replace(
                 cfg.sim.noise, center_sigma=cfg.sim.noise.center_sigma * mult
             )
             sim = dataclasses.replace(cfg.sim, noise=noise)
             variants.append((f"noise x{mult:g}", dataclasses.replace(cfg, sim=sim)))
-    else:
-        raise ConfigError(f"unknown ablation axis: {args.axis!r}")
+    return variants
+
+
+def cmd_ablate(args) -> int:
+    cfg = _run_config(args)
+    out_dir = Path(args.out)
+    train_dir = out_dir / "data" / "train"
+    eval_dir = out_dir / "data" / "eval"
+
+    def eval_seed(run_cfg: RunConfig) -> RunConfig:
+        return dataclasses.replace(run_cfg, seed=run_cfg.seed + 10_000)
+
+    try:
+        variants = _ablation_variants(cfg, args.axis, args.values)
+    except ValueError as exc:  # a value that does not parse or that a section rejects
+        raise ConfigError(f"--values {args.values!r}: {exc}") from None
 
     shared_data = args.axis != "noise"
     if shared_data:
@@ -514,10 +503,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Raise ConfigError naming the flag of a count option below 1."""
+    for name in ("count", "steps", "workers", "train_scenarios", "eval_scenarios"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (ConfigError, formats.FormatError) as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_CONFIG}), file=sys.stderr)

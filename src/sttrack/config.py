@@ -1,14 +1,23 @@
 """Run configuration: one JSON file, validated strictly before any work.
 
+`RunConfig` is made of the types that each stage takes, and each section's
+own module owns and checks it: `sim` is `sim.SimConfig`, `stt` and `train`
+are `model.SttConfig` and `model.TrainSettings`, `kf` is `kalman.KfParams`,
+`lifecycle` is `runtime.LifecycleConfig` and `policy` is
+`metrics.MatchingPolicy`. This module holds only `RunConfig`, its
+cross-section checks and the codec.
+
 One decoder reads every section through its dataclass's field annotations.
 Accepted JSON types: an integer for an int field (not a float, a string or
-`true`); `true` or `false` for a bool; a string for a str; any number for a
-float field, stored as a float (`1` reads as 1.0), or "inf", which is how
-`resolved_dict` writes infinity; a class name ("vehicle") for `class_id`
-and the keys of the per-class policy maps; "velocity" or "acceleration" for
-their state keys; `null` only for `out_dir` and `policy.alpha_s`. Unknown
-keys are rejected, and every error names the dotted path of the value
-(`sim.frames`, `policy.state_thresholds.vehicle.velocity`).
+`true`); `true` or `false` for a bool; a string for a str; any number but
+NaN for a float field, stored as a float (`1` reads as 1.0), or "inf",
+which is how `resolved_dict` writes infinity; a class name ("vehicle") for
+`class_id` and the keys of the per-class policy maps; "velocity" or
+"acceleration" for their state keys; `null` only for `policy.alpha_s`.
+Unknown keys are rejected, and every error names the dotted path of the value (`sim.frames`,
+`policy.state_thresholds.vehicle.velocity`); a value its section's own
+checks reject reads `invalid <section>: <reason>` (`invalid train: steps
+must be >= 1, got 0`).
 """
 
 from __future__ import annotations
@@ -20,13 +29,12 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .autodiff import AdamWConfig
 from .core import ClassId, to_plain
 from .kalman import KfParams
 from .metrics import INF, MatchingPolicy
-from .model import SttConfig
+from .model import SttConfig, TrainSettings
 from .runtime import LifecycleConfig
-from .sim import NoiseModel, SpeedThresholds, check_scene
+from .sim import PopulationConfig, SimConfig  # PopulationConfig: re-exported
 
 
 class ConfigError(ValueError):
@@ -34,69 +42,13 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class PopulationConfig:
-    static: int = 6
-    slow: int = 7
-    fast: int = 7
-
-    def __post_init__(self) -> None:
-        if min(self.static, self.slow, self.fast) < 0:
-            raise ConfigError("population counts must be >= 0")
-        if self.static + self.slow + self.fast < 1:
-            raise ConfigError("population must contain at least one object")
-
-
-@dataclass(frozen=True, slots=True)
-class SimSection:
-    frames: int = 200
-    dt: float = 0.1
-    field_size: float = 60.0
-    appearance_dim: int = 16
-    population: PopulationConfig = field(default_factory=PopulationConfig)
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    speed_thresholds: SpeedThresholds = field(default_factory=SpeedThresholds)
-
-    def __post_init__(self) -> None:
-        check_scene(self.frames, self.dt, self.field_size, self.appearance_dim)
-
-
-@dataclass(frozen=True, slots=True)
-class TrainSection:
-    steps: int = 2000
-    batch_size: int = 64
-    log_every: int = 50
-    learning_rate: float = 1e-4
-    weight_decay: float = 0.03
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    warmup_steps: int = 100
-    final_lr_fraction: float = 0.5
-    max_examples: int = 40000
-    train_scenarios: int = 24
-
-    def optimizer(self) -> AdamWConfig:
-        return AdamWConfig(
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-            warmup_steps=self.warmup_steps,
-            total_steps=self.steps,
-            final_lr_fraction=self.final_lr_fraction,
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class RunConfig:
     class_id: ClassId = ClassId.VEHICLE
     seed: int = 0
     backend: str = "kalman"
-    out_dir: str | None = None
-    sim: SimSection = field(default_factory=SimSection)
+    sim: SimConfig = field(default_factory=SimConfig)
     stt: SttConfig = field(default_factory=SttConfig)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainSettings = field(default_factory=TrainSettings)
     kf: KfParams = field(default_factory=KfParams)
     lifecycle: LifecycleConfig = field(default_factory=LifecycleConfig)
     policy: MatchingPolicy = field(default_factory=MatchingPolicy)
@@ -162,7 +114,7 @@ def _decode(annotation, value, path: str):
     if annotation is float:
         if value == "inf":
             return INF
-        if type(value) in (int, float):
+        if type(value) in (int, float) and value == value:  # NaN != NaN
             return float(value)
         raise ConfigError(f'{where}: expected a number or "inf", got {value!r}')
     if annotation in (int, bool, str):  # exact JSON type: `true` is not an int

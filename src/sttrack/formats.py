@@ -13,8 +13,8 @@ file and the 1-based line of a line that is not JSON, of a header whose
 config lacks `frames` (or `dt`, where the reader needs it), of a detections
 header whose `frames` or `dt` differs from its ground truth's, or of a row
 whose frame is outside the header's frame count, that lacks a key, whose
-`frame` or id is not a JSON integer, or whose decoding fails on a value of
-the wrong type.
+`frame`, id or `provenance` is not a JSON integer, whose `provenance` is
+below -1, or whose decoding fails on a value of the wrong type.
 
 Row schemas (one JSON object per line after the header):
   ground_truth: frame, object_id, class, cx, cy, cz, w, l, h, heading,
@@ -38,7 +38,7 @@ from . import __version__
 from .core import Box7, ClassId, Detection, StateVector
 from .metrics import EvalBox
 from .runtime import TrackerOutput
-from .sim import GtTrack, Scenario
+from .sim import FALSE_POSITIVE, GtTrack, Scenario
 
 SCHEMA_VERSION = 1
 
@@ -283,6 +283,15 @@ def _detection_from_row(row: dict) -> Detection:
     )
 
 
+def _labelled_detection_from_row(row: dict) -> tuple[Detection, int]:
+    """A detection and its provenance: the object id, or -1 for a false
+    positive."""
+    provenance = _int_field(row, "provenance")
+    if provenance < FALSE_POSITIVE:
+        raise ValueError(f"provenance must be >= {FALSE_POSITIVE}, got {provenance}")
+    return _detection_from_row(row), provenance
+
+
 def _eval_box_from_row(row: dict, ident: str) -> EvalBox:
     return EvalBox(
         ident=_int_field(row, ident),
@@ -341,14 +350,13 @@ def read_scenario(gt_path, det_path) -> Scenario:
             )
         )
 
-    detections = _per_frame(det_path, det_rows, frames, _detection_from_row)
-    provenance = _per_frame(det_path, det_rows, frames, lambda row: row["provenance"])
+    labelled = _per_frame(det_path, det_rows, frames, _labelled_detection_from_row)
     return Scenario(
         frames=frames,
         dt=dt,
         gt_tracks=tuple(gt_tracks),
-        detections=tuple(map(tuple, detections)),
-        provenance=tuple(map(tuple, provenance)),
+        detections=tuple(tuple(det for det, _ in frame) for frame in labelled),
+        provenance=tuple(tuple(prov for _, prov in frame) for frame in labelled),
     )
 
 

@@ -19,6 +19,11 @@ rows (a history or a context per track) into the first slots of padded
 `_history_inputs` adds the recency one-hots and pooling weights. `pack_batch`
 (training), `queries_from_histories` and `context_scores` (tracking) all go
 through them, so a detection is featurized the same way wherever it is read.
+
+This module owns the run config's `stt` and `train` sections: `SttConfig`
+and `TrainSettings` are the sections as decoded, and each checks its own
+values. `TrainSettings` also holds the optimizer's settings and the
+learning-rate schedule (`lr_at`); `autodiff.AdamW` takes the lr per step.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamW, AdamWConfig, Tensor
+from .autodiff import AdamW, Tensor
 from .core import Detection, StateVector, center_distance
 from .sim import FALSE_POSITIVE, Scenario
 
@@ -531,14 +536,51 @@ def extract_examples(
 
 @dataclass(frozen=True, slots=True)
 class TrainSettings:
+    """Training settings; also the run config's `train` section."""
+
     steps: int = 2000
     batch_size: int = 64
     log_every: int = 50
-    optimizer: AdamWConfig = AdamWConfig()
+    learning_rate: float = 1e-4
+    weight_decay: float = 0.03
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    warmup_steps: int = 100
+    final_lr_fraction: float = 0.5
+    max_examples: int = 40000
+    train_scenarios: int = 24
 
     def __post_init__(self) -> None:
-        if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be >= 1")
+        # Each check is written so that NaN fails it.
+        for name, ok, bound in (
+            ("steps", self.steps >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("log_every", self.log_every >= 1, ">= 1"),
+            ("learning_rate", 0 < self.learning_rate < math.inf, "> 0 and finite"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, ">= 0 and finite"),
+            ("beta1", 0 < self.beta1 < 1, "in (0, 1)"),
+            ("beta2", 0 < self.beta2 < 1, "in (0, 1)"),
+            ("epsilon", 0 < self.epsilon < math.inf, "> 0 and finite"),
+            ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
+            ("final_lr_fraction", 0 < self.final_lr_fraction <= 1, "in (0, 1]"),
+            ("max_examples", self.max_examples >= 1, ">= 1"),
+            ("train_scenarios", self.train_scenarios >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
+
+    def lr_at(self, step: int) -> float:
+        """Linear warmup over `warmup_steps`, then linear decay to
+        `final_lr_fraction * learning_rate` at `steps`."""
+        lr = self.learning_rate
+        if self.warmup_steps > 0 and step <= self.warmup_steps:
+            return lr * step / self.warmup_steps
+        if self.steps > self.warmup_steps:
+            frac = (step - self.warmup_steps) / (self.steps - self.warmup_steps)
+            frac = min(max(frac, 0.0), 1.0)
+            return lr * (1.0 - (1.0 - self.final_lr_fraction) * frac)
+        return lr
 
 
 def train(
@@ -552,7 +594,13 @@ def train(
         raise ValueError("training requires a non-empty dataset")
     rng = np.random.default_rng(seed)
     params = init_params(cfg, seed=int(rng.integers(2**31)))
-    opt = AdamW(params, settings.optimizer)
+    opt = AdamW(
+        params,
+        weight_decay=settings.weight_decay,
+        beta1=settings.beta1,
+        beta2=settings.beta2,
+        epsilon=settings.epsilon,
+    )
     log: list[dict[str, float]] = []
     n = len(examples)
     for step in range(1, settings.steps + 1):
@@ -563,7 +611,8 @@ def train(
         if not math.isfinite(total.item()):
             raise TrainingDivergedError(f"non-finite loss at step {step}")
         total.backward()
-        lr = opt.step(step)
+        lr = settings.lr_at(step)
+        opt.step(step, lr)
         if step % settings.log_every == 0 or step == 1 or step == settings.steps:
             log.append(
                 {

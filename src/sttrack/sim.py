@@ -7,11 +7,17 @@ with per-object persistent appearance signatures, plus Poisson false
 positives and Bernoulli misses. Provenance (which object produced each
 detection, -1 for false positives) is kept alongside the detections for
 the trainer and the metrics oracle only.
+
+This module owns the run config's `sim` section: `SimConfig`, with its
+`PopulationConfig`, `NoiseModel` and `SpeedThresholds`, is the section as
+decoded, and checks its own values. `population_specs` draws a scene's
+objects from it and `generate` simulates them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,11 +85,11 @@ class NoiseModel:
             self.appearance_sigma,
             self.confidence_noise,
         )
-        if any(s < 0 for s in sigmas):
-            raise ValueError("noise sigmas must be >= 0")
+        if not all(s >= 0 for s in sigmas):  # also rejects NaN
+            raise ValueError(f"noise sigmas must be >= 0, got {sigmas}")
         if not 0.0 <= self.miss_prob < 1.0:
             raise ValueError(f"miss_prob must be in [0, 1), got {self.miss_prob}")
-        if self.fp_rate < 0:
+        if not self.fp_rate >= 0:
             raise ValueError(f"fp_rate must be >= 0, got {self.fp_rate}")
 
     @staticmethod
@@ -128,32 +134,41 @@ class ObjectSpec:
 
 
 @dataclass(frozen=True, slots=True)
+class PopulationConfig:
+    """Objects per speed bucket in each generated scene."""
+
+    static: int = 6
+    slow: int = 7
+    fast: int = 7
+
+    def __post_init__(self) -> None:
+        if min(self.static, self.slow, self.fast) < 0:
+            raise ValueError("population counts must be >= 0")
+        if self.static + self.slow + self.fast < 1:
+            raise ValueError("population must contain at least one object")
+
+
+@dataclass(frozen=True, slots=True)
 class SimConfig:
-    frames: int
+    """Scene settings; also the run config's `sim` section."""
+
+    frames: int = 200
     dt: float = 0.1
-    objects: tuple[ObjectSpec, ...] = ()
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    appearance_dim: int = 16
     field_size: float = 60.0
+    appearance_dim: int = 16
+    population: PopulationConfig = field(default_factory=PopulationConfig)
+    noise: NoiseModel = field(default_factory=NoiseModel)
     speed_thresholds: SpeedThresholds = field(default_factory=SpeedThresholds)
 
     def __post_init__(self) -> None:
-        check_scene(self.frames, self.dt, self.field_size, self.appearance_dim)
-        if len(self.objects) < 1:
-            raise ValueError("need at least one object")
-
-
-def check_scene(frames: int, dt: float, field_size: float, appearance_dim: int) -> None:
-    """Raise ValueError unless these scene settings can be simulated; shared
-    by `SimConfig` and the run config's `sim` section."""
-    if frames < 2:
-        raise ValueError(f"frames must be >= 2, got {frames}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if field_size <= 0:
-        raise ValueError(f"field_size must be > 0, got {field_size}")
-    if appearance_dim < 1:
-        raise ValueError(f"appearance_dim must be >= 1, got {appearance_dim}")
+        if self.frames < 2:
+            raise ValueError(f"frames must be >= 2, got {self.frames}")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not self.field_size > 0:
+            raise ValueError(f"field_size must be > 0, got {self.field_size}")
+        if self.appearance_dim < 1:
+            raise ValueError(f"appearance_dim must be >= 1, got {self.appearance_dim}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,8 +237,10 @@ def trajectory_at(spec: ObjectSpec, t: np.ndarray):
     return pos, vel, acc, heading
 
 
-def generate(config: SimConfig, seed: int) -> Scenario:
-    """Generate a scenario deterministically for a fixed seed."""
+def generate(config: SimConfig, objects: Sequence[ObjectSpec], seed: int) -> Scenario:
+    """Generate a scenario of `objects` deterministically for a fixed seed."""
+    if len(objects) < 1:
+        raise ValueError("need at least one object")
     rng = np.random.default_rng(seed)
     noise = config.noise
     n_frames = config.frames
@@ -236,7 +253,7 @@ def generate(config: SimConfig, seed: int) -> Scenario:
     gt_tracks = []
     signatures = []
     trajectories = []
-    for oid, spec in enumerate(config.objects):
+    for oid, spec in enumerate(objects):
         sig = rng.standard_normal(d_a)
         sig /= np.linalg.norm(sig)
         signatures.append(sig)
@@ -261,7 +278,7 @@ def generate(config: SimConfig, seed: int) -> Scenario:
         gt_tracks.append(GtTrack(oid, spec.class_id, boxes, states))
 
     per_object = []
-    for oid, spec in enumerate(config.objects):
+    for oid, spec in enumerate(objects):
         per_object.append(
             {
                 "miss": rng.random(n_frames),
@@ -276,16 +293,16 @@ def generate(config: SimConfig, seed: int) -> Scenario:
     fp_counts = rng.poisson(noise.fp_rate, size=n_frames)
 
     half = 0.5 * config.field_size
-    classes = sorted({spec.class_id for spec in config.objects}, key=lambda c: c.value)
+    classes = sorted({spec.class_id for spec in objects}, key=lambda c: c.value)
     detections: list[tuple[Detection, ...]] = []
     provenance: list[tuple[int, ...]] = []
-    last_seen: list[tuple[int, np.ndarray] | None] = [None] * len(config.objects)
+    last_seen: list[tuple[int, np.ndarray] | None] = [None] * len(objects)
 
     for k in range(n_frames):
         frame_dets: list[Detection] = []
         frame_prov: list[int] = []
         det_id = 0
-        for oid, spec in enumerate(config.objects):
+        for oid, spec in enumerate(objects):
             draws = per_object[oid]
             if draws["miss"][k] < noise.miss_prob:
                 continue
@@ -366,16 +383,12 @@ def generate(config: SimConfig, seed: int) -> Scenario:
 
 
 def population_specs(
-    class_id: ClassId,
-    n_static: int,
-    n_slow: int,
-    n_fast: int,
-    field_size: float,
-    rng: np.random.Generator,
-    thresholds: SpeedThresholds = SpeedThresholds(),
+    class_id: ClassId, config: SimConfig, rng: np.random.Generator
 ) -> list[ObjectSpec]:
-    """Random object specs covering the static / slow / fast speed buckets."""
-    half = 0.45 * field_size
+    """Random object specs covering the static / slow / fast speed buckets,
+    as many in each as `config.population` asks for."""
+    thresholds, population = config.speed_thresholds, config.population
+    half = 0.45 * config.field_size
     fast_min = thresholds.fast_min(class_id)
 
     def size() -> tuple[float, float, float]:
@@ -395,7 +408,7 @@ def population_specs(
         return (float(rng.uniform(-half, half)), float(rng.uniform(-half, half)))
 
     specs: list[ObjectSpec] = []
-    for _ in range(n_static):
+    for _ in range(population.static):
         specs.append(
             ObjectSpec(
                 class_id,
@@ -405,7 +418,7 @@ def population_specs(
                 size(),
             )
         )
-    for bucket, count in (("slow", n_slow), ("fast", n_fast)):
+    for bucket, count in (("slow", population.slow), ("fast", population.fast)):
         for _ in range(count):
             if bucket == "slow":
                 speed = float(rng.uniform(1.5 * thresholds.static_max, 0.8 * fast_min))

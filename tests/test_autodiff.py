@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sttrack import autodiff as ad
-from sttrack.autodiff import AdamW, AdamWConfig, Tensor
+from sttrack.autodiff import AdamW, Tensor
 
 
 def check_grad(build, params, h=1e-5, tol=1e-4):
@@ -148,8 +148,8 @@ def test_grad_reductions_and_shapes():
         b = ad.mean(x, axis=-1)
         c = ad.transpose(x, (1, 0, 2))
         d = ad.reshape(x, (12, 5))
-        out = ad.sum_(a) + ad.sum_(b) + scalarize(c, 1) + scalarize(d, 2)
-        return out
+        out = ad.add(ad.sum_(a), ad.sum_(b))
+        return ad.add(out, ad.add(scalarize(c, 1), scalarize(d, 2)))
 
     check_grad(build, {"x": x})
 
@@ -160,9 +160,8 @@ def test_grad_concat_slice():
     b = rand_param(rng, (2, 4))
 
     def build():
-        joined = ad.concat([a, b], axis=1)
-        part = joined[:, 1:6]
-        return scalarize(part)
+        # concat's backward slices the gradient back to each operand
+        return scalarize(ad.concat([a, b], axis=1))
 
     check_grad(build, {"a": a, "b": b})
 
@@ -242,12 +241,14 @@ def test_attention_gradients():
 
 # --- optimizer ---------------------------------------------------------------
 
+BETAS_EPS = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
+
 
 def test_adamw_zero_grad_no_decay_is_identity():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.zeros(2)
-    opt = AdamW({"p": p}, AdamWConfig(learning_rate=1e-3, weight_decay=0.0))
-    opt.step(1)
+    opt = AdamW({"p": p}, weight_decay=0.0, **BETAS_EPS)
+    opt.step(1, 1e-3)
     assert p.data == pytest.approx([1.0, -2.0])
 
 
@@ -255,15 +256,15 @@ def test_adamw_zero_grad_decay_scales_params():
     lr = 1e-3
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.zeros(2)
-    opt = AdamW({"p": p}, AdamWConfig(learning_rate=lr, weight_decay=0.03))
-    opt.step(1)
+    opt = AdamW({"p": p}, weight_decay=0.03, **BETAS_EPS)
+    opt.step(1, lr)
     assert p.data == pytest.approx(np.array([1.0, -2.0]) * (1 - lr * 0.03))
 
 
 def test_adamw_descends_quadratic_bowl():
     target = np.array([3.0, -1.0, 0.5])
     p = Tensor(np.zeros(3), requires_grad=True)
-    opt = AdamW({"p": p}, AdamWConfig(learning_rate=0.05, weight_decay=0.0))
+    opt = AdamW({"p": p}, weight_decay=0.0, **BETAS_EPS)
 
     def loss_value():
         return float(((p.data - target) ** 2).sum())
@@ -273,27 +274,9 @@ def test_adamw_descends_quadratic_bowl():
         diff = ad.sub(p, Tensor(target))
         loss = ad.sum_(ad.mul(diff, diff))
         loss.backward()
-        opt.step(step)
+        opt.step(step, 0.05)
     assert loss_value() < start
     assert p.data == pytest.approx(target, abs=0.05)
-
-
-def test_lr_schedule_warmup_then_linear_decay():
-    cfg = AdamWConfig(
-        learning_rate=1e-3, warmup_steps=10, total_steps=110, final_lr_fraction=0.5
-    )
-    assert cfg.lr_at(1) == pytest.approx(1e-4)
-    assert cfg.lr_at(10) == pytest.approx(1e-3)
-    assert cfg.lr_at(60) == pytest.approx(1e-3 * 0.75)
-    assert cfg.lr_at(110) == pytest.approx(5e-4)
-    assert cfg.lr_at(500) == pytest.approx(5e-4)
-
-
-def test_adamw_config_validation():
-    with pytest.raises(ValueError):
-        AdamWConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        AdamWConfig(weight_decay=-1.0)
 
 
 # --- checkpoints -------------------------------------------------------------

@@ -3,14 +3,16 @@ import shutil
 
 import pytest
 
-from sttrack import cli
+from sttrack import cli, formats
 
 
-def simulate(tmp_path, frames=20):
+def simulate(tmp_path, frames=20, count=1):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"sim": {"frames": frames}}))
     data = tmp_path / "data"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+    assert cli.main([
+        "simulate", "--config", str(config), "--out", str(data), "--count", str(count),
+    ]) == 0
     return config, data
 
 
@@ -179,3 +181,88 @@ def test_track_with_checkpoint_of_another_model_config_exits_4(trained, tmp_path
     capsys.readouterr()
     assert track_stt(other, data, tmp_path / "tracks", checkpoint) == cli.EXIT_MISMATCH
     assert "different model config" in last_error(capsys)
+
+
+def test_train_with_non_integer_provenance_exits_2(tmp_path, capsys):
+    config, data = simulate(tmp_path)
+    det = sorted(data.glob("*.det.jsonl"))[0]
+    lines = det.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["provenance"] = "x"
+    lines[2] = json.dumps(row)
+    det.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main([
+        "train", "--config", str(config), "--data", str(data),
+        "--out", str(tmp_path / "model"), "--steps", "1",
+    ]) == cli.EXIT_CONFIG
+    assert last_error(capsys) == f"{det}:3: provenance must be int, not str"
+    assert not (tmp_path / "model").exists()
+
+
+def test_track_with_two_workers_equals_one_worker(tmp_path):
+    config, data = simulate(tmp_path, count=3)
+    digests = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"tracks-{workers}"
+        assert cli.main([
+            "track", "--config", str(config), "--data", str(data), "--out", str(out),
+            "--backend", "kalman", "--workers", workers,
+        ]) == 0
+        digests[workers] = {
+            path.name: formats.normalized_digest(path)
+            for path in sorted(out.glob("*.tracks.jsonl"))
+        }
+    assert len(digests["1"]) == 3
+    assert digests["2"] == digests["1"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--count", "-1"),
+        ("simulate", "--count", "0"),
+        ("train", "--steps", "0"),
+        ("track", "--workers", "0"),
+        ("ablate", "--steps", "0"),
+        ("ablate", "--workers", "-2"),
+        ("ablate", "--train-scenarios", "0"),
+        ("ablate", "--eval-scenarios", "0"),
+    ],
+)
+def test_count_option_below_one_exits_2(tmp_path, capsys, command, flag, value):
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out), flag, value]
+    if command in ("train", "track"):
+        argv += ["--data", str(tmp_path / "data")]
+    if command == "ablate":
+        argv += ["--axis", "track-length"]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert last_error(capsys) == f"{flag} must be >= 1, got {value}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "axis, values, reason",
+    [
+        ("track-length", "3,x", "invalid literal for int() with base 10: 'x'"),
+        ("track-length", "0", "t_max and k_max must be >= 1"),
+        ("noise", "1.0,abc", "could not convert string to float: 'abc'"),
+        ("noise", "-1", "noise sigmas must be >= 0, got (-0.1, 0.02, 0.02, 0.1, 0.05)"),
+        ("noise", "nan", "noise sigmas must be >= 0, got (nan, 0.02, 0.02, 0.1, 0.05)"),
+    ],
+)
+def test_ablate_bad_values_exit_2(tmp_path, capsys, axis, values, reason):
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main([
+        "ablate", "--config", str(config), "--out", str(out), "--axis", axis,
+        "--values", values,
+    ]) == cli.EXIT_CONFIG
+    assert last_error(capsys) == f"--values {values!r}: {reason}"
+    assert not out.exists()

@@ -9,14 +9,13 @@ from sttrack.config import (
     ConfigError,
     PopulationConfig,
     RunConfig,
-    SimSection,
     resolved_dict,
     run_config_from_dict,
 )
 from sttrack.core import ClassId
 from sttrack.metrics import INF, MatchingPolicy
-from sttrack.model import SttConfig
-from sttrack.sim import NoiseModel, SpeedThresholds
+from sttrack.model import SttConfig, TrainSettings
+from sttrack.sim import NoiseModel, SimConfig, SpeedThresholds
 
 CONFIGS = {
     "defaults": RunConfig(),
@@ -31,13 +30,18 @@ CONFIGS = {
     ),
     "mota-only": RunConfig(policy=MatchingPolicy().mota_only()),
     "sim": RunConfig(
-        out_dir="runs/a",
-        sim=SimSection(
+        sim=SimConfig(
             frames=50,
             dt=0.05,
             population=PopulationConfig(1, 0, 3),
             noise=NoiseModel(center_sigma=0.3, fp_rate=0.0, miss_prob=0.2),
             speed_thresholds=SpeedThresholds(static_max=0.5, fast_min_vehicle=4.0),
+        ),
+    ),
+    "train": RunConfig(
+        train=TrainSettings(
+            steps=300, learning_rate=3e-3, warmup_steps=0, final_lr_fraction=1.0,
+            max_examples=500, train_scenarios=2,
         ),
     ),
 }
@@ -96,6 +100,55 @@ def test_rejects_naming_the_path(data, message):
         run_config_from_dict(data)
 
 
+# One probe per check of `TrainSettings`, in field order.
+TRAIN_PROBES = [
+    ({"steps": 0}, "steps must be >= 1, got 0"),
+    ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ({"log_every": 0}, "log_every must be >= 1, got 0"),
+    ({"learning_rate": -1}, "learning_rate must be > 0 and finite, got -1.0"),
+    ({"learning_rate": "inf"}, "learning_rate must be > 0 and finite, got inf"),
+    ({"weight_decay": -0.5}, "weight_decay must be >= 0 and finite, got -0.5"),
+    ({"beta1": 1.5}, "beta1 must be in (0, 1), got 1.5"),
+    ({"beta2": 1}, "beta2 must be in (0, 1), got 1.0"),
+    ({"epsilon": 0}, "epsilon must be > 0 and finite, got 0.0"),
+    ({"warmup_steps": -3}, "warmup_steps must be >= 0, got -3"),
+    ({"final_lr_fraction": 0}, "final_lr_fraction must be in (0, 1], got 0.0"),
+    ({"max_examples": -5}, "max_examples must be >= 1, got -5"),
+    ({"train_scenarios": 0}, "train_scenarios must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("train, message", TRAIN_PROBES)
+def test_rejects_bad_train_setting_at_decode(train, message):
+    with pytest.raises(ConfigError, match=re.escape(f"invalid train: {message}")):
+        run_config_from_dict({"train": train})
+
+
+def test_rejects_nan_train_setting():
+    with pytest.raises(ValueError, match="learning_rate must be > 0 and finite, got nan"):
+        TrainSettings(learning_rate=float("nan"))
+
+
+def test_train_probes_cover_every_field():
+    probed = {name for train, _ in TRAIN_PROBES for name in train}
+    assert probed == {f.name for f in dataclasses.fields(TrainSettings)}
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"sim": {"noise": {"center_sigma": NaN}}}', "sim.noise.center_sigma"),
+        ('{"kf": {"meas_noise_sigma": NaN}}', "kf.meas_noise_sigma"),
+        ('{"stt": {"gamma": NaN}}', "stt.gamma"),
+        ('{"train": {"learning_rate": NaN}}', "train.learning_rate"),
+    ],
+)
+def test_rejects_nan_in_float_field(text, path):
+    message = f'{path}: expected a number or "inf", got nan'
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_config_from_dict(json.loads(text))
+
+
 def nesting_levels():
     """Dotted path of every object in a resolved config, the config itself
     as ""."""
@@ -143,6 +196,7 @@ def test_tracking_lifecycle_binds_history_to_t_max():
         ({"sim": {"frames": "20"}}, "sim.frames"),
         ({"sim": {"frames": 1}}, "invalid sim: frames"),
         ({"policy": {"persistence": "false"}}, "policy.persistence"),
+        ({"train": {"log_every": 0}}, "invalid train: log_every must be >= 1"),
     ],
 )
 def test_simulate_with_bad_config_exits_2(tmp_path, capsys, data, message):

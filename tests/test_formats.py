@@ -42,12 +42,11 @@ def make_scenario(seed=0, frames=12):
     )
     cfg = SimConfig(
         frames=frames,
-        objects=specs,
         noise=NoiseModel(0.07, 0.01, 0.01, 0.1, fp_rate=0.4, miss_prob=0.1,
                          confidence_noise=0.03),
         appearance_dim=5,
     )
-    return generate(cfg, seed=seed)
+    return generate(cfg, specs, seed=seed)
 
 
 def test_scenario_round_trips_bit_exactly(tmp_path):
@@ -363,3 +362,19 @@ def test_version_string_nonempty():
 def test_make_header_rejects_unknown_kind():
     with pytest.raises(FormatError):
         make_header("mystery", {})
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda row: row.update(provenance="x"), "provenance must be int, not str"),
+        (lambda row: row.update(provenance=0.0), "provenance must be int, not float"),
+        (lambda row: row.update(provenance=-2), "provenance must be >= -1, got -2"),
+        (lambda row: row.pop("provenance"), "missing key 'provenance'"),
+    ],
+)
+def test_read_scenario_rejects_bad_provenance(tmp_path, edit, reason):
+    gt_path, det_path = write_scenario(tmp_path, "s0", make_scenario(frames=12), {})
+    edit_row(det_path, 4, edit)
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{det_path}:4: {reason}')}$"):
+        read_scenario(gt_path, det_path)

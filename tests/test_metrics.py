@@ -325,7 +325,7 @@ def test_report_formats():
 def test_label_frames_from_scenario_roundtrip():
     spec = ObjectSpec(VEH, MotionProfile.constant_velocity(1.0, 0.0), (0, 0), 0.0, SIZE)
     scenario = generate(
-        SimConfig(frames=5, objects=(spec,), noise=NoiseModel.noiseless()), seed=0
+        SimConfig(frames=5, noise=NoiseModel.noiseless()), (spec,), seed=0
     )
     frames = label_frames_from_scenario(scenario)
     assert len(frames) == 5

@@ -5,7 +5,7 @@ import pytest
 
 from sttrack import autodiff as ad
 from sttrack import model as m
-from sttrack.autodiff import AdamWConfig, Tensor
+from sttrack.autodiff import Tensor
 from sttrack.core import Box7, ClassId, Detection, StateVector
 from sttrack.model import (
     SttConfig,
@@ -424,13 +424,12 @@ def small_scenario(seed=0, frames=40):
     )
     cfg = SimConfig(
         frames=frames,
-        objects=specs,
         noise=NoiseModel(center_sigma=0.05, heading_sigma=0.01, size_sigma=0.01,
                          appearance_sigma=0.1, fp_rate=0.3, miss_prob=0.05,
                          confidence_noise=0.02),
         appearance_dim=TINY.d_a,
     )
-    return generate(cfg, seed=seed)
+    return generate(cfg, specs, seed=seed)
 
 
 def test_extract_examples_labels_align_with_provenance():
@@ -452,8 +451,9 @@ def test_train_reduces_loss_and_is_deterministic():
         steps=60,
         batch_size=16,
         log_every=10,
-        optimizer=AdamWConfig(learning_rate=3e-3, weight_decay=0.01,
-                              warmup_steps=5, total_steps=60),
+        learning_rate=3e-3,
+        weight_decay=0.01,
+        warmup_steps=5,
     )
     params_a, log_a = train(examples, TINY, settings, seed=0)
     params_b, _ = train(examples, TINY, settings, seed=0)
@@ -472,12 +472,30 @@ def test_association_only_ablation_trains():
                     lambda_acceleration=0.0, alpha=0.0)
     scenario = small_scenario()
     examples = extract_examples(scenario, cfg)
-    settings = TrainSettings(steps=30, batch_size=8, log_every=10,
-                             optimizer=AdamWConfig(learning_rate=3e-3))
+    settings = TrainSettings(steps=30, batch_size=8, log_every=10, learning_rate=3e-3,
+                             warmup_steps=0, final_lr_fraction=1.0)
     params, log = train(examples, cfg, settings, seed=1)
     assert all(math.isfinite(row["total"]) for row in log)
     # state losses carry zero weight in the total
     assert log[-1]["total"] == pytest.approx(10.0 * log[-1]["loss_d"], rel=1e-9)
+
+
+def test_lr_schedule_warmup_then_linear_decay():
+    settings = TrainSettings(
+        steps=110, learning_rate=1e-3, warmup_steps=10, final_lr_fraction=0.5
+    )
+    assert settings.lr_at(1) == pytest.approx(1e-4)
+    assert settings.lr_at(10) == pytest.approx(1e-3)
+    assert settings.lr_at(60) == pytest.approx(1e-3 * 0.75)
+    assert settings.lr_at(110) == pytest.approx(5e-4)
+    assert settings.lr_at(500) == pytest.approx(5e-4)
+
+
+def test_lr_schedule_without_warmup_or_decay_is_constant():
+    settings = TrainSettings(
+        steps=20, learning_rate=3e-3, warmup_steps=0, final_lr_fraction=1.0
+    )
+    assert all(settings.lr_at(step) == 3e-3 for step in range(1, 30))
 
 
 def test_train_rejects_empty_dataset():
@@ -489,8 +507,8 @@ def test_association_accuracy_on_trained_model():
     scenario = small_scenario(seed=3, frames=60)
     examples = extract_examples(scenario, TINY)
     settings = TrainSettings(
-        steps=150, batch_size=16, log_every=50,
-        optimizer=AdamWConfig(learning_rate=3e-3, weight_decay=0.01),
+        steps=150, batch_size=16, log_every=50, learning_rate=3e-3, weight_decay=0.01,
+        warmup_steps=0, final_lr_fraction=1.0,
     )
     params, _ = train(examples, TINY, settings, seed=2)
     held_out = extract_examples(small_scenario(seed=77, frames=60), TINY)

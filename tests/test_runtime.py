@@ -298,8 +298,8 @@ def zero_noise_scenario(n_objects=4, frames=30):
         )
         for i in range(n_objects)
     )
-    cfg = SimConfig(frames=frames, objects=specs, noise=NoiseModel.noiseless())
-    return generate(cfg, seed=0)
+    cfg = SimConfig(frames=frames, noise=NoiseModel.noiseless())
+    return generate(cfg, specs, seed=0)
 
 
 def test_kalman_zero_noise_no_fragmentation():
@@ -338,11 +338,10 @@ def test_spurious_tracks_bounded_emissions():
     specs = (ObjectSpec(ClassId.VEHICLE, MotionProfile.static(), (0.0, 0.0), 0.0, SIZE),)
     cfg = SimConfig(
         frames=80,
-        objects=specs,
         noise=NoiseModel(0.02, 0.01, 0.01, 0.05, fp_rate=1.0, miss_prob=0.0,
                          confidence_noise=0.0),
     )
-    scenario = generate(cfg, seed=4)
+    scenario = generate(cfg, specs, seed=4)
     lifecycle = LifecycleConfig(max_misses=2, min_confidence=0.0)
     backend = KalmanBackend(KfParams(), scenario.dt)
     output = run_sequence(scenario.detections, backend, lifecycle)
@@ -364,12 +363,11 @@ def stt_scenario(frames=25, d_a=8):
     )
     cfg = SimConfig(
         frames=frames,
-        objects=specs,
         noise=NoiseModel(0.05, 0.01, 0.01, 0.1, fp_rate=0.2, miss_prob=0.05,
                          confidence_noise=0.02),
         appearance_dim=d_a,
     )
-    return generate(cfg, seed=9)
+    return generate(cfg, specs, seed=9)
 
 
 def test_stt_backend_runs_and_is_deterministic():

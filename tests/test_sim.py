@@ -9,6 +9,7 @@ from sttrack.sim import (
     MotionProfile,
     NoiseModel,
     ObjectSpec,
+    PopulationConfig,
     Scenario,
     SimConfig,
     SpeedThresholds,
@@ -36,8 +37,8 @@ def cv_spec(vx, vy, x=0.0, y=0.0):
 
 
 def test_static_zero_noise_three_frames():
-    cfg = SimConfig(frames=3, objects=(static_spec(),), noise=NoiseModel.noiseless())
-    scenario = generate(cfg, seed=0)
+    cfg = SimConfig(frames=3, noise=NoiseModel.noiseless())
+    scenario = generate(cfg, (static_spec(),), seed=0)
     assert len(scenario.detections) == 3
     dets = [frame[0] for frame in scenario.detections]
     assert all(len(frame) == 1 for frame in scenario.detections)
@@ -48,8 +49,8 @@ def test_static_zero_noise_three_frames():
 
 
 def test_constant_velocity_advances_per_frame():
-    cfg = SimConfig(frames=5, dt=0.1, objects=(cv_spec(2.0, 0.0),), noise=NoiseModel.noiseless())
-    scenario = generate(cfg, seed=0)
+    cfg = SimConfig(frames=5, dt=0.1, noise=NoiseModel.noiseless())
+    scenario = generate(cfg, (cv_spec(2.0, 0.0),), seed=0)
     xs = [t.center[0] for t in scenario.gt_tracks[0].boxes]
     deltas = np.diff(xs)
     assert deltas == pytest.approx([0.2] * 4, abs=1e-12)
@@ -58,18 +59,15 @@ def test_constant_velocity_advances_per_frame():
 
 
 def test_deterministic_for_fixed_seed():
-    cfg = SimConfig(frames=20, objects=(static_spec(), cv_spec(1.0, 0.5, x=5.0)))
-    assert generate(cfg, seed=7) == generate(cfg, seed=7)
-    assert generate(cfg, seed=7) != generate(cfg, seed=8)
+    cfg = SimConfig(frames=20)
+    objects = (static_spec(), cv_spec(1.0, 0.5, x=5.0))
+    assert generate(cfg, objects, seed=7) == generate(cfg, objects, seed=7)
+    assert generate(cfg, objects, seed=7) != generate(cfg, objects, seed=8)
 
 
 def test_zero_noise_detections_equal_ground_truth():
-    cfg = SimConfig(
-        frames=10,
-        objects=(cv_spec(1.5, -0.5), static_spec(x=10.0)),
-        noise=NoiseModel.noiseless(),
-    )
-    scenario = generate(cfg, seed=3)
+    cfg = SimConfig(frames=10, noise=NoiseModel.noiseless())
+    scenario = generate(cfg, (cv_spec(1.5, -0.5), static_spec(x=10.0)), seed=3)
     for k, frame in enumerate(scenario.detections):
         assert len(frame) == 2
         for det, oid in zip(frame, scenario.provenance[k]):
@@ -79,8 +77,8 @@ def test_zero_noise_detections_equal_ground_truth():
 
 
 def test_motion_feature_is_velocity_observation():
-    cfg = SimConfig(frames=6, objects=(cv_spec(2.0, 1.0),), noise=NoiseModel.noiseless())
-    scenario = generate(cfg, seed=0)
+    cfg = SimConfig(frames=6, noise=NoiseModel.noiseless())
+    scenario = generate(cfg, (cv_spec(2.0, 1.0),), seed=0)
     first = scenario.detections[0][0]
     assert first.motion == (0.0, 0.0)
     for frame in scenario.detections[1:]:
@@ -90,10 +88,9 @@ def test_motion_feature_is_velocity_observation():
 def test_false_positive_rate_poisson_band():
     cfg = SimConfig(
         frames=10_000,
-        objects=(static_spec(),),
         noise=NoiseModel(0, 0, 0, 0, fp_rate=0.5, miss_prob=0.0, confidence_noise=0),
     )
-    scenario = generate(cfg, seed=42)
+    scenario = generate(cfg, (static_spec(),), seed=42)
     n_fp = sum(prov.count(FALSE_POSITIVE) for prov in scenario.provenance)
     expected = 0.5 * 10_000
     band = 3.0 * math.sqrt(expected)
@@ -103,10 +100,9 @@ def test_false_positive_rate_poisson_band():
 def test_false_positives_have_low_confidence_and_zero_motion():
     cfg = SimConfig(
         frames=50,
-        objects=(static_spec(),),
         noise=NoiseModel(0, 0, 0, 0, fp_rate=2.0, miss_prob=0.0, confidence_noise=0),
     )
-    scenario = generate(cfg, seed=1)
+    scenario = generate(cfg, (static_spec(),), seed=1)
     seen = 0
     for frame, prov in zip(scenario.detections, scenario.provenance):
         for det, oid in zip(frame, prov):
@@ -118,8 +114,8 @@ def test_false_positives_have_low_confidence_and_zero_motion():
 
 
 def test_detection_ids_unique_per_frame():
-    cfg = SimConfig(frames=30, objects=tuple(static_spec(x=3.0 * i) for i in range(5)))
-    scenario = generate(cfg, seed=2)
+    cfg = SimConfig(frames=30)
+    scenario = generate(cfg, tuple(static_spec(x=3.0 * i) for i in range(5)), seed=2)
     for frame in scenario.detections:
         ids = [d.detection_id for d in frame]
         assert len(set(ids)) == len(ids)
@@ -130,11 +126,10 @@ def test_appearance_separates_objects():
     # nearly always at the default appearance noise.
     cfg = SimConfig(
         frames=60,
-        objects=tuple(static_spec(x=8.0 * i) for i in range(4)),
         noise=NoiseModel(0, 0, 0, appearance_sigma=0.1, fp_rate=0, miss_prob=0,
                          confidence_noise=0),
     )
-    scenario = generate(cfg, seed=11)
+    scenario = generate(cfg, tuple(static_spec(x=8.0 * i) for i in range(4)), seed=11)
     by_obj = {oid: [] for oid in range(4)}
     for frame, prov in zip(scenario.detections, scenario.provenance):
         for det, oid in zip(frame, prov):
@@ -206,19 +201,18 @@ def test_ground_truth_states_are_analytic_derivatives():
 def test_misses_drop_detections():
     cfg = SimConfig(
         frames=2000,
-        objects=(static_spec(),),
         noise=NoiseModel(0, 0, 0, 0, fp_rate=0, miss_prob=0.3, confidence_noise=0),
     )
-    scenario = generate(cfg, seed=5)
+    scenario = generate(cfg, (static_spec(),), seed=5)
     n = sum(len(f) for f in scenario.detections)
     assert 2000 * 0.6 < n < 2000 * 0.8
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SimConfig(frames=1, objects=(static_spec(),))
+        SimConfig(frames=1)
     with pytest.raises(ValueError):
-        SimConfig(frames=10, objects=())
+        generate(SimConfig(frames=10), (), seed=0)
     with pytest.raises(ValueError):
         NoiseModel(miss_prob=1.0)
     with pytest.raises(ValueError):
@@ -227,7 +221,8 @@ def test_config_validation():
 
 def test_population_specs_cover_buckets():
     rng = np.random.default_rng(0)
-    specs = population_specs(ClassId.VEHICLE, 2, 3, 4, 60.0, rng)
+    config = SimConfig(population=PopulationConfig(static=2, slow=3, fast=4))
+    specs = population_specs(ClassId.VEHICLE, config, rng)
     assert len(specs) == 9
     t = SpeedThresholds()
     buckets = {"static": 0, "slow": 0, "fast": 0}
