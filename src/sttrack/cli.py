@@ -7,9 +7,10 @@ inputs and seed, writes provenance headers into its outputs, and exits
 nonzero with a machine-readable error line on failure.
 
 Exit codes: 0 success, 1 unexpected error, 2 config/schema violation or
-bad option value (a count option below 1, an `ablate --values` entry that
-does not parse or that the config rejects), 3 missing input file,
-4 checkpoint/config mismatch.
+bad command line (an unknown or missing flag, a value that does not parse,
+a count option below 1, an `ablate --values` entry that does not parse or
+that the config rejects), 3 missing input file, 4 checkpoint/config
+mismatch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import autodiff, formats, model
 from .config import ConfigError, RunConfig, load_run_config, resolved_dict
 from .metrics import Evaluator, MatchingPolicy, format_report, report_csv_rows
 from .model import extract_examples
-from .runtime import make_backend, run_sequence
+from .runtime import KalmanBackend, SttBackend, run_sequence
 from .sim import generate, population_specs
 
 EXIT_OK = 0
@@ -117,20 +118,14 @@ def _track_one(
     name: str,
     stt_arrays: dict | None,
 ) -> dict:
-    header, detections = formats.read_detections(data_dir / f"{name}.det.jsonl")
-    frames, dt = header["config"]["frames"], header["config"]["dt"]
+    dt, detections = formats.read_detections(data_dir / f"{name}.det.jsonl")
+    frames = len(detections)
     lifecycle = cfg.tracking_lifecycle()
-    stt_params = (
-        {k: autodiff.Tensor(v) for k, v in stt_arrays.items()} if stt_arrays else None
-    )
-    backend = make_backend(
-        backend_kind,
-        dt,
-        lifecycle,
-        kf_params=cfg.kf,
-        stt_params=stt_params,
-        stt_cfg=cfg.stt if backend_kind == "stt" else None,
-    )
+    if backend_kind == "stt":
+        params = {k: autodiff.Tensor(v) for k, v in stt_arrays.items()}
+        backend = SttBackend(params, cfg.stt, lifecycle, dt)
+    else:
+        backend = KalmanBackend(cfg.kf, dt)
     output = run_sequence(detections, backend, lifecycle)
     provenance = resolved_dict(cfg)
     provenance["backend"] = backend_kind
@@ -440,8 +435,16 @@ def cmd_ablate(args) -> int:
 # --- argument parsing ----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line raises ConfigError: exit 2 with the JSON error line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sttrack",
         description="Desk-scale multi-object tracking: simulate, train, track, evaluate.",
     )
@@ -513,9 +516,8 @@ def _check_counts(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_counts(args)
         return args.func(args)
     except (ConfigError, formats.FormatError) as exc:

@@ -38,6 +38,13 @@ def to_plain(obj):
     return obj
 
 
+def check_fields(obj, checks) -> None:
+    """Raise ValueError naming the first failing `(name, ok, bound)` check; NaN must fail `ok`."""
+    for name, ok, bound in checks:
+        if not ok:
+            raise ValueError(f"{name} must be {bound}, got {getattr(obj, name)!r}")
+
+
 def normalize_heading(h: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     h = math.fmod(h, TAU)
@@ -69,11 +76,6 @@ class StateVector:
         """Flat [x, y, vx, vy, ax, ay] vector."""
         return np.array([*self.position, *self.velocity, *self.acceleration])
 
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "StateVector":
-        a = [float(v) for v in np.asarray(arr).reshape(6)]
-        return StateVector((a[0], a[1]), (a[2], a[3]), (a[4], a[5]))
-
     @property
     def speed(self) -> float:
         return math.hypot(*self.velocity)
@@ -92,13 +94,15 @@ class Box7:
     heading: float
 
     def __post_init__(self) -> None:
-        if not all(s > 0.0 and math.isfinite(s) for s in self.size):
+        s = self.size
+        if not (0.0 < s[0] < math.inf and 0.0 < s[1] < math.inf and 0.0 < s[2] < math.inf):
             raise ValueError(f"box sizes must be strictly positive, got {self.size}")
-        if not all(math.isfinite(c) for c in self.center):
+        if not all(map(math.isfinite, self.center)):
             raise ValueError(f"non-finite box center: {self.center}")
-        if not math.isfinite(self.heading):
-            raise ValueError(f"non-finite heading: {self.heading}")
-        object.__setattr__(self, "heading", normalize_heading(self.heading))
+        if not -math.pi < self.heading <= math.pi:  # `normalize_heading` keeps these
+            if not math.isfinite(self.heading):
+                raise ValueError(f"non-finite heading: {self.heading}")
+            object.__setattr__(self, "heading", normalize_heading(self.heading))
 
     @property
     def center_xy(self) -> tuple[float, float]:

@@ -8,13 +8,7 @@ commit) say when and from what a file was written, not what it holds;
 `normalized_digest` hashes a file with both removed so byte-level
 determinism checks can ignore them. It also reads the metrics file that
 `sttrack eval` writes, which is one indented JSON document with the header
-under "header" rather than JSONL. Readers raise `FormatError` naming the
-file and the 1-based line of a line that is not JSON, of a header whose
-config lacks `frames` (or `dt`, where the reader needs it), of a detections
-header whose `frames` or `dt` differs from its ground truth's, or of a row
-whose frame is outside the header's frame count, that lacks a key, whose
-`frame`, id or `provenance` is not a JSON integer, whose `provenance` is
-below -1, or whose decoding fails on a value of the wrong type.
+under "header" rather than JSONL.
 
 Row schemas (one JSON object per line after the header):
   ground_truth: frame, object_id, class, cx, cy, cz, w, l, h, heading,
@@ -23,6 +17,22 @@ Row schemas (one JSON object per line after the header):
                 appearance [...], motion [...], provenance (-1 = false pos.)
   tracks:       frame, track_id, class, cx, cy, cz, w, l, h, heading, conf,
                 state {px, py, vx, vy, ax, ay}
+
+One key list per row part (`_BOX_KEYS`, `_STATE_KEYS`) drives the writers
+and the readers, and each kind has one row decoder that checks every key
+its writer emits. Readers raise `FormatError` naming the file and 1-based
+line (the header is line 1) of a line that is not JSON; of a header config
+without an int `frames` >= 0 or (where needed) a number `dt` > 0; of a
+detections header whose `frames` or `dt` differs from its ground truth's;
+and of a row that is not an object, lacks a key, or breaks a rule:
+  - `frame` and the id (`id`, `object_id`, `track_id`) are JSON integers,
+    the frame in [0, frames) and the id unique within its frame;
+  - box, state and `conf` values are JSON numbers (not bools or strings),
+    finite, with sizes > 0 and `conf` in [0, 1];
+  - `appearance` and `motion` are lists of finite numbers as long as the
+    file's first row's; `provenance` is an integer >= -1; `class` is
+    "vehicle" or "pedestrian".
+A ground-truth object without one row in every frame names its file.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ import datetime
 import functools
 import hashlib
 import json
+import math
+import operator
 import subprocess
 from pathlib import Path
 
@@ -140,74 +152,137 @@ def normalized_digest(path) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-# --- row encoders/decoders ---------------------------------------------------
+# --- row parts: one key list each for the writers and the readers ------------
+
+_BOX_KEYS = ("cx", "cy", "cz", "w", "l", "h", "heading")
+_STATE_KEYS = ("px", "py", "vx", "vy", "ax", "ay")
+_SCORED_KEYS = (*_BOX_KEYS, "conf")  # detections and tracks rows
+_box_values = operator.itemgetter(*_BOX_KEYS)
+_scored_values = operator.itemgetter(*_SCORED_KEYS)
+_state_values = operator.itemgetter(*_STATE_KEYS)
+_NUMBERS = frozenset((int, float))  # what `json.loads` makes of a JSON number
+_CLASSES = {c.value: c for c in ClassId}
 
 
 def _box_fields(box: Box7) -> dict:
-    return {
-        "cx": box.center[0],
-        "cy": box.center[1],
-        "cz": box.center[2],
-        "w": box.size[0],
-        "l": box.size[1],
-        "h": box.size[2],
-        "heading": box.heading,
-    }
-
-
-def _box_from_row(row: dict) -> Box7:
-    return Box7(
-        (row["cx"], row["cy"], row["cz"]),
-        (row["w"], row["l"], row["h"]),
-        row["heading"],
-    )
+    return dict(zip(_BOX_KEYS, (*box.center, *box.size, box.heading)))
 
 
 def _state_fields(state: StateVector) -> dict:
-    return {
-        "px": state.position[0],
-        "py": state.position[1],
-        "vx": state.velocity[0],
-        "vy": state.velocity[1],
-        "ax": state.acceleration[0],
-        "ay": state.acceleration[1],
-    }
+    return dict(zip(_STATE_KEYS, (*state.position, *state.velocity, *state.acceleration)))
 
 
-def _state_from_row(row: dict) -> StateVector:
-    return StateVector(
-        (row["px"], row["py"]), (row["vx"], row["vy"]), (row["ax"], row["ay"])
-    )
+def _numbers(values, keys, label: str = "{}"):
+    """`values`, read at `keys`: JSON numbers; `label` names a key in errors."""
+    if not _NUMBERS.issuperset(map(type, values)):
+        key, value = next(kv for kv in zip(keys, values) if type(kv[1]) not in _NUMBERS)
+        raise TypeError(f"{label.format(key)} must be int or float, not {type(value).__name__}")
+    return values
+
+
+def _int_field(row: dict, key: str) -> int:
+    """`row[key]`, which must be a JSON integer (not a bool, float or string)."""
+    value = row[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be int, not {type(value).__name__}")
+    return value
+
+
+def _class(row: dict) -> ClassId:
+    value = row["class"]
+    try:
+        return _CLASSES[value]
+    except (KeyError, TypeError):  # an unknown name, or a list or object
+        raise ValueError(f"class must be one of {', '.join(_CLASSES)}, got {value!r}") from None
+
+
+def _box(v: tuple) -> Box7:
+    """The box of a row's checked `_BOX_KEYS` (or `_SCORED_KEYS`) values."""
+    return Box7(v[:3], v[3:6], v[6])
+
+
+def _conf(v: tuple) -> float:
+    """The conf of a row's checked `_SCORED_KEYS` values."""
+    if not 0 <= v[7] <= 1:
+        raise ValueError(f"conf must be in [0, 1], got {v[7]!r}")
+    return v[7]
+
+
+def _state(row: dict) -> StateVector:
+    state = row["state"]
+    if type(state) is not dict:
+        raise TypeError(f"state must be an object, not {type(state).__name__}")
+    v = _numbers(_state_values(state), _STATE_KEYS, "state.{}")
+    return StateVector(v[:2], v[2:4], v[4:])
+
+
+def _features(row: dict, key: str) -> tuple[float, ...]:
+    values = row[key]
+    if type(values) is not list:
+        raise TypeError(f"{key} must be a list, not {type(values).__name__}")
+    if not (_NUMBERS.issuperset(map(type, values)) and math.isfinite(sum(values))):
+        _numbers(values, range(len(values)), key + "[{}]")
+        bad = [i for i, value in enumerate(values) if not math.isfinite(value)]
+        if bad:  # else finite values whose sum overflows
+            raise ValueError(f"{key}[{bad[0]}] must be finite, got {values[bad[0]]!r}")
+    return tuple(values)
+
+
+# --- one row decoder per kind ------------------------------------------------
+
+
+def _detection_row(row: dict) -> tuple[Detection, int]:
+    """A detection and its provenance: the object id, or -1 for a false
+    positive."""
+    provenance = _int_field(row, "provenance")
+    if provenance < FALSE_POSITIVE:
+        raise ValueError(f"provenance must be >= {FALSE_POSITIVE}, got {provenance}")
+    v = _numbers(_scored_values(row), _SCORED_KEYS)
+    features = _features(row, "appearance"), _features(row, "motion")
+    detection = Detection(_box(v), *features, _conf(v), row["frame"], row["id"], _class(row))
+    return detection, provenance
+
+
+def _label_row(row: dict) -> EvalBox:
+    v = _numbers(_box_values(row), _BOX_KEYS)
+    return EvalBox(row["object_id"], _class(row), _box(v), _state(row))
+
+
+def _track_row(row: dict) -> EvalBox:
+    v = _numbers(_scored_values(row), _SCORED_KEYS)
+    _conf(v)
+    return EvalBox(row["track_id"], _class(row), _box(v), _state(row))
+
+
+# Each kind's id key and row decoder; `_per_frame` checks `frame` and the id.
+_ROWS = {
+    "detections": ("id", _detection_row),
+    "ground_truth": ("object_id", _label_row),
+    "tracks": ("track_id", _track_row),
+}
+
+
+# --- writers -----------------------------------------------------------------
 
 
 def scenario_rows(scenario: Scenario) -> tuple[list[dict], list[dict]]:
-    gt_rows = []
-    for k in range(scenario.frames):
-        for track in scenario.gt_tracks:
-            gt_rows.append(
-                {
-                    "frame": k,
-                    "object_id": track.object_id,
-                    "class": track.class_id.value,
-                    **_box_fields(track.boxes[k]),
-                    "state": _state_fields(track.states[k]),
-                }
-            )
-    det_rows = []
-    for k in range(scenario.frames):
-        for det, prov in zip(scenario.detections[k], scenario.provenance[k]):
-            det_rows.append(
-                {
-                    "frame": k,
-                    "id": det.detection_id,
-                    "class": det.class_id.value,
-                    **_box_fields(det.box),
-                    "conf": det.confidence,
-                    "appearance": list(det.appearance),
-                    "motion": list(det.motion),
-                    "provenance": prov,
-                }
-            )
+    gt_rows = [
+        {
+            "frame": k, "object_id": track.object_id, "class": track.class_id.value,
+            **_box_fields(track.boxes[k]), "state": _state_fields(track.states[k]),
+        }
+        for k in range(scenario.frames)
+        for track in scenario.gt_tracks
+    ]
+    det_rows = [
+        {
+            "frame": k, "id": det.detection_id, "class": det.class_id.value,
+            **_box_fields(det.box), "conf": det.confidence,
+            "appearance": list(det.appearance), "motion": list(det.motion), "provenance": prov,
+        }
+        for k in range(scenario.frames)
+        for det, prov in zip(scenario.detections[k], scenario.provenance[k])
+    ]
     return gt_rows, det_rows
 
 
@@ -224,157 +299,15 @@ def write_scenario(out_dir, name: str, scenario: Scenario, config: dict) -> tupl
     return gt_path, det_path
 
 
-def _header_config(path, header: dict, key: str):
-    """`header["config"][key]`; a header without it raises FormatError on
-    line 1."""
-    config = header.get("config")
-    if not isinstance(config, dict) or key not in config:
-        raise FormatError(f"{path}:1: header config lacks {key!r}")
-    return config[key]
-
-
-def _frames(path, header: dict) -> int:
-    frames = _header_config(path, header, "frames")
-    if type(frames) is not int or frames < 0:
-        raise FormatError(
-            f"{path}:1: header config frames must be an int >= 0, got {frames!r}"
-        )
-    return frames
-
-
-def _int_field(row: dict, key: str) -> int:
-    """`row[key]`, which must be a JSON integer (not a bool, float or string)."""
-    value = row[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be int, not {type(value).__name__}")
-    return value
-
-
-def _per_frame(path, rows: list[dict], frames: int, decode) -> list[list]:
-    """`decode(row)` of every row, grouped by the row's frame. A row whose
-    frame is outside [0, frames), that lacks a key or whose values have the
-    wrong type (a `frame` that is not an integer among them) raises
-    FormatError naming the file and the row's 1-based line (the header is
-    line 1)."""
-    out: list[list] = [[] for _ in range(frames)]
-    line = 1
-    try:
-        for line, row in enumerate(rows, start=2):
-            k = _int_field(row, "frame")
-            if not 0 <= k < frames:
-                raise ValueError(f"frame {k} outside [0, {frames})")
-            out[k].append(decode(row))
-    except KeyError as exc:
-        raise FormatError(f"{path}:{line}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}:{line}: {exc}") from None
-    return out
-
-
-def _detection_from_row(row: dict) -> Detection:
-    return Detection(
-        box=_box_from_row(row),
-        appearance=tuple(row["appearance"]),
-        motion=tuple(row["motion"]),
-        confidence=row["conf"],
-        frame_index=row["frame"],
-        detection_id=_int_field(row, "id"),
-        class_id=ClassId(row["class"]),
-    )
-
-
-def _labelled_detection_from_row(row: dict) -> tuple[Detection, int]:
-    """A detection and its provenance: the object id, or -1 for a false
-    positive."""
-    provenance = _int_field(row, "provenance")
-    if provenance < FALSE_POSITIVE:
-        raise ValueError(f"provenance must be >= {FALSE_POSITIVE}, got {provenance}")
-    return _detection_from_row(row), provenance
-
-
-def _eval_box_from_row(row: dict, ident: str) -> EvalBox:
-    return EvalBox(
-        ident=_int_field(row, ident),
-        class_id=ClassId(row["class"]),
-        box=_box_from_row(row),
-        state=_state_from_row(row["state"]),
-    )
-
-
-def read_detections(det_path) -> tuple[dict, tuple[tuple[Detection, ...], ...]]:
-    """Detections file to its header and per-frame detections; the header's
-    config holds the scene's `frames` and `dt`, both checked here."""
-    header, rows = read_jsonl(det_path, "detections")
-    frames = _frames(det_path, header)
-    _header_config(det_path, header, "dt")
-    detections = _per_frame(det_path, rows, frames, _detection_from_row)
-    return header, tuple(map(tuple, detections))
-
-
-def read_scenario(gt_path, det_path) -> Scenario:
-    """Ground truth and detections of one scene; the two headers must agree
-    on `frames` and `dt`."""
-    gt_header, gt_rows = read_jsonl(gt_path, "ground_truth")
-    det_header, det_rows = read_jsonl(det_path, "detections")
-    frames = _frames(gt_path, gt_header)
-    dt = _header_config(gt_path, gt_header, "dt")
-    for key, gt_value, det_value in (
-        ("frames", frames, _frames(det_path, det_header)),
-        ("dt", dt, _header_config(det_path, det_header, "dt")),
-    ):
-        if det_value != gt_value:
-            raise FormatError(
-                f"{det_path}:1: header config {key} {det_value!r} differs from"
-                f" {gt_value!r} in {gt_path}"
-            )
-
-    by_object: dict[int, list[EvalBox]] = {}
-    for frame in _per_frame(
-        gt_path, gt_rows, frames, lambda r: _eval_box_from_row(r, "object_id")
-    ):
-        for label in frame:
-            by_object.setdefault(label.ident, []).append(label)
-    gt_tracks = []
-    for oid in sorted(by_object):
-        labels = by_object[oid]
-        if len(labels) != frames:
-            raise FormatError(
-                f"{gt_path}: object {oid}: {len(labels)} rows for {frames} frames"
-            )
-        gt_tracks.append(
-            GtTrack(
-                object_id=oid,
-                class_id=labels[0].class_id,
-                boxes=tuple(label.box for label in labels),
-                states=tuple(label.state for label in labels),
-            )
-        )
-
-    labelled = _per_frame(det_path, det_rows, frames, _labelled_detection_from_row)
-    return Scenario(
-        frames=frames,
-        dt=dt,
-        gt_tracks=tuple(gt_tracks),
-        detections=tuple(tuple(det for det, _ in frame) for frame in labelled),
-        provenance=tuple(tuple(prov for _, prov in frame) for frame in labelled),
-    )
-
-
 def tracker_rows(output: TrackerOutput) -> list[dict]:
-    rows = []
-    for frame_rows in output.frames:
-        for r in frame_rows:
-            rows.append(
-                {
-                    "frame": r.frame,
-                    "track_id": r.track_id,
-                    "class": r.class_id.value,
-                    **_box_fields(r.box),
-                    "conf": r.confidence,
-                    "state": _state_fields(r.state),
-                }
-            )
-    return rows
+    return [
+        {
+            "frame": r.frame, "track_id": r.track_id, "class": r.class_id.value,
+            **_box_fields(r.box), "conf": r.confidence, "state": _state_fields(r.state),
+        }
+        for frame_rows in output.frames
+        for r in frame_rows
+    ]
 
 
 def write_tracker_output(path, output: TrackerOutput, config: dict, frames: int) -> None:
@@ -383,15 +316,113 @@ def write_tracker_output(path, output: TrackerOutput, config: dict, frames: int)
     write_jsonl(path, "tracks", meta, tracker_rows(output))
 
 
+# --- readers: header, then frame count, then per-frame rows ------------------
+
+
+# The header config keys that readers use: their JSON types, check and bound.
+_HEADER_KEYS = {
+    "frames": ({int}, lambda frames: frames >= 0, "an int >= 0"),
+    "dt": (_NUMBERS, lambda dt: 0 < dt < math.inf, "a number > 0"),
+}
+
+
+def _header_config(path, header: dict, key: str):
+    """`header["config"][key]`, checked; a bad one raises FormatError on line 1."""
+    config = header.get("config")
+    if not isinstance(config, dict) or key not in config:
+        raise FormatError(f"{path}:1: header config lacks {key!r}")
+    types, ok, bound = _HEADER_KEYS[key]
+    if type(config[key]) not in types or not ok(config[key]):
+        raise FormatError(f"{path}:1: header config {key} must be {bound}, got {config[key]!r}")
+    return config[key]
+
+
+def _open(path, kind: str) -> tuple[dict, int, list]:
+    """Header, frame count and undecoded rows of a `kind` file."""
+    header, rows = read_jsonl(path, kind)
+    return header, _header_config(path, header, "frames"), rows
+
+
+def _per_frame(path, kind: str, frames: int, rows: list) -> list[list]:
+    """The kind's decoding of every row, grouped by the row's frame."""
+    ident, decode = _ROWS[kind]
+    out: list[list] = [[] for _ in range(frames)]
+    seen: set[tuple[int, int]] = set()
+    try:
+        for line, row in enumerate(rows, start=2):
+            if type(row) is not dict:
+                raise TypeError(f"row must be an object, not {type(row).__name__}")
+            k = _int_field(row, "frame")
+            if not 0 <= k < frames:
+                raise ValueError(f"frame {k} outside [0, {frames})")
+            key = (k, _int_field(row, ident))
+            if key in seen:
+                raise ValueError(f"{ident} {key[1]} repeats in frame {k}")
+            seen.add(key)
+            out[k].append(decode(row))
+    except KeyError as exc:
+        raise FormatError(f"{path}:{line}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}:{line}: {exc}") from None
+    return out
+
+
+def _detections(path, frames: int, rows: list) -> tuple[tuple, tuple]:
+    """Per-frame detections and per-frame provenance of a detections file's
+    rows, whose feature widths must all be the first row's."""
+    columns = [tuple(zip(*f)) or ((), ()) for f in _per_frame(path, "detections", frames, rows)]
+    for key in ("appearance", "motion"):
+        lens = list(map(len, map(operator.itemgetter(key), rows)))
+        if len(set(lens)) > 1:
+            line = next(i for i, n in enumerate(lens, start=2) if n != lens[0])
+            raise FormatError(
+                f"{path}:{line}: {key} has {lens[line - 2]} values, line 2 has {lens[0]}"
+            )
+    return tuple(c[0] for c in columns), tuple(c[1] for c in columns)
+
+
+def read_detections(det_path) -> tuple[float, tuple[tuple[Detection, ...], ...]]:
+    """Detections file to the scene's `dt` and its per-frame detections."""
+    header, frames, rows = _open(det_path, "detections")
+    return _header_config(det_path, header, "dt"), _detections(det_path, frames, rows)[0]
+
+
+def read_scenario(gt_path, det_path) -> Scenario:
+    """Ground truth and detections of one scene; the two headers must agree
+    on `frames` and `dt`."""
+    gt_header, frames, gt_rows = _open(gt_path, "ground_truth")
+    det_header, det_frames, det_rows = _open(det_path, "detections")
+    dt = _header_config(gt_path, gt_header, "dt")
+    det_dt = _header_config(det_path, det_header, "dt")
+    for key, gt_value, det_value in (("frames", frames, det_frames), ("dt", dt, det_dt)):
+        if det_value != gt_value:
+            raise FormatError(
+                f"{det_path}:1: header config {key} {det_value!r} differs from"
+                f" {gt_value!r} in {gt_path}"
+            )
+
+    by_object: dict[int, list[EvalBox]] = {}
+    for frame in _per_frame(gt_path, "ground_truth", frames, gt_rows):
+        for label in frame:
+            by_object.setdefault(label.ident, []).append(label)
+    gt_tracks = []
+    for oid, labels in sorted(by_object.items()):
+        if len(labels) != frames:
+            raise FormatError(f"{gt_path}: object {oid}: {len(labels)} rows for {frames} frames")
+        boxes, states = zip(*((label.box, label.state) for label in labels))
+        gt_tracks.append(GtTrack(oid, labels[0].class_id, boxes, states))
+
+    detections, provenance = _detections(det_path, frames, det_rows)
+    return Scenario(frames, dt, tuple(gt_tracks), detections, provenance)
+
+
 def read_pred_frames(path) -> tuple[dict, list[list[EvalBox]]]:
     """Tracks file to per-frame evaluation boxes."""
-    header, rows = read_jsonl(path, "tracks")
-    frames = _frames(path, header)
-    return header, _per_frame(path, rows, frames, lambda r: _eval_box_from_row(r, "track_id"))
+    header, frames, rows = _open(path, "tracks")
+    return header, _per_frame(path, "tracks", frames, rows)
 
 
 def read_label_frames(path) -> tuple[dict, list[list[EvalBox]]]:
     """Ground-truth file to per-frame evaluation boxes."""
-    header, rows = read_jsonl(path, "ground_truth")
-    frames = _frames(path, header)
-    return header, _per_frame(path, rows, frames, lambda r: _eval_box_from_row(r, "object_id"))
+    header, frames, rows = _open(path, "ground_truth")
+    return header, _per_frame(path, "ground_truth", frames, rows)

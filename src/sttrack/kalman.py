@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .assign import FORBIDDEN
-from .core import Box7, Detection, StateVector, bev_iou
+from .core import Box7, Detection, StateVector, bev_iou, check_fields
 
 
 class KalmanDivergenceError(RuntimeError):
@@ -52,16 +52,12 @@ class KfParams:
     iou_gate: float = 0.1
 
     def __post_init__(self) -> None:
-        positives = (
-            self.process_noise_accel_sigma,
-            self.meas_noise_sigma,
-            self.initial_velocity_sigma,
-            self.initial_accel_sigma,
-        )
-        if any(p <= 0 for p in positives):
-            raise ValueError("Kalman noise parameters must be positive")
-        if not 0.0 <= self.iou_gate < 1.0:
-            raise ValueError(f"iou_gate must be in [0, 1), got {self.iou_gate}")
+        sigmas = ("process_noise_accel_sigma", "meas_noise_sigma",
+                  "initial_velocity_sigma", "initial_accel_sigma")
+        check_fields(self, (
+            *((name, 0 < getattr(self, name) < math.inf, "> 0 and finite") for name in sigmas),
+            ("iou_gate", 0 <= self.iou_gate < 1, "in [0, 1)"),
+        ))
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
-from .core import Detection, StateVector, center_distance
+from .core import Detection, StateVector, center_distance, check_fields
 from .sim import FALSE_POSITIVE, Scenario
 
 GEOMETRY_WIDTH = 8  # rel cx, rel cy, w, l, h, sin(heading), cos(heading), conf
@@ -67,27 +67,20 @@ class SttConfig:
     state_source: str = "tsd"  # "tsd" | "tdi"
 
     def __post_init__(self) -> None:
-        if self.t_max < 1 or self.k_max < 1:
-            raise ValueError("t_max and k_max must be >= 1")
-        if min(self.d_q, self.d_a, self.d_m, self.mlp_hidden, self.heads) < 1:
-            raise ValueError("widths must be >= 1")
-        if self.d_q % self.heads != 0:
-            raise ValueError(f"d_q={self.d_q} not divisible by heads={self.heads}")
-        weights = (
-            self.gamma,
-            self.lambda_position,
-            self.lambda_velocity,
-            self.lambda_acceleration,
-            self.alpha,
-        )
-        if any(w < 0 for w in weights):
-            raise ValueError("loss weights must be >= 0")
-        if self.pooling not in ("mean", "last"):
-            raise ValueError(f"unknown pooling mode: {self.pooling!r}")
-        if self.state_source not in ("tsd", "tdi"):
-            raise ValueError(f"unknown state source: {self.state_source!r}")
-        if self.context_radius <= 0:
-            raise ValueError("context_radius must be > 0")
+        weights = ("gamma", "lambda_position", "lambda_velocity", "lambda_acceleration", "alpha")
+        check_fields(self, (
+            *((name, getattr(self, name) >= 1, ">= 1") for name in ("d_q", "d_a", "d_m")),
+            ("t_max", self.t_max >= 1, ">= 1"),
+            ("k_max", self.k_max >= 1, ">= 1"),
+            ("context_radius", 0 < self.context_radius < math.inf, "> 0 and finite"),
+            # `and` keeps a heads of 0 out of the modulo
+            ("heads", self.heads >= 1 and self.d_q % self.heads == 0,
+             f"a divisor of d_q ({self.d_q})"),
+            ("mlp_hidden", self.mlp_hidden >= 1, ">= 1"),
+            *((name, 0 <= getattr(self, name) < math.inf, ">= 0 and finite") for name in weights),
+            ("pooling", self.pooling in ("mean", "last"), "'mean' or 'last'"),
+            ("state_source", self.state_source in ("tsd", "tdi"), "'tsd' or 'tdi'"),
+        ))
 
     @property
     def feature_width(self) -> int:
@@ -552,8 +545,7 @@ class TrainSettings:
     train_scenarios: int = 24
 
     def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it.
-        for name, ok, bound in (
+        check_fields(self, (
             ("steps", self.steps >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("log_every", self.log_every >= 1, ">= 1"),
@@ -566,9 +558,7 @@ class TrainSettings:
             ("final_lr_fraction", 0 < self.final_lr_fraction <= 1, "in (0, 1]"),
             ("max_examples", self.max_examples >= 1, ">= 1"),
             ("train_scenarios", self.train_scenarios >= 1, ">= 1"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
+        ))
 
     def lr_at(self, step: int) -> float:
         """Linear warmup over `warmup_steps`, then linear decay to

@@ -30,6 +30,7 @@ from .core import (
     Detection,
     StateVector,
     bev_iou_matrix,
+    check_fields,
     extrapolate,
 )
 from .kalman import KfParams, KfState, init_state, predict, predicted_box, update
@@ -54,14 +55,12 @@ class LifecycleConfig:
     max_history: int = 10
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.creation_score_threshold <= 1.0:
-            raise ValueError("creation_score_threshold must be in [0, 1]")
-        if self.max_misses < 0:
-            raise ValueError("max_misses must be >= 0")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise ValueError("min_confidence must be in [0, 1]")
-        if self.max_history < 1:
-            raise ValueError("max_history must be >= 1")
+        check_fields(self, (
+            ("creation_score_threshold", 0 <= self.creation_score_threshold <= 1, "in [0, 1]"),
+            ("max_misses", self.max_misses >= 0, ">= 0"),
+            ("min_confidence", 0 <= self.min_confidence <= 1, "in [0, 1]"),
+            ("max_history", self.max_history >= 1, ">= 1"),
+        ))
 
 
 @dataclass(slots=True)
@@ -361,20 +360,3 @@ def run_sequence(
         output.frame_seconds.append(time.perf_counter() - start)
         output.frames.append(rows)
     return output
-
-
-def make_backend(
-    kind: str,
-    dt: float,
-    lifecycle: LifecycleConfig,
-    kf_params: KfParams | None = None,
-    stt_params: dict | None = None,
-    stt_cfg: SttConfig | None = None,
-):
-    if kind == "kalman":
-        return KalmanBackend(kf_params or KfParams(), dt)
-    if kind == "stt":
-        if stt_params is None or stt_cfg is None:
-            raise ValueError("stt backend needs parameters and a model config")
-        return SttBackend(stt_params, stt_cfg, lifecycle, dt)
-    raise ValueError(f"unknown backend kind: {kind!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Box7, ClassId, Detection, StateVector, normalize_heading
+from .core import Box7, ClassId, Detection, StateVector, check_fields, normalize_heading
 
 FALSE_POSITIVE = -1
 
@@ -92,10 +92,6 @@ class NoiseModel:
         if not self.fp_rate >= 0:
             raise ValueError(f"fp_rate must be >= 0, got {self.fp_rate}")
 
-    @staticmethod
-    def noiseless() -> "NoiseModel":
-        return NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True, slots=True)
 class SpeedThresholds:
@@ -142,8 +138,8 @@ class PopulationConfig:
     fast: int = 7
 
     def __post_init__(self) -> None:
-        if min(self.static, self.slow, self.fast) < 0:
-            raise ValueError("population counts must be >= 0")
+        counts = ("static", "slow", "fast")
+        check_fields(self, ((name, getattr(self, name) >= 0, ">= 0") for name in counts))
         if self.static + self.slow + self.fast < 1:
             raise ValueError("population must contain at least one object")
 
@@ -161,14 +157,12 @@ class SimConfig:
     speed_thresholds: SpeedThresholds = field(default_factory=SpeedThresholds)
 
     def __post_init__(self) -> None:
-        if self.frames < 2:
-            raise ValueError(f"frames must be >= 2, got {self.frames}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.field_size > 0:
-            raise ValueError(f"field_size must be > 0, got {self.field_size}")
-        if self.appearance_dim < 1:
-            raise ValueError(f"appearance_dim must be >= 1, got {self.appearance_dim}")
+        check_fields(self, (
+            ("frames", self.frames >= 2, ">= 2"),
+            ("dt", self.dt > 0, "> 0"),
+            ("field_size", self.field_size > 0, "> 0"),
+            ("appearance_dim", self.appearance_dim >= 1, ">= 1"),
+        ))
 
 
 @dataclass(frozen=True, slots=True)

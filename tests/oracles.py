@@ -1,4 +1,5 @@
-"""Independent reference computations used to freeze expected test values."""
+"""Independent reference computations used to freeze expected test values,
+and small builders the tests share."""
 
 from __future__ import annotations
 
@@ -10,7 +11,15 @@ from sttrack.core import Box7, Detection, StateVector
 from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
 from sttrack.metrics import EvalBox, Evaluator, MatchingPolicy
 from sttrack.model import SttConfig
-from sttrack.sim import Scenario
+from sttrack.sim import NoiseModel, Scenario
+
+NOISELESS = NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def state_from_array(arr) -> StateVector:
+    """A flat [x, y, vx, vy, ax, ay] vector as a StateVector."""
+    a = [float(v) for v in np.asarray(arr).reshape(6)]
+    return StateVector((a[0], a[1]), (a[2], a[3]), (a[4], a[5]))
 
 
 def mc_bev_iou(a: Box7, b: Box7, n_samples: int = 1_000_000, seed: int = 0) -> float:

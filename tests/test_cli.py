@@ -246,10 +246,69 @@ def test_count_option_below_one_exits_2(tmp_path, capsys, command, flag, value):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            "simulate --config {tmp}/run.json --out {tmp}/out --count abc",
+            "sttrack simulate: argument --count: invalid int value: 'abc'",
+            id="count-abc",
+        ),
+        pytest.param(
+            "simulate --config {tmp}/run.json --out {tmp}/out --bogus 1",
+            "sttrack: unrecognized arguments: --bogus 1",
+            id="unknown-flag",
+        ),
+        pytest.param(
+            "simulate --out {tmp}/out",
+            "sttrack simulate: the following arguments are required: --config",
+            id="no-config",
+        ),
+        pytest.param(
+            "track --config {tmp}/run.json --data {tmp} --out {tmp}/out --backend kf",
+            "sttrack track: argument --backend: invalid choice: 'kf'",
+            id="bad-choice",
+        ),
+    ],
+)
+def test_bad_command_line_prints_the_json_error_line(tmp_path, capsys, argv, message):
+    argv = argv.format(tmp=tmp_path).split()
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert last_error(capsys).startswith(message)
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([argv[0], "--help"])
+    assert exit_info.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "config, flags, code, message",
+    [
+        ({}, ["--backend", "stt"], cli.EXIT_MISMATCH, "stt backend requires --checkpoint"),
+        (
+            {"backend": "nope"},
+            [],
+            cli.EXIT_CONFIG,
+            "invalid config: backend must be 'kalman' or 'stt', got 'nope'",
+        ),
+    ],
+)
+def test_track_backend_choice_errors(tmp_path, capsys, config, flags, code, message):
+    path, data = simulate(tmp_path)
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert cli.main([
+        "track", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "tracks"),
+        *flags,
+    ]) == code
+    assert last_error(capsys) == message
+
+
+@pytest.mark.parametrize(
     "axis, values, reason",
     [
         ("track-length", "3,x", "invalid literal for int() with base 10: 'x'"),
-        ("track-length", "0", "t_max and k_max must be >= 1"),
+        ("track-length", "0", "t_max must be >= 1, got 0"),
         ("noise", "1.0,abc", "could not convert string to float: 'abc'"),
         ("noise", "-1", "noise sigmas must be >= 0, got (-0.1, 0.02, 0.02, 0.1, 0.05)"),
         ("noise", "nan", "noise sigmas must be >= 0, got (nan, 0.02, 0.02, 0.1, 0.05)"),

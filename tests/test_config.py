@@ -13,8 +13,10 @@ from sttrack.config import (
     run_config_from_dict,
 )
 from sttrack.core import ClassId
+from sttrack.kalman import KfParams
 from sttrack.metrics import INF, MatchingPolicy
 from sttrack.model import SttConfig, TrainSettings
+from sttrack.runtime import LifecycleConfig
 from sttrack.sim import NoiseModel, SimConfig, SpeedThresholds
 
 CONFIGS = {
@@ -93,6 +95,22 @@ def test_json_integer_in_float_field_reads_as_float():
         ({"policy": {"iou_threshold": {"truck": 0.5}}}, "policy.iou_threshold: unknown class"),
         ({"policy": {"alpha_s": {"cyclist": {}}}}, "policy.alpha_s: unknown class"),
         ({"sim": [1]}, "sim: expected an object"),
+        ({"stt": {"t_max": 0}}, "invalid stt: t_max must be >= 1, got 0"),
+        ({"stt": {"heads": 3}}, "invalid stt: heads must be a divisor of d_q (32), got 3"),
+        ({"stt": {"alpha": -1}}, "invalid stt: alpha must be >= 0 and finite, got -1.0"),
+        ({"stt": {"pooling": "max"}}, "invalid stt: pooling must be 'mean' or 'last', got 'max'"),
+        (
+            {"sim": {"population": {"slow": -1}}},
+            "invalid sim.population: slow must be >= 0, got -1",
+        ),
+        (
+            {"kf": {"meas_noise_sigma": 0}},
+            "invalid kf: meas_noise_sigma must be > 0 and finite, got 0.0",
+        ),
+        (
+            {"lifecycle": {"min_confidence": 2}},
+            "invalid lifecycle: min_confidence must be in [0, 1], got 2.0",
+        ),
     ],
 )
 def test_rejects_naming_the_path(data, message):
@@ -127,6 +145,20 @@ def test_rejects_bad_train_setting_at_decode(train, message):
 def test_rejects_nan_train_setting():
     with pytest.raises(ValueError, match="learning_rate must be > 0 and finite, got nan"):
         TrainSettings(learning_rate=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "section, name",
+    [
+        (section, f.name)
+        for section in (SttConfig, PopulationConfig, KfParams, LifecycleConfig, TrainSettings)
+        for f in dataclasses.fields(section)
+        if f.type in ("int", "float")
+    ],
+)
+def test_section_checks_fail_on_nan(section, name):
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got nan$"):
+        section(**{name: float("nan")})
 
 
 def test_train_probes_cover_every_field():

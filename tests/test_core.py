@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import euler_extrapolate, mc_bev_iou
+from oracles import euler_extrapolate, mc_bev_iou, state_from_array
 from sttrack.core import (
     Box7,
     ClassId,
@@ -218,7 +218,7 @@ def test_state_vector_rejects_nonfinite():
 
 def test_state_vector_array_round_trip():
     s = StateVector((1.25, -2.5), (0.1, 0.2), (-0.3, 0.7))
-    assert StateVector.from_array(s.as_array()) == s
+    assert state_from_array(s.as_array()) == s
 
 
 def test_detection_confidence_range():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 
@@ -98,10 +100,9 @@ def test_malformed_line_names_file_and_line(tmp_path):
 def test_read_detections_equals_scenario_detections(tmp_path):
     scenario = make_scenario(seed=3)
     _, det_path = write_scenario(tmp_path, "s0", scenario, {})
-    header, detections = read_detections(det_path)
+    dt, detections = read_detections(det_path)
     assert detections == scenario.detections
-    assert header["config"]["frames"] == scenario.frames
-    assert header["config"]["dt"] == scenario.dt
+    assert dt == scenario.dt
 
 
 def edit_row(path, line, edit):
@@ -117,14 +118,32 @@ def set_frame(path, line, frame):
 
 
 READERS = ["detections", "labels", "preds", "scenario-gt", "scenario-det"]
-# the id key of each reader's rows
-IDENTS = {
-    "detections": "id",
-    "labels": "object_id",
-    "preds": "track_id",
-    "scenario-gt": "object_id",
-    "scenario-det": "id",
+# the kind of the file each reader is given to read, also for the readers
+# that run `sttrack` on it
+READER_KINDS = {
+    "detections": "detections",
+    "labels": "ground_truth",
+    "preds": "tracks",
+    "scenario-gt": "ground_truth",
+    "scenario-det": "detections",
+    "cli-track": "detections",
+    "cli-train-gt": "ground_truth",
+    "cli-train-det": "detections",
+    "cli-eval-gt": "ground_truth",
+    "cli-eval-tracks": "tracks",
 }
+# the id key of each kind's rows
+IDENTS = {"detections": "id", "ground_truth": "object_id", "tracks": "track_id"}
+
+
+def run_cli(*argv):
+    """Run `sttrack`, which must exit 2, and raise its JSON error line as a
+    FormatError."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    assert code == cli.EXIT_CONFIG, err.getvalue()
+    raise FormatError(json.loads(err.getvalue().splitlines()[-1])["error"])
 
 
 def file_and_reader(tmp_path, reader):
@@ -136,12 +155,23 @@ def file_and_reader(tmp_path, reader):
         scenario.detections, KalmanBackend(KfParams(), scenario.dt), LifecycleConfig()
     )
     write_tracker_output(tracks_path, output, {}, scenario.frames)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"sim": {"appearance_dim": 5}, "stt": {"d_a": 5}}))
+    data, out = str(tmp_path), str(tmp_path / "out")
+    track = ["track", "--config", str(config), "--data", data, "--out", out]
+    train = ["train", "--config", str(config), "--data", data, "--out", out, "--steps", "1"]
+    evaluate = ["eval", "--gt", data, "--results", data, "--out", f"{out}/eval.json"]
     return {
         "detections": (det_path, lambda: read_detections(det_path)),
         "labels": (gt_path, lambda: read_label_frames(gt_path)),
         "preds": (tracks_path, lambda: read_pred_frames(tracks_path)),
         "scenario-gt": (gt_path, lambda: read_scenario(gt_path, det_path)),
         "scenario-det": (det_path, lambda: read_scenario(gt_path, det_path)),
+        "cli-track": (det_path, lambda: run_cli(*track)),
+        "cli-train-gt": (gt_path, lambda: run_cli(*train)),
+        "cli-train-det": (det_path, lambda: run_cli(*train)),
+        "cli-eval-gt": (gt_path, lambda: run_cli(*evaluate)),
+        "cli-eval-tracks": (tracks_path, lambda: run_cli(*evaluate)),
     }[reader]
 
 
@@ -154,35 +184,117 @@ def test_readers_reject_frame_outside_range(tmp_path, reader, frame):
         read()
 
 
+def set_true(key):
+    if key.startswith("state."):
+        return lambda row, _: row["state"].update({key[len("state."):]: True})
+    return lambda row, _: row.update({key: True})
+
+
+def repeat_previous(row, previous):
+    """Give the row the frame and the id of the row before it."""
+    ident = next(key for key in IDENTS.values() if key in row)
+    row.update({"frame": previous["frame"], ident: previous[ident]})
+
+
+ALL = set(IDENTS)
+WITH_CONF = {"detections", "tracks"}
+WITH_STATE = {"ground_truth", "tracks"}
+# name: (edit of a row and the row before it, reason, the kinds it applies to)
+EDITS = {
+    "no-class": (lambda row, _: row.pop("class"), "missing key 'class'", ALL),
+    "no-frame": (lambda row, _: row.pop("frame"), "missing key 'frame'", ALL),
+    "str-cx": (lambda row, _: row.update(cx="1.5"), "cx must be int or float, not str", ALL),
+    "str-frame": (lambda row, _: row.update(frame="3"), "frame must be int, not str", ALL),
+    "float-frame": (lambda row, _: row.update(frame=2.0), "frame must be int, not float", ALL),
+    "bool-frame": (lambda row, _: row.update(frame=True), "frame must be int, not bool", ALL),
+    "str-id": (
+        lambda row, _: row.update({k: str(row[k]) for k in IDENTS.values() if k in row}),
+        "{ident} must be int, not str",
+        ALL,
+    ),
+    "dup-id": (repeat_previous, "{ident} {id} repeats in frame {frame}", ALL),
+    "unknown-class": (
+        lambda row, _: row.update({"class": "truck"}),
+        "class must be one of vehicle, pedestrian, got 'truck'",
+        ALL,
+    ),
+    **{
+        f"true-{key}": (set_true(key), f"{key} must be int or float, not bool", ALL)
+        for key in ("cx", "cy", "cz", "w", "l", "h", "heading")
+    },
+    "true-conf": (set_true("conf"), "conf must be int or float, not bool", WITH_CONF),
+    "no-conf": (lambda row, _: row.pop("conf"), "missing key 'conf'", WITH_CONF),
+    "str-conf": (
+        lambda row, _: row.update(conf="high"), "conf must be int or float, not str", WITH_CONF
+    ),
+    **{
+        f"true-state.{key}": (
+            set_true(f"state.{key}"), f"state.{key} must be int or float, not bool", WITH_STATE
+        )
+        for key in ("px", "py", "vx", "vy", "ax", "ay")
+    },
+    "str-appearance": (
+        lambda row, _: row.update(appearance="abc"),
+        "appearance must be a list, not str",
+        {"detections"},
+    ),
+    "str-in-appearance": (
+        lambda row, _: row["appearance"].__setitem__(1, "0.5"),
+        "appearance[1] must be int or float, not str",
+        {"detections"},
+    ),
+    "nan-in-appearance": (
+        lambda row, _: row["appearance"].__setitem__(0, float("nan")),
+        "appearance[0] must be finite, got nan",
+        {"detections"},
+    ),
+    "true-in-motion": (
+        lambda row, _: row["motion"].__setitem__(0, True),
+        "motion[0] must be int or float, not bool",
+        {"detections"},
+    ),
+    "long-motion": (
+        lambda row, _: row["motion"].append(0.0),
+        "motion has 3 values, line 2 has 2",
+        {"detections"},
+    ),
+}
+# The probes run through `sttrack` itself: reader, edit.
+CLI_PROBES = [
+    ("cli-track", "true-cx"),
+    ("cli-track", "true-w"),
+    ("cli-track", "true-conf"),
+    ("cli-track", "str-appearance"),
+    ("cli-track", "dup-id"),
+    ("cli-train-det", "str-appearance"),
+    ("cli-train-det", "long-motion"),
+    ("cli-train-gt", "dup-id"),
+    ("cli-eval-tracks", "no-conf"),
+    ("cli-eval-tracks", "str-conf"),
+    ("cli-eval-tracks", "true-state.vx"),
+    ("cli-eval-gt", "dup-id"),
+]
+
+
 @pytest.mark.parametrize(
-    "edit, reason",
+    "reader, edit, reason",
     [
-        pytest.param(lambda row: row.pop("class"), "missing key 'class'", id="no-class"),
-        pytest.param(lambda row: row.pop("frame"), "missing key 'frame'", id="no-frame"),
-        pytest.param(
-            lambda row: row.update(cx="1.5"), "must be real number, not str", id="str-cx"
-        ),
-        pytest.param(
-            lambda row: row.update(frame="3"), "frame must be int, not str", id="str-frame"
-        ),
-        pytest.param(
-            lambda row: row.update(frame=2.0), "frame must be int, not float", id="float-frame"
-        ),
-        pytest.param(
-            lambda row: row.update(frame=True), "frame must be int, not bool", id="bool-frame"
-        ),
-        pytest.param(
-            lambda row: row.update({k: str(row[k]) for k in IDENTS.values() if k in row}),
-            "{ident} must be int, not str",
-            id="str-id",
-        ),
+        pytest.param(reader, edit, reason, id=f"{reader}-{name}")
+        for reader in READERS
+        for name, (edit, reason, kinds) in EDITS.items()
+        if READER_KINDS[reader] in kinds
+    ]
+    + [
+        pytest.param(reader, *EDITS[name][:2], id=f"{reader}-{name}")
+        for reader, name in CLI_PROBES
     ],
 )
-@pytest.mark.parametrize("reader", READERS)
 def test_readers_reject_missing_key_or_wrong_type(tmp_path, reader, edit, reason):
     path, read = file_and_reader(tmp_path, reader)
-    edit_row(path, 4, edit)
-    reason = reason.format(ident=IDENTS[reader])
+    previous = json.loads(path.read_text().splitlines()[2])
+    edit_row(path, 4, lambda row: edit(row, previous))
+    ident = IDENTS[READER_KINDS[reader]]
+    reason = reason.format(ident=ident, id=previous[ident], frame=previous["frame"])
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:4: {reason}')}"):
         read()
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import evaluate_sequences, label_frames_from_scenario
+from oracles import NOISELESS, evaluate_sequences, label_frames_from_scenario
 from sttrack.core import Box7, ClassId, StateVector
 from sttrack.metrics import (
     INF,
@@ -16,7 +16,6 @@ from sttrack.metrics import (
 )
 from sttrack.sim import (
     MotionProfile,
-    NoiseModel,
     ObjectSpec,
     SimConfig,
     generate,
@@ -325,7 +324,7 @@ def test_report_formats():
 def test_label_frames_from_scenario_roundtrip():
     spec = ObjectSpec(VEH, MotionProfile.constant_velocity(1.0, 0.0), (0, 0), 0.0, SIZE)
     scenario = generate(
-        SimConfig(frames=5, noise=NoiseModel.noiseless()), (spec,), seed=0
+        SimConfig(frames=5, noise=NOISELESS), (spec,), seed=0
     )
     frames = label_frames_from_scenario(scenario)
     assert len(frames) == 5

@@ -24,7 +24,7 @@ from sttrack.model import (
 )
 from sttrack.sim import MotionProfile, NoiseModel, ObjectSpec, SimConfig, generate
 
-from oracles import detection_features_row
+from oracles import detection_features_row, state_from_array
 
 TINY = SttConfig(d_q=8, d_a=3, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=8)
 
@@ -251,7 +251,7 @@ def test_decode_state_six_components():
     params = init_params(TINY, seed=0)
     out = decode_states(params, np.linspace(-1, 1, TINY.d_q)[None, :])
     assert out.shape == (1, 6)
-    assert isinstance(StateVector.from_array(out[0]), StateVector)
+    assert isinstance(state_from_array(out[0]), StateVector)
 
 
 # --- context selection -------------------------------------------------------
@@ -297,7 +297,7 @@ def test_tdi_single_live_slot():
     assert scores[0, 0] > 0.0
     assert np.all(scores[0, 1:] == 0.0)
     assert states.shape == (1, 6)
-    assert isinstance(StateVector.from_array(states[0]), StateVector)
+    assert isinstance(state_from_array(states[0]), StateVector)
 
 
 def test_tdi_scores_in_sigmoid_range():

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kalman_predict_reference, kalman_update_reference
+from oracles import (
+    NOISELESS,
+    kalman_predict_reference,
+    kalman_update_reference,
+    state_from_array,
+)
 from sttrack import assign
 from sttrack.core import Box7, ClassId, Detection, StateVector, bev_iou
 from sttrack.kalman import (
@@ -26,7 +31,6 @@ from sttrack.runtime import (
     Track,
     Tracker,
     TrackerOutput,
-    make_backend,
     run_sequence,
 )
 from sttrack.sim import (
@@ -194,7 +198,7 @@ def test_kalman_tracker_lifecycle_rules(stream, max_misses):
             assert backend.bank.mean[i].tobytes() == filters[tid].mean.tobytes()
             assert backend.bank.covariance[i].tobytes() == filters[tid].covariance.tobytes()
         for row in rows:
-            assert row.state == StateVector.from_array(filters[row.track_id].mean)
+            assert row.state == state_from_array(filters[row.track_id].mean)
 
 
 TINY_STT = SttConfig(d_q=8, d_a=3, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=8)
@@ -298,7 +302,7 @@ def zero_noise_scenario(n_objects=4, frames=30):
         )
         for i in range(n_objects)
     )
-    cfg = SimConfig(frames=frames, noise=NoiseModel.noiseless())
+    cfg = SimConfig(frames=frames, noise=NOISELESS)
     return generate(cfg, specs, seed=0)
 
 
@@ -390,20 +394,6 @@ def test_stt_backend_runs_and_is_deterministic():
     for row in first_rows:
         assert row.state.velocity == (0.0, 0.0)
         assert row.state.acceleration == (0.0, 0.0)
-
-
-def test_make_backend_dispatch():
-    lifecycle = LifecycleConfig()
-    assert isinstance(make_backend("kalman", 0.1, lifecycle), KalmanBackend)
-    cfg = SttConfig(d_q=8, d_a=4, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=8)
-    params = init_params(cfg, seed=0)
-    assert isinstance(
-        make_backend("stt", 0.1, lifecycle, stt_params=params, stt_cfg=cfg), SttBackend
-    )
-    with pytest.raises(ValueError):
-        make_backend("stt", 0.1, lifecycle)
-    with pytest.raises(ValueError):
-        make_backend("nope", 0.1, lifecycle)
 
 
 def kf_track(tid, box, velocity, params):

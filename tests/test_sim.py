@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import NOISELESS
 from sttrack.core import ClassId
 from sttrack.sim import (
     FALSE_POSITIVE,
@@ -37,7 +38,7 @@ def cv_spec(vx, vy, x=0.0, y=0.0):
 
 
 def test_static_zero_noise_three_frames():
-    cfg = SimConfig(frames=3, noise=NoiseModel.noiseless())
+    cfg = SimConfig(frames=3, noise=NOISELESS)
     scenario = generate(cfg, (static_spec(),), seed=0)
     assert len(scenario.detections) == 3
     dets = [frame[0] for frame in scenario.detections]
@@ -49,7 +50,7 @@ def test_static_zero_noise_three_frames():
 
 
 def test_constant_velocity_advances_per_frame():
-    cfg = SimConfig(frames=5, dt=0.1, noise=NoiseModel.noiseless())
+    cfg = SimConfig(frames=5, dt=0.1, noise=NOISELESS)
     scenario = generate(cfg, (cv_spec(2.0, 0.0),), seed=0)
     xs = [t.center[0] for t in scenario.gt_tracks[0].boxes]
     deltas = np.diff(xs)
@@ -66,7 +67,7 @@ def test_deterministic_for_fixed_seed():
 
 
 def test_zero_noise_detections_equal_ground_truth():
-    cfg = SimConfig(frames=10, noise=NoiseModel.noiseless())
+    cfg = SimConfig(frames=10, noise=NOISELESS)
     scenario = generate(cfg, (cv_spec(1.5, -0.5), static_spec(x=10.0)), seed=3)
     for k, frame in enumerate(scenario.detections):
         assert len(frame) == 2
@@ -77,7 +78,7 @@ def test_zero_noise_detections_equal_ground_truth():
 
 
 def test_motion_feature_is_velocity_observation():
-    cfg = SimConfig(frames=6, noise=NoiseModel.noiseless())
+    cfg = SimConfig(frames=6, noise=NOISELESS)
     scenario = generate(cfg, (cv_spec(2.0, 1.0),), seed=0)
     first = scenario.detections[0][0]
     assert first.motion == (0.0, 0.0)
