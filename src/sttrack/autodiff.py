@@ -3,6 +3,12 @@
 Float64 throughout, single-threaded, deterministic. Just enough surface to
 express small MLP/attention networks and their losses; shapes stay desk
 scale, so clarity and exact gradients win over throughput everywhere.
+
+`Tensor.backward` starts every node's `grad` at None and runs only the nodes
+a gradient reached; every backward rule adds its contributions through
+`_accumulate`, so a node's first contribution allocates its gradient. A
+parameter the output does not depend on keeps `grad is None`, which
+`AdamW.step` reads as a zero gradient.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar output."""
+        """Reverse-mode pass from a scalar output; a node that receives no
+        gradient keeps `grad is None`."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -72,10 +79,10 @@ class Tensor:
             for parent in node._parents:
                 stack.append((parent, False))
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward_fn is not None:
+            if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
 
@@ -90,6 +97,22 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
         out._parents = parents
         out._backward_fn = backward_fn
     return out
+
+
+def _accumulate(t: Tensor, x: np.ndarray, op=np.add) -> None:
+    """Add (or with `op=np.subtract`, subtract) a gradient contribution to
+    `t.grad`.
+
+    The first contribution is stored as `op(0.0, x)` in a fresh C-contiguous
+    array of `t`'s shape: the bits a zero-filled buffer would hold, and never
+    a view of an upstream gradient, which a later in-place contribution would
+    overwrite and whose strides (a transposed view) would change BLAS's
+    summation order.
+    """
+    if t.grad is None:
+        t.grad = op(0.0, x, out=np.empty(t.shape))
+    else:
+        op(t.grad, x, out=t.grad)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -118,9 +141,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.shape)
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -131,9 +154,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.grad -= _unbroadcast(g, b.shape)
+            _accumulate(b, _unbroadcast(g, b.shape), np.subtract)
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -144,9 +167,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -157,9 +180,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g / b.data, a.shape)
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(a.data / b.data, (a, b), backward)
 
@@ -170,7 +193,7 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * mask
+            _accumulate(a, g * mask)
 
     return _make(np.where(mask, a.data, 0.0), (a,), backward)
 
@@ -183,7 +206,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * out * (1.0 - out)
+            _accumulate(a, g * out * (1.0 - out))
 
     return _make(out, (a,), backward)
 
@@ -198,7 +221,7 @@ def softplus(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * sig
+            _accumulate(a, g * sig)
 
     return _make(out, (a,), backward)
 
@@ -209,7 +232,7 @@ def sqrt(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * 0.5 / out
+            _accumulate(a, g * 0.5 / out)
 
     return _make(out, (a,), backward)
 
@@ -220,7 +243,7 @@ def abs_(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * sign
+            _accumulate(a, g * sign)
 
     return _make(np.abs(a.data), (a,), backward)
 
@@ -237,13 +260,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(
-                np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape
-            )
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(
-                np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape
-            )
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return _make(np.matmul(a.data, b.data), (a, b), backward)
 
@@ -253,7 +272,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g.reshape(a.shape)
+            _accumulate(a, g.reshape(a.shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
 
@@ -266,7 +285,7 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g.transpose(inverse)
+            _accumulate(a, g.transpose(inverse))
 
     return _make(a.data.transpose(axes), (a,), backward)
 
@@ -281,7 +300,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             if t.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(lo, hi)
-                t.grad += g[tuple(index)]
+                _accumulate(t, g[tuple(index)])
 
     return _make(
         np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward
@@ -294,12 +313,10 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not a.requires_grad:
             return
-        if axis is None:
-            a.grad += g  # scalar broadcast
-        elif keepdims:
-            a.grad += g
+        if axis is None or keepdims:  # a scalar g broadcasts to a's shape
+            _accumulate(a, g)
         else:
-            a.grad += np.expand_dims(g, axis)
+            _accumulate(a, np.expand_dims(g, axis))
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -311,12 +328,10 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not a.requires_grad:
             return
-        if axis is None:
-            a.grad += g / count
-        elif keepdims:
-            a.grad += g / count
+        if axis is None or keepdims:
+            _accumulate(a, g / count)
         else:
-            a.grad += np.expand_dims(g, axis) / count
+            _accumulate(a, np.expand_dims(g, axis) / count)
 
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -330,7 +345,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         if a.requires_grad:
             inner = (g * out).sum(axis=axis, keepdims=True)
-            a.grad += out * (g - inner)
+            _accumulate(a, out * (g - inner))
 
     return _make(out, (a,), backward)
 

@@ -75,6 +75,42 @@ def load_checkpoint_for(cfg: RunConfig, path: Path):
     return {name: autodiff.Tensor(data) for name, data in arrays.items()}, metadata
 
 
+def _check_widths(path: Path, frames, stt: model.SttConfig) -> None:
+    """Raise FormatError naming `path` when its detections' appearance or
+    motion width is not the model's `d_a` or `d_m`. The readers have checked
+    that every row of the file has its first row's widths."""
+    first = next((det for frame in frames for det in frame), None)
+    if first is None:
+        return
+    for key, width, field in (
+        ("appearance", len(first.appearance), "d_a"),
+        ("motion", len(first.motion), "d_m"),
+    ):
+        if width != getattr(stt, field):
+            raise formats.FormatError(
+                f"{path}: {key} width {width} != configured stt.{field} "
+                f"{getattr(stt, field)}"
+            )
+
+
+def _training_set(
+    data_dir: Path, names: list[str], stt: model.SttConfig
+) -> tuple[np.ndarray, list[model.TrainingExample]]:
+    """(table, examples) of the named scenes: their feature tables stacked
+    into one, and the examples of every scene, which index it."""
+    tables, examples = [], []
+    rows = 0
+    for name in names:
+        det_path = data_dir / f"{name}.det.jsonl"
+        scenario = formats.read_scenario(data_dir / f"{name}.gt.jsonl", det_path)
+        _check_widths(det_path, scenario.detections, stt)
+        table, found = extract_examples(scenario, stt, first_row=rows)
+        tables.append(table)
+        examples.extend(found)
+        rows += len(table)
+    return np.concatenate(tables), examples
+
+
 def train_on_directory(
     cfg: RunConfig, data_dir: Path, out_dir: Path, steps: int | None = None
 ) -> Path:
@@ -82,17 +118,12 @@ def train_on_directory(
     replaces the config's `train.steps`, also as the end of the lr decay."""
     settings = cfg.train if steps is None else dataclasses.replace(cfg.train, steps=steps)
     names = scenario_names(data_dir)[: settings.train_scenarios]
-    examples = []
-    for name in names:
-        scenario = formats.read_scenario(
-            data_dir / f"{name}.gt.jsonl", data_dir / f"{name}.det.jsonl"
-        )
-        examples.extend(extract_examples(scenario, cfg.stt))
+    table, examples = _training_set(data_dir, names, cfg.stt)
     if len(examples) > settings.max_examples:
         rng = np.random.default_rng((cfg.seed, 2))
         keep = rng.choice(len(examples), size=settings.max_examples, replace=False)
         examples = [examples[i] for i in sorted(keep)]
-    params, log = model.train(examples, cfg.stt, settings, seed=cfg.seed)
+    params, log = model.train(table, examples, cfg.stt, settings, seed=cfg.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "model.ckpt"
     autodiff.save_checkpoint(
@@ -118,10 +149,12 @@ def _track_one(
     name: str,
     stt_arrays: dict | None,
 ) -> dict:
-    dt, detections = formats.read_detections(data_dir / f"{name}.det.jsonl")
+    det_path = data_dir / f"{name}.det.jsonl"
+    dt, detections = formats.read_detections(det_path)
     frames = len(detections)
     lifecycle = cfg.tracking_lifecycle()
     if backend_kind == "stt":
+        _check_widths(det_path, detections, cfg.stt)
         params = {k: autodiff.Tensor(v) for k, v in stt_arrays.items()}
         backend = SttBackend(params, cfg.stt, lifecycle, dt)
     else:

@@ -242,8 +242,3 @@ def extrapolate(s: StateVector, dt: float) -> StateVector:
         (vx + ax * dt, vy + ay * dt),
         (ax, ay),
     )
-
-
-def center_distance(pred: StateVector, b: Box7) -> float:
-    """XY Euclidean distance between a predicted position and a box center."""
-    return math.hypot(pred.position[0] - b.center[0], pred.position[1] - b.center[1])

@@ -23,7 +23,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from . import assign
-from .core import Box7, ClassId, StateVector, bev_iou_matrix, to_plain
+from .core import Box7, ClassId, StateVector, bev_iou_matrix, check_fields, to_plain
 from .sim import SpeedThresholds, speed_class
 
 STATE_TYPES = ("position", "velocity", "acceleration")
@@ -56,15 +56,13 @@ class MatchingPolicy:
     speed_thresholds: SpeedThresholds = field(default_factory=SpeedThresholds)
 
     def __post_init__(self) -> None:
-        for value in self.iou_threshold.values():
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"IoU threshold must be in (0, 1], got {value}")
-        for per_class in self.state_thresholds.values():
-            for state, value in per_class.items():
-                if state not in GATED_STATES:
-                    raise ValueError(f"unknown gated state type: {state!r}")
-                if value <= 0:
-                    raise ValueError(f"state threshold must be positive, got {value}")
+        gates = [gate for per in self.state_thresholds.values() for gate in per.items()]
+        check_fields(self, (
+            ("iou_threshold", all(0 < v <= 1 for v in self.iou_threshold.values()),
+             "in (0, 1] for every class"),
+            ("state_thresholds", all(s in GATED_STATES and v > 0 for s, v in gates),
+             "> 0 for every class and gated state ('velocity', 'acceleration')"),
+        ))
 
     def mota_only(self) -> "MatchingPolicy":
         """This policy with every stateful gate disabled: plain MOTA."""

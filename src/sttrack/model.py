@@ -13,12 +13,17 @@ All positions are encoded relative to the track's last observed position
 state positions are anchor-relative and the caller adds the anchor back.
 
 Training and inference share one input path. `detection_features` turns a
-list of detections into encoder rows in one pass; `_pad` places groups of
-rows (a history or a context per track) into the first slots of padded
-(B, W, F) arrays with a mask, relative to each group's anchor; and
-`_history_inputs` adds the recency one-hots and pooling weights. `pack_batch`
-(training), `queries_from_histories` and `context_scores` (tracking) all go
-through them, so a detection is featurized the same way wherever it is read.
+list of detections into encoder rows in one pass, and each detection is
+featurized once: `extract_examples` builds one feature table per training
+scene, and a `TrainingExample` names its history and context detections by
+row of that table; the online tracker featurizes each frame's detections
+once and keeps each track's history rows. `_pad` places groups of rows (a
+history or a context per track) into the first slots of padded (B, W, F)
+arrays with a mask, relative to each group's anchor, and `_history_inputs`
+adds the recency one-hots and pooling weights. `pack_batch` (training),
+`queries_from_histories` and `context_scores` (tracking) all go through
+them. `select_context` ranks the detections of a frame around many positions
+at once, for training examples and tracking alike.
 
 This module owns the run config's `stt` and `train` sections: `SttConfig`
 and `TrainSettings` are the sections as decoded, and each checks its own
@@ -38,7 +43,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
-from .core import Detection, StateVector, center_distance, check_fields
+from .core import Detection, StateVector, check_fields
 from .sim import FALSE_POSITIVE, Scenario
 
 GEOMETRY_WIDTH = 8  # rel cx, rel cy, w, l, h, sin(heading), cos(heading), conf
@@ -102,8 +107,11 @@ class SttConfig:
 
 @dataclass(frozen=True, slots=True)
 class TrainingExample:
-    history: tuple[Detection, ...]  # <= t_max, ordered by frame, up to t-1
-    context: tuple[Detection, ...]  # <= k_max, at frame t
+    """One (object, frame t) example; its detections are rows of the feature
+    table of its training set (see `extract_examples`)."""
+
+    history: tuple[int, ...]  # <= t_max rows, ordered by frame, up to t-1
+    context: tuple[int, ...]  # <= k_max rows, at frame t
     labels: tuple[int, ...]  # 0/1 per context detection; at most one 1
     state_t: StateVector  # ground truth at t, absolute coordinates
     state_prev: StateVector  # ground truth at t-1, absolute coordinates
@@ -201,44 +209,46 @@ def detection_features(dets: list[Detection], cfg: SttConfig) -> np.ndarray:
 
 
 def _pad(
-    groups: list[Sequence[Detection]],
-    anchors: list[tuple[float, float]],
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    anchors: Sequence[tuple[float, float]],
     cfg: SttConfig,
     limit: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Featurize groups of detections into the first slots of (B, W, F).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Place groups of `detection_features` rows into the first slots of
+    (B, W, F), each group's positions relative to its anchor.
 
+    `rows` holds the groups one after another and `lengths` (B,) their sizes;
     W is the config field `limit` names ("t_max" or "k_max"). Returns
-    (features, mask (B, W) bool, lengths (B,)); each group's positions are
-    relative to its anchor.
+    (features, mask (B, W) bool); padded slots are zero.
     """
     width = getattr(cfg, limit)
-    lengths = np.array([len(group) for group in groups], dtype=int)
-    if len(groups) and lengths.max() > width:
+    if len(lengths) and lengths.max() > width:
         raise ValueError(f"group of {lengths.max()} detections exceeds {limit} {width}")
     mask = np.arange(width) < lengths[:, None]
-    rows = detection_features([det for group in groups for det in group], cfg)
-    anchor_rows = np.repeat(np.asarray(anchors, dtype=float).reshape(-1, 2), lengths, axis=0)
-    rows[:, :2] -= anchor_rows
-    feat = np.zeros((len(groups), width, cfg.feature_width))
+    feat = np.zeros((len(lengths), width, cfg.feature_width))
     feat[mask] = rows
-    return feat, mask, lengths
+    anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
+    feat[mask, :2] -= np.repeat(anchors, lengths, axis=0)
+    return feat, mask
 
 
 def _history_inputs(
-    histories: list[Sequence[Detection]],
-    anchors: list[tuple[float, float]],
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    anchors: Sequence[tuple[float, float]],
     cfg: SttConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(features, mask, recency one-hots, pooling weights) for histories.
+    """(features, mask, recency one-hots, pooling weights) for histories,
+    given as `_pad` takes them.
 
     Each history sits in the first slots in frame order; its j-th of n
     detections takes recency index t_max - n + j in the positional table.
     """
-    feat, mask, lengths = _pad(histories, anchors, cfg, "t_max")
-    if len(histories) and lengths.min() < 1:
+    if len(lengths) and lengths.min() < 1:
         raise ValueError("history must be non-empty")
-    b, t = len(histories), cfg.t_max
+    feat, mask = _pad(rows, lengths, anchors, cfg, "t_max")
+    b, t = len(lengths), cfg.t_max
     rows, slots = np.nonzero(mask)
     onehot = np.zeros((b, t, t))
     onehot[rows, slots, t - lengths[rows] + slots] = 1.0
@@ -275,13 +285,24 @@ class Batch:
         return self.hist_feat.shape[0]
 
 
-def pack_batch(examples: list[TrainingExample], cfg: SttConfig) -> Batch:
-    """Featurize and pad examples into batch arrays."""
+def pack_batch(
+    table: np.ndarray, examples: list[TrainingExample], cfg: SttConfig
+) -> Batch:
+    """Gather examples' rows of their feature `table` into batch arrays."""
     anchors = [ex.anchor for ex in examples]
     hist_feat, hist_mask, pe_onehot, pool_weights = _history_inputs(
-        [ex.history for ex in examples], anchors, cfg
+        table[[row for ex in examples for row in ex.history]],
+        np.array([len(ex.history) for ex in examples], dtype=int),
+        anchors,
+        cfg,
     )
-    ctx_feat, ctx_mask, _ = _pad([ex.context for ex in examples], anchors, cfg, "k_max")
+    ctx_feat, ctx_mask = _pad(
+        table[[row for ex in examples for row in ex.context]],
+        np.array([len(ex.context) for ex in examples], dtype=int),
+        anchors,
+        cfg,
+        "k_max",
+    )
     labels = np.zeros(ctx_mask.shape)
     labels[ctx_mask] = [label for ex in examples for label in ex.labels]
     target_t = [state_targets(ex.state_t, ex.anchor) for ex in examples]
@@ -442,86 +463,107 @@ def loss_components_batch(
 
 # --- context selection -------------------------------------------------------
 
+# `math.hypot` element-wise: `np.hypot` differs from it in the last bit for
+# about one pair in 170, which can reorder detections at equal distances.
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
 
 def select_context(
-    track_pred: StateVector, dets: list[Detection], d: float, k: int
-) -> list[Detection]:
-    """The <= k nearest detections within radius d of the predicted position."""
+    positions: Sequence[tuple[float, float]] | np.ndarray,
+    centers: np.ndarray,
+    ids: Sequence[int],
+    d: float,
+    k: int,
+) -> list[np.ndarray]:
+    """For each of P positions, the indices of the <= k detections whose
+    centres lie within distance d of it, nearest first.
+
+    One (P, N) distance matrix ranks every position against the N detection
+    `centers` (N, 2) of a frame; equal distances are ordered by the
+    detections' `ids`.
+    """
     if d <= 0 or k < 1:
         raise ValueError("need d > 0 and k >= 1")
-    ranked = []
-    for det in dets:
-        dist = center_distance(track_pred, det.box)
-        if dist < d:
-            ranked.append((dist, det.detection_id, det))
-    ranked.sort(key=lambda item: (item[0], item[1]))
-    return [det for _, _, det in ranked[:k]]
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    dist = _hypot(
+        positions[:, 0, None] - centers[:, 0], positions[:, 1, None] - centers[:, 1]
+    ).astype(float)
+    order = np.lexsort((np.broadcast_to(np.asarray(ids), dist.shape), dist))
+    counts = np.minimum((dist < d).sum(axis=1), k)
+    return [row[:n] for row, n in zip(order, counts.tolist())]
 
 
 # --- dataset extraction ------------------------------------------------------
 
 
 def extract_examples(
-    scenario: Scenario, cfg: SttConfig, max_per_object: int | None = None
-) -> list[TrainingExample]:
+    scenario: Scenario, cfg: SttConfig, first_row: int = 0
+) -> tuple[np.ndarray, list[TrainingExample]]:
     """Build supervised examples from simulator provenance.
 
-    One example per (object, frame) where the object has at least one prior
-    associated detection: the history is its last <= t_max detections before
-    frame t, the context is selected around the ground-truth state at t, and
-    the positive label marks the object's own detection when present.
+    Returns (table, examples). The (N, F) `detection_features` table holds
+    every detection of the scene, frame after frame; examples name their
+    detections by table row plus `first_row`, so that the tables of several
+    scenes stack. One example per (object, frame) where the object has at
+    least one prior associated detection: the history is its last <= t_max
+    detections before frame t, the context is selected around the
+    ground-truth state at t, and the positive label marks the object's own
+    detection when present.
     """
-    per_object: dict[int, list[tuple[int, Detection]]] = {}
-    for k, (frame, prov) in enumerate(zip(scenario.detections, scenario.provenance)):
-        for det, oid in zip(frame, prov):
+    dets = [det for frame in scenario.detections for det in frame]
+    table = detection_features(dets, cfg)
+    starts = np.cumsum([0] + [len(frame) for frame in scenario.detections]).tolist()
+    # one int object per row, shared by every example that names the row
+    names = list(range(first_row, first_row + len(dets)))
+
+    per_object: dict[int, list[tuple[int, int]]] = {}  # oid -> [(frame, row)]
+    for t, prov in enumerate(scenario.provenance):
+        for row, oid in enumerate(prov, start=starts[t]):
             if oid != FALSE_POSITIVE:
-                per_object.setdefault(oid, []).append((k, det))
+                per_object.setdefault(oid, []).append((t, row))
+
+    # contexts[t][i]: frame-t context of gt track i, as rows of the table
+    contexts = [
+        [
+            starts[t] + cols
+            for cols in select_context(
+                [track.states[t].position for track in scenario.gt_tracks],
+                table[starts[t] : starts[t + 1], :2],
+                [det.detection_id for det in scenario.detections[t]],
+                cfg.context_radius,
+                cfg.k_max,
+            )
+        ]
+        for t in range(scenario.frames)
+    ]
 
     examples: list[TrainingExample] = []
-    for track in scenario.gt_tracks:
+    for i, track in enumerate(scenario.gt_tracks):
         obs = per_object.get(track.object_id, [])
         if not obs:
             continue
         obs_frames = [frame for frame, _ in obs]
-        count = 0
         ptr = 0  # number of observations strictly before frame t
         for t in range(obs_frames[0] + 1, scenario.frames):
             while ptr < len(obs) and obs_frames[ptr] < t:
                 ptr += 1
-            prior = [det for _, det in obs[max(0, ptr - cfg.t_max) : ptr]]
-            if not prior:
-                continue
-            context = select_context(
-                track.states[t],
-                list(scenario.detections[t]),
-                cfg.context_radius,
-                cfg.k_max,
-            )
+            context = contexts[t][i].tolist()
             if not context:
                 continue
-            own_id = (
-                obs[ptr][1].detection_id
-                if ptr < len(obs) and obs_frames[ptr] == t
-                else None
-            )
-            labels = tuple(
-                1 if det.detection_id == own_id else 0 for det in context
-            )
-            anchor = prior[-1].box.center_xy
+            prior = [row for _, row in obs[max(0, ptr - cfg.t_max) : ptr]]
+            own = obs[ptr][1] if ptr < len(obs) and obs_frames[ptr] == t else None
             examples.append(
                 TrainingExample(
-                    history=tuple(prior),
-                    context=tuple(context),
-                    labels=labels,
+                    history=tuple([names[row] for row in prior]),
+                    context=tuple([names[row] for row in context]),
+                    labels=tuple(1 if row == own else 0 for row in context),
                     state_t=track.states[t],
                     state_prev=track.states[t - 1],
-                    anchor=anchor,
+                    anchor=dets[prior[-1]].box.center_xy,
                 )
             )
-            count += 1
-            if max_per_object is not None and count >= max_per_object:
-                break
-    return examples
+    return table, examples
 
 
 # --- training ----------------------------------------------------------------
@@ -574,12 +616,14 @@ class TrainSettings:
 
 
 def train(
+    table: np.ndarray,
     examples: list[TrainingExample],
     cfg: SttConfig,
     settings: TrainSettings,
     seed: int,
 ) -> tuple[dict[str, Tensor], list[dict[str, float]]]:
-    """Train on a fixed example set; deterministic for a fixed seed."""
+    """Train on a fixed example set whose rows index `table`; deterministic
+    for a fixed seed."""
     if not examples:
         raise ValueError("training requires a non-empty dataset")
     rng = np.random.default_rng(seed)
@@ -595,7 +639,7 @@ def train(
     n = len(examples)
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, n, size=min(settings.batch_size, n))
-        batch = pack_batch([examples[i] for i in idx], cfg)
+        batch = pack_batch(table, [examples[i] for i in idx], cfg)
         losses = loss_components_batch(params, cfg, batch)
         total = losses["total"]
         if not math.isfinite(total.item()):
@@ -632,11 +676,16 @@ def write_training_log(path, log: list[dict[str, float]]) -> None:
 def queries_from_histories(
     params: dict[str, Tensor],
     cfg: SttConfig,
-    histories: list[list[Detection]],
-    anchors: list[tuple[float, float]],
+    rows: np.ndarray,
+    lengths: Sequence[int],
+    anchors: Sequence[tuple[float, float]],
 ) -> np.ndarray:
-    """Track queries for a batch of 1..t_max-long detection histories."""
-    feat, mask, onehot, pool = _history_inputs(histories, anchors, cfg)
+    """Track queries for a batch of 1..t_max-long detection histories, given
+    as `_pad` takes them: their `detection_features` rows one history after
+    another, and each history's length."""
+    feat, mask, onehot, pool = _history_inputs(
+        rows, np.asarray(lengths, dtype=int), anchors, cfg
+    )
     with ad.no_grad():
         emb = encode_batch(params, Tensor(feat))
         query = temporal_fuse_batch(params, cfg, emb, mask, onehot, pool)
@@ -647,17 +696,20 @@ def context_scores(
     params: dict[str, Tensor],
     cfg: SttConfig,
     queries: np.ndarray,
-    contexts: list[list[Detection]],
-    anchors: list[tuple[float, float]],
+    rows: np.ndarray,
+    lengths: Sequence[int],
+    anchors: Sequence[tuple[float, float]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Association scores and current-frame states for a batch of tracks.
+    """Association scores and current-frame states for a batch of tracks
+    whose contexts are given as `_pad` takes them.
 
     Returns (scores (B, k_max), states (B, 6) anchor-relative). Every context
     must hold 1..k_max detections; padded slots score exactly zero.
     """
-    if not all(contexts):
+    lengths = np.asarray(lengths, dtype=int)
+    if len(lengths) and lengths.min() < 1:
         raise ValueError("context must be non-empty")
-    feat, mask, _ = _pad(contexts, anchors, cfg, "k_max")
+    feat, mask = _pad(rows, lengths, anchors, cfg, "k_max")
     with ad.no_grad():
         ctx_emb = encode_batch(params, Tensor(feat))
         scores, _, states = tdi_batch(

@@ -11,7 +11,8 @@ Each piece of track state has one owner. The `Tracker` owns the lifecycle:
 one mutable `Track` per live id with its recent detections, the frame and
 state of its last match and its misses, written only by `Tracker.step`. The
 estimators' own state lives in the backends: `KalmanBackend.bank` holds the
-filters and `SttBackend.queries` the track queries, both keyed by track id
+filters, and `SttBackend.queries` and `SttBackend.history_rows` the track
+queries and the feature rows of each track's history, all keyed by track id
 and dropped by `forget` when the tracker deletes a track.
 """
 
@@ -38,6 +39,7 @@ from .model import (
     SttConfig,
     context_scores,
     decode_states,
+    detection_features,
     queries_from_histories,
     select_context,
 )
@@ -164,9 +166,13 @@ class KalmanBackend:
 class SttBackend:
     """Learned association: per-track context scoring with stored queries.
 
-    `queries` maps each live track id to its query, the fused encoding of its
-    last `t_max` detections; `create_tracks` and `update_matched` set it and
-    `forget` drops it.
+    `frame_costs` featurizes the frame's detections once; those rows serve
+    the frame's context scoring, the matched tracks' new queries and the new
+    tracks. Per live track id the backend keeps `history_rows`, the
+    `detection_features` rows of the detections in the tracker's
+    `Track.history` (its last `lifecycle.max_history` matches, in order), and
+    `queries`, the fused encoding of its last `t_max` detections;
+    `create_tracks` and `update_matched` set both and `forget` drops them.
     """
 
     def __init__(
@@ -181,48 +187,62 @@ class SttBackend:
         self.lifecycle = lifecycle
         self.dt = dt
         self.queries: dict[int, np.ndarray] = {}
+        self.history_rows: dict[int, np.ndarray] = {}
         self._tdi_states: dict[int, StateVector] = {}
+        self._frame_index: int | None = None
+        self._frame_rows = np.empty((0, cfg.feature_width))
+        self._row_of: dict[int, int] = {}  # detection id -> row of _frame_rows
+
+    def _rows(self, frame_index: int, dets: list[Detection]) -> np.ndarray:
+        """The feature rows of `dets`, detections of the frame `frame_costs`
+        featurized last."""
+        if frame_index != self._frame_index:
+            raise ValueError(
+                f"frame {frame_index}: frame_costs ran last for frame {self._frame_index}"
+            )
+        return self._frame_rows[[self._row_of[det.detection_id] for det in dets]]
 
     def frame_costs(
         self, frame_index: int, tracks: list[Track], dets: list[Detection]
     ) -> np.ndarray:
+        self._frame_index = frame_index
+        self._frame_rows = detection_features(dets, self.cfg)
+        self._row_of = {det.detection_id: j for j, det in enumerate(dets)}
         costs = np.full((len(tracks), len(dets)), assign.FORBIDDEN)
         self._tdi_states = {}
         if not tracks or not dets:
             return costs
-        col_of = {det.detection_id: j for j, det in enumerate(dets)}
-        live_rows: list[int] = []
-        contexts: list[list[Detection]] = []
-        anchors: list[tuple[float, float]] = []
-        for i, track in enumerate(tracks):
-            pred = extrapolate(track.state, (frame_index - track.frame) * self.dt)
-            context = select_context(
-                pred, dets, self.cfg.context_radius, self.cfg.k_max
-            )
-            if not context:
-                continue
-            live_rows.append(i)
-            contexts.append(context)
-            anchors.append(track.history[-1].box.center_xy)
+        contexts = select_context(
+            [
+                extrapolate(track.state, (frame_index - track.frame) * self.dt).position
+                for track in tracks
+            ],
+            self._frame_rows[:, :2],
+            [det.detection_id for det in dets],
+            self.cfg.context_radius,
+            self.cfg.k_max,
+        )
+        live_rows = [i for i, context in enumerate(contexts) if len(context)]
         if not live_rows:
             return costs
+        lengths = [len(contexts[i]) for i in live_rows]
+        cols = np.concatenate([contexts[i] for i in live_rows])
+        anchors = [tracks[i].history[-1].box.center_xy for i in live_rows]
         queries = np.stack([self.queries[tracks[i].track_id] for i in live_rows])
         scores, states = context_scores(
-            self.params, self.cfg, queries, contexts, anchors
+            self.params, self.cfg, queries, self._frame_rows[cols], lengths, anchors
         )
-        threshold = self.lifecycle.creation_score_threshold
-        for row, i in enumerate(live_rows):
-            anchor = anchors[row]
-            rel = states[row]
+        for i, anchor, rel in zip(live_rows, anchors, states):
             self._tdi_states[tracks[i].track_id] = StateVector(
                 (rel[0] + anchor[0], rel[1] + anchor[1]),
                 (rel[2], rel[3]),
                 (rel[4], rel[5]),
             )
-            for j, det in enumerate(contexts[row]):
-                score = scores[row, j]
-                if score >= threshold:
-                    costs[i, col_of[det.detection_id]] = 1.0 - score
+        # scores of live slots, in the order of `cols`
+        slot_scores = scores[np.arange(scores.shape[1]) < np.array(lengths)[:, None]]
+        rows = np.repeat(live_rows, lengths)
+        keep = slot_scores >= self.lifecycle.creation_score_threshold
+        costs[rows[keep], cols[keep]] = 1.0 - slot_scores[keep]
         return costs
 
     def update_matched(
@@ -230,13 +250,23 @@ class SttBackend:
     ) -> list[StateVector]:
         if not pairs:
             return []
-        histories = [
-            (track.history + [det])[-self.cfg.t_max :] for track, det in pairs
+        new_rows = self._rows(frame_index, [det for _, det in pairs])
+        grown = [
+            np.concatenate((self.history_rows[track.track_id], row[None]))
+            for (track, _), row in zip(pairs, new_rows)
         ]
+        histories = [rows[-self.cfg.t_max :] for rows in grown]
         anchors = [det.box.center_xy for _, det in pairs]
-        queries = queries_from_histories(self.params, self.cfg, histories, anchors)
-        for (track, _), query in zip(pairs, queries):
+        queries = queries_from_histories(
+            self.params,
+            self.cfg,
+            np.concatenate(histories),
+            [len(rows) for rows in histories],
+            anchors,
+        )
+        for (track, _), query, rows in zip(pairs, queries, grown):
             self.queries[track.track_id] = query
+            self.history_rows[track.track_id] = rows[-self.lifecycle.max_history :]
         if self.cfg.state_source == "tsd":
             return [
                 StateVector(
@@ -259,16 +289,19 @@ class SttBackend:
     ) -> list[StateVector]:
         if not dets:
             return []
+        rows = self._rows(frame_index, dets)
         anchors = [det.box.center_xy for det in dets]
         queries = queries_from_histories(
-            self.params, self.cfg, [[det] for det in dets], anchors
+            self.params, self.cfg, rows, [1] * len(dets), anchors
         )
         self.queries.update(zip(track_ids, queries))
+        self.history_rows.update(zip(track_ids, rows[:, None]))
         return [StateVector.zero(anchor) for anchor in anchors]
 
     def forget(self, track_ids: list[int]) -> None:
         for tid in track_ids:
             del self.queries[tid]
+            del self.history_rows[tid]
 
 
 class Tracker:

@@ -79,18 +79,17 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         sigmas = (
-            self.center_sigma,
-            self.heading_sigma,
-            self.size_sigma,
-            self.appearance_sigma,
-            self.confidence_noise,
+            "center_sigma",
+            "heading_sigma",
+            "size_sigma",
+            "appearance_sigma",
+            "confidence_noise",
         )
-        if not all(s >= 0 for s in sigmas):  # also rejects NaN
-            raise ValueError(f"noise sigmas must be >= 0, got {sigmas}")
-        if not 0.0 <= self.miss_prob < 1.0:
-            raise ValueError(f"miss_prob must be in [0, 1), got {self.miss_prob}")
-        if not self.fp_rate >= 0:
-            raise ValueError(f"fp_rate must be >= 0, got {self.fp_rate}")
+        check_fields(self, (
+            *((name, getattr(self, name) >= 0, ">= 0") for name in sigmas),
+            ("miss_prob", 0 <= self.miss_prob < 1, "in [0, 1)"),
+            ("fp_rate", self.fp_rate >= 0, ">= 0"),
+        ))
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 
+from sttrack.autodiff import Tensor
 from sttrack.core import Box7, Detection, StateVector
 from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
 from sttrack.metrics import EvalBox, Evaluator, MatchingPolicy
 from sttrack.model import SttConfig
-from sttrack.sim import NoiseModel, Scenario
+from sttrack.sim import FALSE_POSITIVE, NoiseModel, Scenario
 
 NOISELESS = NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -76,6 +77,80 @@ def detection_features_row(
     out[8 : 8 + cfg.d_a] = det.appearance
     out[8 + cfg.d_a :] = det.motion
     return out
+
+
+def center_distance(pred: StateVector, b: Box7) -> float:
+    """XY Euclidean distance between a predicted position and a box center."""
+    return math.hypot(pred.position[0] - b.center[0], pred.position[1] - b.center[1])
+
+
+def select_context(
+    track_pred: StateVector, dets: list[Detection], d: float, k: int
+) -> list[Detection]:
+    """The <= k nearest detections within radius d of the predicted position,
+    ranked one detection at a time by (distance, detection id)."""
+    ranked = []
+    for det in dets:
+        dist = center_distance(track_pred, det.box)
+        if dist < d:
+            ranked.append((dist, det.detection_id, det))
+    ranked.sort(key=lambda item: (item[0], item[1]))
+    return [det for _, _, det in ranked[:k]]
+
+
+def extract_examples_per_detection(scenario: Scenario, cfg: SttConfig) -> list[tuple]:
+    """`model.extract_examples`'s examples as (history, context, labels,
+    state_t, state_prev, anchor) with detections in place of table rows, each
+    context selected by the per-row `select_context`."""
+    per_object: dict[int, list[tuple[int, Detection]]] = {}
+    for t, (frame, prov) in enumerate(zip(scenario.detections, scenario.provenance)):
+        for det, oid in zip(frame, prov):
+            if oid != FALSE_POSITIVE:
+                per_object.setdefault(oid, []).append((t, det))
+    examples = []
+    for track in scenario.gt_tracks:
+        obs = per_object.get(track.object_id, [])
+        for t in range(obs[0][0] + 1 if obs else scenario.frames, scenario.frames):
+            prior = [det for frame, det in obs if frame < t][-cfg.t_max :]
+            own = [det.detection_id for frame, det in obs if frame == t]
+            context = select_context(
+                track.states[t], list(scenario.detections[t]), cfg.context_radius, cfg.k_max
+            )
+            if context:
+                examples.append((
+                    tuple(prior),
+                    tuple(context),
+                    tuple(1 if det.detection_id in own else 0 for det in context),
+                    track.states[t],
+                    track.states[t - 1],
+                    prior[-1].box.center_xy,
+                ))
+    return examples
+
+
+def zero_filled_backward(out: Tensor) -> None:
+    """Reverse-mode pass from a scalar with every node's gradient buffer
+    zero-filled before any rule runs, so each rule adds into a buffer of its
+    own; `Tensor.backward` allocates them on first contribution instead."""
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack = [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        stack.extend((parent, False) for parent in node._parents)
+    for node in topo:
+        node.grad = np.zeros_like(node.data)
+    out.grad = np.ones_like(out.data)
+    for node in reversed(topo):
+        if node._backward_fn is not None:
+            node._backward_fn(node.grad)
 
 
 _KF_H = np.zeros((2, 6))

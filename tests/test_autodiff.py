@@ -178,6 +178,46 @@ def test_grad_softmax_layernorm():
     check_grad(build, {"x": x, "g": g, "b": b})
 
 
+# --- gradient buffers --------------------------------------------------------
+
+
+@pytest.mark.parametrize("view", ["reshape", "transpose", "concat"])
+@pytest.mark.parametrize("view_first", [True, False])
+def test_gradient_through_a_view_leaves_the_upstream_gradient_unchanged(view, view_first):
+    # x's contributions: one through a view of the viewing node's gradient,
+    # one from a second consumer; either may come first
+    rng = np.random.default_rng(12)
+    x = rand_param(rng, (2, 3))
+    viewed = {
+        "reshape": lambda: ad.reshape(x, (3, 2)),
+        "transpose": lambda: ad.transpose(x),
+        "concat": lambda: ad.concat([Tensor(np.ones((2, 1))), x], axis=1),
+    }[view]()
+    w = rng.normal(0, 1, viewed.shape)
+    u = rng.normal(0, 1, x.shape)
+    terms = [ad.sum_(ad.mul(viewed, Tensor(w))), ad.sum_(ad.mul(x, Tensor(u)))]
+    ad.add(*(terms if view_first else terms[::-1])).backward()
+    assert viewed.grad.tobytes() == w.tobytes()
+    back = {"reshape": lambda: w.reshape(2, 3), "transpose": lambda: w.T,
+            "concat": lambda: w[:, 1:]}[view]()
+    assert x.grad.tobytes() == (back + u).tobytes()
+
+
+def test_parameter_without_gradient_keeps_none_and_adamw_reads_zero():
+    used = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    unused = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+    twin = Tensor(unused.data.copy(), requires_grad=True)
+    twin.grad = np.zeros(2)
+    ad.sum_(ad.mul(used, used)).backward()
+    assert unused.grad is None
+    for p in (unused, twin):
+        opt = AdamW({"used": used, "p": p}, weight_decay=0.03, **BETAS_EPS)
+        for step in (1, 2):
+            opt.step(step, 1e-2)
+    assert unused.data.tobytes() == twin.data.tobytes()
+    assert unused.grad is None
+
+
 # --- attention ---------------------------------------------------------------
 
 

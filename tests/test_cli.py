@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import shutil
 
 import pytest
 
-from sttrack import cli, formats
+from sttrack import autodiff, cli, formats, model
+from sttrack.config import load_run_config
 
 
 def simulate(tmp_path, frames=20, count=1):
@@ -121,6 +123,37 @@ def test_train_on_detections_of_another_scene_length_exits_2(tmp_path, capsys):
     assert last_error(capsys) == (
         f"{det}:1: header config frames 19 differs from 20 in {gt}"
     )
+
+
+@pytest.mark.parametrize("command", ["train", "track"])
+@pytest.mark.parametrize(
+    "overrides, reason",
+    [
+        ({"sim": {"appearance_dim": 8}, "stt": {"d_a": 8}},
+         "appearance width 16 != configured stt.d_a 8"),
+        ({"stt": {"d_m": 3}}, "motion width 2 != configured stt.d_m 3"),
+    ],
+    ids=["appearance", "motion"],
+)
+def test_detections_of_another_model_width_exit_2(tmp_path, capsys, command, overrides, reason):
+    _, data = simulate(tmp_path)  # appearance width 16, motion width 2
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(overrides))
+    if command == "train":
+        flags = ["--out", str(tmp_path / "model"), "--steps", "1"]
+    else:
+        stt = load_run_config(config).stt
+        checkpoint = tmp_path / "model.ckpt"
+        autodiff.save_checkpoint(
+            checkpoint, model.init_params(stt, seed=0), {"stt": dataclasses.asdict(stt)}
+        )
+        flags = ["--out", str(tmp_path / "tracks"), "--backend", "stt",
+                 "--checkpoint", str(checkpoint)]
+    capsys.readouterr()
+    argv = [command, "--config", str(config), "--data", str(data), *flags]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    (det,) = data.glob("*.det.jsonl")
+    assert last_error(capsys) == f"{det}: {reason}"
 
 
 @pytest.fixture(scope="module")
@@ -310,8 +343,8 @@ def test_track_backend_choice_errors(tmp_path, capsys, config, flags, code, mess
         ("track-length", "3,x", "invalid literal for int() with base 10: 'x'"),
         ("track-length", "0", "t_max must be >= 1, got 0"),
         ("noise", "1.0,abc", "could not convert string to float: 'abc'"),
-        ("noise", "-1", "noise sigmas must be >= 0, got (-0.1, 0.02, 0.02, 0.1, 0.05)"),
-        ("noise", "nan", "noise sigmas must be >= 0, got (nan, 0.02, 0.02, 0.1, 0.05)"),
+        ("noise", "-1", "center_sigma must be >= 0, got -0.1"),
+        ("noise", "nan", "center_sigma must be >= 0, got nan"),
     ],
 )
 def test_ablate_bad_values_exit_2(tmp_path, capsys, axis, values, reason):

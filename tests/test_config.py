@@ -111,6 +111,23 @@ def test_json_integer_in_float_field_reads_as_float():
             {"lifecycle": {"min_confidence": 2}},
             "invalid lifecycle: min_confidence must be in [0, 1], got 2.0",
         ),
+        (
+            {"sim": {"noise": {"heading_sigma": -0.5}}},
+            "invalid sim.noise: heading_sigma must be >= 0, got -0.5",
+        ),
+        (
+            {"sim": {"noise": {"miss_prob": 1}}},
+            "invalid sim.noise: miss_prob must be in [0, 1), got 1.0",
+        ),
+        (
+            {"policy": {"iou_threshold": {"pedestrian": 1.5}}},
+            "invalid policy: iou_threshold must be in (0, 1] for every class, got "
+            "{<ClassId.PEDESTRIAN: 'pedestrian'>: 1.5}",
+        ),
+        (
+            {"policy": {"state_thresholds": {"vehicle": {"velocity": 0}}}},
+            "invalid policy: state_thresholds must be > 0 for every class and gated state",
+        ),
     ],
 )
 def test_rejects_naming_the_path(data, message):

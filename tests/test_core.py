@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import euler_extrapolate, mc_bev_iou, state_from_array
+from oracles import center_distance, euler_extrapolate, mc_bev_iou, state_from_array
 from sttrack.core import (
     Box7,
     ClassId,
@@ -11,7 +11,6 @@ from sttrack.core import (
     StateVector,
     bev_iou,
     bev_iou_matrix,
-    center_distance,
     extrapolate,
     normalize_heading,
 )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sttrack import autodiff as ad
 from sttrack import model as m
@@ -24,23 +26,29 @@ from sttrack.model import (
 )
 from sttrack.sim import MotionProfile, NoiseModel, ObjectSpec, SimConfig, generate
 
-from oracles import detection_features_row, state_from_array
+from oracles import (
+    detection_features_row,
+    extract_examples_per_detection,
+    state_from_array,
+    zero_filled_backward,
+)
+from oracles import select_context as select_context_per_row
 
 TINY = SttConfig(d_q=8, d_a=3, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=8)
 
 
-def _evaluate_loss(examples, params, cfg, batch_size=256):
+def _evaluate_loss(table, examples, params, cfg, batch_size=256):
     """Mean total loss over a dataset (no gradient bookkeeping)."""
     total = 0.0
     with ad.no_grad():
         for lo in range(0, len(examples), batch_size):
             chunk = examples[lo : lo + batch_size]
-            batch = pack_batch(chunk, cfg)
+            batch = pack_batch(table, chunk, cfg)
             total += m.loss_components_batch(params, cfg, batch)["total"].item() * len(chunk)
     return total / len(examples)
 
 
-def _association_accuracy(examples, params, cfg, batch_size=256):
+def _association_accuracy(table, examples, params, cfg, batch_size=256):
     """Fraction of positive-labeled examples whose positive wins the argmax."""
     hits = 0
     totals = 0
@@ -49,7 +57,7 @@ def _association_accuracy(examples, params, cfg, batch_size=256):
             chunk = [ex for ex in examples[lo : lo + batch_size] if sum(ex.labels) == 1]
             if not chunk:
                 continue
-            batch = pack_batch(chunk, cfg)
+            batch = pack_batch(table, chunk, cfg)
             scores, _, _, _ = m.forward_batch(params, cfg, batch)
             predicted = scores.data.argmax(axis=1)
             expected = batch.labels.argmax(axis=1)
@@ -74,6 +82,8 @@ def make_detection(cx=0.0, cy=0.0, frame=0, det_id=0, cfg=TINY, motion=(0.0, 0.0
 
 
 def make_example(cfg=TINY, n_hist=2, n_ctx=3, positive=0, offset=(0.0, 0.0)):
+    """A `TrainingExample`'s fields with detections in place of table rows
+    (see `index_examples`)."""
     ox, oy = offset
     history = tuple(
         make_detection(ox + 0.1 * i, oy, frame=i, det_id=i, cfg=cfg)
@@ -87,7 +97,30 @@ def make_example(cfg=TINY, n_hist=2, n_ctx=3, positive=0, offset=(0.0, 0.0)):
     anchor = history[-1].box.center_xy
     state_t = StateVector((ox + 0.2, oy), (1.0, 0.0), (0.1, 0.0))
     state_prev = StateVector((ox + 0.1, oy), (1.0, 0.0), (0.1, 0.0))
-    return TrainingExample(history, context, labels, state_t, state_prev, anchor)
+    return history, context, labels, state_t, state_prev, anchor
+
+
+def index_examples(raw, cfg=TINY):
+    """(table, examples): the feature table of `make_example`-style raw
+    examples' detections, and TrainingExamples that name them by row."""
+    dets, examples = [], []
+    for history, context, *rest in raw:
+        rows = []
+        for group in (history, context):
+            rows.append(tuple(range(len(dets), len(dets) + len(group))))
+            dets.extend(group)
+        examples.append(TrainingExample(*rows, *rest))
+    return detection_features(dets, cfg), examples
+
+
+def pack(raw, cfg=TINY):
+    return pack_batch(*index_examples(raw, cfg), cfg)
+
+
+def grouped(groups, cfg=TINY):
+    """(rows, lengths) of detection groups, as the tracking entry points take
+    them."""
+    return detection_features([det for g in groups for det in g], cfg), [len(g) for g in groups]
 
 
 # --- features and encoder ----------------------------------------------------
@@ -107,24 +140,37 @@ def test_features_bitwise_equal_to_row_reference():
                        conf=rng.uniform(0, 1), heading=h)
         for i, (f, h) in enumerate(zip(rng.permutation(len(headings)), headings))
     ]
-    ex = TrainingExample(
-        history=tuple(dets[:2]), context=tuple(dets[2:5]), labels=(0, 1, 0),
-        state_t=StateVector.zero((0.0, 0.0)), state_prev=StateVector.zero((0.0, 0.0)),
-        anchor=(rng.uniform(-50, 50), rng.uniform(-50, 50)),
-    )
-    examples = [ex, make_example(cfg, n_hist=3, n_ctx=1, offset=(7.0, -3.0))]
-    batch = pack_batch(examples, cfg)
+    rows = detection_features(dets, cfg)
+    # two examples share detections 1 and 2, and the table holds a row no
+    # example names
+    examples = [
+        TrainingExample(
+            history=(0, 1), context=(2, 3, 4), labels=(0, 1, 0),
+            state_t=StateVector.zero((0.0, 0.0)), state_prev=StateVector.zero((0.0, 0.0)),
+            anchor=(rng.uniform(-50, 50), rng.uniform(-50, 50)),
+        ),
+        TrainingExample(
+            history=(2, 5, 1), context=(1,), labels=(1,),
+            state_t=StateVector.zero((0.0, 0.0)), state_prev=StateVector.zero((0.0, 0.0)),
+            anchor=dets[1].box.center_xy,
+        ),
+    ]
+    assert_packed_as_rows(pack_batch(rows, examples, cfg), examples, dets, cfg)
+    want = np.array([detection_features_row(d, (0.0, 0.0), cfg) for d in dets])
+    assert rows.tobytes() == want.tobytes()
+
+
+def assert_packed_as_rows(batch, examples, dets, cfg):
+    """Every slot of `batch` is bitwise the reference row of the detection
+    its example names, relative to the example's anchor; pads are zero."""
     for i, e in enumerate(examples):
         for feat, mask, group in ((batch.hist_feat, batch.hist_mask, e.history),
                                   (batch.ctx_feat, batch.ctx_mask, e.context)):
             n = len(group)
-            want = np.array([detection_features_row(d, e.anchor, cfg) for d in group])
+            want = np.array([detection_features_row(dets[r], e.anchor, cfg) for r in group])
             assert feat[i, :n].tobytes() == want.tobytes()
             assert mask[i].tolist() == [j < n for j in range(mask.shape[1])]
             assert not feat[i, n:].any()
-    rows = detection_features(dets, cfg)
-    want = np.array([detection_features_row(d, (0.0, 0.0), cfg) for d in dets])
-    assert rows.tobytes() == want.tobytes()
 
 
 def test_encode_output_width():
@@ -184,8 +230,8 @@ def test_encode_gradient_wrt_input_features():
 def test_fuse_single_embedding_deterministic_function():
     params = init_params(TINY, seed=0)
     det = make_detection(0.3, -0.2)
-    out1 = queries_from_histories(params, TINY, [[det]], [(0.0, 0.0)])
-    out2 = queries_from_histories(params, TINY, [[det]], [(0.0, 0.0)])
+    out1 = queries_from_histories(params, TINY, *grouped([[det]]), [(0.0, 0.0)])
+    out2 = queries_from_histories(params, TINY, *grouped([[det]]), [(0.0, 0.0)])
     assert out1.shape == (1, TINY.d_q)
     assert out1.tobytes() == out2.tobytes()
 
@@ -194,17 +240,17 @@ def test_fuse_rejects_empty_and_overlong_history():
     params = init_params(TINY, seed=0)
     ok = [make_detection()]
     with pytest.raises(ValueError, match="non-empty"):
-        queries_from_histories(params, TINY, [ok, []], [(0.0, 0.0)] * 2)
+        queries_from_histories(params, TINY, *grouped([ok, []]), [(0.0, 0.0)] * 2)
     overlong = [make_detection(frame=f) for f in range(TINY.t_max + 1)]
     with pytest.raises(ValueError, match="4 detections exceeds t_max 3"):
-        queries_from_histories(params, TINY, [ok, overlong], [(0.0, 0.0)] * 2)
+        queries_from_histories(params, TINY, *grouped([ok, overlong]), [(0.0, 0.0)] * 2)
 
 
 def test_padding_relayout_invariance():
     # Whatever sits in the masked-off slots must not change any loss term.
     cfg = TINY
     params = init_params(cfg, seed=3)
-    batch = pack_batch(
+    batch = pack(
         [make_example(cfg, n_hist=2, n_ctx=2),
          make_example(cfg, n_hist=1, n_ctx=3, positive=2, offset=(2.0, 1.0))],
         cfg,
@@ -257,16 +303,25 @@ def test_decode_state_six_components():
 # --- context selection -------------------------------------------------------
 
 
+def frame_context(pred, dets, d, k):
+    """`select_context` for one position, as detections."""
+    (cols,) = select_context(
+        [pred.position], [det.box.center_xy for det in dets],
+        [det.detection_id for det in dets], d, k,
+    )
+    return [dets[j] for j in cols]
+
+
 def test_select_context_empty_when_out_of_radius():
     pred = StateVector.zero((0.0, 0.0))
     dets = [make_detection(100.0, 0.0)]
-    assert select_context(pred, dets, d=5.0, k=3) == []
+    assert frame_context(pred, dets, d=5.0, k=3) == []
 
 
 def test_select_context_singleton_at_zero_distance():
     pred = StateVector.zero((1.0, 1.0))
     det = make_detection(1.0, 1.0)
-    assert select_context(pred, [det], d=5.0, k=3) == [det]
+    assert frame_context(pred, [det], d=5.0, k=3) == [det]
 
 
 def test_select_context_truncates_to_k_nearest():
@@ -276,7 +331,7 @@ def test_select_context_truncates_to_k_nearest():
         make_detection(rng.uniform(-8, 8), rng.uniform(-8, 8), det_id=i)
         for i in range(30)
     ]
-    got = select_context(pred, dets, d=20.0, k=20)
+    got = frame_context(pred, dets, d=20.0, k=20)
     assert len(got) == 20
     # independent full sort
     ranked = sorted(
@@ -286,13 +341,59 @@ def test_select_context_truncates_to_k_nearest():
     assert got == ranked[:20]
 
 
+# Half-metre grid coordinates make equal distances (and points exactly on a
+# radius of whole metres) common; a few free floats cover the rest.
+_coordinate = st.one_of(
+    st.integers(-16, 16).map(lambda v: 0.5 * v),
+    st.floats(-8.0, 8.0, allow_nan=False),
+)
+_point = st.tuples(_coordinate, _coordinate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_point, min_size=1, max_size=6),
+    st.lists(_point, min_size=0, max_size=12),
+    st.sampled_from([0.5, 1.0, 2.5, 3.0, 5.0, 30.0]),
+    st.integers(1, 5),
+    st.randoms(use_true_random=False),
+)
+def test_select_context_matrix_equals_per_row_loop(positions, centers, d, k, random):
+    # ids in shuffled order, so that ties are not broken by column order
+    ids = random.sample(range(100), len(centers))
+    dets = [make_detection(cx, cy, det_id=i) for (cx, cy), i in zip(centers, ids)]
+    got = select_context(positions, [det.box.center_xy for det in dets], ids, d, k)
+    assert len(got) == len(positions)
+    for (px, py), cols in zip(positions, got):
+        want = select_context_per_row(StateVector.zero((px, py)), dets, d, k)
+        assert [dets[j] for j in cols] == want
+
+
+def test_select_context_orders_ties_by_id_and_excludes_the_radius():
+    # three detections exactly 5 m away (ids 9, 3, 7 in column order) and
+    # two nearer; k = 4 cuts the last of the ties
+    centers = [(3.0, 4.0), (-4.0, 3.0), (0.0, -5.0), (1.0, 0.0), (0.0, 2.0)]
+    ids = [9, 3, 7, 4, 8]
+    (cols,) = select_context([(0.0, 0.0)], centers, ids, 5.0 + 1e-9, 4)
+    assert [ids[j] for j in cols] == [4, 8, 3, 7]
+    (cols,) = select_context([(0.0, 0.0)], centers, ids, 5.0, 4)
+    assert [ids[j] for j in cols] == [4, 8]
+    # hypot(17, 52) == hypot(28, 47) as math.hypot rounds them, while
+    # np.hypot puts one an ulp above the other
+    for ids in ([1, 2], [2, 1]):
+        (cols,) = select_context([(0.0, 0.0)], [(17.0, 52.0), (28.0, 47.0)], ids, 60.0, 2)
+        assert [ids[j] for j in cols] == [1, 2]
+
+
 # --- TDI ---------------------------------------------------------------------
 
 
 def test_tdi_single_live_slot():
     params = init_params(TINY, seed=0)
     query = np.linspace(-1, 1, TINY.d_q)[None, :]
-    scores, states = context_scores(params, TINY, query, [[make_detection()]], [(0.0, 0.0)])
+    scores, states = context_scores(
+        params, TINY, query, *grouped([[make_detection()]]), [(0.0, 0.0)]
+    )
     assert scores.shape == (1, TINY.k_max)
     assert scores[0, 0] > 0.0
     assert np.all(scores[0, 1:] == 0.0)
@@ -304,7 +405,7 @@ def test_tdi_scores_in_sigmoid_range():
     params = init_params(TINY, seed=2)
     query = np.linspace(-0.5, 0.5, TINY.d_q)[None, :]
     context = [make_detection(0.5 * j, 0.1, det_id=j) for j in range(3)]
-    scores, _ = context_scores(params, TINY, query, [context], [(0.0, 0.0)])
+    scores, _ = context_scores(params, TINY, query, *grouped([context]), [(0.0, 0.0)])
     assert np.all((scores[0, :3] > 0.0) & (scores[0, :3] < 1.0))
     assert np.all(scores[0, 3:] == 0.0)
 
@@ -313,10 +414,11 @@ def test_tdi_rejects_empty_context():
     params = init_params(TINY, seed=0)
     queries = np.zeros((2, TINY.d_q))
     with pytest.raises(ValueError, match="non-empty"):
-        context_scores(params, TINY, queries, [[make_detection()], []], [(0.0, 0.0)] * 2)
+        context_scores(params, TINY, queries, *grouped([[make_detection()], []]),
+                       [(0.0, 0.0)] * 2)
     overlong = [make_detection(det_id=j) for j in range(TINY.k_max + 1)]
     with pytest.raises(ValueError, match="5 detections exceeds k_max 4"):
-        context_scores(params, TINY, queries, [[make_detection()], overlong],
+        context_scores(params, TINY, queries, *grouped([[make_detection()], overlong]),
                        [(0.0, 0.0)] * 2)
 
 
@@ -332,15 +434,15 @@ def test_loss_single_context_half_score():
                  "tdi.state_w2", "tdi.state_b2"):
         params[name].data[:] = 0.0
     det = make_detection(0.0, 0.0)
-    ex = TrainingExample(
-        history=(det,),
-        context=(make_detection(0.0, 0.0, frame=1, det_id=0),),
-        labels=(1,),
-        state_t=StateVector.zero((0.0, 0.0)),
-        state_prev=StateVector.zero((0.0, 0.0)),
-        anchor=(0.0, 0.0),
+    ex = (
+        (det,),
+        (make_detection(0.0, 0.0, frame=1, det_id=0),),
+        (1,),
+        StateVector.zero((0.0, 0.0)),
+        StateVector.zero((0.0, 0.0)),
+        (0.0, 0.0),
     )
-    loss = m.loss_components_batch(params, cfg, pack_batch([ex], cfg))["total"]
+    loss = m.loss_components_batch(params, cfg, pack([ex], cfg))["total"]
     assert loss.item() == pytest.approx(cfg.gamma * math.log(2.0), abs=1e-12)
     assert loss.item() == pytest.approx(6.931, abs=1e-3)
 
@@ -360,7 +462,7 @@ def test_full_model_gradient_check():
     ex2 = make_example(cfg, n_hist=1, n_ctx=2, positive=1, offset=(3.0, -1.0))
 
     def build():
-        batch = pack_batch([ex, ex2], cfg)
+        batch = pack([ex, ex2], cfg)
         return m.loss_components_batch(params, cfg, batch)["total"]
 
     from test_autodiff import check_grad
@@ -374,7 +476,7 @@ def test_shape_invariants_across_cardinalities():
     for n_hist in range(1, cfg.t_max + 1):
         for n_ctx in range(1, cfg.k_max + 1):
             ex = make_example(cfg, n_hist=n_hist, n_ctx=n_ctx, positive=n_ctx - 1)
-            batch = pack_batch([ex], cfg)
+            batch = pack([ex], cfg)
             hist_emb = m.encode_batch(params, Tensor(batch.hist_feat))
             assert hist_emb.shape == (1, cfg.t_max, cfg.d_q)
             query = m.temporal_fuse_batch(
@@ -396,8 +498,8 @@ def test_translation_equivariance():
     shifted = make_example(cfg, n_hist=3, n_ctx=3, positive=1, offset=(50.0, -20.0))
 
     def forward(ex):
-        scores, _, state_t, state_prev = m.forward_batch(params, cfg, pack_batch([ex], cfg))
-        return scores.data, state_prev.data, state_t.data, np.array(ex.anchor)
+        scores, _, state_t, state_prev = m.forward_batch(params, cfg, pack([ex], cfg))
+        return scores.data, state_prev.data, state_t.data, np.array(ex[-1])
 
     s_a, prev_a, st_a, anchor_a = forward(base)
     s_b, prev_b, st_b, anchor_b = forward(shifted)
@@ -434,7 +536,7 @@ def small_scenario(seed=0, frames=40):
 
 def test_extract_examples_labels_align_with_provenance():
     scenario = small_scenario()
-    examples = extract_examples(scenario, TINY)
+    _, examples = extract_examples(scenario, TINY)
     assert len(examples) > 20
     for ex in examples:
         assert 1 <= len(ex.history) <= TINY.t_max
@@ -444,9 +546,38 @@ def test_extract_examples_labels_align_with_provenance():
     assert len(with_positive) > 10
 
 
+def test_extract_examples_name_the_per_detection_examples_by_row():
+    scenario = small_scenario()
+    table, examples = extract_examples(scenario, TINY, first_row=5)
+    dets = [det for frame in scenario.detections for det in frame]
+    assert table.tobytes() == detection_features(dets, TINY).tobytes()
+    named = [
+        (tuple(dets[r - 5] for r in ex.history), tuple(dets[r - 5] for r in ex.context),
+         ex.labels, ex.state_t, ex.state_prev, ex.anchor)
+        for ex in examples
+    ]
+    assert named == extract_examples_per_detection(scenario, TINY)
+    # stacked below another scene's 5 rows, as `cli.train_on_directory` does
+    stacked = np.concatenate([np.full((5, TINY.feature_width), np.nan), table])
+    some = examples[::7]
+    assert_packed_as_rows(pack_batch(stacked, some, TINY), some, [None] * 5 + dets, TINY)
+
+
+def test_parameter_gradients_bitwise_equal_zero_filled_backward():
+    cfg = SttConfig(d_a=TINY.d_a)  # the default network widths
+    table, examples = extract_examples(small_scenario(), cfg)
+    batch = pack_batch(table, examples[:64], cfg)
+    params = init_params(cfg, seed=5)
+    m.loss_components_batch(params, cfg, batch)["total"].backward()
+    lazy = {name: p.grad.copy() for name, p in params.items()}
+    zero_filled_backward(m.loss_components_batch(params, cfg, batch)["total"])
+    for name, p in params.items():
+        assert lazy[name].tobytes() == p.grad.tobytes(), name
+
+
 def test_train_reduces_loss_and_is_deterministic():
     scenario = small_scenario()
-    examples = extract_examples(scenario, TINY)
+    table, examples = extract_examples(scenario, TINY)
     settings = TrainSettings(
         steps=60,
         batch_size=16,
@@ -455,12 +586,12 @@ def test_train_reduces_loss_and_is_deterministic():
         weight_decay=0.01,
         warmup_steps=5,
     )
-    params_a, log_a = train(examples, TINY, settings, seed=0)
-    params_b, _ = train(examples, TINY, settings, seed=0)
+    params_a, log_a = train(table, examples, TINY, settings, seed=0)
+    params_b, _ = train(table, examples, TINY, settings, seed=0)
     for name in params_a:
         assert params_a[name].data.tobytes() == params_b[name].data.tobytes()
-    start = _evaluate_loss(examples[:50], init_params(TINY, seed=0), TINY)
-    end = _evaluate_loss(examples[:50], params_a, TINY)
+    start = _evaluate_loss(table, examples[:50], init_params(TINY, seed=0), TINY)
+    end = _evaluate_loss(table, examples[:50], params_a, TINY)
     assert end < start
     assert log_a[0]["step"] == 1
     assert log_a[-1]["step"] == 60
@@ -471,10 +602,10 @@ def test_association_only_ablation_trains():
                     lambda_position=0.0, lambda_velocity=0.0,
                     lambda_acceleration=0.0, alpha=0.0)
     scenario = small_scenario()
-    examples = extract_examples(scenario, cfg)
+    table, examples = extract_examples(scenario, cfg)
     settings = TrainSettings(steps=30, batch_size=8, log_every=10, learning_rate=3e-3,
                              warmup_steps=0, final_lr_fraction=1.0)
-    params, log = train(examples, cfg, settings, seed=1)
+    params, log = train(table, examples, cfg, settings, seed=1)
     assert all(math.isfinite(row["total"]) for row in log)
     # state losses carry zero weight in the total
     assert log[-1]["total"] == pytest.approx(10.0 * log[-1]["loss_d"], rel=1e-9)
@@ -500,17 +631,18 @@ def test_lr_schedule_without_warmup_or_decay_is_constant():
 
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        train([], TINY, TrainSettings(steps=1, batch_size=1), seed=0)
+        train(np.empty((0, TINY.feature_width)), [], TINY,
+              TrainSettings(steps=1, batch_size=1), seed=0)
 
 
 def test_association_accuracy_on_trained_model():
     scenario = small_scenario(seed=3, frames=60)
-    examples = extract_examples(scenario, TINY)
+    table, examples = extract_examples(scenario, TINY)
     settings = TrainSettings(
         steps=150, batch_size=16, log_every=50, learning_rate=3e-3, weight_decay=0.01,
         warmup_steps=0, final_lr_fraction=1.0,
     )
-    params, _ = train(examples, TINY, settings, seed=2)
+    params, _ = train(table, examples, TINY, settings, seed=2)
     held_out = extract_examples(small_scenario(seed=77, frames=60), TINY)
-    acc = _association_accuracy(held_out, params, TINY)
+    acc = _association_accuracy(*held_out, params, TINY)
     assert acc > 0.8

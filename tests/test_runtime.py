@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     NOISELESS,
+    detection_features_row,
     kalman_predict_reference,
     kalman_update_reference,
     state_from_array,
@@ -22,7 +23,12 @@ from sttrack.kalman import (
     predict,
     predicted_box,
 )
-from sttrack.model import SttConfig, init_params, queries_from_histories
+from sttrack.model import (
+    SttConfig,
+    detection_features,
+    init_params,
+    queries_from_histories,
+)
 from sttrack.runtime import (
     DuplicateDetectionError,
     KalmanBackend,
@@ -221,15 +227,60 @@ def test_stt_backend_queries_follow_tracker(stream, max_misses, state_source):
             make_detection(5.0 * gx + jitter, 6.0 * gy, frame, j, conf=conf)
             for j, (gx, gy, jitter, conf) in enumerate(cells)
         ])
-        # one stored query per live track, each the query of its own history
-        assert set(backend.queries) == set(tracker.tracks)
+        # one stored query and history per live track, each the query of
+        # its own history and that history's feature rows
+        assert set(backend.queries) == set(backend.history_rows) == set(tracker.tracks)
         for tid, track in tracker.tracks.items():
+            rows = detection_features(track.history, cfg)
+            assert backend.history_rows[tid].tobytes() == rows.tobytes()
             (expected,) = queries_from_histories(
-                TINY_STT_PARAMS, cfg, [track.history], [track.history[-1].box.center_xy]
+                TINY_STT_PARAMS, cfg, rows, [len(rows)], [track.history[-1].box.center_xy]
             )
             np.testing.assert_allclose(
                 backend.queries[tid], expected, rtol=1e-12, atol=1e-12
             )
+
+
+class TrackHistoryBackend(SttBackend):
+    """An `SttBackend` that featurizes each matched track's `Track.history`
+    anew, one detection at a time, in place of the history rows it kept."""
+
+    def update_matched(self, frame_index, pairs):
+        for track, _ in pairs:
+            self.history_rows[track.track_id] = np.array(
+                [detection_features_row(det, (0.0, 0.0), self.cfg) for det in track.history]
+            )
+        return super().update_matched(frame_index, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.booleans(), st.floats(-0.6, 0.6)), min_size=3, max_size=3),
+        min_size=4,
+        max_size=10,
+    ),
+    st.integers(1, TINY_STT.t_max - 1),
+    st.sampled_from(["tsd", "tdi"]),
+)
+def test_stt_short_history_equals_per_detection_history(presence, max_history, state_source):
+    # max_history < t_max: a matched track's query reads max_history + 1
+    # detections, more than the history the tracker keeps afterwards. Three
+    # objects that come and go, and every scored pair matchable, so that
+    # most tracks are matched more than max_history + 1 times.
+    cfg = dataclasses.replace(TINY_STT, state_source=state_source)
+    lifecycle = LifecycleConfig(max_history=max_history, creation_score_threshold=0.0)
+    frames = [
+        [make_detection(5.0 * j + jitter, 0.0, frame, j)
+         for j, (present, jitter) in enumerate(cells) if present]
+        for frame, cells in enumerate(presence)
+    ]
+
+    def rows(backend_type):
+        backend = backend_type(TINY_STT_PARAMS, cfg, lifecycle, 0.1)
+        return run_sequence(frames, backend, lifecycle).frames
+
+    assert rows(SttBackend) == rows(TrackHistoryBackend)
 
 
 def test_kalman_frame_costs_reject_tracks_not_in_bank():
@@ -242,6 +293,19 @@ def test_kalman_frame_costs_reject_tracks_not_in_bank():
     backend.forget([1])
     assert backend.track_ids == [2] and backend.bank.mean.shape == (1, 6)
     assert backend.frame_costs(1, [track], [det]).shape == (1, 1)
+
+
+def test_stt_backend_rows_come_from_the_frame_it_costed():
+    lifecycle = LifecycleConfig(max_history=TINY_STT.t_max)
+    backend = SttBackend(TINY_STT_PARAMS, TINY_STT, lifecycle, 0.1)
+    det = make_detection(0.0, 0.0, 0, 0)
+    with pytest.raises(ValueError, match="frame 0: frame_costs ran last for frame None"):
+        backend.create_tracks(0, [1], [det])
+    backend.frame_costs(0, [], [det])
+    backend.create_tracks(0, [1], [det])
+    track = Track(1, [det], 0, StateVector.zero())
+    with pytest.raises(ValueError, match="frame 1: frame_costs ran last for frame 0"):
+        backend.update_matched(1, [(track, make_detection(0.5, 0.0, 1, 0))])
 
 
 def test_min_confidence_filters_detections():
