@@ -19,8 +19,9 @@ scene, and a `TrainingExample` names its history and context detections by
 row of that table; the online tracker featurizes each frame's detections
 once and keeps each track's history rows. `_pad` places groups of rows (a
 history or a context per track) into the first slots of padded (B, W, F)
-arrays with a mask, relative to each group's anchor, and `_history_inputs`
-adds the recency one-hots and pooling weights. `pack_batch` (training),
+arrays with a mask, relative to each group's anchor; W is the batch's
+longest group, and `t_max`/`k_max` only bound it. `_history_inputs` adds the
+recency one-hots and pooling weights. `pack_batch` (training),
 `queries_from_histories` and `context_scores` (tracking) all go through
 them. `select_context` ranks the detections of a frame around many positions
 at once, for training examples and tracking alike.
@@ -218,13 +219,15 @@ def _pad(
     """Place groups of `detection_features` rows into the first slots of
     (B, W, F), each group's positions relative to its anchor.
 
-    `rows` holds the groups one after another and `lengths` (B,) their sizes;
-    W is the config field `limit` names ("t_max" or "k_max"). Returns
-    (features, mask (B, W) bool); padded slots are zero.
+    `rows` holds the groups one after another and `lengths` (B,) their sizes.
+    W is the longest group; the config field `limit` names ("t_max" or
+    "k_max") only bounds it. Returns (features, mask (B, W) bool); padded
+    slots are zero.
     """
-    width = getattr(cfg, limit)
-    if len(lengths) and lengths.max() > width:
-        raise ValueError(f"group of {lengths.max()} detections exceeds {limit} {width}")
+    width = int(lengths.max()) if len(lengths) else 0
+    bound = getattr(cfg, limit)
+    if width > bound:
+        raise ValueError(f"group of {width} detections exceeds {limit} {bound}")
     mask = np.arange(width) < lengths[:, None]
     feat = np.zeros((len(lengths), width, cfg.feature_width))
     feat[mask] = rows
@@ -239,8 +242,8 @@ def _history_inputs(
     anchors: Sequence[tuple[float, float]],
     cfg: SttConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(features, mask, recency one-hots, pooling weights) for histories,
-    given as `_pad` takes them.
+    """(features, mask, recency one-hots (B, W, t_max), pooling weights
+    (B, 1, W)) for histories, given as `_pad` takes them.
 
     Each history sits in the first slots in frame order; its j-th of n
     detections takes recency index t_max - n + j in the positional table.
@@ -248,11 +251,11 @@ def _history_inputs(
     if len(lengths) and lengths.min() < 1:
         raise ValueError("history must be non-empty")
     feat, mask = _pad(rows, lengths, anchors, cfg, "t_max")
-    b, t = len(lengths), cfg.t_max
+    (b, w), t = mask.shape, cfg.t_max
     rows, slots = np.nonzero(mask)
-    onehot = np.zeros((b, t, t))
+    onehot = np.zeros((b, w, t))
     onehot[rows, slots, t - lengths[rows] + slots] = 1.0
-    pool = np.zeros((b, 1, t))
+    pool = np.zeros((b, 1, w))
     if cfg.pooling == "mean":
         pool[rows, 0, slots] = 1.0 / lengths[rows]
     else:
@@ -270,11 +273,11 @@ def state_targets(state: StateVector, anchor: tuple[float, float]) -> np.ndarray
 
 @dataclass(slots=True)
 class Batch:
-    hist_feat: np.ndarray  # (B, T, F)
+    hist_feat: np.ndarray  # (B, T, F), T the longest history
     hist_mask: np.ndarray  # (B, T) bool
-    pe_onehot: np.ndarray  # (B, T, T) recency one-hots, zero rows at pads
+    pe_onehot: np.ndarray  # (B, T, t_max) recency one-hots, zero rows at pads
     pool_weights: np.ndarray  # (B, 1, T)
-    ctx_feat: np.ndarray  # (B, K, F)
+    ctx_feat: np.ndarray  # (B, K, F), K the longest context
     ctx_mask: np.ndarray  # (B, K) bool
     labels: np.ndarray  # (B, K) float
     target_t: np.ndarray  # (B, 6)
@@ -463,8 +466,9 @@ def loss_components_batch(
 
 # --- context selection -------------------------------------------------------
 
-# `math.hypot` element-wise: `np.hypot` differs from it in the last bit for
-# about one pair in 170, which can reorder detections at equal distances.
+# `math.hypot` element-wise: `np.hypot` differs from it by one ulp for about
+# one pair in 170, which can reorder detections at nearly equal distances or
+# move one across the radius.
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
@@ -480,15 +484,22 @@ def select_context(
 
     One (P, N) distance matrix ranks every position against the N detection
     `centers` (N, 2) of a frame; equal distances are ordered by the
-    detections' `ids`.
+    detections' `ids`. Distances are `math.hypot`'s: `np.hypot` computes the
+    matrix, and a row where two distances lie within 2 ulps of each other, or
+    one within an ulp of `d`, is recomputed with `math.hypot`.
     """
     if d <= 0 or k < 1:
         raise ValueError("need d > 0 and k >= 1")
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    dist = _hypot(
-        positions[:, 0, None] - centers[:, 0], positions[:, 1, None] - centers[:, 1]
-    ).astype(float)
+    dx = positions[:, 0, None] - centers[:, 0]
+    dy = positions[:, 1, None] - centers[:, 1]
+    dist = np.hypot(dx, dy)
+    ranked = np.sort(dist, axis=1)
+    near = (np.diff(ranked, axis=1) <= 2 * np.spacing(ranked[:, 1:])).any(axis=1)
+    near |= (np.abs(dist - d) <= np.spacing(dist)).any(axis=1)
+    for i in np.flatnonzero(near):
+        dist[i] = _hypot(dx[i], dy[i])
     order = np.lexsort((np.broadcast_to(np.asarray(ids), dist.shape), dist))
     counts = np.minimum((dist < d).sum(axis=1), k)
     return [row[:n] for row, n in zip(order, counts.tolist())]
@@ -703,8 +714,9 @@ def context_scores(
     """Association scores and current-frame states for a batch of tracks
     whose contexts are given as `_pad` takes them.
 
-    Returns (scores (B, k_max), states (B, 6) anchor-relative). Every context
-    must hold 1..k_max detections; padded slots score exactly zero.
+    Returns (scores (B, W), states (B, 6) anchor-relative), W the longest
+    context. Every context must hold 1..k_max detections; padded slots score
+    exactly zero.
     """
     lengths = np.asarray(lengths, dtype=int)
     if len(lengths) and lengths.min() < 1:

@@ -232,12 +232,13 @@ class SttBackend:
         scores, states = context_scores(
             self.params, self.cfg, queries, self._frame_rows[cols], lengths, anchors
         )
-        for i, anchor, rel in zip(live_rows, anchors, states):
-            self._tdi_states[tracks[i].track_id] = StateVector(
-                (rel[0] + anchor[0], rel[1] + anchor[1]),
-                (rel[2], rel[3]),
-                (rel[4], rel[5]),
-            )
+        if self.cfg.state_source == "tdi":
+            for i, anchor, rel in zip(live_rows, anchors, states):
+                self._tdi_states[tracks[i].track_id] = StateVector(
+                    (rel[0] + anchor[0], rel[1] + anchor[1]),
+                    (rel[2], rel[3]),
+                    (rel[4], rel[5]),
+                )
         # scores of live slots, in the order of `cols`
         slot_scores = scores[np.arange(scores.shape[1]) < np.array(lengths)[:, None]]
         rows = np.repeat(live_rows, lengths)

@@ -4,9 +4,11 @@ and small builders the tests share."""
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
+from sttrack import model
 from sttrack.autodiff import Tensor
 from sttrack.core import Box7, Detection, StateVector
 from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
@@ -77,6 +79,52 @@ def detection_features_row(
     out[8 : 8 + cfg.d_a] = det.appearance
     out[8 + cfg.d_a :] = det.motion
     return out
+
+
+def pad_to_limit(
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    anchors,
+    cfg: SttConfig,
+    limit: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`model._pad` with every group padded to the config's `limit` field
+    ("t_max" or "k_max"), not to the batch's longest group."""
+    width = getattr(cfg, limit)
+    if len(lengths) and lengths.max() > width:
+        raise ValueError(f"group of {lengths.max()} detections exceeds {limit} {width}")
+    mask = np.arange(width) < lengths[:, None]
+    feat = np.zeros((len(lengths), width, cfg.feature_width))
+    feat[mask] = rows
+    anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
+    feat[mask, :2] -= np.repeat(anchors, lengths, axis=0)
+    return feat, mask
+
+
+def history_inputs_to_limit(rows: np.ndarray, lengths: np.ndarray, anchors, cfg: SttConfig):
+    """`model._history_inputs` over histories padded to t_max: (features,
+    mask, recency one-hots (B, t_max, t_max), pooling weights (B, 1, t_max))."""
+    if len(lengths) and lengths.min() < 1:
+        raise ValueError("history must be non-empty")
+    feat, mask = pad_to_limit(rows, lengths, anchors, cfg, "t_max")
+    b, t = len(lengths), cfg.t_max
+    rows, slots = np.nonzero(mask)
+    onehot = np.zeros((b, t, t))
+    onehot[rows, slots, t - lengths[rows] + slots] = 1.0
+    pool = np.zeros((b, 1, t))
+    if cfg.pooling == "mean":
+        pool[rows, 0, slots] = 1.0 / lengths[rows]
+    else:
+        pool[np.arange(b), 0, lengths - 1] = 1.0
+    return feat, mask, onehot, pool
+
+
+def limit_padded():
+    """Context manager under which `model`'s batch entry points pad every
+    history to t_max and every context to k_max."""
+    return mock.patch.multiple(
+        model, _pad=pad_to_limit, _history_inputs=history_inputs_to_limit
+    )
 
 
 def center_distance(pred: StateVector, b: Box7) -> float:

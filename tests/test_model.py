@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from sttrack.sim import MotionProfile, NoiseModel, ObjectSpec, SimConfig, genera
 from oracles import (
     detection_features_row,
     extract_examples_per_detection,
+    limit_padded,
     state_from_array,
     zero_filled_backward,
 )
@@ -385,19 +387,47 @@ def test_select_context_orders_ties_by_id_and_excludes_the_radius():
         assert [ids[j] for j in cols] == [1, 2]
 
 
+def test_select_context_centres_an_ulp_apart_rank_as_math_hypot():
+    # np.hypot ties the first pair and orders the second the other way round
+    # from math.hypot
+    pairs = [
+        [(6.8114332354307, 3.971976052828065), (6.811433235430701, 3.971976052828065)],
+        [(-1.907671867025769, -1.1236150211427738),
+         (-1.9076718670257689, -1.1236150211427738)],
+    ]
+    for centers in pairs:
+        for ids in ([1, 2], [2, 1]):
+            dets = [make_detection(cx, cy, det_id=i) for (cx, cy), i in zip(centers, ids)]
+            (cols,) = select_context([(0.0, 0.0)], centers, ids, 30.0, 2)
+            want = select_context_per_row(StateVector.zero((0.0, 0.0)), dets, 30.0, 2)
+            assert [dets[j] for j in cols] == want
+    # np.hypot puts this centre an ulp inside a radius that math.hypot puts
+    # it on
+    center = (6.811433235430701, 3.971976052828065)
+    d = math.hypot(*center)
+    (cols,) = select_context([(0.0, 0.0)], [center], [0], d, 1)
+    assert cols.tolist() == []
+    (cols,) = select_context([(0.0, 0.0)], [center], [0], math.nextafter(d, math.inf), 1)
+    assert cols.tolist() == [0]
+
+
 # --- TDI ---------------------------------------------------------------------
 
 
 def test_tdi_single_live_slot():
+    # beside a three-detection context the batch is three slots wide, so the
+    # one-detection context has two padded slots
     params = init_params(TINY, seed=0)
-    query = np.linspace(-1, 1, TINY.d_q)[None, :]
+    queries = np.stack([np.linspace(-1, 1, TINY.d_q)] * 2)
+    longer = [make_detection(0.5 * j, 0.1, det_id=j) for j in range(3)]
     scores, states = context_scores(
-        params, TINY, query, *grouped([[make_detection()]]), [(0.0, 0.0)]
+        params, TINY, queries, *grouped([[make_detection()], longer]), [(0.0, 0.0)] * 2
     )
-    assert scores.shape == (1, TINY.k_max)
+    assert scores.shape == (2, 3)
     assert scores[0, 0] > 0.0
     assert np.all(scores[0, 1:] == 0.0)
-    assert states.shape == (1, 6)
+    assert np.all(scores[1] > 0.0)
+    assert states.shape == (2, 6)
     assert isinstance(state_from_array(states[0]), StateVector)
 
 
@@ -420,6 +450,69 @@ def test_tdi_rejects_empty_context():
     with pytest.raises(ValueError, match="5 detections exceeds k_max 4"):
         context_scores(params, TINY, queries, *grouped([[make_detection()], overlong]),
                        [(0.0, 0.0)] * 2)
+
+
+# --- padding to the longest group -------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, TINY.t_max), st.integers(1, TINY.k_max)),
+             min_size=1, max_size=6),
+    st.sampled_from(["mean", "last"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_longest_group_padding_equals_limit_padding(sizes, pooling, seed):
+    cfg = dataclasses.replace(TINY, pooling=pooling)
+    params = init_params(cfg, seed=seed % 5)
+    rng = np.random.default_rng(seed)
+    hist_lengths = [h for h, _ in sizes]
+    ctx_lengths = [c for _, c in sizes]
+    hist_rows = rng.normal(0, 3, (sum(hist_lengths), cfg.feature_width))
+    ctx_rows = rng.normal(0, 3, (sum(ctx_lengths), cfg.feature_width))
+    anchors = [tuple(a) for a in rng.normal(0, 3, (len(sizes), 2))]
+
+    queries = queries_from_histories(params, cfg, hist_rows, hist_lengths, anchors)
+    scores, states = context_scores(params, cfg, queries, ctx_rows, ctx_lengths, anchors)
+    with limit_padded():
+        want = queries_from_histories(params, cfg, hist_rows, hist_lengths, anchors)
+        want_scores, want_states = context_scores(
+            params, cfg, queries, ctx_rows, ctx_lengths, anchors
+        )
+    assert want_scores.shape == (len(sizes), cfg.k_max)
+    np.testing.assert_allclose(queries, want, rtol=0, atol=1e-12)
+    width = max(ctx_lengths)
+    assert scores.shape == (len(sizes), width)
+    live = np.arange(width) < np.array(ctx_lengths)[:, None]
+    np.testing.assert_allclose(scores[live], want_scores[:, :width][live], rtol=0, atol=1e-12)
+    assert not scores[~live].any()
+    np.testing.assert_allclose(states, want_states, rtol=0, atol=1e-12)
+
+
+def test_longest_group_batch_loss_and_gradients_equal_limit_padded():
+    # the longest history (2) and context (3) are shorter than t_max and k_max
+    cfg = TINY
+    raw = [
+        make_example(cfg, n_hist=h, n_ctx=c, positive=c - 1, offset=(2.0 * i, -1.0 * i))
+        for i, (h, c) in enumerate([(1, 2), (2, 1), (1, 3), (2, 3)])
+    ]
+    table, examples = index_examples(raw, cfg)
+    trimmed = pack_batch(table, examples, cfg)
+    with limit_padded():
+        full = pack_batch(table, examples, cfg)
+    assert trimmed.hist_feat.shape[1] == 2 and trimmed.ctx_feat.shape[1] == 3
+    assert full.hist_feat.shape[1] == cfg.t_max and full.ctx_feat.shape[1] == cfg.k_max
+    results = []
+    for batch in (trimmed, full):
+        params = init_params(cfg, seed=6)
+        losses = m.loss_components_batch(params, cfg, batch)
+        losses["total"].backward()
+        results.append(({k: v.item() for k, v in losses.items()}, params))
+    (losses, params), (want_losses, want_params) = results
+    for key, value in want_losses.items():
+        assert losses[key] == pytest.approx(value, rel=0, abs=1e-12)
+    for name, param in want_params.items():
+        np.testing.assert_allclose(params[name].grad, param.grad, rtol=1e-12, atol=1e-12)
 
 
 # --- losses ------------------------------------------------------------------
@@ -471,24 +564,29 @@ def test_full_model_gradient_check():
 
 
 def test_shape_invariants_across_cardinalities():
+    # each example is batched with a one-detection history and context, so
+    # the batch is as wide as the example and the short rows are padded
     cfg = TINY
     params = init_params(cfg, seed=1)
+    short = make_example(cfg, n_hist=1, n_ctx=1, offset=(4.0, 2.0))
     for n_hist in range(1, cfg.t_max + 1):
         for n_ctx in range(1, cfg.k_max + 1):
             ex = make_example(cfg, n_hist=n_hist, n_ctx=n_ctx, positive=n_ctx - 1)
-            batch = pack([ex], cfg)
+            batch = pack([ex, short], cfg)
             hist_emb = m.encode_batch(params, Tensor(batch.hist_feat))
-            assert hist_emb.shape == (1, cfg.t_max, cfg.d_q)
+            assert hist_emb.shape == (2, n_hist, cfg.d_q)
+            assert batch.pe_onehot.shape == (2, n_hist, cfg.t_max)
             query = m.temporal_fuse_batch(
                 params, cfg, hist_emb, batch.hist_mask, batch.pe_onehot,
                 batch.pool_weights,
             )
-            assert query.shape == (1, cfg.d_q)
+            assert query.shape == (2, cfg.d_q)
             ctx_emb = m.encode_batch(params, Tensor(batch.ctx_feat))
             scores, _, state = m.tdi_batch(params, cfg, query, ctx_emb, batch.ctx_mask)
-            assert scores.shape == (1, cfg.k_max)
-            assert state.shape == (1, 6)
-            assert np.all(scores.data[0, n_ctx:] == 0.0)
+            assert scores.shape == (2, n_ctx)
+            assert state.shape == (2, 6)
+            assert np.all(scores.data[:, 0] > 0.0)
+            assert np.all(scores.data[1, 1:] == 0.0)
 
 
 def test_translation_equivariance():

@@ -25,6 +25,7 @@ from sttrack.kalman import (
 )
 from sttrack.model import (
     SttConfig,
+    context_scores,
     detection_features,
     init_params,
     queries_from_histories,
@@ -281,6 +282,24 @@ def test_stt_short_history_equals_per_detection_history(presence, max_history, s
         return run_sequence(frames, backend, lifecycle).frames
 
     assert rows(SttBackend) == rows(TrackHistoryBackend)
+
+
+def test_stt_tdi_states_come_from_the_association_pass():
+    lifecycle = LifecycleConfig(max_history=TINY_STT.t_max, creation_score_threshold=0.0)
+    first, second = make_detection(0.0, 0.0, 0, 0), make_detection(0.5, 0.2, 1, 0)
+    for state_source in ("tsd", "tdi"):
+        cfg = dataclasses.replace(TINY_STT, state_source=state_source)
+        tracker = Tracker(SttBackend(TINY_STT_PARAMS, cfg, lifecycle, 0.1), lifecycle)
+        tracker.step(0, [first])
+        query = tracker.backend.queries[1]
+        (row,) = tracker.step(1, [second])
+        assert row.track_id == 1
+        _, (rel,) = context_scores(
+            TINY_STT_PARAMS, cfg, query[None], detection_features([second], cfg), [1],
+            [first.box.center_xy],
+        )
+        tdi = state_from_array(rel + [*first.box.center_xy, 0, 0, 0, 0])
+        assert (row.state == tdi) == (state_source == "tdi")
 
 
 def test_kalman_frame_costs_reject_tracks_not_in_bank():
