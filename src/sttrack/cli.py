@@ -52,10 +52,14 @@ def build_scenario(cfg: RunConfig, index: int):
     return generate(cfg.sim, specs, seed=(cfg.seed, index, 1))
 
 
-def scenario_names(data_dir: Path) -> list[str]:
-    names = sorted(p.name[: -len(".det.jsonl")] for p in data_dir.glob("*.det.jsonl"))
+_FILE_KINDS = {".det.jsonl": "scenario files", ".tracks.jsonl": "track files"}
+
+
+def scenario_names(directory: Path, suffix: str) -> list[str]:
+    """Sorted scene names of the `*<suffix>` files in `directory`, at least one."""
+    names = sorted(p.name[: -len(suffix)] for p in directory.glob(f"*{suffix}"))
     if not names:
-        raise FileNotFoundError(f"no scenario files (*.det.jsonl) in {data_dir}")
+        raise FileNotFoundError(f"no {_FILE_KINDS[suffix]} (*{suffix}) in {directory}")
     return names
 
 
@@ -117,7 +121,7 @@ def train_on_directory(
     """Extract examples from a scenario directory and train a model; `steps`
     replaces the config's `train.steps`, also as the end of the lr decay."""
     settings = cfg.train if steps is None else dataclasses.replace(cfg.train, steps=steps)
-    names = scenario_names(data_dir)[: settings.train_scenarios]
+    names = scenario_names(data_dir, ".det.jsonl")[: settings.train_scenarios]
     table, examples = _training_set(data_dir, names, cfg.stt)
     if len(examples) > settings.max_examples:
         rng = np.random.default_rng((cfg.seed, 2))
@@ -152,14 +156,13 @@ def _track_one(
     det_path = data_dir / f"{name}.det.jsonl"
     dt, detections = formats.read_detections(det_path)
     frames = len(detections)
-    lifecycle = cfg.tracking_lifecycle()
     if backend_kind == "stt":
         _check_widths(det_path, detections, cfg.stt)
         params = {k: autodiff.Tensor(v) for k, v in stt_arrays.items()}
-        backend = SttBackend(params, cfg.stt, lifecycle, dt)
+        backend = SttBackend(params, cfg.stt, cfg.lifecycle, dt)
     else:
         backend = KalmanBackend(cfg.kf, dt)
-    output = run_sequence(detections, backend, lifecycle)
+    output = run_sequence(detections, backend, cfg.lifecycle)
     provenance = resolved_dict(cfg)
     provenance["backend"] = backend_kind
     formats.write_tracker_output(
@@ -183,7 +186,7 @@ def track_directory(
     checkpoint: Path | None,
     workers: int = 1,
 ) -> list[dict]:
-    names = scenario_names(data_dir)
+    names = scenario_names(data_dir, ".det.jsonl")
     out_dir.mkdir(parents=True, exist_ok=True)
     stt_arrays = None
     if backend_kind == "stt":
@@ -207,25 +210,22 @@ def track_directory(
 def evaluate_directories(
     gt_dir: Path, results_dir: Path, policy: MatchingPolicy
 ) -> dict:
-    names = scenario_names_from_tracks(results_dir)
+    names = scenario_names(results_dir, ".tracks.jsonl")
     evaluator = Evaluator(policy)
     for name in names:
         gt_path = gt_dir / f"{name}.gt.jsonl"
         if not gt_path.exists():
             raise FileNotFoundError(f"no ground truth for scenario {name}: {gt_path}")
         _, labels = formats.read_label_frames(gt_path)
-        _, preds = formats.read_pred_frames(results_dir / f"{name}.tracks.jsonl")
+        pred_path = results_dir / f"{name}.tracks.jsonl"
+        _, preds = formats.read_pred_frames(pred_path)
+        if len(preds) != len(labels):
+            raise formats.FormatError(
+                f"{pred_path}:1: header config frames {len(preds)} differs from"
+                f" {len(labels)} in {gt_path}"
+            )
         evaluator.add_sequence(labels, preds)
     return evaluator.report()
-
-
-def scenario_names_from_tracks(results_dir: Path) -> list[str]:
-    names = sorted(
-        p.name[: -len(".tracks.jsonl")] for p in results_dir.glob("*.tracks.jsonl")
-    )
-    if not names:
-        raise FileNotFoundError(f"no track files (*.tracks.jsonl) in {results_dir}")
-    return names
 
 
 def write_metrics_file(path: Path, report: dict, provenance: dict) -> None:
@@ -340,19 +340,31 @@ def _comparison_table(runs: list[tuple[str, dict]], class_name: str) -> str:
     return "\n".join(lines)
 
 
+def _read_metrics_report(path: Path) -> dict:
+    """The `report` of a metrics file; FormatError naming `path` if it is not one."""
+    if not path.exists():
+        raise FileNotFoundError(f"no such metrics file: {path}")
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:  # also a file that is not UTF-8 text
+        raise formats.FormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise formats.FormatError(f"{path}: top level must be a JSON object")
+    header, report = payload.get("header"), payload.get("report")
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind != "metrics":
+        raise formats.FormatError(f"{path}: header kind {kind!r}, expected 'metrics'")
+    if not isinstance(report, dict) or not isinstance(report.get("classes"), dict):
+        raise formats.FormatError(f"{path}: no report.classes object")
+    return report
+
+
 def cmd_report(args) -> int:
     labels = args.labels or [Path(p).stem for p in args.inputs]
     if len(labels) != len(args.inputs):
         raise ConfigError("--labels must match --inputs in length")
-    runs = []
-    class_names = set()
-    for label, path in zip(labels, args.inputs):
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"no such metrics file: {path}")
-        payload = json.loads(path.read_text())
-        runs.append((label, payload["report"]))
-        class_names.update(payload["report"]["classes"])
+    runs = [(label, _read_metrics_report(Path(p))) for label, p in zip(labels, args.inputs)]
+    class_names = set().union(*(report["classes"] for _, report in runs))
     blocks = []
     for class_name in sorted(class_names):
         blocks.append(f"== {class_name} ==")

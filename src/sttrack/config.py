@@ -5,7 +5,7 @@ own module owns and checks it: `sim` is `sim.SimConfig`, `stt` and `train`
 are `model.SttConfig` and `model.TrainSettings`, `kf` is `kalman.KfParams`,
 `lifecycle` is `runtime.LifecycleConfig` and `policy` is
 `metrics.MatchingPolicy`. This module holds only `RunConfig`, its
-cross-section checks and the codec.
+cross-section checks and the codec; every stage takes its section as decoded.
 
 One decoder reads every section through its dataclass's field annotations.
 Accepted JSON types: an integer for an int field (not a float, a string or
@@ -61,12 +61,6 @@ class RunConfig:
                 f"sim.appearance_dim ({self.sim.appearance_dim}) must equal "
                 f"stt.d_a ({self.stt.d_a})"
             )
-
-    def tracking_lifecycle(self) -> LifecycleConfig:
-        """Lifecycle with history bound to the model's track length for stt."""
-        if self.backend == "stt":
-            return dataclasses.replace(self.lifecycle, max_history=self.stt.t_max)
-        return self.lifecycle
 
 
 def _decode(annotation, value, path: str):

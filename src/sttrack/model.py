@@ -11,6 +11,8 @@ scores and a current-frame state).
 All positions are encoded relative to the track's last observed position
 (the anchor), which makes every output translation-equivariant; decoded
 state positions are anchor-relative and the caller adds the anchor back.
+The anchor is not stored apart: it is the box centre, columns 0-1, of the
+last row of the track's history.
 
 Training and inference share one input path. `detection_features` turns a
 list of detections into encoder rows in one pass, and each detection is
@@ -116,7 +118,6 @@ class TrainingExample:
     labels: tuple[int, ...]  # 0/1 per context detection; at most one 1
     state_t: StateVector  # ground truth at t, absolute coordinates
     state_prev: StateVector  # ground truth at t-1, absolute coordinates
-    anchor: tuple[float, float]  # last observed position of the track
 
     def __post_init__(self) -> None:
         if not self.history:
@@ -237,19 +238,18 @@ def _pad(
 
 
 def _history_inputs(
-    rows: np.ndarray,
-    lengths: np.ndarray,
-    anchors: Sequence[tuple[float, float]],
-    cfg: SttConfig,
+    rows: np.ndarray, lengths: np.ndarray, cfg: SttConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(features, mask, recency one-hots (B, W, t_max), pooling weights
-    (B, 1, W)) for histories, given as `_pad` takes them.
+    (B, 1, W)) for histories, given as `_pad` takes them but without anchors:
+    each history's anchor is the box centre of its last row.
 
     Each history sits in the first slots in frame order; its j-th of n
     detections takes recency index t_max - n + j in the positional table.
     """
     if len(lengths) and lengths.min() < 1:
         raise ValueError("history must be non-empty")
+    anchors = rows[np.cumsum(lengths) - 1, :2]
     feat, mask = _pad(rows, lengths, anchors, cfg, "t_max")
     (b, w), t = mask.shape, cfg.t_max
     rows, slots = np.nonzero(mask)
@@ -291,12 +291,12 @@ class Batch:
 def pack_batch(
     table: np.ndarray, examples: list[TrainingExample], cfg: SttConfig
 ) -> Batch:
-    """Gather examples' rows of their feature `table` into batch arrays."""
-    anchors = [ex.anchor for ex in examples]
+    """Gather examples' rows of their feature `table` into batch arrays;
+    each example's anchor is the centre of its last history detection."""
+    anchors = table[[ex.history[-1] for ex in examples], :2]
     hist_feat, hist_mask, pe_onehot, pool_weights = _history_inputs(
         table[[row for ex in examples for row in ex.history]],
         np.array([len(ex.history) for ex in examples], dtype=int),
-        anchors,
         cfg,
     )
     ctx_feat, ctx_mask = _pad(
@@ -308,8 +308,8 @@ def pack_batch(
     )
     labels = np.zeros(ctx_mask.shape)
     labels[ctx_mask] = [label for ex in examples for label in ex.labels]
-    target_t = [state_targets(ex.state_t, ex.anchor) for ex in examples]
-    target_prev = [state_targets(ex.state_prev, ex.anchor) for ex in examples]
+    target_t = [state_targets(ex.state_t, a) for ex, a in zip(examples, anchors)]
+    target_prev = [state_targets(ex.state_prev, a) for ex, a in zip(examples, anchors)]
     return Batch(
         hist_feat=hist_feat,
         hist_mask=hist_mask,
@@ -571,7 +571,6 @@ def extract_examples(
                     labels=tuple(1 if row == own else 0 for row in context),
                     state_t=track.states[t],
                     state_prev=track.states[t - 1],
-                    anchor=dets[prior[-1]].box.center_xy,
                 )
             )
     return table, examples
@@ -689,14 +688,11 @@ def queries_from_histories(
     cfg: SttConfig,
     rows: np.ndarray,
     lengths: Sequence[int],
-    anchors: Sequence[tuple[float, float]],
 ) -> np.ndarray:
-    """Track queries for a batch of 1..t_max-long detection histories, given
-    as `_pad` takes them: their `detection_features` rows one history after
-    another, and each history's length."""
-    feat, mask, onehot, pool = _history_inputs(
-        rows, np.asarray(lengths, dtype=int), anchors, cfg
-    )
+    """Track queries for a batch of 1..t_max-long detection histories: their
+    `detection_features` rows one history after another, and each history's
+    length. Each history is anchored at its last row."""
+    feat, mask, onehot, pool = _history_inputs(rows, np.asarray(lengths, dtype=int), cfg)
     with ad.no_grad():
         emb = encode_batch(params, Tensor(feat))
         query = temporal_fuse_batch(params, cfg, emb, mask, onehot, pool)

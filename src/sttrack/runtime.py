@@ -1,17 +1,17 @@
 """Shared online tracking loop.
 
 One loop serves both backends: each frame, the backend produces a gated
-track-by-detection cost matrix, the assignment solver resolves it, matched
-detections extend track histories, unmatched tracks accumulate misses until
-deletion, and unmatched detections spawn new tracks with zero initial
-velocity and acceleration. Backends only differ in how they cost pairs and
-estimate states, so lifecycle behavior is identical across them.
+track-by-detection cost matrix, the assignment solver resolves it, each
+matched detection becomes its track's last, unmatched tracks accumulate
+misses until deletion, and unmatched detections spawn new tracks with zero
+initial velocity and acceleration. Backends only differ in how they cost
+pairs and estimate states, so lifecycle behavior is identical across them.
 
 Each piece of track state has one owner. The `Tracker` owns the lifecycle:
-one mutable `Track` per live id with its recent detections, the frame and
-state of its last match and its misses, written only by `Tracker.step`. The
-estimators' own state lives in the backends: `KalmanBackend.bank` holds the
-filters, and `SttBackend.queries` and `SttBackend.history_rows` the track
+one mutable `Track` per live id with its last matched detection, the frame
+and state of its last match and its misses, written only by `Tracker.step`.
+The estimators' own state lives in the backends: `KalmanBackend.bank` holds
+the filters, and `SttBackend.queries` and `SttBackend.history_rows` the track
 queries and the feature rows of each track's history, all keyed by track id
 and dropped by `forget` when the tracker deletes a track.
 """
@@ -54,24 +54,22 @@ class LifecycleConfig:
     creation_score_threshold: float = 0.5
     max_misses: int = 3
     min_confidence: float = 0.1
-    max_history: int = 10
 
     def __post_init__(self) -> None:
         check_fields(self, (
             ("creation_score_threshold", 0 <= self.creation_score_threshold <= 1, "in [0, 1]"),
             ("max_misses", self.max_misses >= 0, ">= 0"),
             ("min_confidence", 0 <= self.min_confidence <= 1, "in [0, 1]"),
-            ("max_history", self.max_history >= 1, ">= 1"),
         ))
 
 
 @dataclass(slots=True)
 class Track:
-    """A live track: its last `max_history` matched detections, the frame
-    and state estimate of its last match, and the frames missed since."""
+    """A live track: its last matched detection, the frame and state
+    estimate of that match, and the frames missed since."""
 
     track_id: int
-    history: list[Detection]
+    last: Detection
     frame: int
     state: StateVector
     misses: int = 0
@@ -121,7 +119,7 @@ class KalmanBackend:
         self.bank = predict(self.bank, self.dt, self.params)
         iou = bev_iou_matrix(
             [
-                predicted_box(mean, track.history[-1].box)
+                predicted_box(mean, track.last.box)
                 for mean, track in zip(self.bank.mean.tolist(), tracks)
             ],
             [det.box for det in dets],
@@ -169,10 +167,10 @@ class SttBackend:
     `frame_costs` featurizes the frame's detections once; those rows serve
     the frame's context scoring, the matched tracks' new queries and the new
     tracks. Per live track id the backend keeps `history_rows`, the
-    `detection_features` rows of the detections in the tracker's
-    `Track.history` (its last `lifecycle.max_history` matches, in order), and
-    `queries`, the fused encoding of its last `t_max` detections;
-    `create_tracks` and `update_matched` set both and `forget` drops them.
+    `detection_features` rows of the track's last <= `t_max` matched
+    detections in frame order, and `queries`, the fused encoding of those
+    rows; `create_tracks` and `update_matched` set both and `forget` drops
+    them. A track's anchor is its last row's box centre, columns 0-1.
     """
 
     def __init__(
@@ -227,14 +225,15 @@ class SttBackend:
             return costs
         lengths = [len(contexts[i]) for i in live_rows]
         cols = np.concatenate([contexts[i] for i in live_rows])
-        anchors = [tracks[i].history[-1].box.center_xy for i in live_rows]
-        queries = np.stack([self.queries[tracks[i].track_id] for i in live_rows])
+        ids = [tracks[i].track_id for i in live_rows]
+        anchors = np.stack([self.history_rows[tid][-1, :2] for tid in ids]).tolist()
+        queries = np.stack([self.queries[tid] for tid in ids])
         scores, states = context_scores(
             self.params, self.cfg, queries, self._frame_rows[cols], lengths, anchors
         )
         if self.cfg.state_source == "tdi":
-            for i, anchor, rel in zip(live_rows, anchors, states):
-                self._tdi_states[tracks[i].track_id] = StateVector(
+            for tid, anchor, rel in zip(ids, anchors, states):
+                self._tdi_states[tid] = StateVector(
                     (rel[0] + anchor[0], rel[1] + anchor[1]),
                     (rel[2], rel[3]),
                     (rel[4], rel[5]),
@@ -252,23 +251,18 @@ class SttBackend:
         if not pairs:
             return []
         new_rows = self._rows(frame_index, [det for _, det in pairs])
-        grown = [
-            np.concatenate((self.history_rows[track.track_id], row[None]))
+        histories = [
+            np.concatenate((self.history_rows[track.track_id], row[None]))[-self.cfg.t_max :]
             for (track, _), row in zip(pairs, new_rows)
         ]
-        histories = [rows[-self.cfg.t_max :] for rows in grown]
-        anchors = [det.box.center_xy for _, det in pairs]
         queries = queries_from_histories(
-            self.params,
-            self.cfg,
-            np.concatenate(histories),
-            [len(rows) for rows in histories],
-            anchors,
+            self.params, self.cfg, np.concatenate(histories), [len(rows) for rows in histories]
         )
-        for (track, _), query, rows in zip(pairs, queries, grown):
+        for (track, _), query, rows in zip(pairs, queries, histories):
             self.queries[track.track_id] = query
-            self.history_rows[track.track_id] = rows[-self.lifecycle.max_history :]
+            self.history_rows[track.track_id] = rows
         if self.cfg.state_source == "tsd":
+            anchors = [det.box.center_xy for _, det in pairs]
             return [
                 StateVector(
                     (rel[0] + anchor[0], rel[1] + anchor[1]),
@@ -291,13 +285,10 @@ class SttBackend:
         if not dets:
             return []
         rows = self._rows(frame_index, dets)
-        anchors = [det.box.center_xy for det in dets]
-        queries = queries_from_histories(
-            self.params, self.cfg, rows, [1] * len(dets), anchors
-        )
+        queries = queries_from_histories(self.params, self.cfg, rows, [1] * len(dets))
         self.queries.update(zip(track_ids, queries))
         self.history_rows.update(zip(track_ids, rows[:, None]))
-        return [StateVector.zero(anchor) for anchor in anchors]
+        return [StateVector.zero(det.box.center_xy) for det in dets]
 
     def forget(self, track_ids: list[int]) -> None:
         for tid in track_ids:
@@ -342,8 +333,7 @@ class Tracker:
         matched = [(active[r], dets[c]) for r, c in pairs]
         estimates = self.backend.update_matched(frame_index, matched)
         for (track, det), state in zip(matched, estimates):
-            track.history.append(det)
-            del track.history[: -self.lifecycle.max_history]
+            track.last = det
             track.frame = frame_index
             track.state = state
             track.misses = 0
@@ -372,7 +362,7 @@ class Tracker:
         self.next_track_id += len(new_dets)
         created = self.backend.create_tracks(frame_index, new_ids, new_dets)
         for tid, det, state in zip(new_ids, new_dets, created):
-            self.tracks[tid] = Track(tid, [det], frame_index, state)
+            self.tracks[tid] = Track(tid, det, frame_index, state)
             rows.append(
                 TrackerRow(frame_index, tid, det.class_id, det.box, state,
                            det.confidence)

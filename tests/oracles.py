@@ -101,11 +101,13 @@ def pad_to_limit(
     return feat, mask
 
 
-def history_inputs_to_limit(rows: np.ndarray, lengths: np.ndarray, anchors, cfg: SttConfig):
-    """`model._history_inputs` over histories padded to t_max: (features,
-    mask, recency one-hots (B, t_max, t_max), pooling weights (B, 1, t_max))."""
+def history_inputs_to_limit(rows: np.ndarray, lengths: np.ndarray, cfg: SttConfig):
+    """`model._history_inputs` over histories padded to t_max, each anchored
+    at its last row: (features, mask, recency one-hots (B, t_max, t_max),
+    pooling weights (B, 1, t_max))."""
     if len(lengths) and lengths.min() < 1:
         raise ValueError("history must be non-empty")
+    anchors = [rows[end - 1, :2] for end in np.cumsum(lengths).tolist()]
     feat, mask = pad_to_limit(rows, lengths, anchors, cfg, "t_max")
     b, t = len(lengths), cfg.t_max
     rows, slots = np.nonzero(mask)
@@ -148,8 +150,8 @@ def select_context(
 
 def extract_examples_per_detection(scenario: Scenario, cfg: SttConfig) -> list[tuple]:
     """`model.extract_examples`'s examples as (history, context, labels,
-    state_t, state_prev, anchor) with detections in place of table rows, each
-    context selected by the per-row `select_context`."""
+    state_t, state_prev) with detections in place of table rows, each context
+    selected by the per-row `select_context`."""
     per_object: dict[int, list[tuple[int, Detection]]] = {}
     for t, (frame, prov) in enumerate(zip(scenario.detections, scenario.provenance)):
         for det, oid in zip(frame, prov):
@@ -171,7 +173,6 @@ def extract_examples_per_detection(scenario: Scenario, cfg: SttConfig) -> list[t
                     tuple(1 if det.detection_id in own else 0 for det in context),
                     track.states[t],
                     track.states[t - 1],
-                    prior[-1].box.center_xy,
                 ))
     return examples
 

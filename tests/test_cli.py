@@ -358,3 +358,50 @@ def test_ablate_bad_values_exit_2(tmp_path, capsys, axis, values, reason):
     ]) == cli.EXIT_CONFIG
     assert last_error(capsys) == f"--values {values!r}: {reason}"
     assert not out.exists()
+
+
+def test_eval_of_tracks_with_another_frame_count_exits_2(tmp_path, capsys):
+    _, data = simulate(tmp_path, frames=12)
+    (tmp_path / "short").mkdir()
+    config, short = simulate(tmp_path / "short", frames=10)
+    tracks = tmp_path / "tracks"
+    assert track(config, short, tracks) == 0
+    capsys.readouterr()
+    assert cli.main([
+        "eval", "--gt", str(data), "--results", str(tracks), "--out", str(tmp_path / "e.json"),
+    ]) == cli.EXIT_CONFIG
+    pred, gt = tracks / "scenario_0000.tracks.jsonl", data / "scenario_0000.gt.jsonl"
+    assert last_error(capsys) == f"{pred}:1: header config frames 10 differs from 12 in {gt}"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        pytest.param('{"header": ', "not valid JSON: ", id="not-json"),
+        pytest.param("[1, 2]", "top level must be a JSON object", id="list"),
+        pytest.param('{"header": {}}', "header kind None, expected 'metrics'", id="no-kind"),
+        pytest.param(
+            '{"header": {"kind": "tracks"}, "report": {"classes": {}}}',
+            "header kind 'tracks', expected 'metrics'",
+            id="tracks-kind",
+        ),
+        pytest.param(
+            '{"header": {"kind": "metrics"}, "report": {}}',
+            "no report.classes object",
+            id="no-classes",
+        ),
+        pytest.param(
+            '{"header": {"kind": "metrics"}, "report": {"classes": []}}',
+            "no report.classes object",
+            id="classes-list",
+        ),
+    ],
+)
+def test_report_on_a_malformed_metrics_file_exits_2(tmp_path, capsys, text, reason):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    cli.write_metrics_file(good, {"classes": {}}, {})
+    assert cli.main(["report", "--inputs", str(good)]) == cli.EXIT_OK
+    bad.write_text(text)
+    capsys.readouterr()
+    assert cli.main(["report", "--inputs", str(good), str(bad)]) == cli.EXIT_CONFIG
+    assert last_error(capsys).startswith(f"{bad}: {reason}")

@@ -231,14 +231,6 @@ def test_nesting_levels_cover_sections_and_class_maps():
     } <= levels
 
 
-def test_tracking_lifecycle_binds_history_to_t_max():
-    lifecycle = dataclasses.replace(RunConfig().lifecycle, max_misses=5)
-    stt = dataclasses.replace(CONFIGS["pedestrian-stt"], lifecycle=lifecycle)
-    assert stt.tracking_lifecycle() == dataclasses.replace(lifecycle, max_history=5)
-    kalman = dataclasses.replace(stt, backend="kalman")
-    assert kalman.tracking_lifecycle() == lifecycle
-
-
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -246,6 +238,7 @@ def test_tracking_lifecycle_binds_history_to_t_max():
         ({"sim": {"frames": 1}}, "invalid sim: frames"),
         ({"policy": {"persistence": "false"}}, "policy.persistence"),
         ({"train": {"log_every": 0}}, "invalid train: log_every must be >= 1"),
+        ({"lifecycle": {"max_history": 10}}, "unknown key(s) in lifecycle: max_history"),
     ],
 )
 def test_simulate_with_bad_config_exits_2(tmp_path, capsys, data, message):

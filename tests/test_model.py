@@ -96,10 +96,9 @@ def make_example(cfg=TINY, n_hist=2, n_ctx=3, positive=0, offset=(0.0, 0.0)):
         for j in range(n_ctx)
     )
     labels = tuple(1 if j == positive else 0 for j in range(n_ctx))
-    anchor = history[-1].box.center_xy
     state_t = StateVector((ox + 0.2, oy), (1.0, 0.0), (0.1, 0.0))
     state_prev = StateVector((ox + 0.1, oy), (1.0, 0.0), (0.1, 0.0))
-    return history, context, labels, state_t, state_prev, anchor
+    return history, context, labels, state_t, state_prev
 
 
 def index_examples(raw, cfg=TINY):
@@ -149,12 +148,10 @@ def test_features_bitwise_equal_to_row_reference():
         TrainingExample(
             history=(0, 1), context=(2, 3, 4), labels=(0, 1, 0),
             state_t=StateVector.zero((0.0, 0.0)), state_prev=StateVector.zero((0.0, 0.0)),
-            anchor=(rng.uniform(-50, 50), rng.uniform(-50, 50)),
         ),
         TrainingExample(
             history=(2, 5, 1), context=(1,), labels=(1,),
             state_t=StateVector.zero((0.0, 0.0)), state_prev=StateVector.zero((0.0, 0.0)),
-            anchor=dets[1].box.center_xy,
         ),
     ]
     assert_packed_as_rows(pack_batch(rows, examples, cfg), examples, dets, cfg)
@@ -164,12 +161,14 @@ def test_features_bitwise_equal_to_row_reference():
 
 def assert_packed_as_rows(batch, examples, dets, cfg):
     """Every slot of `batch` is bitwise the reference row of the detection
-    its example names, relative to the example's anchor; pads are zero."""
+    its example names, relative to the example's anchor, the centre of its
+    last history detection; pads are zero."""
     for i, e in enumerate(examples):
+        anchor = dets[e.history[-1]].box.center_xy
         for feat, mask, group in ((batch.hist_feat, batch.hist_mask, e.history),
                                   (batch.ctx_feat, batch.ctx_mask, e.context)):
             n = len(group)
-            want = np.array([detection_features_row(dets[r], e.anchor, cfg) for r in group])
+            want = np.array([detection_features_row(dets[r], anchor, cfg) for r in group])
             assert feat[i, :n].tobytes() == want.tobytes()
             assert mask[i].tolist() == [j < n for j in range(mask.shape[1])]
             assert not feat[i, n:].any()
@@ -232,8 +231,8 @@ def test_encode_gradient_wrt_input_features():
 def test_fuse_single_embedding_deterministic_function():
     params = init_params(TINY, seed=0)
     det = make_detection(0.3, -0.2)
-    out1 = queries_from_histories(params, TINY, *grouped([[det]]), [(0.0, 0.0)])
-    out2 = queries_from_histories(params, TINY, *grouped([[det]]), [(0.0, 0.0)])
+    out1 = queries_from_histories(params, TINY, *grouped([[det]]))
+    out2 = queries_from_histories(params, TINY, *grouped([[det]]))
     assert out1.shape == (1, TINY.d_q)
     assert out1.tobytes() == out2.tobytes()
 
@@ -242,10 +241,10 @@ def test_fuse_rejects_empty_and_overlong_history():
     params = init_params(TINY, seed=0)
     ok = [make_detection()]
     with pytest.raises(ValueError, match="non-empty"):
-        queries_from_histories(params, TINY, *grouped([ok, []]), [(0.0, 0.0)] * 2)
+        queries_from_histories(params, TINY, *grouped([ok, []]))
     overlong = [make_detection(frame=f) for f in range(TINY.t_max + 1)]
     with pytest.raises(ValueError, match="4 detections exceeds t_max 3"):
-        queries_from_histories(params, TINY, *grouped([ok, overlong]), [(0.0, 0.0)] * 2)
+        queries_from_histories(params, TINY, *grouped([ok, overlong]))
 
 
 def test_padding_relayout_invariance():
@@ -470,12 +469,13 @@ def test_longest_group_padding_equals_limit_padding(sizes, pooling, seed):
     ctx_lengths = [c for _, c in sizes]
     hist_rows = rng.normal(0, 3, (sum(hist_lengths), cfg.feature_width))
     ctx_rows = rng.normal(0, 3, (sum(ctx_lengths), cfg.feature_width))
-    anchors = [tuple(a) for a in rng.normal(0, 3, (len(sizes), 2))]
+    # each track's anchor is the centre of its history's last row
+    anchors = hist_rows[np.cumsum(hist_lengths) - 1, :2].tolist()
 
-    queries = queries_from_histories(params, cfg, hist_rows, hist_lengths, anchors)
+    queries = queries_from_histories(params, cfg, hist_rows, hist_lengths)
     scores, states = context_scores(params, cfg, queries, ctx_rows, ctx_lengths, anchors)
     with limit_padded():
-        want = queries_from_histories(params, cfg, hist_rows, hist_lengths, anchors)
+        want = queries_from_histories(params, cfg, hist_rows, hist_lengths)
         want_scores, want_states = context_scores(
             params, cfg, queries, ctx_rows, ctx_lengths, anchors
         )
@@ -533,7 +533,6 @@ def test_loss_single_context_half_score():
         (1,),
         StateVector.zero((0.0, 0.0)),
         StateVector.zero((0.0, 0.0)),
-        (0.0, 0.0),
     )
     loss = m.loss_components_batch(params, cfg, pack([ex], cfg))["total"]
     assert loss.item() == pytest.approx(cfg.gamma * math.log(2.0), abs=1e-12)
@@ -597,7 +596,8 @@ def test_translation_equivariance():
 
     def forward(ex):
         scores, _, state_t, state_prev = m.forward_batch(params, cfg, pack([ex], cfg))
-        return scores.data, state_prev.data, state_t.data, np.array(ex[-1])
+        anchor = ex[0][-1].box.center_xy  # the last history detection's centre
+        return scores.data, state_prev.data, state_t.data, np.array(anchor)
 
     s_a, prev_a, st_a, anchor_a = forward(base)
     s_b, prev_b, st_b, anchor_b = forward(shifted)
@@ -651,7 +651,7 @@ def test_extract_examples_name_the_per_detection_examples_by_row():
     assert table.tobytes() == detection_features(dets, TINY).tobytes()
     named = [
         (tuple(dets[r - 5] for r in ex.history), tuple(dets[r - 5] for r in ex.context),
-         ex.labels, ex.state_t, ex.state_prev, ex.anchor)
+         ex.labels, ex.state_t, ex.state_prev)
         for ex in examples
     ]
     assert named == extract_examples_per_detection(scenario, TINY)

@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     NOISELESS,
-    detection_features_row,
     kalman_predict_reference,
     kalman_update_reference,
     state_from_array,
@@ -86,7 +85,7 @@ class ScriptedBackend:
 def overlap_costs(frame_index, tracks, dets):
     costs = np.full((len(tracks), len(dets)), assign.FORBIDDEN)
     for i, track in enumerate(tracks):
-        tx, ty = track.history[-1].box.center_xy
+        tx, ty = track.last.box.center_xy
         for j, det in enumerate(dets):
             d = math.hypot(det.box.center[0] - tx, det.box.center[1] - ty)
             if d < 3.0:
@@ -113,7 +112,7 @@ def test_single_overlapping_detection_extends_history():
     rows = tracker.step(1, [make_detection(0.5, 0, 1, 0)])
     assert len(rows) == 1
     track = tracker.tracks[rows[0].track_id]
-    assert len(track.history) == 2
+    assert track.last.frame_index == 1 and track.frame == 1
     assert track.misses == 0
 
 
@@ -124,16 +123,6 @@ def test_no_detection_shared_between_tracks():
     assert len(rows) == 2
     boxes = [row.box.center[0] for row in rows]
     assert len(set(boxes)) == 2
-
-
-def test_history_truncates_to_max_history():
-    tracker = Tracker(ScriptedBackend(overlap_costs), LifecycleConfig(max_history=4))
-    for frame in range(10):
-        tracker.step(frame, [make_detection(0, 0, frame, 0)])
-    (track,) = tracker.tracks.values()
-    assert len(track.history) == 4
-    assert [d.frame_index for d in track.history] == [6, 7, 8, 9]
-    assert track.frame == 9
 
 
 # Detections on a coarse grid with jitter, so that tracks match, miss, die and
@@ -166,7 +155,7 @@ def test_kalman_tracker_lifecycle_rules(stream, max_misses):
 
         # each kept detection joins exactly one track; dropped ones join none
         joined = [
-            tracker.tracks[row.track_id].history[-1].detection_id for row in rows
+            tracker.tracks[row.track_id].last.detection_id for row in rows
         ]
         kept = [d.detection_id for d in dets if d.confidence >= lifecycle.min_confidence]
         assert sorted(joined) == sorted(kept)
@@ -212,6 +201,17 @@ TINY_STT = SttConfig(d_q=8, d_a=3, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=
 TINY_STT_PARAMS = init_params(TINY_STT, seed=0)
 
 
+def record_histories(histories, tracker, frame, t_max):
+    """Append each track's `Track.last` to its recorded detections when the
+    track was matched or created at `frame`, keeping the last `t_max`; drop
+    the tracks the tracker deleted."""
+    for tid in set(histories) - set(tracker.tracks):
+        del histories[tid]
+    for tid, track in tracker.tracks.items():
+        if track.frame == frame:
+            histories[tid] = (histories.get(tid, []) + [track.last])[-t_max:]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(frame_detections, min_size=1, max_size=10),
@@ -220,38 +220,26 @@ TINY_STT_PARAMS = init_params(TINY_STT, seed=0)
 )
 def test_stt_backend_queries_follow_tracker(stream, max_misses, state_source):
     cfg = dataclasses.replace(TINY_STT, state_source=state_source)
-    lifecycle = LifecycleConfig(max_misses=max_misses, max_history=cfg.t_max)
+    lifecycle = LifecycleConfig(max_misses=max_misses)
     backend = SttBackend(TINY_STT_PARAMS, cfg, lifecycle, 0.1)
     tracker = Tracker(backend, lifecycle)
+    histories: dict[int, list[Detection]] = {}
     for frame, cells in enumerate(stream):
         tracker.step(frame, [
             make_detection(5.0 * gx + jitter, 6.0 * gy, frame, j, conf=conf)
             for j, (gx, gy, jitter, conf) in enumerate(cells)
         ])
+        record_histories(histories, tracker, frame, cfg.t_max)
         # one stored query and history per live track, each the query of
         # its own history and that history's feature rows
         assert set(backend.queries) == set(backend.history_rows) == set(tracker.tracks)
-        for tid, track in tracker.tracks.items():
-            rows = detection_features(track.history, cfg)
+        for tid in tracker.tracks:
+            rows = detection_features(histories[tid], cfg)
             assert backend.history_rows[tid].tobytes() == rows.tobytes()
-            (expected,) = queries_from_histories(
-                TINY_STT_PARAMS, cfg, rows, [len(rows)], [track.history[-1].box.center_xy]
-            )
+            (expected,) = queries_from_histories(TINY_STT_PARAMS, cfg, rows, [len(rows)])
             np.testing.assert_allclose(
                 backend.queries[tid], expected, rtol=1e-12, atol=1e-12
             )
-
-
-class TrackHistoryBackend(SttBackend):
-    """An `SttBackend` that featurizes each matched track's `Track.history`
-    anew, one detection at a time, in place of the history rows it kept."""
-
-    def update_matched(self, frame_index, pairs):
-        for track, _ in pairs:
-            self.history_rows[track.track_id] = np.array(
-                [detection_features_row(det, (0.0, 0.0), self.cfg) for det in track.history]
-            )
-        return super().update_matched(frame_index, pairs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,44 +249,50 @@ class TrackHistoryBackend(SttBackend):
         min_size=4,
         max_size=10,
     ),
-    st.integers(1, TINY_STT.t_max - 1),
     st.sampled_from(["tsd", "tdi"]),
 )
-def test_stt_short_history_equals_per_detection_history(presence, max_history, state_source):
-    # max_history < t_max: a matched track's query reads max_history + 1
-    # detections, more than the history the tracker keeps afterwards. Three
-    # objects that come and go, and every scored pair matchable, so that
-    # most tracks are matched more than max_history + 1 times.
+@example([[(True, 0.0)] * 3] * 2 * TINY_STT.t_max, "tsd")
+def test_stt_history_rows_are_the_last_t_max_matches(presence, state_source):
+    # Three objects that come and go, and every scored pair matchable, so
+    # that most tracks are matched more than t_max times.
     cfg = dataclasses.replace(TINY_STT, state_source=state_source)
-    lifecycle = LifecycleConfig(max_history=max_history, creation_score_threshold=0.0)
-    frames = [
-        [make_detection(5.0 * j + jitter, 0.0, frame, j)
-         for j, (present, jitter) in enumerate(cells) if present]
-        for frame, cells in enumerate(presence)
-    ]
-
-    def rows(backend_type):
-        backend = backend_type(TINY_STT_PARAMS, cfg, lifecycle, 0.1)
-        return run_sequence(frames, backend, lifecycle).frames
-
-    assert rows(SttBackend) == rows(TrackHistoryBackend)
+    lifecycle = LifecycleConfig(creation_score_threshold=0.0)
+    backend = SttBackend(TINY_STT_PARAMS, cfg, lifecycle, 0.1)
+    tracker = Tracker(backend, lifecycle)
+    histories: dict[int, list[Detection]] = {}
+    for frame, cells in enumerate(presence):
+        tracker.step(frame, [
+            make_detection(5.0 * j + jitter, 0.0, frame, j)
+            for j, (present, jitter) in enumerate(cells) if present
+        ])
+        record_histories(histories, tracker, frame, cfg.t_max)
+        assert set(backend.history_rows) == set(tracker.tracks)
+        for tid in tracker.tracks:
+            want = detection_features(histories[tid], cfg)
+            assert backend.history_rows[tid].tobytes() == want.tobytes()
 
 
 def test_stt_tdi_states_come_from_the_association_pass():
-    lifecycle = LifecycleConfig(max_history=TINY_STT.t_max, creation_score_threshold=0.0)
-    first, second = make_detection(0.0, 0.0, 0, 0), make_detection(0.5, 0.2, 1, 0)
+    # at frame 2 the track's history holds two detections; its anchor is the
+    # centre of the later one
+    lifecycle = LifecycleConfig(creation_score_threshold=0.0)
+    first, second, third = (
+        make_detection(x, y, frame, 0)
+        for frame, (x, y) in enumerate([(0.0, 0.0), (0.5, 0.2), (1.1, 0.3)])
+    )
     for state_source in ("tsd", "tdi"):
         cfg = dataclasses.replace(TINY_STT, state_source=state_source)
         tracker = Tracker(SttBackend(TINY_STT_PARAMS, cfg, lifecycle, 0.1), lifecycle)
         tracker.step(0, [first])
+        tracker.step(1, [second])
         query = tracker.backend.queries[1]
-        (row,) = tracker.step(1, [second])
+        (row,) = tracker.step(2, [third])
         assert row.track_id == 1
         _, (rel,) = context_scores(
-            TINY_STT_PARAMS, cfg, query[None], detection_features([second], cfg), [1],
-            [first.box.center_xy],
+            TINY_STT_PARAMS, cfg, query[None], detection_features([third], cfg), [1],
+            [second.box.center_xy],
         )
-        tdi = state_from_array(rel + [*first.box.center_xy, 0, 0, 0, 0])
+        tdi = state_from_array(rel + [*second.box.center_xy, 0, 0, 0, 0])
         assert (row.state == tdi) == (state_source == "tdi")
 
 
@@ -306,7 +300,7 @@ def test_kalman_frame_costs_reject_tracks_not_in_bank():
     backend = KalmanBackend(KfParams(), 0.1)
     det = make_detection(0.0, 0.0, 0, 0)
     backend.create_tracks(0, [1, 2], [det, make_detection(9.0, 0.0, 0, 1)])
-    track = Track(2, [det], 0, StateVector.zero())
+    track = Track(2, det, 0, StateVector.zero())
     with pytest.raises(ValueError, match=r"tracks \[2\] differ from the filter bank's"):
         backend.frame_costs(1, [track], [det])
     backend.forget([1])
@@ -315,14 +309,14 @@ def test_kalman_frame_costs_reject_tracks_not_in_bank():
 
 
 def test_stt_backend_rows_come_from_the_frame_it_costed():
-    lifecycle = LifecycleConfig(max_history=TINY_STT.t_max)
+    lifecycle = LifecycleConfig()
     backend = SttBackend(TINY_STT_PARAMS, TINY_STT, lifecycle, 0.1)
     det = make_detection(0.0, 0.0, 0, 0)
     with pytest.raises(ValueError, match="frame 0: frame_costs ran last for frame None"):
         backend.create_tracks(0, [1], [det])
     backend.frame_costs(0, [], [det])
     backend.create_tracks(0, [1], [det])
-    track = Track(1, [det], 0, StateVector.zero())
+    track = Track(1, det, 0, StateVector.zero())
     with pytest.raises(ValueError, match="frame 1: frame_costs ran last for frame 0"):
         backend.update_matched(1, [(track, make_detection(0.5, 0.0, 1, 0))])
 
@@ -461,7 +455,7 @@ def test_stt_backend_runs_and_is_deterministic():
     scenario = stt_scenario()
     cfg = SttConfig(d_q=16, d_a=8, d_m=2, t_max=5, k_max=8, heads=2, mlp_hidden=16)
     params = init_params(cfg, seed=0)
-    lifecycle = LifecycleConfig(max_history=cfg.t_max)
+    lifecycle = LifecycleConfig()
 
     def run():
         backend = SttBackend(params, cfg, lifecycle, scenario.dt)
@@ -482,7 +476,7 @@ def test_stt_backend_runs_and_is_deterministic():
 def kf_track(tid, box, velocity, params):
     """A one-detection track plus a filter at its center with the given velocity."""
     det = Detection(box, (0.1,) * 3, (0.0, 0.0), 0.9, 0, tid, ClassId.VEHICLE)
-    track = Track(tid, [det], 0, StateVector.zero(box.center_xy))
+    track = Track(tid, det, 0, StateVector.zero(box.center_xy))
     state = init_state(box.center_xy, params)
     state.mean[2:4] = velocity
     return track, state
@@ -518,7 +512,7 @@ def reference_kf_costs(states, tracks, dets, dt, params):
         pred = predict(states[track.track_id], dt, params)
         for j, det in enumerate(dets):
             costs[i, j] = kf_association_cost(
-                pred, track.history[-1].box, det, params
+                pred, track.last.box, det, params
             )
     return costs
 
@@ -553,7 +547,7 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
     ]
     for track in tracks[:4]:
         pred_box = predicted_box(
-            predict(states[track.track_id], dt, params).mean, track.history[-1].box
+            predict(states[track.track_id], dt, params).mean, track.last.box
         )
         direction = rng.uniform(-math.pi, math.pi)
         boxes.extend(gate_edge_boxes(pred_box, params.iou_gate, direction))
