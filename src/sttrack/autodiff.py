@@ -1,8 +1,18 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
 Float64 throughout, single-threaded, deterministic. Just enough surface to
-express small MLP/attention networks and their losses; shapes stay desk
-scale, so clarity and exact gradients win over throughput everywhere.
+express small MLP/attention networks and their losses. Shapes stay desk
+scale, so an op's cost is mostly its per-call overhead, and the forward
+pass of every op is the one numpy expression it stands for, with or
+without gradients: `add`, `sub`, `mul` and `div` let numpy broadcast and
+only turn its error into one naming the op and both shapes, and
+`transpose` inverts its permutation in the backward rule, not per call.
+Under `no_grad` an op's result records neither its parents nor its
+backward rule.
+
+A 2-D right operand of `matmul`, as every weight is, gets its gradient
+from one GEMM over the left operand's flattened leading axes; summed in
+that order, it may differ from a per-batch sum in the last bits.
 
 `Tensor.backward` starts every node's `grad` at None and runs only the nodes
 a gradient reached; every backward rule adds its contributions through
@@ -125,9 +135,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _shape_check(a: Tensor, b: Tensor, op: str) -> None:
+def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """`ufunc(a.data, b.data)`, its broadcast error naming `op` and both shapes."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
 
@@ -137,7 +148,7 @@ def _shape_check(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _shape_check(a, b, "add")
+    out = _broadcast(np.add, a, b, "add")
 
     def backward(g):
         if a.requires_grad:
@@ -145,12 +156,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
 
-    return _make(a.data + b.data, (a, b), backward)
+    return _make(out, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _shape_check(a, b, "sub")
+    out = _broadcast(np.subtract, a, b, "sub")
 
     def backward(g):
         if a.requires_grad:
@@ -158,12 +169,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape), np.subtract)
 
-    return _make(a.data - b.data, (a, b), backward)
+    return _make(out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _shape_check(a, b, "mul")
+    out = _broadcast(np.multiply, a, b, "mul")
 
     def backward(g):
         if a.requires_grad:
@@ -171,12 +182,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    return _make(a.data * b.data, (a, b), backward)
+    return _make(out, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _shape_check(a, b, "div")
+    out = _broadcast(np.divide, a, b, "div")
 
     def backward(g):
         if a.requires_grad:
@@ -184,7 +195,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return _make(a.data / b.data, (a, b), backward)
+    return _make(out, (a, b), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -261,7 +272,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if b.requires_grad:
+        if b.requires_grad and b.ndim == 2:  # a weight: one GEMM over a's leading axes
+            _accumulate(b, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
+        elif b.requires_grad:
             _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return _make(np.matmul(a.data, b.data), (a, b), backward)
@@ -281,10 +294,10 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     a = _lift(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
-    inverse = tuple(np.argsort(axes))
 
     def backward(g):
         if a.requires_grad:
+            inverse = sorted(range(len(axes)), key=axes.__getitem__)
             _accumulate(a, g.transpose(inverse))
 
     return _make(a.data.transpose(axes), (a,), backward)

@@ -20,6 +20,8 @@ import concurrent.futures
 import dataclasses
 import json
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -308,36 +310,48 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# table column -> key path of its metric in a class row of a metrics report
+_REPORT_COLUMNS = {
+    "MOTA": "mota",
+    "S-MOTA": "s_mota",
+    "FP%": "fp_pct",
+    "Miss%": "miss_pct",
+    "MM%": "mismatch_pct",
+    "MOTP_v[static]": "motp.velocity.static",
+    "MOTP_v[all]": "motp.velocity.all",
+    "MOTP_a[all]": "motp.acceleration.all",
+}
+
+
 def _comparison_table(runs: list[tuple[str, dict]], class_name: str) -> str:
-    headers = [
-        "run", "MOTA", "S-MOTA", "FP%", "Miss%", "MM%",
-        "MOTP_v[static]", "MOTP_v[all]", "MOTP_a[all]",
-    ]
-    lines = ["  ".join(f"{h:>14}" for h in headers)]
-
-    def cell(value) -> str:
-        if value is None:
-            return f"{'-':>14}"
-        return f"{value:>14.3f}"
-
+    lines = ["  ".join(f"{h:>14}" for h in ["run", *_REPORT_COLUMNS])]
     for label, report in runs:
         row = report["classes"].get(class_name)
-        if row is None:
-            lines.append(f"{label:>14}  " + "  ".join([f"{'-':>14}"] * 8))
-            continue
-        pct = lambda v: None if v is None else 100.0 * v
-        cells = [
-            cell(row["mota"]),
-            cell(row["s_mota"]),
-            cell(pct(row["fp_pct"])),
-            cell(pct(row["miss_pct"])),
-            cell(pct(row["mismatch_pct"])),
-            cell(row["motp"]["velocity"]["static"]),
-            cell(row["motp"]["velocity"]["all"]),
-            cell(row["motp"]["acceleration"]["all"]),
-        ]
+        cells = []
+        for column, key in _REPORT_COLUMNS.items():
+            value = None if row is None else reduce(getitem, key.split("."), row)
+            if value is not None and column.endswith("%"):
+                value = 100.0 * value
+            cells.append(f"{'-':>14}" if value is None else f"{value:>14.3f}")
         lines.append(f"{label:>14}  " + "  ".join(cells))
     return "\n".join(lines)
+
+
+def _check_class_row(path: Path, class_name: str, row) -> None:
+    """FormatError naming `path`, the class and the key unless `row` holds
+    every `_REPORT_COLUMNS` metric as a number or null."""
+    for key in _REPORT_COLUMNS.values():
+        value, where = row, f"report.classes.{class_name}"
+        for part in key.split("."):
+            if type(value) is not dict:
+                kind = type(value).__name__
+                raise formats.FormatError(f"{path}: {where} must be an object, not {kind}")
+            if part not in value:
+                raise formats.FormatError(f"{path}: {where} has no {part!r}")
+            value, where = value[part], f"{where}.{part}"
+        if value is not None and type(value) not in (int, float):
+            kind = type(value).__name__
+            raise formats.FormatError(f"{path}: {where} must be a number or null, not {kind}")
 
 
 def _read_metrics_report(path: Path) -> dict:
@@ -356,6 +370,8 @@ def _read_metrics_report(path: Path) -> dict:
         raise formats.FormatError(f"{path}: header kind {kind!r}, expected 'metrics'")
     if not isinstance(report, dict) or not isinstance(report.get("classes"), dict):
         raise formats.FormatError(f"{path}: no report.classes object")
+    for class_name, row in report["classes"].items():
+        _check_class_row(path, class_name, row)
     return report
 
 

@@ -232,7 +232,7 @@ class SttBackend:
             self.params, self.cfg, queries, self._frame_rows[cols], lengths, anchors
         )
         if self.cfg.state_source == "tdi":
-            for tid, anchor, rel in zip(ids, anchors, states):
+            for tid, anchor, rel in zip(ids, anchors, states.tolist()):
                 self._tdi_states[tid] = StateVector(
                     (rel[0] + anchor[0], rel[1] + anchor[1]),
                     (rel[2], rel[3]),
@@ -269,7 +269,7 @@ class SttBackend:
                     (rel[2], rel[3]),
                     (rel[4], rel[5]),
                 )
-                for rel, anchor in zip(decode_states(self.params, queries), anchors)
+                for rel, anchor in zip(decode_states(self.params, queries).tolist(), anchors)
             ]
         # tdi: the state predicted during the association pass; a track matched
         # without a scored context falls back to the detection center

@@ -202,6 +202,17 @@ def zero_filled_backward(out: Tensor) -> None:
             node._backward_fn(node.grad)
 
 
+def batched_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of `a @ w` for a 2-D `w`, given the output gradient `g`,
+    as one matmul per leading index of `a` whose (..., K, N) products are
+    then summed over the leading axes, first axis first; `matmul`'s backward
+    rule does it as one GEMM over the flattened leading axes instead."""
+    grad = np.matmul(np.swapaxes(a, -1, -2), g)
+    while grad.ndim > 2:
+        grad = grad.sum(axis=0)
+    return grad
+
+
 _KF_H = np.zeros((2, 6))
 _KF_H[0, 0] = 1.0
 _KF_H[1, 1] = 1.0

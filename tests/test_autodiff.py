@@ -3,9 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sttrack import autodiff as ad
 from sttrack.autodiff import AdamW, Tensor
+
+from oracles import batched_weight_grad
 
 
 def check_grad(build, params, h=1e-5, tol=1e-4):
@@ -76,11 +80,21 @@ def test_forward_deterministic():
     assert run() == run()
 
 
-def test_shape_mismatch_reports_both_shapes():
+@pytest.mark.parametrize("op, ufunc", [
+    ("add", np.add), ("sub", np.subtract), ("mul", np.multiply), ("div", np.divide),
+], ids=["add", "sub", "mul", "div"])
+def test_shape_mismatch_reports_both_shapes(op, ufunc):
+    with pytest.raises(ValueError, match=rf"^{op}: incompatible shapes \(2, 3\) and \(7,\)$"):
+        getattr(ad, op)(Tensor(np.zeros((2, 3))), Tensor(np.zeros(7)))
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(0, 1, (2, 3)), rng.normal(0, 1, (2, 1)) + 3.0
+    out = getattr(ad, op)(Tensor(a), Tensor(b))
+    assert out.data.tobytes() == ufunc(a, b).tobytes()
+
+
+def test_matmul_shape_mismatch_reports_both_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(7,\)"):
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(7)))
 
 
 # --- gradient checks ---------------------------------------------------------
@@ -176,6 +190,36 @@ def test_grad_softmax_layernorm():
         return scalarize(ad.softmax(ad.layer_norm(x, g, b), axis=-1))
 
     check_grad(build, {"x": x, "g": g, "b": b})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 4]).flatmap(lambda n: st.permutations(range(n))),
+    st.integers(0, 2**32 - 1),
+)
+def test_transpose_gradient_for_every_permutation(axes, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(0, 1, (2, 3, 4, 5)[: len(axes)]), requires_grad=True)
+    w = rng.normal(0, 1, tuple(x.shape[i] for i in axes))
+    ad.sum_(ad.mul(ad.transpose(x, tuple(axes)), Tensor(w))).backward()
+    assert x.grad.shape == x.shape
+    # d/dx of sum(x.transpose(axes) * w) is w with the axes moved back
+    assert x.grad.transpose(axes).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (3, 5), (64,), (4, 2, 6)])
+def test_weight_gradient_is_the_batched_sum(lead):
+    rng = np.random.default_rng(len(lead))
+    a = Tensor(rng.normal(0, 1, (*lead, 6, 5)), requires_grad=True)
+    w = Tensor(rng.normal(0, 1, (5, 4)), requires_grad=True)
+    g = rng.normal(0, 1, (*lead, 6, 4))
+    ad.sum_(ad.mul(ad.matmul(a, w), Tensor(g))).backward()
+    expected = batched_weight_grad(a.data, g)
+    if not lead:  # one product: the same GEMM
+        assert w.grad.tobytes() == expected.tobytes()
+    else:  # the sum runs in another order
+        assert np.abs(w.grad - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert a.grad.tobytes() == np.matmul(g, w.data.T).tobytes()
 
 
 # --- gradient buffers --------------------------------------------------------

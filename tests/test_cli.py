@@ -42,6 +42,23 @@ def test_eval_mota_only_policy_disables_state_gates(tmp_path):
     assert row["s_mota"] == row["mota"]
 
 
+def test_report_tabulates_an_eval_metrics_file(tmp_path, capsys):
+    config, data = simulate(tmp_path)
+    tracks, out = tmp_path / "tracks", tmp_path / "eval.json"
+    assert track(config, data, tracks) == 0
+    assert cli.main([
+        "eval", "--config", str(config), "--gt", str(data), "--results", str(tracks),
+        "--out", str(out),
+    ]) == 0
+    row = json.loads(out.read_text())["report"]["classes"]["vehicle"]
+    capsys.readouterr()
+    assert cli.main(["report", "--inputs", str(out), "--labels", "kf"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    table_row = lines[lines.index("== vehicle ==") + 2].split()
+    assert table_row[:3] == ["kf", f"{row['mota']:.3f}", f"{row['s_mota']:.3f}"]
+    assert table_row[3] == f"{100.0 * row['fp_pct']:.3f}"
+
+
 def test_track_reads_only_detections(tmp_path):
     config, data = simulate(tmp_path)
     det_only = tmp_path / "det_only"
@@ -394,6 +411,36 @@ def test_eval_of_tracks_with_another_frame_count_exits_2(tmp_path, capsys):
             '{"header": {"kind": "metrics"}, "report": {"classes": []}}',
             "no report.classes object",
             id="classes-list",
+        ),
+        pytest.param(
+            '{"header": {"kind": "metrics"}, "report": {"classes": {"vehicle": {"mota": 1}}}}',
+            "report.classes.vehicle has no 's_mota'",
+            id="row-without-a-metric",
+        ),
+        pytest.param(
+            '{"header": {"kind": "metrics"}, "report": {"classes": {"vehicle": "x"}}}',
+            "report.classes.vehicle must be an object, not str",
+            id="row-not-an-object",
+        ),
+        pytest.param(
+            '{"header": {"kind": "metrics"}, "report": {"classes": {"vehicle": {"mota": 1,'
+            ' "s_mota": null, "fp_pct": 0, "miss_pct": 0, "mismatch_pct": 0,'
+            ' "motp": {"velocity": {"static": "0.5", "all": 1}}}}}}',
+            "report.classes.vehicle.motp.velocity.static must be a number or null, not str",
+            id="nested-metric-a-string",
+        ),
+        pytest.param(
+            '{"header": {"kind": "metrics"}, "report": {"classes": {"vehicle": {"mota": 1,'
+            ' "s_mota": true}}}}',
+            "report.classes.vehicle.s_mota must be a number or null, not bool",
+            id="metric-a-bool",
+        ),
+        pytest.param(
+            '{"header": {"kind": "metrics"}, "report": {"classes": {"vehicle": {"mota": 1,'
+            ' "s_mota": 1, "fp_pct": 0, "miss_pct": 0, "mismatch_pct": 0,'
+            ' "motp": {"velocity": {"static": 0.5, "all": 1}, "acceleration": []}}}}}',
+            "report.classes.vehicle.motp.acceleration must be an object, not list",
+            id="nested-section-a-list",
         ),
     ],
 )

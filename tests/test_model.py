@@ -515,6 +515,25 @@ def test_longest_group_batch_loss_and_gradients_equal_limit_padded():
         np.testing.assert_allclose(params[name].grad, param.grad, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("pooling", ["mean", "last"])
+def test_forward_batch_without_gradients_is_bitwise_the_training_forward(pooling):
+    # tracking runs the network under no_grad, training with the graph on:
+    # the ops must compute the same values either way
+    cfg = dataclasses.replace(TINY, pooling=pooling)
+    params = init_params(cfg, seed=4)
+    batch = pack([
+        make_example(cfg, n_hist=h, n_ctx=c, positive=c - 1, offset=(1.5 * i, 0.5 * i))
+        for i, (h, c) in enumerate([(3, 4), (1, 2), (2, 1), (3, 3)])
+    ], cfg)
+    with_graph = m.forward_batch(params, cfg, batch)
+    assert all(out.requires_grad for out in with_graph)
+    with ad.no_grad():
+        without = m.forward_batch(params, cfg, batch)
+    assert not any(out.requires_grad for out in without)
+    for got, want in zip(without, with_graph):
+        assert got.data.tobytes() == want.data.tobytes()
+
+
 # --- losses ------------------------------------------------------------------
 
 
