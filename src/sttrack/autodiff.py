@@ -199,14 +199,19 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(x, 0) with the bits of `np.where(x > 0, x, 0.0)`: `fmax` maps NaN
+    to 0 but may keep a -0.0 input, which adding +0.0 turns into +0.0."""
     a = _lift(a)
-    mask = a.data > 0
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
+    backward = None
+    if _grad_enabled and a.requires_grad:
+        mask = a.data > 0
 
-    def backward(g):
-        if a.requires_grad:
+        def backward(g):
             _accumulate(a, g * mask)
 
-    return _make(np.where(mask, a.data, 0.0), (a,), backward)
+    return _make(out, (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -10,11 +10,11 @@ import numpy as np
 
 from sttrack import model
 from sttrack.autodiff import Tensor
-from sttrack.core import Box7, Detection, StateVector
+from sttrack.core import Box7, ClassId, Detection, StateVector, normalize_heading
 from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
 from sttrack.metrics import EvalBox, Evaluator, MatchingPolicy
 from sttrack.model import SttConfig
-from sttrack.sim import FALSE_POSITIVE, NoiseModel, Scenario
+from sttrack.sim import FALSE_POSITIVE, GtTrack, NoiseModel, Scenario, trajectory_at
 
 NOISELESS = NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -269,3 +269,159 @@ def evaluate_sequences(
     for label_frames, pred_frames in sequences:
         evaluator.add_sequence(label_frames, pred_frames)
     return evaluator.report()
+
+
+def scenario_numbers(scenario: Scenario):
+    """Every real-valued field of a scenario, ground truth then detections."""
+    for track in scenario.gt_tracks:
+        for box, state in zip(track.boxes, track.states):
+            yield from (*box.center, *box.size, box.heading)
+            yield from (*state.position, *state.velocity, *state.acceleration)
+    for frame in scenario.detections:
+        for det in frame:
+            yield from (*det.box.center, *det.box.size, det.box.heading)
+            yield from (*det.appearance, *det.motion, det.confidence)
+
+
+def generate_per_frame(config, objects, seed: int) -> Scenario:
+    """`sim.generate` one detection at a time: the same draws in the same
+    order, with each detection's noise applied frame by frame, each heading
+    through `normalize_heading` and each motion against the object's last
+    seen centre."""
+    if len(objects) < 1:
+        raise ValueError("need at least one object")
+    rng = np.random.default_rng(seed)
+    noise = config.noise
+    n_frames = config.frames
+    dt = config.dt
+    d_a = config.appearance_dim
+    times = np.arange(n_frames) * dt
+
+    gt_tracks = []
+    signatures = []
+    for oid, spec in enumerate(objects):
+        sig = rng.standard_normal(d_a)
+        sig /= np.linalg.norm(sig)
+        signatures.append(sig)
+        pos, vel, acc, heading = trajectory_at(spec, times)
+        boxes = tuple(
+            Box7(
+                (pos[k, 0], pos[k, 1], 0.5 * spec.size[2]),
+                spec.size,
+                normalize_heading(float(heading[k])),
+            )
+            for k in range(n_frames)
+        )
+        states = tuple(
+            StateVector(
+                (float(pos[k, 0]), float(pos[k, 1])),
+                (float(vel[k, 0]), float(vel[k, 1])),
+                (float(acc[k, 0]), float(acc[k, 1])),
+            )
+            for k in range(n_frames)
+        )
+        gt_tracks.append(GtTrack(oid, spec.class_id, boxes, states))
+
+    per_object = []
+    for oid, spec in enumerate(objects):
+        per_object.append(
+            {
+                "miss": rng.random(n_frames),
+                "center": rng.standard_normal((n_frames, 3)) * noise.center_sigma,
+                "heading": rng.standard_normal(n_frames) * noise.heading_sigma,
+                "size": rng.standard_normal((n_frames, 3)) * noise.size_sigma,
+                "appearance": rng.standard_normal((n_frames, d_a))
+                * noise.appearance_sigma,
+                "conf": np.abs(rng.standard_normal(n_frames)) * noise.confidence_noise,
+            }
+        )
+    fp_counts = rng.poisson(noise.fp_rate, size=n_frames)
+
+    half = 0.5 * config.field_size
+    classes = sorted({spec.class_id for spec in objects}, key=lambda c: c.value)
+    detections: list[tuple[Detection, ...]] = []
+    provenance: list[tuple[int, ...]] = []
+    last_seen: list[tuple[int, np.ndarray] | None] = [None] * len(objects)
+
+    for k in range(n_frames):
+        frame_dets: list[Detection] = []
+        frame_prov: list[int] = []
+        det_id = 0
+        for oid, spec in enumerate(objects):
+            draws = per_object[oid]
+            if draws["miss"][k] < noise.miss_prob:
+                continue
+            gt_box = gt_tracks[oid].boxes[k]
+            center = np.array(gt_box.center) + draws["center"][k]
+            size = np.maximum(np.array(spec.size) + draws["size"][k], 0.05)
+            heading = normalize_heading(gt_box.heading + float(draws["heading"][k]))
+            appearance = signatures[oid] + draws["appearance"][k]
+            center_err = float(np.hypot(draws["center"][k, 0], draws["center"][k, 1]))
+            conf = float(np.clip(1.0 - center_err - draws["conf"][k], 0.0, 1.0))
+            if last_seen[oid] is None:
+                motion = (0.0, 0.0)
+            else:
+                prev_k, prev_center = last_seen[oid]
+                elapsed = (k - prev_k) * dt
+                motion = (
+                    float((center[0] - prev_center[0]) / elapsed),
+                    float((center[1] - prev_center[1]) / elapsed),
+                )
+            last_seen[oid] = (k, center[:2].copy())
+            frame_dets.append(
+                Detection(
+                    box=Box7(tuple(center), tuple(size), heading),
+                    appearance=tuple(appearance),
+                    motion=motion,
+                    confidence=conf,
+                    frame_index=k,
+                    detection_id=det_id,
+                    class_id=spec.class_id,
+                )
+            )
+            frame_prov.append(oid)
+            det_id += 1
+
+        for _ in range(int(fp_counts[k])):
+            cx, cy = rng.uniform(-half, half, size=2)
+            cls = classes[int(rng.integers(len(classes)))]
+            if cls is ClassId.VEHICLE:
+                size = (
+                    float(rng.uniform(1.6, 2.2)),
+                    float(rng.uniform(3.5, 5.5)),
+                    float(rng.uniform(1.4, 1.8)),
+                )
+            else:
+                size = (
+                    float(rng.uniform(0.5, 1.0)),
+                    float(rng.uniform(0.5, 1.0)),
+                    float(rng.uniform(1.6, 1.9)),
+                )
+            heading = normalize_heading(float(rng.uniform(-math.pi, math.pi)))
+            sig = rng.standard_normal(d_a)
+            sig /= np.linalg.norm(sig)
+            conf = float(rng.uniform(0.05, 0.4))
+            frame_dets.append(
+                Detection(
+                    box=Box7((cx, cy, 0.5 * size[2]), size, heading),
+                    appearance=tuple(sig),
+                    motion=(0.0, 0.0),
+                    confidence=conf,
+                    frame_index=k,
+                    detection_id=det_id,
+                    class_id=cls,
+                )
+            )
+            frame_prov.append(FALSE_POSITIVE)
+            det_id += 1
+
+        detections.append(tuple(frame_dets))
+        provenance.append(tuple(frame_prov))
+
+    return Scenario(
+        frames=n_frames,
+        dt=dt,
+        gt_tracks=tuple(gt_tracks),
+        detections=tuple(detections),
+        provenance=tuple(provenance),
+    )

@@ -44,6 +44,37 @@ def scalarize(out, seed=0):
 # --- forward values ----------------------------------------------------------
 
 
+_SPECIALS = np.array([
+    0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
+    5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5,
+])
+
+
+def relu_layouts():
+    grid = np.resize(_SPECIALS, (6, 8, 5))
+    yield "contiguous", grid
+    yield "strided", grid[::2, 1::3, ::-2]
+    yield "fortran", np.asfortranarray(grid)
+    yield "transposed", grid.transpose(2, 0, 1)
+    for value in _SPECIALS:
+        yield "0-d", np.array(value)
+
+
+@pytest.mark.parametrize("layout, x", list(relu_layouts()))
+def test_relu_matches_where_bit_for_bit(layout, x):
+    expected = np.where(x > 0, x, 0.0)
+    for requires_grad in (False, True):
+        out = ad.relu(Tensor(x, requires_grad=requires_grad)).data
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+
+def test_relu_gradient_passes_only_positive_inputs():
+    x = Tensor(_SPECIALS.copy(), requires_grad=True)
+    ad.sum_(ad.relu(x)).backward()
+    assert x.grad.tobytes() == (_SPECIALS > 0).astype(float).tobytes()
+
+
 def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor(0.0)).item() == pytest.approx(0.5)
 

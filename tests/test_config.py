@@ -128,6 +128,53 @@ def test_json_integer_in_float_field_reads_as_float():
             {"policy": {"state_thresholds": {"vehicle": {"velocity": 0}}}},
             "invalid policy: state_thresholds must be > 0 for every class and gated state",
         ),
+        ({"sim": {"dt": "inf"}}, "invalid sim: dt must be > 0 and finite, got inf"),
+        (
+            {"sim": {"field_size": "inf"}},
+            "invalid sim: field_size must be > 0 and finite, got inf",
+        ),
+        *(
+            (
+                {"sim": {"noise": {name: "inf"}}},
+                f"invalid sim.noise: {name} must be finite, got inf",
+            )
+            for name in (
+                "center_sigma", "heading_sigma", "size_sigma", "appearance_sigma",
+                "confidence_noise", "fp_rate",
+            )
+        ),
+        (
+            {"sim": {"speed_thresholds": {"static_max": -1}}},
+            "invalid sim.speed_thresholds: static_max must be >= 0, got -1.0",
+        ),
+        (
+            {"sim": {"speed_thresholds": {"static_max": "inf"}}},
+            "invalid sim.speed_thresholds: fast_min_vehicle must be >= static_max (inf), got 3.0",
+        ),
+        (
+            {"sim": {"speed_thresholds": {"fast_min_vehicle": 0.1}}},
+            "invalid sim.speed_thresholds: fast_min_vehicle must be >= static_max (0.2), got 0.1",
+        ),
+        (
+            {"sim": {"speed_thresholds": {"fast_min_pedestrian": 0.1}}},
+            "invalid sim.speed_thresholds: fast_min_pedestrian must be >= static_max (0.2), "
+            "got 0.1",
+        ),
+        (
+            {"policy": {"speed_thresholds": {"static_max": -1}}},
+            "invalid policy.speed_thresholds: static_max must be >= 0, got -1.0",
+        ),
+        (
+            {"sim": {"speed_thresholds": {
+                "static_max": "inf", "fast_min_vehicle": "inf", "fast_min_pedestrian": "inf",
+            }}},
+            "invalid sim: speed_thresholds must be finite, got SpeedThresholds(static_max=inf",
+        ),
+        (
+            {"sim": {"speed_thresholds": {"fast_min_pedestrian": 0.3}}},
+            "invalid sim: speed_thresholds must be such that 1.5 * static_max <= 0.8 * fast_min "
+            "for both classes",
+        ),
     ],
 )
 def test_rejects_naming_the_path(data, message):
@@ -164,11 +211,20 @@ def test_rejects_nan_train_setting():
         TrainSettings(learning_rate=float("nan"))
 
 
+def test_policy_speed_thresholds_may_be_infinite():
+    # Only the simulator needs finite bucket bounds to draw speeds from.
+    cfg = run_config_from_dict({"policy": {"speed_thresholds": {"fast_min_vehicle": "inf"}}})
+    assert cfg.policy.speed_thresholds.fast_min_vehicle == INF
+
+
 @pytest.mark.parametrize(
     "section, name",
     [
         (section, f.name)
-        for section in (SttConfig, PopulationConfig, KfParams, LifecycleConfig, TrainSettings)
+        for section in (
+            SttConfig, PopulationConfig, KfParams, LifecycleConfig, TrainSettings,
+            SimConfig, NoiseModel, SpeedThresholds,
+        )
         for f in dataclasses.fields(section)
         if f.type in ("int", "float")
     ],
@@ -239,6 +295,10 @@ def test_nesting_levels_cover_sections_and_class_maps():
         ({"policy": {"persistence": "false"}}, "policy.persistence"),
         ({"train": {"log_every": 0}}, "invalid train: log_every must be >= 1"),
         ({"lifecycle": {"max_history": 10}}, "unknown key(s) in lifecycle: max_history"),
+        ({"sim": {"noise": {"appearance_sigma": "inf"}}}, "invalid sim.noise: appearance_sigma"),
+        ({"sim": {"dt": "inf"}}, "invalid sim: dt must be > 0 and finite"),
+        ({"sim": {"speed_thresholds": {"fast_min_vehicle": 0.1}}}, "fast_min_vehicle must be"),
+        ({"sim": {"speed_thresholds": {"static_max": -1}}}, "static_max must be >= 0"),
     ],
 )
 def test_simulate_with_bad_config_exits_2(tmp_path, capsys, data, message):

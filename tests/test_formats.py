@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from oracles import scenario_numbers
 from sttrack import cli, formats
 from sttrack.core import ClassId
 from sttrack.formats import (
@@ -56,6 +57,8 @@ def test_scenario_round_trips_bit_exactly(tmp_path):
     gt_path, det_path = write_scenario(tmp_path, "s0", scenario, {"note": 1})
     loaded = read_scenario(gt_path, det_path)
     assert loaded == scenario  # float repr round-trip is exact
+    types = [type(x) for x in scenario_numbers(scenario)]
+    assert [type(x) for x in scenario_numbers(loaded)] == types
 
 
 def test_header_fields(tmp_path):

@@ -1,10 +1,15 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import NOISELESS
-from sttrack.core import ClassId
+from oracles import NOISELESS, generate_per_frame, scenario_numbers
+from sttrack.core import TAU, ClassId, normalize_heading
+from sttrack.formats import normalized_digest, write_scenario
 from sttrack.sim import (
     FALSE_POSITIVE,
     MotionProfile,
@@ -14,6 +19,7 @@ from sttrack.sim import (
     Scenario,
     SimConfig,
     SpeedThresholds,
+    _wrap_headings,
     generate,
     population_specs,
     speed_class,
@@ -231,3 +237,83 @@ def test_population_specs_cover_buckets():
         _, vel, _, _ = trajectory_at(spec, np.array([0.0]))
         buckets[speed_class(float(np.hypot(*vel[0])), ClassId.VEHICLE, t)] += 1
     assert buckets == {"static": 2, "slow": 3, "fast": 4}
+
+
+def test_wrap_headings_is_normalize_heading_bit_for_bit():
+    rng = np.random.default_rng(0)
+    edges = np.array([k * math.pi for k in range(-5, 6)] + [0.0, -0.0, TAU, -TAU])
+    near = np.concatenate([np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    h = np.concatenate([
+        edges, -edges, near,
+        rng.uniform(-4 * math.pi, 4 * math.pi, 100_000),
+        rng.uniform(-1e6, 1e6, 100_000),
+    ])
+    expected = np.array([normalize_heading(x) for x in h.tolist()])
+    assert _wrap_headings(h).tobytes() == expected.tobytes()
+
+
+@st.composite
+def object_specs(draw):
+    kind = draw(st.sampled_from(("static", "constant_velocity", "constant_acceleration", "turn")))
+    unit = st.floats(-1.0, 1.0)
+    speed = st.floats(-8.0, 8.0)
+    if kind == "static":
+        profile = MotionProfile.static()
+    elif kind == "constant_velocity":
+        profile = MotionProfile.constant_velocity(draw(speed), draw(speed))
+    elif kind == "constant_acceleration":
+        profile = MotionProfile.constant_acceleration(
+            (draw(speed), draw(speed)), (draw(unit), draw(unit))
+        )
+    else:
+        yaw = draw(st.floats(0.05, 1.5)) * draw(st.sampled_from((-1, 1)))
+        profile = MotionProfile.turn(draw(st.floats(0.0, 8.0)), yaw)
+    class_id = draw(st.sampled_from(tuple(ClassId)))
+    # Start headings reach past (-pi, pi] so that every path wraps them.
+    heading = draw(st.floats(-3 * math.pi, 3 * math.pi))
+    position = (draw(st.floats(-30.0, 30.0)), draw(st.floats(-30.0, 30.0)))
+    size = tuple(draw(st.floats(0.3, 5.0)) for _ in range(3))
+    return ObjectSpec(class_id, profile, position, heading, size)
+
+
+@st.composite
+def sim_configs(draw):
+    sigmas = draw(st.sampled_from(((0.1, 0.02, 0.02, 0.1, 0.05), (0.0,) * 5)))
+    noise = NoiseModel(
+        *sigmas[:4],
+        fp_rate=draw(st.sampled_from((0.0, 3.0))),
+        miss_prob=draw(st.sampled_from((0.0, 0.9))),
+        confidence_noise=sigmas[4],
+    )
+    return SimConfig(
+        frames=draw(st.integers(2, 30)),
+        dt=draw(st.sampled_from((0.1, 0.05, 0.3))),
+        appearance_dim=draw(st.sampled_from((1, 16))),
+        noise=noise,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(sim_configs(), st.lists(object_specs(), min_size=1, max_size=6), st.integers(0, 2**32))
+def test_generate_equals_the_per_frame_generator(config, specs, seed):
+    scenario = generate(config, specs, seed)
+    expected = generate_per_frame(config, specs, seed)
+    assert scenario == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        written = write_scenario(tmp, "vectorised", scenario, {})
+        oracle = write_scenario(tmp, "per_frame", expected, {})
+        for path, oracle_path in zip(written, oracle):
+            # The header differs only in its `created` time.
+            body, oracle_body = (p.read_bytes().split(b"\n", 1)[1] for p in (path, oracle_path))
+            assert body == oracle_body
+            assert normalized_digest(path) == normalized_digest(oracle_path)
+
+
+def test_generated_scenes_hold_plain_floats():
+    config = SimConfig(frames=30, noise=NoiseModel(fp_rate=2.0, miss_prob=0.3))
+    for class_id in ClassId:
+        specs = population_specs(class_id, config, np.random.default_rng(4))
+        scenario = generate(config, specs, seed=4)
+        numbers = list(scenario_numbers(scenario))
+        assert len(numbers) > 1000
+        assert {type(x) for x in numbers} == {float}
