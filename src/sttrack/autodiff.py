@@ -4,11 +4,18 @@ Float64 throughout, single-threaded, deterministic. Just enough surface to
 express small MLP/attention networks and their losses. Shapes stay desk
 scale, so an op's cost is mostly its per-call overhead, and the forward
 pass of every op is the one numpy expression it stands for, with or
-without gradients: `add`, `sub`, `mul` and `div` let numpy broadcast and
-only turn its error into one naming the op and both shapes, and
-`transpose` inverts its permutation in the backward rule, not per call.
-Under `no_grad` an op's result records neither its parents nor its
-backward rule.
+without gradients. Under `no_grad` an op's result records neither its
+parents nor its backward rule.
+
+Every op but `matmul` and `concat` is built on one of two scaffolds.
+`_unary` serves the one-operand ops and `_binary` the broadcasting `add`,
+`sub`, `mul` and `div`, whose errors name the op and both shapes. An op
+computes its forward result and hands the scaffold a module-level gradient
+rule; only the scaffolds check which operands require grad and build the
+node with `_make`, the one place that decides whether a node records. A
+gradient rule reads its operands' data when backward runs, not when the op
+runs. That is sound because no op writes into an operand and nothing else
+does before backward: `AdamW.step` updates the parameters only after it.
 
 A 2-D right operand of `matmul`, as every weight is, gets its gradient
 from one GEMM over the left operand's flattened leading axes; summed in
@@ -96,16 +103,17 @@ class Tensor:
                 node._backward_fn(node.grad)
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """`data` as a node: it records `parents` and `backward_fn` only when
+    gradients are enabled and a parent requires grad."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward_fn
+    if _grad_enabled:
+        for p in parents:  # a loop: `any` over a generator costs more than the op
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward_fn = backward_fn
+                break
     return out
 
 
@@ -143,132 +151,116 @@ def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
         raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
 
 
+# --- op scaffolds ----------------------------------------------------------
+
+
+def _unary(a: Tensor, out: np.ndarray, grad, *args) -> Tensor:
+    """`out`, computed from `a`, as a node whose backward adds `grad(g, a.data,
+    out, *args)` to `a`'s gradient; `args` are the op's settings, like an axis."""
+    return _make(out, (a,), lambda g: _accumulate(a, grad(g, a.data, out, *args)))
+
+
+def _binary(ufunc, name: str, a: Tensor, b: Tensor, grad_a, grad_b, b_op=np.add) -> Tensor:
+    """`ufunc(a.data, b.data)` as a node whose backward adds `grad_a(g, a.data,
+    b.data)` to `a`'s gradient and `b_op`s `grad_b(...)` into `b`'s, each summed
+    back to its operand's shape, for each operand that requires grad."""
+
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad_a(g, a.data, b.data), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(grad_b(g, a.data, b.data), b.shape), b_op)
+
+    return _make(_broadcast(ufunc, a, b, name), (a, b), backward)
+
+
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
+# --- gradient rules --------------------------------------------------------
+#
+# A rule maps the output gradient `g` to one operand's contribution. A binary
+# rule gets both operands' data `x` and `y`; a unary rule gets its operand's
+# data `x`, the op's output `out` and the op's settings.
+
+def _pass(g, x, y): return g
+def _mul_grad_a(g, x, y): return g * y
+def _mul_grad_b(g, x, y): return g * x
+def _div_grad_a(g, x, y): return g / y
+def _div_grad_b(g, x, y): return -g * x / (y * y)
+def _relu_grad(g, x, out): return g * (x > 0)
+def _sigmoid_grad(g, x, out): return g * out * (1.0 - out)
+def _softplus_grad(g, x, out): return g * _stable_sigmoid(x)
+def _sqrt_grad(g, x, out): return g * 0.5 / out
+def _abs_grad(g, x, out): return g * np.sign(x)
+def _reshape_grad(g, x, out): return g.reshape(x.shape)
+def _softmax_grad(g, x, out, axis): return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
+def _transpose_grad(g, x, out, axes):
+    return g.transpose(sorted(range(len(axes)), key=axes.__getitem__))
+
+
+def _sum_grad(g, x, out, axis, keepdims):
+    # g broadcasts to x's shape but for the axis a reduction without keepdims drops
+    return g if axis is None or keepdims else np.expand_dims(g, axis)
+
+
+def _mean_grad(g, x, out, axis, keepdims):
+    return _sum_grad(g, x, out, axis, keepdims) / (x.size if axis is None else x.shape[axis])
+
+
 # --- elementwise -----------------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = _broadcast(np.add, a, b, "add")
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _make(out, (a, b), backward)
+    return _binary(np.add, "add", a, b, _pass, _pass)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = _broadcast(np.subtract, a, b, "sub")
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape), np.subtract)
-
-    return _make(out, (a, b), backward)
+    return _binary(np.subtract, "sub", a, b, _pass, _pass, np.subtract)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = _broadcast(np.multiply, a, b, "mul")
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(out, (a, b), backward)
+    return _binary(np.multiply, "mul", a, b, _mul_grad_a, _mul_grad_b)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = _broadcast(np.divide, a, b, "div")
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out, (a, b), backward)
+    return _binary(np.divide, "div", a, b, _div_grad_a, _div_grad_b)
 
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0) with the bits of `np.where(x > 0, x, 0.0)`: `fmax` maps NaN
     to 0 but may keep a -0.0 input, which adding +0.0 turns into +0.0."""
-    a = _lift(a)
     out = np.fmax(a.data, 0.0)
     out += 0.0
-    backward = None
-    if _grad_enabled and a.requires_grad:
-        mask = a.data > 0
-
-        def backward(g):
-            _accumulate(a, g * mask)
-
-    return _make(out, (a,), backward)
+    return _unary(a, out, _relu_grad)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    a = _lift(a)
-    x = a.data
-    ex = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * out * (1.0 - out))
-
-    return _make(out, (a,), backward)
+    return _unary(a, _stable_sigmoid(a.data), _sigmoid_grad)
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), overflow-safe."""
-    a = _lift(a)
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    ex = np.exp(-np.abs(x))
-    sig = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * sig)
-
-    return _make(out, (a,), backward)
+    return _unary(a, np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), _softplus_grad)
 
 
 def sqrt(a: Tensor) -> Tensor:
-    a = _lift(a)
-    out = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * 0.5 / out)
-
-    return _make(out, (a,), backward)
+    return _unary(a, np.sqrt(a.data), _sqrt_grad)
 
 
 def abs_(a: Tensor) -> Tensor:
-    a = _lift(a)
-    sign = np.sign(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * sign)
-
-    return _make(np.abs(a.data), (a,), backward)
+    return _unary(a, np.abs(a.data), _abs_grad)
 
 
 # --- shape ops -------------------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -286,32 +278,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = _lift(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.shape))
-
-    return _make(a.data.reshape(shape), (a,), backward)
+    return _unary(a, a.data.reshape(shape), _reshape_grad)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    a = _lift(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
-
-    def backward(g):
-        if a.requires_grad:
-            inverse = sorted(range(len(axes)), key=axes.__getitem__)
-            _accumulate(a, g.transpose(inverse))
-
-    return _make(a.data.transpose(axes), (a,), backward)
+    return _unary(a, a.data.transpose(axes), _transpose_grad, axes)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_lift(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    tensors = tuple(tensors)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -320,52 +298,20 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
                 index[axis] = slice(lo, hi)
                 _accumulate(t, g[tuple(index)])
 
-    return _make(
-        np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward
-    )
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _lift(a)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None or keepdims:  # a scalar g broadcasts to a's shape
-            _accumulate(a, g)
-        else:
-            _accumulate(a, np.expand_dims(g, axis))
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _unary(a, a.data.sum(axis=axis, keepdims=keepdims), _sum_grad, axis, keepdims)
 
 
 def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _lift(a)
-    count = a.data.size if axis is None else a.shape[axis]
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None or keepdims:
-            _accumulate(a, g / count)
-        else:
-            _accumulate(a, np.expand_dims(g, axis) / count)
-
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    return _unary(a, a.data.mean(axis=axis, keepdims=keepdims), _mean_grad, axis, keepdims)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _lift(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            inner = (g * out).sum(axis=axis, keepdims=True)
-            _accumulate(a, out * (g - inner))
-
-    return _make(out, (a,), backward)
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    return _unary(a, e / e.sum(axis=axis, keepdims=True), _softmax_grad, axis)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -373,7 +319,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = mean(x, axis=-1, keepdims=True)
     centered = sub(x, mu)
     var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(_lift(1.0), sqrt(add(var, _lift(eps))))
+    inv = div(Tensor(1.0), sqrt(add(var, Tensor(eps))))
     return add(mul(mul(centered, inv), gain), bias)
 
 
@@ -386,7 +332,8 @@ def attention(
     get zero weight, and rows whose keys are all masked output zeros.
     """
     d = q.shape[-1]
-    scores = mul(matmul(q, transpose(k, _swap_last(k.ndim))), _lift(1.0 / math.sqrt(d)))
+    k_t = transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
+    scores = mul(matmul(q, k_t), Tensor(1.0 / math.sqrt(d)))
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
         scores = add(scores, Tensor(np.where(key_mask, 0.0, -1e30)))
@@ -395,12 +342,6 @@ def attention(
         row_valid = np.broadcast_to(key_mask, scores.shape).any(axis=-1, keepdims=True)
         weights = mul(weights, Tensor(row_valid.astype(float)))
     return matmul(weights, v)
-
-
-def _swap_last(ndim: int) -> tuple[int, ...]:
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
 
 
 # --- optimizer -------------------------------------------------------------

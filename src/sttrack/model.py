@@ -6,7 +6,8 @@ over a track's detection history producing a single track query), a track
 state decoder (MLP from query to the previous-frame state), and a
 track-detection interaction block (cross-attention from the query to the
 current frame's context detections, emitting per-detection association
-scores and a current-frame state).
+scores and a current-frame state). The self- and the cross-attention are
+one multi-head block, `_attend`.
 
 All positions are encoded relative to the track's last observed position
 (the anchor), which makes every output translation-equivariant; decoded
@@ -346,12 +347,15 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, t, h * hd))
 
 
-def _self_attention(
-    x: Tensor, params: dict[str, Tensor], prefix: str, heads: int, key_mask: np.ndarray
+def _attend(
+    x: Tensor, kv: Tensor, params: dict[str, Tensor], prefix: str, heads: int,
+    key_mask: np.ndarray,
 ) -> Tensor:
+    """Multi-head attention of the rows of `x` (B, Q, D) over the rows of `kv`
+    (B, K, D) that `key_mask` (B, K) marks; self-attention when `kv` is `x`."""
     q = _split_heads(ad.matmul(x, params[f"{prefix}wq"]), heads)
-    k = _split_heads(ad.matmul(x, params[f"{prefix}wk"]), heads)
-    v = _split_heads(ad.matmul(x, params[f"{prefix}wv"]), heads)
+    k = _split_heads(ad.matmul(kv, params[f"{prefix}wk"]), heads)
+    v = _split_heads(ad.matmul(kv, params[f"{prefix}wv"]), heads)
     att = ad.attention(q, k, v, key_mask=key_mask[:, None, None, :])
     return ad.matmul(_merge_heads(att), params[f"{prefix}wo"])
 
@@ -367,7 +371,7 @@ def temporal_fuse_batch(
     """Self-attend over a history of embeddings and pool to one query each."""
     pe = ad.matmul(Tensor(pe_onehot), params["tf.pe"])
     x = ad.add(hist_emb, pe)
-    att = _self_attention(x, params, "tf.", cfg.heads, hist_mask)
+    att = _attend(x, x, params, "tf.", cfg.heads, hist_mask)
     fused = ad.layer_norm(ad.add(x, att), params["tf.ln_g"], params["tf.ln_b"])
     pooled = ad.matmul(Tensor(pool_weights), fused)  # (B, 1, D)
     return ad.reshape(pooled, (pooled.shape[0], pooled.shape[2]))
@@ -391,14 +395,8 @@ def tdi_batch(
     """
     b, d = query.shape
     q3 = ad.reshape(query, (b, 1, d))
-    qh = _split_heads(ad.matmul(q3, params["tdi.wq"]), cfg.heads)
-    kh = _split_heads(ad.matmul(ctx_emb, params["tdi.wk"]), cfg.heads)
-    vh = _split_heads(ad.matmul(ctx_emb, params["tdi.wv"]), cfg.heads)
-    att = ad.attention(qh, kh, vh, key_mask=ctx_mask[:, None, None, :])
-    att = ad.matmul(_merge_heads(att), params["tdi.wo"])
-    fused3 = ad.layer_norm(
-        ad.add(q3, att), params["tdi.ln_g"], params["tdi.ln_b"]
-    )  # (B, 1, D)
+    att = _attend(q3, ctx_emb, params, "tdi.", cfg.heads, ctx_mask)
+    fused3 = ad.layer_norm(ad.add(q3, att), params["tdi.ln_g"], params["tdi.ln_b"])  # (B, 1, D)
     state = _mlp(ad.reshape(fused3, (b, d)), params, "tdi.state_")
 
     k = ctx_emb.shape[1]
