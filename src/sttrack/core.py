@@ -76,6 +76,14 @@ class StateVector:
         """Flat [x, y, vx, vy, ax, ay] vector."""
         return np.array([*self.position, *self.velocity, *self.acceleration])
 
+    @staticmethod
+    def from_rows(rows: np.ndarray) -> list["StateVector"]:
+        """One state per row of an (N, 6) array of `as_array` vectors."""
+        return [
+            StateVector((x, y), (vx, vy), (ax, ay))
+            for x, y, vx, vy, ax, ay in np.reshape(rows, (-1, 6)).tolist()
+        ]
+
     @property
     def speed(self) -> float:
         return math.hypot(*self.velocity)

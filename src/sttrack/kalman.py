@@ -67,10 +67,7 @@ class KfState:
 
     def state_vectors(self) -> list[StateVector]:
         """One `StateVector` per filter, in row order."""
-        return [
-            StateVector((m[0], m[1]), (m[2], m[3]), (m[4], m[5]))
-            for m in self.mean.reshape(-1, 6).tolist()
-        ]
+        return StateVector.from_rows(self.mean)
 
 
 _H = np.zeros((2, 6))

@@ -226,18 +226,14 @@ class SttBackend:
         lengths = [len(contexts[i]) for i in live_rows]
         cols = np.concatenate([contexts[i] for i in live_rows])
         ids = [tracks[i].track_id for i in live_rows]
-        anchors = np.stack([self.history_rows[tid][-1, :2] for tid in ids]).tolist()
+        anchors = np.stack([self.history_rows[tid][-1, :2] for tid in ids])
         queries = np.stack([self.queries[tid] for tid in ids])
         scores, states = context_scores(
             self.params, self.cfg, queries, self._frame_rows[cols], lengths, anchors
         )
         if self.cfg.state_source == "tdi":
-            for tid, anchor, rel in zip(ids, anchors, states.tolist()):
-                self._tdi_states[tid] = StateVector(
-                    (rel[0] + anchor[0], rel[1] + anchor[1]),
-                    (rel[2], rel[3]),
-                    (rel[4], rel[5]),
-                )
+            states[:, :2] += anchors
+            self._tdi_states = dict(zip(ids, StateVector.from_rows(states)))
         # scores of live slots, in the order of `cols`
         slot_scores = scores[np.arange(scores.shape[1]) < np.array(lengths)[:, None]]
         rows = np.repeat(live_rows, lengths)
@@ -262,15 +258,9 @@ class SttBackend:
             self.queries[track.track_id] = query
             self.history_rows[track.track_id] = rows
         if self.cfg.state_source == "tsd":
-            anchors = [det.box.center_xy for _, det in pairs]
-            return [
-                StateVector(
-                    (rel[0] + anchor[0], rel[1] + anchor[1]),
-                    (rel[2], rel[3]),
-                    (rel[4], rel[5]),
-                )
-                for rel, anchor in zip(decode_states(self.params, queries).tolist(), anchors)
-            ]
+            states = decode_states(self.params, queries)
+            states[:, :2] += new_rows[:, :2]  # each match's anchor: its detection's centre
+            return StateVector.from_rows(states)
         # tdi: the state predicted during the association pass; a track matched
         # without a scored context falls back to the detection center
         return [
