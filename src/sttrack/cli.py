@@ -66,17 +66,20 @@ def scenario_names(directory: Path, suffix: str) -> list[str]:
 
 
 def load_checkpoint_for(cfg: RunConfig, path: Path):
+    """A checkpoint's parameters and metadata; CheckpointMismatchError unless
+    it was trained with `cfg.stt`, up to the fields that training never reads."""
     if not path.is_file():
         raise FileNotFoundError(f"no such checkpoint file: {path}")
     try:
         arrays, metadata = autodiff.load_checkpoint(path)
     except ValueError as exc:
         raise formats.FormatError(str(exc)) from None
-    stored = metadata.get("stt")
-    if stored != dataclasses.asdict(cfg.stt):
+    stored, run = metadata.get("stt"), dataclasses.asdict(cfg.stt)
+    # training never reads `state_source`, which picks the head whose states tracking reports
+    if not isinstance(stored, dict) or {**stored, "state_source": run["state_source"]} != run:
         raise CheckpointMismatchError(
             f"checkpoint {path} was trained with a different model config: "
-            f"{stored} vs {dataclasses.asdict(cfg.stt)}"
+            f"{stored} vs {run}"
         )
     return {name: autodiff.Tensor(data) for name, data in arrays.items()}, metadata
 

@@ -233,6 +233,32 @@ def test_track_with_checkpoint_of_another_model_config_exits_4(trained, tmp_path
     assert "different model config" in last_error(capsys)
 
 
+@pytest.mark.parametrize("stt", [{"pooling": "last"}, {"t_max": 5}])
+def test_track_with_checkpoint_of_another_trained_field_exits_4(trained, tmp_path, capsys, stt):
+    config, data, checkpoint = trained
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"sim": {"frames": 20}, "stt": stt}))
+    capsys.readouterr()
+    assert track_stt(other, data, tmp_path / "tracks", checkpoint) == cli.EXIT_MISMATCH
+    assert "different model config" in last_error(capsys)
+
+
+def test_one_checkpoint_tracks_under_either_state_source(trained, tmp_path):
+    """Training never reads `state_source`, so a checkpoint trained under the
+    default "tsd" also tracks under "tdi", and reports the other head's states."""
+    config, data, checkpoint = trained
+    tdi = tmp_path / "tdi.json"
+    tdi.write_text(json.dumps({"sim": {"frames": 20}, "stt": {"state_source": "tdi"}}))
+    states = {}
+    for source, path in (("tsd", config), ("tdi", tdi)):
+        assert track_stt(path, data, tmp_path / source, checkpoint) == cli.EXIT_OK
+        (tracks,) = (tmp_path / source).glob("*.tracks.jsonl")
+        _, frames = formats.read_pred_frames(tracks)
+        states[source] = [row.state for frame in frames for row in frame]
+    assert len(states["tsd"]) > 0
+    assert states["tdi"] != states["tsd"]
+
+
 def test_train_with_non_integer_provenance_exits_2(tmp_path, capsys):
     config, data = simulate(tmp_path)
     det = sorted(data.glob("*.det.jsonl"))[0]
