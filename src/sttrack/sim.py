@@ -34,6 +34,18 @@ from .core import TAU, Box7, ClassId, Detection, StateVector, check_fields, norm
 
 FALSE_POSITIVE = -1
 
+# Bounds on finite `sim` values that would still break a scene. Positions grow
+# with the time span `frames * dt` and its square, noise is added to centres
+# and sizes, and later stages square coordinate differences (IoU gates, Kalman
+# covariances): a span or a noise sigma of 1e6 keeps all of them finite with
+# room to spare, far past any scene this simulator is meant for.
+MAX_SPAN_S = 1e6
+MAX_SIGMA = 1e6
+# `generate` builds one `Detection` per false positive, so the rate caps the
+# objects a frame holds; numpy's own Poisson limit (about 9.2e18) is far past
+# what memory allows.
+MAX_FP_RATE = 1e3
+
 _PROFILE_KINDS = ("static", "constant_velocity", "constant_acceleration", "turn")
 
 # A false positive's (width, length, height) bounds per class: (low, high).
@@ -104,6 +116,8 @@ class NoiseModel:
             ("miss_prob", 0 <= self.miss_prob < 1, "in [0, 1)"),
             ("fp_rate", self.fp_rate >= 0, ">= 0"),
             *((name, getattr(self, name) < math.inf, "finite") for name in (*sigmas, "fp_rate")),
+            *((name, getattr(self, name) <= MAX_SIGMA, f"<= {MAX_SIGMA:g}") for name in sigmas),
+            ("fp_rate", self.fp_rate <= MAX_FP_RATE, f"<= {MAX_FP_RATE:g}"),
         ))
 
 
@@ -184,6 +198,11 @@ class SimConfig:
         check_fields(self, (
             ("frames", self.frames >= 2, ">= 2"),
             ("dt", 0 < self.dt < math.inf, "> 0 and finite"),
+            (
+                "dt",
+                self.frames * self.dt <= MAX_SPAN_S,
+                f"such that frames * dt <= {MAX_SPAN_S:g} s (frames {self.frames})",
+            ),
             ("field_size", 0 < self.field_size < math.inf, "> 0 and finite"),
             ("appearance_dim", self.appearance_dim >= 1, ">= 1"),
             ("speed_thresholds", fast_min < math.inf, "finite"),
@@ -293,10 +312,7 @@ def generate(config: SimConfig, objects: Sequence[ObjectSpec], seed: int) -> Sce
         boxes = tuple(
             Box7(tuple(c), spec.size, h) for c, h in zip(gt_centers.tolist(), gt_heading.tolist())
         )
-        states = tuple(
-            StateVector((x, y), (vx, vy), (ax, ay))
-            for x, y, vx, vy, ax, ay in np.hstack((pos, vel, acc)).tolist()
-        )
+        states = tuple(StateVector.from_rows(np.hstack((pos, vel, acc))))
         gt_tracks.append(GtTrack(oid, spec.class_id, boxes, states))
 
         miss = rng.random(n_frames)

@@ -175,6 +175,26 @@ def test_json_integer_in_float_field_reads_as_float():
             "invalid sim: speed_thresholds must be such that 1.5 * static_max <= 0.8 * fast_min "
             "for both classes",
         ),
+        # finite values that would overflow a scene or flood its frames
+        ({"sim": {"noise": {"fp_rate": 1e19}}}, "invalid sim.noise: fp_rate must be <= 1000"),
+        (
+            {"sim": {"dt": 1e306}},
+            "invalid sim: dt must be such that frames * dt <= 1e+06 s (frames 200), got 1e+306",
+        ),
+        (
+            {"sim": {"frames": 10**7, "dt": 0.2}},
+            "invalid sim: dt must be such that frames * dt <= 1e+06 s (frames 10000000)",
+        ),
+        *(
+            (
+                {"sim": {"noise": {name: 1e308}}},
+                f"invalid sim.noise: {name} must be <= 1e+06, got 1e+308",
+            )
+            for name in (
+                "center_sigma", "heading_sigma", "size_sigma", "appearance_sigma",
+                "confidence_noise",
+            )
+        ),
     ],
 )
 def test_rejects_naming_the_path(data, message):
@@ -209,6 +229,17 @@ def test_rejects_bad_train_setting_at_decode(train, message):
 def test_rejects_nan_train_setting():
     with pytest.raises(ValueError, match="learning_rate must be > 0 and finite, got nan"):
         TrainSettings(learning_rate=float("nan"))
+
+
+def test_sim_bounds_accept_their_limits():
+    noise = {name: 1e6 for name in (
+        "center_sigma", "heading_sigma", "size_sigma", "appearance_sigma", "confidence_noise",
+    )}
+    cfg = run_config_from_dict(
+        {"sim": {"frames": 400, "dt": 2500, "noise": {**noise, "fp_rate": 1000}}}
+    )
+    assert cfg.sim.frames * cfg.sim.dt == 1e6
+    assert cfg.sim.noise.fp_rate == 1000.0
 
 
 def test_policy_speed_thresholds_may_be_infinite():
@@ -299,6 +330,9 @@ def test_nesting_levels_cover_sections_and_class_maps():
         ({"sim": {"dt": "inf"}}, "invalid sim: dt must be > 0 and finite"),
         ({"sim": {"speed_thresholds": {"fast_min_vehicle": 0.1}}}, "fast_min_vehicle must be"),
         ({"sim": {"speed_thresholds": {"static_max": -1}}}, "static_max must be >= 0"),
+        ({"sim": {"noise": {"fp_rate": 1e19}}}, "invalid sim.noise: fp_rate must be <= 1000"),
+        ({"sim": {"dt": 1e306}}, "invalid sim: dt must be such that frames * dt <= 1e+06 s"),
+        ({"sim": {"noise": {"center_sigma": 1e308}}}, "invalid sim.noise: center_sigma must be <="),
     ],
 )
 def test_simulate_with_bad_config_exits_2(tmp_path, capsys, data, message):
