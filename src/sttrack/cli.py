@@ -67,7 +67,8 @@ def scenario_names(directory: Path, suffix: str) -> list[str]:
 
 def load_checkpoint_for(cfg: RunConfig, path: Path):
     """A checkpoint's parameters and metadata; CheckpointMismatchError unless
-    it was trained with `cfg.stt`, up to the fields that training never reads."""
+    it was trained with `cfg.stt`. Only `state_source` may differ: training
+    never reads it, it picks the head whose states tracking reports."""
     if not path.is_file():
         raise FileNotFoundError(f"no such checkpoint file: {path}")
     try:
@@ -75,7 +76,6 @@ def load_checkpoint_for(cfg: RunConfig, path: Path):
     except ValueError as exc:
         raise formats.FormatError(str(exc)) from None
     stored, run = metadata.get("stt"), dataclasses.asdict(cfg.stt)
-    # training never reads `state_source`, which picks the head whose states tracking reports
     if not isinstance(stored, dict) or {**stored, "state_source": run["state_source"]} != run:
         raise CheckpointMismatchError(
             f"checkpoint {path} was trained with a different model config: "

@@ -39,12 +39,12 @@ FALSE_POSITIVE = -1
 # and sizes, and later stages square coordinate differences (IoU gates, Kalman
 # covariances): a span or a noise sigma of 1e6 keeps all of them finite with
 # room to spare, far past any scene this simulator is meant for.
-MAX_SPAN_S = 1e6
-MAX_SIGMA = 1e6
+_MAX_SPAN_S = 1e6
+_MAX_SIGMA = 1e6
 # `generate` builds one `Detection` per false positive, so the rate caps the
 # objects a frame holds; numpy's own Poisson limit (about 9.2e18) is far past
 # what memory allows.
-MAX_FP_RATE = 1e3
+_MAX_FP_RATE = 1e3
 
 _PROFILE_KINDS = ("static", "constant_velocity", "constant_acceleration", "turn")
 
@@ -116,8 +116,8 @@ class NoiseModel:
             ("miss_prob", 0 <= self.miss_prob < 1, "in [0, 1)"),
             ("fp_rate", self.fp_rate >= 0, ">= 0"),
             *((name, getattr(self, name) < math.inf, "finite") for name in (*sigmas, "fp_rate")),
-            *((name, getattr(self, name) <= MAX_SIGMA, f"<= {MAX_SIGMA:g}") for name in sigmas),
-            ("fp_rate", self.fp_rate <= MAX_FP_RATE, f"<= {MAX_FP_RATE:g}"),
+            *((name, getattr(self, name) <= _MAX_SIGMA, f"<= {_MAX_SIGMA:g}") for name in sigmas),
+            ("fp_rate", self.fp_rate <= _MAX_FP_RATE, f"<= {_MAX_FP_RATE:g}"),
         ))
 
 
@@ -200,8 +200,8 @@ class SimConfig:
             ("dt", 0 < self.dt < math.inf, "> 0 and finite"),
             (
                 "dt",
-                self.frames * self.dt <= MAX_SPAN_S,
-                f"such that frames * dt <= {MAX_SPAN_S:g} s (frames {self.frames})",
+                self.frames * self.dt <= _MAX_SPAN_S,
+                f"such that frames * dt <= {_MAX_SPAN_S:g} s (frames {self.frames})",
             ),
             ("field_size", 0 < self.field_size < math.inf, "> 0 and finite"),
             ("appearance_dim", self.appearance_dim >= 1, ">= 1"),
