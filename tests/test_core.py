@@ -218,13 +218,7 @@ def test_state_vector_rejects_nonfinite():
 def test_state_vector_array_round_trip():
     s = StateVector((1.25, -2.5), (0.1, 0.2), (-0.3, 0.7))
     assert state_from_array(s.as_array()) == s
-
-
-def test_state_vectors_from_rows_round_trip():
-    states = [
-        StateVector((1.25, -2.5), (0.1, 0.2), (-0.3, 0.7)),
-        StateVector((-0.0, 5e-324), (1e300, -0.0), (0.0, -1.5)),
-    ]
+    states = [s, StateVector((-0.0, 5e-324), (1e300, -0.0), (0.0, -1.5))]
     back = StateVector.from_rows(np.stack([s.as_array() for s in states]))
     assert back == states
     assert [math.copysign(1.0, v) for v in (*back[1].position, *back[1].velocity)] == [
