@@ -28,8 +28,8 @@ from pipeline import rows_digest  # noqa: E402
 from sttrack import cli  # noqa: E402
 from sttrack.config import PopulationConfig, RunConfig  # noqa: E402
 
-# The build the pins were taken with; another BLAS build may move low bits of
-# the trained weights, and with them every pin but the Kalman backend's two.
+# The build the pins were taken with: another numpy or BLAS build may move low
+# bits of the trained weights or the filter states, and with them the pins.
 BUILD = "numpy 2.4.6 with OpenBLAS 0.3.31"
 
 PINS = {
