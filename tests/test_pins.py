@@ -4,9 +4,11 @@ The run goes in process through the functions the `sttrack` commands and the
 benchmark call: `cli.simulate_into` writes two short vehicle scenes,
 `cli.train_on_directory` trains on them for 30 steps, `cli.track_directory`
 tracks them with both backends and `cli.evaluate_directories` scores each
-backend's tracks. The pins are SHA-256 digests of the checkpoint, the
-training log, each backend's track rows (headers left out, as the benchmark's
-`rows_digest` computes them) and each backend's metrics report.
+backend's tracks; STT tracks once more with `stt.state_source` "tdi", so that
+the association pass's state head is pinned too. The pins are SHA-256
+digests of the checkpoint, the training log, each tracking run's rows
+(headers left out, as the benchmark's `rows_digest` computes them) and each
+run's metrics report.
 
 A change meant to keep behaviour leaves every pin. A change that moves
 behaviour on purpose prints the new values with
@@ -39,6 +41,8 @@ PINS = {
     "report_kalman": "f8941a5701c7c105ecab78cd70dc2fcbea4399d18f64b13382dee6781ea4c42a",
     "rows_stt": "ad1fcb2e91c030f07c762903936dcc3a23b7022c94dc0a2f8bcde3e33970d782",
     "report_stt": "2ee21111e71d5c57d2b5a9276ea3a095b8e209abe6b68bbc6a0e31424ff84341",
+    "rows_stt_tdi": "727dd922373d652fe4cfc25bb0cf6c3212c8e144a2c6493cf2fbc93f5f742afb",
+    "report_stt_tdi": "9cd2bbc0252c68f6ab6281fe66d1368090b2817335c207b74cf0cc4087769c88",
 }
 
 
@@ -64,12 +68,17 @@ def pipeline_digests(work: Path) -> dict[str, str]:
         "checkpoint": _sha256(checkpoint.read_bytes()),
         "training_log": _sha256((model / "training_log.csv").read_bytes()),
     }
-    for backend in ("kalman", "stt"):
-        tracks = work / f"tracks_{backend}"
-        cli.track_directory(cfg, backend, data, tracks, checkpoint if backend == "stt" else None)
-        report = cli.evaluate_directories(data, tracks, cfg.policy)
-        digests[f"rows_{backend}"] = rows_digest(tracks)
-        digests[f"report_{backend}"] = _sha256(json.dumps(report, sort_keys=True).encode())
+    tdi = dataclasses.replace(cfg, stt=dataclasses.replace(cfg.stt, state_source="tdi"))
+    for name, run_cfg, backend in (
+        ("kalman", cfg, "kalman"), ("stt", cfg, "stt"), ("stt_tdi", tdi, "stt"),
+    ):
+        tracks = work / f"tracks_{name}"
+        cli.track_directory(
+            run_cfg, backend, data, tracks, checkpoint if backend == "stt" else None
+        )
+        report = cli.evaluate_directories(data, tracks, run_cfg.policy)
+        digests[f"rows_{name}"] = rows_digest(tracks)
+        digests[f"report_{name}"] = _sha256(json.dumps(report, sort_keys=True).encode())
     return digests
 
 
