@@ -4,18 +4,33 @@ Float64 throughout, single-threaded, deterministic. Just enough surface to
 express small MLP/attention networks and their losses. Shapes stay desk
 scale, so an op's cost is mostly its per-call overhead, and the forward
 pass of every op is the one numpy expression it stands for, with or
-without gradients. Under `no_grad` an op's result records neither its
-parents nor its backward rule.
+without gradients.
 
-Every op but `matmul` and `concat` is built on one of two scaffolds.
-`_unary` serves the one-operand ops and `_binary` the broadcasting `add`,
-`sub`, `mul` and `div`, whose errors name the op and both shapes. An op
-computes its forward result and hands the scaffold a module-level gradient
-rule; no op on a scaffold checks which operands require grad, and every op
-builds its node with `_make`, the one place that decides whether it records. A
-gradient rule reads its operands' data when backward runs, not when the op
-runs. That is sound because no op writes into an operand and nothing else
-does before backward: `AdamW.step` updates the parameters only after it.
+Whether an op records is decided in one place, `_recording`, before the op
+builds its backward rule: only with gradients enabled and an operand that
+requires grad. Otherwise, under `no_grad` or over constants, the op returns
+a bare node with no parents and no rule, so inference pays for its numpy
+calls and one `Tensor` per op. A `Tensor` keeps a float64 ndarray as it is
+given and converts anything else.
+
+Every op but `matmul`, `concat`, `layer_norm` and `attention` is built on
+one of two scaffolds. `_unary` serves the one-operand ops and `_binary` the
+broadcasting `add`, `sub`, `mul` and `div`, whose errors name the op and
+both shapes. An op computes its forward result and hands the scaffold a
+module-level gradient rule. A gradient rule reads its operands' data when
+backward runs, not when the op runs. That is sound because no op writes
+into an operand and nothing else does before backward: `AdamW.step`
+updates the parameters only after it.
+
+`layer_norm` and `attention` are single ops. Their forward computes what
+the ten and seven ops they once were computed, in the same order, and their
+backward runs those ops' gradient expressions in the order the op-by-op
+graph ran them, down to `_accumulate`'s `0.0 + x` on each intermediate's
+first contribution and the two equal `centered` terms of the variance. That
+keeps every forward and gradient bit of the op-by-op graph (the
+`tests/oracles.py` forms), under one premise: each operand has the fused op
+as its only consumer, as in the model. An operand used elsewhere too could
+take its contributions in another order and differ in the last bits.
 
 A 2-D right operand of `matmul`, as every weight is, gets its gradient
 from one GEMM over the left operand's flattened leading axes; summed in
@@ -38,6 +53,7 @@ import struct
 import numpy as np
 
 _grad_enabled = True
+_FLOAT64 = np.dtype(np.float64)
 
 
 @contextlib.contextmanager
@@ -56,7 +72,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if data.__class__ is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -103,18 +121,28 @@ class Tensor:
                 node._backward_fn(node.grad)
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """`data` as a node: it records `parents` and `backward_fn` only when
-    gradients are enabled and a parent requires grad."""
-    out = Tensor(data)
+def _recording(operands: tuple[Tensor, ...]) -> bool:
+    """Whether an op over `operands` records a node: gradients are enabled
+    and an operand requires grad."""
     if _grad_enabled:
-        for p in parents:  # a loop: `any` over a generator costs about 0.5 µs
-            if p.requires_grad:
-                out.requires_grad = True
-                out._parents = parents
-                out._backward_fn = backward_fn
-                break
+        for t in operands:  # a loop: `any` over a generator costs about 0.5 µs
+            if t.requires_grad:
+                return True
+    return False
+
+
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """`data` as a recorded node; callers check `_recording(parents)` first."""
+    out = Tensor(data, requires_grad=True)
+    out._parents = parents
+    out._backward_fn = backward_fn
     return out
+
+
+def _first(x: np.ndarray, shape: tuple[int, ...], op=np.add) -> np.ndarray:
+    """`op(0.0, x)` in a fresh C-contiguous array of `shape`: a node's first
+    gradient contribution (see `_accumulate`)."""
+    return op(0.0, x, out=np.empty(shape))
 
 
 def _accumulate(t: Tensor, x: np.ndarray, op=np.add) -> None:
@@ -128,7 +156,7 @@ def _accumulate(t: Tensor, x: np.ndarray, op=np.add) -> None:
     summation order.
     """
     if t.grad is None:
-        t.grad = op(0.0, x, out=np.empty(t.shape))
+        t.grad = _first(x, t.shape, op)
     else:
         op(t.grad, x, out=t.grad)
 
@@ -157,12 +185,19 @@ def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
 def _unary(a: Tensor, out: np.ndarray, grad, *args) -> Tensor:
     """`out`, computed from `a`, as a node whose backward adds `grad(g, a.data,
     out, *args)` to `a`'s gradient; `args` are the op's settings, like an axis."""
-    return _make(out, (a,), lambda g: _accumulate(a, grad(g, a.data, out, *args)))
+    parents = (a,)
+    if not _recording(parents):
+        return Tensor(out)
+    return _node(out, parents, lambda g: _accumulate(a, grad(g, a.data, out, *args)))
 
 
 def _binary(ufunc, name: str, a: Tensor, b: Tensor, grad_a, grad_b, b_op=np.add) -> Tensor:
     """`ufunc(a.data, b.data)` as a node; backward gives each operand that
     requires grad its rule's term, summed to its shape (`b`'s with `b_op`)."""
+    out = _broadcast(ufunc, a, b, name)
+    parents = (a, b)
+    if not _recording(parents):
+        return Tensor(out)
 
     def backward(g):
         if a.requires_grad:
@@ -170,7 +205,7 @@ def _binary(ufunc, name: str, a: Tensor, b: Tensor, grad_a, grad_b, b_op=np.add)
         if b.requires_grad:
             _accumulate(b, _unbroadcast(grad_b(g, a.data, b.data), b.shape), b_op)
 
-    return _make(_broadcast(ufunc, a, b, name), (a, b), backward)
+    return _node(out, parents, backward)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -209,6 +244,16 @@ def _sum_grad(g, x, out, axis, keepdims):
 
 def _mean_grad(g, x, out, axis, keepdims):
     return _sum_grad(g, x, out, axis, keepdims) / (x.size if axis is None else x.shape[axis])
+
+
+def _matmul_grad_a(g, x, y):
+    return _unbroadcast(np.matmul(g, np.swapaxes(y, -1, -2)), x.shape)
+
+
+def _matmul_grad_b(g, x, y):
+    if y.ndim == 2:  # a weight: one GEMM over x's leading axes
+        return x.reshape(-1, y.shape[0]).T @ g.reshape(-1, y.shape[1])
+    return _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), y.shape)
 
 
 # --- elementwise -----------------------------------------------------------
@@ -260,21 +305,27 @@ def abs_(a: Tensor) -> Tensor:
 # --- shape ops -------------------------------------------------------------
 
 
+def _check_matmul(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> None:
+    if len(a_shape) < 2 or len(b_shape) < 2:
+        raise ValueError(f"matmul needs >=2-D operands, got {a_shape} @ {b_shape}")
+    if a_shape[-1] != b_shape[-2]:
+        raise ValueError(f"matmul: inner dims differ, {a_shape} @ {b_shape}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    _check_matmul(a.shape, b.shape)
+    out = np.matmul(a.data, b.data)
+    parents = (a, b)
+    if not _recording(parents):
+        return Tensor(out)
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if b.requires_grad and b.ndim == 2:  # a weight: one GEMM over a's leading axes
-            _accumulate(b, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
-        elif b.requires_grad:
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+            _accumulate(a, _matmul_grad_a(g, a.data, b.data))
+        if b.requires_grad:
+            _accumulate(b, _matmul_grad_b(g, a.data, b.data))
 
-    return _make(np.matmul(a.data, b.data), (a, b), backward)
+    return _node(out, parents, backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -289,6 +340,9 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     tensors = tuple(tensors)
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    if not _recording(tensors):
+        return Tensor(out)
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g):
@@ -298,7 +352,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
                 index[axis] = slice(lo, hi)
                 _accumulate(t, g[tuple(index)])
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    return _node(out, tensors, backward)
 
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -314,34 +368,130 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _unary(a, e / e.sum(axis=axis, keepdims=True), _softmax_grad, axis)
 
 
+# --- fused blocks ----------------------------------------------------------
+#
+# Each backward names the op-by-op graph's nodes in its comments; `g_<node>`
+# is that node's gradient, allocated by `_first` where the graph's
+# `_accumulate` allocated it.
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(Tensor(1.0), sqrt(add(var, Tensor(eps))))
-    return add(mul(mul(centered, inv), gain), bias)
+    """Normalize over the last axis, then scale and shift, as one op.
+
+    A mean is taken as `ndarray.mean` takes it, `np.add.reduce` over the axis
+    divided by its length, without the Python wrapper around that."""
+    n = x.shape[-1]
+    mu = np.add.reduce(x.data, -1, keepdims=True) / n
+    c = x.data - mu
+    var = np.add.reduce(c * c, -1, keepdims=True) / n
+    s = np.sqrt(var + eps)
+    inv = 1.0 / s
+    ci = c * inv
+    try:
+        cig = ci * gain.data
+        out = cig + bias.data
+    except ValueError:
+        raise ValueError(
+            f"layer_norm: input {x.shape}, gain {gain.shape} and bias {bias.shape} "
+            f"do not broadcast"
+        ) from None
+    parents = (x, gain, bias)
+    if not _recording(parents):
+        return Tensor(out)
+
+    def backward(g):
+        if x.requires_grad or gain.requires_grad:  # out = cig + bias
+            g_cig = _first(_unbroadcast(g, cig.shape), cig.shape)
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.shape))
+        if not (x.requires_grad or gain.requires_grad):
+            return
+        if x.requires_grad:  # cig = ci * gain
+            g_ci = _first(_unbroadcast(g_cig * gain.data, ci.shape), ci.shape)
+        if gain.requires_grad:
+            _accumulate(gain, _unbroadcast(g_cig * ci, gain.shape))
+        if not x.requires_grad:
+            return
+        g_c = _first(g_ci * inv, c.shape)  # ci = c * inv
+        g_inv = _first(_unbroadcast(g_ci * c, inv.shape), inv.shape)
+        g_s = _first(-g_inv * 1.0 / (s * s), s.shape)  # inv = 1 / s
+        g_ve = _first(g_s * 0.5 / s, s.shape)  # s = sqrt(var + eps)
+        g_var = _first(g_ve, var.shape)  # ve = var + eps
+        g_sq = _first(g_var / n, c.shape)  # var = mean(sq); sq = c * c
+        term = g_sq * c
+        g_c += term
+        g_c += term
+        _accumulate(x, g_c)  # c = x - mu
+        g_mu = _first(_unbroadcast(g_c, mu.shape), mu.shape, np.subtract)
+        _accumulate(x, g_mu / n)  # mu = mean(x)
+
+    return _node(out, parents, backward)
 
 
 def attention(
     q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray | None = None
 ) -> Tensor:
-    """Scaled dot-product attention.
+    """Scaled dot-product attention, as one op.
 
     key_mask marks valid keys (broadcastable to the score shape); masked keys
-    get zero weight, and rows whose keys are all masked output zeros.
+    get zero weight, and rows whose keys are all masked output zeros. The
+    softmax's max and sum are `np.maximum.reduce` and `np.add.reduce`, what
+    `ndarray.max` and `ndarray.sum` call.
     """
-    d = q.shape[-1]
-    k_t = transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
-    scores = mul(matmul(q, k_t), Tensor(1.0 / math.sqrt(d)))
+    axes = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
+    k_t = k.data.transpose(axes)
+    _check_matmul(q.shape, k_t.shape)
+    qk = np.matmul(q.data, k_t)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    scores = qk * scale
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
-        scores = add(scores, Tensor(np.where(key_mask, 0.0, -1e30)))
-    weights = softmax(scores, axis=-1)
+        try:
+            masked = scores + np.where(key_mask, 0.0, -1e30)
+        except ValueError:
+            raise ValueError(
+                f"attention: key mask {key_mask.shape} does not broadcast with "
+                f"scores {scores.shape}"
+            ) from None
+    else:
+        masked = scores
+    e = np.exp(masked - np.maximum.reduce(masked, -1, keepdims=True))
+    weights = e / np.add.reduce(e, -1, keepdims=True)
     if key_mask is not None:
-        row_valid = np.broadcast_to(key_mask, scores.shape).any(axis=-1, keepdims=True)
-        weights = mul(weights, Tensor(row_valid.astype(float)))
-    return matmul(weights, v)
+        # whether a row has a live key; the product broadcasts it over the rows
+        row_valid = key_mask.any(axis=-1, keepdims=True).astype(float)
+        kept = weights * row_valid
+    else:
+        kept = weights
+    _check_matmul(kept.shape, v.shape)
+    out = np.matmul(kept, v.data)
+    parents = (q, k, v)
+    if not _recording(parents):
+        return Tensor(out)
+
+    def backward(g):
+        scored = q.requires_grad or k.requires_grad
+        if scored:  # out = kept @ v
+            g_kept = _first(_matmul_grad_a(g, kept, v.data), kept.shape)
+        if v.requires_grad:
+            _accumulate(v, _matmul_grad_b(g, kept, v.data))
+        if not scored:
+            return
+        g_w = g_kept
+        if key_mask is not None:  # kept = weights * row_valid
+            g_w = _first(_unbroadcast(g_kept * row_valid, weights.shape), weights.shape)
+        g_masked = _first(_softmax_grad(g_w, masked, weights, -1), masked.shape)
+        g_scores = g_masked
+        if key_mask is not None:  # masked = scores + mask
+            g_scores = _first(_unbroadcast(g_masked, scores.shape), scores.shape)
+        g_qk = _first(_unbroadcast(g_scores * scale, qk.shape), qk.shape)  # scores = qk * scale
+        if q.requires_grad:  # qk = q @ k_t
+            _accumulate(q, _matmul_grad_a(g_qk, q.data, k_t))
+        if k.requires_grad:
+            g_kt = _first(_matmul_grad_b(g_qk, q.data, k_t), k_t.shape)
+            _accumulate(k, _transpose_grad(g_kt, k_t, k_t, axes))  # k_t = transpose(k)
+
+    return _node(out, parents, backward)
 
 
 # --- optimizer -------------------------------------------------------------

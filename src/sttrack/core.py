@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 TAU = 2.0 * math.pi
 
@@ -238,15 +239,18 @@ def bev_iou_matrix(boxes_a: list[Box7], boxes_b: list[Box7]) -> np.ndarray:
     return out
 
 
-def extrapolate(s: StateVector, dt: float) -> StateVector:
-    """Constant-acceleration forward prediction of a state by dt seconds."""
-    if dt < 0.0:
+def extrapolate(states: ArrayLike, dt: ArrayLike) -> np.ndarray:
+    """Constant-acceleration forward prediction of stacked `[x, y, vx, vy,
+    ax, ay]` states, shape `(..., 6)` as `StateVector.as_array` rows, by `dt`
+    seconds: one number, or one per state in an array of the leading shape
+    `(...)`. Raises ValueError for a negative dt or a non-finite result."""
+    s = np.asarray(states, dtype=float)
+    dt = np.asarray(dt, dtype=float)
+    if (dt < 0.0).any():
         raise ValueError(f"dt must be >= 0, got {dt}")
-    px, py = s.position
-    vx, vy = s.velocity
-    ax, ay = s.acceleration
-    return StateVector(
-        (px + vx * dt + 0.5 * ax * dt * dt, py + vy * dt + 0.5 * ay * dt * dt),
-        (vx + ax * dt, vy + ay * dt),
-        (ax, ay),
-    )
+    dt = dt[..., None]
+    p, v, a = s[..., 0:2], s[..., 2:4], s[..., 4:6]
+    out = np.concatenate((p + v * dt + 0.5 * a * dt * dt, v + a * dt, a), axis=-1)
+    if not np.isfinite(out).all():
+        raise ValueError(f"non-finite extrapolated state: {out}")
+    return out

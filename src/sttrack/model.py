@@ -387,17 +387,20 @@ def tdi_batch(
     query: Tensor,
     ctx_emb: Tensor,
     ctx_mask: np.ndarray,
-) -> tuple[Tensor, Tensor, Tensor]:
+    with_state: bool = True,
+) -> tuple[Tensor, Tensor, Tensor | None]:
     """Cross-attend a query to its context; score each slot and decode a state.
 
     Returns (scores, logits, state): scores are sigmoids zeroed at padded
-    slots, logits are raw (for the stable loss), state is (B, 6).
+    slots, logits are raw (for the stable loss), state is (B, 6), or None
+    without `with_state`; the state head reads the fused query and feeds
+    nothing else.
     """
     b, d = query.shape
     q3 = ad.reshape(query, (b, 1, d))
     att = _attend(q3, ctx_emb, params, "tdi.", cfg.heads, ctx_mask)
     fused3 = ad.layer_norm(ad.add(q3, att), params["tdi.ln_g"], params["tdi.ln_b"])  # (B, 1, D)
-    state = _mlp(ad.reshape(fused3, (b, d)), params, "tdi.state_")
+    state = _mlp(ad.reshape(fused3, (b, d)), params, "tdi.state_") if with_state else None
 
     k = ctx_emb.shape[1]
     tiled = ad.add(Tensor(np.zeros((b, k, d))), fused3)  # broadcast query per slot
@@ -709,8 +712,9 @@ def context_scores(
     whose contexts are given as `_pad` takes them.
 
     Returns (scores (B, W), states (B, 6) anchor-relative), W the longest
-    context. Every context must hold 1..k_max detections; padded slots score
-    exactly zero.
+    context; the states only under `state_source` "tdi", else None, as
+    tracking reads them only then. Every context must hold 1..k_max
+    detections; padded slots score exactly zero.
     """
     lengths = np.asarray(lengths, dtype=int)
     if len(lengths) and lengths.min() < 1:
@@ -719,9 +723,10 @@ def context_scores(
     with ad.no_grad():
         ctx_emb = encode_batch(params, Tensor(feat))
         scores, _, states = tdi_batch(
-            params, cfg, Tensor(np.asarray(queries)), ctx_emb, mask
+            params, cfg, Tensor(np.asarray(queries)), ctx_emb, mask,
+            with_state=cfg.state_source == "tdi",
         )
-    return scores.data, states.data
+    return scores.data, None if states is None else states.data
 
 
 def decode_states(params: dict[str, Tensor], queries: np.ndarray) -> np.ndarray:

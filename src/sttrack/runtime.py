@@ -210,11 +210,13 @@ class SttBackend:
         self._tdi_states = {}
         if not tracks or not dets:
             return costs
+        states = np.array([
+            (*track.state.position, *track.state.velocity, *track.state.acceleration)
+            for track in tracks
+        ])
+        elapsed = (frame_index - np.array([track.frame for track in tracks])) * self.dt
         contexts = select_context(
-            [
-                extrapolate(track.state, (frame_index - track.frame) * self.dt).position
-                for track in tracks
-            ],
+            extrapolate(states, elapsed)[:, :2],
             self._frame_rows[:, :2],
             [det.detection_id for det in dets],
             self.cfg.context_radius,
@@ -247,16 +249,19 @@ class SttBackend:
         if not pairs:
             return []
         new_rows = self._rows(frame_index, [det for _, det in pairs])
-        histories = [
-            np.concatenate((self.history_rows[track.track_id], row[None]))[-self.cfg.t_max :]
-            for (track, _), row in zip(pairs, new_rows)
-        ]
-        queries = queries_from_histories(
-            self.params, self.cfg, np.concatenate(histories), [len(rows) for rows in histories]
-        )
-        for (track, _), query, rows in zip(pairs, queries, histories):
+        # One gather builds every new history, each track's last t_max - 1
+        # held rows and then its new row, one history after another.
+        held = [self.history_rows[track.track_id] for track, _ in pairs]
+        n_held = np.array([len(rows) for rows in held])
+        lengths = np.minimum(n_held, self.cfg.t_max - 1) + 1
+        ends = np.cumsum(lengths)
+        index = np.arange(ends[-1]) + np.repeat(np.cumsum(n_held) - ends + 1, lengths)
+        index[ends - 1] = n_held.sum() + np.arange(len(pairs))
+        rows = np.concatenate([*held, new_rows])[index]
+        queries = queries_from_histories(self.params, self.cfg, rows, lengths)
+        for (track, _), query, lo, hi in zip(pairs, queries, (ends - lengths).tolist(), ends.tolist()):
             self.queries[track.track_id] = query
-            self.history_rows[track.track_id] = rows
+            self.history_rows[track.track_id] = rows[lo:hi]
         if self.cfg.state_source == "tsd":
             states = decode_states(self.params, queries)
             states[:, :2] += new_rows[:, :2]  # each match's anchor: its detection's centre

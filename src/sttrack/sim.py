@@ -41,6 +41,14 @@ FALSE_POSITIVE = -1
 # room to spare, far past any scene this simulator is meant for.
 _MAX_SPAN_S = 1e6
 _MAX_SIGMA = 1e6
+# Coordinates have a budget of their own: the field, and the farthest a fast
+# object travels, 2.5 * fast_min * frames * dt (`population_specs` draws fast
+# speeds up to 2.5 * fast_min). `bev_iou` takes shoelace areas in absolute
+# coordinates, so large coordinates cost the IoU its precision before anything
+# overflows: on a 40-frame Kalman-tracked scene MOTA read 0.931 with a field
+# of 60 m to 1e8 m, 0.859 at 3e8 m and 0.474 at 1e9 m. 1e7 m keeps a tenfold
+# margin below the first loss.
+_MAX_COORD_M = 1e7
 # `generate` builds one `Detection` per false positive, so the rate caps the
 # objects a frame holds; numpy's own Poisson limit (about 9.2e18) is far past
 # what memory allows.
@@ -204,6 +212,7 @@ class SimConfig:
                 f"such that frames * dt <= {_MAX_SPAN_S:g} s (frames {self.frames})",
             ),
             ("field_size", 0 < self.field_size < math.inf, "> 0 and finite"),
+            ("field_size", self.field_size <= _MAX_COORD_M, f"<= {_MAX_COORD_M:g} m"),
             ("appearance_dim", self.appearance_dim >= 1, ">= 1"),
             ("speed_thresholds", fast_min < math.inf, "finite"),
             # `population_specs` draws slow speeds from [1.5 static_max, 0.8 fast_min].
@@ -212,6 +221,16 @@ class SimConfig:
                 1.5 * t.static_max <= 0.8 * fast_min,
                 "such that 1.5 * static_max <= 0.8 * fast_min for both classes",
             ),
+        ))
+        span = self.frames * self.dt
+        check_fields(t, (
+            (
+                name,
+                2.5 * getattr(t, name) * span <= _MAX_COORD_M,
+                f"such that 2.5 * {name} * frames * dt <= {_MAX_COORD_M:g} m "
+                f"(frames * dt {span:g} s)",
+            )
+            for name in ("fast_min_vehicle", "fast_min_pedestrian")
         ))
 
 

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 
+from sttrack import autodiff as ad
 from sttrack import model
 from sttrack.autodiff import Tensor
 from sttrack.core import Box7, ClassId, Detection, StateVector, normalize_heading
@@ -200,6 +201,42 @@ def zero_filled_backward(out: Tensor) -> None:
     for node in reversed(topo):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
+
+
+# The op-by-op graphs that `autodiff.layer_norm` and `autodiff.attention`
+# fuse: the same forward expressions, and the gradients the fused backward
+# must reproduce bit for bit.
+_ONE = Tensor(1.0)
+
+
+def layer_norm_ops(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Layer norm as ten recorded ops."""
+    mu = ad.mean(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = ad.div(_ONE, ad.sqrt(ad.add(var, Tensor(eps))))
+    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
+
+
+def attention_ops(q: Tensor, k: Tensor, v: Tensor, key_mask=None) -> Tensor:
+    """Scaled dot-product attention as up to seven recorded ops."""
+    d = q.shape[-1]
+    k_t = ad.transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
+    scores = ad.mul(ad.matmul(q, k_t), Tensor(1.0 / math.sqrt(d)))
+    if key_mask is not None:
+        key_mask = np.asarray(key_mask, dtype=bool)
+        scores = ad.add(scores, Tensor(np.where(key_mask, 0.0, -1e30)))
+    weights = ad.softmax(scores, axis=-1)
+    if key_mask is not None:
+        row_valid = np.broadcast_to(key_mask, scores.shape).any(axis=-1, keepdims=True)
+        weights = ad.mul(weights, Tensor(row_valid.astype(float)))
+    return ad.matmul(weights, v)
+
+
+def op_by_op_blocks():
+    """Context manager under which the model runs `layer_norm_ops` and
+    `attention_ops` in place of the fused ops."""
+    return mock.patch.multiple(ad, layer_norm=layer_norm_ops, attention=attention_ops)
 
 
 def batched_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:

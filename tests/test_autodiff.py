@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sttrack import autodiff as ad
 from sttrack.autodiff import AdamW, Tensor
 
-from oracles import batched_weight_grad
+from oracles import attention_ops, batched_weight_grad, layer_norm_ops
 
 
 def check_grad(build, params, h=1e-5, tol=1e-4):
@@ -352,6 +352,127 @@ def test_attention_gradients():
         return scalarize(ad.attention(q, k, v, key_mask=mask))
 
     check_grad(build, {"q": q, "k": k, "v": v})
+
+
+# --- fused blocks against their op-by-op graphs --------------------------------
+
+
+def fused_and_op_by_op(fused, op_by_op, operands, seed=0):
+    """Forward bytes and every operand's gradient bytes, for the fused op and
+    for its op-by-op graph, each read out through weights with signed zeros
+    among them, so that zero gradients of both signs flow back too."""
+    results = []
+    for build in (fused, op_by_op):
+        for t in operands:
+            t.grad = None
+        out = build()
+        w = np.random.default_rng(seed).normal(0, 1, out.shape)
+        w.reshape(-1)[::5] = 0.0
+        w.reshape(-1)[2::7] = -0.0
+        loss = ad.sum_(ad.mul(out, Tensor(w)))
+        if loss.requires_grad:
+            loss.backward()
+        grads = [None if t.grad is None else (t.grad.shape, t.grad.tobytes()) for t in operands]
+        results.append((out.shape, out.data.tobytes(), grads))
+    return results
+
+
+GRAD_SETS = [(True, True, True), (True, False, False), (False, True, False),
+             (False, False, True), (False, True, True), (False, False, False)]
+
+
+@pytest.mark.parametrize("requires", GRAD_SETS)
+@pytest.mark.parametrize("x_shape, gain_shape, bias_shape", [
+    ((6,), (6,), (6,)),
+    ((3, 6), (6,), (6,)),
+    ((2, 4, 6), (6,), (6,)),
+    ((2, 1, 6), (1, 1, 6), (1, 6)),  # keepdims-shaped gain and bias
+    ((6,), (2, 6), (6,)),  # the gain broadcasts the output up
+    ((4, 1), (1,), (1,)),  # one feature
+])
+def test_fused_layer_norm_is_bitwise_the_op_by_op_graph(x_shape, gain_shape, bias_shape, requires):
+    rng = np.random.default_rng(len(x_shape) + 7 * len(gain_shape))
+    x, gain, bias = (
+        Tensor(rng.normal(0, 2, shape), requires_grad=r)
+        for shape, r in zip((x_shape, gain_shape, bias_shape), requires)
+    )
+    fused, by_ops = fused_and_op_by_op(
+        lambda: ad.layer_norm(x, gain, bias), lambda: layer_norm_ops(x, gain, bias),
+        [x, gain, bias],
+    )
+    assert fused == by_ops
+    assert [g is not None for g in fused[2]] == list(requires)
+
+
+def _masks():
+    padded = np.ones((2, 1, 1, 5), dtype=bool)
+    padded[0, ..., 3:] = False  # three live keys
+    padded[1, ..., 1:] = False  # one live key
+    dead_row = padded.copy()
+    dead_row[1] = False  # no live key: the row outputs zeros
+    return padded, dead_row
+
+
+@pytest.mark.parametrize("requires", GRAD_SETS)
+@pytest.mark.parametrize("shapes, mask", [
+    # head widths of 3 and 5, so that the 1 / sqrt(d) scale is inexact
+    (((2, 2, 3, 5), (2, 2, 5, 5), (2, 2, 5, 5)), _masks()[0]),  # padded keys
+    (((2, 2, 3, 5), (2, 2, 5, 5), (2, 2, 5, 5)), _masks()[1]),  # a row without keys
+    (((2, 2, 1, 5), (2, 2, 5, 5), (2, 2, 5, 5)), _masks()[0]),  # one query, as the TDI's
+    (((2, 2, 1, 5), (2, 2, 1, 5), (2, 2, 1, 5)), np.ones((2, 1, 1, 1), bool)),  # one-key history
+    (((2, 3, 3), (2, 5, 3), (2, 5, 4)), None),
+    (((3, 5), (5, 5), (5, 2)), np.array([True, True, False, True, False])),  # 2-D: weight paths
+    (((3, 5), (4, 5), (4, 2)), np.array([[[1, 0, 1, 1]], [[0, 0, 0, 0]]], bool)),  # mask adds an axis
+], ids=["padded", "dead-row", "one-query", "one-key", "unmasked-3d", "2d", "mask-adds-axis"])
+def test_fused_attention_is_bitwise_the_op_by_op_graph(shapes, mask, requires):
+    rng = np.random.default_rng(sum(map(len, shapes)))
+    q, k, v = (
+        Tensor(rng.normal(0, 1.5, shape), requires_grad=r) for shape, r in zip(shapes, requires)
+    )
+    fused, by_ops = fused_and_op_by_op(
+        lambda: ad.attention(q, k, v, key_mask=mask),
+        lambda: attention_ops(q, k, v, key_mask=mask),
+        [q, k, v],
+    )
+    assert fused == by_ops
+    assert [g is not None for g in fused[2]] == list(requires)
+
+
+def test_ops_without_grad_build_bare_nodes_and_tensor_keeps_float64_arrays():
+    rng = np.random.default_rng(3)
+
+    def every_op(requires):
+        a, b = (Tensor(rng.uniform(0.5, 2.0, (2, 3, 4)), requires_grad=requires) for _ in "ab")
+        w = Tensor(rng.normal(0, 1, (4, 4)), requires_grad=requires)
+        gain, bias = (Tensor(rng.normal(0, 1, 4), requires_grad=requires) for _ in "gb")
+        mask = np.array([True, True, False])
+        return {
+            "add": ad.add(a, b), "sub": ad.sub(a, b), "mul": ad.mul(a, b), "div": ad.div(a, b),
+            "relu": ad.relu(a), "sigmoid": ad.sigmoid(a), "softplus": ad.softplus(a),
+            "sqrt": ad.sqrt(a), "abs_": ad.abs_(a), "matmul": ad.matmul(a, w),
+            "reshape": ad.reshape(a, (6, 4)), "transpose": ad.transpose(a, (2, 0, 1)),
+            "concat": ad.concat([a, b], axis=1), "sum_": ad.sum_(a), "mean": ad.mean(a, axis=1),
+            "softmax": ad.softmax(a), "layer_norm": ad.layer_norm(a, gain, bias),
+            "attention": ad.attention(a, b, b, key_mask=mask),
+        }
+
+    with ad.no_grad():
+        under_no_grad = every_op(requires=True)
+    for name, out in [*under_no_grad.items(), *every_op(requires=False).items()]:
+        assert not out.requires_grad, name
+        assert out._parents == () and out._backward_fn is None, name
+        assert out.data.dtype == np.float64, name
+    recorded = every_op(requires=True)
+    assert all(out._backward_fn is not None for out in recorded.values())
+
+    array = rng.normal(0, 1, (2, 3))
+    assert Tensor(array).data is array
+    assert Tensor(array[:, ::2]).data.base is array  # a view stays a view
+    for raw in ([1, 2], np.array([1, 2]), np.array([1.5, -2.0], dtype=np.float32), 2.5):
+        t = Tensor(raw)
+        assert t.data.__class__ is np.ndarray and t.data.dtype == np.float64
+        assert t.data.tolist() == np.asarray(raw, dtype=np.float64).tolist()
+    assert Tensor(np.float64(2.0)).data.shape == ()
 
 
 # --- optimizer ---------------------------------------------------------------

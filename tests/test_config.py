@@ -65,6 +65,15 @@ def test_resolved_dict_writes_infinity_as_inf():
     }
 
 
+def test_coordinate_budget_accepts_its_limit():
+    # field_size and 2.5 * fast_min * frames * dt may reach 1e7 m, no further
+    sim = run_config_from_dict(
+        {"sim": {"field_size": 1e7, "speed_thresholds": {"fast_min_vehicle": 2e5}}}
+    ).sim
+    assert sim.field_size == 1e7
+    assert 2.5 * sim.speed_thresholds.fast_min_vehicle * sim.frames * sim.dt == 1e7
+
+
 def test_json_integer_in_float_field_reads_as_float():
     cfg = run_config_from_dict({"sim": {"dt": 1, "field_size": 50}})
     assert type(cfg.sim.dt) is float and cfg.sim.dt == 1.0
@@ -184,6 +193,20 @@ def test_json_integer_in_float_field_reads_as_float():
         (
             {"sim": {"frames": 10**7, "dt": 0.2}},
             "invalid sim: dt must be such that frames * dt <= 1e+06 s (frames 10000000)",
+        ),
+        (
+            {"sim": {"frames": 20, "field_size": 1e308}},
+            "invalid sim: field_size must be <= 1e+07 m, got 1e+308",
+        ),
+        (
+            {"sim": {"speed_thresholds": {"fast_min_vehicle": 1e307}}},
+            "invalid sim: fast_min_vehicle must be such that 2.5 * fast_min_vehicle * frames * dt "
+            "<= 1e+07 m (frames * dt 20 s), got 1e+307",
+        ),
+        (
+            {"sim": {"frames": 10**5, "dt": 1.0, "speed_thresholds": {"fast_min_pedestrian": 50}}},
+            "invalid sim: fast_min_pedestrian must be such that 2.5 * fast_min_pedestrian * "
+            "frames * dt <= 1e+07 m (frames * dt 100000 s), got 50.0",
         ),
         *(
             (
@@ -333,6 +356,11 @@ def test_nesting_levels_cover_sections_and_class_maps():
         ({"sim": {"noise": {"fp_rate": 1e19}}}, "invalid sim.noise: fp_rate must be <= 1000"),
         ({"sim": {"dt": 1e306}}, "invalid sim: dt must be such that frames * dt <= 1e+06 s"),
         ({"sim": {"noise": {"center_sigma": 1e308}}}, "invalid sim.noise: center_sigma must be <="),
+        ({"sim": {"frames": 20, "field_size": 1e308}}, "invalid sim: field_size must be <="),
+        (
+            {"sim": {"speed_thresholds": {"fast_min_vehicle": 1e307}}},
+            "invalid sim: fast_min_vehicle must be such that",
+        ),
     ],
 )
 def test_simulate_with_bad_config_exits_2(tmp_path, capsys, data, message):

@@ -125,28 +125,30 @@ def test_iou_matrix_matches_pairwise():
 
 
 def test_extrapolate_static():
-    s = StateVector.zero()
-    assert extrapolate(s, 0.1) == s
+    s = StateVector.zero().as_array()
+    assert extrapolate(s, 0.1).tolist() == s.tolist()
 
 
 def test_extrapolate_constant_velocity():
-    s = StateVector((0, 0), (2, 0), (0, 0))
-    out = extrapolate(s, 0.5)
-    assert out.position == pytest.approx((1.0, 0.0))
-    assert out.velocity == (2.0, 0.0)
+    out = extrapolate(StateVector((0, 0), (2, 0), (0, 0)).as_array(), 0.5)
+    assert out[:2] == pytest.approx((1.0, 0.0))
+    assert out[2:4].tolist() == [2.0, 0.0]
+
+
+def random_states(rng, n):
+    return np.concatenate(
+        [rng.uniform(-5, 5, (n, 2)), rng.uniform(-3, 3, (n, 2)), rng.uniform(-2, 2, (n, 2))],
+        axis=1,
+    )
 
 
 def test_extrapolate_against_integrator():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        s = StateVector(
-            tuple(rng.uniform(-5, 5, 2)),
-            tuple(rng.uniform(-3, 3, 2)),
-            tuple(rng.uniform(-2, 2, 2)),
-        )
+        s = random_states(rng, 1)[0]
         dt = rng.uniform(0.01, 2.0)
-        got = extrapolate(s, dt)
-        ref = euler_extrapolate(s, dt)
+        got = state_from_array(extrapolate(s, dt))
+        ref = euler_extrapolate(state_from_array(s), dt)
         assert got.position == pytest.approx(ref.position, abs=1e-6)
         assert got.velocity == pytest.approx(ref.velocity, abs=1e-9)
 
@@ -154,20 +156,35 @@ def test_extrapolate_against_integrator():
 def test_extrapolate_semigroup():
     rng = np.random.default_rng(14)
     for _ in range(30):
-        s = StateVector(
-            tuple(rng.uniform(-5, 5, 2)),
-            tuple(rng.uniform(-3, 3, 2)),
-            tuple(rng.uniform(-2, 2, 2)),
-        )
+        s = random_states(rng, 1)[0]
         t1, t2 = rng.uniform(0, 1, 2)
         two_step = extrapolate(extrapolate(s, t1), t2)
         one_step = extrapolate(s, t1 + t2)
-        assert two_step.position == pytest.approx(one_step.position, abs=1e-9)
+        assert two_step[:2] == pytest.approx(one_step[:2], abs=1e-9)
+
+
+def test_extrapolate_stacked_is_each_state_in_python_floats():
+    # each row, with its own dt, as `p + v*dt + 0.5*a*dt*dt` in Python floats
+    rng = np.random.default_rng(24)
+    states, dts = random_states(rng, 12), rng.uniform(0, 2, 12)
+    dts[3] = 0.0
+    got = extrapolate(states.reshape(3, 4, 6), dts.reshape(3, 4)).reshape(12, 6)
+    for row, s, dt in zip(got.tolist(), states.tolist(), dts.tolist()):
+        px, py, vx, vy, ax, ay = s
+        assert row == [
+            px + vx * dt + 0.5 * ax * dt * dt, py + vy * dt + 0.5 * ay * dt * dt,
+            vx + ax * dt, vy + ay * dt, ax, ay,
+        ]
+    assert extrapolate(states, 0.3).tolist() == extrapolate(states, np.full(12, 0.3)).tolist()
 
 
 def test_extrapolate_rejects_negative_dt():
-    with pytest.raises(ValueError):
-        extrapolate(StateVector.zero(), -0.1)
+    with pytest.raises(ValueError, match="dt must be >= 0"):
+        extrapolate(StateVector.zero().as_array(), -0.1)
+    with pytest.raises(ValueError, match="dt must be >= 0"):
+        extrapolate(np.zeros((3, 6)), [0.1, -0.1, 0.0])
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+        extrapolate(StateVector((1e308, 0), (1e308, 0), (0, 0)).as_array(), 2.0)
 
 
 # --- center_distance -------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -31,6 +32,7 @@ from oracles import (
     detection_features_row,
     extract_examples_per_detection,
     limit_padded,
+    op_by_op_blocks,
     state_from_array,
     zero_filled_backward,
 )
@@ -416,11 +418,14 @@ def test_select_context_centres_an_ulp_apart_rank_as_math_hypot():
 def test_tdi_single_live_slot():
     # beside a three-detection context the batch is three slots wide, so the
     # one-detection context has two padded slots
+    # the state head runs only under state_source "tdi", and the scores do
+    # not depend on it
     params = init_params(TINY, seed=0)
     queries = np.stack([np.linspace(-1, 1, TINY.d_q)] * 2)
     longer = [make_detection(0.5 * j, 0.1, det_id=j) for j in range(3)]
+    contexts = (*grouped([[make_detection()], longer]), [(0.0, 0.0)] * 2)
     scores, states = context_scores(
-        params, TINY, queries, *grouped([[make_detection()], longer]), [(0.0, 0.0)] * 2
+        params, dataclasses.replace(TINY, state_source="tdi"), queries, *contexts
     )
     assert scores.shape == (2, 3)
     assert scores[0, 0] > 0.0
@@ -428,6 +433,8 @@ def test_tdi_single_live_slot():
     assert np.all(scores[1] > 0.0)
     assert states.shape == (2, 6)
     assert isinstance(state_from_array(states[0]), StateVector)
+    tsd_scores, tsd_states = context_scores(params, TINY, queries, *contexts)
+    assert tsd_scores.tobytes() == scores.tobytes() and tsd_states is None
 
 
 def test_tdi_scores_in_sigmoid_range():
@@ -462,7 +469,7 @@ def test_tdi_rejects_empty_context():
     st.integers(0, 2**32 - 1),
 )
 def test_longest_group_padding_equals_limit_padding(sizes, pooling, seed):
-    cfg = dataclasses.replace(TINY, pooling=pooling)
+    cfg = dataclasses.replace(TINY, pooling=pooling, state_source="tdi")
     params = init_params(cfg, seed=seed % 5)
     rng = np.random.default_rng(seed)
     hist_lengths = [h for h, _ in sizes]
@@ -690,6 +697,26 @@ def test_parameter_gradients_bitwise_equal_zero_filled_backward():
     zero_filled_backward(m.loss_components_batch(params, cfg, batch)["total"])
     for name, p in params.items():
         assert lazy[name].tobytes() == p.grad.tobytes(), name
+
+
+@pytest.mark.parametrize("pooling", ["mean", "last"])
+def test_fused_blocks_keep_the_op_by_op_losses_and_gradients_bitwise(pooling):
+    # the model with `layer_norm` and `attention` as single ops against the
+    # same model running their op-by-op graphs: every loss and gradient bit
+    cfg = SttConfig(d_q=24, d_a=TINY.d_a, pooling=pooling)  # heads of 12: 1 / sqrt(12) inexact
+    table, examples = extract_examples(small_scenario(), cfg)
+    batch = pack_batch(table, examples[:64], cfg)
+    results = []
+    for blocks in (contextlib.nullcontext, op_by_op_blocks):
+        params = init_params(cfg, seed=5)
+        with blocks():
+            losses = m.loss_components_batch(params, cfg, batch)
+            losses["total"].backward()
+        results.append((
+            {name: loss.data.tobytes() for name, loss in losses.items()},
+            {name: p.grad.tobytes() for name, p in params.items()},
+        ))
+    assert results[0] == results[1]
 
 
 def test_train_reduces_loss_and_is_deterministic():

@@ -288,9 +288,9 @@ def test_stt_tdi_states_come_from_the_association_pass():
         query = tracker.backend.queries[1]
         (row,) = tracker.step(2, [third])
         assert row.track_id == 1
-        _, (rel,) = context_scores(
-            TINY_STT_PARAMS, cfg, query[None], detection_features([third], cfg), [1],
-            [second.box.center_xy],
+        _, (rel,) = context_scores(  # the association pass's state, read under "tdi"
+            TINY_STT_PARAMS, dataclasses.replace(cfg, state_source="tdi"), query[None],
+            detection_features([third], cfg), [1], [second.box.center_xy],
         )
         tdi = state_from_array(rel + [*second.box.center_xy, 0, 0, 0, 0])
         assert (row.state == tdi) == (state_source == "tdi")
