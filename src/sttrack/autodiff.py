@@ -372,7 +372,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 #
 # Each backward names the op-by-op graph's nodes in its comments; `g_<node>`
 # is that node's gradient, allocated by `_first` where the graph's
-# `_accumulate` allocated it.
+# `_accumulate` allocated it. Only the operands' contributions must come in
+# the graph's order; the intermediates feed nothing else.
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -400,21 +401,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return Tensor(out)
 
     def backward(g):
-        if x.requires_grad or gain.requires_grad:  # out = cig + bias
-            g_cig = _first(_unbroadcast(g, cig.shape), cig.shape)
-        if bias.requires_grad:
+        if bias.requires_grad:  # out = cig + bias
             _accumulate(bias, _unbroadcast(g, bias.shape))
         if not (x.requires_grad or gain.requires_grad):
             return
-        if x.requires_grad:  # cig = ci * gain
-            g_ci = _first(_unbroadcast(g_cig * gain.data, ci.shape), ci.shape)
-        if gain.requires_grad:
+        g_cig = _first(_unbroadcast(g, cig.shape), cig.shape)
+        if gain.requires_grad:  # cig = ci * gain
             _accumulate(gain, _unbroadcast(g_cig * ci, gain.shape))
         if not x.requires_grad:
             return
+        g_ci = _first(_unbroadcast(g_cig * gain.data, ci.shape), ci.shape)
         g_c = _first(g_ci * inv, c.shape)  # ci = c * inv
         g_inv = _first(_unbroadcast(g_ci * c, inv.shape), inv.shape)
-        g_s = _first(-g_inv * 1.0 / (s * s), s.shape)  # inv = 1 / s
+        g_s = _first(-g_inv * 1.0 / (s * s), s.shape)  # inv = 1 / s, by div's rule
         g_ve = _first(g_s * 0.5 / s, s.shape)  # s = sqrt(var + eps)
         g_var = _first(g_ve, var.shape)  # ve = var + eps
         g_sq = _first(g_var / n, c.shape)  # var = mean(sq); sq = c * c
@@ -470,13 +469,11 @@ def attention(
         return Tensor(out)
 
     def backward(g):
-        scored = q.requires_grad or k.requires_grad
-        if scored:  # out = kept @ v
-            g_kept = _first(_matmul_grad_a(g, kept, v.data), kept.shape)
-        if v.requires_grad:
+        if v.requires_grad:  # out = kept @ v
             _accumulate(v, _matmul_grad_b(g, kept, v.data))
-        if not scored:
+        if not (q.requires_grad or k.requires_grad):
             return
+        g_kept = _first(_matmul_grad_a(g, kept, v.data), kept.shape)
         g_w = g_kept
         if key_mask is not None:  # kept = weights * row_valid
             g_w = _first(_unbroadcast(g_kept * row_valid, weights.shape), weights.shape)

@@ -210,13 +210,13 @@ class SttBackend:
         self._tdi_states = {}
         if not tracks or not dets:
             return costs
-        states = np.array([
+        track_states = np.array([
             (*track.state.position, *track.state.velocity, *track.state.acceleration)
             for track in tracks
         ])
         elapsed = (frame_index - np.array([track.frame for track in tracks])) * self.dt
         contexts = select_context(
-            extrapolate(states, elapsed)[:, :2],
+            extrapolate(track_states, elapsed)[:, :2],
             self._frame_rows[:, :2],
             [det.detection_id for det in dets],
             self.cfg.context_radius,
@@ -249,8 +249,9 @@ class SttBackend:
         if not pairs:
             return []
         new_rows = self._rows(frame_index, [det for _, det in pairs])
-        # One gather builds every new history, each track's last t_max - 1
-        # held rows and then its new row, one history after another.
+        # One gather from the held histories and the new rows, stacked, builds
+        # every new history: each track's last t_max - 1 held rows, which end
+        # where its held rows end, and then its new row.
         held = [self.history_rows[track.track_id] for track, _ in pairs]
         n_held = np.array([len(rows) for rows in held])
         lengths = np.minimum(n_held, self.cfg.t_max - 1) + 1
@@ -259,7 +260,8 @@ class SttBackend:
         index[ends - 1] = n_held.sum() + np.arange(len(pairs))
         rows = np.concatenate([*held, new_rows])[index]
         queries = queries_from_histories(self.params, self.cfg, rows, lengths)
-        for (track, _), query, lo, hi in zip(pairs, queries, (ends - lengths).tolist(), ends.tolist()):
+        starts = (ends - lengths).tolist()
+        for (track, _), query, lo, hi in zip(pairs, queries, starts, ends.tolist()):
             self.queries[track.track_id] = query
             self.history_rows[track.track_id] = rows[lo:hi]
         if self.cfg.state_source == "tsd":

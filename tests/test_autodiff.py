@@ -438,43 +438,6 @@ def test_fused_attention_is_bitwise_the_op_by_op_graph(shapes, mask, requires):
     assert [g is not None for g in fused[2]] == list(requires)
 
 
-def test_ops_without_grad_build_bare_nodes_and_tensor_keeps_float64_arrays():
-    rng = np.random.default_rng(3)
-
-    def every_op(requires):
-        a, b = (Tensor(rng.uniform(0.5, 2.0, (2, 3, 4)), requires_grad=requires) for _ in "ab")
-        w = Tensor(rng.normal(0, 1, (4, 4)), requires_grad=requires)
-        gain, bias = (Tensor(rng.normal(0, 1, 4), requires_grad=requires) for _ in "gb")
-        mask = np.array([True, True, False])
-        return {
-            "add": ad.add(a, b), "sub": ad.sub(a, b), "mul": ad.mul(a, b), "div": ad.div(a, b),
-            "relu": ad.relu(a), "sigmoid": ad.sigmoid(a), "softplus": ad.softplus(a),
-            "sqrt": ad.sqrt(a), "abs_": ad.abs_(a), "matmul": ad.matmul(a, w),
-            "reshape": ad.reshape(a, (6, 4)), "transpose": ad.transpose(a, (2, 0, 1)),
-            "concat": ad.concat([a, b], axis=1), "sum_": ad.sum_(a), "mean": ad.mean(a, axis=1),
-            "softmax": ad.softmax(a), "layer_norm": ad.layer_norm(a, gain, bias),
-            "attention": ad.attention(a, b, b, key_mask=mask),
-        }
-
-    with ad.no_grad():
-        under_no_grad = every_op(requires=True)
-    for name, out in [*under_no_grad.items(), *every_op(requires=False).items()]:
-        assert not out.requires_grad, name
-        assert out._parents == () and out._backward_fn is None, name
-        assert out.data.dtype == np.float64, name
-    recorded = every_op(requires=True)
-    assert all(out._backward_fn is not None for out in recorded.values())
-
-    array = rng.normal(0, 1, (2, 3))
-    assert Tensor(array).data is array
-    assert Tensor(array[:, ::2]).data.base is array  # a view stays a view
-    for raw in ([1, 2], np.array([1, 2]), np.array([1.5, -2.0], dtype=np.float32), 2.5):
-        t = Tensor(raw)
-        assert t.data.__class__ is np.ndarray and t.data.dtype == np.float64
-        assert t.data.tolist() == np.asarray(raw, dtype=np.float64).tolist()
-    assert Tensor(np.float64(2.0)).data.shape == ()
-
-
 # --- optimizer ---------------------------------------------------------------
 
 BETAS_EPS = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
@@ -565,8 +528,39 @@ def test_checkpoint_rejects_every_truncation_and_trailing_bytes(tmp_path):
 
 
 def test_no_grad_blocks_graph():
-    x = Tensor(np.ones(3), requires_grad=True)
+    # under no_grad, or with no operand requiring grad, every op returns a
+    # bare node: no parents and no backward rule
+    rng = np.random.default_rng(3)
+
+    def every_op(requires):
+        a, b = (Tensor(rng.uniform(0.5, 2.0, (2, 3, 4)), requires_grad=requires) for _ in "ab")
+        w = Tensor(rng.normal(0, 1, (4, 4)), requires_grad=requires)
+        gain, bias = (Tensor(rng.normal(0, 1, 4), requires_grad=requires) for _ in "gb")
+        mask = np.array([True, True, False])
+        return {
+            "add": ad.add(a, b), "sub": ad.sub(a, b), "mul": ad.mul(a, b), "div": ad.div(a, b),
+            "relu": ad.relu(a), "sigmoid": ad.sigmoid(a), "softplus": ad.softplus(a),
+            "sqrt": ad.sqrt(a), "abs_": ad.abs_(a), "matmul": ad.matmul(a, w),
+            "reshape": ad.reshape(a, (6, 4)), "transpose": ad.transpose(a, (2, 0, 1)),
+            "concat": ad.concat([a, b], axis=1), "sum_": ad.sum_(a), "mean": ad.mean(a, axis=1),
+            "softmax": ad.softmax(a), "layer_norm": ad.layer_norm(a, gain, bias),
+            "attention": ad.attention(a, b, b, key_mask=mask),
+        }
+
     with ad.no_grad():
-        out = ad.mul(x, x)
-    assert not out.requires_grad
-    assert out._parents == ()
+        under_no_grad = every_op(requires=True)
+    for name, out in [*under_no_grad.items(), *every_op(requires=False).items()]:
+        assert not out.requires_grad, name
+        assert out._parents == () and out._backward_fn is None, name
+        assert out.data.dtype == np.float64, name
+    recorded = every_op(requires=True)
+    assert all(out._backward_fn is not None for out in recorded.values())
+
+    array = rng.normal(0, 1, (2, 3))
+    assert Tensor(array).data is array
+    assert Tensor(array[:, ::2]).data.base is array  # a view stays a view
+    for raw in ([1, 2], np.array([1, 2]), np.array([1.5, -2.0], dtype=np.float32), 2.5):
+        t = Tensor(raw)
+        assert t.data.__class__ is np.ndarray and t.data.dtype == np.float64
+        assert t.data.tolist() == np.asarray(raw, dtype=np.float64).tolist()
+    assert Tensor(np.float64(2.0)).data.shape == ()

@@ -194,6 +194,17 @@ def test_json_integer_in_float_field_reads_as_float():
             {"sim": {"frames": 10**7, "dt": 0.2}},
             "invalid sim: dt must be such that frames * dt <= 1e+06 s (frames 10000000)",
         ),
+        *(
+            (
+                {"sim": {"noise": {name: 1e308}}},
+                f"invalid sim.noise: {name} must be <= 1e+06, got 1e+308",
+            )
+            for name in (
+                "center_sigma", "heading_sigma", "size_sigma", "appearance_sigma",
+                "confidence_noise",
+            )
+        ),
+        # coordinates past their budget
         (
             {"sim": {"frames": 20, "field_size": 1e308}},
             "invalid sim: field_size must be <= 1e+07 m, got 1e+308",
@@ -207,16 +218,6 @@ def test_json_integer_in_float_field_reads_as_float():
             {"sim": {"frames": 10**5, "dt": 1.0, "speed_thresholds": {"fast_min_pedestrian": 50}}},
             "invalid sim: fast_min_pedestrian must be such that 2.5 * fast_min_pedestrian * "
             "frames * dt <= 1e+07 m (frames * dt 100000 s), got 50.0",
-        ),
-        *(
-            (
-                {"sim": {"noise": {name: 1e308}}},
-                f"invalid sim.noise: {name} must be <= 1e+06, got 1e+308",
-            )
-            for name in (
-                "center_sigma", "heading_sigma", "size_sigma", "appearance_sigma",
-                "confidence_noise",
-            )
         ),
     ],
 )

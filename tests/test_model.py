@@ -417,9 +417,8 @@ def test_select_context_centres_an_ulp_apart_rank_as_math_hypot():
 
 def test_tdi_single_live_slot():
     # beside a three-detection context the batch is three slots wide, so the
-    # one-detection context has two padded slots
-    # the state head runs only under state_source "tdi", and the scores do
-    # not depend on it
+    # one-detection context has two padded slots; the state head runs only
+    # under state_source "tdi", and the scores do not depend on it
     params = init_params(TINY, seed=0)
     queries = np.stack([np.linspace(-1, 1, TINY.d_q)] * 2)
     longer = [make_detection(0.5 * j, 0.1, det_id=j) for j in range(3)]
