@@ -1,9 +1,15 @@
 import contextlib
 import io
 import json
+import math
 import re
+import struct
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import scenario_numbers
 from sttrack import cli, formats
@@ -87,19 +93,6 @@ def test_schema_version_checked(tmp_path):
         read_jsonl(path)
 
 
-def test_malformed_line_names_file_and_line(tmp_path):
-    scenario = make_scenario()
-    _, det_path = write_scenario(tmp_path, "s0", scenario, {})
-    lines = det_path.read_text().splitlines()
-    lines[3] = lines[3][: len(lines[3]) // 2]
-    det_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match=f"^{re.escape(str(det_path))}:4: "):
-        read_jsonl(det_path)
-    det_path.write_text("{not json\n")
-    with pytest.raises(FormatError, match=f"^{re.escape(str(det_path))}:1: "):
-        read_jsonl(det_path)
-
-
 def test_read_detections_equals_scenario_detections(tmp_path):
     scenario = make_scenario(seed=3)
     _, det_path = write_scenario(tmp_path, "s0", scenario, {})
@@ -165,6 +158,7 @@ def file_and_reader(tmp_path, reader):
     train = ["train", "--config", str(config), "--data", data, "--out", out, "--steps", "1"]
     evaluate = ["eval", "--gt", data, "--results", data, "--out", f"{out}/eval.json"]
     return {
+        "jsonl": (det_path, lambda: read_jsonl(det_path)),
         "detections": (det_path, lambda: read_detections(det_path)),
         "labels": (gt_path, lambda: read_label_frames(gt_path)),
         "preds": (tracks_path, lambda: read_pred_frames(tracks_path)),
@@ -176,6 +170,33 @@ def file_and_reader(tmp_path, reader):
         "cli-eval-gt": (gt_path, lambda: run_cli(*evaluate)),
         "cli-eval-tracks": (tracks_path, lambda: run_cli(*evaluate)),
     }[reader]
+
+
+# name: (edit of a line's bytes, the reason the edited line gives)
+LINE_EDITS = {
+    "truncated": (lambda line: line[: len(line) // 2], lambda line: ""),
+    "not-utf-8": (
+        lambda line: line.replace(b'"vehicle"', b'"v\xffhicle"'),
+        lambda line: f"not UTF-8: invalid start byte at byte {line.index(0xFF) + 1}",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", LINE_EDITS)
+@pytest.mark.parametrize(
+    "reader", ["jsonl", *READERS, "cli-track", "cli-train-gt", "cli-eval-tracks"]
+)
+def test_malformed_line_names_file_and_line(tmp_path, reader, edit):
+    path, read = file_and_reader(tmp_path, reader)
+    edit_line, reason = LINE_EDITS[edit]
+    lines = path.read_bytes().splitlines()
+    lines[3] = edit_line(lines[3])
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:4: {reason(lines[3])}')}"):
+        read()
+    path.write_text("{not json\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:1: "):
+        read()
 
 
 @pytest.mark.parametrize("frame", [-1, 12])
@@ -209,6 +230,11 @@ EDITS = {
     "str-cx": (lambda row, _: row.update(cx="1.5"), "cx must be int or float, not str", ALL),
     "str-frame": (lambda row, _: row.update(frame="3"), "frame must be int, not str", ALL),
     "float-frame": (lambda row, _: row.update(frame=2.0), "frame must be int, not float", ALL),
+    "huge-id": (  # an integer outside 64 bits reads as a float
+        lambda row, _: row.update({k: 2**70 for k in IDENTS.values() if k in row}),
+        "{ident} must be int, not float",
+        ALL,
+    ),
     "bool-frame": (lambda row, _: row.update(frame=True), "frame must be int, not bool", ALL),
     "str-id": (
         lambda row, _: row.update({k: str(row[k]) for k in IDENTS.values() if k in row}),
@@ -386,6 +412,81 @@ def test_write_jsonl_lines_equal_json_dumps(tmp_path):
         assert line == json.dumps(row, sort_keys=True)
 
 
+FINITE = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+).filter(math.isfinite) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.max, -sys.float_info.max]
+)
+NUMBER = FINITE | st.integers(-(2**63), 2**63 - 1)
+BOX = ("cx", "cy", "cz", "w", "l", "h", "heading")
+
+
+@st.composite
+def objects(draw, fields):
+    """An object with the keys of `fields` in a drawn order, each with a value
+    drawn from its strategy."""
+    return {key: draw(fields[key]) for key in draw(st.permutations(list(fields)))}
+
+
+STATE = objects({key: NUMBER for key in ("px", "py", "vx", "vy", "ax", "ay")})
+ROW_FIELDS = {
+    "frame": NUMBER, "class": st.sampled_from(["vehicle", "pedestrian"]),
+    **{key: NUMBER for key in BOX},
+}
+ROWS = (
+    objects({**ROW_FIELDS, "object_id": NUMBER, "state": STATE})
+    | objects({
+        **ROW_FIELDS, "id": NUMBER, "conf": NUMBER, "provenance": NUMBER,
+        "appearance": st.lists(NUMBER, max_size=16), "motion": st.lists(NUMBER, max_size=4),
+    })
+    | objects({**ROW_FIELDS, "track_id": NUMBER, "conf": NUMBER, "state": STATE})
+)
+PATH = Path("s0.det.jsonl")
+
+
+def shape(value):
+    """`value` with each node tagged with its type and each float as its bits."""
+    if type(value) is dict:
+        return dict, [(key, shape(v)) for key, v in value.items()]
+    if type(value) is list:
+        return list, [shape(v) for v in value]
+    if type(value) is float:
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+def stdlib_parse_line(path, line: int, text: bytes):
+    """A line read with `json` alone, as the readers read it before `orjson`."""
+    try:
+        return json.loads(text.decode())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{line}: {exc.msg} at column {exc.colno}") from None
+
+
+def outcome(parse_line, text: bytes):
+    """The shape of what `parse_line` reads from line 2, or its error text."""
+    try:
+        return shape(parse_line(PATH, 2, text))
+    except FormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS)
+def test_parse_line_reads_a_row_as_json_does(row):
+    text = json.dumps(row).encode()
+    assert shape(formats._parse_line(PATH, 2, text)) == shape(json.loads(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ROWS, st.sampled_from(BOX), st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"]),
+       st.floats(0, 1, exclude_max=True))
+def test_parse_line_reads_a_line_orjson_rejects_as_json_does(row, key, literal, cut):
+    text = json.dumps({**row, key: "@"}).encode().replace(b'"@"', literal.encode())
+    for line in (text, text[: int(cut * len(text))]):  # the value, then a truncated line
+        assert outcome(formats._parse_line, line) == outcome(stdlib_parse_line, line)
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_jsonl(tmp_path / "nope.jsonl")
@@ -484,6 +585,7 @@ def test_make_header_rejects_unknown_kind():
     [
         (lambda row: row.update(provenance="x"), "provenance must be int, not str"),
         (lambda row: row.update(provenance=0.0), "provenance must be int, not float"),
+        (lambda row: row.update(provenance=2**70), "provenance must be int, not float"),
         (lambda row: row.update(provenance=-2), "provenance must be >= -1, got -2"),
         (lambda row: row.pop("provenance"), "missing key 'provenance'"),
     ],

@@ -31,8 +31,9 @@ from sttrack import cli  # noqa: E402
 from sttrack.config import PopulationConfig, RunConfig  # noqa: E402
 
 # The build the pins were taken with: another numpy or BLAS build may move low
-# bits of the trained weights or the filter states, and with them the pins.
-BUILD = "numpy 2.4.6 with OpenBLAS 0.3.31"
+# bits of the trained weights or the filter states, and with them the pins;
+# every file the pipeline reads back is parsed by orjson.
+BUILD = "numpy 2.4.6 with OpenBLAS 0.3.31, orjson 3.8.3"
 
 PINS = {
     "checkpoint": "4dbc208073d83dc9a5572cac5a302d56e5614e4a56668b98ea6be95c72524212",
