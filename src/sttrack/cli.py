@@ -9,8 +9,9 @@ nonzero with a machine-readable error line on failure.
 Exit codes: 0 success, 1 unexpected error, 2 config/schema violation or
 bad command line (an unknown or missing flag, a value that does not parse,
 a count option below 1, an `ablate --values` entry that does not parse or
-that the config rejects), 3 missing input file, 4 checkpoint/config
-mismatch.
+that the config rejects, a checkpoint whose tensors do not fit its model),
+3 missing input file, 4 checkpoint/config mismatch. `--workers` above the
+number of scenes starts one process per scene.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ def scenario_names(directory: Path, suffix: str) -> list[str]:
     return names
 
 
-def load_checkpoint_for(cfg: RunConfig, path: Path):
-    """A checkpoint's parameters and metadata; CheckpointMismatchError unless
-    it was trained with `cfg.stt`. Only `state_source` may differ: training
-    never reads it, it picks the head whose states tracking reports."""
+def load_checkpoint_for(cfg: RunConfig, path: Path) -> dict[str, np.ndarray]:
+    """A checkpoint's parameter arrays; CheckpointMismatchError unless it was
+    trained with `cfg.stt`, FormatError unless its tensor names and shapes
+    are that model's. Only `state_source` may differ: training never reads
+    it, it picks the head whose states tracking reports."""
     if not path.is_file():
         raise FileNotFoundError(f"no such checkpoint file: {path}")
     try:
@@ -81,7 +83,15 @@ def load_checkpoint_for(cfg: RunConfig, path: Path):
             f"checkpoint {path} was trained with a different model config: "
             f"{stored} vs {run}"
         )
-    return {name: autodiff.Tensor(data) for name, data in arrays.items()}, metadata
+    have = {name: array.shape for name, array in arrays.items()}
+    want = {name: tensor.shape for name, tensor in model.init_params(cfg.stt, 0).items()}
+    for name in sorted(have.keys() | want.keys()):
+        if have.get(name) != want.get(name):
+            raise formats.FormatError(
+                f"{path}: tensor {name!r} has shape {have.get(name, 'none')} in the"
+                f" checkpoint and {want.get(name, 'none')} in the model"
+            )
+    return arrays
 
 
 def _check_widths(path: Path, frames, stt: model.SttConfig) -> None:
@@ -197,8 +207,8 @@ def track_directory(
     if backend_kind == "stt":
         if checkpoint is None:
             raise CheckpointMismatchError("stt backend requires --checkpoint")
-        params, _ = load_checkpoint_for(cfg, checkpoint)
-        stt_arrays = {k: t.data for k, t in params.items()}
+        stt_arrays = load_checkpoint_for(cfg, checkpoint)
+    workers = min(workers, len(names))
     if workers <= 1:
         return [
             _track_one(cfg, backend_kind, data_dir, out_dir, name, stt_arrays)

@@ -10,10 +10,13 @@ pairs and estimate states, so lifecycle behavior is identical across them.
 Each piece of track state has one owner. The `Tracker` owns the lifecycle:
 one mutable `Track` per live id with its last matched detection, the frame
 and state of its last match and its misses, written only by `Tracker.step`.
-The estimators' own state lives in the backends: `KalmanBackend.bank` holds
-the filters, and `SttBackend.queries` and `SttBackend.history_rows` the track
-queries and the feature rows of each track's history, all keyed by track id
-and dropped by `forget` when the tracker deletes a track.
+The estimators' state lives in the backends: `KalmanBackend.bank` holds the
+filters, `SttBackend.queries` and `history_rows` each track's query and the
+feature rows of its history. Track ids only grow, so the dict `Tracker.tracks`
+holds the live tracks in id order, and row `i` of every backend array is its
+`i`-th track. Backends take the solver's indices: `update_matched` its `(row,
+col)` pairs, `create_tracks` the columns of new tracks' detections, whose rows
+it appends, and `forget` the rows of the tracks the tracker deleted.
 """
 
 from __future__ import annotations
@@ -95,26 +98,23 @@ class KalmanBackend:
     """IoU-gated association with one constant-acceleration filter per track.
 
     The filters form one bank: a stacked `KfState` with an `(N, 6)` mean and
-    an `(N, 6, 6)` covariance, one row per live track in track-id order, and
-    `track_ids` naming the rows. Track ids only grow, so `create_tracks`
-    appends rows and the order stays the `Tracker`'s sorted `active` order;
-    `forget` drops rows. Each frame runs one stacked `predict` over the bank
-    and one stacked `update` over the rows of the matched tracks.
+    an `(N, 6, 6)` covariance, row `i` the filter of the tracker's `i`-th
+    live track. `create_tracks` appends rows and `forget` drops them. Each
+    frame runs one stacked `predict` over the bank and one stacked `update`
+    over the rows of the matched tracks.
     """
 
     def __init__(self, params: KfParams, dt: float):
         self.params = params
         self.dt = dt
         self.bank = init_state(np.empty((0, 2)), params)
-        self.track_ids: list[int] = []
 
     def frame_costs(
         self, frame_index: int, tracks: list[Track], dets: list[Detection]
     ) -> np.ndarray:
-        ids = [track.track_id for track in tracks]
-        if ids != self.track_ids:
+        if len(tracks) != len(self.bank.mean):
             raise ValueError(
-                f"tracks {ids} differ from the filter bank's {self.track_ids}"
+                f"{len(tracks)} tracks, but the filter bank holds {len(self.bank.mean)}"
             )
         self.bank = predict(self.bank, self.dt, self.params)
         iou = bev_iou_matrix(
@@ -127,15 +127,14 @@ class KalmanBackend:
         return np.where(iou > self.params.iou_gate, 1.0 - iou, assign.FORBIDDEN)
 
     def update_matched(
-        self, frame_index: int, pairs: list[tuple[Track, Detection]]
+        self, frame_index: int, pairs: list[tuple[int, int]], dets: list[Detection]
     ) -> list[StateVector]:
         if not pairs:
             return []
-        row_of = {tid: row for row, tid in enumerate(self.track_ids)}
-        rows = [row_of[track.track_id] for track, _ in pairs]
+        rows = [r for r, _ in pairs]
         matched = update(
             KfState(self.bank.mean[rows], self.bank.covariance[rows]),
-            [det.box.center_xy for _, det in pairs],
+            [dets[c].box.center_xy for _, c in pairs],
             self.params,
         )
         self.bank.mean[rows] = matched.mean
@@ -143,22 +142,22 @@ class KalmanBackend:
         return matched.state_vectors()
 
     def create_tracks(
-        self, frame_index: int, track_ids: list[int], dets: list[Detection]
+        self, frame_index: int, cols: list[int], dets: list[Detection]
     ) -> list[StateVector]:
-        if not dets:
+        if not cols:
             return []
-        new = init_state([det.box.center_xy for det in dets], self.params)
+        new = init_state([dets[c].box.center_xy for c in cols], self.params)
         self.bank = KfState(
             np.concatenate([self.bank.mean, new.mean]),
             np.concatenate([self.bank.covariance, new.covariance]),
         )
-        self.track_ids.extend(track_ids)
         return new.state_vectors()
 
-    def forget(self, track_ids: list[int]) -> None:
-        keep = np.isin(self.track_ids, track_ids, invert=True)
-        self.bank = KfState(self.bank.mean[keep], self.bank.covariance[keep])
-        self.track_ids = [tid for tid, k in zip(self.track_ids, keep) if k]
+    def forget(self, rows: list[int]) -> None:
+        self.bank = KfState(
+            np.delete(self.bank.mean, rows, axis=0),
+            np.delete(self.bank.covariance, rows, axis=0),
+        )
 
 
 class SttBackend:
@@ -166,11 +165,10 @@ class SttBackend:
 
     `frame_costs` featurizes the frame's detections once; those rows serve
     the frame's context scoring, the matched tracks' new queries and the new
-    tracks. Per live track id the backend keeps `history_rows`, the
-    `detection_features` rows of the track's last <= `t_max` matched
-    detections in frame order, and `queries`, the fused encoding of those
-    rows; `create_tracks` and `update_matched` set both and `forget` drops
-    them. A track's anchor is its last row's box centre, columns 0-1.
+    tracks. For the tracker's `i`-th live track, `history_rows[i]` holds the
+    `detection_features` rows of its last <= `t_max` matched detections in
+    frame order, and `queries[i]`, a row of an `(N, d_q)` array, the fused
+    encoding of those rows; its anchor is its last row's box centre.
     """
 
     def __init__(
@@ -184,28 +182,26 @@ class SttBackend:
         self.cfg = cfg
         self.lifecycle = lifecycle
         self.dt = dt
-        self.queries: dict[int, np.ndarray] = {}
-        self.history_rows: dict[int, np.ndarray] = {}
-        self._tdi_states: dict[int, StateVector] = {}
+        self.queries = np.empty((0, cfg.d_q))
+        self.history_rows: list[np.ndarray] = []
+        self._tdi_states: dict[int, StateVector] = {}  # row -> association-pass state
         self._frame_index: int | None = None
         self._frame_rows = np.empty((0, cfg.feature_width))
-        self._row_of: dict[int, int] = {}  # detection id -> row of _frame_rows
 
-    def _rows(self, frame_index: int, dets: list[Detection]) -> np.ndarray:
-        """The feature rows of `dets`, detections of the frame `frame_costs`
-        featurized last."""
+    def _rows(self, frame_index: int, cols: list[int]) -> np.ndarray:
+        """The feature rows of the detections at `cols` of the frame
+        `frame_costs` featurized last."""
         if frame_index != self._frame_index:
             raise ValueError(
                 f"frame {frame_index}: frame_costs ran last for frame {self._frame_index}"
             )
-        return self._frame_rows[[self._row_of[det.detection_id] for det in dets]]
+        return self._frame_rows[cols]
 
     def frame_costs(
         self, frame_index: int, tracks: list[Track], dets: list[Detection]
     ) -> np.ndarray:
         self._frame_index = frame_index
         self._frame_rows = detection_features(dets, self.cfg)
-        self._row_of = {det.detection_id: j for j, det in enumerate(dets)}
         costs = np.full((len(tracks), len(dets)), assign.FORBIDDEN)
         self._tdi_states = {}
         if not tracks or not dets:
@@ -227,15 +223,14 @@ class SttBackend:
             return costs
         lengths = [len(contexts[i]) for i in live_rows]
         cols = np.concatenate([contexts[i] for i in live_rows])
-        ids = [tracks[i].track_id for i in live_rows]
-        anchors = np.stack([self.history_rows[tid][-1, :2] for tid in ids])
-        queries = np.stack([self.queries[tid] for tid in ids])
+        anchors = np.stack([self.history_rows[i][-1, :2] for i in live_rows])
         scores, states = context_scores(
-            self.params, self.cfg, queries, self._frame_rows[cols], lengths, anchors
+            self.params, self.cfg, self.queries[live_rows], self._frame_rows[cols],
+            lengths, anchors,
         )
         if self.cfg.state_source == "tdi":
             states[:, :2] += anchors
-            self._tdi_states = dict(zip(ids, StateVector.from_rows(states)))
+            self._tdi_states = dict(zip(live_rows, StateVector.from_rows(states)))
         # scores of live slots, in the order of `cols`
         slot_scores = scores[np.arange(scores.shape[1]) < np.array(lengths)[:, None]]
         rows = np.repeat(live_rows, lengths)
@@ -244,15 +239,16 @@ class SttBackend:
         return costs
 
     def update_matched(
-        self, frame_index: int, pairs: list[tuple[Track, Detection]]
+        self, frame_index: int, pairs: list[tuple[int, int]], dets: list[Detection]
     ) -> list[StateVector]:
         if not pairs:
             return []
-        new_rows = self._rows(frame_index, [det for _, det in pairs])
+        track_rows = [r for r, _ in pairs]
+        new_rows = self._rows(frame_index, [c for _, c in pairs])
         # One gather from the held histories and the new rows, stacked, builds
         # every new history: each track's last t_max - 1 held rows, which end
         # where its held rows end, and then its new row.
-        held = [self.history_rows[track.track_id] for track, _ in pairs]
+        held = [self.history_rows[r] for r in track_rows]
         n_held = np.array([len(rows) for rows in held])
         lengths = np.minimum(n_held, self.cfg.t_max - 1) + 1
         ends = np.cumsum(lengths)
@@ -260,10 +256,9 @@ class SttBackend:
         index[ends - 1] = n_held.sum() + np.arange(len(pairs))
         rows = np.concatenate([*held, new_rows])[index]
         queries = queries_from_histories(self.params, self.cfg, rows, lengths)
-        starts = (ends - lengths).tolist()
-        for (track, _), query, lo, hi in zip(pairs, queries, starts, ends.tolist()):
-            self.queries[track.track_id] = query
-            self.history_rows[track.track_id] = rows[lo:hi]
+        self.queries[track_rows] = queries
+        for r, lo, hi in zip(track_rows, (ends - lengths).tolist(), ends.tolist()):
+            self.history_rows[r] = rows[lo:hi]
         if self.cfg.state_source == "tsd":
             states = decode_states(self.params, queries)
             states[:, :2] += new_rows[:, :2]  # each match's anchor: its detection's centre
@@ -271,26 +266,25 @@ class SttBackend:
         # tdi: the state predicted during the association pass; a track matched
         # without a scored context falls back to the detection center
         return [
-            self._tdi_states.get(track.track_id)
-            or StateVector.zero(det.box.center_xy)
-            for track, det in pairs
+            self._tdi_states.get(r) or StateVector.zero(dets[c].box.center_xy)
+            for r, c in pairs
         ]
 
     def create_tracks(
-        self, frame_index: int, track_ids: list[int], dets: list[Detection]
+        self, frame_index: int, cols: list[int], dets: list[Detection]
     ) -> list[StateVector]:
-        if not dets:
+        if not cols:
             return []
-        rows = self._rows(frame_index, dets)
-        queries = queries_from_histories(self.params, self.cfg, rows, [1] * len(dets))
-        self.queries.update(zip(track_ids, queries))
-        self.history_rows.update(zip(track_ids, rows[:, None]))
-        return [StateVector.zero(det.box.center_xy) for det in dets]
+        rows = self._rows(frame_index, cols)
+        queries = queries_from_histories(self.params, self.cfg, rows, [1] * len(cols))
+        self.queries = np.concatenate([self.queries, queries])
+        self.history_rows.extend(rows[:, None])
+        return [StateVector.zero(dets[c].box.center_xy) for c in cols]
 
-    def forget(self, track_ids: list[int]) -> None:
-        for tid in track_ids:
-            del self.queries[tid]
-            del self.history_rows[tid]
+    def forget(self, rows: list[int]) -> None:
+        self.queries = np.delete(self.queries, rows, axis=0)
+        dead = set(rows)
+        self.history_rows = [h for i, h in enumerate(self.history_rows) if i not in dead]
 
 
 class Tracker:
@@ -319,7 +313,7 @@ class Tracker:
             (d for d in detections if d.confidence >= self.lifecycle.min_confidence),
             key=lambda d: d.detection_id,
         )
-        active = [self.tracks[tid] for tid in sorted(self.tracks)]
+        active = list(self.tracks.values())
 
         costs = self.backend.frame_costs(frame_index, active, dets)
         pairs = assign.solve(costs)
@@ -327,9 +321,9 @@ class Tracker:
         matched_cols = {c for _, c in pairs}
 
         rows: list[TrackerRow] = []
-        matched = [(active[r], dets[c]) for r, c in pairs]
-        estimates = self.backend.update_matched(frame_index, matched)
-        for (track, det), state in zip(matched, estimates):
+        estimates = self.backend.update_matched(frame_index, pairs, dets)
+        for (r, c), state in zip(pairs, estimates):
+            track, det = active[r], dets[c]
             track.last = det
             track.frame = frame_index
             track.state = state
@@ -347,24 +341,23 @@ class Tracker:
                 continue
             track.misses += 1
             if track.misses > self.lifecycle.max_misses:
-                dead.append(track.track_id)
+                dead.append(r)
                 del self.tracks[track.track_id]
         if dead:
             self.backend.forget(dead)
 
-        new_dets = [dets[c] for c in range(len(dets)) if c not in matched_cols]
-        new_ids = list(
-            range(self.next_track_id, self.next_track_id + len(new_dets))
-        )
-        self.next_track_id += len(new_dets)
-        created = self.backend.create_tracks(frame_index, new_ids, new_dets)
-        for tid, det, state in zip(new_ids, new_dets, created):
+        new_cols = [c for c in range(len(dets)) if c not in matched_cols]
+        created = self.backend.create_tracks(frame_index, new_cols, dets)
+        for c, state in zip(new_cols, created):
+            det, tid = dets[c], self.next_track_id
+            self.next_track_id += 1
             self.tracks[tid] = Track(tid, det, frame_index, state)
             rows.append(
                 TrackerRow(frame_index, tid, det.class_id, det.box, state,
                            det.confidence)
             )
-        rows.sort(key=lambda row: row.track_id)
+        # rows are in track-id order: pairs come sorted by row, and every new
+        # id is larger than the live ones
         return rows
 
 

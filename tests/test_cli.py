@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import shutil
@@ -201,6 +202,12 @@ def track_stt(config, data, out, checkpoint):
         ("trailing", cli.EXIT_CONFIG, "invalid checkpoint: 3 bytes after the tensor data"),
         ("bad-magic", cli.EXIT_CONFIG, "not a checkpoint (bad magic)"),
         ("directory", cli.EXIT_MISSING, "no such checkpoint file"),
+        ("no-tensor", cli.EXIT_CONFIG,
+         "tensor 'tdi.score_w1' has shape none in the checkpoint and (64, 64) in the model"),
+        ("extra-tensor", cli.EXIT_CONFIG,
+         "tensor 'tdi.extra' has shape (64,) in the checkpoint and none in the model"),
+        ("wrong-shape", cli.EXIT_CONFIG,
+         "tensor 'de.w1' has shape (26, 1) in the checkpoint and (26, 64) in the model"),
     ],
 )
 def test_track_checkpoint_boundary(trained, tmp_path, capsys, damage, code, message):
@@ -209,6 +216,16 @@ def test_track_checkpoint_boundary(trained, tmp_path, capsys, damage, code, mess
     checkpoint = tmp_path / "model.ckpt"
     if damage == "directory":
         checkpoint.mkdir()
+    elif damage.endswith(("tensor", "shape")):  # a valid file that misfits the model
+        arrays, metadata = autodiff.load_checkpoint(good)
+        if damage == "no-tensor":
+            del arrays["tdi.score_w1"]
+        elif damage == "extra-tensor":
+            arrays["tdi.extra"] = arrays["de.b1"]
+        else:
+            arrays["de.w1"] = arrays["de.w1"][:, :1]
+        tensors = {name: autodiff.Tensor(data) for name, data in arrays.items()}
+        autodiff.save_checkpoint(checkpoint, tensors, metadata)
     else:
         checkpoint.write_bytes({
             "none": blob,
@@ -282,6 +299,37 @@ def test_track_with_two_workers_equals_one_worker(tmp_path):
         }
     assert len(digests["1"]) == 3
     assert digests["2"] == digests["1"]
+
+
+def test_track_starts_no_more_workers_than_scenes(tmp_path, monkeypatch):
+    config, data = simulate(tmp_path, count=3)
+    pools = []
+
+    class InProcessPool:
+        """Records `max_workers` and runs each task at submit; starts no process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    out = tmp_path / "tracks"
+    assert cli.main([
+        "track", "--config", str(config), "--data", str(data), "--out", str(out),
+        "--backend", "kalman", "--workers", "64",
+    ]) == 0
+    assert pools == [3]
+    assert len(list(out.glob("*.tracks.jsonl"))) == 3
 
 
 @pytest.mark.parametrize(

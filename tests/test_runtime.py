@@ -63,7 +63,8 @@ def make_detection(cx, cy, frame, det_id, conf=0.9, d_a=3):
 
 
 class ScriptedBackend:
-    """Backend stub: costs come from a script, states are detection centers."""
+    """Backend stub: costs come from a script, states are detection centers;
+    it records the rows it is told to forget."""
 
     def __init__(self, cost_fn):
         self.cost_fn = cost_fn
@@ -72,14 +73,14 @@ class ScriptedBackend:
     def frame_costs(self, frame_index, tracks, dets):
         return self.cost_fn(frame_index, tracks, dets)
 
-    def update_matched(self, frame_index, pairs):
-        return [StateVector.zero(det.box.center_xy) for _, det in pairs]
+    def update_matched(self, frame_index, pairs, dets):
+        return [StateVector.zero(dets[c].box.center_xy) for _, c in pairs]
 
-    def create_tracks(self, frame_index, track_ids, dets):
-        return [StateVector.zero(det.box.center_xy) for det in dets]
+    def create_tracks(self, frame_index, cols, dets):
+        return [StateVector.zero(dets[c].box.center_xy) for c in cols]
 
-    def forget(self, track_ids):
-        self.forgotten.extend(track_ids)
+    def forget(self, rows):
+        self.forgotten.extend(rows)
 
 
 def overlap_costs(frame_index, tracks, dets):
@@ -103,7 +104,7 @@ def test_empty_frames_accumulate_misses_until_death():
         assert tracker.tracks[tid].misses == frame
     assert tracker.step(4, []) == []
     assert tid not in tracker.tracks
-    assert tracker.backend.forgotten == [tid]
+    assert tracker.backend.forgotten == [0]  # the row of the only track
 
 
 def test_single_overlapping_detection_extends_history():
@@ -171,13 +172,13 @@ def test_kalman_tracker_lifecycle_rules(stream, max_misses):
         alive = sorted(
             tid for tid, seen in last_matched.items() if frame - seen <= max_misses
         )
-        assert sorted(tracker.tracks) == alive
-        # the bank holds one row per live track, in id order ...
+        # the tracker's dict holds the live tracks in id order ...
+        assert list(tracker.tracks) == sorted(tracker.tracks) == alive
+        # ... and the bank one row per live track, in that order
         backend = tracker.backend
-        assert backend.track_ids == alive
         assert backend.bank.mean.shape == (len(alive), 6)
         assert backend.bank.covariance.shape == (len(alive), 6, 6)
-        # ... and each row is bitwise the track's own filter
+        # ... each row bitwise the filter of that row's track
         for tid in list(filters):
             if tid not in tracker.tracks:
                 del filters[tid]
@@ -190,7 +191,7 @@ def test_kalman_tracker_lifecycle_rules(stream, max_misses):
                 )
             else:
                 filters[row.track_id] = init_state(row.box.center_xy, params)
-        for i, tid in enumerate(alive):
+        for i, tid in enumerate(tracker.tracks):
             assert backend.bank.mean[i].tobytes() == filters[tid].mean.tobytes()
             assert backend.bank.covariance[i].tobytes() == filters[tid].covariance.tobytes()
         for row in rows:
@@ -230,15 +231,17 @@ def test_stt_backend_queries_follow_tracker(stream, max_misses, state_source):
             for j, (gx, gy, jitter, conf) in enumerate(cells)
         ])
         record_histories(histories, tracker, frame, cfg.t_max)
-        # one stored query and history per live track, each the query of
-        # its own history and that history's feature rows
-        assert set(backend.queries) == set(backend.history_rows) == set(tracker.tracks)
-        for tid in tracker.tracks:
+        # one stored query and history per live track, in the tracker's row
+        # order, each the query of its own history and that history's
+        # feature rows
+        assert backend.queries.shape == (len(tracker.tracks), cfg.d_q)
+        assert len(backend.history_rows) == len(tracker.tracks)
+        for i, tid in enumerate(tracker.tracks):
             rows = detection_features(histories[tid], cfg)
-            assert backend.history_rows[tid].tobytes() == rows.tobytes()
+            assert backend.history_rows[i].tobytes() == rows.tobytes()
             (expected,) = queries_from_histories(TINY_STT_PARAMS, cfg, rows, [len(rows)])
             np.testing.assert_allclose(
-                backend.queries[tid], expected, rtol=1e-12, atol=1e-12
+                backend.queries[i], expected, rtol=1e-12, atol=1e-12
             )
 
 
@@ -266,10 +269,10 @@ def test_stt_history_rows_are_the_last_t_max_matches(presence, state_source):
             for j, (present, jitter) in enumerate(cells) if present
         ])
         record_histories(histories, tracker, frame, cfg.t_max)
-        assert set(backend.history_rows) == set(tracker.tracks)
-        for tid in tracker.tracks:
+        assert len(backend.history_rows) == len(tracker.tracks)
+        for i, tid in enumerate(tracker.tracks):
             want = detection_features(histories[tid], cfg)
-            assert backend.history_rows[tid].tobytes() == want.tobytes()
+            assert backend.history_rows[i].tobytes() == want.tobytes()
 
 
 def test_stt_tdi_states_come_from_the_association_pass():
@@ -285,7 +288,7 @@ def test_stt_tdi_states_come_from_the_association_pass():
         tracker = Tracker(SttBackend(TINY_STT_PARAMS, cfg, lifecycle, 0.1), lifecycle)
         tracker.step(0, [first])
         tracker.step(1, [second])
-        query = tracker.backend.queries[1]
+        query = tracker.backend.queries[0].copy()  # track 1's row
         (row,) = tracker.step(2, [third])
         assert row.track_id == 1
         _, (rel,) = context_scores(  # the association pass's state, read under "tdi"
@@ -297,14 +300,16 @@ def test_stt_tdi_states_come_from_the_association_pass():
 
 
 def test_kalman_frame_costs_reject_tracks_not_in_bank():
-    backend = KalmanBackend(KfParams(), 0.1)
-    det = make_detection(0.0, 0.0, 0, 0)
-    backend.create_tracks(0, [1, 2], [det, make_detection(9.0, 0.0, 0, 1)])
-    track = Track(2, det, 0, StateVector.zero())
-    with pytest.raises(ValueError, match=r"tracks \[2\] differ from the filter bank's"):
+    params = KfParams()
+    backend = KalmanBackend(params, 0.1)
+    det, other = make_detection(0.0, 0.0, 0, 0), make_detection(9.0, 0.0, 0, 1)
+    backend.create_tracks(0, [0, 1], [det, other])
+    track = Track(2, other, 0, StateVector.zero())
+    with pytest.raises(ValueError, match="1 tracks, but the filter bank holds 2"):
         backend.frame_costs(1, [track], [det])
-    backend.forget([1])
-    assert backend.track_ids == [2] and backend.bank.mean.shape == (1, 6)
+    backend.forget([0])
+    assert backend.bank.mean.shape == (1, 6)
+    assert backend.bank.mean[0].tobytes() == init_state(other.box.center_xy, params).mean.tobytes()
     assert backend.frame_costs(1, [track], [det]).shape == (1, 1)
 
 
@@ -313,12 +318,11 @@ def test_stt_backend_rows_come_from_the_frame_it_costed():
     backend = SttBackend(TINY_STT_PARAMS, TINY_STT, lifecycle, 0.1)
     det = make_detection(0.0, 0.0, 0, 0)
     with pytest.raises(ValueError, match="frame 0: frame_costs ran last for frame None"):
-        backend.create_tracks(0, [1], [det])
+        backend.create_tracks(0, [0], [det])
     backend.frame_costs(0, [], [det])
-    backend.create_tracks(0, [1], [det])
-    track = Track(1, det, 0, StateVector.zero())
+    backend.create_tracks(0, [0], [det])
     with pytest.raises(ValueError, match="frame 1: frame_costs ran last for frame 0"):
-        backend.update_matched(1, [(track, make_detection(0.5, 0.0, 1, 0))])
+        backend.update_matched(1, [(0, 0)], [make_detection(0.5, 0.0, 1, 0)])
 
 
 def test_min_confidence_filters_detections():
@@ -524,7 +528,6 @@ def kalman_backend_with(tracks, states, dt, params):
         np.array([states[t.track_id].mean for t in tracks]).reshape(-1, 6),
         np.array([states[t.track_id].covariance for t in tracks]).reshape(-1, 6, 6),
     )
-    backend.track_ids = [t.track_id for t in tracks]
     return backend
 
 
