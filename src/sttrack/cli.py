@@ -9,9 +9,11 @@ nonzero with a machine-readable error line on failure.
 Exit codes: 0 success, 1 unexpected error, 2 config/schema violation or
 bad command line (an unknown or missing flag, a value that does not parse,
 a count option below 1, an `ablate --values` entry that does not parse or
-that the config rejects, a checkpoint whose tensors do not fit its model),
-3 missing input file, 4 checkpoint/config mismatch. `--workers` above the
-number of scenes starts one process per scene.
+that the config rejects, an `--out` naming a file where the command writes a
+directory or the reverse, a checkpoint whose tensors do not fit its model),
+3 missing input file (or a directory in its place), 4 checkpoint/config
+mismatch. `--workers` above the number of scenes starts one process per
+scene.
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ def evaluate_directories(
     evaluator = Evaluator(policy)
     for name in names:
         gt_path = gt_dir / f"{name}.gt.jsonl"
-        if not gt_path.exists():
+        if not gt_path.is_file():
             raise FileNotFoundError(f"no ground truth for scenario {name}: {gt_path}")
         _, labels = formats.read_label_frames(gt_path)
         pred_path = results_dir / f"{name}.tracks.jsonl"
@@ -369,7 +371,7 @@ def _check_class_row(path: Path, class_name: str, row) -> None:
 
 def _read_metrics_report(path: Path) -> dict:
     """The `report` of a metrics file; FormatError naming `path` if it is not one."""
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"no such metrics file: {path}")
     try:
         payload = json.loads(path.read_text())
@@ -589,10 +591,27 @@ def _check_counts(args) -> None:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
 
 
+# The commands whose `--out` names a file; the others fill a directory.
+_FILE_OUT = {"eval", "report"}
+
+
+def _check_out(args) -> None:
+    """Raise ConfigError naming `--out` when the path, or the nearest of its
+    parents that exists, is of the wrong kind for the command to write."""
+    if args.out is None:
+        return
+    out = Path(args.out)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    want = "file" if found == out and args.command in _FILE_OUT else "directory"
+    if found.is_dir() != (want == "directory"):
+        raise ConfigError(f"--out {out}: {found} is not a {want}")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_counts(args)
+        _check_out(args)
         return args.func(args)
     except (ConfigError, formats.FormatError) as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_CONFIG}), file=sys.stderr)

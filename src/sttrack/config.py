@@ -124,7 +124,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"no such config file: {path}")
     try:
         data = json.loads(path.read_text())

@@ -14,8 +14,16 @@ Readers parse each line with `orjson`, which gives the same objects as
 `json.loads` (types, key order and float bits) at about a fifth of the cost;
 a line it rejects is parsed again with `json`, so `NaN`, `Infinity` and
 `1e400` reach the row checks and a malformed line keeps `json`'s message.
-Writers stay on `json`: `orjson` would change the bytes (`1e-05` becomes
-`0.00001`, `1e+16` becomes `1e16`, and the spaces after `,` and `:` go).
+Writers spell each row as `json.dumps(row, sort_keys=True)` does, but encode
+it with `orjson`, about a fifth of the cost: both write a float's shortest
+round-trip digits, and the writer puts back the spaces `json` writes after
+`,` and `:`. A row goes to `json` where its `orjson` line may differ: a value
+of other than an exact builtin type (`orjson` writes enums, UUIDs and
+dataclasses, which `json` rejects) or one `orjson` rejects (`numpy.float64`,
+an int beyond 64 bits); a float that `json` writes in exponent form (`1e-05`,
+`1e+16`); `null`, which is how `orjson` writes NaN and the infinities; and a
+string holding an escape, `\x7f`, a non-ASCII character, `,` or `:`. Headers
+are written with `json`.
 
 Row schemas (one JSON object per line after the header):
   ground_truth: frame, object_id, class, cx, cy, cz, w, l, h, heading,
@@ -46,12 +54,16 @@ A ground-truth object without one row in every frame names its file.
 
 from __future__ import annotations
 
+import bisect
 import datetime
 import functools
 import hashlib
+import itertools
 import json
+import marshal
 import math
 import operator
+import re
 import subprocess
 from pathlib import Path
 
@@ -104,20 +116,103 @@ def make_header(kind: str, config: dict) -> dict:
 
 # `json.dumps(obj, sort_keys=True)` builds this same encoder on every call.
 _encode = json.JSONEncoder(sort_keys=True).encode
+_orjson_row = functools.partial(orjson.dumps, option=orjson.OPT_SORT_KEYS)
+
+# Rows per encoded block: enough that the per-block calls cost little per
+# row, few enough that a block's bytes stay small.
+_BLOCK_ROWS = 256
+
+# What can make json spell an orjson line otherwise. Floats json writes in
+# exponent form: orjson writes `1e-6` and `1e16` (json `1e-06`, `1e+16`), and
+# [1e-5, 1e-4) without one (`0.00005`, json `5e-05`).
+_FLOAT_SPELLINGS = (re.compile(rb"e[-0-9]"), re.compile(rb"\.0000"))
+# `null`: None, or NaN or an infinity, which json writes as `NaN`, `Infinity`.
+_NULL = re.compile(rb"null")
+# An escape, `\x7f` (json escapes it, orjson does not) and non-ASCII bytes
+# (json escapes the character).
+_ODD_BYTE = re.compile(rb"[\\\x7f-\xff]")
+_NOT_QUOTE_OR_SEPARATOR = bytes(sorted(set(range(256)) - set(b'",:')))
+
+
+def _plain_strings(text: bytes) -> bool:
+    """Whether no string in `text`, compact JSON without escapes, holds `,` or
+    `:`: only then is each string's pair of quotes adjacent once every byte but
+    quotes and separators is deleted."""
+    skeleton = text.translate(None, _NOT_QUOTE_OR_SEPARATOR)
+    return skeleton.count(b'"') == 2 * skeleton.count(b'""')
+
+
+def _orjson_lines(rows: list) -> tuple[list[bytes], set[int]]:
+    """orjson's line of each row, and the rows json must write instead (with
+    an empty line in their place): those holding a value of other than an
+    exact builtin type, which marshal rejects (orjson writes enums, UUIDs and
+    dataclasses, which json rejects), or one orjson rejects (an int beyond 64
+    bits, a float subclass such as `numpy.float64`)."""
+    try:
+        marshal.dumps(rows)
+        return list(map(_orjson_row, rows)), set()
+    except (TypeError, ValueError):
+        pass
+    lines, rejected = [], set()
+    for i, row in enumerate(rows):
+        try:
+            marshal.dumps(row)
+            lines.append(_orjson_row(row))
+        except (TypeError, ValueError):
+            lines.append(b"")
+            rejected.add(i)
+    return lines, rejected
+
+
+def _suspect_offsets(block: bytes):
+    """Offsets in `block` where json may spell a line otherwise; a byte test
+    rules out the rarer patterns before any regex scans the block for them."""
+    patterns = list(_FLOAT_SPELLINGS)
+    if b"u" in block:
+        patterns.append(_NULL)
+    if b"\\" in block or b"\x7f" in block or not block.isascii():
+        patterns.append(_ODD_BYTE)
+    for pattern in patterns:
+        for match in pattern.finditer(block):
+            yield match.start()
+
+
+def _with_json_separators(text: bytes) -> bytes:
+    return text.replace(b",", b", ").replace(b":", b": ")
+
+
+def _encode_block(rows: list) -> bytes:
+    """`rows` as `_encode` spells them, each on its own line: orjson's compact
+    lines with json's `, ` and `: ` separators, and json's own line for every
+    row whose orjson line may differ."""
+    lines, flagged = _orjson_lines(rows)
+    block = b"\n".join([*lines, b""])
+    starts = list(itertools.accumulate((len(line) + 1 for line in lines), initial=0))
+    flagged.update(bisect.bisect_right(starts, at) - 1 for at in _suspect_offsets(block))
+    # An escaped quote upsets the block's quote pairs: then test row by row.
+    if b"\\" in block or not _plain_strings(block):
+        flagged.update(i for i, line in enumerate(lines) if not _plain_strings(line))
+    pieces, at = [], 0
+    for i in sorted(flagged):
+        pieces += (_with_json_separators(block[at : starts[i]]), _encode(rows[i]).encode(), b"\n")
+        at = starts[i + 1]
+    pieces.append(_with_json_separators(block[at:]))
+    return b"".join(pieces)
 
 
 def write_jsonl(path, kind: str, config: dict, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(_encode(make_header(kind, config)) + "\n")
-        for row in rows:
-            f.write(_encode(row) + "\n")
+    rows = iter(rows)
+    with open(path, "wb") as f:
+        f.write(_encode(make_header(kind, config)).encode() + b"\n")
+        for block in iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), []):
+            f.write(_encode_block(block))
 
 
 def read_jsonl(path, expected_kind: str | None = None) -> tuple[dict, list[dict]]:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
     lines = path.read_bytes().splitlines()
     if not lines:

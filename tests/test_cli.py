@@ -517,3 +517,72 @@ def test_report_on_a_malformed_metrics_file_exits_2(tmp_path, capsys, text, reas
     capsys.readouterr()
     assert cli.main(["report", "--inputs", str(good), str(bad)]) == cli.EXIT_CONFIG
     assert last_error(capsys).startswith(f"{bad}: {reason}")
+
+
+@pytest.mark.parametrize(
+    "command, replaced, message",
+    [
+        ("track", "data/scenario_0000.det.jsonl", "no such file: {path}"),
+        ("train", "data/scenario_0000.gt.jsonl", "no such file: {path}"),
+        ("eval", "data/scenario_0000.gt.jsonl",
+         "no ground truth for scenario scenario_0000: {path}"),
+        ("eval", "tracks/scenario_0000.tracks.jsonl", "no such file: {path}"),
+        ("eval", "run.json", "no such config file: {path}"),
+        ("report", "eval.json", "no such metrics file: {path}"),
+    ],
+)
+def test_directory_in_place_of_an_input_file_exits_3(tmp_path, capsys, command, replaced, message):
+    config, data = simulate(tmp_path)
+    tracks, metrics, out = tmp_path / "tracks", tmp_path / "eval.json", tmp_path / "out"
+    argv = {
+        "track": ["track", "--config", str(config), "--data", str(data), "--out", str(out),
+                  "--backend", "kalman"],
+        "train": ["train", "--config", str(config), "--data", str(data), "--out", str(out),
+                  "--steps", "1"],
+        "eval": ["eval", "--config", str(config), "--gt", str(data), "--results", str(tracks),
+                 "--out", str(metrics)],
+        "report": ["report", "--inputs", str(metrics)],
+    }
+    assert track(config, data, tracks) == 0
+    assert cli.main(argv["eval"]) == 0
+    path = tmp_path / replaced
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert cli.main(argv[command]) == cli.EXIT_MISSING
+    assert last_error(capsys) == message.format(path=path)
+
+
+@pytest.mark.parametrize(
+    "command, existing, out, found, kind",
+    [
+        ("simulate", "file", "out", "out", "directory"),
+        ("train", "file", "out", "out", "directory"),
+        ("track", "file", "out", "out", "directory"),
+        ("ablate", "file", "out", "out", "directory"),
+        ("eval", "directory", "out", "out", "file"),
+        ("report", "directory", "out", "out", "file"),
+        ("simulate", "file", "out/scenes", "out", "directory"),
+        ("eval", "file", "out/eval.json", "out", "directory"),
+    ],
+)
+def test_out_of_the_wrong_kind_exits_2(tmp_path, capsys, command, existing, out, found, kind):
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    out, found = tmp_path / out, tmp_path / found
+    if existing == "file":
+        found.write_text("kept")
+    else:
+        found.mkdir()
+    argv = {
+        "simulate": ["--config", str(config)],
+        "train": ["--config", str(config), "--data", str(tmp_path)],
+        "track": ["--config", str(config), "--data", str(tmp_path)],
+        "ablate": ["--config", str(config), "--axis", "noise"],
+        "eval": ["--gt", str(tmp_path), "--results", str(tmp_path)],
+        "report": ["--inputs", str(config)],
+    }[command]
+    capsys.readouterr()
+    assert cli.main([command, *argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert last_error(capsys) == f"--out {out}: {found} is not a {kind}"
+    assert found.read_text() == "kept" if existing == "file" else not any(found.iterdir())

@@ -1,12 +1,17 @@
 import contextlib
+import dataclasses
+import datetime
 import io
 import json
 import math
 import re
 import struct
 import sys
+import uuid
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -428,20 +433,118 @@ def objects(draw, fields):
     return {key: draw(fields[key]) for key in draw(st.permutations(list(fields)))}
 
 
-STATE = objects({key: NUMBER for key in ("px", "py", "vx", "vy", "ax", "ay")})
-ROW_FIELDS = {
-    "frame": NUMBER, "class": st.sampled_from(["vehicle", "pedestrian"]),
-    **{key: NUMBER for key in BOX},
-}
-ROWS = (
-    objects({**ROW_FIELDS, "object_id": NUMBER, "state": STATE})
-    | objects({
-        **ROW_FIELDS, "id": NUMBER, "conf": NUMBER, "provenance": NUMBER,
-        "appearance": st.lists(NUMBER, max_size=16), "motion": st.lists(NUMBER, max_size=4),
-    })
-    | objects({**ROW_FIELDS, "track_id": NUMBER, "conf": NUMBER, "state": STATE})
-)
+def rows_of(number):
+    """Ground-truth, detection and tracks rows with every number drawn from
+    `number`."""
+    state = objects({key: number for key in ("px", "py", "vx", "vy", "ax", "ay")})
+    fields = {
+        "frame": number, "class": st.sampled_from(["vehicle", "pedestrian"]),
+        **{key: number for key in BOX},
+    }
+    return (
+        objects({**fields, "object_id": number, "state": state})
+        | objects({
+            **fields, "id": number, "conf": number, "provenance": number,
+            "appearance": st.lists(number, max_size=16), "motion": st.lists(number, max_size=4),
+        })
+        | objects({**fields, "track_id": number, "conf": number, "state": state})
+    )
+
+
+ROWS = rows_of(NUMBER)
 PATH = Path("s0.det.jsonl")
+
+# Rows that orjson spells as json does: most of FINITE's floats take exponent
+# form, so few of ROWS' rows are.
+PLAIN_ROWS = rows_of(
+    st.floats(1e-4, 1e15) | st.floats(-1e15, -1e-4) | st.integers(-(2**63), 2**64 - 1)
+)
+# What orjson spells otherwise than json, or rejects: strings that json
+# escapes or that hold separators, None, bools, NaN and infinities, ints beyond
+# 64 bits, float subclasses, and floats that json writes in exponent form.
+ODD_CHARS = ',:"\\\x7f\x00\n\u00e9\u2028'
+ODD_TEXT = st.sampled_from(ODD_CHARS) | st.text(st.sampled_from(ODD_CHARS + "a "), max_size=6)
+ODD_VALUE = st.one_of(
+    ODD_TEXT,
+    st.sampled_from([None, True, False, math.nan, math.inf, -math.inf]),
+    st.integers(2**64, 2**70) | st.integers(-(2**70), -(2**63) - 1),
+    FINITE.map(np.float64),
+    st.floats(1e-5, 1e-4, exclude_max=True) | st.floats(-1e-4, -1e-5, exclude_min=True),
+    st.floats(1e16, 1e308) | st.floats(-1e308, -1e16),
+    FINITE,
+    st.just(0.5),  # with a key from ODD_TEXT
+)
+# A plain row with one odd key or value: as a field, in a list or in an object.
+ODD_ROWS = st.builds(
+    lambda row, key, value, place: {
+        **row, key: {"field": value, "list": [value, 0.5], "object": {key: value}}[place]
+    },
+    PLAIN_ROWS,
+    st.sampled_from(BOX) | ODD_TEXT,
+    ODD_VALUE,
+    st.sampled_from(["field", "list", "object"]),
+)
+
+
+@st.composite
+def mixed_rows(draw):
+    """Rows with one odd value each, among plain rows and ROWS' rows."""
+    rows = draw(st.lists(ODD_ROWS, min_size=2, max_size=8))
+    return draw(st.permutations(rows + draw(st.lists(ROWS | PLAIN_ROWS, max_size=3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_rows(), st.integers(1, 5))
+def test_write_jsonl_spells_every_row_as_json_dumps(tmp_path_factory, rows, block):
+    path = tmp_path_factory.getbasetemp() / "spelling.jsonl"
+    with mock.patch.object(formats, "_BLOCK_ROWS", block):
+        write_jsonl(path, "tracks", {}, rows)
+    want = [json.dumps(row, sort_keys=True).encode() for row in rows]
+    assert path.read_bytes().split(b"\n")[1:] == [*want, b""]
+
+
+@dataclasses.dataclass
+class Point:
+    x: float = 1.0
+
+
+def circular() -> dict:
+    row = {"x": 0.5}
+    row["y"] = [row]
+    return row
+
+
+def scene_rows_with(value) -> list[dict]:
+    """Ground-truth rows of a short scene, the fourth also holding `value`."""
+    gt_rows, _ = scenario_rows(make_scenario())
+    return [*gt_rows[:3], {**gt_rows[3], "x": value}, *gt_rows[4:6]]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [*ODD_CHARS, None, True, math.nan, -math.inf, 2**64, -(2**63) - 1, np.float64(0.5),
+     5e-5, -1e-5, 1e16, 1e-7],
+)
+def test_write_jsonl_spells_one_odd_value_as_json_dumps(tmp_path, value):
+    rows = scene_rows_with([value, {str(value): 0.5}])
+    write_jsonl(tmp_path / "rows.jsonl", "tracks", {}, rows)
+    want = [json.dumps(row, sort_keys=True).encode() for row in rows]
+    assert (tmp_path / "rows.jsonl").read_bytes().split(b"\n")[1:] == [*want, b""]
+
+
+# Values orjson writes and json rejects, or both reject.
+@pytest.mark.parametrize(
+    "value",
+    [ClassId.VEHICLE, uuid.UUID(int=7), datetime.date(2024, 1, 2), Point(), {1.0}, b"x", 1j,
+     circular()],
+    ids=["enum", "uuid", "date", "dataclass", "set", "bytes", "complex", "circular"],
+)
+def test_write_jsonl_raises_on_a_row_json_rejects(tmp_path, value):
+    rows = scene_rows_with([value])
+    with pytest.raises((TypeError, ValueError)) as rejected:
+        json.dumps(rows[3], sort_keys=True)
+    with pytest.raises(type(rejected.value), match=f"^{re.escape(str(rejected.value))}$"):
+        write_jsonl(tmp_path / "rows.jsonl", "tracks", {}, rows)
 
 
 def shape(value):

@@ -6,9 +6,9 @@ benchmark call: `cli.simulate_into` writes two short vehicle scenes,
 tracks them with both backends and `cli.evaluate_directories` scores each
 backend's tracks; STT tracks once more with `stt.state_source` "tdi", so that
 the association pass's state head is pinned too. The pins are SHA-256
-digests of the checkpoint, the training log, each tracking run's rows
-(headers left out, as the benchmark's `rows_digest` computes them) and each
-run's metrics report.
+digests of the simulated scenes' ground-truth and detections rows, the
+checkpoint, the training log, each tracking run's rows (headers left out, as
+the benchmark's `rows_digest` computes them) and each run's metrics report.
 
 A change meant to keep behaviour leaves every pin. A change that moves
 behaviour on purpose prints the new values with
@@ -36,6 +36,8 @@ from sttrack.config import PopulationConfig, RunConfig  # noqa: E402
 BUILD = "numpy 2.4.6 with OpenBLAS 0.3.31, orjson 3.8.3"
 
 PINS = {
+    "rows_gt": "fe3245087c5a74abfaa716ec45c24110c333f8bc341889fdb9cd979c39033336",
+    "rows_det": "66b8711626320e2366f559be796f7ade2c4258d602d7dbaf095f1959d0c422ee",
     "checkpoint": "4dbc208073d83dc9a5572cac5a302d56e5614e4a56668b98ea6be95c72524212",
     "training_log": "0d66ebe0ee458b748fe0d81b1bf6859c3cf5b62b2d3f37f0d7b32ece0be4eba4",
     "rows_kalman": "ad97ade8330354820a3b2eeab74905d4e1978b97334a5f81692543436d56cff6",
@@ -60,12 +62,25 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def scene_rows_digest(data: Path, suffix: str) -> str:
+    """`rows_digest` of the `*<suffix>` scene files: rows only, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(data.glob(f"*{suffix}")):
+        with open(path, "rb") as f:
+            f.readline()
+            digest.update(path.name.encode() + b"\n")
+            digest.update(f.read())
+    return digest.hexdigest()
+
+
 def pipeline_digests(work: Path) -> dict[str, str]:
     cfg = run_config()
     data, model = work / "data", work / "model"
     cli.simulate_into(data, cfg, 2)
     checkpoint = cli.train_on_directory(cfg, data, model)
     digests = {
+        "rows_gt": scene_rows_digest(data, ".gt.jsonl"),
+        "rows_det": scene_rows_digest(data, ".det.jsonl"),
         "checkpoint": _sha256(checkpoint.read_bytes()),
         "training_log": _sha256((model / "training_log.csv").read_bytes()),
     }
