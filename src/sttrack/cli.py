@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 unexpected error, 2 config/schema violation or
 bad command line (an unknown or missing flag, a value that does not parse,
 a count option below 1, an `ablate --values` entry that does not parse or
 that the config rejects, an `--out` naming a file where the command writes a
-directory or the reverse, a checkpoint whose tensors do not fit its model),
+directory or the reverse, also the CSV file `eval --emit-csv` writes beside
+it, a checkpoint whose tensors do not fit its model),
 3 missing input file (or a directory in its place), 4 checkpoint/config
 mismatch. `--workers` above the number of scenes starts one process per
 scene.
@@ -597,14 +598,17 @@ _FILE_OUT = {"eval", "report"}
 
 def _check_out(args) -> None:
     """Raise ConfigError naming `--out` when the path, or the nearest of its
-    parents that exists, is of the wrong kind for the command to write."""
+    parents that exists, is of the wrong kind for the command to write; for
+    `eval --emit-csv`, the same for the CSV file beside it."""
     if args.out is None:
         return
     out = Path(args.out)
-    found = next(p for p in (out, *out.parents) if p.exists())
-    want = "file" if found == out and args.command in _FILE_OUT else "directory"
-    if found.is_dir() != (want == "directory"):
-        raise ConfigError(f"--out {out}: {found} is not a {want}")
+    paths = [out, out.with_suffix(".csv")] if getattr(args, "emit_csv", False) else [out]
+    for path in paths:
+        found = next(p for p in (path, *path.parents) if p.exists())
+        want = "file" if found == path and args.command in _FILE_OUT else "directory"
+        if found.is_dir() != (want == "directory"):
+            raise ConfigError(f"--out {out}: {found} is not a {want}")
 
 
 def main(argv=None) -> int:

@@ -85,10 +85,6 @@ class StateVector:
             for x, y, vx, vy, ax, ay in np.reshape(rows, (-1, 6)).tolist()
         ]
 
-    @property
-    def speed(self) -> float:
-        return math.hypot(*self.velocity)
-
 
 @dataclass(frozen=True, slots=True)
 class Box7:
@@ -117,29 +113,18 @@ class Box7:
     def center_xy(self) -> tuple[float, float]:
         return (self.center[0], self.center[1])
 
-    def footprint(self) -> list[tuple[float, float]]:
-        """Counterclockwise corners of the heading-rotated BEV rectangle."""
-        cx, cy = self.center[0], self.center[1]
-        w2 = 0.5 * self.size[0]
-        l2 = 0.5 * self.size[1]
-        ch, sh = math.cos(self.heading), math.sin(self.heading)
-        ax, ay = ch * l2, sh * l2  # half-length along heading
-        bx, by = -sh * w2, ch * w2  # half-width across heading
+    def as_row(self) -> tuple[float, ...]:
+        """`(cx, cy, cz, w, l, h, heading)`: a row of the (N, 7) box arrays
+        that `bev_iou` and `bev_iou_matrix` take."""
+        return (*self.center, *self.size, self.heading)
+
+    @staticmethod
+    def from_rows(rows: np.ndarray) -> list["Box7"]:
+        """One box per row of an (N, 7) array of `as_row` rows."""
         return [
-            (cx + ax + bx, cy + ay + by),
-            (cx - ax + bx, cy - ay + by),
-            (cx - ax - bx, cy - ay - by),
-            (cx + ax - bx, cy + ay - by),
+            Box7((cx, cy, cz), (w, l, h), heading)
+            for cx, cy, cz, w, l, h, heading in np.reshape(rows, (-1, 7)).tolist()
         ]
-
-    @property
-    def footprint_area(self) -> float:
-        return self.size[0] * self.size[1]
-
-    @property
-    def circumradius(self) -> float:
-        """Radius of the smallest center-circle covering the footprint."""
-        return 0.5 * math.hypot(self.size[0], self.size[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,36 +191,58 @@ def _clip_polygon(
     return output
 
 
-def bev_iou(a: Box7, b: Box7) -> float:
-    """Rotated-rectangle IoU of two box footprints in the XY plane."""
-    dx = a.center[0] - b.center[0]
-    dy = a.center[1] - b.center[1]
-    reach = a.circumradius + b.circumradius
+def _footprint(cx: float, cy: float, w: float, l: float, heading: float):
+    """Counterclockwise corners of a heading-rotated BEV rectangle of width
+    `w` across the heading and length `l` along it."""
+    w2 = 0.5 * w
+    l2 = 0.5 * l
+    ch, sh = math.cos(heading), math.sin(heading)
+    ax, ay = ch * l2, sh * l2  # half-length along heading
+    bx, by = -sh * w2, ch * w2  # half-width across heading
+    return [
+        (cx + ax + bx, cy + ay + by),
+        (cx - ax + bx, cy - ay + by),
+        (cx - ax - bx, cy - ay - by),
+        (cx + ax - bx, cy + ay - by),
+    ]
+
+
+def bev_iou(a, b) -> float:
+    """Rotated-rectangle IoU of two box footprints in the XY plane. A box is a
+    `Box7.as_row()` sequence `(cx, cy, cz, w, l, h, heading)`, heading in
+    (-pi, pi]. Pairs whose circumcircles do not overlap score 0 unclipped."""
+    ax, ay, _, aw, al, _, ah = a
+    bx, by, _, bw, bl, _, bh = b
+    dx = ax - bx
+    dy = ay - by
+    reach = 0.5 * math.hypot(aw, al) + 0.5 * math.hypot(bw, bl)
     if dx * dx + dy * dy >= reach * reach:
         return 0.0
-    ca = a.footprint()
-    cb = b.footprint()
-    inter = _polygon_area(_clip_polygon(ca, cb))
+    inter = _polygon_area(
+        _clip_polygon(_footprint(ax, ay, aw, al, ah), _footprint(bx, by, bw, bl, bh))
+    )
     if inter <= 0.0:
         return 0.0
-    union = a.footprint_area + b.footprint_area - inter
+    union = aw * al + bw * bl - inter
     return min(max(inter / union, 0.0), 1.0)
 
 
-def bev_iou_matrix(boxes_a: list[Box7], boxes_b: list[Box7]) -> np.ndarray:
-    """Pairwise BEV IoU with a cheap center-distance pre-gate."""
-    out = np.zeros((len(boxes_a), len(boxes_b)))
-    if not boxes_a or not boxes_b:
+def bev_iou_matrix(boxes_a: ArrayLike, boxes_b: ArrayLike) -> np.ndarray:
+    """Pairwise BEV IoU of (N, 7) and (M, 7) box rows: a center-distance gate
+    over all pairs at once, then `bev_iou` on each pair it keeps. The gate's
+    radii are `bev_iou`'s, so it keeps exactly the pairs `bev_iou` clips."""
+    a = np.asarray(boxes_a, dtype=float).reshape(-1, 7)
+    b = np.asarray(boxes_b, dtype=float).reshape(-1, 7)
+    out = np.zeros((len(a), len(b)))
+    if not len(a) or not len(b):
         return out
-    centers_a = np.array([b.center_xy for b in boxes_a])
-    centers_b = np.array([b.center_xy for b in boxes_b])
-    radii_a = np.array([b.circumradius for b in boxes_a])
-    radii_b = np.array([b.circumradius for b in boxes_b])
-    d2 = ((centers_a[:, None, :] - centers_b[None, :, :]) ** 2).sum(axis=2)
+    rows_a, rows_b = a.tolist(), b.tolist()
+    radii_a = np.array([0.5 * math.hypot(r[3], r[4]) for r in rows_a])
+    radii_b = np.array([0.5 * math.hypot(r[3], r[4]) for r in rows_b])
+    d2 = ((a[:, None, :2] - b[None, :, :2]) ** 2).sum(axis=2)
     reach = radii_a[:, None] + radii_b[None, :]
-    live = d2 < reach * reach
-    for i, j in zip(*np.nonzero(live)):
-        out[i, j] = bev_iou(boxes_a[i], boxes_b[j])
+    for i, j in zip(*(index.tolist() for index in np.nonzero(d2 < reach * reach))):
+        out[i, j] = bev_iou(rows_a[i], rows_b[j])
     return out
 
 

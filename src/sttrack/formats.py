@@ -34,8 +34,7 @@ Row schemas (one JSON object per line after the header):
                 state {px, py, vx, vy, ax, ay}
 
 One key list per row part (`_BOX_KEYS`, `_STATE_KEYS`) drives the writers
-and the readers, and each kind has one row decoder that checks every key
-its writer emits. Readers raise `FormatError` naming the file and 1-based
+and the readers. Readers raise `FormatError` naming the file and 1-based
 line (the header is line 1) of a line that is not UTF-8 or not JSON; of a
 header config without an int `frames` >= 0 or (where needed) a number
 `dt` > 0; of a detections header whose `frames` or `dt` differs from its
@@ -45,11 +44,27 @@ a rule:
     64-bit JSON integers (`orjson` reads an integer outside [-2**63, 2**64)
     as a float), the frame in [0, frames) and the id unique within its frame;
   - box, state and `conf` values are JSON numbers (not bools or strings),
-    finite, with sizes > 0 and `conf` in [0, 1];
+    finite, with sizes > 0 and `conf` in [0, 1]; in ground-truth and tracks
+    rows they also fit a float (an integer past 1.8e308, which only `json`
+    reads, does not);
   - `appearance` and `motion` are lists of finite numbers as long as the
     file's first row's; `provenance` is an integer >= -1; `class` is
     "vehicle" or "pedestrian".
+A ground-truth or tracks row's rules are checked in this order: object,
+`frame`, its range, the id, its repeat, the number keys' presence, their
+types and float range, (tracks) `conf`'s range, `class`, sizes, center,
+heading, then `state` (an object, its keys, their types and float range,
+finite).
 A ground-truth object without one row in every frame names its file.
+
+Detections are decoded row by row into `Detection`s. Ground-truth and
+tracks files are read into a `metrics.EvalTable` instead: the checks run
+over whole columns (a type set per key, one array comparison per bound, one
+set for repeats) and the numbers go into (N, 7) box and (N, 6) state
+arrays, headings outside (-pi, pi] normalized as `Box7` does. Ids stay
+Python ints, as 64-bit JSON integers reach 2**64 - 1. When a check fails,
+the reader finds the file's first bad row and raises the message the rules
+give that row.
 """
 
 from __future__ import annotations
@@ -67,11 +82,12 @@ import re
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import orjson
 
 from . import __version__
-from .core import Box7, ClassId, Detection, StateVector
-from .metrics import EvalBox
+from .core import Box7, ClassId, Detection, StateVector, normalize_heading
+from .metrics import EvalTable
 from .runtime import TrackerOutput
 from .sim import FALSE_POSITIVE, GtTrack, Scenario
 
@@ -325,14 +341,6 @@ def _conf(v: tuple) -> float:
     return v[7]
 
 
-def _state(row: dict) -> StateVector:
-    state = row["state"]
-    if type(state) is not dict:
-        raise TypeError(f"state must be an object, not {type(state).__name__}")
-    v = _numbers(_state_values(state), _STATE_KEYS, "state.{}")
-    return StateVector(v[:2], v[2:4], v[4:])
-
-
 def _features(row: dict, key: str) -> tuple[float, ...]:
     values = row[key]
     if type(values) is not list:
@@ -345,7 +353,7 @@ def _features(row: dict, key: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-# --- one row decoder per kind ------------------------------------------------
+# --- the detections row decoder ---------------------------------------------
 
 
 def _detection_row(row: dict) -> tuple[Detection, int]:
@@ -360,23 +368,168 @@ def _detection_row(row: dict) -> tuple[Detection, int]:
     return detection, provenance
 
 
-def _label_row(row: dict) -> EvalBox:
-    v = _numbers(_box_values(row), _BOX_KEYS)
-    return EvalBox(row["object_id"], _class(row), _box(v), _state(row))
+# --- ground truth and tracks: checked columns --------------------------------
 
 
-def _track_row(row: dict) -> EvalBox:
-    v = _numbers(_scored_values(row), _SCORED_KEYS)
-    _conf(v)
-    return EvalBox(row["track_id"], _class(row), _box(v), _state(row))
+class _RowError(Exception):
+    """A column check's first failing row, as `(index, message)`: the index
+    counts rows after the header from 0."""
 
 
-# Each kind's id key and row decoder; `_per_frame` checks `frame` and the id.
-_ROWS = {
-    "detections": ("id", _detection_row),
-    "ground_truth": ("object_id", _label_row),
-    "tracks": ("track_id", _track_row),
-}
+def _fail_where(bad, message) -> None:
+    """Raise _RowError at the first row where `bad` (one flag per row)
+    holds, if any, with `message(row index)`."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        i = int(hits[0])
+        raise _RowError(i, message(i))
+
+
+def _check_types(values: list, types, name: str, kind: str) -> None:
+    """Raise _RowError at the first of `values` whose type is not one of
+    `types`: "<name> must be <kind>, not <its type>"."""
+    if not types.issuperset(map(type, values)):
+        _fail_where(
+            [type(v) not in types for v in values],
+            lambda i: f"{name} must be {kind}, not {type(values[i]).__name__}",
+        )
+
+
+def _column(rows: list[dict], key: str, types=None, kind: str = "") -> list:
+    """The values at `key` of `rows`, each present and (with `types`) of
+    one of `types`."""
+    try:
+        values = list(map(operator.itemgetter(key), rows))
+    except KeyError:
+        _fail_where([key not in row for row in rows], lambda i: f"missing key {key!r}")
+    if types is not None:
+        _check_types(values, types, key, kind)
+    return values
+
+
+def _number_array(rows: list, keys: tuple, label: str = "{}") -> np.ndarray:
+    """The values at `keys` of each of `rows` (dicts), as an (N, len(keys))
+    float64 array; `label` names a key in errors. Keys are checked in order:
+    each is present in every row, then each value is a JSON number, then fits
+    a float."""
+    try:
+        values = list(map(operator.itemgetter(*keys), rows))
+    except KeyError:
+        for key in keys:
+            _column(rows, key)
+        raise
+    if not _NUMBERS.issuperset(map(type, itertools.chain.from_iterable(values))):
+        for key, column in zip(keys, zip(*values)):
+            _check_types(column, _NUMBERS, label.format(key), "int or float")
+    try:
+        return np.array(values, dtype=float).reshape(len(rows), len(keys))
+    except OverflowError:  # an integer beyond the float range, which only json reads
+        _fail_where(list(map(_overflows, values)), lambda i: "int too large to convert to float")
+        raise
+
+
+def _overflows(numbers: tuple) -> bool:
+    try:
+        list(map(float, numbers))
+    except OverflowError:
+        return True
+    return False
+
+
+def _not_finite(values: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(values).all(axis=1)
+
+
+def _eval_columns(rows: list, frames: int, kind: str):
+    """Frames, ids, classes, (N, 7) boxes and (N, 6) states of a ground-truth
+    or tracks file's rows, in file order. The checks run one column at a time
+    in the order the per-row rules name them (see the module docstring); the
+    first check that fails raises _RowError at the first row it rejects."""
+    ident, keys = _EVAL_KEYS[kind]
+    _check_types(rows, {dict}, "row", "an object")
+    frame = _column(rows, "frame", {int}, "int")
+    if frame and not (min(frame) >= 0 and max(frame) < frames):
+        _fail_where(
+            [not 0 <= k < frames for k in frame],
+            lambda i: f"frame {frame[i]} outside [0, {frames})",
+        )
+    ids = _column(rows, ident, {int}, "int")
+    pairs = list(zip(frame, ids))
+    if len(set(pairs)) < len(pairs):
+        first: dict[tuple[int, int], int] = {}
+        _fail_where(
+            [first.setdefault(pair, i) != i for i, pair in enumerate(pairs)],
+            lambda i: f"{ident} {ids[i]} repeats in frame {frame[i]}",
+        )
+    values = _number_array(rows, keys)
+    if kind == "tracks":
+        conf = values[:, 7]
+        _fail_where(
+            ~((conf >= 0) & (conf <= 1)),
+            lambda i: f"conf must be in [0, 1], got {rows[i]['conf']!r}",
+        )
+    names = _column(rows, "class")
+    try:
+        classes = [_CLASSES[name] for name in names]
+    except (KeyError, TypeError):  # an unknown name, or a list or object
+        _fail_where(
+            [type(name) is not str or name not in _CLASSES for name in names],
+            lambda i: f"class must be one of {', '.join(_CLASSES)}, got {names[i]!r}",
+        )
+    boxes = values[:, :7]
+    size = boxes[:, 3:6]
+    _fail_where(
+        ~((size > 0.0) & (size < math.inf)).all(axis=1),
+        lambda i: f"box sizes must be strictly positive, got {_box_values(rows[i])[3:6]}",
+    )
+    _fail_where(
+        _not_finite(boxes[:, :3]),
+        lambda i: f"non-finite box center: {_box_values(rows[i])[:3]}",
+    )
+    heading = boxes[:, 6]
+    _fail_where(~np.isfinite(heading), lambda i: f"non-finite heading: {rows[i]['heading']}")
+    for i in np.flatnonzero(~((heading > -math.pi) & (heading <= math.pi))).tolist():
+        heading[i] = normalize_heading(float(heading[i]))  # as `Box7` does
+    state = _column(rows, "state", {dict}, "an object")
+    states = _number_array(state, _STATE_KEYS, "state.{}")
+    _fail_where(
+        _not_finite(states),
+        lambda i: "non-finite state component: "
+        f"{next(v for v in _state_values(state[i]) if not math.isfinite(v))!r}",
+    )
+    return frame, ids, classes, boxes, states
+
+
+# Each evaluated kind's id key and the number keys its rows hold besides `state`.
+_EVAL_KEYS = {"ground_truth": ("object_id", _BOX_KEYS), "tracks": ("track_id", _SCORED_KEYS)}
+
+
+def _eval_table(path, kind: str, frames: int, rows: list) -> EvalTable:
+    """A ground-truth or tracks file's rows as a table. When a column check
+    fails, the rows before the row it rejects are checked again, until they
+    pass: a later check may reject an earlier row, and each pass fails at a
+    later check than the one before. The row rejected last is the file's
+    first bad row, and its error names the first rule that row breaks."""
+    try:
+        frame, ids, classes, boxes, states = _eval_columns(rows, frames, kind)
+    except _RowError as error:
+        index, message = error.args
+        while True:
+            try:
+                _eval_columns(rows[:index], frames, kind)
+            except _RowError as error:
+                index, message = error.args
+            else:
+                raise FormatError(f"{path}:{index + 2}: {message}") from None
+    frame = np.array(frame, dtype=np.intp)
+    order = np.argsort(frame, kind="stable").tolist()
+    return EvalTable(
+        np.concatenate(([0], np.cumsum(np.bincount(frame, minlength=frames)))),
+        [ids[i] for i in order],
+        [classes[i] for i in order],
+        boxes[order],
+        states[order],
+    )
 
 
 # --- writers -----------------------------------------------------------------
@@ -460,9 +613,9 @@ def _open(path, kind: str) -> tuple[dict, int, list]:
     return header, _header_config(path, header, "frames"), rows
 
 
-def _per_frame(path, kind: str, frames: int, rows: list) -> list[list]:
-    """The kind's decoding of every row, grouped by the row's frame."""
-    ident, decode = _ROWS[kind]
+def _per_frame(path, frames: int, rows: list) -> list[list]:
+    """Each detections row's detection and provenance, grouped by the row's
+    frame."""
     out: list[list] = [[] for _ in range(frames)]
     seen: set[tuple[int, int]] = set()
     try:
@@ -472,11 +625,11 @@ def _per_frame(path, kind: str, frames: int, rows: list) -> list[list]:
             k = _int_field(row, "frame")
             if not 0 <= k < frames:
                 raise ValueError(f"frame {k} outside [0, {frames})")
-            key = (k, _int_field(row, ident))
+            key = (k, _int_field(row, "id"))
             if key in seen:
-                raise ValueError(f"{ident} {key[1]} repeats in frame {k}")
+                raise ValueError(f"id {key[1]} repeats in frame {k}")
             seen.add(key)
-            out[k].append(decode(row))
+            out[k].append(_detection_row(row))
     except KeyError as exc:
         raise FormatError(f"{path}:{line}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
@@ -487,7 +640,7 @@ def _per_frame(path, kind: str, frames: int, rows: list) -> list[list]:
 def _detections(path, frames: int, rows: list) -> tuple[tuple, tuple]:
     """Per-frame detections and per-frame provenance of a detections file's
     rows, whose feature widths must all be the first row's."""
-    columns = [tuple(zip(*f)) or ((), ()) for f in _per_frame(path, "detections", frames, rows)]
+    columns = [tuple(zip(*f)) or ((), ()) for f in _per_frame(path, frames, rows)]
     for key in ("appearance", "motion"):
         lens = list(map(len, map(operator.itemgetter(key), rows)))
         if len(set(lens)) > 1:
@@ -518,28 +671,35 @@ def read_scenario(gt_path, det_path) -> Scenario:
                 f" {gt_value!r} in {gt_path}"
             )
 
-    by_object: dict[int, list[EvalBox]] = {}
-    for frame in _per_frame(gt_path, "ground_truth", frames, gt_rows):
-        for label in frame:
-            by_object.setdefault(label.ident, []).append(label)
+    labels = _eval_table(gt_path, "ground_truth", frames, gt_rows)
+    by_object: dict[int, list[int]] = {}
+    for row, oid in enumerate(labels.ids):
+        by_object.setdefault(oid, []).append(row)
+    boxes, states = Box7.from_rows(labels.boxes), StateVector.from_rows(labels.states)
     gt_tracks = []
-    for oid, labels in sorted(by_object.items()):
-        if len(labels) != frames:
-            raise FormatError(f"{gt_path}: object {oid}: {len(labels)} rows for {frames} frames")
-        boxes, states = zip(*((label.box, label.state) for label in labels))
-        gt_tracks.append(GtTrack(oid, labels[0].class_id, boxes, states))
+    for oid, rows in sorted(by_object.items()):
+        if len(rows) != frames:
+            raise FormatError(f"{gt_path}: object {oid}: {len(rows)} rows for {frames} frames")
+        gt_tracks.append(
+            GtTrack(
+                oid,
+                labels.classes[rows[0]],
+                tuple(boxes[i] for i in rows),
+                tuple(states[i] for i in rows),
+            )
+        )
 
     detections, provenance = _detections(det_path, frames, det_rows)
     return Scenario(frames, dt, tuple(gt_tracks), detections, provenance)
 
 
-def read_pred_frames(path) -> tuple[dict, list[list[EvalBox]]]:
-    """Tracks file to per-frame evaluation boxes."""
+def read_pred_frames(path) -> tuple[dict, EvalTable]:
+    """Tracks file to its table of evaluation rows."""
     header, frames, rows = _open(path, "tracks")
-    return header, _per_frame(path, "tracks", frames, rows)
+    return header, _eval_table(path, "tracks", frames, rows)
 
 
-def read_label_frames(path) -> tuple[dict, list[list[EvalBox]]]:
-    """Ground-truth file to per-frame evaluation boxes."""
+def read_label_frames(path) -> tuple[dict, EvalTable]:
+    """Ground-truth file to its table of evaluation rows."""
     header, frames, rows = _open(path, "ground_truth")
-    return header, _per_frame(path, "ground_truth", frames, rows)
+    return header, _eval_table(path, "ground_truth", frames, rows)

@@ -185,7 +185,7 @@ def kf_association_cost(
     track_pred: KfState, last_box: Box7, det: Detection, p: KfParams
 ) -> float:
     """1 - BEV IoU between the predicted box and the detection, gated."""
-    iou = bev_iou(predicted_box(track_pred.mean, last_box), det.box)
+    iou = bev_iou(predicted_box(track_pred.mean, last_box).as_row(), det.box.as_row())
     if iou <= p.iou_gate:
         return FORBIDDEN
     return 1.0 - iou

@@ -12,13 +12,22 @@ state gates disabled (MOTA) and once with the policy's gates (S-MOTA). The
 per-state precision tables (mean L2 error by ground-truth speed bucket, and
 the count of matches whose error exceeds alpha_s) are computed over the
 MOTA matches.
+
+A sequence's labels and predictions are each an `EvalTable`: ids, classes,
+(N, 7) box rows and (N, 6) state rows, grouped by frame with offsets, as the
+readers in `formats` fill it from whole columns. `Evaluator.add_sequence`
+also takes per-frame `EvalBox` lists and converts them to tables. Each
+frame's rows of one class reach `_ClassAccumulator.add_frame` as array
+slices: the IoU matrix and the state gates run on them as they are, and only
+the matched pairs' state errors are computed one by one, in `math.hypot`, so
+that the MOTP sums add the same floats in the same order as per-row code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal, get_args
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -32,6 +41,8 @@ GATED_STATES = get_args(GatedState)
 BUCKETS = ("static", "slow", "fast")
 
 INF = math.inf
+# The first of each state's two columns in a (n, 6) state array.
+_STATE_COLUMNS = {"position": 0, "velocity": 2, "acceleration": 4}
 
 
 def _default_iou_thresholds() -> dict[ClassId, float]:
@@ -93,9 +104,84 @@ class EvalBox:
     state: StateVector
 
 
-def state_error(a: StateVector, b: StateVector, state: str) -> float:
-    pa, pb = getattr(a, state), getattr(b, state)
-    return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
+class FrameRows(NamedTuple):
+    """One frame's rows of one class, as `_ClassAccumulator.add_frame` takes
+    them."""
+
+    ids: list[int]
+    boxes: np.ndarray  # (n, 7) `Box7.as_row()` rows
+    states: np.ndarray  # (n, 6) `StateVector.as_array()` rows
+
+
+@dataclass(frozen=True, eq=False)
+class EvalTable:
+    """The label or prediction rows of one sequence, grouped by frame.
+
+    Row `i` has id `ids[i]` (a Python int: ids may reach 2**64 - 1), class
+    `classes[i]`, box `boxes[i]` and state `states[i]`; frame `k` holds rows
+    `offsets[k]` to `offsets[k + 1]`, in the order its file or list gave
+    them. Iterating a table, or indexing it by frame, gives each frame's rows
+    as `EvalBox`es.
+    """
+
+    offsets: np.ndarray  # (frames + 1,) ints
+    ids: list[int]
+    classes: list[ClassId]
+    boxes: np.ndarray  # (N, 7) float64
+    states: np.ndarray  # (N, 6) float64
+
+    @classmethod
+    def of(cls, frames: "EvalTable | list[list[EvalBox]]") -> "EvalTable":
+        """`frames` as a table: a table as it is, per-frame `EvalBox` lists
+        converted."""
+        if isinstance(frames, EvalTable):
+            return frames
+        rows = [b for frame in frames for b in frame]
+        return cls(
+            np.cumsum([0, *map(len, frames)]),
+            [b.ident for b in rows],
+            [b.class_id for b in rows],
+            np.array([b.box.as_row() for b in rows], dtype=float).reshape(-1, 7),
+            np.array(
+                [(*b.state.position, *b.state.velocity, *b.state.acceleration) for b in rows],
+                dtype=float,
+            ).reshape(-1, 6),
+        )
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, k: int) -> list[EvalBox]:
+        k = range(len(self))[k]  # a negative frame counts from the end
+        a, b = self.offsets[k], self.offsets[k + 1]
+        return list(
+            map(
+                EvalBox,
+                self.ids[a:b],
+                self.classes[a:b],
+                Box7.from_rows(self.boxes[a:b]),
+                StateVector.from_rows(self.states[a:b]),
+            )
+        )
+
+    def of_class(self, class_id: ClassId) -> "EvalTable":
+        """The rows of one class, grouped by the same frames."""
+        keep = np.array([c is class_id for c in self.classes], dtype=bool)
+        if keep.all():
+            return self
+        rows = np.flatnonzero(keep).tolist()
+        return EvalTable(
+            np.concatenate(([0], np.cumsum(keep)))[self.offsets],
+            [self.ids[i] for i in rows],
+            [class_id] * len(rows),
+            self.boxes[keep],
+            self.states[keep],
+        )
+
+    def rows(self, k: int) -> FrameRows:
+        """Frame `k`'s rows as array slices."""
+        a, b = self.offsets[k], self.offsets[k + 1]
+        return FrameRows(self.ids[a:b], self.boxes[a:b], self.states[a:b])
 
 
 class _VariantState:
@@ -134,12 +220,12 @@ class _ClassAccumulator:
         self.mota.reset_sequence()
         self.smota.reset_sequence()
 
-    def add_frame(self, labels: list[EvalBox], preds: list[EvalBox]) -> None:
-        self.gt_total += len(labels)
-        n_l, n_p = len(labels), len(preds)
+    def add_frame(self, labels: FrameRows, preds: FrameRows) -> None:
+        n_l, n_p = len(labels.ids), len(preds.ids)
+        self.gt_total += n_l
         if n_l == 0 and n_p == 0:
             return
-        iou = bev_iou_matrix([l.box for l in labels], [p.box for p in preds])
+        iou = bev_iou_matrix(labels.boxes, preds.boxes)
         t_u = self.policy.iou_threshold.get(self.class_id, 0.5)
         feas_iou = iou > t_u
         feas_gated = feas_iou
@@ -150,56 +236,62 @@ class _ClassAccumulator:
         ]
         if finite_gates and n_l and n_p:
             feas_gated = feas_iou.copy()
-            label_states = {
-                s: np.array([getattr(l.state, s) for l in labels])
-                for s in finite_gates
-            }
-            pred_states = {
-                s: np.array([getattr(p.state, s) for p in preds])
-                for s in finite_gates
-            }
             for s in finite_gates:
-                diff = label_states[s][:, None, :] - pred_states[s][None, :, :]
+                c = _STATE_COLUMNS[s]
+                diff = labels.states[:, None, c : c + 2] - preds.states[None, :, c : c + 2]
                 err = np.hypot(diff[..., 0], diff[..., 1])
                 feas_gated &= err < self.policy.state_threshold(self.class_id, s)
 
-        matches = self._match_variant(self.mota, labels, preds, iou, feas_iou)
-        self._match_variant(self.smota, labels, preds, iou, feas_gated)
+        matches = self._match_variant(self.mota, labels.ids, preds.ids, iou, feas_iou)
+        self._match_variant(self.smota, labels.ids, preds.ids, iou, feas_gated)
+        if not matches:
+            return
 
+        # Per state, each match's error adds to its bucket's sum and to "all",
+        # in match order.
+        label_rows = labels.states[[li for li, _ in matches]].tolist()
+        pred_rows = preds.states[[pi for _, pi in matches]].tolist()
         thresholds = self.policy.speed_thresholds
-        for li, pi in matches:
-            label, pred = labels[li], preds[pi]
-            bucket = speed_class(label.state.speed, self.class_id, thresholds)
-            for s in STATE_TYPES:
-                err = state_error(pred.state, label.state, s)
-                for key in (bucket, "all"):
-                    self.err_sum[s][key] += err
-                    self.err_count[s][key] += 1
-                if s in GATED_STATES and err > self.policy.alpha(self.class_id, s):
-                    self.exceed[s] += 1
+        buckets = [
+            speed_class(math.hypot(row[2], row[3]), self.class_id, thresholds)
+            for row in label_rows
+        ]
+        for s in STATE_TYPES:
+            c = _STATE_COLUMNS[s]
+            errs = [
+                math.hypot(p[c] - l[c], p[c + 1] - l[c + 1])
+                for p, l in zip(pred_rows, label_rows)
+            ]
+            sums, counts = self.err_sum[s], self.err_count[s]
+            for err, bucket in zip(errs, buckets):
+                sums[bucket] += err
+                sums["all"] += err
+                counts[bucket] += 1
+            counts["all"] += len(errs)
+            if s in GATED_STATES:
+                alpha = self.policy.alpha(self.class_id, s)
+                self.exceed[s] += sum(err > alpha for err in errs)
 
     def _match_variant(
         self,
         variant: _VariantState,
-        labels: list[EvalBox],
-        preds: list[EvalBox],
+        label_ids: list[int],
+        pred_ids: list[int],
         iou: np.ndarray,
         feasible: np.ndarray,
     ) -> list[tuple[int, int]]:
         matches: list[tuple[int, int]] = []
         open_labels: list[int] = []
         used_preds: set[int] = set()
-        col_of = (
-            {p.ident: j for j, p in enumerate(preds)} if self.policy.persistence else {}
-        )
-        for li, label in enumerate(labels):
-            pj = col_of.get(variant.corr.get(label.ident))
+        col_of = {tid: j for j, tid in enumerate(pred_ids)} if self.policy.persistence else {}
+        for li, gt_id in enumerate(label_ids):
+            pj = col_of.get(variant.corr.get(gt_id))
             if pj is not None and pj not in used_preds and feasible[li, pj]:
                 matches.append((li, pj))
                 used_preds.add(pj)
             else:
                 open_labels.append(li)
-        open_preds = [pj for pj in range(len(preds)) if pj not in used_preds]
+        open_preds = [pj for pj in range(len(pred_ids)) if pj not in used_preds]
         if open_labels and open_preds:
             cells = np.ix_(open_labels, open_preds)
             sub = np.where(feasible[cells], 1.0 - iou[cells], assign.FORBIDDEN)
@@ -208,11 +300,11 @@ class _ClassAccumulator:
         matches.sort()
 
         variant.matches += len(matches)
-        variant.miss += len(labels) - len(matches)
-        variant.fp += len(preds) - len(matches)
+        variant.miss += len(label_ids) - len(matches)
+        variant.fp += len(pred_ids) - len(matches)
         for li, pi in matches:
-            gt_id = labels[li].ident
-            tid = preds[pi].ident
+            gt_id = label_ids[li]
+            tid = pred_ids[pi]
             prev = variant.corr.get(gt_id)
             if prev is not None and prev != tid:
                 variant.mismatch += 1
@@ -234,24 +326,21 @@ class Evaluator:
 
     def add_sequence(
         self,
-        label_frames: list[list[EvalBox]],
-        pred_frames: list[list[EvalBox]],
+        label_frames: EvalTable | list[list[EvalBox]],
+        pred_frames: EvalTable | list[list[EvalBox]],
     ) -> None:
-        if len(label_frames) != len(pred_frames):
+        labels, preds = EvalTable.of(label_frames), EvalTable.of(pred_frames)
+        if len(labels) != len(preds):
             raise ValueError(
                 f"label/prediction frame counts differ: "
-                f"{len(label_frames)} vs {len(pred_frames)}"
+                f"{len(labels)} vs {len(preds)}"
             )
-        classes = {b.class_id for frame in label_frames for b in frame}
-        classes |= {b.class_id for frame in pred_frames for b in frame}
-        for class_id in sorted(classes, key=lambda c: c.value):
+        for class_id in sorted({*labels.classes, *preds.classes}, key=lambda c: c.value):
             acc = self._acc(class_id)
             acc.reset_sequence()
-            for labels, preds in zip(label_frames, pred_frames):
-                acc.add_frame(
-                    [b for b in labels if b.class_id is class_id],
-                    [b for b in preds if b.class_id is class_id],
-                )
+            class_labels, class_preds = labels.of_class(class_id), preds.of_class(class_id)
+            for k in range(len(labels)):
+                acc.add_frame(class_labels.rows(k), class_preds.rows(k))
 
     def report(self) -> dict:
         classes = {}

@@ -37,7 +37,7 @@ from .core import (
     check_fields,
     extrapolate,
 )
-from .kalman import KfParams, KfState, init_state, predict, predicted_box, update
+from .kalman import KfParams, KfState, init_state, predict, update
 from .model import (
     SttConfig,
     context_scores,
@@ -117,13 +117,9 @@ class KalmanBackend:
                 f"{len(tracks)} tracks, but the filter bank holds {len(self.bank.mean)}"
             )
         self.bank = predict(self.bank, self.dt, self.params)
-        iou = bev_iou_matrix(
-            [
-                predicted_box(mean, track.last.box)
-                for mean, track in zip(self.bank.mean.tolist(), tracks)
-            ],
-            [det.box for det in dets],
-        )
+        boxes = np.array([track.last.box.as_row() for track in tracks]).reshape(-1, 7)
+        boxes[:, :2] = self.bank.mean[:, :2]  # each box at its filter's predicted center
+        iou = bev_iou_matrix(boxes, [det.box.as_row() for det in dets])
         return np.where(iou > self.params.iou_gate, 1.0 - iou, assign.FORBIDDEN)
 
     def update_matched(

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 
 from sttrack import autodiff as ad
-from sttrack import model
+from sttrack import formats, model
 from sttrack.autodiff import Tensor
 from sttrack.core import Box7, ClassId, Detection, StateVector, normalize_heading
 from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
@@ -26,12 +26,21 @@ def state_from_array(arr) -> StateVector:
     return StateVector((a[0], a[1]), (a[2], a[3]), (a[4], a[5]))
 
 
+def state_error(a: StateVector, b: StateVector, state: str) -> float:
+    """L2 distance of one state ("position", "velocity", "acceleration") of
+    two state vectors."""
+    pa, pb = getattr(a, state), getattr(b, state)
+    return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
+
+
 def mc_bev_iou(a: Box7, b: Box7, n_samples: int = 1_000_000, seed: int = 0) -> float:
     """Monte-Carlo BEV IoU: uniform samples over the joint bounding region."""
     rng = np.random.default_rng(seed)
-    corners = np.array(a.footprint() + b.footprint())
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
+    # each footprint lies in the square around its center's circumcircle
+    centers = np.array([a.center[:2], b.center[:2]])
+    reach = 0.5 * np.hypot([[a.size[0]], [b.size[0]]], [[a.size[1]], [b.size[1]]])
+    lo = (centers - reach).min(axis=0)
+    hi = (centers + reach).max(axis=0)
     pts = rng.uniform(lo, hi, size=(n_samples, 2))
 
     def inside(box: Box7) -> np.ndarray:
@@ -462,3 +471,91 @@ def generate_per_frame(config, objects, seed: int) -> Scenario:
         detections=tuple(detections),
         provenance=tuple(provenance),
     )
+
+
+# --- the per-row reader of ground-truth and tracks files ---------------------
+# `formats` reads these files into column tables. This is the row-by-row
+# decoding it replaced, kept as the reference for the values, the frame
+# grouping and order, and the error of the first bad row.
+
+_NUMBERS = frozenset((int, float))
+_CLASSES = {c.value: c for c in ClassId}
+_BOX_KEYS = ("cx", "cy", "cz", "w", "l", "h", "heading")
+_STATE_KEYS = ("px", "py", "vx", "vy", "ax", "ay")
+
+
+def _numbers(values, keys, label: str = "{}"):
+    for key, value in zip(keys, values):
+        if type(value) not in _NUMBERS:
+            raise TypeError(f"{label.format(key)} must be int or float, not {type(value).__name__}")
+    return values
+
+
+def _int_field(row: dict, key: str) -> int:
+    value = row[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be int, not {type(value).__name__}")
+    return value
+
+
+def _class(row: dict) -> ClassId:
+    value = row["class"]
+    try:
+        return _CLASSES[value]
+    except (KeyError, TypeError):
+        raise ValueError(f"class must be one of {', '.join(_CLASSES)}, got {value!r}") from None
+
+
+def _state(row: dict) -> StateVector:
+    state = row["state"]
+    if type(state) is not dict:
+        raise TypeError(f"state must be an object, not {type(state).__name__}")
+    v = _numbers([state[key] for key in _STATE_KEYS], _STATE_KEYS, "state.{}")
+    return StateVector(tuple(v[:2]), tuple(v[2:4]), tuple(v[4:]))
+
+
+def _label_row(row: dict) -> EvalBox:
+    v = _numbers([row[key] for key in _BOX_KEYS], _BOX_KEYS)
+    return EvalBox(
+        row["object_id"], _class(row), Box7(tuple(v[:3]), tuple(v[3:6]), v[6]), _state(row)
+    )
+
+
+def _track_row(row: dict) -> EvalBox:
+    keys = (*_BOX_KEYS, "conf")
+    v = _numbers([row[key] for key in keys], keys)
+    if not 0 <= v[7] <= 1:
+        raise ValueError(f"conf must be in [0, 1], got {v[7]!r}")
+    return EvalBox(
+        row["track_id"], _class(row), Box7(tuple(v[:3]), tuple(v[3:6]), v[6]), _state(row)
+    )
+
+
+_EVAL_ROWS = {"ground_truth": ("object_id", _label_row), "tracks": ("track_id", _track_row)}
+
+
+def reference_eval_frames(path, kind: str) -> list[list[EvalBox]]:
+    """A ground-truth or tracks file's rows decoded one by one into per-frame
+    `EvalBox` lists, in file order within each frame; the first bad row
+    raises `FormatError` naming its line."""
+    _, frames, rows = formats._open(path, kind)
+    ident, decode = _EVAL_ROWS[kind]
+    out: list[list[EvalBox]] = [[] for _ in range(frames)]
+    seen: set[tuple[int, int]] = set()
+    try:
+        for line, row in enumerate(rows, start=2):
+            if type(row) is not dict:
+                raise TypeError(f"row must be an object, not {type(row).__name__}")
+            k = _int_field(row, "frame")
+            if not 0 <= k < frames:
+                raise ValueError(f"frame {k} outside [0, {frames})")
+            key = (k, _int_field(row, ident))
+            if key in seen:
+                raise ValueError(f"{ident} {key[1]} repeats in frame {k}")
+            seen.add(key)
+            out[k].append(decode(row))
+    except KeyError as exc:
+        raise formats.FormatError(f"{path}:{line}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise formats.FormatError(f"{path}:{line}: {exc}") from None
+    return out

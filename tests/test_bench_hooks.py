@@ -1,11 +1,13 @@
-"""The benchmark's hooks still name sttrack attributes.
+"""The benchmark's hooks and checks still fit sttrack's API.
 
 `benches/tracing.py` (`--trace 1`) and `benches/hostspeed.py` (every timed
-round) replace sttrack functions and methods by name. A rename in `src/`
+round) replace sttrack functions and methods by name, and
+`benches/checks.py` calls the readers and the evaluator. A change in `src/`
 breaks them only when the benchmark runs, so these checks run with the unit
 tests.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -13,10 +15,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benches"))
 
+import checks  # noqa: E402
 import hostspeed  # noqa: E402
 import tracing  # noqa: E402
+from pipeline import WORKLOADS, make_config  # noqa: E402
 
-from sttrack import sim  # noqa: E402
+from sttrack import cli, sim  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -40,3 +44,13 @@ def test_hooks_install_and_restore(make):
     finally:
         hooks.uninstall()
     assert sim.generate is original
+
+
+def test_metrics_oracle_passes_on_a_simulated_scene(tmp_path):
+    """The benchmark's metrics check reads ground truth with
+    `read_label_frames`, edits the `EvalBox`es it iterates and evaluates
+    both; on a short scene of a workload it finds no failure."""
+    cfg = make_config(WORKLOADS["vehicle-kf"], seed=1)
+    cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, frames=30))
+    cli.simulate_into(tmp_path, cfg, 1)
+    assert checks.metrics_oracle(tmp_path, cfg.policy) == []

@@ -586,3 +586,20 @@ def test_out_of_the_wrong_kind_exits_2(tmp_path, capsys, command, existing, out,
     assert cli.main([command, *argv, "--out", str(out)]) == cli.EXIT_CONFIG
     assert last_error(capsys) == f"--out {out}: {found} is not a {kind}"
     assert found.read_text() == "kept" if existing == "file" else not any(found.iterdir())
+
+
+def test_eval_csv_path_of_the_wrong_kind_exits_2_and_writes_nothing(tmp_path, capsys):
+    """`eval --emit-csv` writes `<out>.csv` beside the metrics file: a
+    directory there stops the run before either file is written."""
+    config, data = simulate(tmp_path)
+    tracks, out = tmp_path / "tracks", tmp_path / "d" / "m.json"
+    assert track(config, data, tracks) == 0
+    (tmp_path / "d" / "m.csv").mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main([
+        "eval", "--config", str(config), "--gt", str(data), "--results", str(tracks),
+        "--out", str(out), "--emit-csv",
+    ]) == cli.EXIT_CONFIG
+    assert last_error(capsys) == f"--out {out}: {out.with_suffix('.csv')} is not a file"
+    assert sorted(p.name for p in out.parent.iterdir()) == ["m.csv"]
+    assert not any((tmp_path / "d" / "m.csv").iterdir())

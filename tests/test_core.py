@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import center_distance, euler_extrapolate, mc_bev_iou, state_from_array
+from sttrack import core
 from sttrack.core import (
     Box7,
     ClassId,
@@ -32,6 +36,10 @@ def make_detection(cx=0.0, cy=0.0, frame=0, det_id=0, heading=0.0):
     )
 
 
+def iou(a: Box7, b: Box7) -> float:
+    return bev_iou(a.as_row(), b.as_row())
+
+
 def random_box(rng):
     return make_box(
         cx=rng.uniform(-5, 5),
@@ -47,19 +55,19 @@ def random_box(rng):
 
 def test_iou_identical_boxes():
     b = make_box(heading=0.7)
-    assert bev_iou(b, b) == pytest.approx(1.0, abs=1e-12)
+    assert iou(b, b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_iou_disjoint():
     a = make_box(0, 0, w=2, l=2)
     b = make_box(100, 0, w=2, l=2)
-    assert bev_iou(a, b) == 0.0
+    assert iou(a, b) == 0.0
 
 
 def test_iou_unit_squares_rotated_45deg():
     a = make_box(0, 0, w=1, l=1)
     b = make_box(0, 0, w=1, l=1, heading=math.pi / 4)
-    got = bev_iou(a, b)
+    got = iou(a, b)
     # frozen from the Monte-Carlo oracle (1e6 samples, seed 0): 0.70684
     assert got == pytest.approx(0.70684, abs=0.01)
     assert got == pytest.approx(mc_bev_iou(a, b), abs=0.01)
@@ -69,8 +77,8 @@ def test_iou_symmetric_and_bounded():
     rng = np.random.default_rng(3)
     for _ in range(200):
         a, b = random_box(rng), random_box(rng)
-        ab = bev_iou(a, b)
-        assert ab == pytest.approx(bev_iou(b, a), abs=1e-12)
+        ab = iou(a, b)
+        assert ab == pytest.approx(iou(b, a), abs=1e-12)
         assert 0.0 <= ab <= 1.0
 
 
@@ -78,7 +86,7 @@ def test_iou_rigid_transform_invariant():
     rng = np.random.default_rng(11)
     for _ in range(50):
         a, b = random_box(rng), random_box(rng)
-        base = bev_iou(a, b)
+        base = iou(a, b)
         theta = rng.uniform(-math.pi, math.pi)
         tx, ty = rng.uniform(-20, 20, size=2)
         ct, st = math.cos(theta), math.sin(theta)
@@ -91,7 +99,7 @@ def test_iou_rigid_transform_invariant():
                 box.heading + theta,
             )
 
-        assert bev_iou(moved(a), moved(b)) == pytest.approx(base, abs=1e-9)
+        assert iou(moved(a), moved(b)) == pytest.approx(base, abs=1e-9)
 
 
 def test_iou_partial_overlap_against_monte_carlo():
@@ -105,7 +113,7 @@ def test_iou_partial_overlap_against_monte_carlo():
             l=rng.uniform(0.5, 5),
             heading=rng.uniform(-math.pi, math.pi),
         )
-        assert bev_iou(a, b) == pytest.approx(
+        assert iou(a, b) == pytest.approx(
             mc_bev_iou(a, b, n_samples=200_000, seed=i), abs=0.01
         )
 
@@ -114,11 +122,62 @@ def test_iou_matrix_matches_pairwise():
     rng = np.random.default_rng(8)
     boxes_a = [random_box(rng) for _ in range(6)]
     boxes_b = [random_box(rng) for _ in range(4)]
-    m = bev_iou_matrix(boxes_a, boxes_b)
+    m = bev_iou_matrix([b.as_row() for b in boxes_a], [b.as_row() for b in boxes_b])
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
-            assert m[i, j] == pytest.approx(bev_iou(a, b), abs=1e-12)
-    assert bev_iou_matrix([], boxes_b).shape == (0, 4)
+            assert m[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+    assert bev_iou_matrix([], [b.as_row() for b in boxes_b]).shape == (0, 4)
+
+
+RAW_BOX = st.tuples(
+    st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),  # center
+    st.floats(0.2, 5.0), st.floats(0.2, 6.0),  # width, length
+    st.floats(-4 * math.pi, 4 * math.pi) | st.sampled_from([math.pi, -math.pi, 2 * math.pi]),
+)
+
+
+def raw_box(cx, cy, w, l, heading):
+    return Box7((cx, cy, 0.75), (w, l, 1.5), heading)  # normalizes the heading
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(RAW_BOX, min_size=1, max_size=5),
+    st.lists(RAW_BOX, max_size=5),
+    st.lists(
+        st.tuples(RAW_BOX, st.floats(-math.pi, math.pi), st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12])),
+        max_size=4,
+    ),
+)
+def test_iou_matrix_equals_per_pair_iou_bit_for_bit(raw_a, raw_b, touching):
+    """Box rows of `Box7`s, also with headings outside (-pi, pi] and boxes
+    placed where their circumcircles just touch one of `boxes_a`: the matrix
+    holds each pair's `bev_iou`, and calls it on exactly the pairs whose
+    circumcircles overlap."""
+    boxes_a = [raw_box(*r) for r in raw_a]
+    boxes_b = [raw_box(*r) for r in raw_b]
+    for i, ((_, _, w, l, heading), direction, scale) in enumerate(touching):
+        a = boxes_a[i % len(boxes_a)]
+        reach = 0.5 * math.hypot(*a.size[:2]) + 0.5 * math.hypot(w, l)
+        cx = a.center[0] + scale * reach * math.cos(direction)
+        cy = a.center[1] + scale * reach * math.sin(direction)
+        boxes_b.append(raw_box(cx, cy, w, l, heading))
+    rows_a = np.array([b.as_row() for b in boxes_a])
+    rows_b = np.array([b.as_row() for b in boxes_b]).reshape(-1, 7)
+    with mock.patch.object(core, "bev_iou", wraps=core.bev_iou) as per_pair:
+        got = bev_iou_matrix(rows_a, rows_b)
+    expected = np.array([[iou(a, b) for b in boxes_b] for a in boxes_a]).reshape(got.shape)
+    assert got.tobytes() == expected.tobytes()
+
+    def overlapping(a, b):
+        dx, dy = a.center[0] - b.center[0], a.center[1] - b.center[1]
+        reach = 0.5 * math.hypot(*a.size[:2]) + 0.5 * math.hypot(*b.size[:2])
+        return dx * dx + dy * dy < reach * reach
+
+    called = [(tuple(a), tuple(b)) for (a, b), _ in per_pair.call_args_list]
+    assert called == [
+        (a.as_row(), b.as_row()) for a in boxes_a for b in boxes_b if overlapping(a, b)
+    ]
 
 
 # --- extrapolate -----------------------------------------------------------

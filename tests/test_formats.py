@@ -7,6 +7,7 @@ import math
 import re
 import struct
 import sys
+import tempfile
 import uuid
 from pathlib import Path
 from unittest import mock
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scenario_numbers
+from oracles import reference_eval_frames, scenario_numbers
 from sttrack import cli, formats
 from sttrack.core import ClassId
 from sttrack.formats import (
@@ -35,6 +36,7 @@ from sttrack.formats import (
     write_tracker_output,
 )
 from sttrack.kalman import KfParams
+from sttrack.metrics import EvalTable, MatchingPolicy
 from sttrack.runtime import KalmanBackend, LifecycleConfig, run_sequence
 from sttrack.sim import (
     MotionProfile,
@@ -698,3 +700,138 @@ def test_read_scenario_rejects_bad_provenance(tmp_path, edit, reason):
     edit_row(det_path, 4, edit)
     with pytest.raises(FormatError, match=f"^{re.escape(f'{det_path}:4: {reason}')}$"):
         read_scenario(gt_path, det_path)
+
+
+# --- the column readers against the per-row reference -------------------------
+
+EVAL_READERS = {"ground_truth": read_label_frames, "tracks": read_pred_frames}
+EVAL_ID = st.integers(0, 40) | st.integers(2**63, 2**64 - 1)
+EVAL_NUMBER = st.floats(-1e6, 1e6) | st.integers(-1000, 1000) | st.integers(2**63, 2**64 - 1)
+EVAL_SIZE = st.floats(1e-3, 1e3) | st.integers(1, 100)
+EVAL_HEADING = st.floats(-4 * math.pi, 4 * math.pi) | st.sampled_from(
+    [math.pi, -math.pi, 0.0, -0.0, 4, -4, 2 * math.pi]
+)
+STATE_KEYS = ("px", "py", "vx", "vy", "ax", "ay")
+BAD_VALUES = ["1.5", True, False, None, [1.0], {"a": 1}, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def eval_rows(draw):
+    """A ground-truth or tracks file's frame count and rows: unique (frame,
+    id) pairs in any frame order, then up to three edits that may break a
+    rule each."""
+    kind = draw(st.sampled_from(sorted(EVAL_READERS)))
+    ident = IDENTS[kind]
+    frames = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.tuples(st.integers(0, frames - 1), EVAL_ID), unique=True, max_size=12))
+    rows = []
+    for frame, oid in keys:
+        row = {
+            "frame": frame, ident: oid,
+            "class": draw(st.sampled_from(["vehicle", "pedestrian"])),
+            **{key: draw(EVAL_NUMBER) for key in ("cx", "cy", "cz")},
+            **{key: draw(EVAL_SIZE) for key in ("w", "l", "h")},
+            "heading": draw(EVAL_HEADING),
+            "state": {key: draw(EVAL_NUMBER) for key in STATE_KEYS},
+        }
+        if kind == "tracks":
+            row["conf"] = draw(st.floats(0.0, 1.0) | st.sampled_from([0, 1]))
+        rows.append(row)
+    numbers = ["cx", "cy", "cz", "w", "l", "h", "heading", *(["conf"] if kind == "tracks" else [])]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if type(row) is not dict:
+            continue
+        edit = draw(st.sampled_from(
+            ["drop", "value", "state", "object", "frame", "repeat", "class", "size", "conf"]
+        ))
+        if edit == "drop":
+            row.pop(draw(st.sampled_from(sorted(row))))
+        elif edit == "value":
+            row[draw(st.sampled_from(["frame", ident, *numbers]))] = draw(st.sampled_from(BAD_VALUES))
+        elif edit == "state" and type(row.get("state")) is dict:
+            key = draw(st.sampled_from(STATE_KEYS))
+            if draw(st.booleans()):
+                row["state"][key] = draw(st.sampled_from(BAD_VALUES))
+            elif draw(st.booleans()):
+                row["state"].pop(key)
+            else:
+                row["state"] = draw(st.sampled_from(["x", [1.0], 5]))
+        elif edit == "object":
+            rows[i] = draw(st.sampled_from([[1, 2], "row", 3, None]))
+        elif edit == "frame":
+            row["frame"] = draw(st.sampled_from([-1, frames, frames + 3]))
+        elif edit == "repeat" and type(rows[0]) is dict and i > 0:
+            row.update(frame=rows[0].get("frame"), **{ident: rows[0].get(ident)})
+        elif edit == "class":
+            row["class"] = draw(st.sampled_from(["truck", 1, None, ["vehicle"]]))
+        elif edit == "size":
+            row[draw(st.sampled_from(["w", "l", "h"]))] = draw(st.sampled_from([0, 0.0, -1.5]))
+        elif edit == "conf" and kind == "tracks":
+            row["conf"] = draw(st.sampled_from([-0.1, 1.5, 2, -1]))
+    return kind, frames, rows
+
+
+def assert_table_equals_frames(table, frames):
+    """The table holds `frames`' rows bit for bit, grouped and ordered alike."""
+    assert len(table) == len(frames)
+    for k, frame in enumerate(frames):
+        a, b = table.offsets[k], table.offsets[k + 1]
+        assert table.ids[a:b] == [e.ident for e in frame]
+        assert all(type(ident) is int for ident in table.ids[a:b])
+        assert table.classes[a:b] == [e.class_id for e in frame]
+        boxes = np.array([e.box.as_row() for e in frame], dtype=float).reshape(-1, 7)
+        states = np.array(
+            [(*e.state.position, *e.state.velocity, *e.state.acceleration) for e in frame],
+            dtype=float,
+        ).reshape(-1, 6)
+        assert table.boxes[a:b].tobytes() == boxes.tobytes()
+        assert table.states[a:b].tobytes() == states.tobytes()
+    assert list(table) == list(EvalTable.of(frames))  # the numbers as floats
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_rows())
+def test_column_readers_equal_the_per_row_reference(case):
+    kind, frames, rows = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"s0.{kind}.jsonl"
+        write_jsonl(path, kind, {"frames": frames}, rows)
+        try:
+            expected, expected_error = reference_eval_frames(path, kind), None
+        except FormatError as exc:
+            expected_error = str(exc)
+        try:
+            table, error = EVAL_READERS[kind](path)[1], None
+        except FormatError as exc:
+            error = str(exc)
+    assert error == expected_error
+    if error is None:
+        assert_table_equals_frames(table, expected)
+
+
+def test_ids_past_int64_read_and_evaluate(tmp_path):
+    """Ids are 64-bit JSON integers up to 2**64 - 1, past what an int64
+    array holds: tracks and ground truth with such ids read, keep their ids
+    exactly and score as the same rows with small ids."""
+    scenario = make_scenario()
+    gt_rows, _ = scenario_rows(scenario)
+    big = 2**64 - 32  # the last ids still read as 64-bit integers
+    reports = {}
+    for name, offset in (("small", 0), ("big", big)):
+        gt = [{**row, "object_id": offset + row["object_id"]} for row in gt_rows]
+        tracks = [
+            {**{k: v for k, v in row.items() if k != "object_id"},
+             "track_id": 7 + row["object_id"], "conf": 0.9}
+            for row in gt
+        ]
+        out = tmp_path / name
+        write_jsonl(out / "s0.gt.jsonl", "ground_truth", {"frames": scenario.frames}, gt)
+        write_jsonl(out / "s0.tracks.jsonl", "tracks", {"frames": scenario.frames}, tracks)
+        _, table = read_pred_frames(out / "s0.tracks.jsonl")
+        assert sorted(set(table.ids)) == sorted({row["track_id"] for row in tracks})
+        reports[name] = cli.evaluate_directories(out, out, MatchingPolicy())
+    assert max(row["track_id"] for row in tracks) >= 2**63
+    assert reports["big"] == reports["small"]
+    assert reports["big"]["classes"]["vehicle"]["mota"] == 1.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import NOISELESS, evaluate_sequences, label_frames_from_scenario
+from oracles import NOISELESS, evaluate_sequences, label_frames_from_scenario, state_error
 from sttrack.core import Box7, ClassId, StateVector
 from sttrack.metrics import (
     INF,
@@ -12,7 +12,6 @@ from sttrack.metrics import (
     MatchingPolicy,
     format_report,
     report_csv_rows,
-    state_error,
 )
 from sttrack.sim import (
     MotionProfile,

@@ -499,10 +499,10 @@ def gate_edge_boxes(pred_box, gate, direction):
     def moved(d):
         return box_at((cx + d * ux, cy + d * uy), pred_box.size, pred_box.heading)
 
-    lo, hi = 0.0, 2.0 * pred_box.circumradius
+    lo, hi = 0.0, math.hypot(pred_box.size[0], pred_box.size[1])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if bev_iou(pred_box, moved(mid)) > gate:
+        if bev_iou(pred_box.as_row(), moved(mid).as_row()) > gate:
             lo = mid
         else:
             hi = mid
@@ -555,7 +555,7 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
         direction = rng.uniform(-math.pi, math.pi)
         boxes.extend(gate_edge_boxes(pred_box, params.iou_gate, direction))
         other = tuple(rng.uniform(0.5, 5.0, 3))
-        reach = pred_box.circumradius + 0.5 * math.hypot(other[0], other[1])
+        reach = 0.5 * math.hypot(*pred_box.size[:2]) + 0.5 * math.hypot(*other[:2])
         for scale in (1.0 - 1e-3, 1.0, 1.0 + 1e-12):
             offset = scale * reach * np.array([math.cos(direction), math.sin(direction)])
             boxes.append(box_at(np.array(pred_box.center_xy) + offset, other,
