@@ -15,8 +15,9 @@ given and converts anything else.
 
 Every op but `matmul`, `concat`, `layer_norm` and `attention` is built on
 one of two scaffolds. `_unary` serves the one-operand ops and `_binary` the
-broadcasting `add`, `sub`, `mul` and `div`, whose errors name the op and
-both shapes. An op computes its forward result and hands the scaffold a
+broadcasting `add`, `sub` and `mul`, whose errors name the op and both
+shapes. The op-by-op `div`, `sqrt` and `softmax` that the fused ops replaced
+live on the same scaffolds in `tests/oracles.py`. An op computes its forward result and hands the scaffold a
 module-level gradient rule. A gradient rule reads its operands' data when
 backward runs, not when the op runs. That is sound because no op writes
 into an operand and nothing else does before backward: `AdamW.step`
@@ -222,12 +223,9 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def _pass(g, x, y): return g
 def _mul_grad_a(g, x, y): return g * y
 def _mul_grad_b(g, x, y): return g * x
-def _div_grad_a(g, x, y): return g / y
-def _div_grad_b(g, x, y): return -g * x / (y * y)
 def _relu_grad(g, x, out): return g * (out > 0)
 def _sigmoid_grad(g, x, out): return g * out * (1.0 - out)
 def _softplus_grad(g, x, out): return g * _stable_sigmoid(x)
-def _sqrt_grad(g, x, out): return g * 0.5 / out
 def _abs_grad(g, x, out): return g * np.sign(x)
 def _reshape_grad(g, x, out): return g.reshape(x.shape)
 def _softmax_grad(g, x, out, axis): return out * (g - (g * out).sum(axis=axis, keepdims=True))
@@ -271,10 +269,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary(np.multiply, "mul", a, b, _mul_grad_a, _mul_grad_b)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(np.divide, "div", a, b, _div_grad_a, _div_grad_b)
-
-
 def relu(a: Tensor) -> Tensor:
     """max(x, 0) with the bits of `np.where(x > 0, x, 0.0)`: `fmax` maps NaN
     to 0 but may keep a -0.0 input, which adding +0.0 turns into +0.0. The
@@ -292,10 +286,6 @@ def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), overflow-safe."""
     x = a.data
     return _unary(a, np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), _softplus_grad)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    return _unary(a, np.sqrt(a.data), _sqrt_grad)
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -361,11 +351,6 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _unary(a, a.data.mean(axis=axis, keepdims=keepdims), _mean_grad, axis, keepdims)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    return _unary(a, e / e.sum(axis=axis, keepdims=True), _softmax_grad, axis)
 
 
 # --- fused blocks ----------------------------------------------------------

@@ -38,33 +38,31 @@ and the readers. Readers raise `FormatError` naming the file and 1-based
 line (the header is line 1) of a line that is not UTF-8 or not JSON; of a
 header config without an int `frames` >= 0 or (where needed) a number
 `dt` > 0; of a detections header whose `frames` or `dt` differs from its
-ground truth's; and of a row that is not an object, lacks a key, or breaks
-a rule:
-  - `frame`, the id (`id`, `object_id`, `track_id`) and `provenance` are
-    64-bit JSON integers (`orjson` reads an integer outside [-2**63, 2**64)
-    as a float), the frame in [0, frames) and the id unique within its frame;
-  - box, state and `conf` values are JSON numbers (not bools or strings),
-    finite, with sizes > 0 and `conf` in [0, 1]; in ground-truth and tracks
-    rows they also fit a float (an integer past 1.8e308, which only `json`
-    reads, does not);
-  - `appearance` and `motion` are lists of finite numbers as long as the
-    file's first row's; `provenance` is an integer >= -1; `class` is
-    "vehicle" or "pedestrian".
-A ground-truth or tracks row's rules are checked in this order: object,
-`frame`, its range, the id, its repeat, the number keys' presence, their
-types and float range, (tracks) `conf`'s range, `class`, sizes, center,
-heading, then `state` (an object, its keys, their types and float range,
-finite).
+ground truth's; and of a row's first broken rule, in this order for all kinds:
+  - the row is an object;
+  - `frame` is a 64-bit JSON integer (`orjson` reads one outside [-2**63,
+    2**64) as a float) in [0, frames); the id (`object_id`, `id`,
+    `track_id`) is one too, unique within its frame;
+  - the box keys and (detections and tracks) `conf` are present, are JSON
+    numbers (not bools or strings) and fit a float (an integer past 1.8e308,
+    which only `json` reads, does not); `conf` is in [0, 1];
+  - `class` is "vehicle" or "pedestrian";
+  - sizes are finite and > 0, then the center and the heading are finite;
+  - ground truth and tracks: `state` is an object whose keys are present,
+    are numbers that fit a float, and are finite;
+  - detections: `provenance` is a 64-bit JSON integer >= -1; then
+    `appearance`, then `motion`, is a list of numbers that fit a float, as
+    long as line 2's, and finite.
 A ground-truth object without one row in every frame names its file.
 
-Detections are decoded row by row into `Detection`s. Ground-truth and
-tracks files are read into a `metrics.EvalTable` instead: the checks run
-over whole columns (a type set per key, one array comparison per bound, one
-set for repeats) and the numbers go into (N, 7) box and (N, 6) state
-arrays, headings outside (-pi, pi] normalized as `Box7` does. Ids stay
-Python ints, as 64-bit JSON integers reach 2**64 - 1. When a check fails,
-the reader finds the file's first bad row and raises the message the rules
-give that row.
+The checks run over whole columns (a type set per key, one array comparison
+per bound, one set for repeats) and the numbers go into float64 arrays, so an
+integer-valued number reads as a float; headings outside (-pi, pi] are
+normalized as `Box7` does. Ids stay Python ints, as 64-bit JSON integers
+reach 2**64 - 1. When a check fails, the reader finds the file's first bad
+row and raises the message the rules give that row. Ground-truth and tracks
+files become a `metrics.EvalTable`, detections files `Detection`s, both
+grouped by frame with each frame's rows in file order.
 """
 
 from __future__ import annotations
@@ -291,8 +289,6 @@ _BOX_KEYS = ("cx", "cy", "cz", "w", "l", "h", "heading")
 _STATE_KEYS = ("px", "py", "vx", "vy", "ax", "ay")
 _SCORED_KEYS = (*_BOX_KEYS, "conf")  # detections and tracks rows
 _box_values = operator.itemgetter(*_BOX_KEYS)
-_scored_values = operator.itemgetter(*_SCORED_KEYS)
-_state_values = operator.itemgetter(*_STATE_KEYS)
 _NUMBERS = frozenset((int, float))  # what `json.loads` makes of a JSON number
 _CLASSES = {c.value: c for c in ClassId}
 
@@ -305,70 +301,7 @@ def _state_fields(state: StateVector) -> dict:
     return dict(zip(_STATE_KEYS, (*state.position, *state.velocity, *state.acceleration)))
 
 
-def _numbers(values, keys, label: str = "{}"):
-    """`values`, read at `keys`: JSON numbers; `label` names a key in errors."""
-    if not _NUMBERS.issuperset(map(type, values)):
-        key, value = next(kv for kv in zip(keys, values) if type(kv[1]) not in _NUMBERS)
-        raise TypeError(f"{label.format(key)} must be int or float, not {type(value).__name__}")
-    return values
-
-
-def _int_field(row: dict, key: str) -> int:
-    """`row[key]`, which must be a JSON integer (not a bool, float or string)."""
-    value = row[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be int, not {type(value).__name__}")
-    return value
-
-
-def _class(row: dict) -> ClassId:
-    value = row["class"]
-    try:
-        return _CLASSES[value]
-    except (KeyError, TypeError):  # an unknown name, or a list or object
-        raise ValueError(f"class must be one of {', '.join(_CLASSES)}, got {value!r}") from None
-
-
-def _box(v: tuple) -> Box7:
-    """The box of a row's checked `_BOX_KEYS` (or `_SCORED_KEYS`) values."""
-    return Box7(v[:3], v[3:6], v[6])
-
-
-def _conf(v: tuple) -> float:
-    """The conf of a row's checked `_SCORED_KEYS` values."""
-    if not 0 <= v[7] <= 1:
-        raise ValueError(f"conf must be in [0, 1], got {v[7]!r}")
-    return v[7]
-
-
-def _features(row: dict, key: str) -> tuple[float, ...]:
-    values = row[key]
-    if type(values) is not list:
-        raise TypeError(f"{key} must be a list, not {type(values).__name__}")
-    if not (_NUMBERS.issuperset(map(type, values)) and math.isfinite(sum(values))):
-        _numbers(values, range(len(values)), key + "[{}]")
-        bad = [i for i, value in enumerate(values) if not math.isfinite(value)]
-        if bad:  # else finite values whose sum overflows
-            raise ValueError(f"{key}[{bad[0]}] must be finite, got {values[bad[0]]!r}")
-    return tuple(values)
-
-
-# --- the detections row decoder ---------------------------------------------
-
-
-def _detection_row(row: dict) -> tuple[Detection, int]:
-    """A detection and its provenance: the object id, or -1 for a false
-    positive."""
-    provenance = _int_field(row, "provenance")
-    if provenance < FALSE_POSITIVE:
-        raise ValueError(f"provenance must be >= {FALSE_POSITIVE}, got {provenance}")
-    v = _numbers(_scored_values(row), _SCORED_KEYS)
-    features = _features(row, "appearance"), _features(row, "motion")
-    detection = Detection(_box(v), *features, _conf(v), row["frame"], row["id"], _class(row))
-    return detection, provenance
-
-
-# --- ground truth and tracks: checked columns --------------------------------
+# --- rows: one checker for every kind ----------------------------------------
 
 
 class _RowError(Exception):
@@ -407,28 +340,22 @@ def _column(rows: list[dict], key: str, types=None, kind: str = "") -> list:
     return values
 
 
-def _number_array(rows: list, keys: tuple, label: str = "{}") -> np.ndarray:
-    """The values at `keys` of each of `rows` (dicts), as an (N, len(keys))
-    float64 array; `label` names a key in errors. Keys are checked in order:
-    each is present in every row, then each value is a JSON number, then fits
-    a float."""
+def _float_items(values: list, names) -> np.ndarray:
+    """The items of `values` (one sequence per row) as one flat float64
+    array; `names` names a row's items in errors, in order. Each item is a
+    JSON number, then fits a float."""
+    flat = list(itertools.chain.from_iterable(values))
+    if not _NUMBERS.issuperset(map(type, flat)):  # rows may differ in length: pad with a number
+        for name, column in zip(names, itertools.zip_longest(*values, fillvalue=0)):
+            _check_types(column, _NUMBERS, name, "int or float")
     try:
-        values = list(map(operator.itemgetter(*keys), rows))
-    except KeyError:
-        for key in keys:
-            _column(rows, key)
-        raise
-    if not _NUMBERS.issuperset(map(type, itertools.chain.from_iterable(values))):
-        for key, column in zip(keys, zip(*values)):
-            _check_types(column, _NUMBERS, label.format(key), "int or float")
-    try:
-        return np.array(values, dtype=float).reshape(len(rows), len(keys))
+        return np.array(flat, dtype=float)
     except OverflowError:  # an integer beyond the float range, which only json reads
         _fail_where(list(map(_overflows, values)), lambda i: "int too large to convert to float")
         raise
 
 
-def _overflows(numbers: tuple) -> bool:
+def _overflows(numbers) -> bool:
     try:
         list(map(float, numbers))
     except OverflowError:
@@ -436,23 +363,87 @@ def _overflows(numbers: tuple) -> bool:
     return False
 
 
-def _not_finite(values: np.ndarray) -> np.ndarray:
-    return ~np.isfinite(values).all(axis=1)
+def _number_array(rows: list, keys: tuple, label: str = "{}") -> np.ndarray:
+    """The values at `keys` of each of `rows` (dicts), as an (N, len(keys))
+    float64 array; `label` names a key in errors. Each key is present in
+    every row, then each value is a JSON number, then fits a float."""
+    try:
+        values = list(map(operator.itemgetter(*keys), rows))
+    except KeyError:
+        for key in keys:
+            _column(rows, key)
+        raise
+    return _float_items(values, map(label.format, keys)).reshape(len(rows), len(keys))
 
 
-def _eval_columns(rows: list, frames: int, kind: str):
-    """Frames, ids, classes, (N, 7) boxes and (N, 6) states of a ground-truth
-    or tracks file's rows, in file order. The checks run one column at a time
-    in the order the per-row rules name them (see the module docstring); the
-    first check that fails raises _RowError at the first row it rejects."""
-    ident, keys = _EVAL_KEYS[kind]
+def _in_range(values: list, low, high, message) -> None:
+    """Raise _RowError at the first of `values` outside [low, high), with
+    `message(value)`."""
+    if values and not (min(values) >= low and max(values) < high):
+        _fail_where([not low <= v < high for v in values], lambda i: message(values[i]))
+
+
+def _finite(values: np.ndarray, message) -> np.ndarray:
+    """`values` (one row per file row), if finite; else raise _RowError at its
+    first row that is not, with `message(i, j, v)` of its first non-finite
+    `v`, at `j`, in row `i`."""
+    bad = ~np.isfinite(values)
+
+    def first(i: int) -> str:
+        j = int(bad[i].argmax())
+        return message(i, j, float(values[i, j]))
+
+    _fail_where(bad.any(axis=1), first)
+    return values
+
+
+def _state_tail(rows: list) -> tuple[np.ndarray]:
+    """The (N, 6) states of ground-truth or tracks rows."""
+    states = _number_array(_column(rows, "state", {dict}, "an object"), _STATE_KEYS, "state.{}")
+    return (_finite(states, lambda i, j, v: f"non-finite state component: {v!r}"),)
+
+
+def _feature_array(rows: list, key: str) -> np.ndarray:
+    """The lists at `key` of detections rows as an (N, width) array: JSON
+    numbers, as many as line 2's, finite."""
+    values = _column(rows, key, {list}, "a list")
+    flat = _float_items(values, map(f"{key}[{{}}]".format, itertools.count()))
+    widths = list(map(len, values))
+    if len(set(widths)) > 1:
+        _fail_where(
+            [n != widths[0] for n in widths],
+            lambda i: f"{key} has {widths[i]} values, line 2 has {widths[0]}",
+        )
+    features = flat.reshape(len(rows), widths[0] if rows else 0)
+    return _finite(features, lambda i, j, v: f"{key}[{j}] must be finite, got {v!r}")
+
+
+def _detection_tail(rows: list) -> tuple[list, np.ndarray, np.ndarray]:
+    """The provenance, (N, d_a) appearance and (N, d_m) motion of detections
+    rows."""
+    provenance = _column(rows, "provenance", {int}, "int")
+    bound = f"provenance must be >= {FALSE_POSITIVE}, got {{}}"
+    _in_range(provenance, FALSE_POSITIVE, math.inf, bound.format)
+    return provenance, _feature_array(rows, "appearance"), _feature_array(rows, "motion")
+
+
+# Each kind's id key, number keys and checks after the shared ones.
+_KIND_ROWS = {
+    "ground_truth": ("object_id", _BOX_KEYS, _state_tail),
+    "detections": ("id", _SCORED_KEYS, _detection_tail),
+    "tracks": ("track_id", _SCORED_KEYS, _state_tail),
+}
+
+
+def _columns(rows: list, frames: int, kind: str) -> tuple:
+    """The frames, ids, classes, (N, len(number keys)) numbers and tail
+    columns of a `kind` file's rows, in file order. The checks run one column
+    at a time in the order of the rules (see the module docstring); the first
+    check that fails raises _RowError at the first row it rejects."""
+    ident, keys, tail = _KIND_ROWS[kind]
     _check_types(rows, {dict}, "row", "an object")
     frame = _column(rows, "frame", {int}, "int")
-    if frame and not (min(frame) >= 0 and max(frame) < frames):
-        _fail_where(
-            [not 0 <= k < frames for k in frame],
-            lambda i: f"frame {frame[i]} outside [0, {frames})",
-        )
+    _in_range(frame, 0, frames, f"frame {{}} outside [0, {frames})".format)
     ids = _column(rows, ident, {int}, "int")
     pairs = list(zip(frame, ids))
     if len(set(pairs)) < len(pairs):
@@ -462,7 +453,7 @@ def _eval_columns(rows: list, frames: int, kind: str):
             lambda i: f"{ident} {ids[i]} repeats in frame {frame[i]}",
         )
     values = _number_array(rows, keys)
-    if kind == "tracks":
+    if "conf" in keys:
         conf = values[:, 7]
         _fail_where(
             ~((conf >= 0) & (conf <= 1)),
@@ -476,59 +467,71 @@ def _eval_columns(rows: list, frames: int, kind: str):
             [type(name) is not str or name not in _CLASSES for name in names],
             lambda i: f"class must be one of {', '.join(_CLASSES)}, got {names[i]!r}",
         )
-    boxes = values[:, :7]
-    size = boxes[:, 3:6]
+    size = values[:, 3:6]
     _fail_where(
         ~((size > 0.0) & (size < math.inf)).all(axis=1),
         lambda i: f"box sizes must be strictly positive, got {_box_values(rows[i])[3:6]}",
     )
-    _fail_where(
-        _not_finite(boxes[:, :3]),
-        lambda i: f"non-finite box center: {_box_values(rows[i])[:3]}",
-    )
-    heading = boxes[:, 6]
-    _fail_where(~np.isfinite(heading), lambda i: f"non-finite heading: {rows[i]['heading']}")
+    _finite(values[:, :3], lambda i, j, v: f"non-finite box center: {_box_values(rows[i])[:3]}")
+    _finite(values[:, 6:7], lambda i, j, v: f"non-finite heading: {v}")
+    heading = values[:, 6]
     for i in np.flatnonzero(~((heading > -math.pi) & (heading <= math.pi))).tolist():
         heading[i] = normalize_heading(float(heading[i]))  # as `Box7` does
-    state = _column(rows, "state", {dict}, "an object")
-    states = _number_array(state, _STATE_KEYS, "state.{}")
-    _fail_where(
-        _not_finite(states),
-        lambda i: "non-finite state component: "
-        f"{next(v for v in _state_values(state[i]) if not math.isfinite(v))!r}",
-    )
-    return frame, ids, classes, boxes, states
+    return frame, ids, classes, values, *tail(rows)
 
 
-# Each evaluated kind's id key and the number keys its rows hold besides `state`.
-_EVAL_KEYS = {"ground_truth": ("object_id", _BOX_KEYS), "tracks": ("track_id", _SCORED_KEYS)}
-
-
-def _eval_table(path, kind: str, frames: int, rows: list) -> EvalTable:
-    """A ground-truth or tracks file's rows as a table. When a column check
-    fails, the rows before the row it rejects are checked again, until they
-    pass: a later check may reject an earlier row, and each pass fails at a
-    later check than the one before. The row rejected last is the file's
-    first bad row, and its error names the first rule that row breaks."""
+def _read_rows(path, kind: str, frames: int, rows: list) -> tuple:
+    """Frame offsets (length frames + 1), then `_columns`' columns after the
+    frames, grouped by frame with each frame's rows in file order. When a
+    check fails, the rows before the row it rejects are checked again until
+    they pass (each pass fails at a later check): the row rejected last is
+    the first bad row, and its error names the first rule that row breaks."""
     try:
-        frame, ids, classes, boxes, states = _eval_columns(rows, frames, kind)
+        frame, *columns = _columns(rows, frames, kind)
     except _RowError as error:
         index, message = error.args
         while True:
             try:
-                _eval_columns(rows[:index], frames, kind)
+                _columns(rows[:index], frames, kind)
             except _RowError as error:
                 index, message = error.args
             else:
                 raise FormatError(f"{path}:{index + 2}: {message}") from None
     frame = np.array(frame, dtype=np.intp)
     order = np.argsort(frame, kind="stable").tolist()
-    return EvalTable(
-        np.concatenate(([0], np.cumsum(np.bincount(frame, minlength=frames)))),
-        [ids[i] for i in order],
-        [classes[i] for i in order],
-        boxes[order],
-        states[order],
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(frame, minlength=frames))))
+    return offsets, *(
+        column[order] if isinstance(column, np.ndarray) else [column[i] for i in order]
+        for column in columns
+    )
+
+
+def _eval_table(path, kind: str, frames: int, rows: list) -> EvalTable:
+    """A ground-truth or tracks file's rows as a table."""
+    offsets, ids, classes, values, states = _read_rows(path, kind, frames, rows)
+    return EvalTable(offsets, ids, classes, np.ascontiguousarray(values[:, :7]), states)
+
+
+def _detection_frames(path, frames: int, rows: list) -> tuple[tuple, tuple]:
+    """Per-frame detections and per-frame provenance of a detections file's
+    rows."""
+    offsets, ids, classes, values, provenance, appearance, motion = _read_rows(
+        path, "detections", frames, rows
+    )
+    detections = list(map(
+        Detection,
+        Box7.from_rows(values[:, :7]),
+        map(tuple, appearance.tolist()),
+        map(tuple, motion.tolist()),
+        values[:, 7].tolist(),
+        np.repeat(np.arange(frames), np.diff(offsets)).tolist(),
+        ids,
+        classes,
+    ))
+    spans = list(itertools.pairwise(offsets.tolist()))
+    return (
+        tuple(tuple(detections[a:b]) for a, b in spans),
+        tuple(tuple(provenance[a:b]) for a, b in spans),
     )
 
 
@@ -613,48 +616,10 @@ def _open(path, kind: str) -> tuple[dict, int, list]:
     return header, _header_config(path, header, "frames"), rows
 
 
-def _per_frame(path, frames: int, rows: list) -> list[list]:
-    """Each detections row's detection and provenance, grouped by the row's
-    frame."""
-    out: list[list] = [[] for _ in range(frames)]
-    seen: set[tuple[int, int]] = set()
-    try:
-        for line, row in enumerate(rows, start=2):
-            if type(row) is not dict:
-                raise TypeError(f"row must be an object, not {type(row).__name__}")
-            k = _int_field(row, "frame")
-            if not 0 <= k < frames:
-                raise ValueError(f"frame {k} outside [0, {frames})")
-            key = (k, _int_field(row, "id"))
-            if key in seen:
-                raise ValueError(f"id {key[1]} repeats in frame {k}")
-            seen.add(key)
-            out[k].append(_detection_row(row))
-    except KeyError as exc:
-        raise FormatError(f"{path}:{line}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}:{line}: {exc}") from None
-    return out
-
-
-def _detections(path, frames: int, rows: list) -> tuple[tuple, tuple]:
-    """Per-frame detections and per-frame provenance of a detections file's
-    rows, whose feature widths must all be the first row's."""
-    columns = [tuple(zip(*f)) or ((), ()) for f in _per_frame(path, frames, rows)]
-    for key in ("appearance", "motion"):
-        lens = list(map(len, map(operator.itemgetter(key), rows)))
-        if len(set(lens)) > 1:
-            line = next(i for i, n in enumerate(lens, start=2) if n != lens[0])
-            raise FormatError(
-                f"{path}:{line}: {key} has {lens[line - 2]} values, line 2 has {lens[0]}"
-            )
-    return tuple(c[0] for c in columns), tuple(c[1] for c in columns)
-
-
 def read_detections(det_path) -> tuple[float, tuple[tuple[Detection, ...], ...]]:
     """Detections file to the scene's `dt` and its per-frame detections."""
     header, frames, rows = _open(det_path, "detections")
-    return _header_config(det_path, header, "dt"), _detections(det_path, frames, rows)[0]
+    return _header_config(det_path, header, "dt"), _detection_frames(det_path, frames, rows)[0]
 
 
 def read_scenario(gt_path, det_path) -> Scenario:
@@ -680,16 +645,10 @@ def read_scenario(gt_path, det_path) -> Scenario:
     for oid, rows in sorted(by_object.items()):
         if len(rows) != frames:
             raise FormatError(f"{gt_path}: object {oid}: {len(rows)} rows for {frames} frames")
-        gt_tracks.append(
-            GtTrack(
-                oid,
-                labels.classes[rows[0]],
-                tuple(boxes[i] for i in rows),
-                tuple(states[i] for i in rows),
-            )
-        )
+        track = [boxes[i] for i in rows], [states[i] for i in rows]
+        gt_tracks.append(GtTrack(oid, labels.classes[rows[0]], *map(tuple, track)))
 
-    detections, provenance = _detections(det_path, frames, det_rows)
+    detections, provenance = _detection_frames(det_path, frames, det_rows)
     return Scenario(frames, dt, tuple(gt_tracks), detections, provenance)
 
 

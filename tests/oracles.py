@@ -214,8 +214,28 @@ def zero_filled_backward(out: Tensor) -> None:
 
 # The op-by-op graphs that `autodiff.layer_norm` and `autodiff.attention`
 # fuse: the same forward expressions, and the gradients the fused backward
-# must reproduce bit for bit.
+# must reproduce bit for bit. The ops only these graphs use are built here on
+# `autodiff`'s scaffolds; `_softmax_grad` stays in `autodiff`, whose fused
+# attention backward runs it.
 _ONE = Tensor(1.0)
+
+
+def _div_grad_a(g, x, y): return g / y
+def _div_grad_b(g, x, y): return -g * x / (y * y)
+def _sqrt_grad(g, x, out): return g * 0.5 / out
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    return ad._binary(np.divide, "div", a, b, _div_grad_a, _div_grad_b)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    return ad._unary(a, np.sqrt(a.data), _sqrt_grad)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    return ad._unary(a, e / e.sum(axis=axis, keepdims=True), ad._softmax_grad, axis)
 
 
 def layer_norm_ops(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -223,7 +243,7 @@ def layer_norm_ops(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> 
     mu = ad.mean(x, axis=-1, keepdims=True)
     centered = ad.sub(x, mu)
     var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ad.div(_ONE, ad.sqrt(ad.add(var, Tensor(eps))))
+    inv = div(_ONE, sqrt(ad.add(var, Tensor(eps))))
     return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
 
 
@@ -235,7 +255,7 @@ def attention_ops(q: Tensor, k: Tensor, v: Tensor, key_mask=None) -> Tensor:
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
         scores = ad.add(scores, Tensor(np.where(key_mask, 0.0, -1e30)))
-    weights = ad.softmax(scores, axis=-1)
+    weights = softmax(scores, axis=-1)
     if key_mask is not None:
         row_valid = np.broadcast_to(key_mask, scores.shape).any(axis=-1, keepdims=True)
         weights = ad.mul(weights, Tensor(row_valid.astype(float)))
@@ -473,22 +493,23 @@ def generate_per_frame(config, objects, seed: int) -> Scenario:
     )
 
 
-# --- the per-row reader of ground-truth and tracks files ---------------------
-# `formats` reads these files into column tables. This is the row-by-row
-# decoding it replaced, kept as the reference for the values, the frame
-# grouping and order, and the error of the first bad row.
+# --- the per-row reader of every file kind ----------------------------------
+# `formats` reads rows into checked columns. This is the row-by-row decoding
+# it replaced, rewritten to the rules' one order, kept as the reference for
+# the values, the frame grouping and order, and the error of the first bad row.
 
 _NUMBERS = frozenset((int, float))
 _CLASSES = {c.value: c for c in ClassId}
 _BOX_KEYS = ("cx", "cy", "cz", "w", "l", "h", "heading")
 _STATE_KEYS = ("px", "py", "vx", "vy", "ax", "ay")
+_IDENTS = {"ground_truth": "object_id", "detections": "id", "tracks": "track_id"}
 
 
-def _numbers(values, keys, label: str = "{}"):
-    for key, value in zip(keys, values):
+def _floats(values, names) -> list[float]:
+    for name, value in zip(names, values):
         if type(value) not in _NUMBERS:
-            raise TypeError(f"{label.format(key)} must be int or float, not {type(value).__name__}")
-    return values
+            raise TypeError(f"{name} must be int or float, not {type(value).__name__}")
+    return [float(value) for value in values]  # OverflowError past the float range
 
 
 def _int_field(row: dict, key: str) -> int:
@@ -510,38 +531,54 @@ def _state(row: dict) -> StateVector:
     state = row["state"]
     if type(state) is not dict:
         raise TypeError(f"state must be an object, not {type(state).__name__}")
-    v = _numbers([state[key] for key in _STATE_KEYS], _STATE_KEYS, "state.{}")
+    v = _floats([state[key] for key in _STATE_KEYS], [f"state.{key}" for key in _STATE_KEYS])
     return StateVector(tuple(v[:2]), tuple(v[2:4]), tuple(v[4:]))
 
 
-def _label_row(row: dict) -> EvalBox:
-    v = _numbers([row[key] for key in _BOX_KEYS], _BOX_KEYS)
-    return EvalBox(
-        row["object_id"], _class(row), Box7(tuple(v[:3]), tuple(v[3:6]), v[6]), _state(row)
-    )
+def _features(row: dict, key: str, widths: dict) -> tuple[float, ...]:
+    values = row[key]
+    if type(values) is not list:
+        raise TypeError(f"{key} must be a list, not {type(values).__name__}")
+    floats = _floats(values, [f"{key}[{j}]" for j in range(len(values))])
+    width = widths.setdefault(key, len(values))  # the first row's, on line 2
+    if len(values) != width:
+        raise ValueError(f"{key} has {len(values)} values, line 2 has {width}")
+    for j, value in enumerate(floats):
+        if not math.isfinite(value):
+            raise ValueError(f"{key}[{j}] must be finite, got {value!r}")
+    return tuple(floats)
 
 
-def _track_row(row: dict) -> EvalBox:
-    keys = (*_BOX_KEYS, "conf")
-    v = _numbers([row[key] for key in keys], keys)
-    if not 0 <= v[7] <= 1:
-        raise ValueError(f"conf must be in [0, 1], got {v[7]!r}")
-    return EvalBox(
-        row["track_id"], _class(row), Box7(tuple(v[:3]), tuple(v[3:6]), v[6]), _state(row)
-    )
+def _decode(row: dict, kind: str, widths: dict):
+    """A checked row after its frame and id: an `EvalBox` of a ground-truth
+    or tracks row; a `(Detection, provenance)` pair of a detections row."""
+    keys = _BOX_KEYS if kind == "ground_truth" else (*_BOX_KEYS, "conf")
+    raw = [row[key] for key in keys]
+    v = _floats(raw, keys)
+    if "conf" in keys and not 0 <= v[7] <= 1:
+        raise ValueError(f"conf must be in [0, 1], got {row['conf']!r}")
+    class_id = _class(row)
+    Box7(tuple(raw[:3]), tuple(raw[3:6]), raw[6])  # its checks, naming the raw values
+    box = Box7(tuple(v[:3]), tuple(v[3:6]), v[6])
+    if kind != "detections":
+        return EvalBox(row[_IDENTS[kind]], class_id, box, _state(row))
+    provenance = _int_field(row, "provenance")
+    if provenance < FALSE_POSITIVE:
+        raise ValueError(f"provenance must be >= {FALSE_POSITIVE}, got {provenance}")
+    features = _features(row, "appearance", widths), _features(row, "motion", widths)
+    detection = Detection(box, *features, v[7], row["frame"], row["id"], class_id)
+    return detection, provenance
 
 
-_EVAL_ROWS = {"ground_truth": ("object_id", _label_row), "tracks": ("track_id", _track_row)}
-
-
-def reference_eval_frames(path, kind: str) -> list[list[EvalBox]]:
-    """A ground-truth or tracks file's rows decoded one by one into per-frame
-    `EvalBox` lists, in file order within each frame; the first bad row
-    raises `FormatError` naming its line."""
+def reference_frames(path, kind: str) -> list[list]:
+    """A file's rows decoded one by one (see `_decode`) into per-frame lists,
+    in file order within each frame; the first bad row raises `FormatError`
+    naming its line."""
     _, frames, rows = formats._open(path, kind)
-    ident, decode = _EVAL_ROWS[kind]
-    out: list[list[EvalBox]] = [[] for _ in range(frames)]
+    ident = _IDENTS[kind]
+    out: list[list] = [[] for _ in range(frames)]
     seen: set[tuple[int, int]] = set()
+    widths: dict[str, int] = {}
     try:
         for line, row in enumerate(rows, start=2):
             if type(row) is not dict:
@@ -553,9 +590,18 @@ def reference_eval_frames(path, kind: str) -> list[list[EvalBox]]:
             if key in seen:
                 raise ValueError(f"{ident} {key[1]} repeats in frame {k}")
             seen.add(key)
-            out[k].append(decode(row))
+            out[k].append(_decode(row, kind, widths))
     except KeyError as exc:
         raise formats.FormatError(f"{path}:{line}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise formats.FormatError(f"{path}:{line}: {exc}") from None
     return out
+
+
+def reference_detections(path) -> tuple[tuple, tuple]:
+    """A detections file's per-frame detections and per-frame provenance."""
+    frames = reference_frames(path, "detections")
+    return (
+        tuple(tuple(det for det, _ in frame) for frame in frames),
+        tuple(tuple(prov for _, prov in frame) for frame in frames),
+    )

@@ -111,6 +111,20 @@ def test_track_detection_row_without_conf_is_a_format_error(tmp_path, capsys):
     assert last_error(capsys) == f"{det}:3: missing key 'conf'"
 
 
+def test_track_detection_size_past_the_float_range_is_a_format_error(tmp_path, capsys):
+    # an integer `w` of 400 digits: only the json fallback reads it
+    config, data = simulate(tmp_path)
+    det = sorted(data.glob("*.det.jsonl"))[0]
+    lines = det.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["w"] = 10**400
+    lines[2] = json.dumps(row)
+    det.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert track(config, data, tmp_path / "tracks") == cli.EXIT_CONFIG
+    assert last_error(capsys) == f"{det}:3: int too large to convert to float"
+
+
 def test_track_header_without_frames_is_a_format_error(tmp_path, capsys):
     config, data = simulate(tmp_path)
     det = sorted(data.glob("*.det.jsonl"))[0]

@@ -14,10 +14,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_eval_frames, scenario_numbers
+from oracles import reference_detections, reference_frames, scenario_numbers
 from sttrack import cli, formats
 from sttrack.core import ClassId
 from sttrack.formats import (
@@ -799,7 +799,7 @@ def test_column_readers_equal_the_per_row_reference(case):
         path = Path(tmp) / f"s0.{kind}.jsonl"
         write_jsonl(path, kind, {"frames": frames}, rows)
         try:
-            expected, expected_error = reference_eval_frames(path, kind), None
+            expected, expected_error = reference_frames(path, kind), None
         except FormatError as exc:
             expected_error = str(exc)
         try:
@@ -809,6 +809,123 @@ def test_column_readers_equal_the_per_row_reference(case):
     assert error == expected_error
     if error is None:
         assert_table_equals_frames(table, expected)
+
+
+HUGE = 10**400  # an integer past the float range: only json reads it
+BAD_PROVENANCE = [-2, -(2**63), "0", 2.0, True, None, 2**70]
+BAD_FEATURES = ["abc", {"a": 1.0}, 5, None, True]
+BAD_FEATURE_VALUES = ["0.5", True, None, math.nan, math.inf, -math.inf, HUGE]
+
+
+@st.composite
+def detection_rows(draw):
+    """A detections file's frame count and rows: unique (frame, id) pairs in
+    any frame order, features of one width per key, then up to three edits
+    that may break a rule each, half of them in the row edited before."""
+    frames = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.tuples(st.integers(0, frames - 1), EVAL_ID), unique=True, max_size=12))
+    widths = {key: draw(st.integers(0, 4)) for key in ("appearance", "motion")}
+    rows = []
+    for frame, det_id in keys:
+        rows.append({
+            "frame": frame, "id": det_id,
+            "class": draw(st.sampled_from(["vehicle", "pedestrian"])),
+            **{key: draw(EVAL_NUMBER) for key in ("cx", "cy", "cz")},
+            **{key: draw(EVAL_SIZE) for key in ("w", "l", "h")},
+            "heading": draw(EVAL_HEADING),
+            "conf": draw(st.floats(0.0, 1.0) | st.sampled_from([0, 1])),
+            **{key: draw(st.lists(EVAL_NUMBER, min_size=n, max_size=n)) for key, n in widths.items()},
+            "provenance": draw(st.integers(-1, 40) | st.integers(2**63, 2**64 - 1)),
+        })
+    numbers = ["cx", "cy", "cz", "w", "l", "h", "heading", "conf"]
+    i = None
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        if i is None or draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if type(row) is not dict:
+            continue
+        edit = draw(st.sampled_from([
+            "drop", "value", "object", "frame", "repeat", "class", "size", "huge", "conf",
+            "provenance", "features", "feature", "width",
+        ]))
+        feature = draw(st.sampled_from(["appearance", "motion"]))
+        if edit == "drop":
+            row.pop(draw(st.sampled_from(sorted(row))))
+        elif edit == "value":
+            row[draw(st.sampled_from(["frame", "id", *numbers]))] = draw(st.sampled_from(BAD_VALUES))
+        elif edit == "object":
+            rows[i] = draw(st.sampled_from([[1, 2], "row", 3, None]))
+        elif edit == "frame":
+            row["frame"] = draw(st.sampled_from([-1, frames, frames + 3]))
+        elif edit == "repeat" and type(rows[0]) is dict and i > 0:
+            row.update(frame=rows[0].get("frame"), id=rows[0].get("id"))
+        elif edit == "class":
+            row["class"] = draw(st.sampled_from(["truck", 1, None, ["vehicle"]]))
+        elif edit == "size":
+            row[draw(st.sampled_from(["w", "l", "h"]))] = draw(st.sampled_from([0, 0.0, -1.5]))
+        elif edit == "huge":
+            row[draw(st.sampled_from(numbers))] = draw(st.sampled_from([HUGE, -HUGE]))
+        elif edit == "conf":
+            row["conf"] = draw(st.sampled_from([-0.1, 1.5, 2, -1]))
+        elif edit == "provenance":
+            row["provenance"] = draw(st.sampled_from(BAD_PROVENANCE))
+        elif edit == "features":
+            row[feature] = draw(st.sampled_from(BAD_FEATURES))
+        elif edit == "feature" and type(row.get(feature)) is list and row[feature]:
+            j = draw(st.integers(0, len(row[feature]) - 1))
+            row[feature][j] = draw(st.sampled_from(BAD_FEATURE_VALUES))
+        elif edit == "width" and type(row.get(feature)) is list:
+            if row[feature] and draw(st.booleans()):
+                row[feature].pop()
+            else:
+                row[feature].append(draw(EVAL_NUMBER))
+    return frames, rows
+
+
+def repr_or_error(read) -> str:
+    """`repr` of what `read()` returns (every float's shortest digits and
+    every type), or its FormatError's message."""
+    try:
+        return repr(read())
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def two_rows(**second) -> tuple[int, list[dict]]:
+    """A one-frame file of two detections, the second edited by `second`."""
+    row = {
+        "frame": 0, "id": 0, "class": "vehicle", "cx": 1.0, "cy": 2.0, "cz": 0.0,
+        "w": 2.0, "l": 4.5, "h": 1.5, "heading": 0.5, "conf": 0.9,
+        "appearance": [0.1, 0.2], "motion": [0.3], "provenance": 3,
+    }
+    return 1, [row, {**row, "id": 1, **second}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(detection_rows())
+@example(two_rows(provenance=-2, appearance=["0.1", 0.2]))  # provenance first
+@example(two_rows(appearance=[0.1, "0.2", 0.3]))  # numbers before width
+@example(two_rows(appearance=[0.1, math.nan, 0.3]))  # width before finite
+@example(two_rows(appearance=[0.1, HUGE, 0.3]))  # float range before width
+@example(two_rows(motion=[math.inf], appearance=[True, 0.2]))  # appearance, then motion
+@example(two_rows(w=HUGE, conf=2))  # float range before conf
+@example(two_rows(w=1, conf=1, appearance=[1, 2], motion=[0]))  # ints read as floats
+def test_detections_readers_equal_the_per_row_reference(case):
+    frames, rows = case
+    with tempfile.TemporaryDirectory() as tmp:
+        det_path, gt_path = Path(tmp) / "s0.det.jsonl", Path(tmp) / "s0.gt.jsonl"
+        write_jsonl(det_path, "detections", {"frames": frames, "dt": 0.1}, rows)
+        write_jsonl(gt_path, "ground_truth", {"frames": frames, "dt": 0.1}, [])
+
+        def scenario_detections():
+            scenario = read_scenario(gt_path, det_path)
+            return scenario.detections, scenario.provenance
+
+        expected = repr_or_error(lambda: reference_detections(det_path))
+        assert repr_or_error(scenario_detections) == expected
+        expected = repr_or_error(lambda: reference_detections(det_path)[0])
+        assert repr_or_error(lambda: read_detections(det_path)[1]) == expected
 
 
 def test_ids_past_int64_read_and_evaluate(tmp_path):
