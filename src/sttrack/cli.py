@@ -11,7 +11,8 @@ bad command line (an unknown or missing flag, a value that does not parse,
 a count option below 1, an `ablate --values` entry that does not parse or
 that the config rejects, an `--out` naming a file where the command writes a
 directory or the reverse, also the CSV file `eval --emit-csv` writes beside
-it, a checkpoint whose tensors do not fit its model),
+it, a checkpoint whose tensors do not fit its model, training scenes that
+yield no training example),
 3 missing input file (or a directory in its place), 4 checkpoint/config
 mismatch. `--workers` above the number of scenes starts one process per
 scene.
@@ -98,20 +99,14 @@ def load_checkpoint_for(cfg: RunConfig, path: Path) -> dict[str, np.ndarray]:
 
 
 def _check_widths(path: Path, frames, stt: model.SttConfig) -> None:
-    """Raise FormatError naming `path` when its detections' appearance or
-    motion width is not the model's `d_a` or `d_m`. The readers have checked
-    that every row of the file has its first row's widths."""
-    first = next((det for frame in frames for det in frame), None)
-    if first is None:
-        return
-    for key, width, field in (
-        ("appearance", len(first.appearance), "d_a"),
-        ("motion", len(first.motion), "d_m"),
-    ):
-        if width != getattr(stt, field):
+    """Raise FormatError naming `path` when the appearance or motion width of
+    its detections tables is not the model's `d_a` or `d_m`."""
+    for key, field in (("appearance", "d_a"), ("motion", "d_m")):
+        want = getattr(stt, field)
+        wrong = {getattr(dets, key).shape[1] for dets in frames if dets.ids} - {want}
+        if wrong:
             raise formats.FormatError(
-                f"{path}: {key} width {width} != configured stt.{field} "
-                f"{getattr(stt, field)}"
+                f"{path}: {key} width {min(wrong)} != configured stt.{field} {want}"
             )
 
 
@@ -141,6 +136,10 @@ def train_on_directory(
     settings = cfg.train if steps is None else dataclasses.replace(cfg.train, steps=steps)
     names = scenario_names(data_dir, ".det.jsonl")[: settings.train_scenarios]
     table, examples = _training_set(data_dir, names, cfg.stt)
+    if not examples:
+        raise formats.FormatError(
+            f"{data_dir}: its {len(names)} scene(s) yield no training example"
+        )
     if len(examples) > settings.max_examples:
         rng = np.random.default_rng((cfg.seed, 2))
         keep = rng.choice(len(examples), size=settings.max_examples, replace=False)
@@ -189,10 +188,11 @@ def _track_one(
     timing = {
         "frames": frames,
         "total_seconds": sum(output.frame_seconds),
-        "mean_ms_per_frame": 1000.0 * np.mean(output.frame_seconds),
+        "mean_ms_per_frame": 1000.0 * np.mean(output.frame_seconds) if frames else 0.0,
         "fps": frames / max(sum(output.frame_seconds), 1e-12),
     }
-    (out_dir / f"{name}.timing.json").write_text(json.dumps(timing, sort_keys=True))
+    timing_json = json.dumps(timing, sort_keys=True, allow_nan=False)
+    (out_dir / f"{name}.timing.json").write_text(timing_json)
     return timing
 
 

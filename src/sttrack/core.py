@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -69,10 +71,6 @@ class StateVector:
             if not math.isfinite(comp):
                 raise ValueError(f"non-finite state component: {comp!r}")
 
-    @staticmethod
-    def zero(position: tuple[float, float] = (0.0, 0.0)) -> "StateVector":
-        return StateVector(position, (0.0, 0.0), (0.0, 0.0))
-
     def as_array(self) -> np.ndarray:
         """Flat [x, y, vx, vy, ax, ay] vector."""
         return np.array([*self.position, *self.velocity, *self.acceleration])
@@ -109,10 +107,6 @@ class Box7:
                 raise ValueError(f"non-finite heading: {self.heading}")
             object.__setattr__(self, "heading", normalize_heading(self.heading))
 
-    @property
-    def center_xy(self) -> tuple[float, float]:
-        return (self.center[0], self.center[1])
-
     def as_row(self) -> tuple[float, ...]:
         """`(cx, cy, cz, w, l, h, heading)`: a row of the (N, 7) box arrays
         that `bev_iou` and `bev_iou_matrix` take."""
@@ -127,21 +121,33 @@ class Box7:
         ]
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """One detector box hypothesis with appearance/motion features."""
+class Detections(NamedTuple):
+    """Detector box hypotheses as columns, one row per detection: id `ids[i]`
+    (a Python int, as ids reach 2**64 - 1), class `classes[i]`, box `boxes[i]`
+    (a `Box7.as_row()` row: sizes > 0, heading in (-pi, pi]), confidence
+    `conf[i]` in [0, 1] and the appearance and motion feature rows. The
+    simulator and the detections reader give one table per frame."""
 
-    box: Box7
-    appearance: tuple[float, ...]
-    motion: tuple[float, ...]
-    confidence: float
-    frame_index: int
-    detection_id: int
-    class_id: ClassId
+    ids: list[int]
+    classes: list[ClassId]
+    boxes: np.ndarray  # (n, 7) float64
+    conf: np.ndarray  # (n,)
+    appearance: np.ndarray  # (n, d_a)
+    motion: np.ndarray  # (n, d_m)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+    def take(self, rows: list[int]) -> "Detections":
+        """The detections at `rows`, in that order."""
+        ids, classes = self.ids, self.classes
+        return Detections(
+            [ids[i] for i in rows], [classes[i] for i in rows], self.boxes[rows],
+            self.conf[rows], self.appearance[rows], self.motion[rows],
+        )
+
+    def split(self, offsets: list[int]) -> tuple["Detections", ...]:
+        """Per-frame tables: frame `k` holds rows `offsets[k]` to `offsets[k + 1]`."""
+        return tuple(
+            self._make(column[a:b] for column in self) for a, b in itertools.pairwise(offsets)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,9 @@ integer-valued number reads as a float; headings outside (-pi, pi] are
 normalized as `Box7` does. Ids stay Python ints, as 64-bit JSON integers
 reach 2**64 - 1. When a check fails, the reader finds the file's first bad
 row and raises the message the rules give that row. Ground-truth and tracks
-files become a `metrics.EvalTable`, detections files `Detection`s, both
-grouped by frame with each frame's rows in file order.
+files become a `metrics.EvalTable` grouped by frame, detections files one
+`core.Detections` table per frame; each frame keeps its rows in file order.
+The writers take detections and tracker output as the same columns.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .core import Box7, ClassId, Detection, StateVector, normalize_heading
+from .core import Box7, ClassId, Detections, StateVector, normalize_heading
 from .metrics import EvalTable
 from .runtime import TrackerOutput
 from .sim import FALSE_POSITIVE, GtTrack, Scenario
@@ -288,17 +289,13 @@ def normalized_digest(path) -> str:
 _BOX_KEYS = ("cx", "cy", "cz", "w", "l", "h", "heading")
 _STATE_KEYS = ("px", "py", "vx", "vy", "ax", "ay")
 _SCORED_KEYS = (*_BOX_KEYS, "conf")  # detections and tracks rows
+# Each kind's row keys in the order the writers fill them.
+_GT_ROW = ("frame", "object_id", "class", *_BOX_KEYS, "state")
+_DETECTION_ROW = ("frame", "id", "class", *_SCORED_KEYS, "appearance", "motion", "provenance")
+_TRACK_ROW = ("frame", "track_id", "class", *_SCORED_KEYS, "state")
 _box_values = operator.itemgetter(*_BOX_KEYS)
 _NUMBERS = frozenset((int, float))  # what `json.loads` makes of a JSON number
 _CLASSES = {c.value: c for c in ClassId}
-
-
-def _box_fields(box: Box7) -> dict:
-    return dict(zip(_BOX_KEYS, (*box.center, *box.size, box.heading)))
-
-
-def _state_fields(state: StateVector) -> dict:
-    return dict(zip(_STATE_KEYS, (*state.position, *state.velocity, *state.acceleration)))
 
 
 # --- rows: one checker for every kind ----------------------------------------
@@ -512,26 +509,18 @@ def _eval_table(path, kind: str, frames: int, rows: list) -> EvalTable:
     return EvalTable(offsets, ids, classes, np.ascontiguousarray(values[:, :7]), states)
 
 
-def _detection_frames(path, frames: int, rows: list) -> tuple[tuple, tuple]:
-    """Per-frame detections and per-frame provenance of a detections file's
-    rows."""
+def _detection_frames(path, frames: int, rows: list) -> tuple[tuple[Detections, ...], tuple]:
+    """Per-frame detections tables and per-frame provenance of a detections
+    file's rows."""
     offsets, ids, classes, values, provenance, appearance, motion = _read_rows(
         path, "detections", frames, rows
     )
-    detections = list(map(
-        Detection,
-        Box7.from_rows(values[:, :7]),
-        map(tuple, appearance.tolist()),
-        map(tuple, motion.tolist()),
-        values[:, 7].tolist(),
-        np.repeat(np.arange(frames), np.diff(offsets)).tolist(),
-        ids,
-        classes,
-    ))
-    spans = list(itertools.pairwise(offsets.tolist()))
-    return (
-        tuple(tuple(detections[a:b]) for a, b in spans),
-        tuple(tuple(provenance[a:b]) for a, b in spans),
+    offsets = offsets.tolist()
+    table = Detections(
+        ids, classes, np.ascontiguousarray(values[:, :7]), values[:, 7].copy(), appearance, motion
+    )
+    return table.split(offsets), tuple(
+        tuple(provenance[a:b]) for a, b in itertools.pairwise(offsets)
     )
 
 
@@ -540,21 +529,21 @@ def _detection_frames(path, frames: int, rows: list) -> tuple[tuple, tuple]:
 
 def scenario_rows(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     gt_rows = [
-        {
-            "frame": k, "object_id": track.object_id, "class": track.class_id.value,
-            **_box_fields(track.boxes[k]), "state": _state_fields(track.states[k]),
-        }
+        dict(zip(_GT_ROW, (
+            k, track.object_id, track.class_id.value, *track.boxes[k].as_row(),
+            dict(zip(_STATE_KEYS, (*s.position, *s.velocity, *s.acceleration))),
+        )))
         for k in range(scenario.frames)
         for track in scenario.gt_tracks
+        for s in (track.states[k],)
     ]
     det_rows = [
-        {
-            "frame": k, "id": det.detection_id, "class": det.class_id.value,
-            **_box_fields(det.box), "conf": det.confidence,
-            "appearance": list(det.appearance), "motion": list(det.motion), "provenance": prov,
-        }
-        for k in range(scenario.frames)
-        for det, prov in zip(scenario.detections[k], scenario.provenance[k])
+        dict(zip(_DETECTION_ROW, (k, i, c.value, *box, conf, appearance, motion, prov)))
+        for k, (dets, provenance) in enumerate(zip(scenario.detections, scenario.provenance))
+        for i, c, box, conf, appearance, motion, prov in zip(
+            dets.ids, dets.classes, dets.boxes.tolist(), dets.conf.tolist(),
+            dets.appearance.tolist(), dets.motion.tolist(), provenance,
+        )
     ]
     return gt_rows, det_rows
 
@@ -574,12 +563,12 @@ def write_scenario(out_dir, name: str, scenario: Scenario, config: dict) -> tupl
 
 def tracker_rows(output: TrackerOutput) -> list[dict]:
     return [
-        {
-            "frame": r.frame, "track_id": r.track_id, "class": r.class_id.value,
-            **_box_fields(r.box), "conf": r.confidence, "state": _state_fields(r.state),
-        }
-        for frame_rows in output.frames
-        for r in frame_rows
+        dict(zip(_TRACK_ROW, (k, tid, c.value, *box, conf, dict(zip(_STATE_KEYS, state)))))
+        for k, tracks in enumerate(output.frames)
+        for tid, c, box, conf, state in zip(
+            tracks.track_ids, tracks.classes, tracks.boxes.tolist(), tracks.conf.tolist(),
+            tracks.states.tolist(),
+        )
     ]
 
 
@@ -616,8 +605,8 @@ def _open(path, kind: str) -> tuple[dict, int, list]:
     return header, _header_config(path, header, "frames"), rows
 
 
-def read_detections(det_path) -> tuple[float, tuple[tuple[Detection, ...], ...]]:
-    """Detections file to the scene's `dt` and its per-frame detections."""
+def read_detections(det_path) -> tuple[float, tuple[Detections, ...]]:
+    """Detections file to the scene's `dt` and its per-frame detections tables."""
     header, frames, rows = _open(det_path, "detections")
     return _header_config(det_path, header, "dt"), _detection_frames(det_path, frames, rows)[0]
 

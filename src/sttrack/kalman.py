@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .assign import FORBIDDEN
-from .core import Box7, Detection, StateVector, bev_iou, check_fields
+from .core import bev_iou, check_fields
 
 
 class KalmanDivergenceError(RuntimeError):
@@ -64,10 +65,6 @@ class KfParams:
 class KfState:
     mean: np.ndarray  # (..., 6) [x, y, vx, vy, ax, ay]
     covariance: np.ndarray  # (..., 6, 6)
-
-    def state_vectors(self) -> list[StateVector]:
-        """One `StateVector` per filter, in row order."""
-        return StateVector.from_rows(self.mean)
 
 
 _H = np.zeros((2, 6))
@@ -171,21 +168,14 @@ def _check_covariance(cov: np.ndarray, before: KfState) -> None:
         )
 
 
-def predicted_box(mean: ArrayLike, last_box: Box7) -> Box7:
-    """Carry the last associated box to the predicted center: the first two
-    entries of one filter's `mean`."""
-    return Box7(
-        (float(mean[0]), float(mean[1]), last_box.center[2]),
-        last_box.size,
-        last_box.heading,
-    )
-
-
 def kf_association_cost(
-    track_pred: KfState, last_box: Box7, det: Detection, p: KfParams
+    track_pred: KfState, last_box: Sequence[float], det_box: Sequence[float], p: KfParams
 ) -> float:
-    """1 - BEV IoU between the predicted box and the detection, gated."""
-    iou = bev_iou(predicted_box(track_pred.mean, last_box).as_row(), det.box.as_row())
+    """1 - BEV IoU between the last associated box carried to the predicted
+    centre, the first two entries of one filter's mean, and the detection
+    box, gated. Boxes are `Box7.as_row()` rows."""
+    predicted = (*track_pred.mean[:2].tolist(), *last_box[2:])
+    iou = bev_iou(predicted, det_box)
     if iou <= p.iou_gate:
         return FORBIDDEN
     return 1.0 - iou

@@ -16,8 +16,8 @@ The anchor is not stored apart: it is the box centre, columns 0-1, of the
 last row of the track's history.
 
 Training and inference share one input path. `detection_features` turns a
-list of detections into encoder rows in one pass, and each detection is
-featurized once: `extract_examples` builds one feature table per training
+`core.Detections` table into encoder rows in one pass, and each detection
+is featurized once: `extract_examples` builds one feature table per training
 scene, and a `TrainingExample` names its history and context detections by
 row of that table; the online tracker featurizes each frame's detections
 once and keeps each track's history rows. `_pad` places groups of rows (a
@@ -38,16 +38,15 @@ learning-rate schedule (`lr_at`); `autodiff.AdamW` takes the lr per step.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
-from .core import Detection, StateVector, check_fields
+from .core import Detections, StateVector, check_fields
 from .sim import FALSE_POSITIVE, Scenario
 
 GEOMETRY_WIDTH = 8  # rel cx, rel cy, w, l, h, sin(heading), cos(heading), conf
@@ -179,36 +178,31 @@ def init_params(cfg: SttConfig, seed: int) -> dict[str, Tensor]:
 # --- feature building --------------------------------------------------------
 
 
-def _check_width(
-    rows: Iterable[Sequence[float]], width: int, name: str, field: str
-) -> None:
-    wrong = sorted({len(row) for row in rows} - {width})
-    if wrong:
-        raise ValueError(f"{name} width {wrong[0]} != configured {field} {width}")
-
-
-def detection_features(dets: list[Detection], cfg: SttConfig) -> np.ndarray:
-    """(N, F) [geometry, appearance, motion] encoder rows, one per detection.
+def detection_features(dets: Detections, cfg: SttConfig) -> np.ndarray:
+    """(N, F) [geometry, appearance, motion] encoder rows of a detections
+    table, one per detection.
 
     Columns 0-1 hold the absolute box centre; `_pad` makes them relative to
-    each group's anchor.
+    each group's anchor. Sines and cosines are `math`'s, one heading at a
+    time, which keeps them independent of numpy's vector math.
     """
-    _check_width((det.appearance for det in dets), cfg.d_a, "appearance", "d_a")
-    _check_width((det.motion for det in dets), cfg.d_m, "motion", "d_m")
-    values = itertools.chain.from_iterable(
-        (
-            *det.box.center[:2],
-            *det.box.size,
-            math.sin(det.box.heading),
-            math.cos(det.box.heading),
-            det.confidence,
-            *det.appearance,
-            *det.motion,
-        )
-        for det in dets
-    )
-    rows = np.fromiter(values, dtype=float, count=len(dets) * cfg.feature_width)
-    return rows.reshape(len(dets), cfg.feature_width)
+    n = len(dets.ids)
+    if not n:
+        return np.empty((0, cfg.feature_width))
+    for name, field in (("appearance", "d_a"), ("motion", "d_m")):
+        width = getattr(dets, name).shape[1]
+        if width != getattr(cfg, field):
+            raise ValueError(f"{name} width {width} != configured {field} {getattr(cfg, field)}")
+    headings = dets.boxes[:, 6].tolist()
+    return np.column_stack((
+        dets.boxes[:, :2],
+        dets.boxes[:, 3:6],
+        np.fromiter(map(math.sin, headings), float, n),
+        np.fromiter(map(math.cos, headings), float, n),
+        dets.conf,
+        dets.appearance,
+        dets.motion,
+    ))
 
 
 def _pad(
@@ -523,11 +517,13 @@ def extract_examples(
     ground-truth state at t, and the positive label marks the object's own
     detection when present.
     """
-    dets = [det for frame in scenario.detections for det in frame]
-    table = detection_features(dets, cfg)
-    starts = np.cumsum([0] + [len(frame) for frame in scenario.detections]).tolist()
+    frames = scenario.detections
+    table = np.concatenate([
+        np.empty((0, cfg.feature_width)), *(detection_features(frame, cfg) for frame in frames)
+    ])
+    starts = np.cumsum([0] + [len(frame.ids) for frame in frames]).tolist()
     # one int object per row, shared by every example that names the row
-    names = list(range(first_row, first_row + len(dets)))
+    names = list(range(first_row, first_row + len(table)))
 
     per_object: dict[int, list[tuple[int, int]]] = {}  # oid -> [(frame, row)]
     for t, prov in enumerate(scenario.provenance):
@@ -542,7 +538,7 @@ def extract_examples(
             for cols in select_context(
                 [track.states[t].position for track in scenario.gt_tracks],
                 table[starts[t] : starts[t + 1], :2],
-                [det.detection_id for det in scenario.detections[t]],
+                frames[t].ids,
                 cfg.context_radius,
                 cfg.k_max,
             )

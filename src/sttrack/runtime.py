@@ -2,21 +2,29 @@
 
 One loop serves both backends: each frame, the backend produces a gated
 track-by-detection cost matrix, the assignment solver resolves it, each
-matched detection becomes its track's last, unmatched tracks accumulate
-misses until deletion, and unmatched detections spawn new tracks with zero
-initial velocity and acceleration. Backends only differ in how they cost
-pairs and estimate states, so lifecycle behavior is identical across them.
+matched detection updates its track, unmatched tracks accumulate misses
+until deletion, and unmatched detections spawn new tracks with zero initial
+velocity and acceleration. Backends only differ in how they cost pairs and
+estimate states, so lifecycle behavior is identical across them.
+
+Detections and output stay columns throughout. `Tracker.step` takes a
+frame's `core.Detections` table, keeps the rows at or above
+`min_confidence` in id order as one index, and backends read boxes,
+centres and ids from the kept table. Backends return their states as
+`(n, 6)` arrays, and each step returns its frame's output as one
+`FrameTracks`: track ids, classes, boxes, confidences and states.
 
 Each piece of track state has one owner. The `Tracker` owns the lifecycle:
-one mutable `Track` per live id with its last matched detection, the frame
-and state of its last match and its misses, written only by `Tracker.step`.
-The estimators' state lives in the backends: `KalmanBackend.bank` holds the
-filters, `SttBackend.queries` and `history_rows` each track's query and the
-feature rows of its history. Track ids only grow, so the dict `Tracker.tracks`
-holds the live tracks in id order, and row `i` of every backend array is its
-`i`-th track. Backends take the solver's indices: `update_matched` its `(row,
-col)` pairs, `create_tracks` the columns of new tracks' detections, whose rows
-it appends, and `forget` the rows of the tracks the tracker deleted.
+one mutable `Track` per live id with the frame and state of its last match
+and its misses, written only by `Tracker.step`. The estimators' state lives
+in the backends: `KalmanBackend.bank` holds the filters and
+`KalmanBackend.boxes` each track's last box, `SttBackend.queries` and
+`history_rows` each track's query and the feature rows of its history.
+Track ids only grow, so the dict `Tracker.tracks` holds the live tracks in id
+order, and row `i` of every backend array is its `i`-th track. Backends take
+the solver's indices: `update_matched` its `(row, col)` pairs,
+`create_tracks` the columns of new tracks' detections, whose rows it
+appends, and `forget` the rows of the tracks the tracker deleted.
 """
 
 from __future__ import annotations
@@ -24,19 +32,12 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import assign
-from .core import (
-    Box7,
-    ClassId,
-    Detection,
-    StateVector,
-    bev_iou_matrix,
-    check_fields,
-    extrapolate,
-)
+from .core import ClassId, Detections, bev_iou_matrix, check_fields, extrapolate
 from .kalman import KfParams, KfState, init_state, predict, update
 from .model import (
     SttConfig,
@@ -68,29 +69,30 @@ class LifecycleConfig:
 
 @dataclass(slots=True)
 class Track:
-    """A live track: its last matched detection, the frame and state
-    estimate of that match, and the frames missed since."""
+    """A live track: the frame and the `[x, y, vx, vy, ax, ay]` state
+    estimate of its last match, and the frames missed since."""
 
     track_id: int
-    last: Detection
     frame: int
-    state: StateVector
+    state: np.ndarray  # (6,)
     misses: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class TrackerRow:
-    frame: int
-    track_id: int
-    class_id: ClassId
-    box: Box7
-    state: StateVector
-    confidence: float
+class FrameTracks(NamedTuple):
+    """One frame's tracker output as columns, one row per track matched or
+    created in the frame, in track-id order: its id, its detection's class,
+    box row and confidence, and its state estimate."""
+
+    track_ids: list[int]
+    classes: list[ClassId]
+    boxes: np.ndarray  # (n, 7)
+    conf: np.ndarray  # (n,)
+    states: np.ndarray  # (n, 6) [x, y, vx, vy, ax, ay]
 
 
 @dataclass(slots=True)
 class TrackerOutput:
-    frames: list[list[TrackerRow]] = field(default_factory=list)
+    frames: list[FrameTracks] = field(default_factory=list)
     frame_seconds: list[float] = field(default_factory=list)
 
 
@@ -99,61 +101,63 @@ class KalmanBackend:
 
     The filters form one bank: a stacked `KfState` with an `(N, 6)` mean and
     an `(N, 6, 6)` covariance, row `i` the filter of the tracker's `i`-th
-    live track. `create_tracks` appends rows and `forget` drops them. Each
-    frame runs one stacked `predict` over the bank and one stacked `update`
-    over the rows of the matched tracks.
+    live track, and `boxes` row `i` the box of that track's last match.
+    `create_tracks` appends rows and `forget` drops them. Each frame runs one
+    stacked `predict` over the bank and one stacked `update` over the rows of
+    the matched tracks.
     """
 
     def __init__(self, params: KfParams, dt: float):
         self.params = params
         self.dt = dt
         self.bank = init_state(np.empty((0, 2)), params)
+        self.boxes = np.empty((0, 7))
 
-    def frame_costs(
-        self, frame_index: int, tracks: list[Track], dets: list[Detection]
-    ) -> np.ndarray:
+    def frame_costs(self, frame_index: int, tracks: list[Track], dets: Detections) -> np.ndarray:
         if len(tracks) != len(self.bank.mean):
             raise ValueError(
                 f"{len(tracks)} tracks, but the filter bank holds {len(self.bank.mean)}"
             )
         self.bank = predict(self.bank, self.dt, self.params)
-        boxes = np.array([track.last.box.as_row() for track in tracks]).reshape(-1, 7)
+        boxes = self.boxes.copy()
         boxes[:, :2] = self.bank.mean[:, :2]  # each box at its filter's predicted center
-        iou = bev_iou_matrix(boxes, [det.box.as_row() for det in dets])
+        iou = bev_iou_matrix(boxes, dets.boxes)
         return np.where(iou > self.params.iou_gate, 1.0 - iou, assign.FORBIDDEN)
 
     def update_matched(
-        self, frame_index: int, pairs: list[tuple[int, int]], dets: list[Detection]
-    ) -> list[StateVector]:
+        self, frame_index: int, pairs: list[tuple[int, int]], dets: Detections
+    ) -> np.ndarray:
         if not pairs:
-            return []
-        rows = [r for r, _ in pairs]
+            return np.empty((0, 6))
+        rows, cols = map(list, zip(*pairs))
         matched = update(
             KfState(self.bank.mean[rows], self.bank.covariance[rows]),
-            [dets[c].box.center_xy for _, c in pairs],
+            dets.boxes[cols, :2],
             self.params,
         )
         self.bank.mean[rows] = matched.mean
         self.bank.covariance[rows] = matched.covariance
-        return matched.state_vectors()
+        self.boxes[rows] = dets.boxes[cols]
+        return matched.mean
 
-    def create_tracks(
-        self, frame_index: int, cols: list[int], dets: list[Detection]
-    ) -> list[StateVector]:
+    def create_tracks(self, frame_index: int, cols: list[int], dets: Detections) -> np.ndarray:
         if not cols:
-            return []
-        new = init_state([dets[c].box.center_xy for c in cols], self.params)
+            return np.empty((0, 6))
+        boxes = dets.boxes[cols]
+        new = init_state(boxes[:, :2], self.params)
         self.bank = KfState(
             np.concatenate([self.bank.mean, new.mean]),
             np.concatenate([self.bank.covariance, new.covariance]),
         )
-        return new.state_vectors()
+        self.boxes = np.concatenate([self.boxes, boxes])
+        return new.mean
 
     def forget(self, rows: list[int]) -> None:
         self.bank = KfState(
             np.delete(self.bank.mean, rows, axis=0),
             np.delete(self.bank.covariance, rows, axis=0),
         )
+        self.boxes = np.delete(self.boxes, rows, axis=0)
 
 
 class SttBackend:
@@ -180,7 +184,7 @@ class SttBackend:
         self.dt = dt
         self.queries = np.empty((0, cfg.d_q))
         self.history_rows: list[np.ndarray] = []
-        self._tdi_states: dict[int, StateVector] = {}  # row -> association-pass state
+        self._tdi_states: dict[int, np.ndarray] = {}  # row -> association-pass state
         self._frame_index: int | None = None
         self._frame_rows = np.empty((0, cfg.feature_width))
 
@@ -193,24 +197,19 @@ class SttBackend:
             )
         return self._frame_rows[cols]
 
-    def frame_costs(
-        self, frame_index: int, tracks: list[Track], dets: list[Detection]
-    ) -> np.ndarray:
+    def frame_costs(self, frame_index: int, tracks: list[Track], dets: Detections) -> np.ndarray:
         self._frame_index = frame_index
         self._frame_rows = detection_features(dets, self.cfg)
-        costs = np.full((len(tracks), len(dets)), assign.FORBIDDEN)
+        costs = np.full((len(tracks), len(dets.ids)), assign.FORBIDDEN)
         self._tdi_states = {}
-        if not tracks or not dets:
+        if not tracks or not dets.ids:
             return costs
-        track_states = np.array([
-            (*track.state.position, *track.state.velocity, *track.state.acceleration)
-            for track in tracks
-        ])
+        track_states = np.array([track.state for track in tracks])
         elapsed = (frame_index - np.array([track.frame for track in tracks])) * self.dt
         contexts = select_context(
             extrapolate(track_states, elapsed)[:, :2],
             self._frame_rows[:, :2],
-            [det.detection_id for det in dets],
+            dets.ids,
             self.cfg.context_radius,
             self.cfg.k_max,
         )
@@ -226,7 +225,7 @@ class SttBackend:
         )
         if self.cfg.state_source == "tdi":
             states[:, :2] += anchors
-            self._tdi_states = dict(zip(live_rows, StateVector.from_rows(states)))
+            self._tdi_states = dict(zip(live_rows, states))
         # scores of live slots, in the order of `cols`
         slot_scores = scores[np.arange(scores.shape[1]) < np.array(lengths)[:, None]]
         rows = np.repeat(live_rows, lengths)
@@ -235,10 +234,10 @@ class SttBackend:
         return costs
 
     def update_matched(
-        self, frame_index: int, pairs: list[tuple[int, int]], dets: list[Detection]
-    ) -> list[StateVector]:
+        self, frame_index: int, pairs: list[tuple[int, int]], dets: Detections
+    ) -> np.ndarray:
         if not pairs:
-            return []
+            return np.empty((0, 6))
         track_rows = [r for r, _ in pairs]
         new_rows = self._rows(frame_index, [c for _, c in pairs])
         # One gather from the held histories and the new rows, stacked, builds
@@ -258,24 +257,22 @@ class SttBackend:
         if self.cfg.state_source == "tsd":
             states = decode_states(self.params, queries)
             states[:, :2] += new_rows[:, :2]  # each match's anchor: its detection's centre
-            return StateVector.from_rows(states)
-        # tdi: the state predicted during the association pass; a track matched
-        # without a scored context falls back to the detection center
-        return [
-            self._tdi_states.get(r) or StateVector.zero(dets[c].box.center_xy)
-            for r, c in pairs
-        ]
+            return states
+        # tdi: the state predicted during the association pass. Only a track
+        # with a scored context has a cost below FORBIDDEN, so every matched
+        # track has one.
+        return np.array([self._tdi_states[r] for r in track_rows])
 
-    def create_tracks(
-        self, frame_index: int, cols: list[int], dets: list[Detection]
-    ) -> list[StateVector]:
+    def create_tracks(self, frame_index: int, cols: list[int], dets: Detections) -> np.ndarray:
         if not cols:
-            return []
+            return np.empty((0, 6))
         rows = self._rows(frame_index, cols)
         queries = queries_from_histories(self.params, self.cfg, rows, [1] * len(cols))
         self.queries = np.concatenate([self.queries, queries])
         self.history_rows.extend(rows[:, None])
-        return [StateVector.zero(dets[c].box.center_xy) for c in cols]
+        states = np.zeros((len(cols), 6))  # at rest at the detections' centres
+        states[:, :2] = dets.boxes[cols, :2]
+        return states
 
     def forget(self, rows: list[int]) -> None:
         self.queries = np.delete(self.queries, rows, axis=0)
@@ -294,21 +291,19 @@ class Tracker:
         self.next_track_id = 1
         self.last_frame = -1
 
-    def step(self, frame_index: int, detections: list[Detection]) -> list[TrackerRow]:
+    def step(self, frame_index: int, detections: Detections) -> FrameTracks:
         if frame_index <= self.last_frame:
             raise ValueError(
                 f"frame indices must be monotone: {frame_index} after {self.last_frame}"
             )
         self.last_frame = frame_index
-        ids = [d.detection_id for d in detections]
+        ids = detections.ids
         if len(set(ids)) != len(ids):
             raise DuplicateDetectionError(
                 f"duplicate detection ids in frame {frame_index}"
             )
-        dets = sorted(
-            (d for d in detections if d.confidence >= self.lifecycle.min_confidence),
-            key=lambda d: d.detection_id,
-        )
+        kept = np.flatnonzero(detections.conf >= self.lifecycle.min_confidence).tolist()
+        dets = detections.take(sorted(kept, key=ids.__getitem__))
         active = list(self.tracks.values())
 
         costs = self.backend.frame_costs(frame_index, active, dets)
@@ -316,20 +311,16 @@ class Tracker:
         matched_rows = {r for r, _ in pairs}
         matched_cols = {c for _, c in pairs}
 
-        rows: list[TrackerRow] = []
         estimates = self.backend.update_matched(frame_index, pairs, dets)
-        for (r, c), state in zip(pairs, estimates):
-            track, det = active[r], dets[c]
-            track.last = det
+        if not np.isfinite(estimates).all():
+            bad = float(estimates[~np.isfinite(estimates)][0])
+            raise ValueError(f"non-finite state component: {bad!r}")
+        for (r, _), state in zip(pairs, estimates):
+            track = active[r]
             track.frame = frame_index
             track.state = state
             track.misses = 0
-            rows.append(
-                TrackerRow(
-                    frame_index, track.track_id, det.class_id, det.box, state,
-                    det.confidence,
-                )
-            )
+        track_ids = [active[r].track_id for r, _ in pairs]
 
         dead: list[int] = []
         for r, track in enumerate(active):
@@ -342,31 +333,32 @@ class Tracker:
         if dead:
             self.backend.forget(dead)
 
-        new_cols = [c for c in range(len(dets)) if c not in matched_cols]
+        new_cols = [c for c in range(len(dets.ids)) if c not in matched_cols]
         created = self.backend.create_tracks(frame_index, new_cols, dets)
-        for c, state in zip(new_cols, created):
-            det, tid = dets[c], self.next_track_id
+        for state in created:
+            tid = self.next_track_id
             self.next_track_id += 1
-            self.tracks[tid] = Track(tid, det, frame_index, state)
-            rows.append(
-                TrackerRow(frame_index, tid, det.class_id, det.box, state,
-                           det.confidence)
-            )
-        # rows are in track-id order: pairs come sorted by row, and every new
-        # id is larger than the live ones
-        return rows
+            self.tracks[tid] = Track(tid, frame_index, state)
+            track_ids.append(tid)
+        # rows in track-id order: pairs come sorted by row, and every new id
+        # is larger than the live ones
+        cols = [c for _, c in pairs] + new_cols
+        return FrameTracks(
+            track_ids, [dets.classes[c] for c in cols], dets.boxes[cols], dets.conf[cols],
+            np.concatenate([estimates, created]),
+        )
 
 
 def run_sequence(
-    detections: Sequence[Sequence[Detection]], backend, lifecycle: LifecycleConfig
+    detections: Sequence[Detections], backend, lifecycle: LifecycleConfig
 ) -> TrackerOutput:
-    """Track a whole sequence of per-frame detections; deterministic, with
-    per-frame wall time."""
+    """Track a whole sequence of per-frame detections tables; deterministic,
+    with per-frame wall time."""
     tracker = Tracker(backend, lifecycle)
     output = TrackerOutput()
     for frame_index, frame_dets in enumerate(detections):
         start = time.perf_counter()
-        rows = tracker.step(frame_index, list(frame_dets))
+        rows = tracker.step(frame_index, frame_dets)
         output.frame_seconds.append(time.perf_counter() - start)
         output.frames.append(rows)
     return output

@@ -13,8 +13,9 @@ makes a scene reproducible: each object's appearance signature, in object
 order; then, per object in object order, its miss, centre, heading, size,
 appearance and confidence noise for every frame; then the false-positive
 count of every frame; then each false positive's draws, frame by frame.
-An object's noise is applied to all its frames at once, and each frame
-lists its seen objects in object order, then its false positives.
+An object's noise is applied to all its frames at once. Each frame's
+detections are one `core.Detections` table, its seen objects in object
+order and then its false positives.
 
 This module owns the run config's `sim` section: `SimConfig`, with its
 `PopulationConfig`, `NoiseModel` and `SpeedThresholds`, is the section as
@@ -24,13 +25,14 @@ objects from it and `generate` simulates them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TAU, Box7, ClassId, Detection, StateVector, check_fields, normalize_heading
+from .core import TAU, Box7, ClassId, Detections, StateVector, check_fields, normalize_heading
 
 FALSE_POSITIVE = -1
 
@@ -49,9 +51,9 @@ _MAX_SIGMA = 1e6
 # of 60 m to 1e8 m, 0.859 at 3e8 m and 0.474 at 1e9 m. 1e7 m keeps a tenfold
 # margin below the first loss.
 _MAX_COORD_M = 1e7
-# `generate` builds one `Detection` per false positive, so the rate caps the
-# objects a frame holds; numpy's own Poisson limit (about 9.2e18) is far past
-# what memory allows.
+# `generate` draws each false positive in a loop of its own and gives it a
+# table row, so the rate caps the rows a frame holds and the time they take;
+# numpy's own Poisson limit (about 9.2e18) is far past what memory allows.
 _MAX_FP_RATE = 1e3
 
 _PROFILE_KINDS = ("static", "constant_velocity", "constant_acceleration", "turn")
@@ -247,7 +249,7 @@ class Scenario:
     frames: int
     dt: float
     gt_tracks: tuple[GtTrack, ...]
-    detections: tuple[tuple[Detection, ...], ...]
+    detections: tuple[Detections, ...]  # one table per frame
     provenance: tuple[tuple[int, ...], ...]  # aligned with detections; -1 = FP
 
 
@@ -357,48 +359,51 @@ def generate(config: SimConfig, objects: Sequence[ObjectSpec], seed: int) -> Sce
             (seen, np.full(len(seen), oid), center, size, heading, appearance, motion, conf)
         )
 
-    # Detections are built frame by frame, objects in object order within a
-    # frame, so that they sit in memory in the order every later reader walks
-    # them; built object by object, `formats.scenario_rows` ran 6-11% slower.
-    detections: list[list[Detection]] = [[] for _ in range(n_frames)]
-    provenance: list[list[int]] = [[] for _ in range(n_frames)]
-    columns = [np.concatenate(column) for column in zip(*sightings)]
-    order = np.argsort(columns[0], kind="stable")
-    for k, oid, c, sz, h, a, m, p in zip(*(column[order].tolist() for column in columns)):
-        frame = detections[k]
-        frame.append(Detection(
-            box=Box7(tuple(c), tuple(sz), h), appearance=tuple(a), motion=tuple(m),
-            confidence=p, frame_index=k, detection_id=len(frame), class_id=objects[oid].class_id,
-        ))
-        provenance[k].append(oid)
-
+    # Then the false positives, frame by frame, each drawing its position,
+    # class, size, heading, appearance and confidence in turn.
     fp_counts = rng.poisson(noise.fp_rate, size=n_frames)
-
+    n_fp = int(fp_counts.sum())
     half = 0.5 * config.field_size
     classes = sorted({spec.class_id for spec in objects}, key=lambda c: c.value)
-    for k, count in enumerate(fp_counts.tolist()):
-        frame = detections[k]
-        for _ in range(count):
-            cx, cy = rng.uniform(-half, half, size=2).tolist()
-            cls = classes[int(rng.integers(len(classes)))]
-            size = tuple(rng.uniform(*_FP_SIZE_RANGE[cls]).tolist())
-            heading = normalize_heading(float(rng.uniform(-math.pi, math.pi)))
-            sig = rng.standard_normal(d_a)
-            sig /= np.linalg.norm(sig)
-            conf = float(rng.uniform(0.05, 0.4))
-            frame.append(Detection(
-                box=Box7((cx, cy, 0.5 * size[2]), size, heading),
-                appearance=tuple(sig.tolist()), motion=(0.0, 0.0), confidence=conf,
-                frame_index=k, detection_id=len(frame), class_id=cls,
-            ))
-            provenance[k].append(FALSE_POSITIVE)
+    fp_classes = []
+    fp_boxes, fp_appearance, fp_conf = np.empty((n_fp, 7)), np.empty((n_fp, d_a)), np.empty(n_fp)
+    for i in range(n_fp):
+        cx, cy = rng.uniform(-half, half, size=2).tolist()
+        cls = classes[int(rng.integers(len(classes)))]
+        w, l, h = rng.uniform(*_FP_SIZE_RANGE[cls]).tolist()
+        heading = normalize_heading(float(rng.uniform(-math.pi, math.pi)))
+        sig = rng.standard_normal(d_a)
+        fp_appearance[i] = sig / np.linalg.norm(sig)
+        fp_conf[i] = rng.uniform(0.05, 0.4)
+        fp_boxes[i] = (cx, cy, 0.5 * h, w, l, h, heading)
+        fp_classes.append(cls)
 
+    # One table of every detection, frame after frame: in each frame the seen
+    # objects in object order, then the false positives. A detection's id is
+    # its place in its frame.
+    frame, oid, center, size, heading, appearance, motion, conf = (
+        np.concatenate(column) for column in zip(*sightings)
+    )
+    frame = np.concatenate((frame, np.repeat(np.arange(n_frames), fp_counts)))
+    order = np.argsort(frame, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(frame, minlength=n_frames))))
+    class_ids = [objects[o].class_id for o in oid.tolist()] + fp_classes
+    provenance = np.concatenate((oid, np.full(n_fp, FALSE_POSITIVE)))[order].tolist()
+    table = Detections(
+        (np.arange(len(frame)) - offsets[frame[order]]).tolist(),
+        [class_ids[i] for i in order.tolist()],
+        np.concatenate((np.column_stack((center, size, heading)), fp_boxes))[order],
+        np.concatenate((conf, fp_conf))[order],
+        np.concatenate((appearance, fp_appearance))[order],
+        np.concatenate((motion, np.zeros((n_fp, 2))))[order],
+    )
+    offsets = offsets.tolist()
     return Scenario(
         frames=n_frames,
         dt=dt,
         gt_tracks=tuple(gt_tracks),
-        detections=tuple(map(tuple, detections)),
-        provenance=tuple(map(tuple, provenance)),
+        detections=table.split(offsets),
+        provenance=tuple(tuple(provenance[a:b]) for a, b in itertools.pairwise(offsets)),
     )
 
 

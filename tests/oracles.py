@@ -3,7 +3,11 @@ and small builders the tests share."""
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
+from collections.abc import Sequence
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -11,13 +15,84 @@ import numpy as np
 from sttrack import autodiff as ad
 from sttrack import formats, model
 from sttrack.autodiff import Tensor
-from sttrack.core import Box7, ClassId, Detection, StateVector, normalize_heading
+from sttrack.core import Box7, ClassId, Detections, StateVector, normalize_heading
 from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
 from sttrack.metrics import EvalBox, Evaluator, MatchingPolicy
 from sttrack.model import SttConfig
 from sttrack.sim import FALSE_POSITIVE, GtTrack, NoiseModel, Scenario, trajectory_at
 
 NOISELESS = NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+# --- detections as rows -------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Detection:
+    """One detection as a row: the row type of the per-row references, and
+    how tests write down the detections of a table (see `detections_table`)."""
+
+    box: Box7
+    appearance: tuple[float, ...]
+    motion: tuple[float, ...]
+    confidence: float
+    frame_index: int
+    detection_id: int
+    class_id: ClassId
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+
+
+def detections_table(dets: Sequence[Detection], d_a: int = 0, d_m: int = 0) -> Detections:
+    """The `Detections` table of `dets`, row for row: the one way tests build
+    tables. An empty table's appearance and motion are `d_a` and `d_m` wide."""
+    n = len(dets)
+    if n:
+        d_a, d_m = len(dets[0].appearance), len(dets[0].motion)
+    return Detections(
+        [det.detection_id for det in dets],
+        [det.class_id for det in dets],
+        np.array([det.box.as_row() for det in dets], dtype=float).reshape(n, 7),
+        np.array([det.confidence for det in dets], dtype=float),
+        np.array([det.appearance for det in dets], dtype=float).reshape(n, d_a),
+        np.array([det.motion for det in dets], dtype=float).reshape(n, d_m),
+    )
+
+
+def table_rows(dets: Detections, frame: int = 0) -> tuple[Detection, ...]:
+    """The rows of a detections table as `Detection`s of frame `frame`, once
+    its columns have the documented types and shapes; a heading outside
+    (-pi, pi] fails, as `Box7` would normalize it."""
+    n = len(dets.ids)
+    assert type(dets.ids) is list and type(dets.classes) is list and len(dets.classes) == n
+    assert dets.boxes.shape == (n, 7) and dets.conf.shape == (n,)
+    assert dets.appearance.shape[0] == dets.motion.shape[0] == n
+    assert {a.dtype for a in dets[2:]} == {np.dtype(float)}
+    boxes = [Box7(tuple(r[:3]), tuple(r[3:6]), r[6]) for r in dets.boxes.tolist()]
+    assert [box.as_row() for box in boxes] == list(map(tuple, dets.boxes.tolist()))
+    return tuple(map(
+        Detection, boxes, map(tuple, dets.appearance.tolist()), map(tuple, dets.motion.tolist()),
+        dets.conf.tolist(), itertools.repeat(frame), dets.ids, dets.classes,
+    ))
+
+
+def frame_rows(frames: Sequence[Detections]) -> tuple[tuple[Detection, ...], ...]:
+    """`table_rows` of each of per-frame tables, frame `k` the `k`-th."""
+    return tuple(table_rows(dets, k) for k, dets in enumerate(frames))
+
+
+def scenario_repr(scenario: Scenario) -> str:
+    """The repr of `scenario` with its detections as rows, which shows every
+    float's digits and every value's type: two scenarios of equal reprs hold
+    the same values."""
+    return repr(dataclasses.replace(scenario, detections=frame_rows(scenario.detections)))
+
+
+def state_at(x: float, y: float) -> StateVector:
+    """A state at rest at (x, y)."""
+    return StateVector((x, y), (0.0, 0.0), (0.0, 0.0))
 
 
 def state_from_array(arr) -> StateVector:
@@ -162,8 +237,9 @@ def extract_examples_per_detection(scenario: Scenario, cfg: SttConfig) -> list[t
     """`model.extract_examples`'s examples as (history, context, labels,
     state_t, state_prev) with detections in place of table rows, each context
     selected by the per-row `select_context`."""
+    frames = frame_rows(scenario.detections)
     per_object: dict[int, list[tuple[int, Detection]]] = {}
-    for t, (frame, prov) in enumerate(zip(scenario.detections, scenario.provenance)):
+    for t, (frame, prov) in enumerate(zip(frames, scenario.provenance)):
         for det, oid in zip(frame, prov):
             if oid != FALSE_POSITIVE:
                 per_object.setdefault(oid, []).append((t, det))
@@ -174,7 +250,7 @@ def extract_examples_per_detection(scenario: Scenario, cfg: SttConfig) -> list[t
             prior = [det for frame, det in obs if frame < t][-cfg.t_max :]
             own = [det.detection_id for frame, det in obs if frame == t]
             context = select_context(
-                track.states[t], list(scenario.detections[t]), cfg.context_radius, cfg.k_max
+                track.states[t], list(frames[t]), cfg.context_radius, cfg.k_max
             )
             if context:
                 examples.append((
@@ -343,7 +419,7 @@ def scenario_numbers(scenario: Scenario):
         for box, state in zip(track.boxes, track.states):
             yield from (*box.center, *box.size, box.heading)
             yield from (*state.position, *state.velocity, *state.acceleration)
-    for frame in scenario.detections:
+    for frame in frame_rows(scenario.detections):
         for det in frame:
             yield from (*det.box.center, *det.box.size, det.box.heading)
             yield from (*det.appearance, *det.motion, det.confidence)
@@ -372,7 +448,7 @@ def generate_per_frame(config, objects, seed: int) -> Scenario:
         pos, vel, acc, heading = trajectory_at(spec, times)
         boxes = tuple(
             Box7(
-                (pos[k, 0], pos[k, 1], 0.5 * spec.size[2]),
+                (float(pos[k, 0]), float(pos[k, 1]), 0.5 * spec.size[2]),
                 spec.size,
                 normalize_heading(float(heading[k])),
             )
@@ -405,7 +481,7 @@ def generate_per_frame(config, objects, seed: int) -> Scenario:
 
     half = 0.5 * config.field_size
     classes = sorted({spec.class_id for spec in objects}, key=lambda c: c.value)
-    detections: list[tuple[Detection, ...]] = []
+    detections: list[Detections] = []
     provenance: list[tuple[int, ...]] = []
     last_seen: list[tuple[int, np.ndarray] | None] = [None] * len(objects)
 
@@ -481,7 +557,7 @@ def generate_per_frame(config, objects, seed: int) -> Scenario:
             frame_prov.append(FALSE_POSITIVE)
             det_id += 1
 
-        detections.append(tuple(frame_dets))
+        detections.append(detections_table(frame_dets, d_a, 2))
         provenance.append(tuple(frame_prov))
 
     return Scenario(

@@ -2,7 +2,9 @@ import concurrent.futures
 import dataclasses
 import json
 import shutil
+import warnings
 
+import orjson
 import pytest
 
 from sttrack import autodiff, cli, formats, model
@@ -186,6 +188,40 @@ def test_detections_of_another_model_width_exit_2(tmp_path, capsys, command, ove
     assert cli.main(argv) == cli.EXIT_CONFIG
     (det,) = data.glob("*.det.jsonl")
     assert last_error(capsys) == f"{det}: {reason}"
+
+
+def to_zero_frames(data):
+    """Cut every scene file in `data` to its header, saying zero frames."""
+    for path in data.glob("*.jsonl"):
+        header = json.loads(path.read_text().splitlines()[0])
+        header["config"]["frames"] = 0
+        path.write_text(json.dumps(header) + "\n")
+
+
+def test_train_on_scenes_without_a_training_example_exits_2(tmp_path, capsys):
+    config, data = simulate(tmp_path)
+    to_zero_frames(data)
+    capsys.readouterr()
+    assert cli.main([
+        "train", "--config", str(config), "--data", str(data),
+        "--out", str(tmp_path / "model"), "--steps", "1",
+    ]) == cli.EXIT_CONFIG
+    assert last_error(capsys) == f"{data}: its 1 scene(s) yield no training example"
+    assert not (tmp_path / "model").exists()
+
+
+@pytest.mark.parametrize("zero_frames", [True, False])
+def test_track_writes_timing_as_strict_json(tmp_path, zero_frames):
+    config, data = simulate(tmp_path)
+    if zero_frames:
+        to_zero_frames(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning fails the command
+        assert track(config, data, tmp_path / "tracks") == cli.EXIT_OK
+    (path,) = (tmp_path / "tracks").glob("*.timing.json")
+    timing = orjson.loads(path.read_bytes())  # rejects NaN and the infinities
+    assert timing["frames"] == (0 if zero_frames else 20)
+    assert (timing["mean_ms_per_frame"] == 0.0) == zero_frames
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -6,12 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import center_distance, euler_extrapolate, mc_bev_iou, state_from_array
+from oracles import (
+    Detection,
+    center_distance,
+    detections_table,
+    euler_extrapolate,
+    frame_rows,
+    mc_bev_iou,
+    state_at,
+    state_from_array,
+    table_rows,
+)
 from sttrack import core
 from sttrack.core import (
     Box7,
     ClassId,
-    Detection,
     StateVector,
     bev_iou,
     bev_iou_matrix,
@@ -24,15 +34,15 @@ def make_box(cx=0.0, cy=0.0, w=2.0, l=4.0, heading=0.0, cz=1.0, h=1.5):
     return Box7((cx, cy, cz), (w, l, h), heading)
 
 
-def make_detection(cx=0.0, cy=0.0, frame=0, det_id=0, heading=0.0):
+def make_detection(cx=0.0, cy=0.0, frame=0, det_id=0, heading=0.0, conf=0.9):
     return Detection(
         box=make_box(cx, cy, heading=heading),
-        appearance=(0.1, 0.2),
-        motion=(0.0, 0.0),
-        confidence=0.9,
+        appearance=(0.1, 0.2 * det_id),
+        motion=(0.0, -0.5 * det_id),
+        confidence=conf,
         frame_index=frame,
         detection_id=det_id,
-        class_id=ClassId.VEHICLE,
+        class_id=ClassId.VEHICLE if det_id % 2 else ClassId.PEDESTRIAN,
     )
 
 
@@ -184,7 +194,7 @@ def test_iou_matrix_equals_per_pair_iou_bit_for_bit(raw_a, raw_b, touching):
 
 
 def test_extrapolate_static():
-    s = StateVector.zero().as_array()
+    s = state_at(0.0, 0.0).as_array()
     assert extrapolate(s, 0.1).tolist() == s.tolist()
 
 
@@ -239,7 +249,7 @@ def test_extrapolate_stacked_is_each_state_in_python_floats():
 
 def test_extrapolate_rejects_negative_dt():
     with pytest.raises(ValueError, match="dt must be >= 0"):
-        extrapolate(StateVector.zero().as_array(), -0.1)
+        extrapolate(state_at(0.0, 0.0).as_array(), -0.1)
     with pytest.raises(ValueError, match="dt must be >= 0"):
         extrapolate(np.zeros((3, 6)), [0.1, -0.1, 0.0])
     with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
@@ -250,12 +260,12 @@ def test_extrapolate_rejects_negative_dt():
 
 
 def test_center_distance_coincident():
-    s = StateVector.zero((3.0, 4.0))
+    s = state_at(3.0, 4.0)
     assert center_distance(s, make_box(3, 4)) == 0.0
 
 
 def test_center_distance_345():
-    s = StateVector.zero((0.0, 0.0))
+    s = state_at(0.0, 0.0)
     assert center_distance(s, make_box(3, 4, cz=7.0)) == pytest.approx(5.0)
 
 
@@ -263,7 +273,7 @@ def test_center_distance_random():
     rng = np.random.default_rng(6)
     for _ in range(50):
         px, py, bx, by = rng.uniform(-10, 10, 4)
-        s = StateVector.zero((px, py))
+        s = state_at(px, py)
         d = center_distance(s, make_box(bx, by))
         assert d == pytest.approx(math.sqrt((px - bx) ** 2 + (py - by) ** 2))
 
@@ -305,14 +315,16 @@ def test_state_vector_array_round_trip():
         StateVector.from_rows(np.array([[0.0, 0.0, math.inf, 0.0, 0.0, 0.0]]))
 
 
-def test_detection_confidence_range():
-    with pytest.raises(ValueError):
-        make_detection().__class__(
-            box=make_box(),
-            appearance=(0.0,),
-            motion=(0.0,),
-            confidence=1.5,
-            frame_index=0,
-            detection_id=0,
-            class_id=ClassId.VEHICLE,
-        )
+def test_detections_take_and_split_keep_every_column():
+    dets = [make_detection(1.5 * j, -0.5 * j, det_id=j, conf=0.1 * j) for j in range(6)]
+    table = detections_table(dets)
+    taken = table.take([4, 0, 5])
+    assert repr(table_rows(taken)) == repr((dets[4], dets[0], dets[5]))
+    assert repr(table_rows(table.take([]))) == "()"
+    frames = table.split([0, 2, 2, 6])
+    assert repr(frame_rows(frames)) == repr((
+        tuple(dets[:2]),
+        (),
+        tuple(dataclasses.replace(det, frame_index=2) for det in dets[2:]),
+    ))
+    assert [f.appearance.shape for f in frames] == [(2, 2), (0, 2), (4, 2)]

@@ -17,7 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_detections, reference_frames, scenario_numbers
+from oracles import (
+    frame_rows,
+    reference_detections,
+    reference_frames,
+    scenario_numbers,
+    scenario_repr,
+)
 from sttrack import cli, formats
 from sttrack.core import ClassId
 from sttrack.formats import (
@@ -69,7 +75,7 @@ def test_scenario_round_trips_bit_exactly(tmp_path):
     scenario = make_scenario()
     gt_path, det_path = write_scenario(tmp_path, "s0", scenario, {"note": 1})
     loaded = read_scenario(gt_path, det_path)
-    assert loaded == scenario  # float repr round-trip is exact
+    assert scenario_repr(loaded) == scenario_repr(scenario)  # float repr round-trip is exact
     types = [type(x) for x in scenario_numbers(scenario)]
     assert [type(x) for x in scenario_numbers(loaded)] == types
 
@@ -104,7 +110,7 @@ def test_read_detections_equals_scenario_detections(tmp_path):
     scenario = make_scenario(seed=3)
     _, det_path = write_scenario(tmp_path, "s0", scenario, {})
     dt, detections = read_detections(det_path)
-    assert detections == scenario.detections
+    assert repr(frame_rows(detections)) == repr(frame_rows(scenario.detections))
     assert dt == scenario.dt
 
 
@@ -652,7 +658,7 @@ def test_tracker_output_round_trip(tmp_path):
     assert header["config"]["backend"] == "kalman"
     assert len(frames) == scenario.frames
     total = sum(len(f) for f in frames)
-    assert total == sum(len(f) for f in output.frames)
+    assert total == sum(len(f.track_ids) for f in output.frames)
     first = next(f for f in frames if f)[0]
     assert first.class_id is ClassId.VEHICLE
 
@@ -920,12 +926,12 @@ def test_detections_readers_equal_the_per_row_reference(case):
 
         def scenario_detections():
             scenario = read_scenario(gt_path, det_path)
-            return scenario.detections, scenario.provenance
+            return frame_rows(scenario.detections), scenario.provenance
 
         expected = repr_or_error(lambda: reference_detections(det_path))
         assert repr_or_error(scenario_detections) == expected
         expected = repr_or_error(lambda: reference_detections(det_path)[0])
-        assert repr_or_error(lambda: read_detections(det_path)[1]) == expected
+        assert repr_or_error(lambda: frame_rows(read_detections(det_path)[1])) == expected
 
 
 def test_ids_past_int64_read_and_evaluate(tmp_path):

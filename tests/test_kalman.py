@@ -5,7 +5,7 @@ import pytest
 
 from oracles import kalman_predict_reference, kalman_update_reference, mc_bev_iou
 from sttrack.assign import FORBIDDEN
-from sttrack.core import Box7, ClassId, Detection
+from sttrack.core import Box7
 from sttrack.kalman import (
     KalmanDivergenceError,
     _predict_constants,
@@ -14,7 +14,6 @@ from sttrack.kalman import (
     init_state,
     kf_association_cost,
     predict,
-    predicted_box,
     process_noise,
     transition_matrix,
     update,
@@ -28,16 +27,8 @@ PRECISE = KfParams(
 )
 
 
-def make_detection(cx, cy, w=2.0, l=4.0, heading=0.0):
-    return Detection(
-        box=Box7((cx, cy, 0.75), (w, l, 1.5), heading),
-        appearance=(0.0,),
-        motion=(0.0, 0.0),
-        confidence=1.0,
-        frame_index=0,
-        detection_id=0,
-        class_id=ClassId.VEHICLE,
-    )
+def make_box(cx, cy, w=2.0, l=4.0, heading=0.0):
+    return Box7((cx, cy, 0.75), (w, l, 1.5), heading)
 
 
 def test_predict_static_mean():
@@ -230,26 +221,27 @@ def test_nonpositive_definite_covariance_aborts():
 
 def test_association_cost_perfect_overlap():
     p = KfParams()
-    det = make_detection(0.0, 0.0)
+    box = make_box(0.0, 0.0).as_row()
     s = KfState(np.zeros(6), np.eye(6))
-    assert kf_association_cost(s, det.box, det, p) == pytest.approx(0.0)
+    assert kf_association_cost(s, box, box, p) == pytest.approx(0.0)
 
 
 def test_association_cost_disjoint_is_forbidden():
     p = KfParams()
-    det = make_detection(50.0, 0.0)
     s = KfState(np.zeros(6), np.eye(6))
     last_box = Box7((0.0, 0.0, 0.75), (2.0, 4.0, 1.5), 0.0)
-    assert kf_association_cost(s, last_box, det, p) is FORBIDDEN
+    cost = kf_association_cost(s, last_box.as_row(), make_box(50.0, 0.0).as_row(), p)
+    assert cost is FORBIDDEN
 
 
 def test_association_cost_half_overlap_matches_monte_carlo():
     p = KfParams()
-    det = make_detection(1.0, 0.4, heading=0.3)
-    last_box = Box7((0.0, 0.0, 0.75), (2.0, 4.0, 1.5), 0.0)
-    s = KfState(np.zeros(6), np.eye(6))
-    cost = kf_association_cost(s, last_box, det, p)
-    mc = mc_bev_iou(predicted_box(s.mean, last_box), det.box, n_samples=400_000, seed=9)
+    box = make_box(1.0, 0.4, heading=0.3)
+    s = KfState(np.array([0.5, -0.25, 0.0, 0.0, 0.0, 0.0]), np.eye(6))
+    last_box = Box7((3.0, 7.0, 0.75), (2.0, 4.0, 1.5), 0.0)
+    cost = kf_association_cost(s, last_box.as_row(), box.as_row(), p)
+    predicted = Box7((0.5, -0.25, 0.75), (2.0, 4.0, 1.5), 0.0)  # last_box at the mean's centre
+    mc = mc_bev_iou(predicted, box, n_samples=400_000, seed=9)
     assert cost == pytest.approx(1.0 - mc, abs=0.01)
 
 

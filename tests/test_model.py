@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sttrack import autodiff as ad
 from sttrack import model as m
 from sttrack.autodiff import Tensor
-from sttrack.core import Box7, ClassId, Detection, StateVector
+from sttrack.core import Box7, ClassId, StateVector
 from sttrack.model import (
     SttConfig,
     TrainingExample,
@@ -29,7 +29,11 @@ from sttrack.model import (
 from sttrack.sim import MotionProfile, NoiseModel, ObjectSpec, SimConfig, generate
 
 from oracles import (
+    Detection,
     detection_features_row,
+    detections_table,
+    frame_rows,
+    state_at,
     extract_examples_per_detection,
     limit_padded,
     op_by_op_blocks,
@@ -113,7 +117,7 @@ def index_examples(raw, cfg=TINY):
             rows.append(tuple(range(len(dets), len(dets) + len(group))))
             dets.extend(group)
         examples.append(TrainingExample(*rows, *rest))
-    return detection_features(dets, cfg), examples
+    return detection_features(detections_table(dets), cfg), examples
 
 
 def pack(raw, cfg=TINY):
@@ -123,7 +127,8 @@ def pack(raw, cfg=TINY):
 def grouped(groups, cfg=TINY):
     """(rows, lengths) of detection groups, as the tracking entry points take
     them."""
-    return detection_features([det for g in groups for det in g], cfg), [len(g) for g in groups]
+    dets = detections_table([det for g in groups for det in g], cfg.d_a, cfg.d_m)
+    return detection_features(dets, cfg), [len(g) for g in groups]
 
 
 # --- features and encoder ----------------------------------------------------
@@ -143,17 +148,17 @@ def test_features_bitwise_equal_to_row_reference():
                        conf=rng.uniform(0, 1), heading=h)
         for i, (f, h) in enumerate(zip(rng.permutation(len(headings)), headings))
     ]
-    rows = detection_features(dets, cfg)
+    rows = detection_features(detections_table(dets), cfg)
     # two examples share detections 1 and 2, and the table holds a row no
     # example names
     examples = [
         TrainingExample(
             history=(0, 1), context=(2, 3, 4), labels=(0, 1, 0),
-            state_t=StateVector.zero((0.0, 0.0)), state_prev=StateVector.zero((0.0, 0.0)),
+            state_t=state_at(0.0, 0.0), state_prev=state_at(0.0, 0.0),
         ),
         TrainingExample(
             history=(2, 5, 1), context=(1,), labels=(1,),
-            state_t=StateVector.zero((0.0, 0.0)), state_prev=StateVector.zero((0.0, 0.0)),
+            state_t=state_at(0.0, 0.0), state_prev=state_at(0.0, 0.0),
         ),
     ]
     assert_packed_as_rows(pack_batch(rows, examples, cfg), examples, dets, cfg)
@@ -166,7 +171,7 @@ def assert_packed_as_rows(batch, examples, dets, cfg):
     its example names, relative to the example's anchor, the centre of its
     last history detection; pads are zero."""
     for i, e in enumerate(examples):
-        anchor = dets[e.history[-1]].box.center_xy
+        anchor = dets[e.history[-1]].box.center[:2]
         for feat, mask, group in ((batch.hist_feat, batch.hist_mask, e.history),
                                   (batch.ctx_feat, batch.ctx_mask, e.context)):
             n = len(group)
@@ -178,28 +183,31 @@ def assert_packed_as_rows(batch, examples, dets, cfg):
 
 def test_encode_output_width():
     params = init_params(TINY, seed=0)
-    out = encode_batch(params, Tensor(detection_features([make_detection()], TINY)))
+    rows = detection_features(detections_table([make_detection()]), TINY)
+    out = encode_batch(params, Tensor(rows))
     assert out.shape == (1, TINY.d_q)
 
 
 def test_encode_deterministic():
     params = init_params(TINY, seed=0)
-    dets = [make_detection(1.0, 2.0), make_detection(-3.0, 0.5, det_id=1)]
+    dets = detections_table([make_detection(1.0, 2.0), make_detection(-3.0, 0.5, det_id=1)])
     a = encode_batch(params, Tensor(detection_features(dets, TINY))).data
     b = encode_batch(params, Tensor(detection_features(dets, TINY))).data
     assert a.tobytes() == b.tobytes()
 
 
 def test_encode_rejects_wrong_widths():
-    bad = make_detection(appearance=(0.1,) * 7)
-    with pytest.raises(ValueError, match="7.*3"):
-        detection_features([make_detection(), bad], TINY)
+    bad = detections_table([make_detection(appearance=(0.1,) * 7)] * 2)
+    with pytest.raises(ValueError, match="appearance width 7 != configured d_a 3"):
+        detection_features(bad, TINY)
+    # an empty table has no rows to check
+    assert detection_features(detections_table([]), TINY).shape == (0, TINY.feature_width)
 
 
 def test_features_reject_wrong_motion_width():
-    bad = make_detection(motion=(0.0,) * 5)
-    with pytest.raises(ValueError, match="motion width 5 .*d_m 2"):
-        detection_features([bad, make_detection()], TINY)
+    bad = detections_table([make_detection(motion=(0.0,) * 5)])
+    with pytest.raises(ValueError, match="motion width 5 != configured d_m 2"):
+        detection_features(bad, TINY)
 
 
 def test_encode_gradient_wrt_input_features():
@@ -309,27 +317,27 @@ def test_decode_state_six_components():
 def frame_context(pred, dets, d, k):
     """`select_context` for one position, as detections."""
     (cols,) = select_context(
-        [pred.position], [det.box.center_xy for det in dets],
+        [pred.position], [det.box.center[:2] for det in dets],
         [det.detection_id for det in dets], d, k,
     )
     return [dets[j] for j in cols]
 
 
 def test_select_context_empty_when_out_of_radius():
-    pred = StateVector.zero((0.0, 0.0))
+    pred = state_at(0.0, 0.0)
     dets = [make_detection(100.0, 0.0)]
     assert frame_context(pred, dets, d=5.0, k=3) == []
 
 
 def test_select_context_singleton_at_zero_distance():
-    pred = StateVector.zero((1.0, 1.0))
+    pred = state_at(1.0, 1.0)
     det = make_detection(1.0, 1.0)
     assert frame_context(pred, [det], d=5.0, k=3) == [det]
 
 
 def test_select_context_truncates_to_k_nearest():
     rng = np.random.default_rng(7)
-    pred = StateVector.zero((0.0, 0.0))
+    pred = state_at(0.0, 0.0)
     dets = [
         make_detection(rng.uniform(-8, 8), rng.uniform(-8, 8), det_id=i)
         for i in range(30)
@@ -365,10 +373,10 @@ def test_select_context_matrix_equals_per_row_loop(positions, centers, d, k, ran
     # ids in shuffled order, so that ties are not broken by column order
     ids = random.sample(range(100), len(centers))
     dets = [make_detection(cx, cy, det_id=i) for (cx, cy), i in zip(centers, ids)]
-    got = select_context(positions, [det.box.center_xy for det in dets], ids, d, k)
+    got = select_context(positions, [det.box.center[:2] for det in dets], ids, d, k)
     assert len(got) == len(positions)
     for (px, py), cols in zip(positions, got):
-        want = select_context_per_row(StateVector.zero((px, py)), dets, d, k)
+        want = select_context_per_row(state_at(px, py), dets, d, k)
         assert [dets[j] for j in cols] == want
 
 
@@ -400,7 +408,7 @@ def test_select_context_centres_an_ulp_apart_rank_as_math_hypot():
         for ids in ([1, 2], [2, 1]):
             dets = [make_detection(cx, cy, det_id=i) for (cx, cy), i in zip(centers, ids)]
             (cols,) = select_context([(0.0, 0.0)], centers, ids, 30.0, 2)
-            want = select_context_per_row(StateVector.zero((0.0, 0.0)), dets, 30.0, 2)
+            want = select_context_per_row(state_at(0.0, 0.0), dets, 30.0, 2)
             assert [dets[j] for j in cols] == want
     # np.hypot puts this centre an ulp inside a radius that math.hypot puts
     # it on
@@ -556,8 +564,8 @@ def test_loss_single_context_half_score():
         (det,),
         (make_detection(0.0, 0.0, frame=1, det_id=0),),
         (1,),
-        StateVector.zero((0.0, 0.0)),
-        StateVector.zero((0.0, 0.0)),
+        state_at(0.0, 0.0),
+        state_at(0.0, 0.0),
     )
     loss = m.loss_components_batch(params, cfg, pack([ex], cfg))["total"]
     assert loss.item() == pytest.approx(cfg.gamma * math.log(2.0), abs=1e-12)
@@ -621,7 +629,7 @@ def test_translation_equivariance():
 
     def forward(ex):
         scores, _, state_t, state_prev = m.forward_batch(params, cfg, pack([ex], cfg))
-        anchor = ex[0][-1].box.center_xy  # the last history detection's centre
+        anchor = ex[0][-1].box.center[:2]  # the last history detection's centre
         return scores.data, state_prev.data, state_t.data, np.array(anchor)
 
     s_a, prev_a, st_a, anchor_a = forward(base)
@@ -672,14 +680,15 @@ def test_extract_examples_labels_align_with_provenance():
 def test_extract_examples_name_the_per_detection_examples_by_row():
     scenario = small_scenario()
     table, examples = extract_examples(scenario, TINY, first_row=5)
-    dets = [det for frame in scenario.detections for det in frame]
-    assert table.tobytes() == detection_features(dets, TINY).tobytes()
+    dets = [det for frame in frame_rows(scenario.detections) for det in frame]
+    want = np.array([detection_features_row(det, (0.0, 0.0), TINY) for det in dets])
+    assert table.tobytes() == want.tobytes()
     named = [
         (tuple(dets[r - 5] for r in ex.history), tuple(dets[r - 5] for r in ex.context),
          ex.labels, ex.state_t, ex.state_prev)
         for ex in examples
     ]
-    assert named == extract_examples_per_detection(scenario, TINY)
+    assert repr(named) == repr(extract_examples_per_detection(scenario, TINY))
     # stacked below another scene's 5 rows, as `cli.train_on_directory` does
     stacked = np.concatenate([np.full((5, TINY.feature_width), np.nan), table])
     some = examples[::7]

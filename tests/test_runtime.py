@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 
 from oracles import (
     NOISELESS,
+    Detection,
+    detections_table,
     kalman_predict_reference,
     kalman_update_reference,
-    state_from_array,
 )
 from sttrack import assign
-from sttrack.core import Box7, ClassId, Detection, StateVector, bev_iou
+from sttrack.core import Box7, ClassId, bev_iou
+from sttrack.formats import tracker_rows
 from sttrack.kalman import (
     KfParams,
     KfState,
     init_state,
     kf_association_cost,
     predict,
-    predicted_box,
 )
 from sttrack.model import (
     SttConfig,
@@ -62,6 +63,18 @@ def make_detection(cx, cy, frame, det_id, conf=0.9, d_a=3):
     )
 
 
+def step(tracker, frame, dets):
+    """`tracker.step` on the table of the `Detection`s `dets`."""
+    return tracker.step(frame, detections_table(dets))
+
+
+def at_centres(dets, cols):
+    """(n, 6) states at rest at the centres of the detections at `cols`."""
+    states = np.zeros((len(cols), 6))
+    states[:, :2] = dets.boxes[cols, :2]
+    return states
+
+
 class ScriptedBackend:
     """Backend stub: costs come from a script, states are detection centers;
     it records the rows it is told to forget."""
@@ -74,21 +87,23 @@ class ScriptedBackend:
         return self.cost_fn(frame_index, tracks, dets)
 
     def update_matched(self, frame_index, pairs, dets):
-        return [StateVector.zero(dets[c].box.center_xy) for _, c in pairs]
+        return at_centres(dets, [c for _, c in pairs])
 
     def create_tracks(self, frame_index, cols, dets):
-        return [StateVector.zero(dets[c].box.center_xy) for c in cols]
+        return at_centres(dets, cols)
 
     def forget(self, rows):
         self.forgotten.extend(rows)
 
 
 def overlap_costs(frame_index, tracks, dets):
-    costs = np.full((len(tracks), len(dets)), assign.FORBIDDEN)
+    """Centre distances below 3 m from each track's state, the centre of its
+    last detection under `ScriptedBackend`."""
+    costs = np.full((len(tracks), len(dets.ids)), assign.FORBIDDEN)
     for i, track in enumerate(tracks):
-        tx, ty = track.last.box.center_xy
-        for j, det in enumerate(dets):
-            d = math.hypot(det.box.center[0] - tx, det.box.center[1] - ty)
+        tx, ty = track.state[:2].tolist()
+        for j, (cx, cy) in enumerate(dets.boxes[:, :2].tolist()):
+            d = math.hypot(cx - tx, cy - ty)
             if d < 3.0:
                 costs[i, j] = d
     return costs
@@ -96,34 +111,45 @@ def overlap_costs(frame_index, tracks, dets):
 
 def test_empty_frames_accumulate_misses_until_death():
     tracker = Tracker(ScriptedBackend(overlap_costs), LifecycleConfig(max_misses=3))
-    rows = tracker.step(0, [make_detection(0, 0, 0, 0)])
-    assert len(rows) == 1
-    tid = rows[0].track_id
+    (tid,) = step(tracker, 0, [make_detection(0, 0, 0, 0)]).track_ids
     for frame in range(1, 4):
-        assert tracker.step(frame, []) == []
+        assert step(tracker, frame, []).track_ids == []
         assert tracker.tracks[tid].misses == frame
-    assert tracker.step(4, []) == []
+    assert step(tracker, 4, []).track_ids == []
     assert tid not in tracker.tracks
     assert tracker.backend.forgotten == [0]  # the row of the only track
 
 
 def test_single_overlapping_detection_extends_history():
     tracker = Tracker(ScriptedBackend(overlap_costs), LifecycleConfig())
-    tracker.step(0, [make_detection(0, 0, 0, 0)])
-    rows = tracker.step(1, [make_detection(0.5, 0, 1, 0)])
-    assert len(rows) == 1
-    track = tracker.tracks[rows[0].track_id]
-    assert track.last.frame_index == 1 and track.frame == 1
+    step(tracker, 0, [make_detection(0, 0, 0, 0)])
+    (tid,) = step(tracker, 1, [make_detection(0.5, 0, 1, 0)]).track_ids
+    track = tracker.tracks[tid]
+    assert track.frame == 1 and track.state[:2].tolist() == [0.5, 0.0]
     assert track.misses == 0
 
 
 def test_no_detection_shared_between_tracks():
     tracker = Tracker(ScriptedBackend(overlap_costs), LifecycleConfig())
-    tracker.step(0, [make_detection(0, 0, 0, 0), make_detection(2, 0, 0, 1)])
-    rows = tracker.step(1, [make_detection(1.0, 0, 1, 0), make_detection(2.2, 0, 1, 1)])
-    assert len(rows) == 2
-    boxes = [row.box.center[0] for row in rows]
-    assert len(set(boxes)) == 2
+    step(tracker, 0, [make_detection(0, 0, 0, 0), make_detection(2, 0, 0, 1)])
+    out = step(tracker, 1, [make_detection(1.0, 0, 1, 0), make_detection(2.2, 0, 1, 1)])
+    assert len(out.track_ids) == 2
+    assert len(set(out.boxes[:, 0].tolist())) == 2
+
+
+def test_step_emits_its_detections_columns_in_track_id_order():
+    # track 1 misses, track 2 is matched and a new track 3 takes the third
+    # detection; the matched and new rows carry their detections' columns
+    tracker = Tracker(ScriptedBackend(overlap_costs), LifecycleConfig())
+    step(tracker, 0, [make_detection(0, 0, 0, 0), make_detection(10, 0, 0, 1)])
+    dets = [make_detection(20, 0, 1, 0, conf=0.5), make_detection(10.5, 0, 1, 4, conf=0.7)]
+    out = step(tracker, 1, dets)
+    assert out.track_ids == [2, 3]
+    assert out.classes == [ClassId.VEHICLE] * 2
+    assert out.boxes.tolist() == [list(dets[1].box.as_row()), list(dets[0].box.as_row())]
+    assert out.conf.tolist() == [0.7, 0.5]
+    assert out.states.tolist() == [[10.5, 0, 0, 0, 0, 0], [20.0, 0, 0, 0, 0, 0]]
+    assert [tracker.tracks[t].state.tolist() for t in (2, 3)] == out.states.tolist()
 
 
 # Detections on a coarse grid with jitter, so that tracks match, miss, die and
@@ -152,16 +178,17 @@ def test_kalman_tracker_lifecycle_rules(stream, max_misses):
             make_detection(5.0 * gx + jitter, 6.0 * gy, frame, j, conf=conf)
             for j, (gx, gy, jitter, conf) in enumerate(cells)
         ]
-        rows = tracker.step(frame, dets)
+        out = step(tracker, frame, dets)
 
         # each kept detection joins exactly one track; dropped ones join none
-        joined = [
-            tracker.tracks[row.track_id].last.detection_id for row in rows
+        joined = zip(map(tuple, out.boxes.tolist()), out.conf.tolist())
+        kept = [
+            (d.box.as_row(), d.confidence) for d in dets
+            if d.confidence >= lifecycle.min_confidence
         ]
-        kept = [d.detection_id for d in dets if d.confidence >= lifecycle.min_confidence]
         assert sorted(joined) == sorted(kept)
         # track ids are unique; new ones follow every id given out before
-        ids = [row.track_id for row in rows]
+        ids = out.track_ids
         assert len(set(ids)) == len(ids)
         new_ids = sorted(tid for tid in ids if tid not in last_matched)
         first = len(last_matched) + 1
@@ -184,33 +211,36 @@ def test_kalman_tracker_lifecycle_rules(stream, max_misses):
                 del filters[tid]
             else:
                 filters[tid] = kalman_predict_reference(filters[tid], dt, params)
-        for row in rows:
-            if row.track_id in filters:
-                filters[row.track_id] = kalman_update_reference(
-                    filters[row.track_id], row.box.center_xy, params
-                )
+        for tid, center in zip(ids, out.boxes[:, :2]):
+            if tid in filters:
+                filters[tid] = kalman_update_reference(filters[tid], center, params)
             else:
-                filters[row.track_id] = init_state(row.box.center_xy, params)
+                filters[tid] = init_state(center, params)
         for i, tid in enumerate(tracker.tracks):
             assert backend.bank.mean[i].tobytes() == filters[tid].mean.tobytes()
             assert backend.bank.covariance[i].tobytes() == filters[tid].covariance.tobytes()
-        for row in rows:
-            assert row.state == state_from_array(filters[row.track_id].mean)
+        # ... and the box of that track's last detection
+        for tid, box in zip(ids, out.boxes):
+            assert backend.boxes[list(tracker.tracks).index(tid)].tobytes() == box.tobytes()
+        for tid, state in zip(ids, out.states):
+            assert state.tobytes() == filters[tid].mean.tobytes()
+            assert tracker.tracks[tid].state.tobytes() == state.tobytes()
 
 
 TINY_STT = SttConfig(d_q=8, d_a=3, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=8)
 TINY_STT_PARAMS = init_params(TINY_STT, seed=0)
 
 
-def record_histories(histories, tracker, frame, t_max):
-    """Append each track's `Track.last` to its recorded detections when the
-    track was matched or created at `frame`, keeping the last `t_max`; drop
-    the tracks the tracker deleted."""
+def record_histories(histories, tracker, out, dets, t_max):
+    """Append to the recorded detections of each track in the step output
+    `out` the detection of `dets` it was matched to or created from, found
+    by box and confidence, keeping the last `t_max`; drop the tracks the
+    tracker deleted."""
     for tid in set(histories) - set(tracker.tracks):
         del histories[tid]
-    for tid, track in tracker.tracks.items():
-        if track.frame == frame:
-            histories[tid] = (histories.get(tid, []) + [track.last])[-t_max:]
+    by_row = {(det.box.as_row(), det.confidence): det for det in dets}
+    for tid, box, conf in zip(out.track_ids, out.boxes.tolist(), out.conf.tolist()):
+        histories[tid] = (histories.get(tid, []) + [by_row[tuple(box), conf]])[-t_max:]
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,18 +256,18 @@ def test_stt_backend_queries_follow_tracker(stream, max_misses, state_source):
     tracker = Tracker(backend, lifecycle)
     histories: dict[int, list[Detection]] = {}
     for frame, cells in enumerate(stream):
-        tracker.step(frame, [
+        dets = [
             make_detection(5.0 * gx + jitter, 6.0 * gy, frame, j, conf=conf)
             for j, (gx, gy, jitter, conf) in enumerate(cells)
-        ])
-        record_histories(histories, tracker, frame, cfg.t_max)
+        ]
+        record_histories(histories, tracker, step(tracker, frame, dets), dets, cfg.t_max)
         # one stored query and history per live track, in the tracker's row
         # order, each the query of its own history and that history's
         # feature rows
         assert backend.queries.shape == (len(tracker.tracks), cfg.d_q)
         assert len(backend.history_rows) == len(tracker.tracks)
         for i, tid in enumerate(tracker.tracks):
-            rows = detection_features(histories[tid], cfg)
+            rows = detection_features(detections_table(histories[tid]), cfg)
             assert backend.history_rows[i].tobytes() == rows.tobytes()
             (expected,) = queries_from_histories(TINY_STT_PARAMS, cfg, rows, [len(rows)])
             np.testing.assert_allclose(
@@ -264,14 +294,14 @@ def test_stt_history_rows_are_the_last_t_max_matches(presence, state_source):
     tracker = Tracker(backend, lifecycle)
     histories: dict[int, list[Detection]] = {}
     for frame, cells in enumerate(presence):
-        tracker.step(frame, [
+        dets = [
             make_detection(5.0 * j + jitter, 0.0, frame, j)
             for j, (present, jitter) in enumerate(cells) if present
-        ])
-        record_histories(histories, tracker, frame, cfg.t_max)
+        ]
+        record_histories(histories, tracker, step(tracker, frame, dets), dets, cfg.t_max)
         assert len(backend.history_rows) == len(tracker.tracks)
         for i, tid in enumerate(tracker.tracks):
-            want = detection_features(histories[tid], cfg)
+            want = detection_features(detections_table(histories[tid]), cfg)
             assert backend.history_rows[i].tobytes() == want.tobytes()
 
 
@@ -286,65 +316,66 @@ def test_stt_tdi_states_come_from_the_association_pass():
     for state_source in ("tsd", "tdi"):
         cfg = dataclasses.replace(TINY_STT, state_source=state_source)
         tracker = Tracker(SttBackend(TINY_STT_PARAMS, cfg, lifecycle, 0.1), lifecycle)
-        tracker.step(0, [first])
-        tracker.step(1, [second])
+        step(tracker, 0, [first])
+        step(tracker, 1, [second])
         query = tracker.backend.queries[0].copy()  # track 1's row
-        (row,) = tracker.step(2, [third])
-        assert row.track_id == 1
+        out = step(tracker, 2, [third])
+        assert out.track_ids == [1]
         _, (rel,) = context_scores(  # the association pass's state, read under "tdi"
             TINY_STT_PARAMS, dataclasses.replace(cfg, state_source="tdi"), query[None],
-            detection_features([third], cfg), [1], [second.box.center_xy],
+            detection_features(detections_table([third]), cfg), [1], [second.box.center[:2]],
         )
-        tdi = state_from_array(rel + [*second.box.center_xy, 0, 0, 0, 0])
-        assert (row.state == tdi) == (state_source == "tdi")
+        tdi = rel + [*second.box.center[:2], 0, 0, 0, 0]
+        assert (out.states[0].tolist() == tdi.tolist()) == (state_source == "tdi")
 
 
 def test_kalman_frame_costs_reject_tracks_not_in_bank():
     params = KfParams()
     backend = KalmanBackend(params, 0.1)
     det, other = make_detection(0.0, 0.0, 0, 0), make_detection(9.0, 0.0, 0, 1)
-    backend.create_tracks(0, [0, 1], [det, other])
-    track = Track(2, other, 0, StateVector.zero())
+    backend.create_tracks(0, [0, 1], detections_table([det, other]))
+    track = Track(2, 0, np.zeros(6))
     with pytest.raises(ValueError, match="1 tracks, but the filter bank holds 2"):
-        backend.frame_costs(1, [track], [det])
+        backend.frame_costs(1, [track], detections_table([det]))
     backend.forget([0])
     assert backend.bank.mean.shape == (1, 6)
-    assert backend.bank.mean[0].tobytes() == init_state(other.box.center_xy, params).mean.tobytes()
-    assert backend.frame_costs(1, [track], [det]).shape == (1, 1)
+    want = init_state(other.box.center[:2], params).mean
+    assert backend.bank.mean[0].tobytes() == want.tobytes()
+    assert backend.boxes.tolist() == [list(other.box.as_row())]
+    assert backend.frame_costs(1, [track], detections_table([det])).shape == (1, 1)
 
 
 def test_stt_backend_rows_come_from_the_frame_it_costed():
     lifecycle = LifecycleConfig()
     backend = SttBackend(TINY_STT_PARAMS, TINY_STT, lifecycle, 0.1)
-    det = make_detection(0.0, 0.0, 0, 0)
+    dets = detections_table([make_detection(0.0, 0.0, 0, 0)])
     with pytest.raises(ValueError, match="frame 0: frame_costs ran last for frame None"):
-        backend.create_tracks(0, [0], [det])
-    backend.frame_costs(0, [], [det])
-    backend.create_tracks(0, [0], [det])
+        backend.create_tracks(0, [0], dets)
+    backend.frame_costs(0, [], dets)
+    backend.create_tracks(0, [0], dets)
     with pytest.raises(ValueError, match="frame 1: frame_costs ran last for frame 0"):
-        backend.update_matched(1, [(0, 0)], [make_detection(0.5, 0.0, 1, 0)])
+        backend.update_matched(1, [(0, 0)], detections_table([make_detection(0.5, 0.0, 1, 0)]))
 
 
 def test_min_confidence_filters_detections():
     tracker = Tracker(
         ScriptedBackend(overlap_costs), LifecycleConfig(min_confidence=0.5)
     )
-    rows = tracker.step(0, [make_detection(0, 0, 0, 0, conf=0.2)])
-    assert rows == []
+    assert step(tracker, 0, [make_detection(0, 0, 0, 0, conf=0.2)]).track_ids == []
     assert tracker.tracks == {}
 
 
 def test_duplicate_detection_ids_abort():
     tracker = Tracker(ScriptedBackend(overlap_costs), LifecycleConfig())
     with pytest.raises(DuplicateDetectionError):
-        tracker.step(0, [make_detection(0, 0, 0, 7), make_detection(5, 5, 0, 7)])
+        step(tracker, 0, [make_detection(0, 0, 0, 7), make_detection(5, 5, 0, 7)])
 
 
 def test_monotone_frame_indices_enforced():
     tracker = Tracker(ScriptedBackend(overlap_costs), LifecycleConfig())
-    tracker.step(3, [])
+    step(tracker, 3, [])
     with pytest.raises(ValueError):
-        tracker.step(3, [])
+        step(tracker, 3, [])
 
 
 def test_backend_isolation_identical_costs_identical_lifecycle():
@@ -359,11 +390,11 @@ def test_backend_isolation_identical_costs_identical_lifecycle():
             [make_detection(0.8, 0, 3, 0), make_detection(20, 0, 3, 1)],
         ]
         for k, frame in enumerate(frames):
-            rows = tracker.step(k, frame)
+            out = step(tracker, k, frame)
             trace.append(
                 (
                     sorted(tracker.tracks),
-                    [row.track_id for row in rows],
+                    out.track_ids,
                     [tracker.tracks[t].misses for t in sorted(tracker.tracks)],
                 )
             )
@@ -394,15 +425,14 @@ def test_kalman_zero_noise_no_fragmentation():
     assert len(output.frames) == scenario.frames
     # map each emitted row back to its ground-truth object by box center
     track_of_object = {}
-    for k, rows in enumerate(output.frames):
+    for k, out in enumerate(output.frames):
         centers = {
             (round(t.boxes[k].center[0], 9), round(t.boxes[k].center[1], 9)): t.object_id
             for t in scenario.gt_tracks
         }
-        for row in rows:
-            key = (round(row.box.center[0], 9), round(row.box.center[1], 9))
-            oid = centers[key]
-            track_of_object.setdefault(oid, set()).add(row.track_id)
+        for tid, (cx, cy) in zip(out.track_ids, out.boxes[:, :2].tolist()):
+            oid = centers[round(cx, 9), round(cy, 9)]
+            track_of_object.setdefault(oid, set()).add(tid)
     assert len(track_of_object) == len(scenario.gt_tracks)
     for oid, tids in track_of_object.items():
         assert len(tids) == 1, f"object {oid} fragmented across tracks {tids}"
@@ -414,9 +444,7 @@ def test_run_sequence_deterministic():
         backend = KalmanBackend(KfParams(), scenario.dt)
         return run_sequence(scenario.detections, backend, LifecycleConfig())
 
-    out_a = run()
-    out_b = run()
-    assert out_a.frames == out_b.frames
+    assert tracker_rows(run()) == tracker_rows(run())
 
 
 def test_spurious_tracks_bounded_emissions():
@@ -431,9 +459,9 @@ def test_spurious_tracks_bounded_emissions():
     backend = KalmanBackend(KfParams(), scenario.dt)
     output = run_sequence(scenario.detections, backend, lifecycle)
     emissions = {}
-    for rows in output.frames:
-        for row in rows:
-            emissions[row.track_id] = emissions.get(row.track_id, 0) + 1
+    for out in output.frames:
+        for tid in out.track_ids:
+            emissions[tid] = emissions.get(tid, 0) + 1
     # the real object dominates one long track; spurious tracks stay short
     longest = max(emissions.values())
     spurious = [n for n in emissions.values() if n != longest]
@@ -466,35 +494,38 @@ def test_stt_backend_runs_and_is_deterministic():
         return run_sequence(scenario.detections, backend, lifecycle)
 
     out_a = run()
-    out_b = run()
-    assert out_a.frames == out_b.frames
+    assert tracker_rows(out_a) == tracker_rows(run())
     assert len(out_a.frames) == scenario.frames
-    assert sum(map(len, out_a.frames)) > 0
+    assert sum(len(out.track_ids) for out in out_a.frames) > 0
     # creation-frame rows carry zero initial velocity and acceleration
-    first_rows = out_a.frames[0]
-    for row in first_rows:
-        assert row.state.velocity == (0.0, 0.0)
-        assert row.state.acceleration == (0.0, 0.0)
+    first = out_a.frames[0]
+    assert len(first.track_ids) and not first.states[:, 2:].any()
 
 
 def kf_track(tid, box, velocity, params):
-    """A one-detection track plus a filter at its center with the given velocity."""
-    det = Detection(box, (0.1,) * 3, (0.0, 0.0), 0.9, 0, tid, ClassId.VEHICLE)
-    track = Track(tid, det, 0, StateVector.zero(box.center_xy))
-    state = init_state(box.center_xy, params)
+    """A track whose last detection had `box`, and a filter at its center with
+    the given velocity."""
+    state = init_state(box.center[:2], params)
     state.mean[2:4] = velocity
-    return track, state
+    return Track(tid, 0, state.mean.copy()), state
 
 
 def box_at(center, size, heading):
     return Box7((float(center[0]), float(center[1]), 0.75), size, heading)
 
 
+def predicted_box(mean, last_box):
+    """`last_box` carried to the predicted center, the first two entries of
+    one filter's `mean`."""
+    return Box7((float(mean[0]), float(mean[1]), last_box.center[2]), last_box.size,
+                last_box.heading)
+
+
 def gate_edge_boxes(pred_box, gate, direction):
     """Two boxes like `pred_box` moved along `direction`, with BEV IoU just
     above and just at or below `gate` (bisection on the offset)."""
     ux, uy = math.cos(direction), math.sin(direction)
-    cx, cy = pred_box.center_xy
+    cx, cy = pred_box.center[:2]
 
     def moved(d):
         return box_at((cx + d * ux, cy + d * uy), pred_box.size, pred_box.heading)
@@ -509,25 +540,27 @@ def gate_edge_boxes(pred_box, gate, direction):
     return moved(lo), moved(hi)
 
 
-def reference_kf_costs(states, tracks, dets, dt, params):
+def reference_kf_costs(states, tracks, last_boxes, dets, dt, params):
     """Per-pair costs from `kf_association_cost` on independently predicted filters."""
     costs = np.full((len(tracks), len(dets)), assign.FORBIDDEN)
     for i, track in enumerate(tracks):
         pred = predict(states[track.track_id], dt, params)
         for j, det in enumerate(dets):
             costs[i, j] = kf_association_cost(
-                pred, track.last.box, det, params
+                pred, last_boxes[track.track_id].as_row(), det.box.as_row(), params
             )
     return costs
 
 
-def kalman_backend_with(tracks, states, dt, params):
-    """A Kalman backend whose filter bank holds `states` of `tracks`, in order."""
+def kalman_backend_with(tracks, states, last_boxes, dt, params):
+    """A Kalman backend whose filter bank holds `states` of `tracks`, in order,
+    and whose boxes are their `last_boxes`."""
     backend = KalmanBackend(params, dt)
     backend.bank = KfState(
         np.array([states[t.track_id].mean for t in tracks]).reshape(-1, 6),
         np.array([states[t.track_id].covariance for t in tracks]).reshape(-1, 6, 6),
     )
+    backend.boxes = np.array([last_boxes[t.track_id].as_row() for t in tracks]).reshape(-1, 7)
     return backend
 
 
@@ -536,13 +569,13 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
     rng = np.random.default_rng(seed)
     params = KfParams(iou_gate=0.1 + 0.2 * seed)
     dt = 0.1
-    tracks, states = [], {}
+    tracks, states, last_boxes = [], {}, {}
     for tid in range(1, 13):
         size = tuple(rng.uniform(0.5, 5.0, 3))
         box = box_at(rng.uniform(0.0, 12.0, 2), size, rng.uniform(-math.pi, math.pi))
         track, state = kf_track(tid, box, rng.normal(0.0, 3.0, 2), params)
         tracks.append(track)
-        states[tid] = state
+        states[tid], last_boxes[tid] = state, box
     boxes = [
         box_at(rng.uniform(0.0, 12.0, 2), tuple(rng.uniform(0.5, 5.0, 3)),
                rng.uniform(-math.pi, math.pi))
@@ -550,7 +583,7 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
     ]
     for track in tracks[:4]:
         pred_box = predicted_box(
-            predict(states[track.track_id], dt, params).mean, track.last.box
+            predict(states[track.track_id], dt, params).mean, last_boxes[track.track_id]
         )
         direction = rng.uniform(-math.pi, math.pi)
         boxes.extend(gate_edge_boxes(pred_box, params.iou_gate, direction))
@@ -558,15 +591,16 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
         reach = 0.5 * math.hypot(*pred_box.size[:2]) + 0.5 * math.hypot(*other[:2])
         for scale in (1.0 - 1e-3, 1.0, 1.0 + 1e-12):
             offset = scale * reach * np.array([math.cos(direction), math.sin(direction)])
-            boxes.append(box_at(np.array(pred_box.center_xy) + offset, other,
+            boxes.append(box_at(np.array(pred_box.center[:2]) + offset, other,
                                 rng.uniform(-math.pi, math.pi)))
     dets = [
         Detection(b, (0.1,) * 3, (0.0, 0.0), 0.9, 1, 100 + j, ClassId.VEHICLE)
         for j, b in enumerate(boxes)
     ]
 
-    reference = reference_kf_costs(states, tracks, dets, dt, params)
-    costs = kalman_backend_with(tracks, states, dt, params).frame_costs(1, tracks, dets)
+    reference = reference_kf_costs(states, tracks, last_boxes, dets, dt, params)
+    backend = kalman_backend_with(tracks, states, last_boxes, dt, params)
+    costs = backend.frame_costs(1, tracks, detections_table(dets))
     assert costs.dtype == reference.dtype and costs.shape == reference.shape
     assert costs.tobytes() == reference.tobytes()
     finite = np.isfinite(reference)
@@ -577,6 +611,6 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
         assert inside < assign.FORBIDDEN and outside == assign.FORBIDDEN
 
     for n_tracks, n_dets in ((0, len(dets)), (len(tracks), 0)):
-        backend = kalman_backend_with(tracks[:n_tracks], states, dt, params)
-        costs = backend.frame_costs(1, tracks[:n_tracks], dets[:n_dets])
+        backend = kalman_backend_with(tracks[:n_tracks], states, last_boxes, dt, params)
+        costs = backend.frame_costs(1, tracks[:n_tracks], detections_table(dets[:n_dets]))
         assert costs.shape == (n_tracks, n_dets) and costs.dtype == np.float64

@@ -1,7 +1,9 @@
-"""Every module-level function and class in `src/sttrack` has a caller in
-`src/sttrack`: code that only tests call belongs in the tests."""
+"""Every module-level function and class in `src/sttrack`, and every method
+and property of its classes, has a caller in `src/sttrack`: code that only
+tests call belongs in the tests."""
 
 import ast
+import collections
 from pathlib import Path
 
 import sttrack
@@ -17,6 +19,12 @@ NO_SRC_CALLER = {
     # The benchmark's tracer wraps it by name, so it stays until the
     # benchmark drops that wrap.
     ("kalman", "kf_association_cost"),
+}
+
+# Methods kept without a caller in `src/`, and why.
+NO_SRC_METHOD_CALLER = {
+    # argparse calls it on a bad command line.
+    ("cli", "_Parser", "error"),
 }
 
 
@@ -57,3 +65,37 @@ def test_every_src_function_and_class_has_a_src_caller():
     assert len(definitions) > 50  # the scan found the package
     uncalled = [f"{m}.{name}" for m, name in definitions if (m, name) not in references]
     assert sorted(uncalled) == sorted(f"{m}.{name}" for m, name in NO_SRC_CALLER)
+
+
+def methods_without_references() -> list[tuple[str, str, str]]:
+    """The (module, class, name) of each method and property, dunders aside,
+    of a module-level class whose name no attribute access (`x.name`)
+    outside its own definition uses. The scan does not know `x`'s type, so
+    any attribute of that name counts."""
+    parsed = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+
+    def attributes(tree) -> collections.Counter:
+        return collections.Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+
+    used = sum((attributes(tree) for _, tree in parsed), collections.Counter())
+    unused = []
+    for module, tree in parsed:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                name = getattr(node, "name", "")
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (name.startswith("__") and name.endswith("__"))
+                    and used[name] == attributes(node)[name]
+                ):
+                    unused.append((module, cls.name, name))
+    return unused
+
+
+def test_every_src_method_and_property_has_a_src_caller():
+    unused = methods_without_references()
+    assert sorted(f"{m}.{c}.{name}" for m, c, name in unused) == sorted(
+        f"{m}.{c}.{name}" for m, c, name in NO_SRC_METHOD_CALLER
+    )
