@@ -583,13 +583,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_counts(args) -> None:
-    """Raise ConfigError naming the flag of a count option below 1."""
-    for name in ("count", "steps", "workers", "train_scenarios", "eval_scenarios"):
+# The least value of each integer option.
+_INT_FLOORS = {
+    "count": 1, "steps": 1, "workers": 1, "train_scenarios": 1, "eval_scenarios": 1, "seed": 0,
+}
+
+
+def _check_ints(args) -> None:
+    """Raise ConfigError naming the flag of an integer option below its least value."""
+    for name, low in _INT_FLOORS.items():
         value = getattr(args, name, None)
-        if value is not None and value < 1:
+        if value is not None and value < low:
             flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
 # The commands whose `--out` names a file; the others fill a directory.
@@ -614,7 +620,7 @@ def _check_out(args) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_counts(args)
+        _check_ints(args)
         _check_out(args)
         return args.func(args)
     except (ConfigError, formats.FormatError) as exc:

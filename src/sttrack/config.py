@@ -54,6 +54,8 @@ class RunConfig:
     policy: MatchingPolicy = field(default_factory=MatchingPolicy)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:  # numpy seeds are non-negative
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.backend not in ("kalman", "stt"):
             raise ConfigError(f"backend must be 'kalman' or 'stt', got {self.backend!r}")
         if self.sim.appearance_dim != self.stt.d_a:

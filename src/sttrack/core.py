@@ -71,13 +71,9 @@ class StateVector:
             if not math.isfinite(comp):
                 raise ValueError(f"non-finite state component: {comp!r}")
 
-    def as_array(self) -> np.ndarray:
-        """Flat [x, y, vx, vy, ax, ay] vector."""
-        return np.array([*self.position, *self.velocity, *self.acceleration])
-
     @staticmethod
     def from_rows(rows: np.ndarray) -> list["StateVector"]:
-        """One state per row of an (N, 6) array of `as_array` vectors."""
+        """One state per row of an (N, 6) array of [x, y, vx, vy, ax, ay] rows."""
         return [
             StateVector((x, y), (vx, vy), (ax, ay))
             for x, y, vx, vy, ax, ay in np.reshape(rows, (-1, 6)).tolist()
@@ -254,9 +250,9 @@ def bev_iou_matrix(boxes_a: ArrayLike, boxes_b: ArrayLike) -> np.ndarray:
 
 def extrapolate(states: ArrayLike, dt: ArrayLike) -> np.ndarray:
     """Constant-acceleration forward prediction of stacked `[x, y, vx, vy,
-    ax, ay]` states, shape `(..., 6)` as `StateVector.as_array` rows, by `dt`
-    seconds: one number, or one per state in an array of the leading shape
-    `(...)`. Raises ValueError for a negative dt or a non-finite result."""
+    ax, ay]` states, shape `(..., 6)`, by `dt` seconds: one number, or one per
+    state in an array of the leading shape `(...)`. Raises ValueError for a
+    negative dt or a non-finite result."""
     s = np.asarray(states, dtype=float)
     dt = np.asarray(dt, dtype=float)
     if (dt < 0.0).any():

@@ -14,16 +14,15 @@ Readers parse each line with `orjson`, which gives the same objects as
 `json.loads` (types, key order and float bits) at about a fifth of the cost;
 a line it rejects is parsed again with `json`, so `NaN`, `Infinity` and
 `1e400` reach the row checks and a malformed line keeps `json`'s message.
-Writers spell each row as `json.dumps(row, sort_keys=True)` does, but encode
-it with `orjson`, about a fifth of the cost: both write a float's shortest
-round-trip digits, and the writer puts back the spaces `json` writes after
-`,` and `:`. A row goes to `json` where its `orjson` line may differ: a value
-of other than an exact builtin type (`orjson` writes enums, UUIDs and
-dataclasses, which `json` rejects) or one `orjson` rejects (`numpy.float64`,
-an int beyond 64 bits); a float that `json` writes in exponent form (`1e-05`,
-`1e+16`); `null`, which is how `orjson` writes NaN and the infinities; and a
-string holding an escape, `\x7f`, a non-ASCII character, `,` or `:`. Headers
-are written with `json`.
+Writers spell each row as `json.dumps(row, sort_keys=True)` does, straight
+from the columns the program holds (ground truth, detections and tracker
+output), without building the row: each kind's line is one `%`-template with
+its keys in sorted order, filled a block of rows at a time. Ints go in with
+`%d`; one `orjson` call spells a block's floats, as `json` does (both write a
+float's shortest round-trip digits), and `json` spells again the few that
+`orjson` writes otherwise: NaN and the infinities (`null`), and floats that
+`json` writes in exponent form (`1e-05`, `1e+16`). Headers are written with
+`json`.
 
 Row schemas (one JSON object per line after the header):
   ground_truth: frame, object_id, class, cx, cy, cz, w, l, h, heading,
@@ -68,24 +67,22 @@ The writers take detections and tracker output as the same columns.
 
 from __future__ import annotations
 
-import bisect
 import datetime
 import functools
 import hashlib
 import itertools
 import json
-import marshal
 import math
 import operator
-import re
 import subprocess
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 import orjson
 
 from . import __version__
-from .core import Box7, ClassId, Detections, StateVector, normalize_heading
+from .core import ClassId, Detections, normalize_heading
 from .metrics import EvalTable
 from .runtime import TrackerOutput
 from .sim import FALSE_POSITIVE, GtTrack, Scenario
@@ -131,98 +128,16 @@ def make_header(kind: str, config: dict) -> dict:
 
 # `json.dumps(obj, sort_keys=True)` builds this same encoder on every call.
 _encode = json.JSONEncoder(sort_keys=True).encode
-_orjson_row = functools.partial(orjson.dumps, option=orjson.OPT_SORT_KEYS)
-
-# Rows per encoded block: enough that the per-block calls cost little per
-# row, few enough that a block's bytes stay small.
-_BLOCK_ROWS = 256
-
-# What can make json spell an orjson line otherwise. Floats json writes in
-# exponent form: orjson writes `1e-6` and `1e16` (json `1e-06`, `1e+16`), and
-# [1e-5, 1e-4) without one (`0.00005`, json `5e-05`).
-_FLOAT_SPELLINGS = (re.compile(rb"e[-0-9]"), re.compile(rb"\.0000"))
-# `null`: None, or NaN or an infinity, which json writes as `NaN`, `Infinity`.
-_NULL = re.compile(rb"null")
-# An escape, `\x7f` (json escapes it, orjson does not) and non-ASCII bytes
-# (json escapes the character).
-_ODD_BYTE = re.compile(rb"[\\\x7f-\xff]")
-_NOT_QUOTE_OR_SEPARATOR = bytes(sorted(set(range(256)) - set(b'",:')))
 
 
-def _plain_strings(text: bytes) -> bool:
-    """Whether no string in `text`, compact JSON without escapes, holds `,` or
-    `:`: only then is each string's pair of quotes adjacent once every byte but
-    quotes and separators is deleted."""
-    skeleton = text.translate(None, _NOT_QUOTE_OR_SEPARATOR)
-    return skeleton.count(b'"') == 2 * skeleton.count(b'""')
-
-
-def _orjson_lines(rows: list) -> tuple[list[bytes], set[int]]:
-    """orjson's line of each row, and the rows json must write instead (with
-    an empty line in their place): those holding a value of other than an
-    exact builtin type, which marshal rejects (orjson writes enums, UUIDs and
-    dataclasses, which json rejects), or one orjson rejects (an int beyond 64
-    bits, a float subclass such as `numpy.float64`)."""
-    try:
-        marshal.dumps(rows)
-        return list(map(_orjson_row, rows)), set()
-    except (TypeError, ValueError):
-        pass
-    lines, rejected = [], set()
-    for i, row in enumerate(rows):
-        try:
-            marshal.dumps(row)
-            lines.append(_orjson_row(row))
-        except (TypeError, ValueError):
-            lines.append(b"")
-            rejected.add(i)
-    return lines, rejected
-
-
-def _suspect_offsets(block: bytes):
-    """Offsets in `block` where json may spell a line otherwise; a byte test
-    rules out the rarer patterns before any regex scans the block for them."""
-    patterns = list(_FLOAT_SPELLINGS)
-    if b"u" in block:
-        patterns.append(_NULL)
-    if b"\\" in block or b"\x7f" in block or not block.isascii():
-        patterns.append(_ODD_BYTE)
-    for pattern in patterns:
-        for match in pattern.finditer(block):
-            yield match.start()
-
-
-def _with_json_separators(text: bytes) -> bytes:
-    return text.replace(b",", b", ").replace(b":", b": ")
-
-
-def _encode_block(rows: list) -> bytes:
-    """`rows` as `_encode` spells them, each on its own line: orjson's compact
-    lines with json's `, ` and `: ` separators, and json's own line for every
-    row whose orjson line may differ."""
-    lines, flagged = _orjson_lines(rows)
-    block = b"\n".join([*lines, b""])
-    starts = list(itertools.accumulate((len(line) + 1 for line in lines), initial=0))
-    flagged.update(bisect.bisect_right(starts, at) - 1 for at in _suspect_offsets(block))
-    # An escaped quote upsets the block's quote pairs: then test row by row.
-    if b"\\" in block or not _plain_strings(block):
-        flagged.update(i for i, line in enumerate(lines) if not _plain_strings(line))
-    pieces, at = [], 0
-    for i in sorted(flagged):
-        pieces += (_with_json_separators(block[at : starts[i]]), _encode(rows[i]).encode(), b"\n")
-        at = starts[i + 1]
-    pieces.append(_with_json_separators(block[at:]))
-    return b"".join(pieces)
-
-
-def write_jsonl(path, kind: str, config: dict, rows) -> None:
+def write_jsonl(path, kind: str, config: dict, blocks) -> None:
+    """A `kind` file: its header line, then `blocks`, each the bytes of whole
+    rows' lines (see `_lines`)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = iter(rows)
     with open(path, "wb") as f:
         f.write(_encode(make_header(kind, config)).encode() + b"\n")
-        for block in iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), []):
-            f.write(_encode_block(block))
+        f.writelines(blocks)
 
 
 def read_jsonl(path, expected_kind: str | None = None) -> tuple[dict, list[dict]]:
@@ -289,10 +204,6 @@ def normalized_digest(path) -> str:
 _BOX_KEYS = ("cx", "cy", "cz", "w", "l", "h", "heading")
 _STATE_KEYS = ("px", "py", "vx", "vy", "ax", "ay")
 _SCORED_KEYS = (*_BOX_KEYS, "conf")  # detections and tracks rows
-# Each kind's row keys in the order the writers fill them.
-_GT_ROW = ("frame", "object_id", "class", *_BOX_KEYS, "state")
-_DETECTION_ROW = ("frame", "id", "class", *_SCORED_KEYS, "appearance", "motion", "provenance")
-_TRACK_ROW = ("frame", "track_id", "class", *_SCORED_KEYS, "state")
 _box_values = operator.itemgetter(*_BOX_KEYS)
 _NUMBERS = frozenset((int, float))  # what `json.loads` makes of a JSON number
 _CLASSES = {c.value: c for c in ClassId}
@@ -527,55 +438,118 @@ def _detection_frames(path, frames: int, rows: list) -> tuple[tuple[Detections, 
 # --- writers -----------------------------------------------------------------
 
 
-def scenario_rows(scenario: Scenario) -> tuple[list[dict], list[dict]]:
-    gt_rows = [
-        dict(zip(_GT_ROW, (
-            k, track.object_id, track.class_id.value, *track.boxes[k].as_row(),
-            dict(zip(_STATE_KEYS, (*s.position, *s.velocity, *s.acceleration))),
-        )))
-        for k in range(scenario.frames)
-        for track in scenario.gt_tracks
-        for s in (track.states[k],)
-    ]
-    det_rows = [
-        dict(zip(_DETECTION_ROW, (k, i, c.value, *box, conf, appearance, motion, prov)))
-        for k, (dets, provenance) in enumerate(zip(scenario.detections, scenario.provenance))
-        for i, c, box, conf, appearance, motion, prov in zip(
-            dets.ids, dets.classes, dets.boxes.tolist(), dets.conf.tolist(),
-            dets.appearance.tolist(), dets.motion.tolist(), provenance,
+# Rows per encoded block: enough that the per-block calls cost little per
+# row, few enough that a block's bytes and spellings stay small.
+_BLOCK_ROWS = 2048
+_CLASS_SPELLINGS = {c: _encode(c.value).encode() for c in ClassId}
+
+
+def _float_spellings(values: np.ndarray) -> list[bytes]:
+    """`json`'s spelling of each of `values`, a flat contiguous float64 array.
+    One `orjson` call spells them all; `json` spells again the values that
+    `orjson` spells otherwise: NaN and the infinities (`null`), and those that
+    `json` writes in exponent form, |v| < 1e-4 or >= 1e16 (`orjson` writes
+    `1e-6`, `0.00005` and `1e16` for `1e-06`, `5e-05` and `1e+16`)."""
+    if not values.size:
+        return []
+    spellings = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    size = np.abs(values)
+    odd = np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (values == 0.0)))
+    for i, value in zip(odd.tolist(), values[odd].tolist()):
+        spellings[i] = _encode(value).encode()
+    return spellings
+
+
+def _template(fields: dict, floats: list, columns: list) -> bytes:
+    """The `%`-template of one row of `fields` (see `_lines`), keys in sorted
+    order; appends each slot's column to `columns` in template order, a float
+    slot as its column's index in the concatenation of `floats`."""
+    slots = []
+    for key in sorted(fields):
+        column = fields[key]
+        if isinstance(column, dict):
+            slot = _template(column, floats, columns)
+        elif isinstance(column, np.ndarray):
+            width = 1 if column.ndim == 1 else column.shape[1]
+            at = sum(block.shape[1] for block in floats)
+            floats.append(column.reshape(len(column), width))
+            columns.extend(range(at, at + width))
+            slot = b"%s" if column.ndim == 1 else b"[" + b", ".join([b"%s"] * width) + b"]"
+        else:
+            columns.append(column)
+            slot = b"%s" if column and type(column[0]) is bytes else b"%d"
+        slots.append(_encode(key).encode() + b": " + slot)
+    return b"{" + b", ".join(slots) + b"}"
+
+
+def _lines(rows: int, fields: dict) -> bytes:
+    """`rows` lines, each a row as `json.dumps(row, sort_keys=True)` spells
+    it. `fields` maps each key to its column: a list of ints or of spellings
+    (bytes), a float64 array of one number per row (n,) or a list of numbers
+    per row (n, width), or a dict of such columns, an object per row."""
+    floats, columns = [], []
+    line = _template(fields, floats, columns) + b"\n"
+    numbers = np.concatenate(floats, axis=1)
+    spellings, width = _float_spellings(numbers.ravel()), numbers.shape[1]
+    columns = [spellings[c::width] if type(c) is int else c for c in columns]
+    values = [None] * (rows * len(columns))
+    for j, column in enumerate(columns):
+        values[j :: len(columns)] = column
+    return line * rows % tuple(values)
+
+
+def _table_lines(frames: list, ident: str, tail: tuple) -> Iterator[bytes]:
+    """The lines of per-frame tables, each a tuple of columns (lists or
+    arrays): ids, classes, (n, 7) boxes, then the columns that `tail` names,
+    a "state" column (n, 6) written as an object. They go in blocks of whole
+    frames, each ending once it holds `_BLOCK_ROWS` rows."""
+    start, rows = 0, 0
+    for stop, table in enumerate(frames, start=1):
+        rows += len(table[0])
+        if rows < _BLOCK_ROWS and stop < len(frames):
+            continue
+        tables = frames[start:stop]
+        counts = [len(table[0]) for table in tables]
+        ids, classes, boxes, *rest = (
+            np.concatenate(column) if isinstance(column[0], np.ndarray)
+            else list(itertools.chain.from_iterable(column))
+            for column in zip(*tables)
         )
-    ]
-    return gt_rows, det_rows
+        fields = {
+            "frame": np.repeat(np.arange(start, stop), counts).tolist(),
+            ident: ids,
+            "class": list(map(_CLASS_SPELLINGS.__getitem__, classes)),
+            **dict(zip(_BOX_KEYS, boxes.T)),
+        }
+        for name, column in zip(tail, rest):
+            fields[name] = dict(zip(_STATE_KEYS, column.T)) if name == "state" else column
+        yield _lines(rows, fields)
+        start, rows = stop, 0
 
 
 def write_scenario(out_dir, name: str, scenario: Scenario, config: dict) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
-    gt_rows, det_rows = scenario_rows(scenario)
     meta = dict(config)
     meta["frames"] = scenario.frames
     meta["dt"] = scenario.dt
     gt_path = out_dir / f"{name}.gt.jsonl"
     det_path = out_dir / f"{name}.det.jsonl"
-    write_jsonl(gt_path, "ground_truth", meta, gt_rows)
-    write_jsonl(det_path, "detections", meta, det_rows)
+    tracks = scenario.gt_tracks
+    ids, classes = [t.object_id for t in tracks], [t.class_id for t in tracks]
+    boxes = np.array([t.boxes for t in tracks]).reshape(len(tracks), scenario.frames, 7)
+    states = np.array([t.states for t in tracks]).reshape(len(tracks), scenario.frames, 6)
+    gt = [(ids, classes, boxes[:, k], states[:, k]) for k in range(scenario.frames)]
+    write_jsonl(gt_path, "ground_truth", meta, _table_lines(gt, "object_id", ("state",)))
+    detections = [(*dets, prov) for dets, prov in zip(scenario.detections, scenario.provenance)]
+    tail = ("conf", "appearance", "motion", "provenance")
+    write_jsonl(det_path, "detections", meta, _table_lines(detections, "id", tail))
     return gt_path, det_path
-
-
-def tracker_rows(output: TrackerOutput) -> list[dict]:
-    return [
-        dict(zip(_TRACK_ROW, (k, tid, c.value, *box, conf, dict(zip(_STATE_KEYS, state)))))
-        for k, tracks in enumerate(output.frames)
-        for tid, c, box, conf, state in zip(
-            tracks.track_ids, tracks.classes, tracks.boxes.tolist(), tracks.conf.tolist(),
-            tracks.states.tolist(),
-        )
-    ]
 
 
 def write_tracker_output(path, output: TrackerOutput, config: dict, frames: int) -> None:
     meta = dict(config)
     meta["frames"] = frames
-    write_jsonl(path, "tracks", meta, tracker_rows(output))
+    write_jsonl(path, "tracks", meta, _table_lines(output.frames, "track_id", ("conf", "state")))
 
 
 # --- readers: header, then frame count, then per-frame rows ------------------
@@ -629,13 +603,13 @@ def read_scenario(gt_path, det_path) -> Scenario:
     by_object: dict[int, list[int]] = {}
     for row, oid in enumerate(labels.ids):
         by_object.setdefault(oid, []).append(row)
-    boxes, states = Box7.from_rows(labels.boxes), StateVector.from_rows(labels.states)
     gt_tracks = []
     for oid, rows in sorted(by_object.items()):
         if len(rows) != frames:
             raise FormatError(f"{gt_path}: object {oid}: {len(rows)} rows for {frames} frames")
-        track = [boxes[i] for i in rows], [states[i] for i in rows]
-        gt_tracks.append(GtTrack(oid, labels.classes[rows[0]], *map(tuple, track)))
+        gt_tracks.append(
+            GtTrack(oid, labels.classes[rows[0]], labels.boxes[rows], labels.states[rows])
+        )
 
     detections, provenance = _detection_frames(det_path, frames, det_rows)
     return Scenario(frames, dt, tuple(gt_tracks), detections, provenance)

@@ -110,7 +110,7 @@ class FrameRows(NamedTuple):
 
     ids: list[int]
     boxes: np.ndarray  # (n, 7) `Box7.as_row()` rows
-    states: np.ndarray  # (n, 6) `StateVector.as_array()` rows
+    states: np.ndarray  # (n, 6) [x, y, vx, vy, ax, ay] rows
 
 
 @dataclass(frozen=True, eq=False)

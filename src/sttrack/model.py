@@ -46,7 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
-from .core import Detections, StateVector, check_fields
+from .core import Detections, check_fields
 from .sim import FALSE_POSITIVE, Scenario
 
 GEOMETRY_WIDTH = 8  # rel cx, rel cy, w, l, h, sin(heading), cos(heading), conf
@@ -116,8 +116,8 @@ class TrainingExample:
     history: tuple[int, ...]  # <= t_max rows, ordered by frame, up to t-1
     context: tuple[int, ...]  # <= k_max rows, at frame t
     labels: tuple[int, ...]  # 0/1 per context detection; at most one 1
-    state_t: StateVector  # ground truth at t, absolute coordinates
-    state_prev: StateVector  # ground truth at t-1, absolute coordinates
+    state_t: np.ndarray  # ground truth [x, y, vx, vy, ax, ay] at t, absolute coordinates
+    state_prev: np.ndarray  # the same at t-1
 
     def __post_init__(self) -> None:
         if not self.history:
@@ -258,11 +258,10 @@ def _history_inputs(
     return feat, mask, onehot, pool
 
 
-def state_targets(state: StateVector, anchor: tuple[float, float]) -> np.ndarray:
-    """Anchor-relative [x, y, vx, vy, ax, ay] regression target."""
-    arr = state.as_array()
-    arr[0] -= anchor[0]
-    arr[1] -= anchor[1]
+def state_targets(state: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Anchor-relative regression target of an [x, y, vx, vy, ax, ay] row."""
+    arr = np.array(state, dtype=float)
+    arr[:2] -= anchor
     return arr
 
 
@@ -536,7 +535,7 @@ def extract_examples(
         [
             starts[t] + cols
             for cols in select_context(
-                [track.states[t].position for track in scenario.gt_tracks],
+                [track.states[t, :2] for track in scenario.gt_tracks],
                 table[starts[t] : starts[t + 1], :2],
                 frames[t].ids,
                 cfg.context_radius,

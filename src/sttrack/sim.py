@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TAU, Box7, ClassId, Detections, StateVector, check_fields, normalize_heading
+from .core import TAU, ClassId, Detections, check_fields, normalize_heading
 
 FALSE_POSITIVE = -1
 
@@ -236,12 +236,16 @@ class SimConfig:
         ))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class GtTrack:
+    """One object's ground truth as columns, one row per frame: `boxes` holds
+    (F, 7) `bev_iou` box rows (sizes > 0, heading in (-pi, pi]) and `states`
+    (F, 6) `[x, y, vx, vy, ax, ay]` rows, both float64."""
+
     object_id: int
     class_id: ClassId
-    boxes: tuple[Box7, ...]
-    states: tuple[StateVector, ...]
+    boxes: np.ndarray  # (F, 7)
+    states: np.ndarray  # (F, 6)
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,12 +333,9 @@ def generate(config: SimConfig, objects: Sequence[ObjectSpec], seed: int) -> Sce
     sightings = []  # per object: its seen frames, its id and their detections' fields
     for oid, (spec, signature) in enumerate(zip(objects, signatures)):
         pos, vel, acc, gt_heading = trajectory_at(spec, times)
-        gt_centers = np.column_stack((pos, np.full(n_frames, 0.5 * spec.size[2])))
-        boxes = tuple(
-            Box7(tuple(c), spec.size, h) for c, h in zip(gt_centers.tolist(), gt_heading.tolist())
-        )
-        states = tuple(StateVector.from_rows(np.hstack((pos, vel, acc))))
-        gt_tracks.append(GtTrack(oid, spec.class_id, boxes, states))
+        cz_and_size = np.broadcast_to((0.5 * spec.size[2], *spec.size), (n_frames, 4))
+        gt_boxes = np.column_stack((pos, cz_and_size, gt_heading))
+        gt_tracks.append(GtTrack(oid, spec.class_id, gt_boxes, np.hstack((pos, vel, acc))))
 
         miss = rng.random(n_frames)
         d_center = rng.standard_normal((n_frames, 3)) * noise.center_sigma
@@ -345,7 +346,7 @@ def generate(config: SimConfig, objects: Sequence[ObjectSpec], seed: int) -> Sce
 
         seen = np.flatnonzero(miss >= noise.miss_prob)
         d_center = d_center[seen]
-        center = gt_centers[seen] + d_center
+        center = gt_boxes[seen, :3] + d_center
         size = np.maximum(np.asarray(spec.size) + d_size[seen], 0.05)
         heading = _wrap_headings(gt_heading[seen] + d_heading[seen])
         appearance = signature + d_appearance[seen]

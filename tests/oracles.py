@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -83,11 +84,22 @@ def frame_rows(frames: Sequence[Detections]) -> tuple[tuple[Detection, ...], ...
     return tuple(table_rows(dets, k) for k, dets in enumerate(frames))
 
 
+def track_columns(track: GtTrack) -> tuple:
+    """A ground-truth track with each array as its dtype, shape and rows."""
+    return track.object_id, track.class_id, *(
+        (a.dtype, a.shape, a.tolist()) for a in (track.boxes, track.states)
+    )
+
+
 def scenario_repr(scenario: Scenario) -> str:
-    """The repr of `scenario` with its detections as rows, which shows every
-    float's digits and every value's type: two scenarios of equal reprs hold
-    the same values."""
-    return repr(dataclasses.replace(scenario, detections=frame_rows(scenario.detections)))
+    """The repr of `scenario` with its ground truth as `track_columns` and its
+    detections as rows, which shows every float's digits and every value's
+    type: two scenarios of equal reprs hold the same values."""
+    return repr(dataclasses.replace(
+        scenario,
+        gt_tracks=tuple(map(track_columns, scenario.gt_tracks)),
+        detections=frame_rows(scenario.detections),
+    ))
 
 
 def state_at(x: float, y: float) -> StateVector:
@@ -99,6 +111,11 @@ def state_from_array(arr) -> StateVector:
     """A flat [x, y, vx, vy, ax, ay] vector as a StateVector."""
     a = [float(v) for v in np.asarray(arr).reshape(6)]
     return StateVector((a[0], a[1]), (a[2], a[3]), (a[4], a[5]))
+
+
+def state_array(s: StateVector) -> np.ndarray:
+    """A StateVector as a flat [x, y, vx, vy, ax, ay] row."""
+    return np.array([*s.position, *s.velocity, *s.acceleration])
 
 
 def state_error(a: StateVector, b: StateVector, state: str) -> float:
@@ -250,15 +267,15 @@ def extract_examples_per_detection(scenario: Scenario, cfg: SttConfig) -> list[t
             prior = [det for frame, det in obs if frame < t][-cfg.t_max :]
             own = [det.detection_id for frame, det in obs if frame == t]
             context = select_context(
-                track.states[t], list(frames[t]), cfg.context_radius, cfg.k_max
+                state_from_array(track.states[t]), list(frames[t]), cfg.context_radius, cfg.k_max
             )
             if context:
                 examples.append((
                     tuple(prior),
                     tuple(context),
                     tuple(1 if det.detection_id in own else 0 for det in context),
-                    track.states[t],
-                    track.states[t - 1],
+                    track.states[t].tolist(),
+                    track.states[t - 1].tolist(),
                 ))
     return examples
 
@@ -394,7 +411,8 @@ def label_frames_from_scenario(scenario: Scenario) -> list[list[EvalBox]]:
     """Per-frame evaluation labels of a simulated scenario's ground truth."""
     return [
         [
-            EvalBox(t.object_id, t.class_id, t.boxes[k], t.states[k])
+            EvalBox(t.object_id, t.class_id, *Box7.from_rows(t.boxes[k]),
+                    *StateVector.from_rows(t.states[k]))
             for t in scenario.gt_tracks
         ]
         for k in range(scenario.frames)
@@ -416,9 +434,8 @@ def evaluate_sequences(
 def scenario_numbers(scenario: Scenario):
     """Every real-valued field of a scenario, ground truth then detections."""
     for track in scenario.gt_tracks:
-        for box, state in zip(track.boxes, track.states):
-            yield from (*box.center, *box.size, box.heading)
-            yield from (*state.position, *state.velocity, *state.acceleration)
+        for box, state in zip(track.boxes.tolist(), track.states.tolist()):
+            yield from (*box, *state)
     for frame in frame_rows(scenario.detections):
         for det in frame:
             yield from (*det.box.center, *det.box.size, det.box.heading)
@@ -439,7 +456,7 @@ def generate_per_frame(config, objects, seed: int) -> Scenario:
     d_a = config.appearance_dim
     times = np.arange(n_frames) * dt
 
-    gt_tracks = []
+    gt_tracks, gt_boxes = [], []
     signatures = []
     for oid, spec in enumerate(objects):
         sig = rng.standard_normal(d_a)
@@ -462,7 +479,11 @@ def generate_per_frame(config, objects, seed: int) -> Scenario:
             )
             for k in range(n_frames)
         )
-        gt_tracks.append(GtTrack(oid, spec.class_id, boxes, states))
+        gt_boxes.append(boxes)
+        gt_tracks.append(GtTrack(
+            oid, spec.class_id, np.array([box.as_row() for box in boxes]),
+            np.array([state_array(s) for s in states]),
+        ))
 
     per_object = []
     for oid, spec in enumerate(objects):
@@ -493,7 +514,7 @@ def generate_per_frame(config, objects, seed: int) -> Scenario:
             draws = per_object[oid]
             if draws["miss"][k] < noise.miss_prob:
                 continue
-            gt_box = gt_tracks[oid].boxes[k]
+            gt_box = gt_boxes[oid][k]
             center = np.array(gt_box.center) + draws["center"][k]
             size = np.maximum(np.array(spec.size) + draws["size"][k], 0.05)
             heading = normalize_heading(gt_box.heading + float(draws["heading"][k]))
@@ -680,4 +701,55 @@ def reference_detections(path) -> tuple[tuple, tuple]:
     return (
         tuple(tuple(det for det, _ in frame) for frame in frames),
         tuple(tuple(prov for _, prov in frame) for frame in frames),
+    )
+
+
+# --- the reference rows of every file kind ------------------------------------
+# `formats` spells rows straight from columns. These are the rows as dicts,
+# which `json.dumps(row, sort_keys=True)` spells as the writers must.
+
+_GT_ROW = ("frame", "object_id", "class", *_BOX_KEYS, "state")
+_SCORED_KEYS = (*_BOX_KEYS, "conf")
+_DETECTION_ROW = ("frame", "id", "class", *_SCORED_KEYS, "appearance", "motion", "provenance")
+_TRACK_ROW = ("frame", "track_id", "class", *_SCORED_KEYS, "state")
+
+
+def scenario_rows(scenario: Scenario) -> tuple[list[dict], list[dict]]:
+    """The ground-truth and detections rows of a scene, in file order."""
+    gt_rows = [
+        dict(zip(_GT_ROW, (
+            k, track.object_id, track.class_id.value, *track.boxes[k].tolist(),
+            dict(zip(_STATE_KEYS, track.states[k].tolist())),
+        )))
+        for k in range(scenario.frames)
+        for track in scenario.gt_tracks
+    ]
+    det_rows = [
+        dict(zip(_DETECTION_ROW, (k, i, c.value, *box, conf, appearance, motion, prov)))
+        for k, (dets, provenance) in enumerate(zip(scenario.detections, scenario.provenance))
+        for i, c, box, conf, appearance, motion, prov in zip(
+            dets.ids, dets.classes, dets.boxes.tolist(), dets.conf.tolist(),
+            dets.appearance.tolist(), dets.motion.tolist(), provenance,
+        )
+    ]
+    return gt_rows, det_rows
+
+
+def tracker_rows(output) -> list[dict]:
+    """The rows of a tracks file of tracker output, in file order."""
+    return [
+        dict(zip(_TRACK_ROW, (k, tid, c.value, *box, conf, dict(zip(_STATE_KEYS, state)))))
+        for k, tracks in enumerate(output.frames)
+        for tid, c, box, conf, state in zip(
+            tracks.track_ids, tracks.classes, tracks.boxes.tolist(), tracks.conf.tolist(),
+            tracks.states.tolist(),
+        )
+    ]
+
+
+def write_rows(path, kind: str, config: dict, rows) -> None:
+    """A `kind` file of any JSON `rows`, each line `json.dumps(row,
+    sort_keys=True)`: how tests write files the typed writers cannot."""
+    formats.write_jsonl(
+        path, kind, config, [json.dumps(row, sort_keys=True).encode() + b"\n" for row in rows]
     )

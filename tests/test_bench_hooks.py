@@ -10,6 +10,7 @@ tests.
 import dataclasses
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -20,7 +21,8 @@ import hostspeed  # noqa: E402
 import tracing  # noqa: E402
 from pipeline import WORKLOADS, make_config  # noqa: E402
 
-from sttrack import cli, sim  # noqa: E402
+from sttrack import cli, formats, runtime, sim  # noqa: E402
+from sttrack.kalman import KfParams  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -54,3 +56,19 @@ def test_metrics_oracle_passes_on_a_simulated_scene(tmp_path):
     cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, frames=30))
     cli.simulate_into(tmp_path, cfg, 1)
     assert checks.metrics_oracle(tmp_path, cfg.policy) == []
+
+
+def test_writers_write_through_the_hooked_write_jsonl(tmp_path):
+    """`hostspeed` ticks after each `formats.write_jsonl` call: a scene is two
+    calls and a tracks file one, so a writer that bypassed it would coarsen
+    the benchmark's segments."""
+    scenario = cli.build_scenario(make_config(WORKLOADS["vehicle-kf"], seed=1), 0)
+    output = runtime.run_sequence(
+        scenario.detections, runtime.KalmanBackend(KfParams(), scenario.dt),
+        runtime.LifecycleConfig(),
+    )
+    with mock.patch.object(formats, "write_jsonl", wraps=formats.write_jsonl) as write:
+        formats.write_scenario(tmp_path, "s0", scenario, {})
+        assert write.call_count == 2
+        formats.write_tracker_output(tmp_path / "s0.tracks.jsonl", output, {}, scenario.frames)
+        assert write.call_count == 3

@@ -396,6 +396,27 @@ def test_track_starts_no_more_workers_than_scenes(tmp_path, monkeypatch):
     ],
 )
 def test_count_option_below_one_exits_2(tmp_path, capsys, command, flag, value):
+    assert_int_option_rejected(tmp_path, capsys, command, flag, value, 1)
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "track", "ablate"])
+def test_negative_seed_option_exits_2(tmp_path, capsys, command):
+    assert_int_option_rejected(tmp_path, capsys, command, "--seed", "-1", 0)
+
+
+def test_negative_seed_in_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert last_error(capsys) == "invalid config: seed must be >= 0, got -1"
+    assert not out.exists()
+
+
+def assert_int_option_rejected(tmp_path, capsys, command, flag, value, low):
+    """`command` with `flag value` below `low` exits 2 naming the flag, and
+    writes nothing."""
     config = tmp_path / "run.json"
     config.write_text("{}")
     out = tmp_path / "out"
@@ -406,7 +427,7 @@ def test_count_option_below_one_exits_2(tmp_path, capsys, command, flag, value):
         argv += ["--axis", "track-length"]
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_CONFIG
-    assert last_error(capsys) == f"{flag} must be >= 1, got {value}"
+    assert last_error(capsys) == f"{flag} must be >= {low}, got {value}"
     assert not out.exists()
 
 

@@ -86,6 +86,7 @@ def test_json_integer_in_float_field_reads_as_float():
         ({"policy": {"persistence": "false"}}, "policy.persistence: expected bool"),
         ({"sim": {"frames": "200"}}, "sim.frames: expected int"),
         ({"seed": "abc"}, "seed: expected int"),
+        ({"seed": -1}, "invalid config: seed must be >= 0, got -1"),
         ({"stt": {"t_max": 2.5}}, "stt.t_max: expected int"),
         ({"lifecycle": {"max_misses": True}}, "lifecycle.max_misses: expected int"),
         ({"backend": 1}, "backend: expected str"),

@@ -14,6 +14,7 @@ from oracles import (
     euler_extrapolate,
     frame_rows,
     mc_bev_iou,
+    state_array,
     state_at,
     state_from_array,
     table_rows,
@@ -194,12 +195,12 @@ def test_iou_matrix_equals_per_pair_iou_bit_for_bit(raw_a, raw_b, touching):
 
 
 def test_extrapolate_static():
-    s = state_at(0.0, 0.0).as_array()
+    s = state_array(state_at(0.0, 0.0))
     assert extrapolate(s, 0.1).tolist() == s.tolist()
 
 
 def test_extrapolate_constant_velocity():
-    out = extrapolate(StateVector((0, 0), (2, 0), (0, 0)).as_array(), 0.5)
+    out = extrapolate(state_array(StateVector((0, 0), (2, 0), (0, 0))), 0.5)
     assert out[:2] == pytest.approx((1.0, 0.0))
     assert out[2:4].tolist() == [2.0, 0.0]
 
@@ -249,11 +250,11 @@ def test_extrapolate_stacked_is_each_state_in_python_floats():
 
 def test_extrapolate_rejects_negative_dt():
     with pytest.raises(ValueError, match="dt must be >= 0"):
-        extrapolate(state_at(0.0, 0.0).as_array(), -0.1)
+        extrapolate(state_array(state_at(0.0, 0.0)), -0.1)
     with pytest.raises(ValueError, match="dt must be >= 0"):
         extrapolate(np.zeros((3, 6)), [0.1, -0.1, 0.0])
     with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
-        extrapolate(StateVector((1e308, 0), (1e308, 0), (0, 0)).as_array(), 2.0)
+        extrapolate(state_array(StateVector((1e308, 0), (1e308, 0), (0, 0))), 2.0)
 
 
 # --- center_distance -------------------------------------------------------
@@ -303,9 +304,9 @@ def test_state_vector_rejects_nonfinite():
 
 def test_state_vector_array_round_trip():
     s = StateVector((1.25, -2.5), (0.1, 0.2), (-0.3, 0.7))
-    assert state_from_array(s.as_array()) == s
+    assert state_from_array(state_array(s)) == s
     states = [s, StateVector((-0.0, 5e-324), (1e300, -0.0), (0.0, -1.5))]
-    back = StateVector.from_rows(np.stack([s.as_array() for s in states]))
+    back = StateVector.from_rows(np.stack([state_array(s) for s in states]))
     assert back == states
     assert [math.copysign(1.0, v) for v in (*back[1].position, *back[1].velocity)] == [
         -1.0, 1.0, 1.0, -1.0,

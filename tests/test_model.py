@@ -102,8 +102,8 @@ def make_example(cfg=TINY, n_hist=2, n_ctx=3, positive=0, offset=(0.0, 0.0)):
         for j in range(n_ctx)
     )
     labels = tuple(1 if j == positive else 0 for j in range(n_ctx))
-    state_t = StateVector((ox + 0.2, oy), (1.0, 0.0), (0.1, 0.0))
-    state_prev = StateVector((ox + 0.1, oy), (1.0, 0.0), (0.1, 0.0))
+    state_t = np.array([ox + 0.2, oy, 1.0, 0.0, 0.1, 0.0])
+    state_prev = np.array([ox + 0.1, oy, 1.0, 0.0, 0.1, 0.0])
     return history, context, labels, state_t, state_prev
 
 
@@ -154,11 +154,11 @@ def test_features_bitwise_equal_to_row_reference():
     examples = [
         TrainingExample(
             history=(0, 1), context=(2, 3, 4), labels=(0, 1, 0),
-            state_t=state_at(0.0, 0.0), state_prev=state_at(0.0, 0.0),
+            state_t=np.zeros(6), state_prev=np.zeros(6),
         ),
         TrainingExample(
             history=(2, 5, 1), context=(1,), labels=(1,),
-            state_t=state_at(0.0, 0.0), state_prev=state_at(0.0, 0.0),
+            state_t=np.zeros(6), state_prev=np.zeros(6),
         ),
     ]
     assert_packed_as_rows(pack_batch(rows, examples, cfg), examples, dets, cfg)
@@ -564,8 +564,8 @@ def test_loss_single_context_half_score():
         (det,),
         (make_detection(0.0, 0.0, frame=1, det_id=0),),
         (1,),
-        state_at(0.0, 0.0),
-        state_at(0.0, 0.0),
+        np.zeros(6),
+        np.zeros(6),
     )
     loss = m.loss_components_batch(params, cfg, pack([ex], cfg))["total"]
     assert loss.item() == pytest.approx(cfg.gamma * math.log(2.0), abs=1e-12)
@@ -685,7 +685,7 @@ def test_extract_examples_name_the_per_detection_examples_by_row():
     assert table.tobytes() == want.tobytes()
     named = [
         (tuple(dets[r - 5] for r in ex.history), tuple(dets[r - 5] for r in ex.context),
-         ex.labels, ex.state_t, ex.state_prev)
+         ex.labels, ex.state_t.tolist(), ex.state_prev.tolist())
         for ex in examples
     ]
     assert repr(named) == repr(extract_examples_per_detection(scenario, TINY))

@@ -12,10 +12,10 @@ from oracles import (
     detections_table,
     kalman_predict_reference,
     kalman_update_reference,
+    tracker_rows,
 )
 from sttrack import assign
 from sttrack.core import Box7, ClassId, bev_iou
-from sttrack.formats import tracker_rows
 from sttrack.kalman import (
     KfParams,
     KfState,
@@ -427,8 +427,9 @@ def test_kalman_zero_noise_no_fragmentation():
     track_of_object = {}
     for k, out in enumerate(output.frames):
         centers = {
-            (round(t.boxes[k].center[0], 9), round(t.boxes[k].center[1], 9)): t.object_id
+            (round(cx, 9), round(cy, 9)): t.object_id
             for t in scenario.gt_tracks
+            for cx, cy in (t.boxes[k, :2].tolist(),)
         }
         for tid, (cx, cy) in zip(out.track_ids, out.boxes[:, :2].tolist()):
             oid = centers[round(cx, 9), round(cy, 9)]

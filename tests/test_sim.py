@@ -52,18 +52,15 @@ def test_static_zero_noise_three_frames():
     assert all(len(frame) == 1 for frame in frames)
     assert dets[0].box == dets[1].box == dets[2].box
     assert dets[0].appearance == dets[1].appearance
-    for state in scenario.gt_tracks[0].states:
-        assert state.velocity == (0.0, 0.0)
+    assert scenario.gt_tracks[0].states[:, 2:4].tolist() == [[0.0, 0.0]] * 3
 
 
 def test_constant_velocity_advances_per_frame():
     cfg = SimConfig(frames=5, dt=0.1, noise=NOISELESS)
     scenario = generate(cfg, (cv_spec(2.0, 0.0),), seed=0)
-    xs = [t.center[0] for t in scenario.gt_tracks[0].boxes]
-    deltas = np.diff(xs)
+    deltas = np.diff(scenario.gt_tracks[0].boxes[:, 0])
     assert deltas == pytest.approx([0.2] * 4, abs=1e-12)
-    for state in scenario.gt_tracks[0].states:
-        assert state.velocity == (2.0, 0.0)
+    assert scenario.gt_tracks[0].states[:, 2:4].tolist() == [[2.0, 0.0]] * 5
 
 
 def test_deterministic_for_fixed_seed():
@@ -83,8 +80,7 @@ def test_zero_noise_detections_equal_ground_truth():
     for k, frame in enumerate(frame_rows(scenario.detections)):
         assert len(frame) == 2
         for det, oid in zip(frame, scenario.provenance[k]):
-            gt_box = scenario.gt_tracks[oid].boxes[k]
-            assert det.box == gt_box
+            assert det.box.as_row() == tuple(scenario.gt_tracks[oid].boxes[k].tolist())
             assert det.confidence == 1.0
 
 
