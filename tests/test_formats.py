@@ -575,7 +575,14 @@ def scene_with(value) -> Scenario:
 
 
 @pytest.mark.parametrize(
-    "value", [math.nan, -math.inf, 2**64, -(2**63) - 1, 5e-5, -1e-5, 1e16, 1e-7]
+    "value",
+    [
+        math.nan, -math.inf, 2**64, -(2**63) - 1, 5e-5, -1e-5, 1e16, 1e-7,
+        # each side of where json switches to exponent form, the extremes and
+        # the zeros, which orjson and json spell alike or not
+        np.float64(0.5), 0.1, -0.0, 1e-4, 9.999999999999999e-05, 9999999999999998.0,
+        5e-324, 1.7976931348623157e308, math.inf, 0, 2**63, 2**64 - 1,
+    ],
 )
 def test_write_jsonl_spells_one_odd_value_as_json_dumps(tmp_path, value):
     scenario = scene_with(value)
