@@ -2,13 +2,15 @@
 
 The run goes in process through the functions the `sttrack` commands and the
 benchmark call: `cli.simulate_into` writes two short vehicle scenes,
-`cli.train_on_directory` trains on them for 30 steps, `cli.track_directory`
-tracks them with both backends and `cli.evaluate_directories` scores each
+`cli.train_on_directory` trains on them for 30 steps, once on all 840 of
+their training examples and once on a `max_examples` subsample of 200,
+`cli.track_directory` tracks them with both backends and `cli.evaluate_directories` scores each
 backend's tracks; STT tracks once more with `stt.state_source` "tdi", so that
 the association pass's state head is pinned too. The pins are SHA-256
-digests of the simulated scenes' ground-truth and detections rows, the
-checkpoint, the training log, each tracking run's rows (headers left out, as
-the benchmark's `rows_digest` computes them) and each run's metrics report.
+digests of the simulated scenes' ground-truth and detections rows, both
+checkpoints, the training log, each tracking run's rows (headers left out,
+as the benchmark's `rows_digest` computes them) and each run's metrics
+report.
 
 A change meant to keep behaviour leaves every pin. A change that moves
 behaviour on purpose prints the new values with
@@ -39,6 +41,7 @@ PINS = {
     "rows_gt": "fe3245087c5a74abfaa716ec45c24110c333f8bc341889fdb9cd979c39033336",
     "rows_det": "66b8711626320e2366f559be796f7ade2c4258d602d7dbaf095f1959d0c422ee",
     "checkpoint": "4dbc208073d83dc9a5572cac5a302d56e5614e4a56668b98ea6be95c72524212",
+    "checkpoint_subsampled": "535e24f64c888e11734040fc63cec065550f8ea2aa425a2a4d9551e3fca5af09",
     "training_log": "0d66ebe0ee458b748fe0d81b1bf6859c3cf5b62b2d3f37f0d7b32ece0be4eba4",
     "rows_kalman": "ad97ade8330354820a3b2eeab74905d4e1978b97334a5f81692543436d56cff6",
     "report_kalman": "f8941a5701c7c105ecab78cd70dc2fcbea4399d18f64b13382dee6781ea4c42a",
@@ -84,6 +87,9 @@ def pipeline_digests(work: Path) -> dict[str, str]:
         "checkpoint": _sha256(checkpoint.read_bytes()),
         "training_log": _sha256((model / "training_log.csv").read_bytes()),
     }
+    subsampled = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, max_examples=200))
+    checkpoint_subsampled = cli.train_on_directory(subsampled, data, work / "model_subsampled")
+    digests["checkpoint_subsampled"] = _sha256(checkpoint_subsampled.read_bytes())
     tdi = dataclasses.replace(cfg, stt=dataclasses.replace(cfg.stt, state_source="tdi"))
     for name, run_cfg, backend in (
         ("kalman", cfg, "kalman"), ("stt", cfg, "stt"), ("stt_tdi", tdi, "stt"),
