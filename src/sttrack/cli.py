@@ -8,8 +8,9 @@ nonzero with a machine-readable error line on failure.
 
 Exit codes: 0 success, 1 unexpected error, 2 config/schema violation or
 bad command line (an unknown or missing flag, a value that does not parse,
-a count option below 1, an `ablate --values` entry that does not parse or
-that the config rejects, an `--out` naming a file where the command writes a
+a count option below 1, `ablate --values` that repeat a run, are given for
+`joint-opt` or hold an entry that is empty, does not parse or that the
+config rejects, an `--out` naming a file where the command writes a
 directory or the reverse, also the CSV file `eval --emit-csv` writes beside
 it, a checkpoint whose tensors do not fit its model, training scenes that
 yield no training example),
@@ -112,7 +113,7 @@ def _check_widths(path: Path, frames, stt: model.SttConfig) -> None:
 
 def _training_set(
     data_dir: Path, names: list[str], stt: model.SttConfig
-) -> tuple[np.ndarray, list[model.TrainingExample]]:
+) -> tuple[np.ndarray, model.Examples]:
     """(table, examples) of the named scenes: their feature tables stacked
     into one, and the examples of every scene, which index it."""
     tables, examples = [], []
@@ -123,9 +124,9 @@ def _training_set(
         _check_widths(det_path, scenario.detections, stt)
         table, found = extract_examples(scenario, stt, first_row=rows)
         tables.append(table)
-        examples.extend(found)
+        examples.append(found)
         rows += len(table)
-    return np.concatenate(tables), examples
+    return np.concatenate(tables), model.Examples(*map(np.concatenate, zip(*examples)))
 
 
 def train_on_directory(
@@ -136,14 +137,15 @@ def train_on_directory(
     settings = cfg.train if steps is None else dataclasses.replace(cfg.train, steps=steps)
     names = scenario_names(data_dir, ".det.jsonl")[: settings.train_scenarios]
     table, examples = _training_set(data_dir, names, cfg.stt)
-    if not examples:
+    count = len(examples.positive)
+    if not count:
         raise formats.FormatError(
             f"{data_dir}: its {len(names)} scene(s) yield no training example"
         )
-    if len(examples) > settings.max_examples:
+    if count > settings.max_examples:
         rng = np.random.default_rng((cfg.seed, 2))
-        keep = rng.choice(len(examples), size=settings.max_examples, replace=False)
-        examples = [examples[i] for i in sorted(keep)]
+        keep = rng.choice(count, size=settings.max_examples, replace=False)
+        examples, count = examples.take(np.sort(keep)), settings.max_examples
     params, log = model.train(table, examples, cfg.stt, settings, seed=cfg.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "model.ckpt"
@@ -155,7 +157,7 @@ def train_on_directory(
             "class_id": cfg.class_id.value,
             "seed": cfg.seed,
             "steps": settings.steps,
-            "examples": len(examples),
+            "examples": count,
         },
     )
     model.write_training_log(out_dir / "training_log.csv", log)
@@ -435,14 +437,17 @@ def _ablation_variants(
     cfg: RunConfig, axis: str, values: str | None
 ) -> list[tuple[str, RunConfig]]:
     """(label, config) of each run along `axis`; `values` is the comma-separated
-    `--values` text, None for the axis's defaults."""
+    `--values` text, None for the axis's defaults. ValueError if the values
+    repeat a run or `axis` takes none."""
     variants: list[tuple[str, RunConfig]] = []
     if axis == "track-length":
-        lengths = [int(v) for v in values.split(",")] if values else [3, 5, 10, 20]
+        lengths = [3, 5, 10, 20] if values is None else [int(v) for v in values.split(",")]
         for t in lengths:
             stt = dataclasses.replace(cfg.stt, t_max=t)
             variants.append((f"T={t}", dataclasses.replace(cfg, backend="stt", stt=stt)))
     elif axis == "joint-opt":
+        if values is not None:
+            raise ValueError("the joint-opt axis takes no values")
         joint = dataclasses.replace(cfg, backend="stt")
         assoc_stt = dataclasses.replace(
             cfg.stt,
@@ -454,13 +459,16 @@ def _ablation_variants(
         variants.append(("joint", joint))
         variants.append(("assoc-only", dataclasses.replace(joint, stt=assoc_stt)))
     else:  # "noise"; argparse allows only the three axes
-        multipliers = [float(v) for v in values.split(",")] if values else [0.5, 1.0, 2.0]
+        multipliers = [0.5, 1.0, 2.0] if values is None else [float(v) for v in values.split(",")]
         for mult in multipliers:
             noise = dataclasses.replace(
                 cfg.sim.noise, center_sigma=cfg.sim.noise.center_sigma * mult
             )
             sim = dataclasses.replace(cfg.sim, noise=noise)
             variants.append((f"noise x{mult:g}", dataclasses.replace(cfg, sim=sim)))
+    labels = [label for label, _ in variants]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"repeated values make repeated runs {labels}")
     return variants
 
 

@@ -12,22 +12,23 @@ one multi-head block, `_attend`.
 All positions are encoded relative to the track's last observed position
 (the anchor), which makes every output translation-equivariant; decoded
 state positions are anchor-relative and the caller adds the anchor back.
-The anchor is not stored apart: it is the box centre, columns 0-1, of the
-last row of the track's history.
 
-Training and inference share one input path. `detection_features` turns a
-`core.Detections` table into encoder rows in one pass, and each detection
-is featurized once: `extract_examples` builds one feature table per training
-scene, and a `TrainingExample` names its history and context detections by
-row of that table; the online tracker featurizes each frame's detections
-once and keeps each track's history rows. `_pad` places groups of rows (a
-history or a context per track) into the first slots of padded (B, W, F)
-arrays with a mask, relative to each group's anchor; W is the batch's
-longest group, and `t_max`/`k_max` only bound it. `_history_inputs` adds the
-recency one-hots and pooling weights. `pack_batch` (training),
-`queries_from_histories` and `context_scores` (tracking) all go through
-them. `select_context` ranks the detections of a frame around many positions
-at once, for training examples and tracking alike.
+Training and inference share one input path and one history form: a
+right-aligned block of `t_max` slots, the newest detection in the last
+slot, plus a length; the anchor is that slot's box centre (columns 0-1).
+`detection_features` turns a `core.Detections` table into encoder rows, and
+each detection is featurized once. For training, `extract_examples` builds
+one feature table per scene and `Examples` columns that name rows of it,
+and `pack_batch` gathers the blocks; the online tracker keeps a bank of
+blocks of feature rows (`runtime.SttBackend`). `_history_inputs` is the
+only code that drops padded slots: it hands the live rows to `_pad`, which
+places groups of rows (a history or a context per track) into the first
+slots of padded (B, W, F) arrays with a mask, relative to each group's
+anchor; W is the batch's longest group, and `t_max`/`k_max` only bound it.
+`pack_batch` (training), `queries_from_histories` and `context_scores`
+(tracking) all go through them. `select_context` ranks the detections of a
+frame around many positions at once, for training examples and tracking
+alike.
 
 This module owns the run config's `stt` and `train` sections: `SttConfig`
 and `TrainSettings` are the sections as decoded, and each checks its own
@@ -41,6 +42,8 @@ import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,24 +111,21 @@ class SttConfig:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class TrainingExample:
-    """One (object, frame t) example; its detections are rows of the feature
-    table of its training set (see `extract_examples`)."""
+class Examples(NamedTuple):
+    """Training examples as columns, row `i` the `i`-th (object, frame t)
+    example; detections are rows of the feature table of the training set
+    (see `extract_examples`)."""
 
-    history: tuple[int, ...]  # <= t_max rows, ordered by frame, up to t-1
-    context: tuple[int, ...]  # <= k_max rows, at frame t
-    labels: tuple[int, ...]  # 0/1 per context detection; at most one 1
-    state_t: np.ndarray  # ground truth [x, y, vx, vy, ax, ay] at t, absolute coordinates
-    state_prev: np.ndarray  # the same at t-1
+    history: np.ndarray  # (N, t_max) int rows up to frame t-1, right-aligned, newest last
+    hist_len: np.ndarray  # (N,) 1..t_max
+    context: np.ndarray  # (N, k_max) int rows at frame t, nearest first
+    ctx_len: np.ndarray  # (N,) 1..k_max
+    positive: np.ndarray  # (N,) context slot of the object's own detection, or -1
+    state_t: np.ndarray  # (N, 6) ground truth [x, y, vx, vy, ax, ay] at t, absolute
+    state_prev: np.ndarray  # (N, 6) the same at t-1
 
-    def __post_init__(self) -> None:
-        if not self.history:
-            raise ValueError("history must be non-empty")
-        if len(self.labels) != len(self.context):
-            raise ValueError("labels must align with context detections")
-        if sum(self.labels) > 1:
-            raise ValueError("at most one context detection may be labeled 1")
+    def take(self, index) -> Examples:
+        return Examples(*(column[index] for column in self))
 
 
 # --- parameters --------------------------------------------------------------
@@ -233,19 +233,22 @@ def _pad(
 
 
 def _history_inputs(
-    rows: np.ndarray, lengths: np.ndarray, cfg: SttConfig
+    histories: np.ndarray, lengths: np.ndarray, cfg: SttConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(features, mask, recency one-hots (B, W, t_max), pooling weights
-    (B, 1, W)) for histories, given as `_pad` takes them but without anchors:
-    each history's anchor is the box centre of its last row.
+    (B, 1, W)) for histories: (B, t_max, F) blocks of `detection_features`
+    rows, each right-aligned with its newest row in the last slot, and their
+    (B,) lengths. The other slots are never read.
 
-    Each history sits in the first slots in frame order; its j-th of n
-    detections takes recency index t_max - n + j in the positional table.
+    Each history is anchored at the box centre of its last slot, and `_pad`
+    places it in the first slots in frame order; its j-th of n detections
+    takes recency index t_max - n + j in the positional table.
     """
     if len(lengths) and lengths.min() < 1:
         raise ValueError("history must be non-empty")
-    anchors = rows[np.cumsum(lengths) - 1, :2]
-    feat, mask = _pad(rows, lengths, anchors, cfg, "t_max")
+    n_slots = histories.shape[1]
+    live = np.arange(n_slots) >= n_slots - lengths[:, None]
+    feat, mask = _pad(histories[live], lengths, histories[:, -1, :2], cfg, "t_max")
     (b, w), t = mask.shape, cfg.t_max
     rows, slots = np.nonzero(mask)
     onehot = np.zeros((b, w, t))
@@ -256,13 +259,6 @@ def _history_inputs(
     else:
         pool[np.arange(b), 0, lengths - 1] = 1.0
     return feat, mask, onehot, pool
-
-
-def state_targets(state: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Anchor-relative regression target of an [x, y, vx, vy, ax, ay] row."""
-    arr = np.array(state, dtype=float)
-    arr[:2] -= anchor
-    return arr
 
 
 @dataclass(slots=True)
@@ -277,43 +273,30 @@ class Batch:
     target_t: np.ndarray  # (B, 6)
     target_prev: np.ndarray  # (B, 6)
 
-    @property
-    def size(self) -> int:
-        return self.hist_feat.shape[0]
 
-
-def pack_batch(
-    table: np.ndarray, examples: list[TrainingExample], cfg: SttConfig
-) -> Batch:
+def pack_batch(table: np.ndarray, examples: Examples, cfg: SttConfig) -> Batch:
     """Gather examples' rows of their feature `table` into batch arrays;
-    each example's anchor is the centre of its last history detection."""
-    anchors = table[[ex.history[-1] for ex in examples], :2]
-    hist_feat, hist_mask, pe_onehot, pool_weights = _history_inputs(
-        table[[row for ex in examples for row in ex.history]],
-        np.array([len(ex.history) for ex in examples], dtype=int),
-        cfg,
-    )
+    each example's anchor is the centre of its last history detection, and
+    its state targets are relative to it."""
+    histories = table[examples.history]
+    anchors = histories[:, -1, :2]
+    live = np.arange(examples.context.shape[1]) < examples.ctx_len[:, None]
     ctx_feat, ctx_mask = _pad(
-        table[[row for ex in examples for row in ex.context]],
-        np.array([len(ex.context) for ex in examples], dtype=int),
-        anchors,
-        cfg,
-        "k_max",
+        table[examples.context[live]], examples.ctx_len, anchors, cfg, "k_max"
     )
     labels = np.zeros(ctx_mask.shape)
-    labels[ctx_mask] = [label for ex in examples for label in ex.labels]
-    target_t = [state_targets(ex.state_t, a) for ex, a in zip(examples, anchors)]
-    target_prev = [state_targets(ex.state_prev, a) for ex, a in zip(examples, anchors)]
+    (with_positive,) = np.nonzero(examples.positive >= 0)
+    labels[with_positive, examples.positive[with_positive]] = 1.0
+    target_t, target_prev = examples.state_t.copy(), examples.state_prev.copy()
+    target_t[:, :2] -= anchors
+    target_prev[:, :2] -= anchors
     return Batch(
-        hist_feat=hist_feat,
-        hist_mask=hist_mask,
-        pe_onehot=pe_onehot,
-        pool_weights=pool_weights,
+        *_history_inputs(histories, examples.hist_len, cfg),
         ctx_feat=ctx_feat,
         ctx_mask=ctx_mask,
         labels=labels,
-        target_t=np.array(target_t).reshape(-1, 6),
-        target_prev=np.array(target_prev).reshape(-1, 6),
+        target_t=target_t,
+        target_prev=target_prev,
     )
 
 
@@ -504,25 +487,23 @@ def select_context(
 
 def extract_examples(
     scenario: Scenario, cfg: SttConfig, first_row: int = 0
-) -> tuple[np.ndarray, list[TrainingExample]]:
+) -> tuple[np.ndarray, Examples]:
     """Build supervised examples from simulator provenance.
 
     Returns (table, examples). The (N, F) `detection_features` table holds
     every detection of the scene, frame after frame; examples name their
     detections by table row plus `first_row`, so that the tables of several
     scenes stack. One example per (object, frame) where the object has at
-    least one prior associated detection: the history is its last <= t_max
-    detections before frame t, the context is selected around the
-    ground-truth state at t, and the positive label marks the object's own
-    detection when present.
+    least one prior associated detection and a non-empty context: the
+    history is its last <= t_max detections before frame t, the context is
+    selected around the ground-truth state at t, and `positive` marks the
+    object's own detection when present.
     """
     frames = scenario.detections
     table = np.concatenate([
         np.empty((0, cfg.feature_width)), *(detection_features(frame, cfg) for frame in frames)
     ])
     starts = np.cumsum([0] + [len(frame.ids) for frame in frames]).tolist()
-    # one int object per row, shared by every example that names the row
-    names = list(range(first_row, first_row + len(table)))
 
     per_object: dict[int, list[tuple[int, int]]] = {}  # oid -> [(frame, row)]
     for t, prov in enumerate(scenario.provenance):
@@ -545,31 +526,40 @@ def extract_examples(
         for t in range(scenario.frames)
     ]
 
-    examples: list[TrainingExample] = []
+    # per example: its history and context rows, its own detection's row
+    # (-1 if missed) and its ground-truth states at t and t-1
+    histories, context, own, states = [], [], [], []
     for i, track in enumerate(scenario.gt_tracks):
         obs = per_object.get(track.object_id, [])
         if not obs:
             continue
         obs_frames = [frame for frame, _ in obs]
+        obs_rows = [row for _, row in obs]
         ptr = 0  # number of observations strictly before frame t
         for t in range(obs_frames[0] + 1, scenario.frames):
             while ptr < len(obs) and obs_frames[ptr] < t:
                 ptr += 1
-            context = contexts[t][i].tolist()
-            if not context:
+            if not len(contexts[t][i]):
                 continue
-            prior = [row for _, row in obs[max(0, ptr - cfg.t_max) : ptr]]
-            own = obs[ptr][1] if ptr < len(obs) and obs_frames[ptr] == t else None
-            examples.append(
-                TrainingExample(
-                    history=tuple([names[row] for row in prior]),
-                    context=tuple([names[row] for row in context]),
-                    labels=tuple(1 if row == own else 0 for row in context),
-                    state_t=track.states[t],
-                    state_prev=track.states[t - 1],
-                )
-            )
-    return table, examples
+            histories.append(obs_rows[max(0, ptr - cfg.t_max) : ptr])
+            context.append(contexts[t][i])
+            own.append(obs_rows[ptr] if ptr < len(obs) and obs_frames[ptr] == t else -1)
+            states.append(track.states[t - 1 : t + 1])
+
+    n, t_max, k_max = len(own), cfg.t_max, cfg.k_max
+    hist_len = np.fromiter(map(len, histories), int, n)
+    ctx_len = np.fromiter(map(len, context), int, n)
+    history = np.zeros((n, t_max), dtype=int)
+    history[np.arange(t_max) >= t_max - hist_len[:, None]] = list(chain.from_iterable(histories))
+    live = np.arange(k_max) < ctx_len[:, None]
+    ctx = np.zeros((n, k_max), dtype=int)
+    ctx[live] = np.concatenate([np.empty(0, dtype=int), *context])
+    hits = live & (ctx == np.array(own, dtype=int)[:, None])
+    positive = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+    state = np.array(states).reshape(n, 2, 6)
+    return table, Examples(
+        history + first_row, hist_len, ctx + first_row, ctx_len, positive, state[:, 1], state[:, 0]
+    )
 
 
 # --- training ----------------------------------------------------------------
@@ -623,14 +613,15 @@ class TrainSettings:
 
 def train(
     table: np.ndarray,
-    examples: list[TrainingExample],
+    examples: Examples,
     cfg: SttConfig,
     settings: TrainSettings,
     seed: int,
 ) -> tuple[dict[str, Tensor], list[dict[str, float]]]:
     """Train on a fixed example set whose rows index `table`; deterministic
     for a fixed seed."""
-    if not examples:
+    n = len(examples.positive)
+    if not n:
         raise ValueError("training requires a non-empty dataset")
     rng = np.random.default_rng(seed)
     params = init_params(cfg, seed=int(rng.integers(2**31)))
@@ -642,10 +633,9 @@ def train(
         epsilon=settings.epsilon,
     )
     log: list[dict[str, float]] = []
-    n = len(examples)
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, n, size=min(settings.batch_size, n))
-        batch = pack_batch(table, [examples[i] for i in idx], cfg)
+        batch = pack_batch(table, examples.take(idx), cfg)
         losses = loss_components_batch(params, cfg, batch)
         total = losses["total"]
         if not math.isfinite(total.item()):
@@ -682,13 +672,12 @@ def write_training_log(path, log: list[dict[str, float]]) -> None:
 def queries_from_histories(
     params: dict[str, Tensor],
     cfg: SttConfig,
-    rows: np.ndarray,
-    lengths: Sequence[int],
+    histories: np.ndarray,
+    lengths: np.ndarray,
 ) -> np.ndarray:
-    """Track queries for a batch of 1..t_max-long detection histories: their
-    `detection_features` rows one history after another, and each history's
-    length. Each history is anchored at its last row."""
-    feat, mask, onehot, pool = _history_inputs(rows, np.asarray(lengths, dtype=int), cfg)
+    """Track queries for a batch of 1..t_max-long detection histories, given
+    as `_history_inputs` takes them."""
+    feat, mask, onehot, pool = _history_inputs(histories, lengths, cfg)
     with ad.no_grad():
         emb = encode_batch(params, Tensor(feat))
         query = temporal_fuse_batch(params, cfg, emb, mask, onehot, pool)

@@ -18,8 +18,8 @@ Each piece of track state has one owner. The `Tracker` owns the lifecycle:
 one mutable `Track` per live id with the frame and state of its last match
 and its misses, written only by `Tracker.step`. The estimators' state lives
 in the backends: `KalmanBackend.bank` holds the filters and
-`KalmanBackend.boxes` each track's last box, `SttBackend.queries` and
-`history_rows` each track's query and the feature rows of its history.
+`KalmanBackend.boxes` each track's last box, and `SttBackend.queries` and
+`history` each track's query and history block.
 Track ids only grow, so the dict `Tracker.tracks` holds the live tracks in id
 order, and row `i` of every backend array is its `i`-th track. Backends take
 the solver's indices: `update_matched` its `(row, col)` pairs,
@@ -165,10 +165,11 @@ class SttBackend:
 
     `frame_costs` featurizes the frame's detections once; those rows serve
     the frame's context scoring, the matched tracks' new queries and the new
-    tracks. For the tracker's `i`-th live track, `history_rows[i]` holds the
-    `detection_features` rows of its last <= `t_max` matched detections in
-    frame order, and `queries[i]`, a row of an `(N, d_q)` array, the fused
-    encoding of those rows; its anchor is its last row's box centre.
+    tracks. The histories form a bank like `KalmanBackend.bank`: row `i` of
+    `history` (N, t_max, F) holds the `detection_features` rows of the
+    tracker's `i`-th live track's last `history_len[i]` matches, right-aligned
+    (newest last, zeros before), and row `i` of `queries` (N, d_q) their
+    fused encoding; the track's anchor is `history[i, -1, :2]`.
     """
 
     def __init__(
@@ -183,8 +184,9 @@ class SttBackend:
         self.lifecycle = lifecycle
         self.dt = dt
         self.queries = np.empty((0, cfg.d_q))
-        self.history_rows: list[np.ndarray] = []
-        self._tdi_states: dict[int, np.ndarray] = {}  # row -> association-pass state
+        self.history = np.empty((0, cfg.t_max, cfg.feature_width))
+        self.history_len = np.empty(0, dtype=int)
+        self._tdi_states = np.empty((0, 6))  # association-pass states, NaN where unscored
         self._frame_index: int | None = None
         self._frame_rows = np.empty((0, cfg.feature_width))
 
@@ -201,7 +203,7 @@ class SttBackend:
         self._frame_index = frame_index
         self._frame_rows = detection_features(dets, self.cfg)
         costs = np.full((len(tracks), len(dets.ids)), assign.FORBIDDEN)
-        self._tdi_states = {}
+        self._tdi_states = np.full((len(tracks), 6), np.nan)
         if not tracks or not dets.ids:
             return costs
         track_states = np.array([track.state for track in tracks])
@@ -218,14 +220,14 @@ class SttBackend:
             return costs
         lengths = [len(contexts[i]) for i in live_rows]
         cols = np.concatenate([contexts[i] for i in live_rows])
-        anchors = np.stack([self.history_rows[i][-1, :2] for i in live_rows])
+        anchors = self.history[live_rows, -1, :2]
         scores, states = context_scores(
             self.params, self.cfg, self.queries[live_rows], self._frame_rows[cols],
             lengths, anchors,
         )
         if self.cfg.state_source == "tdi":
             states[:, :2] += anchors
-            self._tdi_states = dict(zip(live_rows, states))
+            self._tdi_states[live_rows] = states
         # scores of live slots, in the order of `cols`
         slot_scores = scores[np.arange(scores.shape[1]) < np.array(lengths)[:, None]]
         rows = np.repeat(live_rows, lengths)
@@ -240,20 +242,13 @@ class SttBackend:
             return np.empty((0, 6))
         track_rows = [r for r, _ in pairs]
         new_rows = self._rows(frame_index, [c for _, c in pairs])
-        # One gather from the held histories and the new rows, stacked, builds
-        # every new history: each track's last t_max - 1 held rows, which end
-        # where its held rows end, and then its new row.
-        held = [self.history_rows[r] for r in track_rows]
-        n_held = np.array([len(rows) for rows in held])
-        lengths = np.minimum(n_held, self.cfg.t_max - 1) + 1
-        ends = np.cumsum(lengths)
-        index = np.arange(ends[-1]) + np.repeat(np.cumsum(n_held) - ends + 1, lengths)
-        index[ends - 1] = n_held.sum() + np.arange(len(pairs))
-        rows = np.concatenate([*held, new_rows])[index]
-        queries = queries_from_histories(self.params, self.cfg, rows, lengths)
+        # each matched block shifts left one slot and takes its new row last
+        histories = np.concatenate([self.history[track_rows, 1:], new_rows[:, None]], axis=1)
+        lengths = np.minimum(self.history_len[track_rows] + 1, self.cfg.t_max)
+        self.history[track_rows] = histories
+        self.history_len[track_rows] = lengths
+        queries = queries_from_histories(self.params, self.cfg, histories, lengths)
         self.queries[track_rows] = queries
-        for r, lo, hi in zip(track_rows, (ends - lengths).tolist(), ends.tolist()):
-            self.history_rows[r] = rows[lo:hi]
         if self.cfg.state_source == "tsd":
             states = decode_states(self.params, queries)
             states[:, :2] += new_rows[:, :2]  # each match's anchor: its detection's centre
@@ -261,23 +256,26 @@ class SttBackend:
         # tdi: the state predicted during the association pass. Only a track
         # with a scored context has a cost below FORBIDDEN, so every matched
         # track has one.
-        return np.array([self._tdi_states[r] for r in track_rows])
+        return self._tdi_states[track_rows]
 
     def create_tracks(self, frame_index: int, cols: list[int], dets: Detections) -> np.ndarray:
         if not cols:
             return np.empty((0, 6))
-        rows = self._rows(frame_index, cols)
-        queries = queries_from_histories(self.params, self.cfg, rows, [1] * len(cols))
+        histories = np.zeros((len(cols), self.cfg.t_max, self.cfg.feature_width))
+        histories[:, -1] = self._rows(frame_index, cols)
+        lengths = np.ones(len(cols), dtype=int)
+        queries = queries_from_histories(self.params, self.cfg, histories, lengths)
         self.queries = np.concatenate([self.queries, queries])
-        self.history_rows.extend(rows[:, None])
+        self.history = np.concatenate([self.history, histories])
+        self.history_len = np.concatenate([self.history_len, lengths])
         states = np.zeros((len(cols), 6))  # at rest at the detections' centres
         states[:, :2] = dets.boxes[cols, :2]
         return states
 
     def forget(self, rows: list[int]) -> None:
         self.queries = np.delete(self.queries, rows, axis=0)
-        dead = set(rows)
-        self.history_rows = [h for i, h in enumerate(self.history_rows) if i not in dead]
+        self.history = np.delete(self.history, rows, axis=0)
+        self.history_len = np.delete(self.history_len, rows)
 
 
 class Tracker:

@@ -203,13 +203,28 @@ def pad_to_limit(
     return feat, mask
 
 
-def history_inputs_to_limit(rows: np.ndarray, lengths: np.ndarray, cfg: SttConfig):
-    """`model._history_inputs` over histories padded to t_max, each anchored
-    at its last row: (features, mask, recency one-hots (B, t_max, t_max),
-    pooling weights (B, 1, t_max))."""
+def history_blocks(histories: list[np.ndarray], t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, lengths) of feature-row histories as `model._history_inputs`
+    takes them, built one history at a time: each right-aligned in a block
+    of max(t_max, longest history) slots, zeros before it."""
+    lengths = np.array([len(rows) for rows in histories])
+    width = max(t_max, lengths.max())
+    blocks = np.zeros((len(histories), width, histories[0].shape[1]))
+    for block, rows in zip(blocks, histories):
+        block[width - len(rows) :] = rows
+    return blocks, lengths
+
+
+def history_inputs_to_limit(histories: np.ndarray, lengths: np.ndarray, cfg: SttConfig):
+    """`model._history_inputs` over histories padded to t_max: each history
+    taken from the last slots of its block one at a time and anchored at its
+    last row; (features, mask, recency one-hots (B, t_max, t_max), pooling
+    weights (B, 1, t_max))."""
     if len(lengths) and lengths.min() < 1:
         raise ValueError("history must be non-empty")
-    anchors = [rows[end - 1, :2] for end in np.cumsum(lengths).tolist()]
+    groups = [block[len(block) - n :] for block, n in zip(histories, lengths.tolist())]
+    anchors = [rows[-1, :2] for rows in groups]
+    rows = np.concatenate([np.empty((0, cfg.feature_width)), *groups])
     feat, mask = pad_to_limit(rows, lengths, anchors, cfg, "t_max")
     b, t = len(lengths), cfg.t_max
     rows, slots = np.nonzero(mask)

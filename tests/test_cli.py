@@ -498,6 +498,12 @@ def test_track_backend_choice_errors(tmp_path, capsys, config, flags, code, mess
         ("noise", "1.0,abc", "could not convert string to float: 'abc'"),
         ("noise", "-1", "center_sigma must be >= 0, got -0.1"),
         ("noise", "nan", "center_sigma must be >= 0, got nan"),
+        ("track-length", "3,3", "repeated values make repeated runs ['T=3', 'T=3']"),
+        ("noise", "1,1.0", "repeated values make repeated runs ['noise x1', 'noise x1']"),
+        ("track-length", "", "invalid literal for int() with base 10: ''"),
+        ("noise", "", "could not convert string to float: ''"),
+        ("joint-opt", "1", "the joint-opt axis takes no values"),
+        ("joint-opt", "", "the joint-opt axis takes no values"),
     ],
 )
 def test_ablate_bad_values_exit_2(tmp_path, capsys, axis, values, reason):

@@ -12,8 +12,8 @@ from sttrack import model as m
 from sttrack.autodiff import Tensor
 from sttrack.core import Box7, ClassId, StateVector
 from sttrack.model import (
+    Examples,
     SttConfig,
-    TrainingExample,
     TrainSettings,
     context_scores,
     decode_states,
@@ -33,6 +33,7 @@ from oracles import (
     detection_features_row,
     detections_table,
     frame_rows,
+    history_blocks,
     state_at,
     extract_examples_per_detection,
     limit_padded,
@@ -47,30 +48,26 @@ TINY = SttConfig(d_q=8, d_a=3, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=8)
 
 def _evaluate_loss(table, examples, params, cfg, batch_size=256):
     """Mean total loss over a dataset (no gradient bookkeeping)."""
-    total = 0.0
+    total, n = 0.0, len(examples.positive)
     with ad.no_grad():
-        for lo in range(0, len(examples), batch_size):
-            chunk = examples[lo : lo + batch_size]
-            batch = pack_batch(table, chunk, cfg)
-            total += m.loss_components_batch(params, cfg, batch)["total"].item() * len(chunk)
-    return total / len(examples)
+        for lo in range(0, n, batch_size):
+            chunk = examples.take(slice(lo, lo + batch_size))
+            loss = m.loss_components_batch(params, cfg, pack_batch(table, chunk, cfg))["total"]
+            total += loss.item() * len(chunk.positive)
+    return total / n
 
 
 def _association_accuracy(table, examples, params, cfg, batch_size=256):
     """Fraction of positive-labeled examples whose positive wins the argmax."""
     hits = 0
-    totals = 0
+    with_positive = examples.take(examples.positive >= 0)
+    totals = len(with_positive.positive)
     with ad.no_grad():
-        for lo in range(0, len(examples), batch_size):
-            chunk = [ex for ex in examples[lo : lo + batch_size] if sum(ex.labels) == 1]
-            if not chunk:
-                continue
+        for lo in range(0, totals, batch_size):
+            chunk = with_positive.take(slice(lo, lo + batch_size))
             batch = pack_batch(table, chunk, cfg)
             scores, _, _, _ = m.forward_batch(params, cfg, batch)
-            predicted = scores.data.argmax(axis=1)
-            expected = batch.labels.argmax(axis=1)
-            hits += int((predicted == expected).sum())
-            totals += len(chunk)
+            hits += int((scores.data.argmax(axis=1) == chunk.positive).sum())
     return hits / totals if totals else float("nan")
 
 
@@ -90,8 +87,8 @@ def make_detection(cx=0.0, cy=0.0, frame=0, det_id=0, cfg=TINY, motion=(0.0, 0.0
 
 
 def make_example(cfg=TINY, n_hist=2, n_ctx=3, positive=0, offset=(0.0, 0.0)):
-    """A `TrainingExample`'s fields with detections in place of table rows
-    (see `index_examples`)."""
+    """An example as (history, context, labels, state_t, state_prev), with
+    detections in place of table rows (see `index_examples`)."""
     ox, oy = offset
     history = tuple(
         make_detection(ox + 0.1 * i, oy, frame=i, det_id=i, cfg=cfg)
@@ -107,17 +104,35 @@ def make_example(cfg=TINY, n_hist=2, n_ctx=3, positive=0, offset=(0.0, 0.0)):
     return history, context, labels, state_t, state_prev
 
 
+def as_columns(examples, cfg=TINY):
+    """`Examples` of (history rows, context rows, labels, state_t,
+    state_prev) tuples, filled in one example at a time."""
+    n = len(examples)
+    out = Examples(
+        np.zeros((n, cfg.t_max), int), np.zeros(n, int), np.zeros((n, cfg.k_max), int),
+        np.zeros(n, int), np.full(n, -1), np.zeros((n, 6)), np.zeros((n, 6)),
+    )
+    for i, (history, context, labels, state_t, state_prev) in enumerate(examples):
+        out.history[i, cfg.t_max - len(history) :] = history
+        out.context[i, : len(context)] = context
+        out.hist_len[i], out.ctx_len[i] = len(history), len(context)
+        if 1 in labels:
+            out.positive[i] = labels.index(1)
+        out.state_t[i], out.state_prev[i] = state_t, state_prev
+    return out
+
+
 def index_examples(raw, cfg=TINY):
     """(table, examples): the feature table of `make_example`-style raw
-    examples' detections, and TrainingExamples that name them by row."""
+    examples' detections, and `Examples` that name them by row."""
     dets, examples = [], []
     for history, context, *rest in raw:
         rows = []
         for group in (history, context):
             rows.append(tuple(range(len(dets), len(dets) + len(group))))
             dets.extend(group)
-        examples.append(TrainingExample(*rows, *rest))
-    return detection_features(detections_table(dets), cfg), examples
+        examples.append((*rows, *rest))
+    return detection_features(detections_table(dets), cfg), as_columns(examples, cfg)
 
 
 def pack(raw, cfg=TINY):
@@ -125,10 +140,18 @@ def pack(raw, cfg=TINY):
 
 
 def grouped(groups, cfg=TINY):
-    """(rows, lengths) of detection groups, as the tracking entry points take
-    them."""
+    """(rows, lengths) of detection groups, as `context_scores` takes them."""
     dets = detections_table([det for g in groups for det in g], cfg.d_a, cfg.d_m)
     return detection_features(dets, cfg), [len(g) for g in groups]
+
+
+def histories(groups, cfg=TINY):
+    """(blocks, lengths) of detection histories, as `queries_from_histories`
+    takes them."""
+    return history_blocks(
+        [detection_features(detections_table(g, cfg.d_a, cfg.d_m), cfg) for g in groups],
+        cfg.t_max,
+    )
 
 
 # --- features and encoder ----------------------------------------------------
@@ -151,16 +174,10 @@ def test_features_bitwise_equal_to_row_reference():
     rows = detection_features(detections_table(dets), cfg)
     # two examples share detections 1 and 2, and the table holds a row no
     # example names
-    examples = [
-        TrainingExample(
-            history=(0, 1), context=(2, 3, 4), labels=(0, 1, 0),
-            state_t=np.zeros(6), state_prev=np.zeros(6),
-        ),
-        TrainingExample(
-            history=(2, 5, 1), context=(1,), labels=(1,),
-            state_t=np.zeros(6), state_prev=np.zeros(6),
-        ),
-    ]
+    examples = as_columns([
+        ((0, 1), (2, 3, 4), (0, 1, 0), np.zeros(6), np.zeros(6)),
+        ((2, 5, 1), (1,), (1,), np.zeros(6), np.zeros(6)),
+    ], cfg)
     assert_packed_as_rows(pack_batch(rows, examples, cfg), examples, dets, cfg)
     want = np.array([detection_features_row(d, (0.0, 0.0), cfg) for d in dets])
     assert rows.tobytes() == want.tobytes()
@@ -169,16 +186,22 @@ def test_features_bitwise_equal_to_row_reference():
 def assert_packed_as_rows(batch, examples, dets, cfg):
     """Every slot of `batch` is bitwise the reference row of the detection
     its example names, relative to the example's anchor, the centre of its
-    last history detection; pads are zero."""
-    for i, e in enumerate(examples):
-        anchor = dets[e.history[-1]].box.center[:2]
-        for feat, mask, group in ((batch.hist_feat, batch.hist_mask, e.history),
-                                  (batch.ctx_feat, batch.ctx_mask, e.context)):
+    last history detection; pads are zero. The labels mark the positive slot
+    and the state targets are the states relative to the anchor, bitwise."""
+    for i, (history, hist_len, context, ctx_len, positive, *states) in enumerate(zip(*examples)):
+        history, context = history[cfg.t_max - hist_len :], context[:ctx_len]
+        anchor = dets[history[-1]].box.center[:2]
+        for feat, mask, group in ((batch.hist_feat, batch.hist_mask, history),
+                                  (batch.ctx_feat, batch.ctx_mask, context)):
             n = len(group)
             want = np.array([detection_features_row(dets[r], anchor, cfg) for r in group])
             assert feat[i, :n].tobytes() == want.tobytes()
             assert mask[i].tolist() == [j < n for j in range(mask.shape[1])]
             assert not feat[i, n:].any()
+        assert batch.labels[i].tolist() == [float(j == positive) for j in range(len(mask[i]))]
+        for target, state in zip((batch.target_t[i], batch.target_prev[i]), states):
+            want = [state[0] - anchor[0], state[1] - anchor[1], *state[2:].tolist()]
+            assert target.tobytes() == np.array(want).tobytes()
 
 
 def test_encode_output_width():
@@ -241,8 +264,8 @@ def test_encode_gradient_wrt_input_features():
 def test_fuse_single_embedding_deterministic_function():
     params = init_params(TINY, seed=0)
     det = make_detection(0.3, -0.2)
-    out1 = queries_from_histories(params, TINY, *grouped([[det]]))
-    out2 = queries_from_histories(params, TINY, *grouped([[det]]))
+    out1 = queries_from_histories(params, TINY, *histories([[det]]))
+    out2 = queries_from_histories(params, TINY, *histories([[det]]))
     assert out1.shape == (1, TINY.d_q)
     assert out1.tobytes() == out2.tobytes()
 
@@ -251,10 +274,10 @@ def test_fuse_rejects_empty_and_overlong_history():
     params = init_params(TINY, seed=0)
     ok = [make_detection()]
     with pytest.raises(ValueError, match="non-empty"):
-        queries_from_histories(params, TINY, *grouped([ok, []]))
+        queries_from_histories(params, TINY, *histories([ok, []]))
     overlong = [make_detection(frame=f) for f in range(TINY.t_max + 1)]
     with pytest.raises(ValueError, match="4 detections exceeds t_max 3"):
-        queries_from_histories(params, TINY, *grouped([ok, overlong]))
+        queries_from_histories(params, TINY, *histories([ok, overlong]))
 
 
 def test_padding_relayout_invariance():
@@ -485,11 +508,12 @@ def test_longest_group_padding_equals_limit_padding(sizes, pooling, seed):
     ctx_rows = rng.normal(0, 3, (sum(ctx_lengths), cfg.feature_width))
     # each track's anchor is the centre of its history's last row
     anchors = hist_rows[np.cumsum(hist_lengths) - 1, :2].tolist()
+    blocks = history_blocks(np.split(hist_rows, np.cumsum(hist_lengths)[:-1]), cfg.t_max)
 
-    queries = queries_from_histories(params, cfg, hist_rows, hist_lengths)
+    queries = queries_from_histories(params, cfg, *blocks)
     scores, states = context_scores(params, cfg, queries, ctx_rows, ctx_lengths, anchors)
     with limit_padded():
-        want = queries_from_histories(params, cfg, hist_rows, hist_lengths)
+        want = queries_from_histories(params, cfg, *blocks)
         want_scores, want_states = context_scores(
             params, cfg, queries, ctx_rows, ctx_lengths, anchors
         )
@@ -668,13 +692,11 @@ def small_scenario(seed=0, frames=40):
 def test_extract_examples_labels_align_with_provenance():
     scenario = small_scenario()
     _, examples = extract_examples(scenario, TINY)
-    assert len(examples) > 20
-    for ex in examples:
-        assert 1 <= len(ex.history) <= TINY.t_max
-        assert 1 <= len(ex.context) <= TINY.k_max
-        assert sum(ex.labels) in (0, 1)
-    with_positive = [ex for ex in examples if sum(ex.labels) == 1]
-    assert len(with_positive) > 10
+    assert len(examples.positive) > 20
+    assert ((1 <= examples.hist_len) & (examples.hist_len <= TINY.t_max)).all()
+    assert ((1 <= examples.ctx_len) & (examples.ctx_len <= TINY.k_max)).all()
+    assert ((-1 <= examples.positive) & (examples.positive < examples.ctx_len)).all()
+    assert (examples.positive >= 0).sum() > 10
 
 
 def test_extract_examples_name_the_per_detection_examples_by_row():
@@ -684,21 +706,35 @@ def test_extract_examples_name_the_per_detection_examples_by_row():
     want = np.array([detection_features_row(det, (0.0, 0.0), TINY) for det in dets])
     assert table.tobytes() == want.tobytes()
     named = [
-        (tuple(dets[r - 5] for r in ex.history), tuple(dets[r - 5] for r in ex.context),
-         ex.labels, ex.state_t.tolist(), ex.state_prev.tolist())
-        for ex in examples
+        (tuple(dets[r - 5] for r in history[TINY.t_max - hist_len :]),
+         tuple(dets[r - 5] for r in context[:ctx_len]),
+         tuple(int(j == positive) for j in range(ctx_len)), state_t.tolist(), state_prev.tolist())
+        for history, hist_len, context, ctx_len, positive, state_t, state_prev in zip(*examples)
     ]
     assert repr(named) == repr(extract_examples_per_detection(scenario, TINY))
     # stacked below another scene's 5 rows, as `cli.train_on_directory` does
     stacked = np.concatenate([np.full((5, TINY.feature_width), np.nan), table])
-    some = examples[::7]
+    some = examples.take(slice(None, None, 7))
     assert_packed_as_rows(pack_batch(stacked, some, TINY), some, [None] * 5 + dets, TINY)
+
+
+def test_pack_batch_of_a_train_draw_equals_the_row_reference():
+    # `train` draws its batches with repeats and out of order
+    scenario = small_scenario()
+    table, examples = extract_examples(scenario, TINY, first_row=5)
+    dets = [None] * 5 + [det for frame in frame_rows(scenario.detections) for det in frame]
+    stacked = np.concatenate([np.full((5, TINY.feature_width), np.nan), table])
+    n = len(examples.positive)
+    idx = np.random.default_rng(3).integers(0, n, size=min(TrainSettings().batch_size, n))
+    assert len(set(idx.tolist())) < len(idx) and (np.diff(idx) < 0).any()
+    drawn = examples.take(idx)
+    assert_packed_as_rows(pack_batch(stacked, drawn, TINY), drawn, dets, TINY)
 
 
 def test_parameter_gradients_bitwise_equal_zero_filled_backward():
     cfg = SttConfig(d_a=TINY.d_a)  # the default network widths
     table, examples = extract_examples(small_scenario(), cfg)
-    batch = pack_batch(table, examples[:64], cfg)
+    batch = pack_batch(table, examples.take(slice(64)), cfg)
     params = init_params(cfg, seed=5)
     m.loss_components_batch(params, cfg, batch)["total"].backward()
     lazy = {name: p.grad.copy() for name, p in params.items()}
@@ -713,7 +749,7 @@ def test_fused_blocks_keep_the_op_by_op_losses_and_gradients_bitwise(pooling):
     # same model running their op-by-op graphs: every loss and gradient bit
     cfg = SttConfig(d_q=24, d_a=TINY.d_a, pooling=pooling)  # heads of 12: 1 / sqrt(12) inexact
     table, examples = extract_examples(small_scenario(), cfg)
-    batch = pack_batch(table, examples[:64], cfg)
+    batch = pack_batch(table, examples.take(slice(64)), cfg)
     results = []
     for blocks in (contextlib.nullcontext, op_by_op_blocks):
         params = init_params(cfg, seed=5)
@@ -742,8 +778,9 @@ def test_train_reduces_loss_and_is_deterministic():
     params_b, _ = train(table, examples, TINY, settings, seed=0)
     for name in params_a:
         assert params_a[name].data.tobytes() == params_b[name].data.tobytes()
-    start = _evaluate_loss(table, examples[:50], init_params(TINY, seed=0), TINY)
-    end = _evaluate_loss(table, examples[:50], params_a, TINY)
+    first = examples.take(slice(50))
+    start = _evaluate_loss(table, first, init_params(TINY, seed=0), TINY)
+    end = _evaluate_loss(table, first, params_a, TINY)
     assert end < start
     assert log_a[0]["step"] == 1
     assert log_a[-1]["step"] == 60
@@ -782,8 +819,8 @@ def test_lr_schedule_without_warmup_or_decay_is_constant():
 
 
 def test_train_rejects_empty_dataset():
-    with pytest.raises(ValueError):
-        train(np.empty((0, TINY.feature_width)), [], TINY,
+    with pytest.raises(ValueError, match="non-empty dataset"):
+        train(np.empty((0, TINY.feature_width)), as_columns([]), TINY,
               TrainSettings(steps=1, batch_size=1), seed=0)
 
 

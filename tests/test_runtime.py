@@ -10,6 +10,7 @@ from oracles import (
     NOISELESS,
     Detection,
     detections_table,
+    history_blocks,
     kalman_predict_reference,
     kalman_update_reference,
     tracker_rows,
@@ -231,6 +232,15 @@ TINY_STT = SttConfig(d_q=8, d_a=3, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=
 TINY_STT_PARAMS = init_params(TINY_STT, seed=0)
 
 
+def assert_history_block(backend, i, rows, t_max):
+    """Row `i` of `backend`'s history bank holds `rows` bitwise in its last
+    slots, zeros before them, and their count as its length."""
+    n = len(rows)
+    assert backend.history_len[i] == n
+    assert backend.history[i, t_max - n :].tobytes() == rows.tobytes()
+    assert not backend.history[i, : t_max - n].any()
+
+
 def record_histories(histories, tracker, out, dets, t_max):
     """Append to the recorded detections of each track in the step output
     `out` the detection of `dets` it was matched to or created from, found
@@ -265,11 +275,13 @@ def test_stt_backend_queries_follow_tracker(stream, max_misses, state_source):
         # order, each the query of its own history and that history's
         # feature rows
         assert backend.queries.shape == (len(tracker.tracks), cfg.d_q)
-        assert len(backend.history_rows) == len(tracker.tracks)
+        assert backend.history.shape == (len(tracker.tracks), cfg.t_max, cfg.feature_width)
         for i, tid in enumerate(tracker.tracks):
             rows = detection_features(detections_table(histories[tid]), cfg)
-            assert backend.history_rows[i].tobytes() == rows.tobytes()
-            (expected,) = queries_from_histories(TINY_STT_PARAMS, cfg, rows, [len(rows)])
+            assert_history_block(backend, i, rows, cfg.t_max)
+            (expected,) = queries_from_histories(
+                TINY_STT_PARAMS, cfg, *history_blocks([rows], cfg.t_max)
+            )
             np.testing.assert_allclose(
                 backend.queries[i], expected, rtol=1e-12, atol=1e-12
             )
@@ -299,10 +311,10 @@ def test_stt_history_rows_are_the_last_t_max_matches(presence, state_source):
             for j, (present, jitter) in enumerate(cells) if present
         ]
         record_histories(histories, tracker, step(tracker, frame, dets), dets, cfg.t_max)
-        assert len(backend.history_rows) == len(tracker.tracks)
+        assert len(backend.history) == len(backend.history_len) == len(tracker.tracks)
         for i, tid in enumerate(tracker.tracks):
             want = detection_features(detections_table(histories[tid]), cfg)
-            assert backend.history_rows[i].tobytes() == want.tobytes()
+            assert_history_block(backend, i, want, cfg.t_max)
 
 
 def test_stt_tdi_states_come_from_the_association_pass():
