@@ -74,8 +74,9 @@ def scenario_names(directory: Path, suffix: str) -> list[str]:
 def load_checkpoint_for(cfg: RunConfig, path: Path) -> dict[str, np.ndarray]:
     """A checkpoint's parameter arrays; CheckpointMismatchError unless it was
     trained with `cfg.stt`, FormatError unless its tensor names and shapes
-    are that model's. Only `state_source` may differ: training never reads
-    it, it picks the head whose states tracking reports."""
+    are that model's and its values finite. Only `state_source` may differ:
+    training never reads it, it picks the head whose states tracking
+    reports."""
     if not path.is_file():
         raise FileNotFoundError(f"no such checkpoint file: {path}")
     try:
@@ -96,6 +97,10 @@ def load_checkpoint_for(cfg: RunConfig, path: Path) -> dict[str, np.ndarray]:
                 f"{path}: tensor {name!r} has shape {have.get(name, 'none')} in the"
                 f" checkpoint and {want.get(name, 'none')} in the model"
             )
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            bad = float(array[~np.isfinite(array)][0])
+            raise formats.FormatError(f"{path}: tensor {name!r} holds {bad!r}")
     return arrays
 
 
@@ -467,7 +472,8 @@ def _ablation_variants(
             sim = dataclasses.replace(cfg.sim, noise=noise)
             variants.append((f"noise x{mult:g}", dataclasses.replace(cfg, sim=sim)))
     labels = [label for label, _ in variants]
-    if len(set(labels)) < len(labels):
+    configs = [run for _, run in variants]
+    if len(set(labels)) < len(labels) or any(c in configs[:i] for i, c in enumerate(configs)):
         raise ValueError(f"repeated values make repeated runs {labels}")
     return variants
 

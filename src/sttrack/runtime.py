@@ -14,15 +14,15 @@ centres and ids from the kept table. Backends return their states as
 `(n, 6)` arrays, and each step returns its frame's output as one
 `FrameTracks`: track ids, classes, boxes, confidences and states.
 
-Each piece of track state has one owner. The `Tracker` owns the lifecycle:
-one mutable `Track` per live id with the frame and state of its last match
-and its misses, written only by `Tracker.step`. The estimators' state lives
-in the backends: `KalmanBackend.bank` holds the filters and
-`KalmanBackend.boxes` each track's last box, and `SttBackend.queries` and
-`history` each track's query and history block.
-Track ids only grow, so the dict `Tracker.tracks` holds the live tracks in id
-order, and row `i` of every backend array is its `i`-th track. Backends take
-the solver's indices: `update_matched` its `(row, col)` pairs,
+Each piece of track state has one owner. The `Tracker` owns the lifecycle
+as two columns, written only by `Tracker.step`: `track_ids`, the live ids
+in ascending order, and `misses`, the frames each has missed since its last
+match. Track ids only grow, so row `i` of every backend array is the track
+`track_ids[i]`. Each backend owns every per-track value it reads:
+`KalmanBackend.bank` holds the filters and `boxes` each track's last box;
+`SttBackend.states` and `frames` hold the state and frame of each track's
+last match, and `queries` and `history` its query and history block.
+Backends take the solver's indices: `update_matched` its `(row, col)` pairs,
 `create_tracks` the columns of new tracks' detections, whose rows it
 appends, and `forget` the rows of the tracks the tracker deleted.
 """
@@ -67,17 +67,6 @@ class LifecycleConfig:
         ))
 
 
-@dataclass(slots=True)
-class Track:
-    """A live track: the frame and the `[x, y, vx, vy, ax, ay]` state
-    estimate of its last match, and the frames missed since."""
-
-    track_id: int
-    frame: int
-    state: np.ndarray  # (6,)
-    misses: int = 0
-
-
 class FrameTracks(NamedTuple):
     """One frame's tracker output as columns, one row per track matched or
     created in the frame, in track-id order: its id, its detection's class,
@@ -113,11 +102,7 @@ class KalmanBackend:
         self.bank = init_state(np.empty((0, 2)), params)
         self.boxes = np.empty((0, 7))
 
-    def frame_costs(self, frame_index: int, tracks: list[Track], dets: Detections) -> np.ndarray:
-        if len(tracks) != len(self.bank.mean):
-            raise ValueError(
-                f"{len(tracks)} tracks, but the filter bank holds {len(self.bank.mean)}"
-            )
+    def frame_costs(self, frame_index: int, dets: Detections) -> np.ndarray:
         self.bank = predict(self.bank, self.dt, self.params)
         boxes = self.boxes.copy()
         boxes[:, :2] = self.bank.mean[:, :2]  # each box at its filter's predicted center
@@ -169,7 +154,9 @@ class SttBackend:
     `history` (N, t_max, F) holds the `detection_features` rows of the
     tracker's `i`-th live track's last `history_len[i]` matches, right-aligned
     (newest last, zeros before), and row `i` of `queries` (N, d_q) their
-    fused encoding; the track's anchor is `history[i, -1, :2]`.
+    fused encoding; the track's anchor is `history[i, -1, :2]`. Row `i` of
+    `states` (N, 6) is the state that track's last match emitted, and
+    `frames[i]` that match's frame: context selection extrapolates from them.
     """
 
     def __init__(
@@ -186,6 +173,8 @@ class SttBackend:
         self.queries = np.empty((0, cfg.d_q))
         self.history = np.empty((0, cfg.t_max, cfg.feature_width))
         self.history_len = np.empty(0, dtype=int)
+        self.states = np.empty((0, 6))
+        self.frames = np.empty(0, dtype=int)
         self._tdi_states = np.empty((0, 6))  # association-pass states, NaN where unscored
         self._frame_index: int | None = None
         self._frame_rows = np.empty((0, cfg.feature_width))
@@ -199,17 +188,17 @@ class SttBackend:
             )
         return self._frame_rows[cols]
 
-    def frame_costs(self, frame_index: int, tracks: list[Track], dets: Detections) -> np.ndarray:
+    def frame_costs(self, frame_index: int, dets: Detections) -> np.ndarray:
         self._frame_index = frame_index
         self._frame_rows = detection_features(dets, self.cfg)
-        costs = np.full((len(tracks), len(dets.ids)), assign.FORBIDDEN)
-        self._tdi_states = np.full((len(tracks), 6), np.nan)
-        if not tracks or not dets.ids:
+        n_tracks = len(self.frames)
+        costs = np.full((n_tracks, len(dets.ids)), assign.FORBIDDEN)
+        self._tdi_states = np.full((n_tracks, 6), np.nan)
+        if not n_tracks or not dets.ids:
             return costs
-        track_states = np.array([track.state for track in tracks])
-        elapsed = (frame_index - np.array([track.frame for track in tracks])) * self.dt
+        elapsed = (frame_index - self.frames) * self.dt
         contexts = select_context(
-            extrapolate(track_states, elapsed)[:, :2],
+            extrapolate(self.states, elapsed)[:, :2],
             self._frame_rows[:, :2],
             dets.ids,
             self.cfg.context_radius,
@@ -252,11 +241,14 @@ class SttBackend:
         if self.cfg.state_source == "tsd":
             states = decode_states(self.params, queries)
             states[:, :2] += new_rows[:, :2]  # each match's anchor: its detection's centre
-            return states
-        # tdi: the state predicted during the association pass. Only a track
-        # with a scored context has a cost below FORBIDDEN, so every matched
-        # track has one.
-        return self._tdi_states[track_rows]
+        else:
+            # tdi: the state predicted during the association pass. Only a
+            # track with a scored context has a cost below FORBIDDEN, so
+            # every matched track has one.
+            states = self._tdi_states[track_rows]
+        self.states[track_rows] = states
+        self.frames[track_rows] = frame_index
+        return states
 
     def create_tracks(self, frame_index: int, cols: list[int], dets: Detections) -> np.ndarray:
         if not cols:
@@ -270,22 +262,27 @@ class SttBackend:
         self.history_len = np.concatenate([self.history_len, lengths])
         states = np.zeros((len(cols), 6))  # at rest at the detections' centres
         states[:, :2] = dets.boxes[cols, :2]
+        self.states = np.concatenate([self.states, states])
+        self.frames = np.concatenate([self.frames, np.full(len(cols), frame_index)])
         return states
 
     def forget(self, rows: list[int]) -> None:
         self.queries = np.delete(self.queries, rows, axis=0)
         self.history = np.delete(self.history, rows, axis=0)
         self.history_len = np.delete(self.history_len, rows)
+        self.states = np.delete(self.states, rows, axis=0)
+        self.frames = np.delete(self.frames, rows)
 
 
 class Tracker:
     """Frame-by-frame tracking state machine over a pluggable backend; the
-    only writer of its `Track`s."""
+    only writer of its lifecycle columns `track_ids` and `misses`."""
 
     def __init__(self, backend, lifecycle: LifecycleConfig):
         self.backend = backend
         self.lifecycle = lifecycle
-        self.tracks: dict[int, Track] = {}
+        self.track_ids = np.empty(0, dtype=int)  # (N,) live ids, ascending
+        self.misses = np.empty(0, dtype=int)  # (N,) frames missed since the last match
         self.next_track_id = 1
         self.last_frame = -1
 
@@ -302,48 +299,43 @@ class Tracker:
             )
         kept = np.flatnonzero(detections.conf >= self.lifecycle.min_confidence).tolist()
         dets = detections.take(sorted(kept, key=ids.__getitem__))
-        active = list(self.tracks.values())
 
-        costs = self.backend.frame_costs(frame_index, active, dets)
+        costs = self.backend.frame_costs(frame_index, dets)
+        if costs.shape != (len(self.track_ids), len(dets.ids)):
+            raise ValueError(
+                f"frame {frame_index}: costs of shape {costs.shape} for"
+                f" {len(self.track_ids)} tracks and {len(dets.ids)} detections"
+            )
         pairs = assign.solve(costs)
-        matched_rows = {r for r, _ in pairs}
-        matched_cols = {c for _, c in pairs}
+        rows, cols = [r for r, _ in pairs], [c for _, c in pairs]
 
         estimates = self.backend.update_matched(frame_index, pairs, dets)
         if not np.isfinite(estimates).all():
             bad = float(estimates[~np.isfinite(estimates)][0])
             raise ValueError(f"non-finite state component: {bad!r}")
-        for (r, _), state in zip(pairs, estimates):
-            track = active[r]
-            track.frame = frame_index
-            track.state = state
-            track.misses = 0
-        track_ids = [active[r].track_id for r, _ in pairs]
+        track_ids = self.track_ids[rows].tolist()
 
-        dead: list[int] = []
-        for r, track in enumerate(active):
-            if r in matched_rows:
-                continue
-            track.misses += 1
-            if track.misses > self.lifecycle.max_misses:
-                dead.append(r)
-                del self.tracks[track.track_id]
-        if dead:
-            self.backend.forget(dead)
+        self.misses += 1
+        self.misses[rows] = 0
+        dead = np.flatnonzero(self.misses > self.lifecycle.max_misses)
+        if len(dead):
+            self.track_ids = np.delete(self.track_ids, dead)
+            self.misses = np.delete(self.misses, dead)
+            self.backend.forget(dead.tolist())
 
+        matched_cols = set(cols)
         new_cols = [c for c in range(len(dets.ids)) if c not in matched_cols]
         created = self.backend.create_tracks(frame_index, new_cols, dets)
-        for state in created:
-            tid = self.next_track_id
-            self.next_track_id += 1
-            self.tracks[tid] = Track(tid, frame_index, state)
-            track_ids.append(tid)
+        new_ids = np.arange(self.next_track_id, self.next_track_id + len(new_cols))
+        self.next_track_id += len(new_cols)
+        self.track_ids = np.concatenate([self.track_ids, new_ids])
+        self.misses = np.concatenate([self.misses, np.zeros(len(new_cols), dtype=int)])
         # rows in track-id order: pairs come sorted by row, and every new id
         # is larger than the live ones
-        cols = [c for _, c in pairs] + new_cols
+        cols += new_cols
         return FrameTracks(
-            track_ids, [dets.classes[c] for c in cols], dets.boxes[cols], dets.conf[cols],
-            np.concatenate([estimates, created]),
+            track_ids + new_ids.tolist(), [dets.classes[c] for c in cols], dets.boxes[cols],
+            dets.conf[cols], np.concatenate([estimates, created]),
         )
 
 

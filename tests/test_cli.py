@@ -258,6 +258,8 @@ def track_stt(config, data, out, checkpoint):
          "tensor 'tdi.extra' has shape (64,) in the checkpoint and none in the model"),
         ("wrong-shape", cli.EXIT_CONFIG,
          "tensor 'de.w1' has shape (26, 1) in the checkpoint and (26, 64) in the model"),
+        ("nan", cli.EXIT_CONFIG, "tensor 'de.w1' holds nan"),
+        ("inf", cli.EXIT_CONFIG, "tensor 'tdi.score_w1' holds -inf"),
     ],
 )
 def test_track_checkpoint_boundary(trained, tmp_path, capsys, damage, code, message):
@@ -266,12 +268,17 @@ def test_track_checkpoint_boundary(trained, tmp_path, capsys, damage, code, mess
     checkpoint = tmp_path / "model.ckpt"
     if damage == "directory":
         checkpoint.mkdir()
-    elif damage.endswith(("tensor", "shape")):  # a valid file that misfits the model
+    elif damage.endswith(("tensor", "shape")) or damage in ("nan", "inf"):
+        # a valid file that misfits the model or holds a value it cannot run
         arrays, metadata = autodiff.load_checkpoint(good)
         if damage == "no-tensor":
             del arrays["tdi.score_w1"]
         elif damage == "extra-tensor":
             arrays["tdi.extra"] = arrays["de.b1"]
+        elif damage == "nan":
+            arrays["de.w1"][3, 5] = float("nan")
+        elif damage == "inf":
+            arrays["tdi.score_w1"][7, 1] = float("-inf")
         else:
             arrays["de.w1"] = arrays["de.w1"][:, :1]
         tensors = {name: autodiff.Tensor(data) for name, data in arrays.items()}
@@ -500,6 +507,7 @@ def test_track_backend_choice_errors(tmp_path, capsys, config, flags, code, mess
         ("noise", "nan", "center_sigma must be >= 0, got nan"),
         ("track-length", "3,3", "repeated values make repeated runs ['T=3', 'T=3']"),
         ("noise", "1,1.0", "repeated values make repeated runs ['noise x1', 'noise x1']"),
+        ("noise", "-0,0", "repeated values make repeated runs ['noise x-0', 'noise x0']"),
         ("track-length", "", "invalid literal for int() with base 10: ''"),
         ("noise", "", "could not convert string to float: ''"),
         ("joint-opt", "1", "the joint-opt axis takes no values"),
@@ -511,9 +519,10 @@ def test_ablate_bad_values_exit_2(tmp_path, capsys, axis, values, reason):
     config.write_text("{}")
     out = tmp_path / "out"
     capsys.readouterr()
+    # `--values=` form, so that a value such as "-0,0" is not read as an option
     assert cli.main([
         "ablate", "--config", str(config), "--out", str(out), "--axis", axis,
-        "--values", values,
+        f"--values={values}",
     ]) == cli.EXIT_CONFIG
     assert last_error(capsys) == f"--values {values!r}: {reason}"
     assert not out.exists()

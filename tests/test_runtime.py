@@ -36,7 +36,6 @@ from sttrack.runtime import (
     KalmanBackend,
     LifecycleConfig,
     SttBackend,
-    Track,
     Tracker,
     TrackerOutput,
     run_sequence,
@@ -77,32 +76,39 @@ def at_centres(dets, cols):
 
 
 class ScriptedBackend:
-    """Backend stub: costs come from a script, states are detection centers;
-    it records the rows it is told to forget."""
+    """Backend stub: costs come from a script of the state bank and the
+    frame's detections, states are detection centers; like the real backends
+    it keeps one state row per live track, and it records the rows it is
+    told to forget."""
 
     def __init__(self, cost_fn):
         self.cost_fn = cost_fn
+        self.states = np.empty((0, 6))
         self.forgotten = []
 
-    def frame_costs(self, frame_index, tracks, dets):
-        return self.cost_fn(frame_index, tracks, dets)
+    def frame_costs(self, frame_index, dets):
+        return self.cost_fn(self.states, dets)
 
     def update_matched(self, frame_index, pairs, dets):
-        return at_centres(dets, [c for _, c in pairs])
+        rows, cols = [r for r, _ in pairs], [c for _, c in pairs]
+        self.states[rows] = at_centres(dets, cols)
+        return self.states[rows]
 
     def create_tracks(self, frame_index, cols, dets):
-        return at_centres(dets, cols)
+        states = at_centres(dets, cols)
+        self.states = np.concatenate([self.states, states])
+        return states
 
     def forget(self, rows):
+        self.states = np.delete(self.states, rows, axis=0)
         self.forgotten.extend(rows)
 
 
-def overlap_costs(frame_index, tracks, dets):
+def overlap_costs(states, dets):
     """Centre distances below 3 m from each track's state, the centre of its
     last detection under `ScriptedBackend`."""
-    costs = np.full((len(tracks), len(dets.ids)), assign.FORBIDDEN)
-    for i, track in enumerate(tracks):
-        tx, ty = track.state[:2].tolist()
+    costs = np.full((len(states), len(dets.ids)), assign.FORBIDDEN)
+    for i, (tx, ty) in enumerate(states[:, :2].tolist()):
         for j, (cx, cy) in enumerate(dets.boxes[:, :2].tolist()):
             d = math.hypot(cx - tx, cy - ty)
             if d < 3.0:
@@ -115,19 +121,20 @@ def test_empty_frames_accumulate_misses_until_death():
     (tid,) = step(tracker, 0, [make_detection(0, 0, 0, 0)]).track_ids
     for frame in range(1, 4):
         assert step(tracker, frame, []).track_ids == []
-        assert tracker.tracks[tid].misses == frame
+        assert tracker.track_ids.tolist() == [tid] and tracker.misses.tolist() == [frame]
     assert step(tracker, 4, []).track_ids == []
-    assert tid not in tracker.tracks
+    assert tracker.track_ids.tolist() == [] and tracker.misses.tolist() == []
     assert tracker.backend.forgotten == [0]  # the row of the only track
 
 
 def test_single_overlapping_detection_extends_history():
     tracker = Tracker(ScriptedBackend(overlap_costs), LifecycleConfig())
     step(tracker, 0, [make_detection(0, 0, 0, 0)])
-    (tid,) = step(tracker, 1, [make_detection(0.5, 0, 1, 0)]).track_ids
-    track = tracker.tracks[tid]
-    assert track.frame == 1 and track.state[:2].tolist() == [0.5, 0.0]
-    assert track.misses == 0
+    out = step(tracker, 1, [make_detection(0.5, 0, 1, 0)])
+    assert out.track_ids == tracker.track_ids.tolist() == [1]
+    assert out.states[:, :2].tolist() == [[0.5, 0.0]]
+    assert tracker.backend.states.tolist() == out.states.tolist()
+    assert tracker.misses.tolist() == [0]
 
 
 def test_no_detection_shared_between_tracks():
@@ -150,7 +157,8 @@ def test_step_emits_its_detections_columns_in_track_id_order():
     assert out.boxes.tolist() == [list(dets[1].box.as_row()), list(dets[0].box.as_row())]
     assert out.conf.tolist() == [0.7, 0.5]
     assert out.states.tolist() == [[10.5, 0, 0, 0, 0, 0], [20.0, 0, 0, 0, 0, 0]]
-    assert [tracker.tracks[t].state.tolist() for t in (2, 3)] == out.states.tolist()
+    assert tracker.track_ids.tolist() == [1, 2, 3] and tracker.misses.tolist() == [1, 0, 0]
+    assert tracker.backend.states[1:].tolist() == out.states.tolist()
 
 
 # Detections on a coarse grid with jitter, so that tracks match, miss, die and
@@ -200,15 +208,18 @@ def test_kalman_tracker_lifecycle_rules(stream, max_misses):
         alive = sorted(
             tid for tid, seen in last_matched.items() if frame - seen <= max_misses
         )
-        # the tracker's dict holds the live tracks in id order ...
-        assert list(tracker.tracks) == sorted(tracker.tracks) == alive
+        # the tracker's columns hold the live tracks in id order and each
+        # one's misses since its last match ...
+        live = tracker.track_ids.tolist()
+        assert live == alive
+        assert tracker.misses.tolist() == [frame - last_matched[tid] for tid in live]
         # ... and the bank one row per live track, in that order
         backend = tracker.backend
         assert backend.bank.mean.shape == (len(alive), 6)
         assert backend.bank.covariance.shape == (len(alive), 6, 6)
         # ... each row bitwise the filter of that row's track
         for tid in list(filters):
-            if tid not in tracker.tracks:
+            if tid not in live:
                 del filters[tid]
             else:
                 filters[tid] = kalman_predict_reference(filters[tid], dt, params)
@@ -217,15 +228,14 @@ def test_kalman_tracker_lifecycle_rules(stream, max_misses):
                 filters[tid] = kalman_update_reference(filters[tid], center, params)
             else:
                 filters[tid] = init_state(center, params)
-        for i, tid in enumerate(tracker.tracks):
+        for i, tid in enumerate(live):
             assert backend.bank.mean[i].tobytes() == filters[tid].mean.tobytes()
             assert backend.bank.covariance[i].tobytes() == filters[tid].covariance.tobytes()
         # ... and the box of that track's last detection
         for tid, box in zip(ids, out.boxes):
-            assert backend.boxes[list(tracker.tracks).index(tid)].tobytes() == box.tobytes()
+            assert backend.boxes[live.index(tid)].tobytes() == box.tobytes()
         for tid, state in zip(ids, out.states):
             assert state.tobytes() == filters[tid].mean.tobytes()
-            assert tracker.tracks[tid].state.tobytes() == state.tobytes()
 
 
 TINY_STT = SttConfig(d_q=8, d_a=3, d_m=2, t_max=3, k_max=4, heads=2, mlp_hidden=8)
@@ -246,7 +256,7 @@ def record_histories(histories, tracker, out, dets, t_max):
     `out` the detection of `dets` it was matched to or created from, found
     by box and confidence, keeping the last `t_max`; drop the tracks the
     tracker deleted."""
-    for tid in set(histories) - set(tracker.tracks):
+    for tid in set(histories) - set(tracker.track_ids.tolist()):
         del histories[tid]
     by_row = {(det.box.as_row(), det.confidence): det for det in dets}
     for tid, box, conf in zip(out.track_ids, out.boxes.tolist(), out.conf.tolist()):
@@ -265,18 +275,26 @@ def test_stt_backend_queries_follow_tracker(stream, max_misses, state_source):
     backend = SttBackend(TINY_STT_PARAMS, cfg, lifecycle, 0.1)
     tracker = Tracker(backend, lifecycle)
     histories: dict[int, list[Detection]] = {}
+    emitted = {}  # track id -> (state, frame) of its last row in the output
     for frame, cells in enumerate(stream):
         dets = [
             make_detection(5.0 * gx + jitter, 6.0 * gy, frame, j, conf=conf)
             for j, (gx, gy, jitter, conf) in enumerate(cells)
         ]
-        record_histories(histories, tracker, step(tracker, frame, dets), dets, cfg.t_max)
-        # one stored query and history per live track, in the tracker's row
-        # order, each the query of its own history and that history's
-        # feature rows
-        assert backend.queries.shape == (len(tracker.tracks), cfg.d_q)
-        assert backend.history.shape == (len(tracker.tracks), cfg.t_max, cfg.feature_width)
-        for i, tid in enumerate(tracker.tracks):
+        out = step(tracker, frame, dets)
+        record_histories(histories, tracker, out, dets, cfg.t_max)
+        emitted.update((tid, (state, frame)) for tid, state in zip(out.track_ids, out.states))
+        # one stored query, history, state and frame per live track, in the
+        # tracker's row order: the query of its own history, that history's
+        # feature rows, and the state and frame of its last emitted row
+        live = tracker.track_ids.tolist()
+        assert backend.queries.shape == (len(live), cfg.d_q)
+        assert backend.history.shape == (len(live), cfg.t_max, cfg.feature_width)
+        assert backend.states.shape == (len(live), 6) and backend.frames.shape == (len(live),)
+        for i, tid in enumerate(live):
+            state, last_frame = emitted[tid]
+            assert backend.states[i].tobytes() == state.tobytes()
+            assert backend.frames[i] == last_frame
             rows = detection_features(detections_table(histories[tid]), cfg)
             assert_history_block(backend, i, rows, cfg.t_max)
             (expected,) = queries_from_histories(
@@ -311,8 +329,8 @@ def test_stt_history_rows_are_the_last_t_max_matches(presence, state_source):
             for j, (present, jitter) in enumerate(cells) if present
         ]
         record_histories(histories, tracker, step(tracker, frame, dets), dets, cfg.t_max)
-        assert len(backend.history) == len(backend.history_len) == len(tracker.tracks)
-        for i, tid in enumerate(tracker.tracks):
+        assert len(backend.history) == len(backend.history_len) == len(tracker.track_ids)
+        for i, tid in enumerate(tracker.track_ids.tolist()):
             want = detection_features(detections_table(histories[tid]), cfg)
             assert_history_block(backend, i, want, cfg.t_max)
 
@@ -341,20 +359,32 @@ def test_stt_tdi_states_come_from_the_association_pass():
         assert (out.states[0].tolist() == tdi.tolist()) == (state_source == "tdi")
 
 
-def test_kalman_frame_costs_reject_tracks_not_in_bank():
+@pytest.mark.parametrize("extra_rows, extra_cols", [(1, 0), (0, 1), (-1, 0)])
+def test_tracker_rejects_costs_of_the_wrong_shape(extra_rows, extra_cols):
+    def misshapen(states, dets):
+        return np.zeros((len(states) + extra_rows, len(dets.ids) + extra_cols))
+
+    tracker = Tracker(ScriptedBackend(overlap_costs), LifecycleConfig())
+    step(tracker, 0, [make_detection(0, 0, 0, 0)])
+    tracker.backend.cost_fn = misshapen
+    shape = (1 + extra_rows, 2 + extra_cols)
+    with pytest.raises(ValueError, match=rf"frame 1: costs of shape \({shape[0]}, {shape[1]}\)"
+                                         " for 1 tracks and 2 detections"):
+        step(tracker, 1, [make_detection(0, 0, 1, 0), make_detection(9, 0, 1, 1)])
+
+
+def test_kalman_forget_drops_bank_rows():
     params = KfParams()
     backend = KalmanBackend(params, 0.1)
     det, other = make_detection(0.0, 0.0, 0, 0), make_detection(9.0, 0.0, 0, 1)
     backend.create_tracks(0, [0, 1], detections_table([det, other]))
-    track = Track(2, 0, np.zeros(6))
-    with pytest.raises(ValueError, match="1 tracks, but the filter bank holds 2"):
-        backend.frame_costs(1, [track], detections_table([det]))
     backend.forget([0])
     assert backend.bank.mean.shape == (1, 6)
+    assert backend.bank.covariance.shape == (1, 6, 6)
     want = init_state(other.box.center[:2], params).mean
     assert backend.bank.mean[0].tobytes() == want.tobytes()
     assert backend.boxes.tolist() == [list(other.box.as_row())]
-    assert backend.frame_costs(1, [track], detections_table([det])).shape == (1, 1)
+    assert backend.frame_costs(1, detections_table([det])).shape == (1, 1)
 
 
 def test_stt_backend_rows_come_from_the_frame_it_costed():
@@ -363,7 +393,7 @@ def test_stt_backend_rows_come_from_the_frame_it_costed():
     dets = detections_table([make_detection(0.0, 0.0, 0, 0)])
     with pytest.raises(ValueError, match="frame 0: frame_costs ran last for frame None"):
         backend.create_tracks(0, [0], dets)
-    backend.frame_costs(0, [], dets)
+    backend.frame_costs(0, dets)
     backend.create_tracks(0, [0], dets)
     with pytest.raises(ValueError, match="frame 1: frame_costs ran last for frame 0"):
         backend.update_matched(1, [(0, 0)], detections_table([make_detection(0.5, 0.0, 1, 0)]))
@@ -374,7 +404,7 @@ def test_min_confidence_filters_detections():
         ScriptedBackend(overlap_costs), LifecycleConfig(min_confidence=0.5)
     )
     assert step(tracker, 0, [make_detection(0, 0, 0, 0, conf=0.2)]).track_ids == []
-    assert tracker.tracks == {}
+    assert tracker.track_ids.tolist() == [] and tracker.misses.tolist() == []
 
 
 def test_duplicate_detection_ids_abort():
@@ -403,13 +433,7 @@ def test_backend_isolation_identical_costs_identical_lifecycle():
         ]
         for k, frame in enumerate(frames):
             out = step(tracker, k, frame)
-            trace.append(
-                (
-                    sorted(tracker.tracks),
-                    out.track_ids,
-                    [tracker.tracks[t].misses for t in sorted(tracker.tracks)],
-                )
-            )
+            trace.append((tracker.track_ids.tolist(), out.track_ids, tracker.misses.tolist()))
         return trace
 
     assert run(ScriptedBackend(overlap_costs)) == run(ScriptedBackend(overlap_costs))
@@ -515,12 +539,11 @@ def test_stt_backend_runs_and_is_deterministic():
     assert len(first.track_ids) and not first.states[:, 2:].any()
 
 
-def kf_track(tid, box, velocity, params):
-    """A track whose last detection had `box`, and a filter at its center with
-    the given velocity."""
+def kf_filter(box, velocity, params):
+    """A filter at the center of `box` with the given velocity."""
     state = init_state(box.center[:2], params)
     state.mean[2:4] = velocity
-    return Track(tid, 0, state.mean.copy()), state
+    return state
 
 
 def box_at(center, size, heading):
@@ -553,27 +576,27 @@ def gate_edge_boxes(pred_box, gate, direction):
     return moved(lo), moved(hi)
 
 
-def reference_kf_costs(states, tracks, last_boxes, dets, dt, params):
+def reference_kf_costs(states, tids, last_boxes, dets, dt, params):
     """Per-pair costs from `kf_association_cost` on independently predicted filters."""
-    costs = np.full((len(tracks), len(dets)), assign.FORBIDDEN)
-    for i, track in enumerate(tracks):
-        pred = predict(states[track.track_id], dt, params)
+    costs = np.full((len(tids), len(dets)), assign.FORBIDDEN)
+    for i, tid in enumerate(tids):
+        pred = predict(states[tid], dt, params)
         for j, det in enumerate(dets):
             costs[i, j] = kf_association_cost(
-                pred, last_boxes[track.track_id].as_row(), det.box.as_row(), params
+                pred, last_boxes[tid].as_row(), det.box.as_row(), params
             )
     return costs
 
 
-def kalman_backend_with(tracks, states, last_boxes, dt, params):
-    """A Kalman backend whose filter bank holds `states` of `tracks`, in order,
-    and whose boxes are their `last_boxes`."""
+def kalman_backend_with(tids, states, last_boxes, dt, params):
+    """A Kalman backend whose filter bank holds the `states` of the tracks
+    `tids`, in order, and whose boxes are their `last_boxes`."""
     backend = KalmanBackend(params, dt)
     backend.bank = KfState(
-        np.array([states[t.track_id].mean for t in tracks]).reshape(-1, 6),
-        np.array([states[t.track_id].covariance for t in tracks]).reshape(-1, 6, 6),
+        np.array([states[tid].mean for tid in tids]).reshape(-1, 6),
+        np.array([states[tid].covariance for tid in tids]).reshape(-1, 6, 6),
     )
-    backend.boxes = np.array([last_boxes[t.track_id].as_row() for t in tracks]).reshape(-1, 7)
+    backend.boxes = np.array([last_boxes[tid].as_row() for tid in tids]).reshape(-1, 7)
     return backend
 
 
@@ -582,22 +605,18 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
     rng = np.random.default_rng(seed)
     params = KfParams(iou_gate=0.1 + 0.2 * seed)
     dt = 0.1
-    tracks, states, last_boxes = [], {}, {}
-    for tid in range(1, 13):
+    tids, states, last_boxes = list(range(1, 13)), {}, {}
+    for tid in tids:
         size = tuple(rng.uniform(0.5, 5.0, 3))
         box = box_at(rng.uniform(0.0, 12.0, 2), size, rng.uniform(-math.pi, math.pi))
-        track, state = kf_track(tid, box, rng.normal(0.0, 3.0, 2), params)
-        tracks.append(track)
-        states[tid], last_boxes[tid] = state, box
+        states[tid], last_boxes[tid] = kf_filter(box, rng.normal(0.0, 3.0, 2), params), box
     boxes = [
         box_at(rng.uniform(0.0, 12.0, 2), tuple(rng.uniform(0.5, 5.0, 3)),
                rng.uniform(-math.pi, math.pi))
         for _ in range(15)
     ]
-    for track in tracks[:4]:
-        pred_box = predicted_box(
-            predict(states[track.track_id], dt, params).mean, last_boxes[track.track_id]
-        )
+    for tid in tids[:4]:
+        pred_box = predicted_box(predict(states[tid], dt, params).mean, last_boxes[tid])
         direction = rng.uniform(-math.pi, math.pi)
         boxes.extend(gate_edge_boxes(pred_box, params.iou_gate, direction))
         other = tuple(rng.uniform(0.5, 5.0, 3))
@@ -611,9 +630,9 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
         for j, b in enumerate(boxes)
     ]
 
-    reference = reference_kf_costs(states, tracks, last_boxes, dets, dt, params)
-    backend = kalman_backend_with(tracks, states, last_boxes, dt, params)
-    costs = backend.frame_costs(1, tracks, detections_table(dets))
+    reference = reference_kf_costs(states, tids, last_boxes, dets, dt, params)
+    backend = kalman_backend_with(tids, states, last_boxes, dt, params)
+    costs = backend.frame_costs(1, detections_table(dets))
     assert costs.dtype == reference.dtype and costs.shape == reference.shape
     assert costs.tobytes() == reference.tobytes()
     finite = np.isfinite(reference)
@@ -623,7 +642,7 @@ def test_kalman_frame_costs_bitwise_equal_to_per_pair_cost(seed):
         inside, outside = reference[i, 15 + 5 * i], reference[i, 16 + 5 * i]
         assert inside < assign.FORBIDDEN and outside == assign.FORBIDDEN
 
-    for n_tracks, n_dets in ((0, len(dets)), (len(tracks), 0)):
-        backend = kalman_backend_with(tracks[:n_tracks], states, last_boxes, dt, params)
-        costs = backend.frame_costs(1, tracks[:n_tracks], detections_table(dets[:n_dets]))
+    for n_tracks, n_dets in ((0, len(dets)), (len(tids), 0)):
+        backend = kalman_backend_with(tids[:n_tracks], states, last_boxes, dt, params)
+        costs = backend.frame_costs(1, detections_table(dets[:n_dets]))
         assert costs.shape == (n_tracks, n_dets) and costs.dtype == np.float64
