@@ -527,10 +527,21 @@ def cmd_ablate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A bad command line raises ConfigError: exit 2 with the JSON error line."""
+    """A bad command line raises ConfigError: exit 2 with the JSON error line.
+    argparse reads a `--values` list that starts with "-" as an option, so
+    that error says to attach the list with "="."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        args = getattr(self, "_args", [])
+        if message == "argument --values: expected one argument" and "--values" in args[:-1]:
+            values = args[args.index("--values") + 1]
+            if values not in self._option_string_actions:
+                message += f"; write a list that starts with '-' as --values={values}"
         raise ConfigError(f"{self.prog}: {message}")
 
 

@@ -53,6 +53,13 @@ class DuplicateDetectionError(ValueError):
     pass
 
 
+def _check_finite(frame_index: int, what: str, values: np.ndarray) -> None:
+    """Raise ValueError naming the frame and the first non-finite value."""
+    if not np.isfinite(values).all():
+        bad = float(values[~np.isfinite(values)][0])
+        raise ValueError(f"frame {frame_index}: non-finite {what}: {bad!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class LifecycleConfig:
     creation_score_threshold: float = 0.5
@@ -157,6 +164,10 @@ class SttBackend:
     fused encoding; the track's anchor is `history[i, -1, :2]`. Row `i` of
     `states` (N, 6) is the state that track's last match emitted, and
     `frames[i]` that match's frame: context selection extrapolates from them.
+
+    A non-finite association score or track query raises ValueError naming
+    the frame. Unchecked, a NaN score forbids its pair without an error, and
+    every detection starts a track of its own.
     """
 
     def __init__(
@@ -219,6 +230,7 @@ class SttBackend:
             self._tdi_states[live_rows] = states
         # scores of live slots, in the order of `cols`
         slot_scores = scores[np.arange(scores.shape[1]) < np.array(lengths)[:, None]]
+        _check_finite(frame_index, "association score", slot_scores)
         rows = np.repeat(live_rows, lengths)
         keep = slot_scores >= self.lifecycle.creation_score_threshold
         costs[rows[keep], cols[keep]] = 1.0 - slot_scores[keep]
@@ -237,6 +249,7 @@ class SttBackend:
         self.history[track_rows] = histories
         self.history_len[track_rows] = lengths
         queries = queries_from_histories(self.params, self.cfg, histories, lengths)
+        _check_finite(frame_index, "track query", queries)
         self.queries[track_rows] = queries
         if self.cfg.state_source == "tsd":
             states = decode_states(self.params, queries)
@@ -257,6 +270,7 @@ class SttBackend:
         histories[:, -1] = self._rows(frame_index, cols)
         lengths = np.ones(len(cols), dtype=int)
         queries = queries_from_histories(self.params, self.cfg, histories, lengths)
+        _check_finite(frame_index, "track query", queries)
         self.queries = np.concatenate([self.queries, queries])
         self.history = np.concatenate([self.history, histories])
         self.history_len = np.concatenate([self.history_len, lengths])
@@ -310,9 +324,7 @@ class Tracker:
         rows, cols = [r for r, _ in pairs], [c for _, c in pairs]
 
         estimates = self.backend.update_matched(frame_index, pairs, dets)
-        if not np.isfinite(estimates).all():
-            bad = float(estimates[~np.isfinite(estimates)][0])
-            raise ValueError(f"non-finite state component: {bad!r}")
+        _check_finite(frame_index, "state component", estimates)
         track_ids = self.track_ids[rows].tolist()
 
         self.misses += 1

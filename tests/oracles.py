@@ -16,9 +16,16 @@ import numpy as np
 from sttrack import autodiff as ad
 from sttrack import formats, model
 from sttrack.autodiff import Tensor
-from sttrack.core import Box7, ClassId, Detections, StateVector, normalize_heading
+from sttrack.core import (
+    Box7,
+    ClassId,
+    Detections,
+    StateVector,
+    bev_iou_matrix,
+    normalize_heading,
+)
 from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
-from sttrack.metrics import EvalBox, Evaluator, MatchingPolicy
+from sttrack.metrics import EvalBox, EvalTable, Evaluator, MatchingPolicy
 from sttrack.model import SttConfig
 from sttrack.sim import FALSE_POSITIVE, GtTrack, NoiseModel, Scenario, trajectory_at
 
@@ -444,6 +451,55 @@ def evaluate_sequences(
     for label_frames, pred_frames in sequences:
         evaluator.add_sequence(label_frames, pred_frames)
     return evaluator.report()
+
+
+class PerFrameEvaluator(Evaluator):
+    """`Evaluator` with each frame's IoU matrix from `bev_iou_matrix` of that
+    frame's rows, computed inside the frame: the reference for the batched
+    pass of `Evaluator.add_sequence`."""
+
+    def add_sequence(self, label_frames, pred_frames) -> None:
+        labels, preds = EvalTable.of(label_frames), EvalTable.of(pred_frames)
+        assert len(labels) == len(preds)
+        for class_id in sorted({*labels.classes, *preds.classes}, key=lambda c: c.value):
+            acc = self._acc(class_id)
+            acc.reset_sequence()
+            class_labels, class_preds = labels.of_class(class_id), preds.of_class(class_id)
+            for k in range(len(labels)):
+                label_rows, pred_rows = class_labels.rows(k), class_preds.rows(k)
+                iou = bev_iou_matrix(label_rows.boxes, pred_rows.boxes)
+                acc.add_frame(label_rows, pred_rows, iou)
+
+
+def parallel_crossings(subject, clip) -> int:
+    """How many times `core._clip_polygon(subject, clip)` meets a side change
+    along a subject edge parallel to the clip edge (`denom == 0`), which it
+    skips: the same walk, counting instead of clipping."""
+    skipped = 0
+    output = subject
+    cx0, cy0 = clip[-1]
+    for cx1, cy1 in clip:
+        ex, ey = cx1 - cx0, cy1 - cy0
+        inp, output = output, []
+        if not inp:
+            break
+        px, py = inp[-1]
+        pin = ex * (py - cy0) - ey * (px - cx0) >= 0.0
+        for qx, qy in inp:
+            qin = ex * (qy - cy0) - ey * (qx - cx0) >= 0.0
+            if qin != pin:
+                dx, dy = qx - px, qy - py
+                denom = ex * dy - ey * dx
+                if denom == 0.0:
+                    skipped += 1
+                else:
+                    t = (ex * (cy0 - py) - ey * (cx0 - px)) / denom
+                    output.append((px + t * dx, py + t * dy))
+            if qin:
+                output.append((qx, qy))
+            px, py, pin = qx, qy, qin
+        cx0, cy0 = cx1, cy1
+    return skipped
 
 
 def scenario_numbers(scenario: Scenario):

@@ -1,14 +1,23 @@
 import concurrent.futures
+import contextlib
 import dataclasses
+import hashlib
+import io
+import itertools
 import json
+import math
 import shutil
+import struct
 import warnings
 
 import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sttrack import autodiff, cli, formats, model
 from sttrack.config import load_run_config
+from test_pins import PINS, run_config
 
 
 def simulate(tmp_path, frames=20, count=1):
@@ -298,6 +307,44 @@ def test_track_checkpoint_boundary(trained, tmp_path, capsys, damage, code, mess
         assert message in error
 
 
+@pytest.fixture(scope="module")
+def pinned(tmp_path_factory):
+    """The data and checkpoint of `tests/test_pins.py`'s run, byte-equal to
+    its pin."""
+    work = tmp_path_factory.mktemp("pinned")
+    cfg, data = run_config(), work / "data"
+    cli.simulate_into(data, cfg, 2)
+    checkpoint = cli.train_on_directory(cfg, data, work / "model")
+    assert hashlib.sha256(checkpoint.read_bytes()).hexdigest() == PINS["checkpoint"]
+    config = work / "run.json"
+    config.write_text("{}")  # the pinned run's model config is the default
+    return config, data, checkpoint
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_track_rejects_a_non_finite_value_anywhere_in_the_checkpoint(pinned, data, value):
+    """One float32 payload value of the pinned checkpoint overwritten with NaN
+    or +-inf: `track` exits 2 naming the file and the tensor that holds it."""
+    config, scenes, good = pinned
+    arrays, _ = autodiff.load_checkpoint(good)
+    names = sorted(arrays)  # the payload order
+    sizes = [arrays[name].size for name in names]
+    blob = bytearray(good.read_bytes())
+    start = len(blob) - 4 * sum(sizes)
+    element = data.draw(st.integers(0, sum(sizes) - 1), label="element")
+    blob[start + 4 * element : start + 4 * element + 4] = struct.pack("<f", value)
+    owner = next(n for n, end in zip(names, itertools.accumulate(sizes)) if element < end)
+    checkpoint = scenes.parent / "damaged.ckpt"
+    checkpoint.write_bytes(bytes(blob))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = track_stt(config, scenes, scenes.parent / "tracks", checkpoint)
+    assert code == cli.EXIT_CONFIG
+    error = json.loads(err.getvalue().strip().splitlines()[-1])["error"]
+    assert error == f"{checkpoint}: tensor {owner!r} holds {value!r}"
+
+
 def test_track_with_checkpoint_of_another_model_config_exits_4(trained, tmp_path, capsys):
     config, data, checkpoint = trained
     other = tmp_path / "other.json"
@@ -526,6 +573,28 @@ def test_ablate_bad_values_exit_2(tmp_path, capsys, axis, values, reason):
     ]) == cli.EXIT_CONFIG
     assert last_error(capsys) == f"--values {values!r}: {reason}"
     assert not out.exists()
+
+
+def test_ablate_values_starting_with_minus_as_a_separate_argument_exits_2(tmp_path, capsys):
+    # argparse reads "-0.5,1" as an option; the error says how to write it
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    capsys.readouterr()
+    assert cli.main([
+        "ablate", "--config", str(config), "--out", str(tmp_path / "out"), "--axis", "noise",
+        "--values", "-0.5,1",
+    ]) == cli.EXIT_CONFIG
+    assert last_error(capsys) == (
+        "sttrack ablate: argument --values: expected one argument;"
+        " write a list that starts with '-' as --values=-0.5,1"
+    )
+    # a missing value followed by another option gets no such advice
+    assert cli.main([
+        "ablate", "--config", str(config), "--out", str(tmp_path / "out"), "--axis", "noise",
+        "--values", "--steps", "3",
+    ]) == cli.EXIT_CONFIG
+    assert last_error(capsys) == "sttrack ablate: argument --values: expected one argument"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_of_tracks_with_another_frame_count_exits_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ from oracles import (
     euler_extrapolate,
     frame_rows,
     mc_bev_iou,
+    parallel_crossings,
     state_array,
     state_at,
     state_from_array,
@@ -26,6 +27,7 @@ from sttrack.core import (
     StateVector,
     bev_iou,
     bev_iou_matrix,
+    bev_iou_pairs,
     extrapolate,
     normalize_heading,
 )
@@ -151,14 +153,34 @@ def raw_box(cx, cy, w, l, heading):
     return Box7((cx, cy, 0.75), (w, l, 1.5), heading)  # normalizes the heading
 
 
+TOUCHING = st.tuples(
+    RAW_BOX, st.floats(-math.pi, math.pi), st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12])
+)
+
+
+def touching_boxes(boxes_a, touching):
+    """Boxes placed where their circumcircles just touch one of `boxes_a`."""
+    placed = []
+    for i, ((_, _, w, l, heading), direction, scale) in enumerate(touching):
+        a = boxes_a[i % len(boxes_a)]
+        reach = 0.5 * math.hypot(*a.size[:2]) + 0.5 * math.hypot(w, l)
+        cx = a.center[0] + scale * reach * math.cos(direction)
+        cy = a.center[1] + scale * reach * math.sin(direction)
+        placed.append(raw_box(cx, cy, w, l, heading))
+    return placed
+
+
+def overlapping(a, b):
+    dx, dy = a.center[0] - b.center[0], a.center[1] - b.center[1]
+    reach = 0.5 * math.hypot(*a.size[:2]) + 0.5 * math.hypot(*b.size[:2])
+    return dx * dx + dy * dy < reach * reach
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(RAW_BOX, min_size=1, max_size=5),
     st.lists(RAW_BOX, max_size=5),
-    st.lists(
-        st.tuples(RAW_BOX, st.floats(-math.pi, math.pi), st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12])),
-        max_size=4,
-    ),
+    st.lists(TOUCHING, max_size=4),
 )
 def test_iou_matrix_equals_per_pair_iou_bit_for_bit(raw_a, raw_b, touching):
     """Box rows of `Box7`s, also with headings outside (-pi, pi] and boxes
@@ -166,13 +188,7 @@ def test_iou_matrix_equals_per_pair_iou_bit_for_bit(raw_a, raw_b, touching):
     holds each pair's `bev_iou`, and calls it on exactly the pairs whose
     circumcircles overlap."""
     boxes_a = [raw_box(*r) for r in raw_a]
-    boxes_b = [raw_box(*r) for r in raw_b]
-    for i, ((_, _, w, l, heading), direction, scale) in enumerate(touching):
-        a = boxes_a[i % len(boxes_a)]
-        reach = 0.5 * math.hypot(*a.size[:2]) + 0.5 * math.hypot(w, l)
-        cx = a.center[0] + scale * reach * math.cos(direction)
-        cy = a.center[1] + scale * reach * math.sin(direction)
-        boxes_b.append(raw_box(cx, cy, w, l, heading))
+    boxes_b = [raw_box(*r) for r in raw_b] + touching_boxes(boxes_a, touching)
     rows_a = np.array([b.as_row() for b in boxes_a])
     rows_b = np.array([b.as_row() for b in boxes_b]).reshape(-1, 7)
     with mock.patch.object(core, "bev_iou", wraps=core.bev_iou) as per_pair:
@@ -180,15 +196,90 @@ def test_iou_matrix_equals_per_pair_iou_bit_for_bit(raw_a, raw_b, touching):
     expected = np.array([[iou(a, b) for b in boxes_b] for a in boxes_a]).reshape(got.shape)
     assert got.tobytes() == expected.tobytes()
 
-    def overlapping(a, b):
-        dx, dy = a.center[0] - b.center[0], a.center[1] - b.center[1]
-        reach = 0.5 * math.hypot(*a.size[:2]) + 0.5 * math.hypot(*b.size[:2])
-        return dx * dx + dy * dy < reach * reach
-
     called = [(tuple(a), tuple(b)) for (a, b), _ in per_pair.call_args_list]
     assert called == [
         (a.as_row(), b.as_row()) for a in boxes_a for b in boxes_b if overlapping(a, b)
     ]
+
+
+def assert_pairs_equal_per_pair_iou(rows_a, rows_b):
+    """`bev_iou_pairs` of the rows equals `bev_iou` of each pair, byte for byte."""
+    rows_a, rows_b = np.reshape(rows_a, (-1, 7)), np.reshape(rows_b, (-1, 7))
+    got = bev_iou_pairs(rows_a, rows_b)
+    expected = np.array([bev_iou(a, b) for a, b in zip(rows_a.tolist(), rows_b.tolist())])
+    assert got.shape == (len(rows_a),)
+    assert got.tobytes() == expected.reshape(-1).tobytes()
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(RAW_BOX, min_size=1, max_size=6),
+    st.lists(RAW_BOX, max_size=6),
+    st.lists(TOUCHING, max_size=6),
+)
+def test_iou_pairs_equal_per_pair_iou_bit_for_bit(raw_a, raw_b, touching):
+    """Every gated pair of `boxes_a` with `boxes_b`, also boxes whose
+    circumcircles just touch, clipped in one batch: each IoU is `bev_iou`'s."""
+    boxes_a = [raw_box(*r) for r in raw_a]
+    boxes_b = [raw_box(*r) for r in raw_b] + touching_boxes(boxes_a, touching)
+    pairs = [(a.as_row(), b.as_row()) for a in boxes_a for b in boxes_b if overlapping(a, b)]
+    assert_pairs_equal_per_pair_iou([a for a, _ in pairs], [b for _, b in pairs])
+
+
+def rect(cx, cy, w, l, heading):
+    return (cx, cy, 0.75, w, l, 1.5, heading)
+
+
+def test_iou_pairs_identical_and_nested_boxes():
+    big, small = rect(1.0, -2.0, 3.0, 5.0, 0.3), rect(1.2, -2.1, 1.0, 2.0, -1.1)
+    got = assert_pairs_equal_per_pair_iou([big, small, big], [big, big, small])
+    assert got[0] == pytest.approx(1.0, abs=1e-12)
+    assert got[1] == got[2] == pytest.approx(2.0 / 15.0, abs=1e-12)
+
+
+def test_iou_pairs_parallel_edges_skip_like_the_scalar_clip():
+    # Two boxes of one size and heading, one shifted along that heading: an
+    # edge of each lies on a line of the other, and rounding puts the
+    # endpoints of some subject edges on both sides of a clip edge they
+    # parallel, where `_clip_polygon` skips the intersection.
+    a = [rect(-1.0510199014170043, 0.7584596278805664, 2.0, 4.0, 0.8216636824571206),
+         rect(4.721002692327158, 3.2602491308551365, 0.5, 4.0, math.pi / 4),
+         rect(-2.184112956876766, 4.6939502484846365, 2.0, 4.0, math.pi / 4)]
+    b = [rect(-2.0248782652178026, -0.2887250600148914, 2.0, 4.0, 0.8216636824571206),
+         rect(7.248383739728315, 5.787630178256293, 0.5, 4.0, math.pi / 4),
+         rect(-1.7886257704538886, 5.089437434907514, 2.0, 4.0, math.pi / 4)]
+    for ra, rb in zip(a, b):
+        subject = core._footprint(ra[0], ra[1], ra[3], ra[4], ra[6])
+        clip = core._footprint(rb[0], rb[1], rb[3], rb[4], rb[6])
+        assert parallel_crossings(subject, clip) > 0
+    assert_pairs_equal_per_pair_iou(a, b)
+
+
+def test_iou_pairs_of_only_disjoint_gated_pairs_are_zero():
+    # thin parallel strips side by side: circumcircles overlap, footprints
+    # do not, so one clip edge empties every polygon and the batch's vertex
+    # arrays go to width 0
+    a = [rect(0.0, 0.0, 0.2, 6.0, 0.0), rect(5.0, 5.0, 0.2, 6.0, math.pi / 2)]
+    b = [rect(0.0, 1.0, 0.2, 6.0, 0.0), rect(4.0, 5.0, 0.3, 6.0, -math.pi / 2)]
+    for ra, rb in zip(a, b):
+        assert overlapping(Box7(ra[:3], ra[3:6], ra[6]), Box7(rb[:3], rb[3:6], rb[6]))
+    assert assert_pairs_equal_per_pair_iou(a, b).tolist() == [0.0, 0.0]
+
+
+def test_iou_pairs_of_no_pairs():
+    assert bev_iou_pairs(np.empty((0, 7)), np.empty((0, 7))).shape == (0,)
+    assert bev_iou_pairs([], []).shape == (0,)
+
+
+def test_iou_pairs_headings_at_plus_and_minus_pi():
+    # raw rows at -pi, which `Box7` would normalize to pi, against both
+    a = [rect(0.0, 0.0, 2.0, 4.0, -math.pi), rect(0.0, 0.0, 2.0, 4.0, math.pi),
+         rect(0.3, 0.1, 2.0, 4.0, -math.pi), rect(0.3, 0.1, 1.5, 3.0, math.pi)]
+    b = [rect(0.0, 0.0, 2.0, 4.0, math.pi), rect(0.5, 0.2, 2.0, 4.0, -math.pi),
+         rect(0.0, 0.0, 2.0, 4.0, math.pi / 2), rect(0.0, 0.0, 2.0, 4.0, -math.pi)]
+    got = assert_pairs_equal_per_pair_iou(a, b)
+    assert got[0] == pytest.approx(1.0, abs=1e-12)
 
 
 # --- extrapolate -----------------------------------------------------------

@@ -1,13 +1,25 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import NOISELESS, evaluate_sequences, label_frames_from_scenario, state_error
+from oracles import (
+    NOISELESS,
+    PerFrameEvaluator,
+    evaluate_sequences,
+    label_frames_from_scenario,
+    state_error,
+)
+from sttrack import metrics
 from sttrack.core import Box7, ClassId, StateVector
 from sttrack.metrics import (
     INF,
     EvalBox,
+    EvalTable,
     Evaluator,
     MatchingPolicy,
     format_report,
@@ -336,3 +348,62 @@ def test_state_error_helper():
     b = StateVector((1, 1), (0.0, 0.0), (0, 0))
     assert state_error(a, b, "velocity") == pytest.approx(5.0)
     assert state_error(a, b, "position") == pytest.approx(math.sqrt(2))
+
+
+# --- the batched IoU pass against per-frame matrices ------------------------
+
+PED = ClassId.PEDESTRIAN
+EVAL_ROW = st.tuples(
+    st.sampled_from([VEH, PED]),
+    st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),  # center
+    st.floats(0.3, 3.0), st.floats(0.3, 5.0),  # width, length
+    st.floats(-math.pi, math.pi, exclude_min=True),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 4),  # velocity, acceleration
+)
+
+
+@st.composite
+def eval_frame(draw):
+    """One frame's rows: empty, labels only, predictions only or both; ids
+    from a small pool, so that they recur across frames."""
+    kind = draw(st.sampled_from(["empty", "labels", "preds", "both"]))
+    sides = []
+    for side in ("labels", "preds"):
+        present = kind in (side, "both")
+        ids = draw(st.lists(st.integers(0, 5), unique=True, max_size=5)) if present else []
+        sides.append([(ident, *draw(EVAL_ROW)) for ident in ids])
+    return sides
+
+
+def eval_table(frames) -> EvalTable:
+    rows = [row for frame in frames for row in frame]
+    return EvalTable(
+        np.cumsum([0, *map(len, frames)]),
+        [r[0] for r in rows],
+        [r[1] for r in rows],
+        np.array([(cx, cy, 0.75, w, l, 1.5, h) for _, _, cx, cy, w, l, h, _ in rows]).reshape(-1, 7),
+        np.array([(cx, cy, *motion) for _, _, cx, cy, _, _, _, motion in rows]).reshape(-1, 6),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.lists(eval_frame(), max_size=6), min_size=1, max_size=3),
+    st.integers(1, 4),
+    st.sampled_from([0.1, 0.5]),
+    st.booleans(),
+)
+def test_batched_iou_pass_reports_as_per_frame_matrices(sequences, chunk, threshold, persistence):
+    """Sequences of random frames of two classes, with empty, labels-only and
+    predictions-only frames, clipped a few pairs at a time so that chunks
+    span frames: the report equals that of per-frame `bev_iou_matrix` IoUs."""
+    policy = MatchingPolicy(iou_threshold={VEH: threshold, PED: threshold}, persistence=persistence)
+    batched, per_frame = Evaluator(policy), PerFrameEvaluator(policy)
+    with mock.patch.object(metrics, "_CHUNK_PAIRS", chunk):
+        for frames in sequences:
+            labels = eval_table([f[0] for f in frames])
+            preds = eval_table([f[1] for f in frames])
+            batched.add_sequence(labels, preds)
+            per_frame.add_sequence(labels, preds)
+    want = per_frame.report()
+    assert json.dumps(batched.report()) == json.dumps(want)

@@ -15,7 +15,9 @@ from oracles import (
     kalman_update_reference,
     tracker_rows,
 )
-from sttrack import assign
+from sttrack import assign, cli
+from sttrack.autodiff import Tensor
+from sttrack.config import RunConfig
 from sttrack.core import Box7, ClassId, bev_iou
 from sttrack.kalman import (
     KfParams,
@@ -537,6 +539,59 @@ def test_stt_backend_runs_and_is_deterministic():
     # creation-frame rows carry zero initial velocity and acceleration
     first = out_a.frames[0]
     assert len(first.track_ids) and not first.states[:, 2:].any()
+
+
+def nan_params(params: dict, names=None) -> dict:
+    """`params` with the named tensors, or all of them, filled with NaN."""
+    return {
+        name: Tensor(np.full_like(t.data, math.nan)) if names is None or name in names else t
+        for name, t in params.items()
+    }
+
+
+def default_scene(frames=20):
+    cfg = RunConfig()
+    sim = dataclasses.replace(cfg.sim, frames=frames)
+    return cfg, cli.build_scenario(dataclasses.replace(cfg, sim=sim), 0)
+
+
+def test_stt_with_all_nan_parameters_raises_naming_the_frame():
+    # without the finiteness checks every detection started its own track:
+    # 399 rows under 399 track ids on these 20 frames
+    cfg, scene = default_scene()
+    params = nan_params(init_params(cfg.stt, seed=0))
+    backend = SttBackend(params, cfg.stt, cfg.lifecycle, scene.dt)
+    with pytest.raises(ValueError, match="^frame 0: non-finite track query: nan$"):
+        run_sequence(scene.detections, backend, cfg.lifecycle)
+
+
+@pytest.mark.parametrize(
+    "names, stage, message",
+    [
+        # queries stay finite; the scores of frame 1's contexts do not
+        (["tdi.score_b2"], "frame_costs", "frame 1: non-finite association score: nan"),
+        # scores stay finite; the new queries of matched and new tracks do not
+        (["tf.pe"], "update_matched", "frame 1: non-finite track query: nan"),
+        (["tf.pe"], "create_tracks", "frame 1: non-finite track query: nan"),
+    ],
+)
+def test_stt_backend_rejects_a_non_finite_score_or_query(names, stage, message):
+    cfg, scene = default_scene(frames=2)
+    params = init_params(cfg.stt, seed=0)
+    backend = SttBackend(params, cfg.stt, cfg.lifecycle, scene.dt)
+    Tracker(backend, cfg.lifecycle).step(0, scene.detections[0])
+    dets = scene.detections[1]
+    backend.params = nan_params(params, names)
+    if stage == "frame_costs":
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            backend.frame_costs(1, dets)
+        return
+    backend.frame_costs(1, dets)  # raises nothing: the scores are finite
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if stage == "update_matched":
+            backend.update_matched(1, [(0, 0)], dets)
+        else:
+            backend.create_tracks(1, [0], dets)
 
 
 def kf_filter(box, velocity, params):

@@ -25,6 +25,8 @@ NO_SRC_CALLER = {
 NO_SRC_METHOD_CALLER = {
     # argparse calls it on a bad command line.
     ("cli", "_Parser", "error"),
+    # argparse's `parse_args` calls it, for the parser and each subparser.
+    ("cli", "_Parser", "parse_known_args"),
 }
 
 
