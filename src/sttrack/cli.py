@@ -189,9 +189,7 @@ def _track_one(
     output = run_sequence(detections, backend, cfg.lifecycle)
     provenance = resolved_dict(cfg)
     provenance["backend"] = backend_kind
-    formats.write_tracker_output(
-        out_dir / f"{name}.tracks.jsonl", output, provenance, frames
-    )
+    formats.write_tracker_output(out_dir / f"{name}.tracks.jsonl", output, provenance)
     timing = {
         "frames": frames,
         "total_seconds": sum(output.frame_seconds),

@@ -63,14 +63,12 @@ def check_fields(obj, checks) -> None:
             raise ValueError(f"{name} must be {bound}, got {getattr(obj, name)!r}")
 
 
-def normalize_heading(h: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    h = math.fmod(h, TAU)
-    if h <= -math.pi:
-        h += TAU
-    elif h > math.pi:
-        h -= TAU
-    return h
+def wrap_headings(h: np.ndarray) -> np.ndarray:
+    """Each angle of `h` wrapped into (-pi, pi]: `fmod` by 2 pi, then one
+    turn added or taken off. An angle already in (-pi, pi] keeps every bit."""
+    h = np.fmod(h, TAU)
+    h = np.where(h <= -math.pi, h + TAU, h)
+    return np.where(h > math.pi, h - TAU, h)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,47 +93,11 @@ class StateVector:
         ]
 
 
-@dataclass(frozen=True, slots=True)
-class Box7:
-    """7-DoF box: 3D center, (width, length, height), heading in (-pi, pi].
-
-    Length runs along the heading direction, width across it. Sizes must be
-    strictly positive; the heading is normalized at construction.
-    """
-
-    center: tuple[float, float, float]
-    size: tuple[float, float, float]
-    heading: float
-
-    def __post_init__(self) -> None:
-        s = self.size
-        if not (0.0 < s[0] < math.inf and 0.0 < s[1] < math.inf and 0.0 < s[2] < math.inf):
-            raise ValueError(f"box sizes must be strictly positive, got {self.size}")
-        if not all(map(math.isfinite, self.center)):
-            raise ValueError(f"non-finite box center: {self.center}")
-        if not -math.pi < self.heading <= math.pi:  # `normalize_heading` keeps these
-            if not math.isfinite(self.heading):
-                raise ValueError(f"non-finite heading: {self.heading}")
-            object.__setattr__(self, "heading", normalize_heading(self.heading))
-
-    def as_row(self) -> tuple[float, ...]:
-        """`(cx, cy, cz, w, l, h, heading)`: a row of the (N, 7) box arrays
-        that `bev_iou` and `bev_iou_matrix` take."""
-        return (*self.center, *self.size, self.heading)
-
-    @staticmethod
-    def from_rows(rows: np.ndarray) -> list["Box7"]:
-        """One box per row of an (N, 7) array of `as_row` rows."""
-        return [
-            Box7((cx, cy, cz), (w, l, h), heading)
-            for cx, cy, cz, w, l, h, heading in np.reshape(rows, (-1, 7)).tolist()
-        ]
-
-
 class Detections(NamedTuple):
     """Detector box hypotheses as columns, one row per detection: id `ids[i]`
     (a Python int, as ids reach 2**64 - 1), class `classes[i]`, box `boxes[i]`
-    (a `Box7.as_row()` row: sizes > 0, heading in (-pi, pi]), confidence
+    (a `(cx, cy, cz, w, l, h, heading)` row: sizes > 0, heading in (-pi, pi];
+    length `l` runs along the heading, width `w` across it), confidence
     `conf[i]` in [0, 1] and the appearance and motion feature rows. The
     simulator and the detections reader give one table per frame."""
 
@@ -226,8 +188,8 @@ def _footprint(cx: float, cy: float, w: float, l: float, heading: float):
 
 def bev_iou(a, b) -> float:
     """Rotated-rectangle IoU of two box footprints in the XY plane. A box is a
-    `Box7.as_row()` sequence `(cx, cy, cz, w, l, h, heading)`, heading in
-    (-pi, pi]. Pairs whose circumcircles do not overlap score 0 unclipped."""
+    7-value row `(cx, cy, cz, w, l, h, heading)`, heading in (-pi, pi].
+    Pairs whose circumcircles do not overlap score 0 unclipped."""
     ax, ay, _, aw, al, _, ah = a
     bx, by, _, bw, bl, _, bh = b
     dx = ax - bx

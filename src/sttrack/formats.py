@@ -56,8 +56,8 @@ A ground-truth object without one row in every frame names its file.
 
 The checks run over whole columns (a type set per key, one array comparison
 per bound, one set for repeats) and the numbers go into float64 arrays, so an
-integer-valued number reads as a float; headings outside (-pi, pi] are
-normalized as `Box7` does. Ids stay Python ints, as 64-bit JSON integers
+integer-valued number reads as a float; headings are wrapped into (-pi, pi]
+by `core.wrap_headings`. Ids stay Python ints, as 64-bit JSON integers
 reach 2**64 - 1. When a check fails, the reader finds the file's first bad
 row and raises the message the rules give that row. Ground-truth and tracks
 files become a `metrics.EvalTable` grouped by frame, detections files one
@@ -82,7 +82,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .core import ClassId, Detections, normalize_heading
+from .core import ClassId, Detections, wrap_headings
 from .metrics import EvalTable
 from .runtime import TrackerOutput
 from .sim import FALSE_POSITIVE, GtTrack, Scenario
@@ -382,9 +382,7 @@ def _columns(rows: list, frames: int, kind: str) -> tuple:
     )
     _finite(values[:, :3], lambda i, j, v: f"non-finite box center: {_box_values(rows[i])[:3]}")
     _finite(values[:, 6:7], lambda i, j, v: f"non-finite heading: {v}")
-    heading = values[:, 6]
-    for i in np.flatnonzero(~((heading > -math.pi) & (heading <= math.pi))).tolist():
-        heading[i] = normalize_heading(float(heading[i]))  # as `Box7` does
+    values[:, 6] = wrap_headings(values[:, 6])
     return frame, ids, classes, values, *tail(rows)
 
 
@@ -546,9 +544,9 @@ def write_scenario(out_dir, name: str, scenario: Scenario, config: dict) -> tupl
     return gt_path, det_path
 
 
-def write_tracker_output(path, output: TrackerOutput, config: dict, frames: int) -> None:
+def write_tracker_output(path, output: TrackerOutput, config: dict) -> None:
     meta = dict(config)
-    meta["frames"] = frames
+    meta["frames"] = len(output.frames)
     write_jsonl(path, "tracks", meta, _table_lines(output.frames, "track_id", ("conf", "state")))
 
 

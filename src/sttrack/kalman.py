@@ -173,7 +173,7 @@ def kf_association_cost(
 ) -> float:
     """1 - BEV IoU between the last associated box carried to the predicted
     centre, the first two entries of one filter's mean, and the detection
-    box, gated. Boxes are `Box7.as_row()` rows."""
+    box, gated. Boxes are 7-value `(cx, cy, cz, w, l, h, heading)` rows."""
     predicted = (*track_pred.mean[:2].tolist(), *last_box[2:])
     iou = bev_iou(predicted, det_box)
     if iou <= p.iou_gate:

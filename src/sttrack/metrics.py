@@ -16,7 +16,16 @@ MOTA matches.
 A sequence's labels and predictions are each an `EvalTable`: ids, classes,
 (N, 7) box rows and (N, 6) state rows, grouped by frame with offsets, as the
 readers in `formats` fill it from whole columns. `Evaluator.add_sequence`
-also takes per-frame `EvalBox` lists and converts them to tables.
+also takes per-frame `EvalBox` lists and converts them to tables, and a
+table hands out its frames as such lists: that path serves the benchmark's
+`benches/checks.py::metrics_oracle`, which edits the states of ground-truth
+rows and evaluates them against the rows as read.
+
+MOTA and S-MOTA each keep their own correspondences from frame to frame. A
+state gate can reject the pair that MOTA matches in one frame and steer
+S-MOTA to the pair that later frames keep; S-MOTA then counts fewer
+mismatches than MOTA and can score higher, so raising one state error can
+raise S-MOTA.
 
 The IoUs come from one batched pass per sequence and class: each frame is
 gated as `core.bev_iou_matrix` gates it, and the sequence's gated pairs are
@@ -42,7 +51,6 @@ import numpy as np
 
 from . import assign
 from .core import (
-    Box7,
     ClassId,
     StateVector,
     bev_iou_pairs,
@@ -116,11 +124,12 @@ class MatchingPolicy:
 
 @dataclass(frozen=True, slots=True)
 class EvalBox:
-    """One prediction or label row inside a frame."""
+    """One prediction or label row inside a frame; `box` is a 7-value
+    `(cx, cy, cz, w, l, h, heading)` row."""
 
     ident: int
     class_id: ClassId
-    box: Box7
+    box: tuple[float, ...]
     state: StateVector
 
 
@@ -129,7 +138,7 @@ class FrameRows(NamedTuple):
     them."""
 
     ids: list[int]
-    boxes: np.ndarray  # (n, 7) `Box7.as_row()` rows
+    boxes: np.ndarray  # (n, 7) box rows
     states: np.ndarray  # (n, 6) [x, y, vx, vy, ax, ay] rows
 
 
@@ -161,7 +170,7 @@ class EvalTable:
             np.cumsum([0, *map(len, frames)]),
             [b.ident for b in rows],
             [b.class_id for b in rows],
-            np.array([b.box.as_row() for b in rows], dtype=float).reshape(-1, 7),
+            np.array([b.box for b in rows], dtype=float).reshape(-1, 7),
             np.array(
                 [(*b.state.position, *b.state.velocity, *b.state.acceleration) for b in rows],
                 dtype=float,
@@ -179,7 +188,7 @@ class EvalTable:
                 EvalBox,
                 self.ids[a:b],
                 self.classes[a:b],
-                Box7.from_rows(self.boxes[a:b]),
+                map(tuple, self.boxes[a:b].tolist()),
                 StateVector.from_rows(self.states[a:b]),
             )
         )

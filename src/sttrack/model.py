@@ -364,13 +364,12 @@ def tdi_batch(
     ctx_emb: Tensor,
     ctx_mask: np.ndarray,
     with_state: bool = True,
-) -> tuple[Tensor, Tensor, Tensor | None]:
+) -> tuple[Tensor, Tensor | None]:
     """Cross-attend a query to its context; score each slot and decode a state.
 
-    Returns (scores, logits, state): scores are sigmoids zeroed at padded
-    slots, logits are raw (for the stable loss), state is (B, 6), or None
-    without `with_state`; the state head reads the fused query and feeds
-    nothing else.
+    Returns (logits, state): raw (B, K) association logits, padded slots
+    included, and a (B, 6) state, or None without `with_state`; the state
+    head reads the fused query and feeds nothing else.
     """
     b, d = query.shape
     q3 = ad.reshape(query, (b, 1, d))
@@ -382,9 +381,7 @@ def tdi_batch(
     tiled = ad.add(Tensor(np.zeros((b, k, d))), fused3)  # broadcast query per slot
     pair = ad.concat([ctx_emb, tiled], axis=2)
     logits = _mlp(pair, params, "tdi.score_")
-    logits = ad.reshape(logits, (b, k))
-    scores = ad.mul(ad.sigmoid(logits), Tensor(ctx_mask.astype(float)))
-    return scores, logits, state
+    return ad.reshape(logits, (b, k)), state
 
 
 def binary_cross_entropy_with_logits(
@@ -403,10 +400,10 @@ def weighted_l1(pred: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor
 
 def forward_batch(
     params: dict[str, Tensor], cfg: SttConfig, batch: Batch
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+) -> tuple[Tensor, Tensor, Tensor]:
     """All four sub-networks over a packed batch.
 
-    Returns (scores, logits, state_t, state_prev) as `tdi_batch` and
+    Returns (logits, state_t, state_prev) as `tdi_batch` and
     `decode_state_batch` give them.
     """
     hist_emb = encode_batch(params, Tensor(batch.hist_feat))
@@ -415,15 +412,15 @@ def forward_batch(
     )
     state_prev = decode_state_batch(params, query)
     ctx_emb = encode_batch(params, Tensor(batch.ctx_feat))
-    scores, logits, state_t = tdi_batch(params, cfg, query, ctx_emb, batch.ctx_mask)
-    return scores, logits, state_t, state_prev
+    logits, state_t = tdi_batch(params, cfg, query, ctx_emb, batch.ctx_mask)
+    return logits, state_t, state_prev
 
 
 def loss_components_batch(
     params: dict[str, Tensor], cfg: SttConfig, batch: Batch
 ) -> dict[str, Tensor]:
     """Mean per-example loss terms and their weighted total."""
-    _, logits, state_t, state_prev = forward_batch(params, cfg, batch)
+    logits, state_t, state_prev = forward_batch(params, cfg, batch)
 
     w6 = cfg.state_weights
     loss_d = ad.mean(binary_cross_entropy_with_logits(logits, batch.labels, batch.ctx_mask))
@@ -706,10 +703,11 @@ def context_scores(
     feat, mask = _pad(rows, lengths, anchors, cfg, "k_max")
     with ad.no_grad():
         ctx_emb = encode_batch(params, Tensor(feat))
-        scores, _, states = tdi_batch(
+        logits, states = tdi_batch(
             params, cfg, Tensor(np.asarray(queries)), ctx_emb, mask,
             with_state=cfg.state_source == "tdi",
         )
+        scores = ad.mul(ad.sigmoid(logits), Tensor(mask.astype(float)))
     return scores.data, None if states is None else states.data
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TAU, ClassId, Detections, check_fields, normalize_heading
+from .core import ClassId, Detections, check_fields, wrap_headings
 
 FALSE_POSITIVE = -1
 
@@ -302,14 +302,7 @@ def trajectory_at(spec: ObjectSpec, t: np.ndarray):
         acc[:, 1] = s * w * np.cos(theta)
         heading = theta
 
-    return pos, vel, acc, _wrap_headings(heading)
-
-
-def _wrap_headings(h: np.ndarray) -> np.ndarray:
-    """`normalize_heading` of every element, bit for bit."""
-    h = np.fmod(h, TAU)
-    h = np.where(h <= -math.pi, h + TAU, h)
-    return np.where(h > math.pi, h - TAU, h)
+    return pos, vel, acc, wrap_headings(heading)
 
 
 def generate(config: SimConfig, objects: Sequence[ObjectSpec], seed: int) -> Scenario:
@@ -348,7 +341,7 @@ def generate(config: SimConfig, objects: Sequence[ObjectSpec], seed: int) -> Sce
         d_center = d_center[seen]
         center = gt_boxes[seen, :3] + d_center
         size = np.maximum(np.asarray(spec.size) + d_size[seen], 0.05)
-        heading = _wrap_headings(gt_heading[seen] + d_heading[seen])
+        heading = wrap_headings(gt_heading[seen] + d_heading[seen])
         appearance = signature + d_appearance[seen]
         center_err = np.hypot(d_center[:, 0], d_center[:, 1])
         conf = np.clip(1.0 - center_err - d_conf[seen], 0.0, 1.0)
@@ -372,12 +365,13 @@ def generate(config: SimConfig, objects: Sequence[ObjectSpec], seed: int) -> Sce
         cx, cy = rng.uniform(-half, half, size=2).tolist()
         cls = classes[int(rng.integers(len(classes)))]
         w, l, h = rng.uniform(*_FP_SIZE_RANGE[cls]).tolist()
-        heading = normalize_heading(float(rng.uniform(-math.pi, math.pi)))
+        heading = rng.uniform(-math.pi, math.pi)
         sig = rng.standard_normal(d_a)
         fp_appearance[i] = sig / np.linalg.norm(sig)
         fp_conf[i] = rng.uniform(0.05, 0.4)
         fp_boxes[i] = (cx, cy, 0.5 * h, w, l, h, heading)
         fp_classes.append(cls)
+    fp_boxes[:, 6] = wrap_headings(fp_boxes[:, 6])
 
     # One table of every detection, frame after frame: in each frame the seen
     # objects in object order, then the false positives. A detection's id is
@@ -450,7 +444,7 @@ def population_specs(
                 speed = float(rng.uniform(1.5 * thresholds.static_max, 0.8 * fast_min))
             else:
                 speed = float(rng.uniform(1.2 * fast_min, 2.5 * fast_min))
-            heading = float(rng.uniform(-math.pi, math.pi))
+            heading = rng.uniform(-math.pi, math.pi)
             kind = int(rng.integers(3))
             if kind == 0:
                 profile = MotionProfile.constant_velocity(

@@ -16,14 +16,7 @@ import numpy as np
 from sttrack import autodiff as ad
 from sttrack import formats, model
 from sttrack.autodiff import Tensor
-from sttrack.core import (
-    Box7,
-    ClassId,
-    Detections,
-    StateVector,
-    bev_iou_matrix,
-    normalize_heading,
-)
+from sttrack.core import TAU, ClassId, Detections, StateVector, bev_iou_matrix
 from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
 from sttrack.metrics import EvalBox, EvalTable, Evaluator, MatchingPolicy
 from sttrack.model import SttConfig
@@ -32,7 +25,48 @@ from sttrack.sim import FALSE_POSITIVE, GtTrack, NoiseModel, Scenario, trajector
 NOISELESS = NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-# --- detections as rows -------------------------------------------------------
+# --- boxes and detections as rows ---------------------------------------------
+
+
+def normalize_heading(h: float) -> float:
+    """Wrap an angle into (-pi, pi]: the scalar reference for
+    `core.wrap_headings`."""
+    h = math.fmod(h, TAU)
+    if h <= -math.pi:
+        h += TAU
+    elif h > math.pi:
+        h -= TAU
+    return h
+
+
+@dataclass(frozen=True, slots=True)
+class Box7:
+    """7-DoF box: 3D center, (width, length, height), heading in (-pi, pi].
+
+    Length runs along the heading direction, width across it. Sizes must be
+    strictly positive; the heading is normalized at construction. `as_row`
+    is the box as the 7-value row that `src/` takes.
+    """
+
+    center: tuple[float, float, float]
+    size: tuple[float, float, float]
+    heading: float
+
+    def __post_init__(self) -> None:
+        s = self.size
+        if not (0.0 < s[0] < math.inf and 0.0 < s[1] < math.inf and 0.0 < s[2] < math.inf):
+            raise ValueError(f"box sizes must be strictly positive, got {self.size}")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"non-finite box center: {self.center}")
+        if not -math.pi < self.heading <= math.pi:  # `normalize_heading` keeps these
+            if not math.isfinite(self.heading):
+                raise ValueError(f"non-finite heading: {self.heading}")
+            object.__setattr__(self, "heading", normalize_heading(self.heading))
+
+    def as_row(self) -> tuple[float, ...]:
+        """`(cx, cy, cz, w, l, h, heading)`: a row of the (N, 7) box arrays
+        that `bev_iou` and `bev_iou_matrix` take."""
+        return (*self.center, *self.size, self.heading)
 
 
 @dataclass(frozen=True, slots=True)
@@ -433,7 +467,7 @@ def label_frames_from_scenario(scenario: Scenario) -> list[list[EvalBox]]:
     """Per-frame evaluation labels of a simulated scenario's ground truth."""
     return [
         [
-            EvalBox(t.object_id, t.class_id, *Box7.from_rows(t.boxes[k]),
+            EvalBox(t.object_id, t.class_id, tuple(t.boxes[k].tolist()),
                     *StateVector.from_rows(t.states[k]))
             for t in scenario.gt_tracks
         ]
@@ -729,7 +763,7 @@ def _decode(row: dict, kind: str, widths: dict):
     Box7(tuple(raw[:3]), tuple(raw[3:6]), raw[6])  # its checks, naming the raw values
     box = Box7(tuple(v[:3]), tuple(v[3:6]), v[6])
     if kind != "detections":
-        return EvalBox(row[_IDENTS[kind]], class_id, box, _state(row))
+        return EvalBox(row[_IDENTS[kind]], class_id, box.as_row(), _state(row))
     provenance = _int_field(row, "provenance")
     if provenance < FALSE_POSITIVE:
         raise ValueError(f"provenance must be >= {FALSE_POSITIVE}, got {provenance}")

@@ -75,6 +75,12 @@ def test_relu_gradient_passes_only_positive_inputs():
     assert x.grad.tobytes() == (_SPECIALS > 0).astype(float).tobytes()
 
 
+def test_tensor_repr_names_its_shape_and_grad():
+    assert repr(Tensor(np.zeros((2, 3)), requires_grad=True)) == (
+        "Tensor(shape=(2, 3), requires_grad=True)"
+    )
+
+
 def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor(0.0)).item() == pytest.approx(0.5)
 

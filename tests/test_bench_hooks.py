@@ -70,5 +70,5 @@ def test_writers_write_through_the_hooked_write_jsonl(tmp_path):
     with mock.patch.object(formats, "write_jsonl", wraps=formats.write_jsonl) as write:
         formats.write_scenario(tmp_path, "s0", scenario, {})
         assert write.call_count == 2
-        formats.write_tracker_output(tmp_path / "s0.tracks.jsonl", output, {}, scenario.frames)
+        formats.write_tracker_output(tmp_path / "s0.tracks.jsonl", output, {})
         assert write.call_count == 3

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Box7,
     Detection,
     center_distance,
     detections_table,
     euler_extrapolate,
     frame_rows,
     mc_bev_iou,
+    normalize_heading,
     parallel_crossings,
     state_array,
     state_at,
@@ -22,14 +24,12 @@ from oracles import (
 )
 from sttrack import core
 from sttrack.core import (
-    Box7,
     ClassId,
     StateVector,
     bev_iou,
     bev_iou_matrix,
     bev_iou_pairs,
     extrapolate,
-    normalize_heading,
 )
 
 

@@ -171,7 +171,7 @@ def file_and_reader(tmp_path, reader):
     output = run_sequence(
         scenario.detections, KalmanBackend(KfParams(), scenario.dt), LifecycleConfig()
     )
-    write_tracker_output(tracks_path, output, {}, scenario.frames)
+    write_tracker_output(tracks_path, output, {})
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"sim": {"appearance_dim": 5}, "stt": {"d_a": 5}}))
     data, out = str(tmp_path), str(tmp_path / "out")
@@ -434,7 +434,7 @@ def test_write_jsonl_lines_equal_json_dumps(tmp_path):
     )
     gt_path, det_path = write_scenario(tmp_path, "s0", scenario, {"note": "\u00e9"})
     tracks_path = tmp_path / "s0.tracks.jsonl"
-    write_tracker_output(tracks_path, output, {}, scenario.frames)
+    write_tracker_output(tracks_path, output, {})
     written = ((gt_path, gt_rows), (det_path, det_rows), (tracks_path, tracker_rows(output)))
     for path, rows in written:
         header = path.read_bytes().split(b"\n")[0]
@@ -556,7 +556,7 @@ def test_detections_lines_equal_json_dumps(tmp_path_factory, scenario, block):
 def test_tracks_lines_equal_json_dumps(tmp_path_factory, output, block):
     path = tmp_path_factory.getbasetemp() / "s0.tracks.jsonl"
     with mock.patch.object(formats, "_BLOCK_ROWS", block):
-        write_tracker_output(path, output, {}, len(output.frames))
+        write_tracker_output(path, output, {})
     assert body(path) == dumped(tracker_rows(output))
 
 
@@ -688,7 +688,7 @@ def test_tracker_output_round_trip(tmp_path):
         scenario.detections, KalmanBackend(KfParams(), scenario.dt), LifecycleConfig()
     )
     path = tmp_path / "s0.tracks.jsonl"
-    write_tracker_output(path, output, {"backend": "kalman"}, scenario.frames)
+    write_tracker_output(path, output, {"backend": "kalman"})
     header, frames = read_pred_frames(path)
     assert header["config"]["backend"] == "kalman"
     assert len(frames) == scenario.frames
@@ -822,7 +822,7 @@ def assert_table_equals_frames(table, frames):
         assert table.ids[a:b] == [e.ident for e in frame]
         assert all(type(ident) is int for ident in table.ids[a:b])
         assert table.classes[a:b] == [e.class_id for e in frame]
-        boxes = np.array([e.box.as_row() for e in frame], dtype=float).reshape(-1, 7)
+        boxes = np.array([e.box for e in frame], dtype=float).reshape(-1, 7)
         states = np.array(
             [(*e.state.position, *e.state.velocity, *e.state.acceleration) for e in frame],
             dtype=float,

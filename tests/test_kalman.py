@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import kalman_predict_reference, kalman_update_reference, mc_bev_iou
+from oracles import Box7, kalman_predict_reference, kalman_update_reference, mc_bev_iou
 from sttrack.assign import FORBIDDEN
-from sttrack.core import Box7
 from sttrack.kalman import (
     KalmanDivergenceError,
     _predict_constants,

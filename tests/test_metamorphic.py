@@ -8,10 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import tracker_rows
+from oracles import normalize_heading, tracker_rows
 from sttrack import cli, formats
 from sttrack.config import RunConfig, resolved_dict
-from sttrack.core import normalize_heading
 from sttrack.metrics import EvalTable, Evaluator
 from sttrack.model import init_params
 from sttrack.runtime import KalmanBackend, SttBackend, run_sequence

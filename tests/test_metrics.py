@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from oracles import (
     NOISELESS,
+    Box7,
     PerFrameEvaluator,
     evaluate_sequences,
     label_frames_from_scenario,
     state_error,
 )
 from sttrack import metrics
-from sttrack.core import Box7, ClassId, StateVector
+from sttrack.core import ClassId, StateVector
 from sttrack.metrics import (
     INF,
     EvalBox,
@@ -36,11 +37,11 @@ SIZE = (2.0, 4.5, 1.5)
 VEH = ClassId.VEHICLE
 
 
-def ebox(ident, cx, cy, vel=(0.0, 0.0), acc=(0.0, 0.0), cls=VEH, heading=0.0):
+def ebox(ident, cx, cy, vel=(0.0, 0.0), acc=(0.0, 0.0), cls=VEH, heading=0.0, size=SIZE):
     return EvalBox(
         ident=ident,
         class_id=cls,
-        box=Box7((cx, cy, 0.75), SIZE, heading),
+        box=Box7((cx, cy, 0.75), size, heading).as_row(),
         state=StateVector((cx, cy), vel, acc),
     )
 
@@ -174,6 +175,36 @@ def test_zero_velocity_tracker_scores_below_mota_on_fast_objects():
     assert row["mota"] == 1.0
     assert row["s_mota"] < row["mota"]
     assert row["s_mota_components"]["matches"] == 0  # every match gated out
+
+
+def test_raising_one_state_error_can_raise_smota():
+    """MOTA and S-MOTA keep separate correspondences. Vehicles A (at rest)
+    and B (0.8 m/s) stand 0.8 m apart, in boxes 1.4 m long: a box 0.7 m
+    from a vehicle clears IoU 0.3 with it (0.33), one 0.8 m away does not
+    (0.27). In frame 0 the prediction X sits 0.1 m from A and Y 0.1 m from
+    B; after that Y sits on A and X on B. MOTA matches X to A in frame 0,
+    so frame 1 switches both. Once X's frame-0 velocity is 1.6 m/s, its
+    error against A (1.6) fails the 1.0 gate, while against B it is 0.8:
+    S-MOTA matches X to B from the start and counts no mismatch."""
+    size = (1.0, 1.4, 1.5)  # heading 0: the 1.4 m length along x
+
+    def sequence(x_velocity):
+        labels = [[ebox(0, 0.0, 0.0, size=size), ebox(1, 0.8, 0.0, vel=(0.8, 0.0), size=size)]
+                  for _ in range(4)]
+        preds = [[ebox(10, 0.1, 0.0, vel=(x_velocity, 0.0), size=size),
+                  ebox(11, 0.7, 0.0, vel=(0.8, 0.0), size=size)]]
+        preds += [[ebox(10, 0.8, 0.0, vel=(0.8, 0.0), size=size), ebox(11, 0.0, 0.0, size=size)]
+                  for _ in range(3)]
+        return labels, preds
+
+    policy = MatchingPolicy(iou_threshold={VEH: 0.3})
+    low, high = (
+        single_class(evaluate_sequences([sequence(v)], policy)) for v in (0.4, 1.6)
+    )
+    assert low["mota"] == high["mota"] == 0.75
+    assert low["mismatch"] == high["mismatch"] == 2
+    assert (low["s_mota"], low["s_mota_components"]["mismatch"]) == (0.75, 2)
+    assert (high["s_mota"], high["s_mota_components"]["mismatch"]) == (1.0, 0)
 
 
 def test_matched_count_monotone_under_tightening_thresholds():

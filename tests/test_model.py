@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sttrack import autodiff as ad
 from sttrack import model as m
 from sttrack.autodiff import Tensor
-from sttrack.core import Box7, ClassId, StateVector
+from sttrack.core import ClassId, StateVector
 from sttrack.model import (
     Examples,
     SttConfig,
@@ -29,6 +29,7 @@ from sttrack.model import (
 from sttrack.sim import MotionProfile, NoiseModel, ObjectSpec, SimConfig, generate
 
 from oracles import (
+    Box7,
     Detection,
     detection_features_row,
     detections_table,
@@ -66,8 +67,9 @@ def _association_accuracy(table, examples, params, cfg, batch_size=256):
         for lo in range(0, totals, batch_size):
             chunk = with_positive.take(slice(lo, lo + batch_size))
             batch = pack_batch(table, chunk, cfg)
-            scores, _, _, _ = m.forward_batch(params, cfg, batch)
-            hits += int((scores.data.argmax(axis=1) == chunk.positive).sum())
+            logits, _, _ = m.forward_batch(params, cfg, batch)
+            live = np.where(batch.ctx_mask, logits.data, -np.inf)
+            hits += int((live.argmax(axis=1) == chunk.positive).sum())
     return hits / totals if totals else float("nan")
 
 
@@ -638,11 +640,10 @@ def test_shape_invariants_across_cardinalities():
             )
             assert query.shape == (2, cfg.d_q)
             ctx_emb = m.encode_batch(params, Tensor(batch.ctx_feat))
-            scores, _, state = m.tdi_batch(params, cfg, query, ctx_emb, batch.ctx_mask)
-            assert scores.shape == (2, n_ctx)
+            logits, state = m.tdi_batch(params, cfg, query, ctx_emb, batch.ctx_mask)
+            assert logits.shape == (2, n_ctx)
             assert state.shape == (2, 6)
-            assert np.all(scores.data[:, 0] > 0.0)
-            assert np.all(scores.data[1, 1:] == 0.0)
+            assert np.isfinite(logits.data).all()
 
 
 def test_translation_equivariance():
@@ -652,9 +653,9 @@ def test_translation_equivariance():
     shifted = make_example(cfg, n_hist=3, n_ctx=3, positive=1, offset=(50.0, -20.0))
 
     def forward(ex):
-        scores, _, state_t, state_prev = m.forward_batch(params, cfg, pack([ex], cfg))
+        logits, state_t, state_prev = m.forward_batch(params, cfg, pack([ex], cfg))
         anchor = ex[0][-1].box.center[:2]  # the last history detection's centre
-        return scores.data, state_prev.data, state_t.data, np.array(anchor)
+        return logits.data, state_prev.data, state_t.data, np.array(anchor)
 
     s_a, prev_a, st_a, anchor_a = forward(base)
     s_b, prev_b, st_b, anchor_b = forward(shifted)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     NOISELESS,
+    Box7,
     Detection,
     detections_table,
     history_blocks,
@@ -18,7 +19,7 @@ from oracles import (
 from sttrack import assign, cli
 from sttrack.autodiff import Tensor
 from sttrack.config import RunConfig
-from sttrack.core import Box7, ClassId, bev_iou
+from sttrack.core import ClassId, bev_iou
 from sttrack.kalman import (
     KfParams,
     KfState,

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NOISELESS, frame_rows, generate_per_frame, scenario_numbers, scenario_repr
-from sttrack.core import TAU, ClassId, normalize_heading
+from oracles import (
+    NOISELESS,
+    frame_rows,
+    generate_per_frame,
+    normalize_heading,
+    scenario_numbers,
+    scenario_repr,
+)
+from sttrack.core import TAU, ClassId, wrap_headings
 from sttrack.formats import normalized_digest, write_scenario
 from sttrack.sim import (
     FALSE_POSITIVE,
@@ -19,7 +26,6 @@ from sttrack.sim import (
     Scenario,
     SimConfig,
     SpeedThresholds,
-    _wrap_headings,
     generate,
     population_specs,
     speed_class,
@@ -250,7 +256,7 @@ def test_wrap_headings_is_normalize_heading_bit_for_bit():
         rng.uniform(-1e6, 1e6, 100_000),
     ])
     expected = np.array([normalize_heading(x) for x in h.tolist()])
-    assert _wrap_headings(h).tobytes() == expected.tobytes()
+    assert wrap_headings(h).tobytes() == expected.tobytes()
 
 
 @st.composite
