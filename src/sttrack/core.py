@@ -209,7 +209,8 @@ def bev_iou(a, b) -> float:
 def circumradii(boxes: np.ndarray) -> np.ndarray:
     """Half the footprint diagonal of each (N, 7) box row, in `math.hypot`
     as `bev_iou` computes it."""
-    return np.array([0.5 * math.hypot(w, l) for w, l in boxes[:, 3:5].tolist()])
+    w, l = boxes[:, 3].tolist(), boxes[:, 4].tolist()
+    return 0.5 * np.fromiter(map(math.hypot, w, l), float, len(w))
 
 
 def gated_pairs(

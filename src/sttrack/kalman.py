@@ -154,6 +154,19 @@ def update(s: KfState, z: ArrayLike, p: KfParams) -> KfState:
 
 
 def _check_covariance(cov: np.ndarray, before: KfState) -> None:
+    """Raise `KalmanDivergenceError` when an updated covariance has an
+    eigenvalue at or below -1e-12 * (1 + |trace|), naming the first such
+    filter of the stack.
+
+    A stacked Cholesky factorisation screens first: where it completes,
+    every matrix is positive definite up to a backward error of about
+    n * eps * |P|, far inside that floor, so the eigenvalue rule would pass
+    them all. Only a stack it rejects goes to the eigenvalues."""
+    try:
+        np.linalg.cholesky(cov)
+        return
+    except np.linalg.LinAlgError:
+        pass
     eigmin = np.linalg.eigvalsh(cov).min(axis=-1).reshape(-1)
     # materially negative relative to the covariance scale, not roundoff
     floor = -1e-12 * (1.0 + np.abs(np.trace(cov, axis1=-2, axis2=-1).reshape(-1)))

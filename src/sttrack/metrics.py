@@ -27,25 +27,28 @@ S-MOTA to the pair that later frames keep; S-MOTA then counts fewer
 mismatches than MOTA and can score higher, so raising one state error can
 raise S-MOTA.
 
-The IoUs come from one batched pass per sequence and class: each frame is
-gated as `core.bev_iou_matrix` gates it, and the sequence's gated pairs are
-clipped by `core.bev_iou_pairs`, `_CHUNK_PAIRS` at a time so that its working
-arrays stay small, then scattered into per-frame matrices bit-equal to
+Per-pair and per-match arithmetic runs in one array pass per sequence and
+class; the frame loop only matches. Each frame is gated as
+`core.bev_iou_matrix` gates it, and the sequence's gated pairs are clipped by
+`core.bev_iou_pairs`, `_CHUNK_PAIRS` at a time so that its working arrays
+stay small, then scattered into per-frame matrices bit-equal to
 `bev_iou_matrix`'s. A sequence has 10-20k gated pairs, where the batched
 clip takes less than half the time of the scalar `core.bev_iou` that the
-online tracker keeps for its few dozen pairs a frame (see `core`). Each
-frame's rows of one class then reach `_ClassAccumulator.add_frame` as array
-slices with the frame's IoU matrix: the state gates run on them as they
-are, and only the matched pairs' state errors are computed one by one, in
-`math.hypot`, so that the MOTP sums add the same floats in the same order as
-per-row code.
+online tracker keeps for its few dozen pairs a frame (see `core`). The state
+gates are evaluated on the same gated pairs, in the same float operations as
+over all of a frame's pairs: a pair outside the circumcircle gate has IoU 0
+and can never be feasible. `_ClassAccumulator.add_frame` then matches each
+frame from its IoU and state-gate matrices and returns the MOTA matches;
+after the last frame `add_errors` takes the matched pairs' state errors in
+`math.hypot` and adds them to the MOTP sums in match order, so that the sums
+add the same floats in the same order as adding match by match.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal, NamedTuple, get_args
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -133,15 +136,6 @@ class EvalBox:
     state: StateVector
 
 
-class FrameRows(NamedTuple):
-    """One frame's rows of one class, as `_ClassAccumulator.add_frame` takes
-    them."""
-
-    ids: list[int]
-    boxes: np.ndarray  # (n, 7) box rows
-    states: np.ndarray  # (n, 6) [x, y, vx, vy, ax, ay] rows
-
-
 @dataclass(frozen=True, eq=False)
 class EvalTable:
     """The label or prediction rows of one sequence, grouped by frame.
@@ -207,11 +201,6 @@ class EvalTable:
             self.states[keep],
         )
 
-    def rows(self, k: int) -> FrameRows:
-        """Frame `k`'s rows as array slices."""
-        a, b = self.offsets[k], self.offsets[k + 1]
-        return FrameRows(self.ids[a:b], self.boxes[a:b], self.states[a:b])
-
 
 class _VariantState:
     """Counters plus per-sequence correspondence for one gating variant.
@@ -237,6 +226,12 @@ class _ClassAccumulator:
     def __init__(self, class_id: ClassId, policy: MatchingPolicy):
         self.class_id = class_id
         self.policy = policy
+        # (first state column, threshold) of each finite state gate
+        self.gates = [
+            (_STATE_COLUMNS[s], t)
+            for s in GATED_STATES
+            if math.isfinite(t := policy.state_threshold(class_id, s))
+        ]
         self.gt_total = 0
         self.mota = _VariantState()
         self.smota = _VariantState()
@@ -249,57 +244,54 @@ class _ClassAccumulator:
         self.mota.reset_sequence()
         self.smota.reset_sequence()
 
-    def add_frame(self, labels: FrameRows, preds: FrameRows, iou: np.ndarray) -> None:
-        """Match one frame, `iou` its (labels, preds) BEV IoU matrix."""
-        n_l, n_p = len(labels.ids), len(preds.ids)
-        self.gt_total += n_l
-        if n_l == 0 and n_p == 0:
-            return
-        t_u = self.policy.iou_threshold.get(self.class_id, 0.5)
-        feas_iou = iou > t_u
-        feas_gated = feas_iou
-        finite_gates = [
-            s
-            for s in GATED_STATES
-            if math.isfinite(self.policy.state_threshold(self.class_id, s))
-        ]
-        if finite_gates and n_l and n_p:
-            feas_gated = feas_iou.copy()
-            for s in finite_gates:
-                c = _STATE_COLUMNS[s]
-                diff = labels.states[:, None, c : c + 2] - preds.states[None, :, c : c + 2]
-                err = np.hypot(diff[..., 0], diff[..., 1])
-                feas_gated &= err < self.policy.state_threshold(self.class_id, s)
+    def add_frame(
+        self,
+        label_ids: list[int],
+        pred_ids: list[int],
+        iou: np.ndarray,
+        state_ok: np.ndarray | None,
+    ) -> list[tuple[int, int]]:
+        """Match one frame and return its MOTA matches, sorted (label, pred)
+        index pairs. `iou` is its (labels, preds) BEV IoU matrix and
+        `state_ok` marks the pairs that pass every state gate (None: no
+        gate is finite); the state errors of the matches are added by
+        `add_errors`."""
+        self.gt_total += len(label_ids)
+        if not label_ids and not pred_ids:
+            return []
+        feas_iou = iou > self.policy.iou_threshold.get(self.class_id, 0.5)
+        feas_gated = feas_iou if state_ok is None else feas_iou & state_ok
+        matches = self._match_variant(self.mota, label_ids, pred_ids, iou, feas_iou)
+        self._match_variant(self.smota, label_ids, pred_ids, iou, feas_gated)
+        return matches
 
-        matches = self._match_variant(self.mota, labels.ids, preds.ids, iou, feas_iou)
-        self._match_variant(self.smota, labels.ids, preds.ids, iou, feas_gated)
-        if not matches:
+    def add_errors(self, label_states: np.ndarray, pred_states: np.ndarray) -> None:
+        """Add the MOTP errors of matched (n, 6) label and prediction state
+        rows, in match order: per state, each error adds to its bucket's sum
+        and to "all" one after another, starting from the running totals,
+        so that the sums are those of adding match by match."""
+        if not len(label_states):
             return
-
-        # Per state, each match's error adds to its bucket's sum and to "all",
-        # in match order.
-        label_rows = labels.states[[li for li, _ in matches]].tolist()
-        pred_rows = preds.states[[pi for _, pi in matches]].tolist()
         thresholds = self.policy.speed_thresholds
-        buckets = [
-            speed_class(math.hypot(row[2], row[3]), self.class_id, thresholds)
-            for row in label_rows
-        ]
+        speeds = map(math.hypot, label_states[:, 2].tolist(), label_states[:, 3].tolist())
+        buckets = np.array([speed_class(v, self.class_id, thresholds) for v in speeds])
+        parts = {b: buckets == b for b in BUCKETS}
+        parts["all"] = slice(None)
         for s in STATE_TYPES:
             c = _STATE_COLUMNS[s]
-            errs = [
-                math.hypot(p[c] - l[c], p[c + 1] - l[c + 1])
-                for p, l in zip(pred_rows, label_rows)
-            ]
+            dx = (pred_states[:, c] - label_states[:, c]).tolist()
+            dy = (pred_states[:, c + 1] - label_states[:, c + 1]).tolist()
+            errs = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
             sums, counts = self.err_sum[s], self.err_count[s]
-            for err, bucket in zip(errs, buckets):
-                sums[bucket] += err
-                sums["all"] += err
-                counts[bucket] += 1
-            counts["all"] += len(errs)
+            for b, part in parts.items():
+                part_errs = errs[part]
+                if len(part_errs):
+                    # accumulate adds in order, where a sum would add pairwise
+                    sums[b] = float(np.add.accumulate(np.concatenate(([sums[b]], part_errs)))[-1])
+                    counts[b] += len(part_errs)
             if s in GATED_STATES:
                 alpha = self.policy.alpha(self.class_id, s)
-                self.exceed[s] += sum(err > alpha for err in errs)
+                self.exceed[s] += int(np.count_nonzero(errs > alpha))
 
     def _match_variant(
         self,
@@ -341,34 +333,51 @@ class _ClassAccumulator:
         return matches
 
 
-def _frame_ious(labels: EvalTable, preds: EvalTable) -> list[np.ndarray]:
+def _frame_matrices(
+    labels: EvalTable, preds: EvalTable, gates: list[tuple[int, float]]
+) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
     """Each frame's (labels, preds) BEV IoU matrix, equal to `bev_iou_matrix`
-    of its rows: the circumcircle gate per frame, then the sequence's gated
-    pairs clipped by `bev_iou_pairs`, `_CHUNK_PAIRS` at a time."""
+    of its rows, and its boolean matrix of the pairs whose state errors stay
+    below every gate's threshold (None per frame when `gates` is empty).
+
+    The circumcircle gate runs per frame; the sequence's gated pairs are then
+    clipped by `bev_iou_pairs`, `_CHUNK_PAIRS` at a time, and their state
+    errors taken at once. Pairs outside the gate keep IoU 0 and are marked
+    failing the state gates: a pair clears an IoU threshold (> 0) only if
+    its circumcircles overlap, so no feasible pair is lost."""
     radii_l, radii_p = circumradii(labels.boxes), circumradii(preds.boxes)
     lo, po = labels.offsets.tolist(), preds.offsets.tolist()
-    frames, gated, rows, cols = [], [], [], []
+    ious, oks, gated, rows, cols = [], [], [], [], []
     for a, b, c, d in zip(lo, lo[1:], po, po[1:]):
         iou = np.zeros((b - a, d - c))
-        frames.append(iou)
+        ok = np.zeros((b - a, d - c), dtype=bool) if gates else None
+        ious.append(iou)
+        oks.append(ok)
         i, j = gated_pairs(labels.boxes[a:b], radii_l[a:b], preds.boxes[c:d], radii_p[c:d])
         if not len(i):
             continue
-        gated.append((iou, i, j))
+        gated.append((iou, ok, i, j))
         rows.append(i + a)
         cols.append(j + c)
     if not gated:
-        return frames
+        return ious, oks
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     chunks = (slice(s, s + _CHUNK_PAIRS) for s in range(0, len(rows), _CHUNK_PAIRS))
     values = np.concatenate(
         [bev_iou_pairs(labels.boxes[rows[c]], preds.boxes[cols[c]]) for c in chunks]
     )
+    passed = np.ones(len(rows), dtype=bool)
+    for c, threshold in gates:
+        diff = labels.states[rows, c : c + 2] - preds.states[cols, c : c + 2]
+        passed &= np.hypot(diff[:, 0], diff[:, 1]) < threshold
     start = 0
-    for iou, i, j in gated:
-        iou[i, j] = values[start : start + len(i)]
-        start += len(i)
-    return frames
+    for iou, ok, i, j in gated:
+        stop = start + len(i)
+        iou[i, j] = values[start:stop]
+        if ok is not None:
+            ok[i, j] = passed[start:stop]
+        start = stop
+    return ious, oks
 
 
 class Evaluator:
@@ -398,9 +407,15 @@ class Evaluator:
             acc = self._acc(class_id)
             acc.reset_sequence()
             class_labels, class_preds = labels.of_class(class_id), preds.of_class(class_id)
-            ious = _frame_ious(class_labels, class_preds)
-            for k, iou in enumerate(ious):
-                acc.add_frame(class_labels.rows(k), class_preds.rows(k), iou)
+            ious, oks = _frame_matrices(class_labels, class_preds, acc.gates)
+            label_ids, pred_ids = class_labels.ids, class_preds.ids
+            lo, po = class_labels.offsets.tolist(), class_preds.offsets.tolist()
+            rows, cols = [], []
+            for a, b, c, d, iou, ok in zip(lo, lo[1:], po, po[1:], ious, oks):
+                for li, pi in acc.add_frame(label_ids[a:b], pred_ids[c:d], iou, ok):
+                    rows.append(a + li)
+                    cols.append(c + pi)
+            acc.add_errors(class_labels.states[rows], class_preds.states[cols])
 
     def report(self) -> dict:
         classes = {}

@@ -17,10 +17,25 @@ from sttrack import autodiff as ad
 from sttrack import formats, model
 from sttrack.autodiff import Tensor
 from sttrack.core import TAU, ClassId, Detections, StateVector, bev_iou_matrix
-from sttrack.kalman import KfParams, KfState, process_noise, transition_matrix
-from sttrack.metrics import EvalBox, EvalTable, Evaluator, MatchingPolicy
+from sttrack.kalman import (
+    KalmanDivergenceError,
+    KfParams,
+    KfState,
+    process_noise,
+    transition_matrix,
+)
+from sttrack.metrics import (
+    GATED_STATES,
+    STATE_TYPES,
+    _STATE_COLUMNS,
+    EvalBox,
+    EvalTable,
+    Evaluator,
+    MatchingPolicy,
+    _ClassAccumulator,
+)
 from sttrack.model import SttConfig
-from sttrack.sim import FALSE_POSITIVE, GtTrack, NoiseModel, Scenario, trajectory_at
+from sttrack.sim import FALSE_POSITIVE, GtTrack, NoiseModel, Scenario, speed_class, trajectory_at
 
 NOISELESS = NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -457,6 +472,23 @@ def kalman_update_reference(s: KfState, z, p: KfParams) -> KfState:
     return KfState(mean, cov)
 
 
+def check_covariance_reference(cov: np.ndarray, before: KfState) -> None:
+    """The eigenvalue rule of `kalman._check_covariance` alone: raise when a
+    covariance of the stack has an eigenvalue at or below
+    -1e-12 * (1 + |trace|), naming the first such row's prior."""
+    eigmin = np.linalg.eigvalsh(cov).min(axis=-1).reshape(-1)
+    floor = -1e-12 * (1.0 + np.abs(np.trace(cov, axis1=-2, axis2=-1).reshape(-1)))
+    bad = np.flatnonzero(eigmin <= floor)
+    if bad.size:
+        row = bad[0]
+        prior = before.covariance.reshape(-1, 6, 6)[row]
+        raise KalmanDivergenceError(
+            "covariance update failed: "
+            f"min eigenvalue = {eigmin[row]:.3e}, "
+            f"prior trace = {float(np.trace(prior)):.3e}"
+        )
+
+
 def total_cost(cost, pairs: list[tuple[int, int]]) -> float:
     """Sum of the original-matrix entries over a matching."""
     c = np.asarray(cost, dtype=float)
@@ -487,10 +519,75 @@ def evaluate_sequences(
     return evaluator.report()
 
 
+class PerFrameAccumulator(_ClassAccumulator):
+    """`_ClassAccumulator` matching frame by frame from per-frame rows: the
+    state gates over every label-prediction pair of the frame, and each
+    match's state errors added to the MOTP sums as it is made."""
+
+    def add_frame_rows(self, labels: EvalTable, preds: EvalTable, iou: np.ndarray) -> None:
+        """Match one frame's label and prediction rows, `iou` its (labels,
+        preds) BEV IoU matrix."""
+        n_l, n_p = len(labels.ids), len(preds.ids)
+        self.gt_total += n_l
+        if n_l == 0 and n_p == 0:
+            return
+        t_u = self.policy.iou_threshold.get(self.class_id, 0.5)
+        feas_iou = iou > t_u
+        feas_gated = feas_iou
+        finite_gates = [
+            s
+            for s in GATED_STATES
+            if math.isfinite(self.policy.state_threshold(self.class_id, s))
+        ]
+        if finite_gates and n_l and n_p:
+            feas_gated = feas_iou.copy()
+            for s in finite_gates:
+                c = _STATE_COLUMNS[s]
+                diff = labels.states[:, None, c : c + 2] - preds.states[None, :, c : c + 2]
+                err = np.hypot(diff[..., 0], diff[..., 1])
+                feas_gated &= err < self.policy.state_threshold(self.class_id, s)
+
+        matches = self._match_variant(self.mota, labels.ids, preds.ids, iou, feas_iou)
+        self._match_variant(self.smota, labels.ids, preds.ids, iou, feas_gated)
+        if not matches:
+            return
+
+        # Per state, each match's error adds to its bucket's sum and to "all",
+        # in match order.
+        label_rows = labels.states[[li for li, _ in matches]].tolist()
+        pred_rows = preds.states[[pi for _, pi in matches]].tolist()
+        thresholds = self.policy.speed_thresholds
+        buckets = [
+            speed_class(math.hypot(row[2], row[3]), self.class_id, thresholds)
+            for row in label_rows
+        ]
+        for s in STATE_TYPES:
+            c = _STATE_COLUMNS[s]
+            errs = [
+                math.hypot(p[c] - l[c], p[c + 1] - l[c + 1])
+                for p, l in zip(pred_rows, label_rows)
+            ]
+            sums, counts = self.err_sum[s], self.err_count[s]
+            for err, bucket in zip(errs, buckets):
+                sums[bucket] += err
+                sums["all"] += err
+                counts[bucket] += 1
+            counts["all"] += len(errs)
+            if s in GATED_STATES:
+                alpha = self.policy.alpha(self.class_id, s)
+                self.exceed[s] += sum(err > alpha for err in errs)
+
+
 class PerFrameEvaluator(Evaluator):
-    """`Evaluator` with each frame's IoU matrix from `bev_iou_matrix` of that
-    frame's rows, computed inside the frame: the reference for the batched
-    pass of `Evaluator.add_sequence`."""
+    """`Evaluator` that computes everything inside each frame: the IoU
+    matrix from `bev_iou_matrix` of the frame's rows, the state gates over
+    all its pairs and the MOTP sums match by match. The reference for the
+    per-sequence passes of `Evaluator.add_sequence`."""
+
+    def _acc(self, class_id: ClassId) -> PerFrameAccumulator:
+        if class_id not in self._classes:
+            self._classes[class_id] = PerFrameAccumulator(class_id, self.policy)
+        return self._classes[class_id]
 
     def add_sequence(self, label_frames, pred_frames) -> None:
         labels, preds = EvalTable.of(label_frames), EvalTable.of(pred_frames)
@@ -500,9 +597,17 @@ class PerFrameEvaluator(Evaluator):
             acc.reset_sequence()
             class_labels, class_preds = labels.of_class(class_id), preds.of_class(class_id)
             for k in range(len(labels)):
-                label_rows, pred_rows = class_labels.rows(k), class_preds.rows(k)
+                label_rows, pred_rows = frame_table(class_labels, k), frame_table(class_preds, k)
                 iou = bev_iou_matrix(label_rows.boxes, pred_rows.boxes)
-                acc.add_frame(label_rows, pred_rows, iou)
+                acc.add_frame_rows(label_rows, pred_rows, iou)
+
+
+def frame_table(table: EvalTable, k: int) -> EvalTable:
+    """Frame `k` of a table, as a one-frame table."""
+    a, b = table.offsets[k], table.offsets[k + 1]
+    return EvalTable(
+        np.array([0, b - a]), table.ids[a:b], table.classes[a:b], table.boxes[a:b], table.states[a:b]
+    )
 
 
 def parallel_crossings(subject, clip) -> int:

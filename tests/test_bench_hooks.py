@@ -21,7 +21,8 @@ import hostspeed  # noqa: E402
 import tracing  # noqa: E402
 from pipeline import WORKLOADS, make_config  # noqa: E402
 
-from sttrack import cli, formats, runtime, sim  # noqa: E402
+from sttrack import cli, formats, metrics, runtime, sim  # noqa: E402
+from sttrack.core import ClassId, StateVector  # noqa: E402
 from sttrack.kalman import KfParams  # noqa: E402
 
 
@@ -72,3 +73,37 @@ def test_writers_write_through_the_hooked_write_jsonl(tmp_path):
         assert write.call_count == 2
         formats.write_tracker_output(tmp_path / "s0.tracks.jsonl", output, {})
         assert write.call_count == 3
+
+
+def test_eval_calls_add_frame_per_frame_and_class_and_solves_inside_it():
+    """`hostspeed` ticks after each `_ClassAccumulator.add_frame`, `tracing`
+    charges the solves inside its span to eval, and `checks.SolveRecorder`
+    names callers by function: on a two-class sequence, `add_frame` runs
+    once per frame and class, and each call makes one `assign.solve` per
+    variant, from `_match_variant`."""
+    frames = 5
+
+    def row(ident, cls, cx, vx):
+        return metrics.EvalBox(ident, cls, (cx, 0.0, 0.75, 2.0, 4.0, 1.5, 0.0),
+                               StateVector((cx, 0.0), (vx, 0.0), (0.0, 0.0)))
+
+    labels = [[row(1, ClassId.VEHICLE, 0.0, 1.0), row(2, ClassId.PEDESTRIAN, 20.0, 0.5)]
+              for _ in range(frames)]
+    preds = [[row(7, ClassId.VEHICLE, 0.2, 1.1), row(8, ClassId.PEDESTRIAN, 20.1, 0.4)]
+             for _ in range(frames)]
+    original = metrics._ClassAccumulator.add_frame
+    solves_per_call = []
+    with checks.SolveRecorder() as recorder:
+
+        def add_frame(self, *args):
+            before = sum(map(len, recorder.records.values()))
+            result = original(self, *args)
+            solves_per_call.append(sum(map(len, recorder.records.values())) - before)
+            return result
+
+        with mock.patch.object(metrics._ClassAccumulator, "add_frame", add_frame):
+            evaluator = metrics.Evaluator(metrics.MatchingPolicy(persistence=False))
+            evaluator.add_sequence(labels, preds)
+    assert solves_per_call == [2] * (2 * frames)
+    assert list(recorder.records) == ["_match_variant"]
+    assert evaluator.report()["classes"]["vehicle"]["matches"] == frames

@@ -227,6 +227,21 @@ def test_iou_pairs_equal_per_pair_iou_bit_for_bit(raw_a, raw_b, touching):
     assert_pairs_equal_per_pair_iou([a for a, _ in pairs], [b for _, b in pairs])
 
 
+SIDE = st.floats(0.0, 1e6) | st.floats(0.0, 1e-300) | st.floats(1e150, 1e300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(SIDE, SIDE), max_size=40))
+def test_circumradii_equal_per_row_hypot_bit_for_bit(sides):
+    """Each radius is `0.5 * math.hypot(w, l)` of its row, byte for byte, also
+    for subnormal and huge sides and for no rows."""
+    rows = np.array([(1.0, 2.0, 0.75, w, l, 1.5, 0.3) for w, l in sides]).reshape(-1, 7)
+    expected = np.array([0.5 * math.hypot(w, l) for w, l in sides], dtype=float)
+    got = core.circumradii(rows)
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
 def rect(cx, cy, w, l, heading):
     return (cx, cy, 0.75, w, l, 1.5, heading)
 

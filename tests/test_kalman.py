@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import Box7, kalman_predict_reference, kalman_update_reference, mc_bev_iou
+from oracles import (
+    Box7,
+    check_covariance_reference,
+    kalman_predict_reference,
+    kalman_update_reference,
+    mc_bev_iou,
+)
 from sttrack.assign import FORBIDDEN
 from sttrack.kalman import (
     KalmanDivergenceError,
+    _check_covariance,
     _predict_constants,
     KfParams,
     KfState,
@@ -216,6 +225,54 @@ def test_nonpositive_definite_covariance_aborts():
     with pytest.raises(KalmanDivergenceError, match=r"prior trace = -1\.200e\+01$"):
         update(KfState(good.mean, cov), np.zeros((5, 2)), p)
     update(good, np.zeros((5, 2)), p)  # the good rows alone pass
+
+
+# The smallest eigenvalue of one covariance, in units of the divergence floor
+# 1e-12 * (1 + |trace|) that the eigenvalue rule tests against.
+SMALLEST_EIGENVALUE = st.one_of(
+    st.floats(1e3, 1e12),  # positive definite
+    st.just(0.0),  # positive semi-definite and singular
+    st.floats(-0.999, 0.0),  # slightly negative, inside the floor
+    st.floats(-1.001, -0.999),  # at the floor
+    st.floats(-1e12, -1.001),  # materially negative
+)
+
+
+@st.composite
+def covariance_stack(draw):
+    """One (6, 6) covariance or a stack of them, each a random rotation of a
+    spectrum whose smallest eigenvalue `SMALLEST_EIGENVALUE` draws,
+    symmetrized as `update` symmetrizes."""
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(count):
+        spectrum = draw(st.floats(1e-4, 1e4)) * rng.uniform(0.01, 1.0, 6)
+        floor = 1e-12 * (1.0 + spectrum[1:].sum())
+        spectrum[0] = draw(SMALLEST_EIGENVALUE) * floor
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        cov = q @ np.diag(spectrum) @ q.T
+        stack.append(0.5 * (cov + cov.T))
+    return np.stack(stack) if count > 1 or draw(st.booleans()) else stack[0]
+
+
+def divergence_message(check, cov: np.ndarray, before: KfState) -> str | None:
+    try:
+        check(cov, before)
+    except KalmanDivergenceError as error:
+        return str(error)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(covariance_stack())
+def test_cholesky_screen_raises_exactly_as_the_eigenvalue_rule(cov):
+    """Covariances positive definite, singular, negative inside the floor, at
+    it and materially negative: the Cholesky screen passes a stack exactly
+    when the eigenvalue rule does, and otherwise raises its message."""
+    before = KfState(np.zeros(cov.shape[:-1]), 2.0 * cov)
+    want = divergence_message(check_covariance_reference, cov, before)
+    assert divergence_message(_check_covariance, cov, before) == want
 
 
 def test_association_cost_perfect_overlap():

@@ -12,6 +12,7 @@ from oracles import (
     Box7,
     PerFrameEvaluator,
     evaluate_sequences,
+    frame_table,
     label_frames_from_scenario,
     state_error,
 )
@@ -417,24 +418,122 @@ def eval_table(frames) -> EvalTable:
     )
 
 
-@settings(max_examples=120, deadline=None)
+# A state gate or alpha_s per class and gated state: errors between the
+# rows of `EVAL_ROW` run from 0 to about 5.7, so finite values bite.
+GATE = st.floats(0.1, 4.0) | st.just(INF)
+PER_STATE = st.fixed_dictionaries({"velocity": GATE, "acceleration": GATE})
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.lists(eval_frame(), max_size=6), min_size=1, max_size=3),
     st.integers(1, 4),
     st.sampled_from([0.1, 0.5]),
     st.booleans(),
+    st.fixed_dictionaries({VEH: PER_STATE, PED: PER_STATE}),
+    st.fixed_dictionaries({VEH: PER_STATE, PED: PER_STATE}),
 )
-def test_batched_iou_pass_reports_as_per_frame_matrices(sequences, chunk, threshold, persistence):
+def test_batched_iou_pass_reports_as_per_frame_matrices(
+    sequences, chunk, threshold, persistence, gates, alpha
+):
     """Sequences of random frames of two classes, with empty, labels-only and
     predictions-only frames, clipped a few pairs at a time so that chunks
-    span frames: the report equals that of per-frame `bev_iou_matrix` IoUs."""
-    policy = MatchingPolicy(iou_threshold={VEH: threshold, PED: threshold}, persistence=persistence)
-    batched, per_frame = Evaluator(policy), PerFrameEvaluator(policy)
-    with mock.patch.object(metrics, "_CHUNK_PAIRS", chunk):
-        for frames in sequences:
-            labels = eval_table([f[0] for f in frames])
-            preds = eval_table([f[1] for f in frames])
-            batched.add_sequence(labels, preds)
-            per_frame.add_sequence(labels, preds)
-    want = per_frame.report()
-    assert json.dumps(batched.report()) == json.dumps(want)
+    span frames, under state gates and alpha_s drawn per class and state and
+    under the same policy with no gate: the report equals, byte for byte,
+    that of per-frame `bev_iou_matrix` IoUs, state gates over every pair of
+    a frame and MOTP sums added match by match."""
+    policy = MatchingPolicy(
+        iou_threshold={VEH: threshold, PED: threshold},
+        state_thresholds=gates,
+        alpha_s=alpha,
+        persistence=persistence,
+    )
+    for variant in (policy, policy.mota_only()):
+        batched, per_frame = Evaluator(variant), PerFrameEvaluator(variant)
+        with mock.patch.object(metrics, "_CHUNK_PAIRS", chunk):
+            for frames in sequences:
+                labels = eval_table([f[0] for f in frames])
+                preds = eval_table([f[1] for f in frames])
+                batched.add_sequence(labels, preds)
+                per_frame.add_sequence(labels, preds)
+        want = per_frame.report()
+        assert json.dumps(batched.report()) == json.dumps(want)
+
+
+MOTA_KEYS = ("gt_total", "matches", "fp", "miss", "mismatch", "mota",
+             "fp_pct", "miss_pct", "mismatch_pct")
+
+
+def raise_state_error(preds: EvalTable, labels: EvalTable, row: int, state: str, angle: float):
+    """`preds` with prediction `row`'s `state` pushed, in direction `angle`,
+    by 1 plus twice its largest error against any label of its frame: its
+    error against every label of the frame rises by at least 1."""
+    k = int(np.searchsorted(preds.offsets, row, side="right")) - 1
+    c = metrics._STATE_COLUMNS[state]
+    frame_labels = labels.states[labels.offsets[k] : labels.offsets[k + 1], c : c + 2]
+    errors = np.hypot(*(frame_labels - preds.states[row, c : c + 2]).T)
+    push = 1.0 + 2.0 * errors.max(initial=0.0)
+    states = preds.states.copy()
+    states[row, c : c + 2] += push * np.array([math.cos(angle), math.sin(angle)])
+    return EvalTable(preds.offsets, preds.ids, preds.classes, preds.boxes, states)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(eval_frame(), min_size=1, max_size=6),
+    st.data(),
+    st.sampled_from([0.1, 0.5]),
+    st.floats(0.2, 3.0),
+    st.booleans(),
+)
+def test_raising_one_state_error_keeps_mota_and_never_raises_one_frame_smota(
+    frames, data, threshold, gate, persistence
+):
+    """ROADMAP item 18's property as it can hold: raising one prediction's
+    state error (against every label of its frame) leaves MOTA and every
+    MOTA count unchanged over a sequence, and in a one-frame sequence, where
+    the S-MOTA matching is one of maximum cardinality among the pairs that
+    pass the gates, it never raises S-MOTA."""
+    labels = eval_table([f[0] for f in frames])
+    preds = eval_table([f[1] for f in frames])
+    if not preds.ids:
+        return
+    row = data.draw(st.integers(0, len(preds.ids) - 1))
+    state = data.draw(st.sampled_from(metrics.GATED_STATES))
+    raised = raise_state_error(preds, labels, row, state, data.draw(st.floats(-math.pi, math.pi)))
+    policy = MatchingPolicy(
+        iou_threshold={VEH: threshold, PED: threshold},
+        state_thresholds={cls: {"velocity": gate, "acceleration": gate} for cls in (VEH, PED)},
+        persistence=persistence,
+    )
+
+    def report(label_table, pred_table):
+        evaluator = Evaluator(policy)
+        evaluator.add_sequence(label_table, pred_table)
+        return evaluator.report()["classes"]
+
+    before, after = report(labels, preds), report(labels, raised)
+    assert before.keys() == after.keys()
+    for cls in before:
+        assert {k: after[cls][k] for k in MOTA_KEYS} == {k: before[cls][k] for k in MOTA_KEYS}
+
+    k = int(np.searchsorted(preds.offsets, row, side="right")) - 1
+    one_frame = frame_table(labels, k)
+    before, after = report(one_frame, frame_table(preds, k)), report(one_frame, frame_table(raised, k))
+    for cls in before:
+        if before[cls]["s_mota"] is not None:
+            assert after[cls]["s_mota"] <= before[cls]["s_mota"]
+
+
+def test_motp_sums_run_on_across_sequences_in_match_order():
+    """Velocity errors 0.1, then 0.2 and 0.3 in a second sequence: the sum is
+    ((0.1 + 0.2) + 0.3), added in match order from the running total, not
+    0.1 + (0.2 + 0.3)."""
+    def sequence(errors):
+        labels = [[ebox(i, 10.0 * i, 0.0) for i in range(len(errors))]]
+        preds = [[ebox(i, 10.0 * i, 0.0, vel=(e, 0.0)) for i, e in enumerate(errors)]]
+        return labels, preds
+
+    row = single_class(evaluate_sequences([sequence([0.1]), sequence([0.2, 0.3])]))
+    assert row["motp"]["velocity"]["all"] == ((0.1 + 0.2) + 0.3) / 3
+    assert row["motp"]["velocity"]["all"] != (0.1 + (0.2 + 0.3)) / 3
